@@ -14,17 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .codes import BinaryCode
-from .errors import DomainError
+from .errors import DomainError, ThetaforgeError
 from .lattice import (
-    FLAVORS,
     catalog_theta,
     doubling_code_criterion,
     doubling_lattice_criterion,
+    flavor_theta,
     kernel_theta,
     lift_order,
-    theta_fixed,
-    theta_full,
-    theta_super,
     theta_twisted,
 )
 from .modfunc import eta_product
@@ -85,20 +82,13 @@ def lift_info(code: BinaryCode, g: Perm, trunc48=None,
     m = g.order()
     code_flag, witness = doubling_code_criterion(code, g)
     lat_flag, _ = doubling_lattice_criterion(code, g, flavor=flavor)
-    if flavor == "plain":
-        assert code_flag == lat_flag, \
-            "doubling criteria disagree on %s" % g
+    if flavor == "plain" and code_flag != lat_flag:
+        raise ThetaforgeError("doubling criteria disagree on %s" % g)
     kernel = None
     if lat_flag and trunc48 is not None:
         kernel = kernel_theta(code, g, trunc48, flavor=flavor)
     return LiftInfo(g, m, m * (2 if lat_flag else 1), lat_flag,
                     code_flag, witness, kernel)
-
-
-def _theta_of_lattice(code, gens, trunc48, flavor):
-    if flavor == "plain":
-        return theta_fixed(code, gens, trunc48)
-    return theta_super(code, gens, int(flavor[-1]), trunc48)
 
 
 def trace_series(code: BinaryCode, g: Perm, j: int, trunc48: int,
@@ -109,8 +99,6 @@ def trace_series(code: BinaryCode, g: Perm, j: int, trunc48: int,
     type of g^j, with the sign twist by <v, g^{j/2} v> on even j when
     the lift order is even.
     """
-    if flavor not in FLAVORS:
-        raise DomainError("unknown lattice flavor %r" % flavor)
     n = lift_order(code, g, flavor=flavor)
     if not 0 <= j < n:
         raise DomainError("power %d outside the lift order %d" % (j, n))
@@ -121,11 +109,13 @@ def trace_series(code: BinaryCode, g: Perm, j: int, trunc48: int,
     return (num / den).truncate48(trunc48)
 
 
-def _assert_character(ch, N):
-    assert ch.valuation48() == -2 * N, "character pole is off"
+def _check_character(ch, N):
+    if ch.valuation48() != -2 * N:
+        raise ThetaforgeError("character pole is off")
     for e, c in ch.coeffs.items():
-        assert (e + 2 * N) % DEN == 0 and isinstance(c, int) and c >= 0, \
-            "character has a non-dimension coefficient %s at %s/48" % (c, e)
+        if (e + 2 * N) % DEN or not isinstance(c, int) or c < 0:
+            raise ThetaforgeError(
+                "character has a non-dimension coefficient %s at %s/48" % (c, e))
 
 
 def character_cyclic(code: BinaryCode, g: Perm, trunc48: int,
@@ -138,7 +128,7 @@ def character_cyclic(code: BinaryCode, g: Perm, trunc48: int,
     for j in range(1, n):
         acc = acc + per[j]
     ch = (acc * Fraction(1, n)).truncate48(trunc48)
-    _assert_character(ch, code.n)
+    _check_character(ch, code.n)
     return CharacterReport("<%s>" % g, code.n, n, n != g.order(), per, ch)
 
 
@@ -159,11 +149,11 @@ def character_group(code: BinaryCode, gens, trunc48: int,
     pad = trunc48 + 4 * code.n + DEN
     acc = None
     for el in elements:
-        num = _theta_of_lattice(code, [el], pad, flavor)
+        num = flavor_theta(code, [el], flavor, pad)
         term = num / eta_product(el.cycle_type(), pad)
         acc = term if acc is None else acc + term
     ch = (acc * Fraction(1, len(elements))).truncate48(trunc48)
-    _assert_character(ch, code.n)
+    _check_character(ch, code.n)
     desc = "<%s>" % ", ".join(str(p) for p in gens)
     return CharacterReport(desc, code.n, len(elements), False, {}, ch)
 
@@ -179,7 +169,7 @@ def character_plus(source, trunc48: int, rank=None,
     pad = trunc48 + 4 * DEN
     if isinstance(source, BinaryCode):
         N = source.n
-        theta = _theta_of_lattice(source, [], pad + 4 * N, flavor)
+        theta = flavor_theta(source, [], flavor, pad + 4 * N)
     else:
         theta = source
         if rank is None:
@@ -266,7 +256,7 @@ def _d_lattice_character(N, trunc48):
 def _quotient_by_eta2(code, g, trunc48, flavor):
     N = code.n
     pad = trunc48 + 4 * DEN + 4 * N
-    th = _theta_of_lattice(code, [g], pad, flavor)
+    th = flavor_theta(code, [g], flavor, pad)
     return (th / eta(2, pad) ** (N // 2)).truncate48(trunc48)
 
 
@@ -275,7 +265,7 @@ def _verify_thmC(which, code, g1, g2, trunc48, flavor):
     win = max(trunc48 + 2 * DEN, 12 * DEN)
     if not _is_half_cycle_type(g1, N):
         return _not_applicable(which, "first class must have cycle type 2^(N/2)")
-    th1 = _theta_of_lattice(code, [g1], win, flavor)
+    th1 = flavor_theta(code, [g1], flavor, win)
     if not _matches_catalog(th1, "A1^%d" % (N // 2), 2):
         return _not_applicable(which, "first fixed theta is not the A1(2)^(N/2) series")
     info = lift_info(code, g1, flavor=flavor)
@@ -296,7 +286,7 @@ def _verify_thmC(which, code, g1, g2, trunc48, flavor):
             return _not_applicable(which, "second class missing")
         if not _is_half_cycle_type(g2, N):
             return _not_applicable(which, "second class must have cycle type 2^(N/2)")
-        th2 = _theta_of_lattice(code, [g2], win, flavor)
+        th2 = flavor_theta(code, [g2], flavor, win)
         if not _matches_catalog(th2, "D%d*" % (N // 2), 2):
             return _not_applicable(
                 which, "second fixed theta is not the D*(2) series")
@@ -418,8 +408,8 @@ def _verify_parity(code, g_rep, g_nr, trunc48, flavor):
         return _not_applicable(which, "needs both half-cycle classes")
     if not (_is_half_cycle_type(g_rep, N) and _is_half_cycle_type(g_nr, N)):
         return _not_applicable(which, "both classes must have cycle type 2^(N/2)")
-    th_rep = _theta_of_lattice(code, [g_rep], win, flavor)
-    th_nr = _theta_of_lattice(code, [g_nr], win, flavor)
+    th_rep = flavor_theta(code, [g_rep], flavor, win)
+    th_nr = flavor_theta(code, [g_nr], flavor, win)
     if not _matches_catalog(th_rep, "A1^%d" % (N // 2), 2):
         return _not_applicable(which, "rep fixed theta is not the A1(2)^(N/2) series")
     if not _matches_catalog(th_nr, "D%d*" % (N // 2), 2):

@@ -21,7 +21,7 @@ from . import __version__
 from .characters import character_cyclic, character_group, lift_info
 from .codes import load_code, mask_to_points
 from .errors import DomainError, ParseError, ThetaforgeError
-from .lattice import theta_fixed, theta_super
+from .lattice import flavor_theta
 from .modfunc import identify, is_replicable, theta_quotient
 from .perms import orbits, parse_generators, read_group_file
 from .qseries import DEN, PrecisionError
@@ -59,12 +59,6 @@ def _orbit_label(gens, n):
     from collections import Counter
     sizes = Counter(len(o) for o in orbits(gens, n))
     return " ".join("%d^%d" % (t, sizes[t]) for t in sorted(sizes))
-
-
-def _flavor_theta(code, gens, flavor, trunc48):
-    if flavor == "plain":
-        return theta_fixed(code, gens, trunc48)
-    return theta_super(code, gens, int(flavor[-1]), trunc48)
 
 
 def _render_value(v):
@@ -169,7 +163,7 @@ def _job_record(args, command, extra):
 
 
 def _quotient_pipeline(code, gens, flavor, trunc48):
-    theta = _flavor_theta(code, gens, flavor, trunc48)
+    theta = flavor_theta(code, gens, flavor, trunc48)
     label = _orbit_label(gens, code.n)
     return theta, label, theta_quotient(theta, label, N=code.n)
 
@@ -188,7 +182,7 @@ def _run_compute(args):
     outputs = {}
     extra = {}
     if command == "theta":
-        outputs["series"] = _flavor_theta(
+        outputs["series"] = flavor_theta(
             code, gens, args.flavor, trunc48).to_json_obj()
     elif command == "quotient":
         theta, label, quo = _quotient_pipeline(
@@ -257,11 +251,9 @@ def _run_verify(args):
     return 0 if report.ok else 1
 
 
-def _scan_line(code, flavor, trunc48, krep, index, text):
+def _scan_line(code, flavor, trunc48, krep, text):
     gens = parse_generators(text, code.n)
-    theta = _flavor_theta(code, gens, flavor, trunc48)
-    label = _orbit_label(gens, code.n)
-    quo = theta_quotient(theta, label, N=code.n)
+    _, label, quo = _quotient_pipeline(code, gens, flavor, trunc48)
     report = is_replicable(quo, krep)
     report.identified_as, report.constant_delta = identify(quo)
     return {"orbit_type": label, "replicability": report.to_json_obj()}
@@ -287,7 +279,7 @@ def _run_scan(args):
                 "version": __version__}
         try:
             base["outputs"] = _scan_line(code, args.flavor, trunc48,
-                                         args.krep, i, text)
+                                         args.krep, text)
         except (ThetaforgeError, PrecisionError) as exc:
             base["error"] = {"type": type(exc).__name__, "message": str(exc)}
         return base

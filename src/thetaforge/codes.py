@@ -11,8 +11,6 @@ from __future__ import annotations
 from .errors import DomainError, ParseError
 from .perms import Perm
 
-ENUMERATION_CAP = 2 ** 24
-
 HAMMING8_ROWS = [
     "10000111",
     "01001011",

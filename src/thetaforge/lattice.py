@@ -8,13 +8,31 @@ a_Omega/4; applied to the Golay code it produces the Leech lattice.
 
 A code automorphism permutes the a_i, so a subgroup G acts on the
 lattice.  Vectors fixed by G are constant on each G-orbit of
-coordinates, and range over codewords fixed by G, so the fixed-theta
-series factors per orbit into one-dimensional shifted theta functions.
-Sign-twisted sums (needed for traces of lifted automorphisms) carry an
-extra per-coset sign and per-orbit alternating flags, both read off
-from how g^{j/2} pairs up the orbits of g^j.  No lattice vectors are
-ever enumerated here; a brute-force enumerator lives in the test suite
-as an oracle.
+coordinates, and range over cosets of codewords B fixed by G, which are
+unions of orbits.  On such a coset every orbit block carries a shift of
+0 or 1/2 (plus 1/4 on the a_Omega/4 cosets), so its theta series is a
+product of one-dimensional shifted thetas that depends on B only
+through how many blocks of each size B contains.  One census walks the
+fixed subcode once and counts codewords by a tuple of integer
+popcounts: |B ∩ U_s| for the union U_s of the size-s blocks.  This is
+the size-refined weight enumerator of the fixed code on the orbit set;
+for the trivial group it is Construction A, Θ = W_C(θ₃(2τ), θ₂(2τ)).
+Shift signatures and block products are then built once per distinct
+key, not once per codeword.
+
+Sign-twisted sums, needed for traces of lifted automorphisms, weight v
+by (-1)^{<v, hv>} for an h that pairs up the orbit blocks.  The key
+then also holds p_self = |B ∩ self-paired blocks|, p_pair = |B ∩
+paired blocks| and p_hh = |B ∩ hB ∩ paired blocks|, and the pairing
+on a coset is constant up to even terms and alternating flags on
+odd-size blocks of the quarter-shifted cosets.  In eighths, with β = 1
+on the a_Omega/4 cosets and 0 otherwise, its constant part is
+
+    e8 = 4(1+β)·p_self + β·N + 4β·p_pair + 4·p_hh,
+
+which must be a multiple of 8; the coset sign is (-1)^(e8/8).  No
+lattice vectors are ever enumerated here; a brute-force enumerator
+lives in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +47,6 @@ from .perms import Perm, orbits
 from .qseries import DEN, QSeries, shifted_theta
 
 HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 
 FLAVORS = ("plain", "super0", "super1")
 
@@ -65,19 +82,6 @@ def _block_product(signature, trunc48):
     return got
 
 
-def _signature(specs):
-    return tuple(sorted(Counter(specs).items()))
-
-
-def _census_value(census, trunc48):
-    total = QSeries.zero(trunc48)
-    for signature in sorted(census):
-        coeff = census[signature]
-        if coeff:
-            total = total + _block_product(signature, trunc48) * coeff
-    return total.truncate48(trunc48)
-
-
 def _orbit_blocks(gens, n):
     """Coordinate orbits of the group generated by gens, as (mask, size)."""
     blocks = []
@@ -87,90 +91,6 @@ def _orbit_blocks(gens, n):
             mask |= 1 << p
         blocks.append((mask, len(orb)))
     return blocks
-
-
-def _block_shift(omask, size, bmask):
-    inter = omask & bmask
-    if inter == omask:
-        return HALF
-    if inter == 0:
-        return Fraction(0)
-    raise DomainError("codeword %#x is not a union of orbit blocks" % bmask)
-
-
-def theta_fixed(code: BinaryCode, gens, trunc48: int) -> QSeries:
-    """Theta series of the sublattice fixed by the subgroup <gens>.
-
-    Exponents count half the norm, so the series of an even lattice has
-    integer exponents.  gens may be empty, giving the full lattice.
-    """
-    sub = code.fixed_subcode(gens)
-    blocks = _orbit_blocks(gens, code.n)
-    census = Counter()
-    for bmask in sub.codewords():
-        specs = [(size, _block_shift(omask, size, bmask), False)
-                 for omask, size in blocks]
-        census[_signature(specs)] += 1
-    return _census_value(census, trunc48)
-
-
-def theta_full(code: BinaryCode, trunc48: int) -> QSeries:
-    """Theta series of the full code lattice via the weight enumerator.
-
-    Same value as theta_fixed with no generators, but needs one block
-    product per codeword weight instead of one per codeword.
-    """
-    census = Counter()
-    for weight, count in sorted(code.weight_enumerator().items()):
-        specs = [(1, HALF, False)] * weight + [(1, Fraction(0), False)] * (code.n - weight)
-        census[_signature(specs)] += count
-    return _census_value(census, trunc48)
-
-
-def _super_coset_specs(blocks, bmask, branch):
-    """Shifts for one codeword coset of the a_Omega/4 glueing.
-
-    Branch 1 is the coset a_B/2 + (integer vectors of even coordinate
-    sum); branch 2 shifts every coordinate by a quarter more.
-    """
-    specs = []
-    for omask, size in blocks:
-        s = _block_shift(omask, size, bmask)
-        if branch == 2:
-            s += QUARTER
-        specs.append((size, s, False))
-    return specs
-
-
-def _parity_split(census, specs, coeff, target_parity):
-    """Restrict a block product to vectors of fixed coordinate-sum parity.
-
-    The indicator of (sum of coordinates == target mod 2) is
-    (1 + (-1)^target (-1)^sum)/2, so the constrained sum is half the
-    plain product plus half a product where odd-size blocks alternate.
-    Existing alternating flags (from twisting signs) are XORed in.
-    """
-    flipped = [(size, s, not alt if size % 2 else alt) for size, s, alt in specs]
-    census[_signature(specs)] += Fraction(coeff, 2)
-    census[_signature(flipped)] += Fraction(coeff if target_parity == 0 else -coeff, 2)
-
-
-def theta_super(code: BinaryCode, gens, j: int, trunc48: int) -> QSeries:
-    """Theta series of the fixed sublattice for the a_Omega/4 glueing.
-
-    j in {0, 1} selects the parity of the coordinate sum on the shifted
-    cosets; the lattice is even and unimodular when N/8 == j mod 2.
-    The Golay code with j = 1 gives the Leech lattice.
-    """
-    if j not in (0, 1):
-        raise DomainError("coset parity j must be 0 or 1, got %r" % j)
-    sub = code.fixed_subcode(gens)
-    blocks = _orbit_blocks(gens, code.n)
-    census = Counter()
-    for bmask in sub.codewords():
-        _parity_split(census, _super_coset_specs(blocks, bmask, 1), 1, 0)
-        _parity_split(census, _super_coset_specs(blocks, bmask, 2), 1, j)
-    return _census_value(census, trunc48)
 
 
 def _paired_blocks(blocks, h):
@@ -188,27 +108,134 @@ def _paired_blocks(blocks, h):
     return partner
 
 
-def _twist_sign_data(blocks, partner, shifts):
-    """Constant sign exponent and per-block alternating flags for a coset.
+def _twist_parity(beta, n, p_self, p_pair, p_hh):
+    """Parity of <v, hv> on one coset, from its popcount key.
 
-    For v with block values x_O + s_O, the twist sign is
-    (-1)^{<v, hv>} where <v, hv> expands blockwise: a self-paired block
-    contributes 2|O|(x+s)², a swapped pair 4|O|(x+s)(x'+s').  Everything
-    involving an x is even except |O|x terms arising from quarter
-    shifts on the partner block, which become alternating flags; the
-    constant part must be an integer and only its parity matters.
+    Blockwise, a self-paired block contributes 2|O|(x+s)² and a swapped
+    pair 4|O|(x+s)(x'+s').  Dropping even terms and the alternating
+    flags leaves the constant e8/8 of the module docstring.
     """
-    econst = Fraction(0)
-    alt = []
-    for i, (omask, size) in enumerate(blocks):
-        p = partner[i]
-        if p == i:
-            econst += 2 * size * shifts[i] * shifts[i]
-        elif p > i:
-            econst += 4 * size * shifts[i] * shifts[p]
-        alt.append(bool(size % 2) and shifts[p].denominator == 4)
-    assert econst.denominator == 1, "twist sign exponent must be an integer"
-    return int(econst) % 2, alt
+    e8 = 4 * (1 + beta) * p_self + beta * n + 4 * beta * p_pair + 4 * p_hh
+    if e8 % 8:
+        raise DomainError("twist sign exponent must be an integer")
+    return e8 // 8 % 2
+
+
+def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
+                  twist: Perm = None) -> QSeries:
+    """Theta series of the <gens>-fixed sublattice from a popcount census.
+
+    j is None for the plain glueing, else the coset parity of the
+    a_Omega/4 glueing.  twist, when given, weights each vector v by
+    (-1)^{<v, twist(v)>}; it must pair up the orbit blocks.
+    """
+    n = code.n
+    sub = code.fixed_subcode(gens)
+    blocks = _orbit_blocks(gens, n)
+    # being fixed is linear, so checking the basis covers every codeword
+    for row in sub.basis:
+        for omask, _ in blocks:
+            if row & omask not in (0, omask):
+                raise DomainError(
+                    "codeword %#x is not a union of orbit blocks" % row)
+    sizes = sorted({size for _, size in blocks})
+    nblocks = [sum(1 for _, s in blocks if s == size) for size in sizes]
+    masks = [sum(m for m, s in blocks if s == size) for size in sizes]
+    pair_mask = 0
+    if twist is not None:
+        partner = _paired_blocks(blocks, twist)
+        pair_mask = sum(m for i, (m, _) in enumerate(blocks) if partner[i] != i)
+    masks += [((1 << n) - 1) ^ pair_mask, pair_mask]
+    # walk B in codewords() order with hB beside it (h is linear; with
+    # no twist pair_mask is 0); a key is |B ∩ U_s| for each size s,
+    # then p_self, p_pair and p_hh
+    words = images = sub.codewords()
+    if twist is not None:
+        images = [0]
+        for hrow in map(twist.apply_mask, sub.basis):
+            images += [hw ^ hrow for hw in images]
+    keys = Counter(tuple((w & m).bit_count() for m in masks)
+                   + ((w & hw & pair_mask).bit_count(),)
+                   for w, hw in zip(words, images))
+
+    # branch β = 0 is the coset a_B/2 + Z^N (even coordinate sum on the
+    # a_Omega/4 glueing); β = 1 shifts every coordinate by a quarter more
+    branches = ((0, None),) if j is None else ((0, 0), (1, j))
+    census = Counter()
+    for key, count in keys.items():
+        for beta, parity in branches:
+            odd = twist is not None and _twist_parity(beta, n, *key[-3:])
+            coeff = -count if odd else count
+            # quarter shifts on a twisted coset make odd blocks alternate
+            alt = twist is not None and beta == 1
+            low = Fraction(beta, 4)
+            specs = []
+            for size, total, bits in zip(sizes, nblocks, key):
+                a = alt and size % 2 == 1
+                specs += [((size, low + HALF, a), bits // size),
+                          ((size, low, a), total - bits // size)]
+            signature = tuple(sorted(s for s in specs if s[1]))
+            if parity is None:
+                census[signature] += coeff
+                continue
+            # Restrict to coordinate sum == parity mod 2: the indicator is
+            # (1 + (-1)^parity (-1)^sum)/2, and (-1)^sum flips the
+            # alternating flag of every odd-size block.
+            flipped = tuple(sorted(((size, s, a != (size % 2 == 1)), mult)
+                                   for (size, s, a), mult in signature))
+            census[signature] += Fraction(coeff, 2)
+            census[flipped] += Fraction(coeff * (-1) ** parity, 2)
+    total = QSeries.zero(trunc48)
+    for signature in sorted(census):
+        coeff = census[signature]
+        if coeff:
+            total = total + _block_product(signature, trunc48) * coeff
+    return total.truncate48(trunc48)
+
+
+def _coset_parity(flavor):
+    """None for the plain glueing, else the a_Omega/4 coset parity."""
+    if flavor not in FLAVORS:
+        raise DomainError("unknown lattice flavor %r" % flavor)
+    return None if flavor == "plain" else int(flavor[-1])
+
+
+def theta_fixed(code: BinaryCode, gens, trunc48: int) -> QSeries:
+    """Theta series of the sublattice fixed by the subgroup <gens>.
+
+    Exponents count half the norm, so the series of an even lattice has
+    integer exponents.  gens may be empty, giving the full lattice.
+    """
+    return _census_theta(code, gens, trunc48)
+
+
+def theta_full(code: BinaryCode, trunc48: int) -> QSeries:
+    """Theta series of the full code lattice: theta_fixed with no group."""
+    return theta_fixed(code, [], trunc48)
+
+
+def theta_super(code: BinaryCode, gens, j: int, trunc48: int) -> QSeries:
+    """Theta series of the fixed sublattice for the a_Omega/4 glueing.
+
+    j in {0, 1} selects the parity of the coordinate sum on the shifted
+    cosets; the lattice is even and unimodular when N/8 == j mod 2.
+    The Golay code with j = 1 gives the Leech lattice.
+    """
+    if j not in (0, 1):
+        raise DomainError("coset parity j must be 0 or 1, got %r" % j)
+    return _census_theta(code, gens, trunc48, j=j)
+
+
+def flavor_theta(code: BinaryCode, gens, flavor: str, trunc48: int) -> QSeries:
+    """Fixed-sublattice theta for a glueing named by flavor.
+
+    "plain" is theta_fixed; "super0"/"super1" are theta_super with that
+    coset parity.
+    """
+    j = _coset_parity(flavor)
+    if j is None:
+        return theta_fixed(code, gens, trunc48)
+    return theta_super(code, gens, j, trunc48)
 
 
 def theta_twisted(code: BinaryCode, g: Perm, j: int, trunc48: int,
@@ -220,37 +247,16 @@ def theta_twisted(code: BinaryCode, g: Perm, j: int, trunc48: int,
     returned.  flavor picks the glueing: "plain", or "super0"/"super1"
     for the a_Omega/4 construction with that coset parity.
     """
-    if flavor not in FLAVORS:
-        raise DomainError("unknown lattice flavor %r" % flavor)
+    parity = _coset_parity(flavor)
     m = g.order()
     gj = g ** (j % m)
     if j % 2 or m % 2:
-        if flavor == "plain":
-            return theta_fixed(code, [gj], trunc48)
-        return theta_super(code, [gj], int(flavor[-1]), trunc48)
+        return flavor_theta(code, [gj], flavor, trunc48)
     if j % (2 * m) == 0:
         # the weight is <v, v> mod 2, trivial on an even lattice
-        if flavor == "plain":
-            return theta_full(code, trunc48)
-        return theta_super(code, [], int(flavor[-1]), trunc48)
+        return flavor_theta(code, [], flavor, trunc48)
     h = g ** (j // 2 % m)
-    sub = code.fixed_subcode([gj])
-    blocks = _orbit_blocks([gj], code.n)
-    partner = _paired_blocks(blocks, h)
-    census = Counter()
-    for bmask in sub.codewords():
-        branches = ((1, 0),) if flavor == "plain" else ((1, 0), (2, int(flavor[-1])))
-        for branch, parity in branches:
-            specs = _super_coset_specs(blocks, bmask, branch)
-            shifts = [s for _, s, _ in specs]
-            epar, alt = _twist_sign_data(blocks, partner, shifts)
-            signed = [(size, s, a) for (size, s, _), a in zip(specs, alt)]
-            sign = -1 if epar else 1
-            if flavor == "plain":
-                census[_signature(signed)] += sign
-            else:
-                _parity_split(census, signed, sign, parity)
-    return _census_value(census, trunc48)
+    return _census_theta(code, [gj], trunc48, j=parity, twist=h)
 
 
 def kernel_theta(code: BinaryCode, g: Perm, trunc48: int,
@@ -264,10 +270,7 @@ def kernel_theta(code: BinaryCode, g: Perm, trunc48: int,
     m = g.order()
     if m % 2:
         raise DomainError("kernel sublattice needs an automorphism of even order")
-    if flavor == "plain":
-        full = theta_full(code, trunc48)
-    else:
-        full = theta_super(code, [], int(flavor[-1]), trunc48)
+    full = flavor_theta(code, [], flavor, trunc48)
     twisted = theta_twisted(code, g, m, trunc48, flavor=flavor)
     return ((full + twisted) * HALF).truncate48(trunc48)
 
@@ -296,11 +299,10 @@ def doubling_lattice_criterion(code: BinaryCode, g: Perm, flavor: str = "plain")
 
     Looks for a vector v with <v, g^{m/2}v> odd, coset by coset: on each
     codeword coset the parity of the pairing is constant, and it is read
-    off from the same blockwise sign expansion used for twisted thetas
-    (with every block a single coordinate).  Returns (verdict, witness).
+    off from the same popcount sign rule used for twisted thetas (with
+    every block a single coordinate).  Returns (verdict, witness).
     """
-    if flavor not in FLAVORS:
-        raise DomainError("unknown lattice flavor %r" % flavor)
+    parity = _coset_parity(flavor)
     if not code.is_automorphism(g):
         raise DomainError("%s is not a code automorphism" % g)
     m = g.order()
@@ -308,22 +310,18 @@ def doubling_lattice_criterion(code: BinaryCode, g: Perm, flavor: str = "plain")
         return False, None
     h = g ** (m // 2)
     n = code.n
-    blocks = _orbit_blocks([], n)
-    partner = _paired_blocks(blocks, h)
-    branches = ((1, 0),) if flavor == "plain" else ((1, 0), (2, int(flavor[-1])))
+    pair_mask = sum(1 << i for i in range(n) if h(i) != i)
+    self_mask = ((1 << n) - 1) ^ pair_mask
     for bmask in code.codewords():
-        for branch, parity in branches:
-            shifts = [s for _, s, _ in _super_coset_specs(blocks, bmask, branch)]
-            epar, alt = _twist_sign_data(blocks, partner, shifts)
-            if branch == 2:
-                # every alternating flag is set and the coordinate sum is
-                # pinned mod 2, so the flags contribute the coset parity
-                assert all(alt)
-                epar = (epar + parity) % 2
-            else:
-                assert not any(alt)
-            if epar:
-                return True, bmask
+        key = ((bmask & self_mask).bit_count(), (bmask & pair_mask).bit_count(),
+               (bmask & h.apply_mask(bmask) & pair_mask).bit_count())
+        if _twist_parity(0, n, *key):
+            return True, bmask
+        # On the quarter-shifted coset every coordinate alternates and
+        # the coordinate sum is pinned mod 2, so the flags contribute
+        # the coset parity.
+        if parity is not None and (_twist_parity(1, n, *key) + parity) % 2:
+            return True, bmask
     return False, None
 
 

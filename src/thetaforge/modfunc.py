@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, ThetaforgeError
 from .lattice import catalog_theta
 from .qseries import DEN, PrecisionError, QSeries, eta
 
@@ -159,15 +159,16 @@ def faber_table(f, K_rep):
             nxt = nxt - a1[k - n] * polys[n]
         nxt = nxt - (k + 1) * a1[k]
         polys.append(nxt)
-        assert nxt.coeff48(-(k + 1) * DEN) == 1
-        for e in range(-k * DEN, DEN, DEN):
-            assert nxt.coeff48(e) == 0, "Faber recurrence lost normalization"
+        if nxt.coeff48(-(k + 1) * DEN) != 1 or any(
+                nxt.coeff48(e) for e in range(-k * DEN, DEN, DEN)):
+            raise ThetaforgeError("Faber recurrence lost normalization")
         for n in range(1, K + 1):
             table[n][k + 1] = Fraction(nxt.coeff48(n * DEN), k + 1)
     for n in range(1, K + 1):
         for k in range(1, n):
-            assert table[n][k] == table[k][n], \
-                "Faber table asymmetric at (%d, %d)" % (n, k)
+            if table[n][k] != table[k][n]:
+                raise ThetaforgeError(
+                    "Faber table asymmetric at (%d, %d)" % (n, k))
     return ReplicabilityReport(K, table=table)
 
 
@@ -269,9 +270,11 @@ def mckay_thompson(name, trunc48):
     cached = _mt_cache.get(name)
     if cached is None or cached.trunc48 < trunc48:
         cached = _BUILDERS[name](trunc48)
-        assert cached.trunc48 >= trunc48
-        assert cached.valuation48() == -DEN and cached.lead_coeff() == 1
-        assert cached.is_integral()
+        if (cached.trunc48 < trunc48 or cached.valuation48() != -DEN
+                or cached.lead_coeff() != 1 or not cached.is_integral()):
+            raise ThetaforgeError(
+                "catalog series %s is not an integral q^-1 + O(1)"
+                " expansion below %d/48" % (name, trunc48))
         _mt_cache[name] = cached
     return cached.truncate48(trunc48)
 

@@ -206,6 +206,32 @@ def test_unknown_code_exits_3(capsys):
     assert json.loads(err)["error"]["type"] == "DomainError"
 
 
+def test_oversized_code_file_exits_3(capsys, tmp_path):
+    # 2^25 codewords are refused before any enumeration starts
+    path = tmp_path / "dim25.txt"
+    path.write_text("".join("0" * i + "1" + "0" * (25 - i) + "\n"
+                            for i in range(25)))
+    for group in ([], ["--group", "()"]):
+        code, out, err = run(capsys, "theta", "--code", str(path), *group)
+        assert code == 3
+        assert out == ""
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "DomainError"
+        assert payload["message"] == "refusing to enumerate 2^25 codewords"
+
+
+def test_broken_character_invariant_exits_3(capsys):
+    # the super0 flavor of hamming8 is the odd lattice Z^8, whose
+    # averaged traces leave the dimension grid
+    code, out, err = run(capsys, "character", "--flavor", "super0",
+                         "--group", "(1,7)(2,4)(3,8)(5,6)")
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "ThetaforgeError"
+    assert "non-dimension coefficient" in payload["message"]
+
+
 def test_shallow_replicability_is_refused(capsys):
     code, out, err = run(capsys, "replicable", "--trunc", "8")
     assert code == 3

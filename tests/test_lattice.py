@@ -9,18 +9,21 @@ products, and never shares code with the blockwise engine.
 from collections import Counter
 from fractions import Fraction
 from math import comb, isqrt
+from pathlib import Path
 
 import pytest
 
-from thetaforge.codes import catalog_code
+from thetaforge.codes import BinaryCode, catalog_code
 from thetaforge.errors import DomainError
 from thetaforge.lattice import (
     a_partition_order, catalog_theta, d_partition_anchor,
-    doubling_code_criterion, doubling_lattice_criterion, kernel_theta,
-    lift_order, theta_fixed, theta_full, theta_matches, theta_super,
-    theta_twisted,
+    doubling_code_criterion, doubling_lattice_criterion, flavor_theta,
+    kernel_theta, lift_order, theta_fixed, theta_full, theta_matches,
+    theta_super, theta_twisted,
 )
-from thetaforge.perms import Perm, orbits, parse_generators, parse_perm
+from thetaforge.perms import (
+    Perm, brute_force_automorphisms, orbits, parse_generators, parse_perm,
+)
 from thetaforge.qseries import DEN, QSeries, eta, shifted_theta
 
 T = lambda n: n * DEN
@@ -32,6 +35,21 @@ HAM = catalog_code("hamming8")
 EX_G = parse_perm("(2,8,4,6)(3,5)", 8)
 REP24 = parse_perm("(1,7)(2,4)(3,8)(5,6)", 8)
 NR24 = parse_perm("(1,2)(3,8)(4,7)(5,6)", 8)
+
+
+def _class_representatives():
+    """One automorphism per line of the hamming8 conjugacy-class file."""
+    reps = []
+    path = Path(__file__).parent / "data" / "hamming8_classes.txt"
+    for line in path.read_text().splitlines():
+        text = line.split("#", 1)[0].strip()
+        if text:
+            gens = parse_generators(text, 8)
+            reps.append(gens[0] if gens else Perm.identity(8))
+    return reps
+
+
+CLASS_REPS = _class_representatives()
 
 
 # ---------- oracle ----------
@@ -137,8 +155,13 @@ def test_fixed_theta_rep_vs_nonrep():
 
 
 def test_full_theta_routes_agree():
+    # Construction A from the weight enumerator: W_C(θ₃(2τ), θ₂(2τ))
+    even, odd = shifted_theta(1, 0, T(12)), shifted_theta(1, HALF, T(12))
     for code in (HAM, catalog_code("hamming8+hamming8")):
-        assert theta_full(code, T(12)).matches(theta_fixed(code, [], T(12)))
+        expect = QSeries.zero(T(12))
+        for weight, count in code.weight_enumerator().items():
+            expect = expect + even ** (code.n - weight) * odd ** weight * count
+        assert theta_full(code, T(12)).matches(expect)
 
 
 def test_e8_theta():
@@ -150,6 +173,17 @@ def test_e8_theta():
 
 def test_fixed_theta_trivial_group_oracle():
     assert_matches_oracle(theta_full(HAM, T(6)), oracle_theta(HAM, [], T(6)))
+
+
+def test_oversized_codes_are_refused_on_every_route():
+    big = BinaryCode(26, [1 << i for i in range(25)])
+    one = Perm.identity(26)
+    routes = (lambda: theta_full(big, T(4)),
+              lambda: theta_super(big, [], 0, T(4)),
+              lambda: theta_twisted(big, one, 0, T(4)))
+    for route in routes:
+        with pytest.raises(DomainError, match=r"refusing to enumerate 2\^25"):
+            route()
 
 
 # ---------- super-code glueing ----------
@@ -168,6 +202,23 @@ def test_super_theta_against_oracle():
 def test_super_rejects_bad_parity():
     with pytest.raises(DomainError):
         theta_super(HAM, [], 2, T(6))
+
+
+def test_flavor_dispatch():
+    assert flavor_theta(HAM, [EX_G], "plain", T(8)).matches(
+        theta_fixed(HAM, [EX_G], T(8)))
+    for j in (0, 1):
+        assert flavor_theta(HAM, [EX_G], "super%d" % j, T(8)).matches(
+            theta_super(HAM, [EX_G], j, T(8)))
+    calls = [
+        lambda: flavor_theta(HAM, [], "super2", T(4)),
+        lambda: theta_twisted(HAM, REP24, 2, T(4), flavor="super2"),
+        lambda: kernel_theta(HAM, REP24, T(4), flavor="super2"),
+        lambda: doubling_lattice_criterion(HAM, REP24, "super2"),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="unknown lattice flavor"):
+            call()
 
 
 def test_leech_theta():
@@ -194,21 +245,32 @@ def test_twisted_example_order_four():
         1, 28, 124, 288, 508, 728, 1056, 1728, 2044]
 
 
+def _oracle_twist(g, j):
+    # g^(j/2) twists for even order; for odd order the weight is trivial
+    m = g.order()
+    return g ** (j // 2 % m) if m % 2 == 0 else None
+
+
 def test_twisted_against_oracle_even_powers():
-    # twist h = g^(j/2) on the sublattice fixed by g^j
-    for g, j in [(EX_G, 2), (EX_G, 4), (EX_G, 6), (REP24, 2), (NR24, 2)]:
-        tw = theta_twisted(HAM, g, j, T(6))
+    # twist h = g^(j/2) on the sublattice fixed by g^j; the class
+    # representatives use a shorter window to bound the oracle's cost
+    cases = [(EX_G, 2, 6), (EX_G, 4, 6), (EX_G, 6, 6), (REP24, 2, 6),
+             (NR24, 2, 6)] + [(g, 2, 3) for g in CLASS_REPS]
+    for g, j, t in cases:
+        tw = theta_twisted(HAM, g, j, T(t))
         m = g.order()
-        want = oracle_theta(HAM, [g ** (j % m)], T(6), twist=g ** (j // 2 % m))
+        want = oracle_theta(HAM, [g ** (j % m)], T(t), twist=_oracle_twist(g, j))
         assert_matches_oracle(tw, want)
 
 
 def test_twisted_super_against_oracle():
-    for g, j in [(REP24, 2), (NR24, 2), (EX_G, 2)]:
-        tw = theta_twisted(HAM, g, j, T(6), flavor="super1")
+    cases = [(REP24, 2, 6), (NR24, 2, 6), (EX_G, 2, 6)] + [
+        (g, 2, 3) for g in CLASS_REPS]
+    for g, j, t in cases:
+        tw = theta_twisted(HAM, g, j, T(t), flavor="super1")
         m = g.order()
-        want = oracle_theta(HAM, [g ** (j % m)], T(6), super_j=1,
-                            twist=g ** (j // 2 % m))
+        want = oracle_theta(HAM, [g ** (j % m)], T(t), super_j=1,
+                            twist=_oracle_twist(g, j))
         assert_matches_oracle(tw, want)
 
 
@@ -266,6 +328,53 @@ def test_lift_orders():
     assert lift_order(HAM, NR24) == 2
     assert lift_order(HAM, EX_G) == 8
     assert lift_order(HAM, Perm.identity(8)) == 1
+
+
+def _literal_doubling_search(code, g, parity):
+    """First codeword whose coset holds a v with 2<v, hv> odd, h = g^(m/2).
+
+    parity is None for the plain glueing, else the coset parity j of
+    the a_Omega/4 glueing.  Vectors are held as u = 4v, so 2<v, hv> is
+    sum(u_i u_h(i)) / 8.  Each coset is searched over the vectors whose
+    integer part is 0 or 1 on the first two coordinates and 0 elsewhere,
+    keeping those with the coset's coordinate-sum parity.
+    """
+    m = g.order()
+    if m % 2:
+        return False, None
+    h = g ** (m // 2)
+    n = code.n
+    steps = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    if parity is None:
+        branches = [(0, None)]
+    else:
+        branches = [(0, 0), (1, parity)]
+    for bmask in code.codewords():
+        for quarter, want in branches:
+            base = [2 * (bmask >> i & 1) + quarter for i in range(n)]
+            for x0, x1 in steps:
+                if want is not None and (x0 + x1) % 2 != want:
+                    continue
+                u = list(base)
+                u[0] += 4 * x0
+                u[1] += 4 * x1
+                pairing8 = sum(u[i] * u[h(i)] for i in range(n))
+                assert pairing8 % 8 == 0
+                if pairing8 // 8 % 2:
+                    return True, bmask
+    return False, None
+
+
+def test_doubling_lattice_criterion_matches_a_literal_search():
+    auts = brute_force_automorphisms(HAM.contains, 8)
+    assert len(auts) == 1344
+    doubled = Counter()
+    for g in auts:
+        for flavor, parity in [("plain", None), ("super0", 0), ("super1", 1)]:
+            got = doubling_lattice_criterion(HAM, g, flavor)
+            assert got == _literal_doubling_search(HAM, g, parity), (g, flavor)
+            doubled[flavor] += got[0]
+    assert doubled["plain"] > 0 and doubled["super1"] > 0
 
 
 def test_leech_half_swap_doubles():
