@@ -23,7 +23,7 @@ from .codes import load_code, mask_to_points
 from .errors import DomainError, ParseError, ThetaforgeError
 from .lattice import flavor_theta
 from .modfunc import identify, is_replicable, theta_quotient
-from .perms import orbits, parse_generators, read_group_file
+from .perms import orbit_type, parse_generators, read_group_file, type_str
 from .qseries import DEN, PrecisionError
 from .verify import FIGURE_IDS, verify_figure
 
@@ -53,12 +53,6 @@ def _fingerprint(job):
 
 def _dump(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _orbit_label(gens, n):
-    from collections import Counter
-    sizes = Counter(len(o) for o in orbits(gens, n))
-    return " ".join("%d^%d" % (t, sizes[t]) for t in sorted(sizes))
 
 
 def _render_value(v):
@@ -164,7 +158,7 @@ def _job_record(args, command, extra):
 
 def _quotient_pipeline(code, gens, flavor, trunc48):
     theta = flavor_theta(code, gens, flavor, trunc48)
-    label = _orbit_label(gens, code.n)
+    label = type_str(orbit_type(gens, code.n))
     return theta, label, theta_quotient(theta, label, N=code.n)
 
 

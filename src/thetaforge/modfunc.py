@@ -132,11 +132,15 @@ def _check_hauptmodul_shape(f):
 def faber_table(f, K_rep):
     """Coefficients a[n][k] of the Faber polynomials of f, 1 <= n,k <= K_rep.
 
-    F_1 = f and F_{k+1} = f*F_k - sum_{n=1}^{k-1} a_{k-n} F_n - (k+1) a_k,
-    each expanded as a q-series; a[n][k] is read off from
-    F_k = q^-k + k * sum_n a[n][k] q^n.  The input must be normalized to
-    q^-1 + sum_{n>=1} a_n q^n with the constant already removed, and must
-    carry coefficients through q^(2*K_rep).
+    F_1 = f and F_{k+1} = f*F_k - sum_{n=1}^{k-1} a_{k-n} F_n - (k+1) a_k;
+    a[n][k] is read off from F_k = q^-k + k * sum_n a[n][k] q^n.  The input
+    must be normalized to q^-1 + sum_{n>=1} a_n q^n with the constant
+    already removed, and must carry coefficients through q^(2*K_rep).
+
+    Each F_k is a plain list of integer-exponent coefficients starting at
+    q^-K, kept only on its exact window: the q^-1 term of f costs one
+    power per step, so F_k is exact through q^(2K-k+1), which still
+    covers q^K for every k <= K.
     """
     K = int(K_rep)
     if K < 1:
@@ -148,22 +152,30 @@ def faber_table(f, K_rep):
         raise PrecisionError(
             "replicability at K_rep=%d needs coefficients through q^%d" % (K, 2 * K))
 
-    a1 = [None] + [f.coeff48(n * DEN) for n in range(1, 2 * K + 1)]
+    # polys[k][K + e] is the coefficient of q^e in F_k, for e <= 2K - k + 1
+    polys = [None, [f.coeff48(e * DEN) for e in range(-K, 2 * K + 1)]]
+    a1 = polys[1][K:]
     table = [[None] * (K + 1) for _ in range(K + 1)]
-    polys = [None, f]
     for n in range(1, K + 1):
         table[n][1] = Fraction(a1[n])
     for k in range(1, K):
-        nxt = f * polys[k]
+        size = 3 * K - k + 1         # F_{k+1} is exact through q^(2K-k)
+        cur = polys[k]
+        nxt = cur[1:size + 1]        # the q^-1 term of f shifts F_k down
+        for i in range(K - k, size - 1):
+            c = cur[i]
+            if c:                    # c q^(i-K) times the a_j q^j of f
+                nxt[i + 1:] = [x + c * y for x, y in zip(nxt[i + 1:], a1[1:])]
         for n in range(1, k):
-            nxt = nxt - a1[k - n] * polys[n]
-        nxt = nxt - (k + 1) * a1[k]
+            c = a1[k - n]
+            if c:
+                nxt = [x - c * y for x, y in zip(nxt, polys[n])]
+        nxt[K] -= (k + 1) * a1[k]
         polys.append(nxt)
-        if nxt.coeff48(-(k + 1) * DEN) != 1 or any(
-                nxt.coeff48(e) for e in range(-k * DEN, DEN, DEN)):
+        if nxt[K - k - 1] != 1 or any(nxt[K - k:K + 1]):
             raise ThetaforgeError("Faber recurrence lost normalization")
         for n in range(1, K + 1):
-            table[n][k + 1] = Fraction(nxt.coeff48(n * DEN), k + 1)
+            table[n][k + 1] = Fraction(nxt[K + n], k + 1)
     for n in range(1, K + 1):
         for k in range(1, n):
             if table[n][k] != table[k][n]:

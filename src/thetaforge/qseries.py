@@ -9,12 +9,20 @@ super-code construction contribute 1/16.
 A series knows its coefficients exactly for all exponents strictly
 below ``trunc48`` (also in 48ths) and nothing beyond.  Arithmetic
 propagates truncations honestly, so multiplying by a series with a
-negative leading exponent shrinks the window the way it should.
+negative leading exponent shrinks the window the way it should, and
+truncating never widens a window: asking for more than is known is a
+PrecisionError.  Coefficients are ints or Fractions, never floats.
+
+Products are sparse convolutions.  A rational power f**r, and with it
+division (f / g is f * g**-1), runs J.C.P. Miller's power recurrence
+on the exponent stride of f, which costs O(T^2) for T terms; with
+f = c q^v (1 + ...) the result is exact below trunc48 - v + r v.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 DEN = 48
 
@@ -27,6 +35,13 @@ def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def _exact_coeff(c):
+    """A coefficient from outside, normalized; floats and the like are refused."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
+    return _norm_coeff(c)
 
 
 def to_exp48(e):
@@ -71,15 +86,6 @@ def rational_power(c, r):
     return Fraction(pn, pd) ** r.numerator
 
 
-def binom_frac(r, k):
-    """Generalized binomial coefficient C(r, k) for rational r, integer k >= 0."""
-    out = Fraction(1)
-    for i in range(k):
-        out *= (r - i)
-        out /= (i + 1)
-    return out
-
-
 class QSeries:
     """A q-series known exactly below its truncation exponent.
 
@@ -97,7 +103,7 @@ class QSeries:
             e = int(e)
             if e >= trunc48:
                 continue
-            c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+            c = _exact_coeff(c)
             if c:
                 clean[e] = c
         self.coeffs = clean
@@ -122,7 +128,7 @@ class QSeries:
 
     @classmethod
     def monomial(cls, coeff, exp48, trunc48):
-        coeff = _norm_coeff(coeff)
+        coeff = _exact_coeff(coeff)
         if not coeff or exp48 >= trunc48:
             return cls.zero(trunc48)
         return cls._raw({int(exp48): coeff}, int(trunc48))
@@ -266,34 +272,35 @@ class QSeries:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.pow_rational(n)
         if n == 0:
             if self.trunc48 <= 0:
                 raise PrecisionError("cannot represent 1 below truncation 0")
             return QSeries.one(self.trunc48)
-        base, out = self, None
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return self.pow_rational(n)
 
     def pow_rational(self, r):
-        """Exact f**r for rational r, via the binomial series.
+        """Exact f**r for rational r = p/q, by J.C.P. Miller's recurrence.
 
-        Writes f = c q^v (1 + h) and expands; requires c**r to be an
-        exact rational and r*v to stay on the exponent grid.
+        Writes f = c q^v (1 + h), so f**r = c**r q^(r v) g with
+        g = (1 + h)**r.  Laid out along the stride d = gcd of the
+        exponents of h, with h_0 = 0 and g_0 = 1, g satisfies
+        (Knuth, TAOCP vol. 2, 4.7)
+
+            n q g_n = sum_{k=1..n} ((p + q) k - n q) h_k g_{n-k},
+
+        which costs O(T^2) for T terms on the stride, and less when h is
+        sparse.  Integer powers and inverses take the same path.  The
+        result is exact below trunc48 - v + r v, the window of h shifted
+        by r v.  Requires c**r to be an exact rational and r*v to stay on
+        the exponent grid.
         """
         r = Fraction(r)
         if not self.coeffs:
             if r > 0:
                 return QSeries.zero(int(self.trunc48 * r))
             raise ValueError("cannot raise the zero series to a nonpositive power")
-        if r.denominator == 1 and r >= 0:
-            return self ** int(r)
+        if not r:
+            return self ** 0
         v = self.valuation48()
         c = self.coeffs[v]
         rv = r * v
@@ -302,23 +309,26 @@ class QSeries:
                              % (r, v))
         cr = rational_power(c, r)
         trel = self.trunc48 - v
+        d = 0
+        for e in self.coeffs:
+            d = gcd(d, e - v)
+        d = d or trel
+        p, q = r.numerator, r.denominator
         ci = Fraction(1, 1) / c
-        h = QSeries._raw(
-            {e - v: _norm_coeff(cc * ci) for e, cc in self.coeffs.items() if e != v},
-            trel)
-        out = QSeries.one(trel)
-        if not h.is_zero():
-            step = h.valuation48()
-            hk = QSeries.one(trel)
-            k = 1
-            while k * step < trel:
-                hk = hk * h
-                out = out + binom_frac(r, k) * hk
-                k += 1
-        shifted = {e + int(rv): _norm_coeff(cr * cc)
-                   for e, cc in out.coeffs.items()}
-        return QSeries._raw({e: c2 for e, c2 in shifted.items() if c2},
-                            trel + int(rv))
+        h = [(k, (p + q) * k, _norm_coeff(self.coeffs[v + k * d] * ci))
+             for k in sorted((e - v) // d for e in self.coeffs if e != v)]
+        g = [1]
+        for n in range(1, (trel - 1) // d + 1):
+            nq = n * q
+            s = 0
+            for k, pqk, hk in h:
+                if k > n:
+                    break
+                s += (pqk - nq) * hk * g[n - k]
+            g.append(_norm_coeff(Fraction(s, nq)))
+        shift = int(rv)
+        return QSeries._raw({n * d + shift: _norm_coeff(cr * gn)
+                             for n, gn in enumerate(g) if gn}, trel + shift)
 
     def dilate(self, m):
         """Replace q by q**m for a positive integer m."""
@@ -329,7 +339,12 @@ class QSeries:
                             self.trunc48 * m)
 
     def truncate48(self, t48):
-        t48 = min(int(t48), self.trunc48)
+        """Drop all terms at exponent >= t48 (48ths); never widens the window."""
+        t48 = int(t48)
+        if t48 > self.trunc48:
+            raise PrecisionError(
+                "cannot truncate at %s/48: the series is exact only below %s/48"
+                % (t48, self.trunc48))
         return QSeries._raw({e: c for e, c in self.coeffs.items() if e < t48}, t48)
 
     def truncate(self, t):

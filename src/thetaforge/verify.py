@@ -12,8 +12,6 @@ exceptions: callers get a per-row report.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .characters import (
     character_cyclic, character_group, character_plus, trace_series,
     verify_identity,
@@ -22,7 +20,7 @@ from .codes import catalog_code
 from .errors import DomainError
 from .lattice import catalog_theta, kernel_theta, theta_fixed
 from .modfunc import identify, is_replicable, theta_quotient
-from .perms import orbits, parse_generators
+from .perms import orbit_type, parse_generators, type_str
 from .qseries import DEN, eta
 
 FIGURE_IDS = ("fig1", "fig2", "fig5", "fig7", "ex33", "ex34", "ex53",
@@ -70,18 +68,13 @@ def _series_row(label, series, base48, expected):
     return RowResult(label, expected, got, got == expected)
 
 
-def _orbit_label(gens, n):
-    sizes = Counter(len(o) for o in orbits(gens, n))
-    return " ".join("%d^%d" % (t, sizes[t]) for t in sorted(sizes))
-
-
 def _gens(text, n=8):
     return parse_generators(text, n) if text else []
 
 
 def _identified_quotient(code, gens, trunc48):
     theta = theta_fixed(code, gens, trunc48)
-    quo = theta_quotient(theta, _orbit_label(gens, code.n), N=code.n)
+    quo = theta_quotient(theta, type_str(orbit_type(gens, code.n)), N=code.n)
     report = is_replicable(quo)
     report.identified_as, report.constant_delta = identify(quo)
     return report
@@ -130,16 +123,17 @@ def _fig_identifications(rows_spec, with_type):
     rows = []
     for entry in rows_spec:
         if with_type:
-            orbit_type, text, name = entry
+            want_type, text, name = entry
         else:
             text, name = entry
         gens = _gens(text)
         report = _identified_quotient(ham, gens, 30 * DEN)
-        if with_type and _orbit_label(gens, 8) != orbit_type:
-            rows.append(RowResult(orbit_type + "  " + (text or "1"),
-                                  orbit_type, _orbit_label(gens, 8), False))
+        got_type = type_str(orbit_type(gens, 8))
+        if with_type and got_type != want_type:
+            rows.append(RowResult(want_type + "  " + (text or "1"),
+                                  want_type, got_type, False))
             continue
-        label = "%s  %s" % (_orbit_label(gens, 8), text or "1")
+        label = "%s  %s" % (got_type, text or "1")
         got = report.identified_as or report.verdict
         ok = (report.identified_as == name
               and report.verdict == "replicable-up-to-K_rep")
@@ -229,7 +223,7 @@ def _verify_ex34():
     ham = catalog_code("hamming8")
     gens = parse_generators("(4,6)(5,7), (4,7)(5,6), (1,3)(2,8)", 8)
     theta = theta_fixed(ham, gens, 12 * DEN)
-    quo = theta_quotient(theta, _orbit_label(gens, 8), N=8)
+    quo = theta_quotient(theta, type_str(orbit_type(gens, 8)), N=8)
     rows = [
         _series_row("quotient through q^3", quo, -DEN,
                     [1, 18, 150, 780, 2928]),

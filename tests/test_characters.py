@@ -19,7 +19,7 @@ from thetaforge.codes import catalog_code
 from thetaforge.errors import DomainError
 from thetaforge.lattice import catalog_theta, kernel_theta
 from thetaforge.perms import parse_generators, parse_perm
-from thetaforge.qseries import DEN, QSeries
+from thetaforge.qseries import DEN, PrecisionError, QSeries
 
 T = lambda n: n * DEN
 
@@ -124,6 +124,15 @@ def test_character_plus_rows():
     kernel = kernel_theta(HAM, REP24, T(13))
     half = character_plus(kernel, T(7), rank=8)
     assert rows(half, 8, 7) == [1, 56, 1052, 8640, 53382, 264160, 1133112]
+
+
+def test_character_plus_refuses_a_short_theta():
+    # E8 theta known below q^8 cannot give the character below q^10;
+    # this used to come back silently truncated at q^(364/48)
+    short = catalog_theta("E8", 1, 8 * DEN)
+    with pytest.raises(PrecisionError):
+        character_plus(short, 10 * DEN, rank=8)
+    assert character_plus(short, 7 * DEN, rank=8).trunc48 == 7 * DEN
 
 
 def test_character_plus_needs_octave_rank():

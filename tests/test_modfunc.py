@@ -1,9 +1,10 @@
 """Eta products, theta quotients, and the bounded replicability check.
 
 Low-order Faber columns have closed forms (F_2 = f^2 - 2a_1 and
-F_3 = f^3 - 3a_1 f - 3a_2), which give an oracle for the recurrence;
-the named-series catalog is pinned against frozen expansions and
-against quotients recomputed from fixed-sublattice thetas.
+F_3 = f^3 - 3a_1 f - 3a_2), which give an oracle for the recurrence,
+and the whole table is checked against the recurrence run on QSeries
+objects; the named-series catalog is pinned against frozen expansions
+and against quotients recomputed from fixed-sublattice thetas.
 """
 
 from fractions import Fraction
@@ -106,6 +107,41 @@ def faber_low_columns(f):
     a1 = f.coeff48(DEN)
     a2 = f.coeff48(2 * DEN)
     return f * f - 2 * a1, f * f * f - 3 * a1 * f - 3 * a2
+
+
+def oracle_faber_table(f, K):
+    """The Faber recurrence with every F_k expanded as a QSeries."""
+    a1 = [None] + [f.coeff48(n * DEN) for n in range(1, 2 * K + 1)]
+    table = [[None] * (K + 1) for _ in range(K + 1)]
+    polys = [None, f]
+    for n in range(1, K + 1):
+        table[n][1] = Fraction(a1[n])
+    for k in range(1, K):
+        nxt = f * polys[k]
+        for n in range(1, k):
+            nxt = nxt - a1[k - n] * polys[n]
+        nxt = nxt - (k + 1) * a1[k]
+        polys.append(nxt)
+        for n in range(1, K + 1):
+            table[n][k + 1] = Fraction(nxt.coeff48(n * DEN), k + 1)
+    return table
+
+
+def _faber_input(source, K):
+    if source.startswith("T_"):
+        f = mckay_thompson(source, T(2 * K + 1))
+    else:
+        g = parse_perm(source, 8)
+        th = theta_fixed(HAM, [g], T(2 * K + 4))
+        f = theta_quotient(th, g.cycle_type(), N=8)
+    return strip_constant(f)[0]
+
+
+@pytest.mark.parametrize("K", [1, 5, 24])
+@pytest.mark.parametrize("source", ["T_4A", "T_3A", "(1,6)(7,8)"])
+def test_faber_table_against_series_oracle(source, K):
+    f = _faber_input(source, K)
+    assert faber_table(f, K).table == oracle_faber_table(f, K)
 
 
 def test_faber_table_against_closed_forms():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetaforge.qseries import (
-    DEN, PrecisionError, QSeries, binom_frac, eta, iroot, rational_power,
-    shifted_theta, theta2, theta3, theta4, to_exp48,
+    DEN, PrecisionError, QSeries, eta, iroot, rational_power, shifted_theta,
+    theta2, theta3, theta4, to_exp48,
 )
 
 T = lambda n: n * DEN  # integer q-power -> 48ths
@@ -23,6 +23,41 @@ def oracle_mul(a, b):
         for e2, c2 in b.coeffs.items():
             out[e1 + e2] = out.get(e1 + e2, 0) + Fraction(c1) * Fraction(c2)
     return {e: c for e, c in out.items() if e < t and c != 0}, t
+
+
+def binom_frac(r, k):
+    """Generalized binomial coefficient C(r, k) for rational r, integer k >= 0."""
+    out = Fraction(1)
+    for i in range(k):
+        out *= (r - i)
+        out /= (i + 1)
+    return out
+
+
+def oracle_pow_rational(f, r):
+    """Reference power: f = c q^v (1 + h) and f**r = c**r q^(rv) sum C(r, k) h^k.
+
+    Sums the binomial series with repeated sparse products, so it costs
+    about T^3; the library's Miller recurrence must agree with it exactly.
+    """
+    r = Fraction(r)
+    v = f.valuation48()
+    c = f.lead_coeff()
+    trel = f.trunc48 - v
+    h = QSeries({e - v: Fraction(cc) / c for e, cc in f.coeffs.items() if e != v},
+                trel)
+    out = QSeries.one(trel)
+    if not h.is_zero():
+        step = h.valuation48()
+        hk = QSeries.one(trel)
+        k = 1
+        while k * step < trel:
+            hk = hk * h
+            out = out + binom_frac(r, k) * hk
+            k += 1
+    cr = rational_power(c, r)
+    rv = int(r * v)
+    return QSeries({e + rv: cr * cc for e, cc in out.coeffs.items()}, trel + rv)
 
 
 def oracle_eta(scale, trunc48):
@@ -75,6 +110,30 @@ series_st = st.builds(
 )
 
 
+POWERS = [Fraction(r) for r in ("-2", "-1", "-1/2", "1/2", "1/3", "3/2")]
+
+
+@st.composite
+def power_case_st(draw):
+    """(f, r) with f**r exact: a perfect sixth-power lead at an exponent
+    divisible by 6, a tail on a random stride, and any window end."""
+    r = draw(st.sampled_from(POWERS))
+    stride = draw(st.sampled_from([1, 2, 3, 8, 16, 48]))
+    v = 6 * draw(st.integers(min_value=-8, max_value=8))
+    base = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3)
+                .filter(bool))
+    lead = base ** 6
+    if r.denominator == 1 and draw(st.booleans()):
+        lead = -lead
+    terms = draw(st.integers(min_value=1, max_value=24))
+    tail = draw(st.dictionaries(st.integers(min_value=1, max_value=terms),
+                                coeff_st, max_size=6))
+    coeffs = {v + stride * k: c for k, c in tail.items()}
+    coeffs[v] = lead
+    end = v + stride * terms + draw(st.integers(min_value=1, max_value=stride))
+    return QSeries(coeffs, end), r
+
+
 # ---------- basic construction ----------
 
 def test_monomial_and_zero():
@@ -91,6 +150,18 @@ def test_monomial_and_zero():
 def test_exponent_grid_rejected():
     with pytest.raises(ValueError):
         to_exp48(Fraction(1, 7))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QSeries({0: 0.1}, T(1)),
+    lambda: QSeries.monomial(0.5, 0, T(1)),
+    lambda: QSeries.from_pairs([(0, 1), (1, 0.25)], 2),
+    lambda: QSeries.from_json_obj(
+        {"lead_num48": 0, "trunc_num48": T(1), "coeffs": [[0, 1.5]]}),
+], ids=["init", "monomial", "from_pairs", "from_json_obj"])
+def test_inexact_coefficients_rejected(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_from_pairs_merges():
@@ -207,6 +278,25 @@ def test_integer_pow_matches_repeated_mul():
     assert (f ** 5).matches(f * f * f * f * f)
 
 
+@given(power_case_st())
+@settings(max_examples=60, deadline=None)
+def test_pow_rational_against_binomial_oracle(case):
+    f, r = case
+    got = f.pow_rational(r)
+    assert got == oracle_pow_rational(f, r)
+    assert all(isinstance(c, int) or c.denominator > 1
+               for c in got.coeffs.values())
+
+
+@given(series_st, st.integers(min_value=1, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_integer_pow_against_repeated_mul(a, n):
+    want = a
+    for _ in range(n - 1):
+        want = want * a
+    assert a ** n == want
+
+
 def test_pow_rational_inverse():
     f = theta3(1, T(12))
     g = f.pow_rational(-1)
@@ -277,6 +367,15 @@ def test_dilate_and_truncate():
     assert h.trunc48 == T(4)
     with pytest.raises(PrecisionError):
         h.coefficient(5)
+
+
+def test_truncate_never_widens():
+    f = theta3(1, T(10))
+    assert f.truncate48(T(10)) == f
+    with pytest.raises(PrecisionError):
+        f.truncate(11)
+    with pytest.raises(PrecisionError):
+        f.truncate48(T(10) + 1)
 
 
 def test_is_integral():
