@@ -71,6 +71,15 @@ def order_doubling_code(code: BinaryCode, g: Perm) -> bool:
     return flag
 
 
+def _doubling_element(code: BinaryCode, elements, flavor: str):
+    """The first even-order element whose lift doubles its order, or None.
+
+    The flavor's lattice criterion decides, as in `lift_order`.
+    """
+    return next((el for el in elements if el.order() % 2 == 0
+                 and lift_order(code, el, flavor=flavor) > el.order()), None)
+
+
 def lift_info(code: BinaryCode, g: Perm, trunc48=None,
               flavor: str = "plain") -> LiftInfo:
     """Evaluate both doubling criteria; attach the kernel theta if asked.
@@ -141,11 +150,11 @@ def character_group(code: BinaryCode, gens, trunc48: int,
     element is reported and the computation refused.
     """
     elements = group_elements(gens, cap)
-    for el in elements:
-        if el.order() % 2 == 0 and order_doubling_code(code, el):
-            raise DomainError(
-                "element %s lifts with order doubling; "
-                "the fixed-group character is not a plain average" % el)
+    bad = _doubling_element(code, elements, flavor)
+    if bad is not None:
+        raise DomainError(
+            "element %s lifts with order doubling; "
+            "the fixed-group character is not a plain average" % bad)
     pad = trunc48 + 4 * code.n + DEN
     acc = None
     for el in elements:
@@ -313,17 +322,17 @@ def _split_prime_power(n):
     return None, None
 
 
-def _group_survey(code, gens, cap=10000):
+def _group_survey(code, gens, flavor, cap=10000):
     elements = group_elements(gens, cap)
-    for el in elements:
-        if el.order() % 2 == 0 and order_doubling_code(code, el):
-            return None, "element %s has order doubling" % el
+    bad = _doubling_element(code, elements, flavor)
+    if bad is not None:
+        return None, "element %s has order doubling" % bad
     return elements, None
 
 
 def _verify_thmD(code, gens, trunc48, flavor):
     which = "ThmD-pq"
-    elements, bad = _group_survey(code, gens)
+    elements, bad = _group_survey(code, gens, flavor)
     if bad:
         return _not_applicable(which, bad)
     order = len(elements)
@@ -353,7 +362,7 @@ def _verify_thmD(code, gens, trunc48, flavor):
 
 def _verify_p2q(code, gens, trunc48, flavor):
     which = "Thm-p2q"
-    elements, bad = _group_survey(code, gens)
+    elements, bad = _group_survey(code, gens, flavor)
     if bad:
         return _not_applicable(which, bad)
     order = len(elements)

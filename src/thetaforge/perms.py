@@ -8,7 +8,6 @@ with "()" for the identity.
 from __future__ import annotations
 
 import re
-from itertools import permutations as _all_perms
 from math import lcm
 
 from .errors import DomainError, ParseError
@@ -278,23 +277,3 @@ def group_elements(gens, cap=GROUP_ELEMENT_CAP):
                             "group closure exceeded %d elements" % cap)
         frontier = nxt
     return sorted(seen, key=lambda p: p.images)
-
-
-def brute_force_automorphisms(is_member, n, cap_degree=8):
-    """All coordinate permutations preserving a predicate on masks.
-
-    is_member(mask) must answer membership for the structure being
-    preserved (here: a code's codeword set).  Exhaustive over S_n, so
-    refuse degrees past cap_degree.
-    """
-    if n > cap_degree:
-        raise DomainError(
-            "brute-force automorphism search is limited to degree %d"
-            % cap_degree)
-    member_masks = [m for m in range(1 << n) if is_member(m)]
-    out = []
-    for images in _all_perms(range(n)):
-        p = Perm(images)
-        if all(is_member(p.apply_mask(m)) for m in member_masks):
-            out.append(p)
-    return out

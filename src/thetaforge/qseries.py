@@ -44,6 +44,13 @@ def _exact_coeff(c):
     return _norm_coeff(c)
 
 
+def _exact_exp(e):
+    """An exponent or bound in 48ths from outside; only an int is taken."""
+    if not isinstance(e, int):
+        raise TypeError("exponent %r is not an int" % (e,))
+    return e
+
+
 def to_exp48(e):
     """Convert an exponent given in q-units to integer 48ths."""
     e48 = Fraction(e) * DEN
@@ -97,10 +104,10 @@ class QSeries:
     __slots__ = ("coeffs", "trunc48")
 
     def __init__(self, coeffs, trunc48):
-        trunc48 = int(trunc48)
+        trunc48 = _exact_exp(trunc48)
         clean = {}
         for e, c in coeffs.items():
-            e = int(e)
+            e = _exact_exp(e)
             if e >= trunc48:
                 continue
             c = _exact_coeff(c)
@@ -120,7 +127,7 @@ class QSeries:
 
     @classmethod
     def zero(cls, trunc48):
-        return cls._raw({}, int(trunc48))
+        return cls._raw({}, _exact_exp(trunc48))
 
     @classmethod
     def one(cls, trunc48):
@@ -129,9 +136,10 @@ class QSeries:
     @classmethod
     def monomial(cls, coeff, exp48, trunc48):
         coeff = _exact_coeff(coeff)
+        exp48, trunc48 = _exact_exp(exp48), _exact_exp(trunc48)
         if not coeff or exp48 >= trunc48:
             return cls.zero(trunc48)
-        return cls._raw({int(exp48): coeff}, int(trunc48))
+        return cls._raw({exp48: coeff}, trunc48)
 
     @classmethod
     def from_pairs(cls, pairs, trunc):

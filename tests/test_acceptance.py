@@ -28,11 +28,11 @@ from thetaforge.modfunc import (
     faber_table, identify, is_replicable, mckay_thompson, strip_constant,
     theta_quotient,
 )
-from thetaforge.perms import (
-    Perm, brute_force_automorphisms, orbits, parse_generators, parse_perm,
-)
+from thetaforge.perms import Perm, orbits, parse_generators, parse_perm
 from thetaforge.qseries import DEN, QSeries, eta, shifted_theta
 from thetaforge.verify import verify_figure
+
+from oracles import brute_force_automorphisms
 
 T = lambda n: n * DEN
 HALF = Fraction(1, 2)

@@ -164,6 +164,16 @@ def test_group_character_refuses_doubling_elements():
     assert report.lift_order == 2 and not report.doubling
 
 
+def test_group_character_uses_the_flavor_doubling_criterion():
+    # the code criterion sees no doubling here, the super0 lattice
+    # criterion does, and it is the one that decides the lift
+    gens = parse_generators("(1,2)(3,4,5,8,7,6)", 8)
+    assert not order_doubling_code(HAM, gens[0])
+    with pytest.raises(DomainError) as err:
+        character_group(HAM, gens, 8 * DEN, flavor="super0")
+    assert "order doubling" in str(err.value)
+
+
 # ---------- identity checks ----------
 
 def test_theorem_c_identities():

@@ -1,14 +1,13 @@
-"""Command-line driver: record shapes, determinism, cache, and scan.
+"""Command-line driver: record shapes, determinism, flags, and scan.
 
 Every compute record carries a fingerprint of its canonical job
-description, so identical invocations must be byte-identical and the
-result cache must dedupe on reruns.  Scan keeps input order even when
-it fans out over a thread pool, and per-line failures must not take
-down the whole run.
+description, so identical invocations must be byte-identical.  Each
+verb accepts only the flags it reads.  Scan keeps input order, its
+output does not depend on the environment, and per-line failures must
+not take down the whole run.
 """
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -87,18 +86,6 @@ def test_table_mode_renders_series_terms(capsys):
     assert code == 0
     assert "1 q^0" in out
     assert "fingerprint" in out
-
-
-def test_cache_dedupes_on_fingerprint(capsys, tmp_path):
-    cache = tmp_path / "cache.jsonl"
-    argv = ["theta", "--trunc", "6", "--cache", str(cache)]
-    main(argv)
-    main(argv)
-    main(["theta", "--trunc", "7", "--cache", str(cache)])
-    capsys.readouterr()
-    lines = [json.loads(l) for l in cache.read_text().splitlines()]
-    assert len(lines) == 2
-    assert lines[0]["fingerprint"] != lines[1]["fingerprint"]
 
 
 # ---------- the individual commands ----------
@@ -248,6 +235,19 @@ def test_verify_emits_a_passing_report(capsys):
     assert all(r["ok"] in (True, None) for r in report["rows"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "ex33", "--trunc", "5"],
+    ["verify", "ex33", "--cache", "x"],
+    ["theta", "--krep", "5"],
+    ["scan", str(DATA / "hamming8_classes.txt"), "--cache", "x"],
+], ids=["verify-trunc", "verify-cache", "theta-krep", "scan-cache"])
+def test_verbs_refuse_flags_they_ignore(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_rejects_unknown_figures(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "fig99"])
@@ -302,14 +302,3 @@ def test_scan_of_only_comments_is_empty(capsys, tmp_path):
     code, out, err = run(capsys, "scan", str(listing))
     assert code == 0
     assert json.loads(out) == []
-
-
-def test_scan_caches_only_clean_lines(capsys, tmp_path):
-    listing = tmp_path / "mixed.txt"
-    listing.write_text("(1,2)(3,8)(4,7)(5,6)\n(1,9)\n")
-    cache = tmp_path / "cache.jsonl"
-    main(["scan", str(listing), "--cache", str(cache)])
-    capsys.readouterr()
-    lines = cache.read_text().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["outputs"]["orbit_type"] == "2^4"

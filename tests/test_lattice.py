@@ -21,10 +21,10 @@ from thetaforge.lattice import (
     kernel_theta, lift_order, theta_fixed, theta_full, theta_matches,
     theta_super, theta_twisted,
 )
-from thetaforge.perms import (
-    Perm, brute_force_automorphisms, orbits, parse_generators, parse_perm,
-)
+from thetaforge.perms import Perm, orbits, parse_generators, parse_perm
 from thetaforge.qseries import DEN, QSeries, eta, shifted_theta
+
+from oracles import brute_force_automorphisms
 
 T = lambda n: n * DEN
 

@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 from thetaforge.errors import DomainError, ParseError
 from thetaforge.perms import (
-    Perm, brute_force_automorphisms, group_elements, orbit_type, orbits,
-    parse_generators, parse_perm, read_group_file, type_str,
+    Perm, group_elements, orbit_type, orbits, parse_generators, parse_perm,
+    read_group_file, type_str,
 )
+
+from oracles import brute_force_automorphisms
 
 
 perm_st = st.permutations(range(8)).map(lambda im: Perm(tuple(im)))

@@ -164,6 +164,18 @@ def test_inexact_coefficients_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: QSeries({0.5: 1, 47.9: 2}, T(1)),
+    lambda: QSeries({0: 1}, 48.7),
+    lambda: QSeries.monomial(1, 0.9, T(1)),
+    lambda: QSeries.monomial(1, 0, 48.7),
+], ids=["init-exponent", "init-bound", "monomial-exponent", "monomial-bound"])
+def test_inexact_exponents_rejected(build):
+    # int() would truncate these silently to a different series
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_from_pairs_merges():
     f = QSeries.from_pairs([(1, 2), (1, 3), (Fraction(1, 2), 1)], 4)
     assert f.coefficient(1) == 5

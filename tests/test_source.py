@@ -3,7 +3,9 @@
 Runtime invariants must raise typed errors: ``python -O`` strips
 ``assert`` statements, so a check written as one silently disappears.
 The package computes exact answers, so no float may enter it: neither
-a float literal nor a call to ``float(...)``.
+a float literal nor a call to ``float(...)``.  Its output depends only
+on its arguments and runs in one thread: it reads no environment
+variable and imports no thread, process or file-lock module.
 """
 
 import ast
@@ -41,3 +43,38 @@ def test_no_floats_in_the_package():
 def test_float_guard_sees_literals_and_calls():
     tree = ast.parse("x = 0.5\ny = float(x)\nz = 2\n")
     assert [node.lineno for node in ast.walk(tree) if _is_float(node)] == [1, 2]
+
+
+_CONCURRENCY = ("concurrent", "threading", "multiprocessing", "fcntl")
+
+
+def _is_ambient(node):
+    """An environment read, or an import of a concurrency or lock module."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] in _CONCURRENCY for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.level == 0
+                and node.module.split(".")[0] in _CONCURRENCY)
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+            and node.attr in ("environ", "getenv"))
+
+
+def test_no_environment_or_concurrency_in_the_package():
+    assert _offending_nodes(_is_ambient) == []
+
+
+def test_ambient_guard_sees_every_form():
+    tree = ast.parse(
+        "import os\n"
+        "a = os.environ.get('X')\n"
+        "b = os.getenv('X')\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import concurrent.futures\n"
+        "import threading\n"
+        "from multiprocessing import Pool\n"
+        "import fcntl\n"
+        "from . import threading_helpers\n"
+        "c = os.path.join('a', 'b')\n")
+    assert sorted(node.lineno for node in ast.walk(tree)
+                  if _is_ambient(node)) == [2, 3, 4, 5, 6, 7, 8]
