@@ -7,11 +7,12 @@ and from lattice vectors.  Traces of lift powers are theta-over-eta
 quotients, twisted by a sign character on even powers, and averaging
 them gives the character of the fixed subVOA.  The identities relating
 these characters across subgroups are exposed as executable checks.
+
+Every eta division goes through `modfunc.eta_quotient`, and callers
+hand it each theta as a function of the window, never a padded series.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .codes import BinaryCode
 from .errors import DomainError, ThetaforgeError
@@ -24,11 +25,9 @@ from .lattice import (
     lift_order,
     theta_twisted,
 )
-from .modfunc import eta_product
+from .modfunc import eta_product, eta_quotient
 from .perms import Perm, group_elements
-from .qseries import DEN, QSeries, eta
-
-HALF = Fraction(1, 2)
+from .qseries import DEN, QSeries
 
 
 class LiftInfo:
@@ -63,12 +62,6 @@ class CharacterReport:
         obj["per_j"] = {str(j): s.to_json_obj()
                         for j, s in sorted(self.per_j.items())}
         return obj
-
-
-def order_doubling_code(code: BinaryCode, g: Perm) -> bool:
-    """Doubling verdict from codeword intersections alone."""
-    flag, _ = doubling_code_criterion(code, g)
-    return flag
 
 
 def _doubling_element(code: BinaryCode, elements, flavor: str):
@@ -111,20 +104,20 @@ def trace_series(code: BinaryCode, g: Perm, j: int, trunc48: int,
     n = lift_order(code, g, flavor=flavor)
     if not 0 <= j < n:
         raise DomainError("power %d outside the lift order %d" % (j, n))
-    m = g.order()
-    pad = trunc48 + 4 * code.n + DEN
-    num = theta_twisted(code, g, j, pad, flavor=flavor)
-    den = eta_product((g ** (j % m)).cycle_type(), pad)
-    return (num / den).truncate48(trunc48)
+    return eta_quotient(lambda t: theta_twisted(code, g, j, t, flavor=flavor),
+                        (g ** (j % g.order())).cycle_type(), trunc48)
 
 
-def _check_character(ch, N):
+def _character(terms, N):
+    """Mean of the trace series, checked as the character of a rank-N VOA."""
+    ch = sum(terms[1:], terms[0]) / len(terms)
     if ch.valuation48() != -2 * N:
         raise ThetaforgeError("character pole is off")
     for e, c in ch.coeffs.items():
         if (e + 2 * N) % DEN or not isinstance(c, int) or c < 0:
             raise ThetaforgeError(
                 "character has a non-dimension coefficient %s at %s/48" % (c, e))
+    return ch
 
 
 def character_cyclic(code: BinaryCode, g: Perm, trunc48: int,
@@ -133,11 +126,7 @@ def character_cyclic(code: BinaryCode, g: Perm, trunc48: int,
     n = lift_order(code, g, flavor=flavor)
     per = {j: trace_series(code, g, j, trunc48, flavor=flavor)
            for j in range(n)}
-    acc = per[0]
-    for j in range(1, n):
-        acc = acc + per[j]
-    ch = (acc * Fraction(1, n)).truncate48(trunc48)
-    _check_character(ch, code.n)
+    ch = _character(list(per.values()), code.n)
     return CharacterReport("<%s>" % g, code.n, n, n != g.order(), per, ch)
 
 
@@ -155,14 +144,9 @@ def character_group(code: BinaryCode, gens, trunc48: int,
         raise DomainError(
             "element %s lifts with order doubling; "
             "the fixed-group character is not a plain average" % bad)
-    pad = trunc48 + 4 * code.n + DEN
-    acc = None
-    for el in elements:
-        num = flavor_theta(code, [el], flavor, pad)
-        term = num / eta_product(el.cycle_type(), pad)
-        acc = term if acc is None else acc + term
-    ch = (acc * Fraction(1, len(elements))).truncate48(trunc48)
-    _check_character(ch, code.n)
+    ch = _character([eta_quotient(lambda t: flavor_theta(code, [el], flavor, t),
+                                  el.cycle_type(), trunc48)
+                     for el in elements], code.n)
     desc = "<%s>" % ", ".join(str(p) for p in gens)
     return CharacterReport(desc, code.n, len(elements), False, {}, ch)
 
@@ -172,24 +156,23 @@ def character_plus(source, trunc48: int, rank=None,
     """Character of the subVOA fixed by lifting negation.
 
     Half of theta/eta^N plus the contribution of the -id twist, which
-    depends only on the rank: eta(q)^N/eta(q^2)^N.  source is a code or
-    a precomputed lattice theta with the rank passed separately.
+    depends only on the rank: eta(q)^N/eta(q^2)^N.  source is a code,
+    or a lattice theta with the rank passed separately: a precomputed
+    series, or a function of the window as `eta_quotient` takes it.
     """
-    pad = trunc48 + 4 * DEN
     if isinstance(source, BinaryCode):
         N = source.n
-        theta = flavor_theta(source, [], flavor, pad + 4 * N)
+        theta_of = lambda t: flavor_theta(source, [], flavor, t)
     else:
-        theta = source
         if rank is None:
             raise DomainError("a bare theta series needs its lattice rank")
         N = int(rank)
+        theta_of = source.truncate48 if isinstance(source, QSeries) else source
     if N < 8 or N % 8:
         raise DomainError("rank must be a multiple of 8, at least 8; got %s" % N)
-    win = min(pad + 4 * N, theta.trunc48)
-    fixed_part = theta / eta(1, win) ** N
-    neg_part = (eta(1, win) / eta(2, win)) ** N
-    return ((fixed_part + neg_part) * HALF).truncate48(trunc48)
+    fixed_part = eta_quotient(theta_of, {1: N}, trunc48)
+    neg_part = eta_quotient(lambda t: eta_product({1: N}, t), {2: N}, trunc48)
+    return (fixed_part + neg_part) / 2
 
 
 # ---------- identity verification ----------
@@ -257,16 +240,13 @@ def _matches_catalog(theta, name, scale):
 def _d_lattice_character(N, trunc48):
     """Character of the half-rank D lattice VOA in the doubled variable."""
     half = N // 2
-    pad = trunc48 + 4 * DEN + 4 * N
-    th = catalog_theta("D%d" % half, 1, (pad + 1) // 2 + DEN).dilate(2)
-    return (th / eta(2, pad) ** half).truncate48(trunc48)
+    return eta_quotient(lambda t: catalog_theta("D%d" % half, 2, t),
+                        {2: half}, trunc48)
 
 
 def _quotient_by_eta2(code, g, trunc48, flavor):
-    N = code.n
-    pad = trunc48 + 4 * DEN + 4 * N
-    th = flavor_theta(code, [g], flavor, pad)
-    return (th / eta(2, pad) ** (N // 2)).truncate48(trunc48)
+    return eta_quotient(lambda t: flavor_theta(code, [g], flavor, t),
+                        {2: code.n // 2}, trunc48)
 
 
 def _verify_thmC(which, code, g1, g2, trunc48, flavor):
@@ -281,10 +261,9 @@ def _verify_thmC(which, code, g1, g2, trunc48, flavor):
     if not info.doubling:
         return _not_applicable(which, "first lift does not double, no kernel sublattice")
     checks = []
-    pad = trunc48 + 4 * DEN + 4 * N
     ch1 = character_cyclic(code, g1, trunc48, flavor=flavor).character
-    ker = kernel_theta(code, g1, pad, flavor=flavor)
-    ch_ker_plus = character_plus(ker, trunc48, rank=N)
+    ch_ker_plus = character_plus(
+        lambda t: kernel_theta(code, g1, t, flavor=flavor), trunc48, rank=N)
     ch_d = _d_lattice_character(N, trunc48)
     lhs1 = _quotient_by_eta2(code, g1, trunc48, flavor)
     rhs1 = (ch1 - ch_ker_plus + ch_d).truncate48(trunc48)
@@ -445,10 +424,10 @@ def _verify_parity(code, g_rep, g_nr, trunc48, flavor):
                        "on even powers", ch_nr, ch_plus, base, DEN, 0, checks)
     info = lift_info(code, g_rep, flavor=flavor)
     if N % 16 == 8 and info.doubling:
-        pad = trunc48 + 4 * DEN + 4 * N
-        ker = kernel_theta(code, g_rep, pad, flavor=flavor)
         ch_rep = character_cyclic(code, g_rep, trunc48, flavor=flavor).character
-        ch_ker = character_plus(ker, trunc48, rank=N)
+        ch_ker = character_plus(
+            lambda t: kernel_theta(code, g_rep, t, flavor=flavor), trunc48,
+            rank=N)
         _compare_on_parity("rep character meets the kernel-plus character "
                            "on even powers", ch_rep, ch_ker, base, DEN, 0, checks)
     status = "pass" if all(ok for _, ok, _ in checks) else "fail"

@@ -27,12 +27,13 @@ from .verify import FIGURE_IDS, verify_figure
 
 THETA_TRUNC = 16   # default integer q-powers for thetas and characters
 REP_TRUNC = 26     # default for replicability and identification
-_KREP_VERBS = ("replicable", "identify")   # compute verbs that take --krep
+_KREP_VERBS = ("replicable", "identify", "scan")   # verbs that take --krep
 
 _EXIT_CODES = (
     (ParseError, 2),
     (PrecisionError, 4),
     (ThetaforgeError, 3),
+    (OSError, 3),
 )
 
 
@@ -116,6 +117,16 @@ def _job_record(args, trunc):
     return job
 
 
+def _trunc(args):
+    """--trunc or the verb's default; replicability needs 10 powers."""
+    deep = args.command in _KREP_VERBS
+    trunc = args.trunc or (REP_TRUNC if deep else THETA_TRUNC)
+    if deep and trunc < 10:
+        raise DomainError(
+            "replicability needs at least 10 integer powers, got %d" % trunc)
+    return trunc
+
+
 def _quotient_pipeline(code, gens, flavor, trunc48):
     theta = flavor_theta(code, gens, flavor, trunc48)
     label = type_str(orbit_type(gens, code.n))
@@ -134,12 +145,8 @@ def _run_compute(args):
     code = load_code(args.code)
     gens = _load_group(args, code.n)
     command = args.command
-    deep = command in _KREP_VERBS
-    trunc = args.trunc or (REP_TRUNC if deep else THETA_TRUNC)
+    trunc = _trunc(args)
     trunc48 = trunc * DEN
-    if deep and trunc < 10:
-        raise DomainError(
-            "replicability needs at least 10 integer powers, got %d" % trunc)
     if command == "theta":
         outputs = {"series": flavor_theta(
             code, gens, args.flavor, trunc48).to_json_obj()}
@@ -194,7 +201,7 @@ def _run_verify(args):
 
 def _run_scan(args):
     code = load_code(args.code)
-    trunc = args.trunc or REP_TRUNC
+    trunc = _trunc(args)
     records = []
     with open(args.file) as fh:
         for i, raw in enumerate(fh, start=1):

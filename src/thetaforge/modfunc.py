@@ -6,6 +6,10 @@ simple pole at infinity.  This module builds those eta products and
 quotients, expands Faber polynomials to test replicability of such a
 series, and matches candidates against a small catalog of closed-form
 eta expansions (the T_nX series of monstrous moonshine).
+
+Every theta/eta division in the package goes through `eta_quotient`:
+a result exact below t needs the numerator through t + 2N and the eta
+product of degree N through t + 4N.
 """
 
 from __future__ import annotations
@@ -66,17 +70,32 @@ def eta_product(orbit_type, trunc48):
     return out.truncate48(trunc48)
 
 
+def eta_quotient(numerator, orbit_type, trunc48):
+    """numerator / eta_product(orbit_type), exact below trunc48.
+
+    numerator(window) returns a series of valuation >= 0 exact below
+    window; a precomputed series passes its own truncate48.  An eta
+    product of degree N starts at q^(N/24), 2N in 48ths, so the numerator
+    is needed through trunc48 + 2N and the eta product through
+    trunc48 + 4N.  A shorter numerator raises PrecisionError.
+    """
+    lead = 2 * orbit_degree(orbit_type)
+    quo = numerator(trunc48 + lead) / eta_product(orbit_type, trunc48 + 2 * lead)
+    return quo.truncate48(trunc48)
+
+
 def theta_quotient(theta, orbit_type, N=None):
     """theta / eta_product, raised to 24/N when a rank N is given.
 
-    With N omitted the bare quotient is returned.  The truncation of
-    the result is whatever survives the division; callers wanting k
-    integer powers of output should supply theta with some headroom.
+    With N omitted the bare quotient is returned, exact below
+    theta.trunc48 - 4N for an orbit type of degree N: the window
+    `eta_quotient` can deliver from theta.
     """
     orbit_type = parse_orbit_type(orbit_type)
     if theta.is_zero() or theta.valuation48() != 0 or theta.lead_coeff() != 1:
         raise DomainError("theta series must start with constant term 1")
-    quo = theta / eta_product(orbit_type, theta.trunc48)
+    quo = eta_quotient(theta.truncate48, orbit_type,
+                       theta.trunc48 - 4 * orbit_degree(orbit_type))
     if N is None:
         return quo
     N = int(N)

@@ -19,9 +19,9 @@ from .characters import (
 from .codes import catalog_code
 from .errors import DomainError
 from .lattice import catalog_theta, kernel_theta, theta_fixed
-from .modfunc import identify, is_replicable, theta_quotient
-from .perms import orbit_type, parse_generators, type_str
-from .qseries import DEN, eta
+from .modfunc import eta_quotient, identify, is_replicable, theta_quotient
+from .perms import Perm, orbit_type, parse_generators, type_str
+from .qseries import DEN
 
 FIGURE_IDS = ("fig1", "fig2", "fig5", "fig7", "ex33", "ex34", "ex53",
               "ex81", "thmC", "thmD")
@@ -169,7 +169,7 @@ def _verify_fig5():
     series = (
         character_cyclic(ham, rep, t48).character,
         character_cyclic(ham, nr, t48).character,
-        character_plus(kernel_theta(ham, rep, t48 + 16 * DEN), t48, rank=8),
+        character_plus(lambda t: kernel_theta(ham, rep, t), t48, rank=8),
         character_plus(ham, t48),
     )
     return [_series_row(label, s, -16, expected)
@@ -195,18 +195,18 @@ def _verify_fig7():
     ham = catalog_code("hamming8")
     rep = parse_generators("(1,7)(2,4)(3,8)(5,6)", 8)[0]
     nr = parse_generators("(1,2)(3,8)(4,7)(5,6)", 8)[0]
-    t48 = 12 * DEN
+    t48 = 8 * DEN                  # the longest row runs through q^7
     thetas = {
-        "rank 8 rep": theta_fixed(ham, [rep], t48),
-        "rank 8 nr": theta_fixed(ham, [nr], t48),
-        "rank 16 rep": catalog_theta("A1^8", 2, t48),
-        "rank 16 nr": catalog_theta("D8*", 2, t48),
-        "rank 24 rep": catalog_theta("A1^12", 2, t48),
-        "rank 24 nr": catalog_theta("D12*", 2, t48),
+        "rank 8 rep": lambda t: theta_fixed(ham, [rep], t),
+        "rank 8 nr": lambda t: theta_fixed(ham, [nr], t),
+        "rank 16 rep": lambda t: catalog_theta("A1^8", 2, t),
+        "rank 16 nr": lambda t: catalog_theta("D8*", 2, t),
+        "rank 24 rep": lambda t: catalog_theta("A1^12", 2, t),
+        "rank 24 nr": lambda t: catalog_theta("D12*", 2, t),
     }
     rows = []
     for label, n, expected in _FIG7_ROWS:
-        quo = thetas[label] / (eta(2, t48) ** (n // 2))
+        quo = eta_quotient(thetas[label], {2: n // 2}, t48)
         rows.append(_series_row(label, quo, -2 * n, expected))
     return rows
 
@@ -251,8 +251,7 @@ def _verify_ex53():
     g = parse_generators("(2,8,4,6)(3,5)", 8)[0]
     rows = []
     for j, expected in _EX53_ROWS:
-        t48 = len(expected) * DEN + DEN
-        series = trace_series(ham, g, j, t48)
+        series = trace_series(ham, g, j, len(expected) * DEN)
         rows.append(_series_row("T(0,%d)" % j, series, -16, expected))
     report = character_cyclic(ham, g, 8 * DEN)
     rows.append(_series_row("character of the fixed subVOA",
@@ -280,8 +279,7 @@ def _verify_ex81():
     )
     rows = [_series_row(label, s, -16, expected)
             for (label, expected), s in zip(_EX81_ROWS, chars)]
-    pad = t48 + DEN
-    full_char = theta_fixed(ham, [], pad) / eta(1, pad) ** 8
+    full_char = trace_series(ham, Perm.identity(8), 0, t48)
     combo = chars[1] + 3 * chars[2] - full_char
     rows.append(_series_row("combination Ch7 + 3 Ch3 - ChV", combo,
                             -16, [3, 66, 726, 5286, 31380, 153234, 651798]))

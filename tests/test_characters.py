@@ -12,12 +12,12 @@ import pytest
 
 from thetaforge.characters import (
     CharacterReport, LiftInfo, character_cyclic, character_group,
-    character_plus, lift_info, order_doubling_code, trace_series,
-    verify_identity,
+    character_plus, lift_info, trace_series, verify_identity,
 )
 from thetaforge.codes import catalog_code
 from thetaforge.errors import DomainError
-from thetaforge.lattice import catalog_theta, kernel_theta
+from thetaforge.lattice import (
+    catalog_theta, doubling_code_criterion, kernel_theta)
 from thetaforge.perms import parse_generators, parse_perm
 from thetaforge.qseries import DEN, PrecisionError, QSeries
 
@@ -88,8 +88,8 @@ def test_lift_info_orders_and_kernel():
 
 
 def test_code_criterion_alone():
-    assert order_doubling_code(HAM, REP24)
-    assert not order_doubling_code(HAM, NR24)
+    assert doubling_code_criterion(HAM, REP24)[0]
+    assert not doubling_code_criterion(HAM, NR24)[0]
 
 
 # ---------- characters of cyclic groups ----------
@@ -168,7 +168,7 @@ def test_group_character_uses_the_flavor_doubling_criterion():
     # the code criterion sees no doubling here, the super0 lattice
     # criterion does, and it is the one that decides the lift
     gens = parse_generators("(1,2)(3,4,5,8,7,6)", 8)
-    assert not order_doubling_code(HAM, gens[0])
+    assert not doubling_code_criterion(HAM, gens[0])[0]
     with pytest.raises(DomainError) as err:
         character_group(HAM, gens, 8 * DEN, flavor="super0")
     assert "order doubling" in str(err.value)

@@ -225,6 +225,28 @@ def test_shallow_replicability_is_refused(capsys):
     assert "at least 10" in json.loads(err)["error"]["message"]
 
 
+def test_shallow_scan_is_refused_before_any_line(capsys):
+    code, out, err = run(capsys, "scan", str(DATA / "hamming8_classes.txt"),
+                         "--trunc", "3")
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "DomainError"
+    assert "at least 10" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "/nonexistent.txt"],
+    ["theta", "--group-file", "/nonexistent.txt"],
+    ["theta", "--out", "/nonexistent/dir/x.json"],
+], ids=["scan-file", "group-file", "out-dir"])
+def test_missing_paths_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+
 # ---------- verify ----------
 
 def test_verify_emits_a_passing_report(capsys):

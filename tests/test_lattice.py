@@ -9,7 +9,6 @@ products, and never shares code with the blockwise engine.
 from collections import Counter
 from fractions import Fraction
 from math import comb, isqrt
-from pathlib import Path
 
 import pytest
 
@@ -24,7 +23,7 @@ from thetaforge.lattice import (
 from thetaforge.perms import Perm, orbits, parse_generators, parse_perm
 from thetaforge.qseries import DEN, QSeries, eta, shifted_theta
 
-from oracles import brute_force_automorphisms
+from oracles import brute_force_automorphisms, hamming8_class_representatives
 
 T = lambda n: n * DEN
 
@@ -37,19 +36,7 @@ REP24 = parse_perm("(1,7)(2,4)(3,8)(5,6)", 8)
 NR24 = parse_perm("(1,2)(3,8)(4,7)(5,6)", 8)
 
 
-def _class_representatives():
-    """One automorphism per line of the hamming8 conjugacy-class file."""
-    reps = []
-    path = Path(__file__).parent / "data" / "hamming8_classes.txt"
-    for line in path.read_text().splitlines():
-        text = line.split("#", 1)[0].strip()
-        if text:
-            gens = parse_generators(text, 8)
-            reps.append(gens[0] if gens else Perm.identity(8))
-    return reps
-
-
-CLASS_REPS = _class_representatives()
+CLASS_REPS = hamming8_class_representatives()
 
 
 # ---------- oracle ----------

@@ -1,5 +1,8 @@
 """Eta products, theta quotients, and the bounded replicability check.
 
+`eta_quotient` is held to its exact window: a numerator one 48th short
+is refused, and trace series match a division done 10 powers wider.
+
 Low-order Faber columns have closed forms (F_2 = f^2 - 2a_1 and
 F_3 = f^3 - 3a_1 f - 3a_2), which give an oracle for the recurrence,
 and the whole table is checked against the recurrence run on QSeries
@@ -12,16 +15,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thetaforge.characters import trace_series
 from thetaforge.codes import catalog_code
 from thetaforge.errors import DomainError, ParseError
-from thetaforge.lattice import catalog_theta, theta_fixed, theta_full
+from thetaforge.lattice import (
+    FLAVORS, catalog_theta, lift_order, theta_fixed, theta_full,
+    theta_twisted,
+)
 from thetaforge.modfunc import (
-    MT_NAMES, eta_product, faber_table, identify, is_replicable,
-    mckay_thompson, orbit_degree, parse_orbit_type, strip_constant,
-    theta_quotient,
+    MT_NAMES, eta_product, eta_quotient, faber_table, identify,
+    is_replicable, mckay_thompson, orbit_degree, parse_orbit_type,
+    strip_constant, theta_quotient,
 )
 from thetaforge.perms import parse_generators, parse_perm
 from thetaforge.qseries import DEN, PrecisionError, QSeries, eta
+
+from oracles import hamming8_class_representatives
 
 T = lambda n: n * DEN
 
@@ -53,6 +62,38 @@ def test_eta_product_is_product_of_etas():
     assert prod.valuation48() == 2 * 8
     assert eta_product({1: 8}, T(4)).valuation48() == 2 * 8
     assert eta_product({1: 2, 2: 1, 4: 1}, T(4)).valuation48() == 2 * 8
+
+
+# ---------- the eta quotient and its window ----------
+
+@pytest.mark.parametrize("otype", [{1: 8}, {2: 4}, {1: 2, 2: 1, 4: 1},
+                                   {1: 24}], ids=str)
+def test_eta_quotient_needs_the_numerator_through_trunc_plus_2n(otype):
+    # the eta product of degree N starts at q^(N/24), 2N in 48ths
+    need = T(6) + 2 * orbit_degree(otype)
+    theta = catalog_theta("E8", 1, T(12))
+    asked = []
+
+    def numerator(window):
+        asked.append(window)
+        return theta.truncate48(need)
+
+    quo = eta_quotient(numerator, otype, T(6))
+    assert asked == [need]
+    assert quo == (theta / eta_product(otype, T(12))).truncate48(T(6))
+    with pytest.raises(PrecisionError):
+        eta_quotient(lambda window: theta.truncate48(need - 1), otype, T(6))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_trace_series_against_a_wide_division(flavor):
+    for g in hamming8_class_representatives():
+        for j in range(lift_order(HAM, g, flavor=flavor)):
+            ctype = (g ** (j % g.order())).cycle_type()
+            wide = (theta_twisted(HAM, g, j, T(18), flavor=flavor)
+                    / eta_product(ctype, T(18)))
+            assert (trace_series(HAM, g, j, T(8), flavor=flavor)
+                    == wide.truncate48(T(8)))
 
 
 # ---------- theta quotients ----------

@@ -5,7 +5,10 @@ Runtime invariants must raise typed errors: ``python -O`` strips
 The package computes exact answers, so no float may enter it: neither
 a float literal nor a call to ``float(...)``.  Its output depends only
 on its arguments and runs in one thread: it reads no environment
-variable and imports no thread, process or file-lock module.
+variable and imports no thread, process or file-lock module.  Every
+division by an eta product goes through `modfunc.eta_quotient`, which
+owns the precision window, so no other module divides by a call to
+``eta`` or ``eta_product``.
 """
 
 import ast
@@ -16,9 +19,11 @@ import thetaforge
 SRC = Path(thetaforge.__file__).parent
 
 
-def _offending_nodes(is_bad):
+def _offending_nodes(is_bad, skip=()):
     found = []
     for path in sorted(SRC.rglob("*.py")):
+        if path.name in skip:
+            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if is_bad(node)]
@@ -78,3 +83,28 @@ def test_ambient_guard_sees_every_form():
         "c = os.path.join('a', 'b')\n")
     assert sorted(node.lineno for node in ast.walk(tree)
                   if _is_ambient(node)) == [2, 3, 4, 5, 6, 7, 8]
+
+
+def _divides_by_eta(node):
+    """A division whose right operand calls eta or eta_product."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and any(isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Name)
+                    and sub.func.id in ("eta", "eta_product")
+                    for sub in ast.walk(node.right)))
+
+
+def test_eta_divisions_go_through_eta_quotient():
+    assert _offending_nodes(_divides_by_eta, skip=("modfunc.py",)) == []
+
+
+def test_eta_division_guard_sees_every_form():
+    tree = ast.parse(
+        "a / eta(1, t)\n"
+        "a / eta(2, t) ** 4\n"
+        "a / eta_product(ot, t)\n"
+        "a * eta(1, t)\n"
+        "eta(1, t) / a\n"
+        "a / den\n")
+    assert [node.lineno for node in ast.walk(tree)
+            if _divides_by_eta(node)] == [1, 2, 3]
