@@ -120,7 +120,11 @@ def _job_record(args, trunc):
 def _trunc(args):
     """--trunc or the verb's default; replicability needs 10 powers."""
     deep = args.command in _KREP_VERBS
-    trunc = args.trunc or (REP_TRUNC if deep else THETA_TRUNC)
+    trunc = args.trunc
+    if trunc is None:
+        trunc = REP_TRUNC if deep else THETA_TRUNC
+    if trunc < 1:
+        raise DomainError("--trunc must be at least 1, got %d" % trunc)
     if deep and trunc < 10:
         raise DomainError(
             "replicability needs at least 10 integer powers, got %d" % trunc)

@@ -8,20 +8,29 @@ reference rows copied from the source tables; the few marked
 cross-checking against the brute-force oracle, because the printed row
 has a transcription problem (see ex34).  Failures are results, not
 exceptions: callers get a per-row report.
+
+The identities between characters of fixed subVOAs (Theorem C for rank
+8, the pq and p^2 q group theorems, the parity properties) are checked
+here too.  `verify_identity` runs one on given inputs and reports rows
+of the same kind, so the thmC, thmD and ex81 figures carry its rows.
 """
 
 from __future__ import annotations
 
 from .characters import (
-    character_cyclic, character_group, character_plus, trace_series,
-    verify_identity,
+    GROUP_CAP, _doubling_element, character_cyclic, character_group,
+    character_plus, lift_info, trace_series,
 )
 from .codes import catalog_code
 from .errors import DomainError
-from .lattice import catalog_theta, kernel_theta, theta_fixed
+from .lattice import (
+    catalog_theta, flavor_theta, kernel_theta, theta_fixed, theta_matches,
+)
 from .modfunc import eta_quotient, identify, is_replicable, theta_quotient
-from .perms import Perm, orbit_type, parse_generators, type_str
-from .qseries import DEN
+from .perms import (
+    Perm, group_elements, orbit_type, parse_generators, type_str,
+)
+from .qseries import DEN, QSeries
 
 FIGURE_IDS = ("fig1", "fig2", "fig5", "fig7", "ex33", "ex34", "ex53",
               "ex81", "thmC", "thmD")
@@ -283,19 +292,9 @@ def _verify_ex81():
     combo = chars[1] + 3 * chars[2] - full_char
     rows.append(_series_row("combination Ch7 + 3 Ch3 - ChV", combo,
                             -16, [3, 66, 726, 5286, 31380, 153234, 651798]))
-    result = verify_identity("ThmD-pq", ham, t48, group=h1 + h2)
-    rows.append(RowResult("identity verdict", "pass", result.status,
-                          result.ok))
-    return rows
-
-
-def _identity_rows(result):
-    rows = [RowResult("hypotheses", "applicable",
-                      result.status if result.status == "not-applicable"
-                      else "applicable", result.status != "not-applicable")]
-    for label, ok, mismatch in result.checks:
-        got = "match" if ok else "first mismatch at %s/48" % mismatch
-        rows.append(RowResult(label, "match", got, ok))
+    identity = verify_identity("ThmD-pq", ham, t48, group=h1 + h2)
+    rows.append(RowResult("identity verdict", "pass", identity.status,
+                          identity.ok))
     return rows
 
 
@@ -304,19 +303,246 @@ def _verify_thmC():
     rep = parse_generators("(1,7)(2,4)(3,8)(5,6)", 8)[0]
     nr = parse_generators("(1,2)(3,8)(4,7)(5,6)", 8)[0]
     t48 = 11 * DEN
-    rows = _identity_rows(verify_identity("ThmC-1", ham, t48, g1=rep))
-    rows += _identity_rows(
-        verify_identity("ThmC-2", ham, t48, g1=rep, g2=nr))
-    rows += _identity_rows(
-        verify_identity("parity-props", ham, t48, g1=rep, g2=nr))
-    return rows
+    return (verify_identity("ThmC-1", ham, t48, g1=rep).rows
+            + verify_identity("ThmC-2", ham, t48, g1=rep, g2=nr).rows
+            + verify_identity("parity-props", ham, t48, g1=rep, g2=nr).rows)
 
 
 def _verify_thmD():
     ham = catalog_code("hamming8")
     group = parse_generators("(1,2,5,3,7,6,4), (2,5,7)(3,4,6)", 8)
-    return _identity_rows(verify_identity("ThmD-pq", ham, 8 * DEN,
-                                          group=group))
+    return verify_identity("ThmD-pq", ham, 8 * DEN, group=group).rows
+
+
+# ---------- identity checks ----------
+#
+# Each check returns its rows: first "hypotheses", which is either
+# applicable or names the hypothesis that fails, then one row per
+# coefficient comparison.  A failed hypothesis ends the check, so it
+# is told apart from a failed comparison by its row.
+
+def _hypotheses(reason=None):
+    got = "applicable" if reason is None else "not-applicable: " + reason
+    return RowResult("hypotheses", "applicable", got, reason is None)
+
+
+def _compare(label, lhs, rhs):
+    mismatch = lhs.first_mismatch48(rhs)
+    got = "match" if mismatch is None else "first mismatch at %s/48" % mismatch
+    return RowResult(label, "match", got, mismatch is None)
+
+
+def _compare_on_parity(label, lhs, rhs, N, parity):
+    """Compare the coefficients of q^(k - N/24) for k of the given parity."""
+    def part(series):
+        return QSeries({e: c for e, c in series.coeffs.items()
+                        if (e + 2 * N) % DEN == 0
+                        and (e + 2 * N) // DEN % 2 == parity},
+                       series.trunc48)
+    return _compare(label, part(lhs), part(rhs))
+
+
+def _is_half_cycle_type(g, N):
+    return g.cycle_type() == {2: N // 2}
+
+
+def _fixed_theta_is(code, g, flavor, trunc48, name):
+    """Whether the g-fixed theta is the catalog series `name` at scale 2."""
+    window = max(trunc48 + 2 * DEN, 12 * DEN)
+    return theta_matches(flavor_theta(code, [g], flavor, window),
+                         catalog_theta(name, 2, window))
+
+
+def _d_lattice_character(N, trunc48):
+    """Character of the half-rank D lattice VOA in the doubled variable."""
+    half = N // 2
+    return eta_quotient(lambda t: catalog_theta("D%d" % half, 2, t),
+                        {2: half}, trunc48)
+
+
+def _quotient_by_eta2(code, g, trunc48, flavor):
+    return eta_quotient(lambda t: flavor_theta(code, [g], flavor, t),
+                        {2: code.n // 2}, trunc48)
+
+
+def _check_thmC(which, code, g1, g2, trunc48, flavor):
+    N = code.n
+    if not _is_half_cycle_type(g1, N):
+        return [_hypotheses("first class must have cycle type 2^(N/2)")]
+    if not _fixed_theta_is(code, g1, flavor, trunc48, "A1^%d" % (N // 2)):
+        return [_hypotheses("first fixed theta is not the A1(2)^(N/2) series")]
+    if not lift_info(code, g1, flavor=flavor).doubling:
+        return [_hypotheses("first lift does not double, no kernel sublattice")]
+    if which == "ThmC-2":
+        if g2 is None:
+            return [_hypotheses("second class missing")]
+        if not _is_half_cycle_type(g2, N):
+            return [_hypotheses("second class must have cycle type 2^(N/2)")]
+        if not _fixed_theta_is(code, g2, flavor, trunc48, "D%d*" % (N // 2)):
+            return [_hypotheses("second fixed theta is not the D*(2) series")]
+    ch1 = character_cyclic(code, g1, trunc48, flavor=flavor).character
+    ch_ker_plus = character_plus(
+        lambda t: kernel_theta(code, g1, t, flavor=flavor), trunc48, rank=N)
+    ch_d = _d_lattice_character(N, trunc48)
+    if which == "ThmC-1":
+        lhs1 = _quotient_by_eta2(code, g1, trunc48, flavor)
+        rhs1 = (ch1 - ch_ker_plus + ch_d).truncate48(trunc48)
+        return [_hypotheses(), _compare("rep quotient identity", lhs1, rhs1)]
+    ch2 = character_cyclic(code, g2, trunc48, flavor=flavor).character
+    ch_plus = character_plus(code, trunc48, flavor=flavor)
+    lhs2 = _quotient_by_eta2(code, g2, trunc48, flavor)
+    rhs2 = (2 * (ch2 - ch_plus) - (ch1 - ch_ker_plus) + ch_d).truncate48(trunc48)
+    return [_hypotheses(), _compare("nr quotient identity", lhs2, rhs2)]
+
+
+def _split_prime_power(n):
+    """n = p**k for prime p, else (None, None)."""
+    for p in range(2, n + 1):
+        if p * p > n and n > 1:
+            return n, 1
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            return (p, k) if n == 1 else (None, None)
+    return None, None
+
+
+def _check_thmD(code, gens, elements, trunc48, flavor):
+    order = len(elements)
+    # order must be p*q with q > p primes, q = 1 mod p, and nonabelian
+    pq = sorted({el.order() for el in elements} - {1})
+    if len(pq) != 2:
+        return [_hypotheses("group of order %d is not of p*q shape" % order)]
+    p, q = pq
+    if (_split_prime_power(p) != (p, 1) or _split_prime_power(q) != (q, 1)
+            or p * q != order or (q - 1) % p):
+        return [_hypotheses("group of order %d is not of p*q shape" % order)]
+    a = next(el for el in elements if el.order() == q)
+    b = next(el for el in elements if el.order() == p)
+    if a * b == b * a:
+        return [_hypotheses("group is abelian, no semidirect structure")]
+    ch_g = character_group(code, gens, trunc48, flavor=flavor).character
+    ch_q = character_group(code, [a], trunc48, flavor=flavor).character
+    ch_p = character_group(code, [b], trunc48, flavor=flavor).character
+    ch_full = trace_series(code, Perm.identity(code.n), 0, trunc48, flavor=flavor)
+    return [_hypotheses(),
+            _compare("p*Ch^G = Ch^Zq + p*Ch^Zp - Ch V",
+                     p * ch_g, ch_q + p * ch_p - ch_full)]
+
+
+def _check_p2q(code, gens, elements, trunc48, flavor):
+    order = len(elements)
+    candidates = [(p, q) for p in range(2, order) for q in range(p + 1, order)
+                  if p * p * q == order
+                  and _split_prime_power(p) == (p, 1)
+                  and _split_prime_power(q) == (q, 1)]
+    if not candidates:
+        return [_hypotheses("group order %d is not p^2*q" % order)]
+    p, q = candidates[0]
+    if all(x * y == y * x for x in gens for y in gens):
+        return [_hypotheses("group is abelian")]
+    # the averaging argument partitions the group into one p-Sylow orbit
+    # and the q-Sylows, so no element may mix the two primes
+    if any(el.order() not in (1, p, p * p, q) for el in elements):
+        return [_hypotheses(
+            "an element of mixed order breaks the Sylow partition")]
+    a = next(el for el in elements if el.order() == q)
+    n_q_elements = sum(1 for el in elements if el.order() == q)
+    ch_g = character_group(code, gens, trunc48, flavor=flavor).character
+    ch_q = character_group(code, [a], trunc48, flavor=flavor).character
+    ch_full = trace_series(code, Perm.identity(code.n), 0, trunc48, flavor=flavor)
+    if n_q_elements == (q - 1) * p * p:
+        # normal Sylow-p subgroup: the p^2 elements of p-power order
+        psyl = [el for el in elements if el.order() in (p, p * p)]
+        ch_p2 = character_group(code, psyl, trunc48, flavor=flavor).character
+        return [_hypotheses(),
+                _compare("q*Ch^G = Ch^P + q*Ch^Zq - Ch V",
+                         q * ch_g, ch_p2 + q * ch_q - ch_full)]
+    if n_q_elements == q - 1:
+        # normal Z_q; the complement must be cyclic for the q Sylow-p
+        # subgroups to cover the rest without overlap
+        sq = next((el for el in elements if el.order() == p * p), None)
+        if sq is None:
+            return [_hypotheses("no cyclic subgroup of order %d" % (p * p))]
+        ch_p2 = character_group(code, [sq], trunc48, flavor=flavor).character
+        return [_hypotheses(),
+                _compare("p2*Ch^G = p2*Ch^Zp2 + Ch^Zq - Ch V",
+                         p * p * ch_g, p * p * ch_p2 + ch_q - ch_full)]
+    return [_hypotheses("Sylow census matches neither semidirect shape")]
+
+
+def _check_parity(code, g_rep, g_nr, trunc48, flavor):
+    N = code.n
+    if g_rep is None or g_nr is None:
+        return [_hypotheses("needs both half-cycle classes")]
+    if not (_is_half_cycle_type(g_rep, N) and _is_half_cycle_type(g_nr, N)):
+        return [_hypotheses("both classes must have cycle type 2^(N/2)")]
+    if not _fixed_theta_is(code, g_rep, flavor, trunc48, "A1^%d" % (N // 2)):
+        return [_hypotheses("rep fixed theta is not the A1(2)^(N/2) series")]
+    if not _fixed_theta_is(code, g_nr, flavor, trunc48, "D%d*" % (N // 2)):
+        return [_hypotheses("nr fixed theta is not the D*(2) series")]
+    rows = [_hypotheses()]
+    quo_rep = _quotient_by_eta2(code, g_rep, trunc48, flavor)
+    quo_nr = _quotient_by_eta2(code, g_nr, trunc48, flavor)
+    parity = 0 if N % 16 == 8 else 1
+    side = "even" if parity == 0 else "odd"
+    rows.append(_compare_on_parity(
+        "rep and nr quotients agree on %s powers" % side,
+        quo_rep, quo_nr, N, parity))
+    if N % 16 == 8:
+        ch_d = _d_lattice_character(N, trunc48)
+        rows.append(_compare_on_parity(
+            "D-lattice character meets rep quotient on even powers",
+            ch_d, quo_rep, N, 0))
+        rows.append(_compare_on_parity(
+            "D-lattice character meets nr quotient on even powers",
+            ch_d, quo_nr, N, 0))
+    ch_nr = character_cyclic(code, g_nr, trunc48, flavor=flavor).character
+    ch_plus = character_plus(code, trunc48, flavor=flavor)
+    rows.append(_compare_on_parity(
+        "nr character meets the negation-fixed character on even powers",
+        ch_nr, ch_plus, N, 0))
+    if N % 16 == 8 and lift_info(code, g_rep, flavor=flavor).doubling:
+        ch_rep = character_cyclic(code, g_rep, trunc48, flavor=flavor).character
+        ch_ker = character_plus(
+            lambda t: kernel_theta(code, g_rep, t, flavor=flavor), trunc48,
+            rank=N)
+        rows.append(_compare_on_parity(
+            "rep character meets the kernel-plus character on even powers",
+            ch_rep, ch_ker, N, 0))
+    return rows
+
+
+def _check_group(which, code, gens, trunc48, flavor):
+    """Gate both group theorems on a lifted group of the same order."""
+    if not gens:
+        return [_hypotheses("needs a group of generators")]
+    elements = group_elements(gens, GROUP_CAP)
+    bad = _doubling_element(code, elements, flavor)
+    if bad is not None:
+        return [_hypotheses("element %s has order doubling" % bad)]
+    check = _check_thmD if which == "ThmD-pq" else _check_p2q
+    return check(code, gens, elements, trunc48, flavor)
+
+
+def verify_identity(which, code, trunc48, g1=None, g2=None, group=None,
+                    flavor: str = "plain") -> FigureReport:
+    """Run one of the character identities as a report of rows.
+
+    The first row says whether the hypotheses hold; when they do not,
+    it names the one that fails and no comparison follows.
+    """
+    if which in ("ThmC-1", "ThmC-2"):
+        rows = _check_thmC(which, code, g1, g2, trunc48, flavor)
+    elif which in ("ThmD-pq", "Thm-p2q"):
+        rows = _check_group(which, code, group, trunc48, flavor)
+    elif which == "parity-props":
+        rows = _check_parity(code, g1, g2, trunc48, flavor)
+    else:
+        raise DomainError("unknown identity %r" % which)
+    return FigureReport(which, rows)
 
 
 _REGISTRY = {

@@ -1,12 +1,15 @@
 """Test-side oracles and inputs shared by several test modules.
 
 The oracles are exhaustive and slow by design, so they live beside the
-tests that use them and not in the package.
+tests that use them and not in the package.  So do the fixed-subcode
+shapes that pin a fixed theta series in closed form, which only the
+lattice and acceptance tests ask about.
 """
 
 from itertools import permutations as _all_perms
 from pathlib import Path
 
+from thetaforge.codes import BinaryCode
 from thetaforge.errors import DomainError
 from thetaforge.perms import Perm, parse_generators
 
@@ -41,3 +44,91 @@ def hamming8_class_representatives():
             gens = parse_generators(text, 8)
             reps.append(gens[0] if gens else Perm.identity(8))
     return reps
+
+
+def _cover_search(universe, blocks, admits):
+    """Exact covers of ``universe`` by pairwise disjoint ``blocks``.
+
+    Yields each cover as a tuple of masks.  ``admits`` filters complete
+    covers, so callers can impose extra conditions on the partition.
+    """
+    def extend(covered, chosen):
+        if covered == universe:
+            if admits(chosen):
+                yield tuple(chosen)
+            return
+        low = (~covered & universe) & -(~covered & universe)
+        for b in blocks:
+            if b & low and not b & covered:
+                chosen.append(b)
+                yield from extend(covered | b, chosen)
+                chosen.pop()
+
+    yield from extend(0, [])
+
+
+def a_partition_order(code: BinaryCode, g: Perm):
+    """Half-weight r when the fixed subcode is a disjoint partition basis.
+
+    Looks for the configuration that pins the fixed theta series: g of
+    cycle type r^{N/r}, fixed subcode of dimension N/2r spanned by
+    pairwise disjoint words of weight 2r covering every coordinate.
+    When found the fixed sublattice has the theta series of A1(r)^{N/r};
+    returns r, or None when the shape is absent.
+    """
+    cycles = g.cycles()
+    sizes = {len(c) for c in cycles}
+    if len(sizes) != 1:
+        return None
+    r = sizes.pop()
+    # uniform cycle type with no fixed points: the r-cycles cover Omega
+    if r * len(cycles) != code.n or code.n % (2 * r):
+        return None
+    fixed = code.fixed_subcode([g])
+    if fixed.dim * 2 * r != code.n:
+        return None
+    # Any sum of k >= 2 disjoint basis words has weight 2kr > 2r, so the
+    # basis is exactly the set of minimal-weight fixed words.
+    basis = [w for w in fixed.codewords() if bin(w).count("1") == 2 * r]
+    if len(basis) != fixed.dim:
+        return None
+    union = 0
+    for b in basis:
+        if union & b:
+            return None
+        union |= b
+    if union != (1 << code.n) - 1:
+        return None
+    return r
+
+
+def d_partition_anchor(code: BinaryCode, g: Perm):
+    """Anchor word when the fixed subcode has the D-shaped basis.
+
+    Looks for cycle type 2^{N/2} with a fixed subcode of dimension
+    N/4 + 1 spanned by pairwise disjoint weight-4 words B_1..B_{N/4}
+    plus an anchor B_0 of weight N/2 meeting every B_j in exactly two
+    coordinates.  When found the fixed sublattice has the theta series
+    of D_{N/2}*(2); returns the anchor mask, or None.
+    """
+    cycles = g.cycles()
+    if {len(c) for c in cycles} != {2} or 2 * len(cycles) != code.n:
+        return None
+    fixed = code.fixed_subcode([g])
+    if 4 * (fixed.dim - 1) != code.n:
+        return None
+    words = fixed.codewords()
+    quads = [w for w in words if bin(w).count("1") == 4]
+    halves = [w for w in words if 2 * bin(w).count("1") == code.n]
+    universe = (1 << code.n) - 1
+
+    def anchored(blocks):
+        return any(
+            all(bin(b & w).count("1") == 2 for b in blocks)
+            for w in halves)
+
+    for blocks in _cover_search(universe, quads, anchored):
+        for w in halves:
+            if all(bin(b & w).count("1") == 2 for b in blocks):
+                return w
+    return None

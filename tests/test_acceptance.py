@@ -15,14 +15,12 @@ from pathlib import Path
 
 from thetaforge.characters import (
     character_cyclic, character_group, character_plus, trace_series,
-    verify_identity,
 )
 from thetaforge.cli import main
 from thetaforge.codes import catalog_code, load_code
 from thetaforge.lattice import (
-    a_partition_order, catalog_theta, d_partition_anchor,
-    doubling_code_criterion, doubling_lattice_criterion, kernel_theta,
-    theta_fixed, theta_matches, theta_super, theta_twisted,
+    catalog_theta, doubling_code_criterion, doubling_lattice_criterion,
+    kernel_theta, theta_fixed, theta_matches, theta_super, theta_twisted,
 )
 from thetaforge.modfunc import (
     faber_table, identify, is_replicable, mckay_thompson, strip_constant,
@@ -30,9 +28,11 @@ from thetaforge.modfunc import (
 )
 from thetaforge.perms import Perm, orbits, parse_generators, parse_perm
 from thetaforge.qseries import DEN, QSeries, eta, shifted_theta
-from thetaforge.verify import verify_figure
+from thetaforge.verify import verify_figure, verify_identity
 
-from oracles import brute_force_automorphisms
+from oracles import (
+    a_partition_order, brute_force_automorphisms, d_partition_anchor,
+)
 
 T = lambda n: n * DEN
 HALF = Fraction(1, 2)
@@ -216,9 +216,10 @@ def test_criterion_08_character_identities_for_rank_8():
     with gate(8, "both rank-8 character identities"):
         one = verify_identity("ThmC-1", HAM, T(8), g1=REP)
         two = verify_identity("ThmC-2", HAM, T(8), g1=REP, g2=NR)
-        for result in (one, two):
-            assert result.status == "pass", result.detail
-            assert all(ok for _, ok, _ in result.checks)
+        for report in (one, two):
+            assert report.rows[0].got == "applicable", report.rows[0].got
+            assert report.status == "pass"
+            assert all(row.ok for row in report.rows)
 
 
 def test_criterion_09_frobenius_group_characters():
@@ -240,8 +241,9 @@ def test_criterion_09_frobenius_group_characters():
         assert row(combo, -16, 7) == [
             3, 66, 726, 5286, 31380, 153234, 651798]
         assert combo.matches(3 * ch_g)
-        result = verify_identity("ThmD-pq", HAM, t48, group=h1 + h2)
-        assert result.status == "pass", result.detail
+        report = verify_identity("ThmD-pq", HAM, t48, group=h1 + h2)
+        assert report.rows[0].got == "applicable", report.rows[0].got
+        assert report.status == "pass"
 
 
 def test_criterion_10_doubling_criteria_agree_everywhere():

@@ -12,7 +12,7 @@ import pytest
 
 from thetaforge.characters import (
     CharacterReport, LiftInfo, character_cyclic, character_group,
-    character_plus, lift_info, trace_series, verify_identity,
+    character_plus, lift_info, trace_series,
 )
 from thetaforge.codes import catalog_code
 from thetaforge.errors import DomainError
@@ -20,6 +20,7 @@ from thetaforge.lattice import (
     catalog_theta, doubling_code_criterion, kernel_theta)
 from thetaforge.perms import parse_generators, parse_perm
 from thetaforge.qseries import DEN, PrecisionError, QSeries
+from thetaforge.verify import verify_identity
 
 T = lambda n: n * DEN
 
@@ -164,6 +165,13 @@ def test_group_character_refuses_doubling_elements():
     assert report.lift_order == 2 and not report.doubling
 
 
+def test_group_character_refuses_groups_above_ten_thousand_elements():
+    s8 = parse_generators("(1,2), (1,2,3,4,5,6,7,8)", 8)
+    with pytest.raises(DomainError) as err:
+        character_group(HAM, s8, 2 * DEN)
+    assert "exceeded 10000 elements" in str(err.value)
+
+
 def test_group_character_uses_the_flavor_doubling_criterion():
     # the code criterion sees no doubling here, the super0 lattice
     # criterion does, and it is the one that decides the lift
@@ -176,41 +184,57 @@ def test_group_character_uses_the_flavor_doubling_criterion():
 
 # ---------- identity checks ----------
 
+def not_applicable(report):
+    """The failed hypothesis a report names, or None when all hold.
+
+    A not-applicable report is its hypotheses row alone: no comparison
+    runs after a failed hypothesis.
+    """
+    head = report.rows[0]
+    assert head.label == "hypotheses"
+    if head.ok:
+        assert head.got == "applicable"
+        return None
+    assert head.got.startswith("not-applicable: ") and len(report.rows) == 1
+    return head.got[len("not-applicable: "):]
+
+
 def test_theorem_c_identities():
-    assert verify_identity("ThmC-1", HAM, T(7), g1=REP24).ok
-    assert verify_identity("ThmC-2", HAM, T(7), g1=REP24, g2=NR24).ok
+    for r in (verify_identity("ThmC-1", HAM, T(7), g1=REP24),
+              verify_identity("ThmC-2", HAM, T(7), g1=REP24, g2=NR24)):
+        assert not_applicable(r) is None and r.ok
 
 
 def test_theorem_c_hypothesis_gates():
     r = verify_identity("ThmC-1", HAM, T(7), g1=EX_G)
-    assert r.status == "not-applicable" and "cycle type" in r.detail
+    assert "cycle type" in not_applicable(r)
     r = verify_identity("ThmC-1", HAM, T(7), g1=NR24)
-    assert r.status == "not-applicable" and "A1(2)" in r.detail
+    assert "A1(2)" in not_applicable(r)
     r = verify_identity("ThmC-2", HAM, T(7), g1=REP24, g2=REP24)
-    assert r.status == "not-applicable"
+    assert not_applicable(r) is not None
     r = verify_identity("ThmC-2", HAM, T(7), g1=REP24)
-    assert r.status == "not-applicable"
+    assert not_applicable(r) is not None
 
 
 def test_theorem_pq_on_the_order_21_group():
     r = verify_identity("ThmD-pq", HAM, T(7), group=F21)
-    assert r.ok
-    assert r.checks[0][0] == "p*Ch^G = Ch^Zq + p*Ch^Zp - Ch V"
+    assert not_applicable(r) is None and r.ok
+    assert r.rows[1].label == "p*Ch^G = Ch^Zq + p*Ch^Zp - Ch V"
 
 
 def test_theorem_pq_gates():
     r = verify_identity("ThmD-pq", HAM, T(5),
                         group=[parse_perm("(1,5,2)(3,7,8)", 8)])
-    assert r.status == "not-applicable"
+    assert not_applicable(r) is not None
     r = verify_identity("ThmD-pq", HAM, T(5), group=[])
-    assert r.status == "not-applicable"
+    assert not_applicable(r) is not None
 
 
 def test_theorem_p2q_case_with_normal_klein():
     a4 = [parse_perm("(3,4,5)(6,8,7)", 8), parse_perm("(1,6)(2,5)(3,4)(7,8)", 8)]
     r = verify_identity("Thm-p2q", HAM, T(7), group=a4)
-    assert r.ok
-    assert r.checks[0][0] == "q*Ch^G = Ch^P + q*Ch^Zq - Ch V"
+    assert not_applicable(r) is None and r.ok
+    assert r.rows[1].label == "q*Ch^G = Ch^P + q*Ch^Zq - Ch V"
 
 
 def test_theorem_p2q_gates():
@@ -219,30 +243,31 @@ def test_theorem_p2q_gates():
     dic = [parse_perm("(3,4,5)(6,8,7)(11,13,12)(14,15,16)", 16),
            parse_perm("(1,9,2,10)(3,11,8,16)(4,12,7,15)(5,13,6,14)", 16)]
     r = verify_identity("Thm-p2q", HH, T(3), group=dic)
-    assert r.status == "not-applicable" and "mixed order" in r.detail
+    assert "mixed order" in not_applicable(r)
     r = verify_identity("Thm-p2q", HAM, T(3), group=F21)
-    assert r.status == "not-applicable"
+    assert not_applicable(r) is not None
     r = verify_identity("Thm-p2q", HAM, T(3),
                         group=[parse_perm("(1,7)(2,4)(3,8)(5,6)", 8),
                                parse_perm("(1,2)(4,5)(3,8)(6,7)", 8)])
-    assert r.status in ("not-applicable",)
+    assert not_applicable(r) is not None
 
 
 def test_parity_properties_on_the_length_8_code():
     r = verify_identity("parity-props", HAM, T(11), g1=REP24, g2=NR24)
-    assert r.ok and len(r.checks) == 5
-    labels = [lab for lab, _, _ in r.checks]
+    assert not_applicable(r) is None
+    assert r.ok and len(r.rows) == 6
+    labels = [row.label for row in r.rows[1:]]
     assert any("even powers" in lab for lab in labels)
     obj = r.to_json_obj()
     assert obj["status"] == "pass"
-    assert all(c["ok"] for c in obj["checks"])
+    assert all(row["ok"] for row in obj["rows"])
 
 
 def test_parity_properties_gate():
     r = verify_identity("parity-props", HAM, T(7), g1=REP24, g2=EX_G)
-    assert r.status == "not-applicable"
+    assert not_applicable(r) is not None
     r = verify_identity("parity-props", HAM, T(7), g1=NR24, g2=NR24)
-    assert r.status == "not-applicable"
+    assert not_applicable(r) is not None
 
 
 def test_unknown_identity_rejected():

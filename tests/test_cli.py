@@ -236,6 +236,21 @@ def test_shallow_scan_is_refused_before_any_line(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["theta", "--trunc", "0"],
+    ["theta", "--trunc", "-3"],
+    ["replicable", "--trunc", "0"],
+    ["scan", str(DATA / "hamming8_classes.txt"), "--trunc", "0"],
+], ids=["theta-0", "theta-negative", "replicable-0", "scan-0"])
+def test_trunc_below_one_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "DomainError"
+    assert "at least 1," in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
     ["scan", "/nonexistent.txt"],
     ["theta", "--group-file", "/nonexistent.txt"],
     ["theta", "--out", "/nonexistent/dir/x.json"],

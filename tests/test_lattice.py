@@ -15,15 +15,17 @@ import pytest
 from thetaforge.codes import BinaryCode, catalog_code
 from thetaforge.errors import DomainError
 from thetaforge.lattice import (
-    a_partition_order, catalog_theta, d_partition_anchor,
-    doubling_code_criterion, doubling_lattice_criterion, flavor_theta,
-    kernel_theta, lift_order, theta_fixed, theta_full, theta_matches,
-    theta_super, theta_twisted,
+    catalog_theta, doubling_code_criterion, doubling_lattice_criterion,
+    flavor_theta, kernel_theta, lift_order, theta_fixed, theta_full,
+    theta_matches, theta_super, theta_twisted,
 )
 from thetaforge.perms import Perm, orbits, parse_generators, parse_perm
 from thetaforge.qseries import DEN, QSeries, eta, shifted_theta
 
-from oracles import brute_force_automorphisms, hamming8_class_representatives
+from oracles import (
+    a_partition_order, brute_force_automorphisms, d_partition_anchor,
+    hamming8_class_representatives,
+)
 
 T = lambda n: n * DEN
 

@@ -2,8 +2,13 @@
 
 One registry entry per recorded table; a report fails if any checked
 row disagrees with a fresh computation.  Informational rows (ok None)
-are allowed to disagree and must not affect the verdict.
+are allowed to disagree and must not affect the verdict.  The full
+report of every figure, labels and values included, is pinned in
+data/verify_figures.json.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -33,8 +38,17 @@ def test_every_registered_table_recomputes(figure):
         assert row.ok in (True, None), (figure, row.label)
 
 
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "verify_figures.json").read_text())
+
+
+@pytest.mark.parametrize("figure", FIGURE_IDS)
+def test_every_report_matches_its_pinned_record(figure):
+    assert verify_figure(figure).to_json_obj() == PINNED[figure]
+
+
 def test_registry_is_complete():
-    assert set(ROW_COUNTS) == set(FIGURE_IDS)
+    assert set(ROW_COUNTS) == set(FIGURE_IDS) == set(PINNED)
 
 
 def test_informational_rows_do_not_gate():
