@@ -149,7 +149,10 @@ class BinaryCode:
         return all((a & b).bit_count() % 2 == 0 for a in rows for b in rows)
 
     def is_doubly_even(self):
-        return all(w % 4 == 0 for w in self.weight_enumerator())
+        # wt(a ⊕ b) = wt(a) + wt(b) - 2|a ∩ b|, so the rows decide it
+        rows = self.basis
+        return all(r.bit_count() % 4 == 0 for r in rows) and all(
+            (a & b).bit_count() % 2 == 0 for a in rows for b in rows)
 
     def checks(self):
         return {
@@ -170,6 +173,13 @@ class BinaryCode:
     def fixed_subcode(self, gens):
         """Subcode of words fixed by every generator.
 
+        A word w = Σ x_i b_i is fixed exactly when g(w) ⊕ w = 0 for
+        every generator g, which is linear in x.  Each basis row b gets
+        the defect d = (g(b) ⊕ b for every g), packed into one int, and
+        rows are eliminated on d while carrying their codeword along;
+        a row whose d reduces to 0 is a fixed word.  No codeword is
+        enumerated, so C itself may be too large to list.
+
         Raises if some generator is not an automorphism of the code,
         naming the offender.
         """
@@ -181,8 +191,21 @@ class BinaryCode:
             if not self.is_automorphism(g):
                 raise DomainError(
                     "%s is not an automorphism of the code" % g)
-        fixed = [w for w in self.codewords()
-                 if all(g.apply_mask(w) == w for g in gens)]
+        pivots = {}
+        fixed = []
+        for w in self.basis:
+            d = sum((g.apply_mask(w) ^ w) << (j * self.n)
+                    for j, g in enumerate(gens))
+            while d:
+                low = d & -d
+                if low not in pivots:
+                    pivots[low] = (d, w)
+                    break
+                pd, pw = pivots[low]
+                d ^= pd
+                w ^= pw
+            else:
+                fixed.append(w)
         return BinaryCode(self.n, fixed)
 
     def direct_sum(self, other):

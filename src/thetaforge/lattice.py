@@ -12,9 +12,11 @@ coordinates, and range over cosets of codewords B fixed by G, which are
 unions of orbits.  On such a coset every orbit block carries a shift of
 0 or 1/2 (plus 1/4 on the a_Omega/4 cosets), so its theta series is a
 product of one-dimensional shifted thetas that depends on B only
-through how many blocks of each size B contains.  One census walks the
-fixed subcode once and counts codewords by a tuple of integer
-popcounts: |B ∩ U_s| for the union U_s of the size-s blocks.  This is
+through how many blocks of each size B contains.  The fixed subcode
+comes from GF(2) elimination on the basis of C, so only it, not C,
+has to be small enough to list (dimension 24 or less).  One census
+walks it once and counts codewords by a tuple of integer popcounts:
+|B ∩ U_s| for the union U_s of the size-s blocks.  This is
 the size-refined weight enumerator of the fixed code on the orbit set;
 for the trivial group it is Construction A, Θ = W_C(θ₃(2τ), θ₂(2τ)).
 Shift signatures and block products are then built once per distinct
@@ -121,6 +123,14 @@ def _twist_parity(beta, n, p_self, p_pair, p_hh):
     return e8 // 8 % 2
 
 
+def _images(code: BinaryCode, h: Perm):
+    """h(B) for every codeword B in codewords() order, from h(basis rows)."""
+    images = [0]
+    for hrow in map(h.apply_mask, code.basis):
+        images += [hw ^ hrow for hw in images]
+    return images
+
+
 def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
                   twist: Perm = None) -> QSeries:
     """Theta series of the <gens>-fixed sublattice from a popcount census.
@@ -151,9 +161,7 @@ def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
     # then p_self, p_pair and p_hh
     words = images = sub.codewords()
     if twist is not None:
-        images = [0]
-        for hrow in map(twist.apply_mask, sub.basis):
-            images += [hw ^ hrow for hw in images]
+        images = _images(sub, twist)
     keys = Counter(tuple((w & m).bit_count() for m in masks)
                    + ((w & hw & pair_mask).bit_count(),)
                    for w, hw in zip(words, images))
@@ -198,6 +206,18 @@ def _coset_parity(flavor):
     if flavor not in FLAVORS:
         raise DomainError("unknown lattice flavor %r" % flavor)
     return None if flavor == "plain" else int(flavor[-1])
+
+
+def is_even(code: BinaryCode, flavor: str) -> bool:
+    """Whether the flavor's glueing of code gives an even lattice.
+
+    Every glueing needs a doubly even code; the a_Omega/4 glueing with
+    coset parity j also needs N ≡ 0 mod 8 and N/8 ≡ j mod 2, the norm
+    of a_Omega/4 plus the coordinate-sum parity.
+    """
+    j = _coset_parity(flavor)
+    return code.is_doubly_even() and (
+        j is None or (code.n % 8 == 0 and code.n // 8 % 2 == j))
 
 
 def theta_fixed(code: BinaryCode, gens, trunc48: int) -> QSeries:
@@ -288,8 +308,8 @@ def doubling_code_criterion(code: BinaryCode, g: Perm):
     if m % 2:
         return False, None
     h = g ** (m // 2)
-    for bmask in code.codewords():
-        if (bmask & h.apply_mask(bmask)).bit_count() % 4 == 2:
+    for bmask, hmask in zip(code.codewords(), _images(code, h)):
+        if (bmask & hmask).bit_count() % 4 == 2:
             return True, bmask
     return False, None
 
@@ -312,9 +332,9 @@ def doubling_lattice_criterion(code: BinaryCode, g: Perm, flavor: str = "plain")
     n = code.n
     pair_mask = sum(1 << i for i in range(n) if h(i) != i)
     self_mask = ((1 << n) - 1) ^ pair_mask
-    for bmask in code.codewords():
+    for bmask, hmask in zip(code.codewords(), _images(code, h)):
         key = ((bmask & self_mask).bit_count(), (bmask & pair_mask).bit_count(),
-               (bmask & h.apply_mask(bmask) & pair_mask).bit_count())
+               (bmask & hmask & pair_mask).bit_count())
         if _twist_parity(0, n, *key):
             return True, bmask
         # On the quarter-shifted coset every coordinate alternates and

@@ -24,7 +24,8 @@ from .characters import (
 from .codes import catalog_code
 from .errors import DomainError
 from .lattice import (
-    catalog_theta, flavor_theta, kernel_theta, theta_fixed, theta_matches,
+    catalog_theta, flavor_theta, is_even, kernel_theta, theta_fixed,
+    theta_matches,
 )
 from .modfunc import eta_quotient, identify, is_replicable, theta_quotient
 from .perms import (
@@ -519,6 +520,8 @@ def _check_group(which, code, gens, trunc48, flavor):
     """Gate both group theorems on a lifted group of the same order."""
     if not gens:
         return [_hypotheses("needs a group of generators")]
+    if not is_even(code, flavor):
+        return [_hypotheses("the %s lattice of the code is odd" % flavor)]
     elements = group_elements(gens, GROUP_CAP)
     bad = _doubling_element(code, elements, flavor)
     if bad is not None:

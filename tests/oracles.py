@@ -34,6 +34,16 @@ def brute_force_automorphisms(is_member, n, cap_degree=8):
     return out
 
 
+def brute_fixed_words(code: BinaryCode, gens):
+    """Codewords fixed by every generator, found by walking all of C.
+
+    Keeps the oracles independent of `BinaryCode.fixed_subcode`, which
+    solves for the same words by elimination.
+    """
+    return [w for w in code.codewords()
+            if all(g.apply_mask(w) == w for g in gens)]
+
+
 def hamming8_class_representatives():
     """One automorphism per line of the hamming8 conjugacy-class file."""
     reps = []
@@ -84,7 +94,7 @@ def a_partition_order(code: BinaryCode, g: Perm):
     # uniform cycle type with no fixed points: the r-cycles cover Omega
     if r * len(cycles) != code.n or code.n % (2 * r):
         return None
-    fixed = code.fixed_subcode([g])
+    fixed = BinaryCode(code.n, brute_fixed_words(code, [g]))
     if fixed.dim * 2 * r != code.n:
         return None
     # Any sum of k >= 2 disjoint basis words has weight 2kr > 2r, so the
@@ -114,7 +124,7 @@ def d_partition_anchor(code: BinaryCode, g: Perm):
     cycles = g.cycles()
     if {len(c) for c in cycles} != {2} or 2 * len(cycles) != code.n:
         return None
-    fixed = code.fixed_subcode([g])
+    fixed = BinaryCode(code.n, brute_fixed_words(code, [g]))
     if 4 * (fixed.dim - 1) != code.n:
         return None
     words = fixed.codewords()

@@ -230,6 +230,18 @@ def test_theorem_pq_gates():
     assert not_applicable(r) is not None
 
 
+def test_group_theorems_refuse_odd_lattices():
+    # N/8 = 1 is odd, so the coset-parity-0 glueing of the length-8
+    # code is an odd lattice and the theorems do not apply to it
+    group = parse_generators("(1,4,3)(5,8,7), (1,7,3,4,6,5,8)", 8)
+    a4 = [parse_perm("(3,4,5)(6,8,7)", 8), parse_perm("(1,6)(2,5)(3,4)(7,8)", 8)]
+    for which, gens in (("ThmD-pq", group), ("Thm-p2q", a4)):
+        r = verify_identity(which, HAM, T(5), group=gens, flavor="super0")
+        assert not_applicable(r) == "the super0 lattice of the code is odd"
+        r = verify_identity(which, HAM, T(5), group=gens, flavor="super1")
+        assert not_applicable(r) is None
+
+
 def test_theorem_p2q_case_with_normal_klein():
     a4 = [parse_perm("(3,4,5)(6,8,7)", 8), parse_perm("(1,6)(2,5)(3,4)(7,8)", 8)]
     r = verify_identity("Thm-p2q", HAM, T(7), group=a4)

@@ -1,11 +1,13 @@
 """Binary code container and the two shipped self-dual codes."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from thetaforge.codes import BinaryCode, catalog_code, load_code, mask_to_points
 from thetaforge.errors import DomainError, ParseError
-from thetaforge.perms import parse_perm
+from thetaforge.perms import Perm, parse_perm
+
+from oracles import brute_fixed_words
 
 
 HAMMING_WORDS = [
@@ -107,6 +109,43 @@ def test_golay_fixed_subcode_of_half_swap_involution():
     sub = golay.fixed_subcode([two])
     assert sub.dim == 6
     assert sub.weight_enumerator() == {0: 1, 8: 15, 12: 32, 16: 15, 24: 1}
+
+
+@st.composite
+def invariant_code_st(draw):
+    """A code spanned by the orbits of random vectors under 0-3 generators.
+
+    Generators come from a pool holding the identity and up to three
+    random permutations, drawn with repetition, so [] and repeated
+    generators occur.  Also returns one more random permutation, which
+    may or may not be an automorphism.
+    """
+    n = draw(st.integers(1, 16))
+    perm_st = st.permutations(range(n)).map(Perm)
+    pool = [Perm.identity(n)] + draw(st.lists(perm_st, min_size=1, max_size=3))
+    gens = draw(st.lists(st.sampled_from(pool), max_size=3))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+    while True:
+        code = BinaryCode(n, rows)
+        images = [g.apply_mask(b) for g in gens for b in code.basis]
+        if all(code.contains(w) for w in images):
+            return code, gens, draw(perm_st)
+        rows = list(code.basis) + images
+
+
+@given(invariant_code_st())
+@settings(max_examples=150, deadline=None)
+def test_fixed_subcode_against_brute_force(case):
+    code, gens, other = case
+    brute = BinaryCode(code.n, brute_fixed_words(code, gens))
+    assert code.fixed_subcode(gens).basis == brute.basis
+    if code.is_automorphism(other):
+        brute = BinaryCode(code.n, brute_fixed_words(code, gens + [other]))
+        assert code.fixed_subcode(gens + [other]).basis == brute.basis
+    else:
+        with pytest.raises(DomainError) as exc:
+            code.fixed_subcode(gens + [other])
+        assert str(exc.value) == "%s is not an automorphism of the code" % other
 
 
 def test_direct_sum():

@@ -16,15 +16,15 @@ from thetaforge.codes import BinaryCode, catalog_code
 from thetaforge.errors import DomainError
 from thetaforge.lattice import (
     catalog_theta, doubling_code_criterion, doubling_lattice_criterion,
-    flavor_theta, kernel_theta, lift_order, theta_fixed, theta_full,
+    flavor_theta, is_even, kernel_theta, lift_order, theta_fixed, theta_full,
     theta_matches, theta_super, theta_twisted,
 )
 from thetaforge.perms import Perm, orbits, parse_generators, parse_perm
 from thetaforge.qseries import DEN, QSeries, eta, shifted_theta
 
 from oracles import (
-    a_partition_order, brute_force_automorphisms, d_partition_anchor,
-    hamming8_class_representatives,
+    a_partition_order, brute_fixed_words, brute_force_automorphisms,
+    d_partition_anchor, hamming8_class_representatives,
 )
 
 T = lambda n: n * DEN
@@ -57,7 +57,7 @@ def oracle_theta(code, gens, trunc48, super_j=None, twist=None):
         branches = [(Fraction(0), None)]
     else:
         branches = [(Fraction(0), 0), (QUARTER, super_j)]
-    for bmask in code.fixed_subcode(gens).codewords():
+    for bmask in brute_fixed_words(code, gens):
         for extra, parity in branches:
             shifts = []
             for block in blocks:
@@ -175,7 +175,38 @@ def test_oversized_codes_are_refused_on_every_route():
             route()
 
 
+def test_fixed_theta_needs_only_the_fixed_subcode():
+    # C is too large to enumerate, but the words fixed by the 25-cycle
+    # span only {0, 1..25}, so the census walks two words
+    big = BinaryCode(26, [1 << i for i in range(25)])
+    g = parse_perm("(%s)" % ",".join(str(p) for p in range(1, 26)), 26)
+    assert big.fixed_subcode([g]) == BinaryCode(26, [(1 << 25) - 1])
+    got = theta_fixed(big, [g], T(4))
+    assert got == theta_fixed(big.fixed_subcode([g]), [g], T(4))
+    assert_matches_oracle(
+        got, oracle_theta(BinaryCode(26, [(1 << 25) - 1]), [g], T(4)))
+
+
 # ---------- super-code glueing ----------
+
+@pytest.mark.parametrize("rows", [
+    HAM.basis, [0b11110000, 0b00111100], [0b11, 0b1100], [0b111111]])
+def test_is_even_against_oracle_exponents(rows):
+    # an even lattice has integer exponents: norm/2 of every vector
+    code = BinaryCode(8, rows)
+    for flavor, j in (("plain", None), ("super0", 0), ("super1", 1)):
+        odd = any(e % DEN for e in oracle_theta(code, [], T(2), super_j=j))
+        assert is_even(code, flavor) == (not odd), flavor
+
+
+def test_is_even_on_the_catalog_codes():
+    golay, hh = catalog_code("golay24"), catalog_code("hamming8+hamming8")
+    assert [is_even(golay, f) for f in ("plain", "super0", "super1")] == [
+        True, False, True]
+    assert [is_even(hh, f) for f in ("plain", "super0", "super1")] == [
+        True, True, False]
+    assert not is_even(BinaryCode(12, [0b1111, 0b11110000]), "super0")
+
 
 def test_super_hamming_is_e8():
     assert theta_super(HAM, [], 1, T(12)).matches(catalog_theta("E8", 1, T(12)))
