@@ -106,6 +106,11 @@ def trace_series(code: BinaryCode, g: Perm, j: int, trunc48: int,
     n = lift_order(code, g, flavor=flavor)
     if not 0 <= j < n:
         raise DomainError("power %d outside the lift order %d" % (j, n))
+    return _trace(code, g, j, trunc48, flavor)
+
+
+def _trace(code, g, j, trunc48, flavor):
+    """trace_series for a j already known to lie below the lift order."""
     return eta_quotient(lambda t: theta_twisted(code, g, j, t, flavor=flavor),
                         (g ** (j % g.order())).cycle_type(), trunc48)
 
@@ -126,8 +131,7 @@ def character_cyclic(code: BinaryCode, g: Perm, trunc48: int,
                      flavor: str = "plain") -> CharacterReport:
     """Character of the subVOA fixed by the cyclic group of the lift."""
     n = lift_order(code, g, flavor=flavor)
-    per = {j: trace_series(code, g, j, trunc48, flavor=flavor)
-           for j in range(n)}
+    per = {j: _trace(code, g, j, trunc48, flavor) for j in range(n)}
     ch = _character(list(per.values()), code.n)
     return CharacterReport("<%s>" % g, code.n, n, n != g.order(), per, ch)
 

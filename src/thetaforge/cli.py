@@ -1,7 +1,9 @@
 """Command line front end.
 
 Jobs are canonicalized to a JSON object and fingerprinted with sha256,
-so reruns of the same job produce byte-identical output.  Each verb
+so reruns of the same job produce byte-identical output.  A code or
+group file given by path counts by the sha256 of its contents, so two
+different files at one path get different fingerprints.  Each verb
 accepts only the flags it reads.  Scans run their lines one after the
 other, keep going past bad input lines, and emit records in input
 order.
@@ -17,9 +19,9 @@ from contextlib import nullcontext
 
 from . import __version__
 from .characters import character_cyclic, character_group, lift_info
-from .codes import load_code, mask_to_points
+from .codes import CATALOG_CODES, load_code, mask_to_points
 from .errors import DomainError, ParseError, ThetaforgeError
-from .lattice import flavor_theta
+from .lattice import flavor_theta, is_even
 from .modfunc import identify, is_replicable, theta_quotient
 from .perms import orbit_type, parse_generators, read_group_file, type_str
 from .qseries import DEN, PrecisionError
@@ -37,9 +39,26 @@ _EXIT_CODES = (
 )
 
 
-def _fingerprint(job):
-    blob = json.dumps(job, sort_keys=True, separators=(",", ":"))
+def _fingerprint(job, contents):
+    """sha256 of the job, with the path inputs replaced by `contents`."""
+    blob = json.dumps(dict(job, **contents), sort_keys=True,
+                      separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _file_digest(path):
+    with open(path, "rb") as fh:
+        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+
+
+def _path_contents(args):
+    """Job values standing for the contents of path inputs, not the paths."""
+    contents = {}
+    if args.code not in CATALOG_CODES:
+        contents["code"] = _file_digest(args.code)
+    if getattr(args, "group_file", None) is not None:
+        contents["group"] = "@" + _file_digest(args.group_file)
+    return contents
 
 
 def _dump(obj):
@@ -131,7 +150,14 @@ def _trunc(args):
     return trunc
 
 
+def _require_even(code, flavor):
+    """Quotients and replicability are defined for even lattices only."""
+    if not is_even(code, flavor):
+        raise DomainError("the %s lattice of the code is odd" % flavor)
+
+
 def _quotient_pipeline(code, gens, flavor, trunc48):
+    _require_even(code, flavor)
     theta = flavor_theta(code, gens, flavor, trunc48)
     label = type_str(orbit_type(gens, code.n))
     return theta, label, theta_quotient(theta, label, N=code.n)
@@ -189,7 +215,7 @@ def _run_compute(args):
         outputs = {"character": report.to_json_obj()}
     job = _job_record(args, trunc)
     _emit(args, {
-        "fingerprint": _fingerprint(job),
+        "fingerprint": _fingerprint(job, _path_contents(args)),
         "job": job,
         "outputs": outputs,
         "version": __version__,
@@ -206,6 +232,8 @@ def _run_verify(args):
 def _run_scan(args):
     code = load_code(args.code)
     trunc = _trunc(args)
+    _require_even(code, args.flavor)
+    contents = _path_contents(args)
     records = []
     with open(args.file) as fh:
         for i, raw in enumerate(fh, start=1):
@@ -216,7 +244,7 @@ def _run_scan(args):
                    "flavor": args.flavor, "group": text, "trunc": trunc,
                    "krep": args.krep}
             record = {"line": i, "input": text,
-                      "fingerprint": _fingerprint(job),
+                      "fingerprint": _fingerprint(job, contents),
                       "version": __version__}
             try:
                 gens = parse_generators(text, code.n)

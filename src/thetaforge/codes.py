@@ -220,8 +220,11 @@ class BinaryCode:
         return "BinaryCode(n=%d, dim=%d)" % (self.n, self.dim)
 
 
+CATALOG_CODES = ("hamming8", "golay24", "hamming8+hamming8")
+
+
 def catalog_code(name):
-    """Fetch a built-in code: hamming8, golay24, hamming8+hamming8."""
+    """Fetch a built-in code by one of the CATALOG_CODES names."""
     if name == "hamming8":
         return BinaryCode.from_rows_text(HAMMING8_ROWS)
     if name == "golay24":

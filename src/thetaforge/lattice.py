@@ -46,7 +46,7 @@ import re
 from .codes import BinaryCode
 from .errors import DomainError
 from .perms import Perm, orbits
-from .qseries import DEN, QSeries, shifted_theta
+from .qseries import DEN, QSeries, exact_div, shifted_theta
 
 HALF = Fraction(1, 2)
 
@@ -191,8 +191,8 @@ def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
             # alternating flag of every odd-size block.
             flipped = tuple(sorted(((size, s, a != (size % 2 == 1)), mult)
                                    for (size, s, a), mult in signature))
-            census[signature] += Fraction(coeff, 2)
-            census[flipped] += Fraction(coeff * (-1) ** parity, 2)
+            census[signature] += exact_div(coeff, 2)
+            census[flipped] += exact_div(coeff * (-1) ** parity, 2)
     total = QSeries.zero(trunc48)
     for signature in sorted(census):
         coeff = census[signature]
@@ -292,7 +292,7 @@ def kernel_theta(code: BinaryCode, g: Perm, trunc48: int,
         raise DomainError("kernel sublattice needs an automorphism of even order")
     full = flavor_theta(code, [], flavor, trunc48)
     twisted = theta_twisted(code, g, m, trunc48, flavor=flavor)
-    return ((full + twisted) * HALF).truncate48(trunc48)
+    return ((full + twisted) / 2).truncate48(trunc48)
 
 
 def doubling_code_criterion(code: BinaryCode, g: Perm):
@@ -400,7 +400,7 @@ def catalog_theta(name: str, scale: int = 1, trunc48: int = 16 * DEN) -> QSeries
         t2 = _factor(HALF, HALF, False, inner)
         t3 = _factor(HALF, Fraction(0), False, inner)
         t4 = _factor(HALF, Fraction(0), True, inner)
-        series = (t2 ** 8 + t3 ** 8 + t4 ** 8) * HALF
+        series = (t2 ** 8 + t3 ** 8 + t4 ** 8) / 2
     else:
         rank = int(match.group(2))
         t3 = _factor(HALF, Fraction(0), False, inner)
@@ -409,7 +409,7 @@ def catalog_theta(name: str, scale: int = 1, trunc48: int = 16 * DEN) -> QSeries
             series = t3 ** rank + t2 ** rank
         else:
             t4 = _factor(HALF, Fraction(0), True, inner)
-            series = (t3 ** rank + t4 ** rank) * HALF
+            series = (t3 ** rank + t4 ** rank) / 2
     if scale != 1:
         series = series.dilate(scale)
     if power != 1:

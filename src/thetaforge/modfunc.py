@@ -5,7 +5,9 @@ orbit type and raising the result to 24/N gives a q-expansion with a
 simple pole at infinity.  This module builds those eta products and
 quotients, expands Faber polynomials to test replicability of such a
 series, and matches candidates against a small catalog of closed-form
-eta expansions (the T_nX series of monstrous moonshine).
+eta expansions (the T_nX series of monstrous moonshine).  A candidate
+is compared first on the 8 positive powers identification needs, and
+only a catalog series that agrees there is built over the full window.
 
 Every theta/eta division in the package goes through `eta_quotient`:
 a result exact below t needs the numerator through t + 2N and the eta
@@ -20,7 +22,7 @@ from math import gcd
 
 from .errors import DomainError, ParseError, ThetaforgeError
 from .lattice import catalog_theta
-from .qseries import DEN, PrecisionError, QSeries, eta
+from .qseries import DEN, PrecisionError, QSeries, eta, exact_div
 
 _PART_RE = re.compile(r"(\d+)(?:\^(\d+))?\Z")
 
@@ -176,7 +178,7 @@ def faber_table(f, K_rep):
     a1 = polys[1][K:]
     table = [[None] * (K + 1) for _ in range(K + 1)]
     for n in range(1, K + 1):
-        table[n][1] = Fraction(a1[n])
+        table[n][1] = a1[n]
     for k in range(1, K):
         size = 3 * K - k + 1         # F_{k+1} is exact through q^(2K-k)
         cur = polys[k]
@@ -194,7 +196,7 @@ def faber_table(f, K_rep):
         if nxt[K - k - 1] != 1 or any(nxt[K - k:K + 1]):
             raise ThetaforgeError("Faber recurrence lost normalization")
         for n in range(1, K + 1):
-            table[n][k + 1] = Fraction(nxt[K + n], k + 1)
+            table[n][k + 1] = exact_div(nxt[K + n], k + 1)
     for n in range(1, K + 1):
         for k in range(1, n):
             if table[n][k] != table[k][n]:
@@ -315,14 +317,19 @@ def identify(f):
 
     Needs at least 8 positive integer powers of f.  Returns a
     (name, constant_delta) pair, or (None, None) when nothing in the
-    catalog matches on the full comparable window.
+    catalog matches on the full comparable window.  Each candidate is
+    built through q^8 first and over the full window only if it agrees
+    there; a mismatch on the prefix is a mismatch on the full window.
     """
     if f.trunc48 <= 8 * DEN:
         raise PrecisionError("identification needs at least 8 positive q-powers")
     if f.is_zero() or f.valuation48() != -DEN or f.lead_coeff() != 1:
         return None, None
     f0, c = strip_constant(f)
+    probe = min(f.trunc48, 9 * DEN)
     for name in MT_NAMES:
+        if not f0.matches(strip_constant(mckay_thompson(name, probe))[0]):
+            continue
         entry, ce = strip_constant(mckay_thompson(name, f.trunc48))
         if f0.matches(entry):
             return name, c - ce

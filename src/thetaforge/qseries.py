@@ -11,7 +11,12 @@ below ``trunc48`` (also in 48ths) and nothing beyond.  Arithmetic
 propagates truncations honestly, so multiplying by a series with a
 negative leading exponent shrinks the window the way it should, and
 truncating never widens a window: asking for more than is known is a
-PrecisionError.  Coefficients are ints or Fractions, never floats.
+PrecisionError.  Coefficients are ints or Fractions, never floats, and
+a whole number is always stored as an int: a Fraction coefficient
+never has denominator 1.  Every coefficient division goes through
+`exact_div`, which returns an int whenever the quotient is whole, so
+the coefficients of integral series stay ints through products,
+powers and divisions.
 
 Products are sparse convolutions.  A rational power f**r, and with it
 division (f / g is f * g**-1), runs J.C.P. Miller's power recurrence
@@ -35,6 +40,15 @@ def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def exact_div(a, b):
+    """a / b for ints or Fractions: an int when the quotient is whole,
+    else a Fraction (never one with denominator 1)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _norm_coeff(a / b)
 
 
 def _exact_coeff(c):
@@ -78,19 +92,20 @@ def iroot(n, k):
 def rational_power(c, r):
     """Exact c**r for rational c and r, or raise ValueError.
 
-    Negative bases are only allowed for integer r.
+    Negative bases are only allowed for integer r.  A whole result is
+    an int.
     """
     c = Fraction(c)
     r = Fraction(r)
     if r.denominator == 1:
-        return c ** int(r)
+        return _norm_coeff(c ** int(r))
     if c <= 0:
         raise ValueError("cannot take a fractional power of %s exactly" % c)
     pn = iroot(c.numerator, r.denominator)
     pd = iroot(c.denominator, r.denominator)
     if pn is None or pd is None:
         raise ValueError("%s has no exact %d-th root" % (c, r.denominator))
-    return Fraction(pn, pd) ** r.numerator
+    return _norm_coeff(Fraction(pn, pd) ** r.numerator)
 
 
 class QSeries:
@@ -271,8 +286,11 @@ class QSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            inv = Fraction(1, 1) / other
-            return self.__mul__(inv)
+            if not other:
+                raise ZeroDivisionError("series divided by zero")
+            return QSeries._raw(
+                {e: exact_div(c, other) for e, c in self.coeffs.items()},
+                self.trunc48)
         if not isinstance(other, QSeries):
             return NotImplemented
         return self * other.pow_rational(-1)
@@ -322,8 +340,7 @@ class QSeries:
             d = gcd(d, e - v)
         d = d or trel
         p, q = r.numerator, r.denominator
-        ci = Fraction(1, 1) / c
-        h = [(k, (p + q) * k, _norm_coeff(self.coeffs[v + k * d] * ci))
+        h = [(k, (p + q) * k, exact_div(self.coeffs[v + k * d], c))
              for k in sorted((e - v) // d for e in self.coeffs if e != v)]
         g = [1]
         for n in range(1, (trel - 1) // d + 1):
@@ -333,10 +350,12 @@ class QSeries:
                 if k > n:
                     break
                 s += (pqk - nq) * hk * g[n - k]
-            g.append(_norm_coeff(Fraction(s, nq)))
+            g.append(exact_div(s, nq))
         shift = int(rv)
-        return QSeries._raw({n * d + shift: _norm_coeff(cr * gn)
-                             for n, gn in enumerate(g) if gn}, trel + shift)
+        if cr != 1:
+            g = [_norm_coeff(cr * gn) for gn in g]
+        return QSeries._raw({n * d + shift: gn for n, gn in enumerate(g) if gn},
+                            trel + shift)
 
     def dilate(self, m):
         """Replace q by q**m for a positive integer m."""

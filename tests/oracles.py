@@ -3,7 +3,8 @@
 The oracles are exhaustive and slow by design, so they live beside the
 tests that use them and not in the package.  So do the fixed-subcode
 shapes that pin a fixed theta series in closed form, which only the
-lattice and acceptance tests ask about.
+lattice and acceptance tests ask about, and the full-window catalog
+identification that `modfunc.identify` shortcuts with a prefix probe.
 """
 
 from itertools import permutations as _all_perms
@@ -11,7 +12,9 @@ from pathlib import Path
 
 from thetaforge.codes import BinaryCode
 from thetaforge.errors import DomainError
+from thetaforge.modfunc import MT_NAMES, mckay_thompson, strip_constant
 from thetaforge.perms import Perm, parse_generators
+from thetaforge.qseries import DEN, PrecisionError
 
 
 def brute_force_automorphisms(is_member, n, cap_degree=8):
@@ -142,3 +145,21 @@ def d_partition_anchor(code: BinaryCode, g: Perm):
             if all(bin(b & w).count("1") == 2 for b in blocks):
                 return w
     return None
+
+
+def full_window_identify(f):
+    """Catalog identification that builds every candidate over f's window.
+
+    The loop `modfunc.identify` ran before it probed a short prefix
+    first; the two must return the same (name, constant_delta).
+    """
+    if f.trunc48 <= 8 * DEN:
+        raise PrecisionError("identification needs at least 8 positive q-powers")
+    if f.is_zero() or f.valuation48() != -DEN or f.lead_coeff() != 1:
+        return None, None
+    f0, c = strip_constant(f)
+    for name in MT_NAMES:
+        entry, ce = strip_constant(mckay_thompson(name, f.trunc48))
+        if f0.matches(entry):
+            return name, c - ce
+    return None, None

@@ -10,6 +10,7 @@ refused as not applicable.
 
 import pytest
 
+from thetaforge import lattice
 from thetaforge.characters import (
     CharacterReport, LiftInfo, character_cyclic, character_group,
     character_plus, lift_info, trace_series,
@@ -68,6 +69,24 @@ def test_odd_order_traces_pair_up():
     for j in range(1, 7):
         assert trace_series(HAM, g7, j, T(5)).matches(
             trace_series(HAM, g7, 7 - j, T(5)))
+
+
+def test_character_cyclic_decides_the_lift_order_once(monkeypatch):
+    golay = catalog_code("golay24")
+    swap = parse_perm("".join("(%d,%d)" % (i, i + 12) for i in range(1, 13)), 24)
+    calls = []
+    criterion = lattice.doubling_lattice_criterion
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return criterion(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "doubling_lattice_criterion", counted)
+    report = character_cyclic(golay, swap, T(2), flavor="super1")
+    assert len(calls) == 1
+    assert report.lift_order == 4 and report.doubling
+    for j, series in report.per_j.items():
+        assert series == trace_series(golay, swap, j, T(2), flavor="super1")
 
 
 # ---------- lift data ----------

@@ -1,7 +1,8 @@
 """Command-line driver: record shapes, determinism, flags, and scan.
 
 Every compute record carries a fingerprint of its canonical job
-description, so identical invocations must be byte-identical.  Each
+description, so identical invocations must be byte-identical; a file
+input counts by its contents, a catalog name by its name.  Each
 verb accepts only the flags it reads.  Scan keeps input order, its
 output does not depend on the environment, and per-line failures must
 not take down the whole run.
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from thetaforge import cli
 from thetaforge.cli import main
 from thetaforge.codes import catalog_code
 from thetaforge.lattice import theta_fixed
@@ -70,6 +72,53 @@ def test_fingerprint_tracks_the_job_not_the_run(capsys):
     other = run_json(capsys, "theta", "--trunc", "7")
     assert one["fingerprint"] == two["fingerprint"]
     assert one["fingerprint"] != other["fingerprint"]
+
+
+def test_catalog_name_fingerprints_are_pinned(capsys):
+    rec = run_json(capsys, "theta", "--trunc", "6")
+    assert rec["fingerprint"] == (
+        "27b739974c534b709ff2770b3370716e2d5bb014d7035a9a6016f43136b7c5a5")
+    code, out, err = run(capsys, "scan", str(DATA / "hamming8_classes.txt"))
+    assert json.loads(out)[0]["fingerprint"] == (
+        "6f0bb3819ddd1c2b2d27555ecd4e99ac70282b5a48e687e8aeb3416b43942ad6")
+
+
+H8_ROWS = "10000111\n01001011\n00101101\n00011110\n"
+SWAPPED_ROWS = "01001011\n10000111\n00101101\n00011110\n"  # the same code
+
+
+def test_path_inputs_are_fingerprinted_by_their_contents(capsys, tmp_path):
+    group_file = tmp_path / "gens.txt"
+
+    def fingerprint(code_file, rows, gens):
+        code_file.write_text(rows)
+        group_file.write_text(gens)
+        rec = run_json(capsys, "replicable", "--code", str(code_file),
+                       "--group-file", str(group_file), "--trunc", "10")
+        assert rec["job"]["code"] == str(code_file)
+        return rec["fingerprint"]
+
+    here, there = tmp_path / "code.txt", tmp_path / "elsewhere.txt"
+    first = fingerprint(here, H8_ROWS, "(1,5,2)(3,7,8)\n")
+    # different files written in turn to the same paths
+    assert fingerprint(here, SWAPPED_ROWS, "(1,5,2)(3,7,8)\n") != first
+    assert fingerprint(here, H8_ROWS, "(5,2,1)(8,3,7)\n") != first
+    # the same contents at another path keep the fingerprint
+    assert fingerprint(there, H8_ROWS, "(1,5,2)(3,7,8)\n") == first
+
+
+def test_scan_fingerprints_follow_the_code_file(capsys, tmp_path):
+    code_file = tmp_path / "code.txt"
+    scan_file = tmp_path / "lines.txt"
+    scan_file.write_text("(1,5,2)(3,7,8)\n")
+    prints = []
+    for rows in (H8_ROWS, SWAPPED_ROWS):
+        code_file.write_text(rows)
+        code, out, err = run(capsys, "scan", str(scan_file),
+                             "--code", str(code_file))
+        assert code == 0
+        prints.append(json.loads(out)[0]["fingerprint"])
+    assert prints[0] != prints[1]
 
 
 def test_out_file_leaves_stdout_empty(capsys, tmp_path):
@@ -217,6 +266,37 @@ def test_broken_character_invariant_exits_3(capsys):
     payload = json.loads(err)["error"]
     assert payload["type"] == "ThetaforgeError"
     assert "non-dimension coefficient" in payload["message"]
+
+
+ODD = ["--flavor", "super0", "--group", "(1,5,2)(3,7,8)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["quotient", "--trunc", "3"] + ODD,
+    ["replicable"] + ODD,
+    ["identify"] + ODD,
+    ["scan", str(DATA / "hamming8_classes.txt"), "--flavor", "super0"],
+], ids=["quotient", "replicable", "identify", "scan"])
+def test_odd_lattices_are_refused_before_computing(capsys, monkeypatch, argv):
+    # N/8 = 1 is odd, so the super0 glueing of hamming8 is odd
+    def no_theta(*args):
+        raise AssertionError("computed a theta series for an odd lattice")
+
+    monkeypatch.setattr(cli, "flavor_theta", no_theta)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload == {"type": "DomainError",
+                       "message": "the super0 lattice of the code is odd"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--trunc", "3"] + ODD,
+    ["doubling", "--flavor", "super0", "--group", "(1,7)(2,4)(3,8)(5,6)"],
+], ids=["theta", "doubling"])
+def test_theta_and_doubling_accept_odd_flavors(capsys, argv):
+    assert run_json(capsys, *argv)["job"]["flavor"] == "super0"
 
 
 def test_shallow_replicability_is_refused(capsys):

@@ -19,8 +19,8 @@ from thetaforge.characters import trace_series
 from thetaforge.codes import catalog_code
 from thetaforge.errors import DomainError, ParseError
 from thetaforge.lattice import (
-    FLAVORS, catalog_theta, lift_order, theta_fixed, theta_full,
-    theta_twisted,
+    FLAVORS, catalog_theta, flavor_theta, lift_order, theta_fixed,
+    theta_full, theta_twisted,
 )
 from thetaforge.modfunc import (
     MT_NAMES, eta_product, eta_quotient, faber_table, identify,
@@ -30,7 +30,7 @@ from thetaforge.modfunc import (
 from thetaforge.perms import parse_generators, parse_perm
 from thetaforge.qseries import DEN, PrecisionError, QSeries, eta
 
-from oracles import hamming8_class_representatives
+from oracles import full_window_identify, hamming8_class_representatives
 
 T = lambda n: n * DEN
 
@@ -316,6 +316,31 @@ def test_split_orbit_theta_identifies_as_t12a():
     th = catalog_theta("A1", 2, T(14)) * catalog_theta("A1", 6, T(14))
     f = theta_quotient(th, {2: 1, 6: 1}, N=8)
     assert identify(f) == ("T_12A", 0)
+
+
+@pytest.mark.parametrize("powers", [26, 100])
+@pytest.mark.parametrize("flavor", ["plain", "super1"])
+def test_identify_agrees_with_the_full_window_loop_on_the_classes(powers, flavor):
+    for g in hamming8_class_representatives():
+        th = flavor_theta(HAM, [g], flavor, T(powers))
+        f = theta_quotient(th, g.cycle_type(), N=8)
+        assert identify(f) == full_window_identify(f), (g, powers)
+
+
+@pytest.mark.parametrize("name", MT_NAMES)
+def test_identify_agrees_with_the_full_window_loop_on_the_catalog(name):
+    for t48 in (T(8) + 1, T(9), T(30)):
+        f = mckay_thompson(name, t48)
+        assert identify(f) == full_window_identify(f) == (name, 0)
+        shifted = f + 5
+        assert identify(shifted) == full_window_identify(shifted) == (name, 5)
+
+
+def test_identify_rejects_a_late_mismatch_after_the_probe():
+    f = mckay_thompson("T_4A", T(30))
+    for e in (5, 9, 29):     # inside the probe, just past it, at the end
+        bent = f + QSeries.monomial(1, T(e), f.trunc48)
+        assert identify(bent) == full_window_identify(bent) == (None, None)
 
 
 def test_identify_needs_window():

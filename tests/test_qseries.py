@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetaforge.qseries import (
-    DEN, PrecisionError, QSeries, eta, iroot, rational_power, shifted_theta,
-    theta2, theta3, theta4, to_exp48,
+    DEN, PrecisionError, QSeries, eta, exact_div, iroot, rational_power,
+    shifted_theta, theta2, theta3, theta4, to_exp48,
 )
 
 T = lambda n: n * DEN  # integer q-power -> 48ths
@@ -132,6 +132,30 @@ def power_case_st(draw):
     coeffs[v] = lead
     end = v + stride * terms + draw(st.integers(min_value=1, max_value=stride))
     return QSeries(coeffs, end), r
+
+
+@st.composite
+def integral_power_case_st(draw):
+    """(f, r) with integer coefficients and f**r exact: the lead is a
+    sixth power (negated only for integer r), the tail any integers."""
+    r = draw(st.sampled_from(POWERS))
+    stride = draw(st.sampled_from([1, 2, 3, 48]))
+    v = 6 * draw(st.integers(min_value=-8, max_value=8))
+    lead = draw(st.sampled_from([1, 1, 1, 64, 729]))
+    if r.denominator == 1 and draw(st.booleans()):
+        lead = -lead
+    terms = draw(st.integers(min_value=1, max_value=24))
+    tail = draw(st.dictionaries(st.integers(min_value=1, max_value=terms),
+                                st.integers(min_value=-9, max_value=9),
+                                max_size=6))
+    coeffs = {v + stride * k: c for k, c in tail.items()}
+    coeffs[v] = lead
+    end = v + stride * terms + draw(st.integers(min_value=1, max_value=stride))
+    return QSeries(coeffs, end), r
+
+
+def whole_numbers_are_ints(f):
+    return all(type(c) is int or c.denominator > 1 for c in f.coeffs.values())
 
 
 # ---------- basic construction ----------
@@ -296,8 +320,16 @@ def test_pow_rational_against_binomial_oracle(case):
     f, r = case
     got = f.pow_rational(r)
     assert got == oracle_pow_rational(f, r)
-    assert all(isinstance(c, int) or c.denominator > 1
-               for c in got.coeffs.values())
+    assert whole_numbers_are_ints(got)
+
+
+@given(integral_power_case_st())
+@settings(max_examples=60, deadline=None)
+def test_integral_pow_rational_keeps_whole_numbers_in_ints(case):
+    f, r = case
+    got = f.pow_rational(r)
+    assert got == oracle_pow_rational(f, r)
+    assert whole_numbers_are_ints(got)
 
 
 @given(series_st, st.integers(min_value=1, max_value=4))
@@ -367,6 +399,31 @@ def test_division_roundtrip():
 def test_truediv_by_scalar():
     f = QSeries.from_pairs([(0, 3), (1, 6)], 3)
     assert (f / 3).coefficient(1) == 2
+    with pytest.raises(ZeroDivisionError):
+        f / 0
+    with pytest.raises(ZeroDivisionError):
+        QSeries.zero(T(3)) / 0
+
+
+@given(series_st, st.one_of(
+    st.integers(min_value=-12, max_value=12),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6)).filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_scalar_division_against_fractions(f, k):
+    got = f / k
+    assert got.coeffs == {e: Fraction(c) / k for e, c in f.coeffs.items()}
+    assert got.trunc48 == f.trunc48
+    assert whole_numbers_are_ints(got)
+
+
+def test_exact_div_normal_form():
+    assert type(exact_div(12, -4)) is int and exact_div(12, -4) == -3
+    assert exact_div(3, -6) == Fraction(-1, 2)
+    assert type(exact_div(Fraction(9, 2), Fraction(3, 2))) is int
+    assert exact_div(Fraction(1, 3), 2) == Fraction(1, 6)
+    assert type(exact_div(7, Fraction(7, 5))) is int
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
 
 
 # ---------- misc ----------
