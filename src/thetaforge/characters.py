@@ -22,6 +22,7 @@ from .lattice import (
     flavor_theta,
     kernel_theta,
     lift_order,
+    require_even,
     theta_twisted,
 )
 from .modfunc import eta_product, eta_quotient
@@ -101,8 +102,9 @@ def trace_series(code: BinaryCode, g: Perm, j: int, trunc48: int,
 
     theta of the g^j-fixed sublattice over the eta product of the cycle
     type of g^j, with the sign twist by <v, g^{j/2} v> on even j when
-    the lift order is even.
+    the lift order is even.  The flavor's lattice must be even.
     """
+    require_even(code, flavor)
     n = lift_order(code, g, flavor=flavor)
     if not 0 <= j < n:
         raise DomainError("power %d outside the lift order %d" % (j, n))
@@ -130,6 +132,7 @@ def _character(terms, N):
 def character_cyclic(code: BinaryCode, g: Perm, trunc48: int,
                      flavor: str = "plain") -> CharacterReport:
     """Character of the subVOA fixed by the cyclic group of the lift."""
+    require_even(code, flavor)
     n = lift_order(code, g, flavor=flavor)
     per = {j: _trace(code, g, j, trunc48, flavor) for j in range(n)}
     ch = _character(list(per.values()), code.n)
@@ -140,10 +143,12 @@ def character_group(code: BinaryCode, gens, trunc48: int,
                     flavor: str = "plain") -> CharacterReport:
     """Character of the subVOA fixed by lifting a whole subgroup.
 
-    Only supported when no element's lift doubles in order, so the
-    lifted group is isomorphic to the permutation group; any doubling
-    element is reported and the computation refused.
+    Only supported on an even lattice and when no element's lift
+    doubles in order, so the lifted group is isomorphic to the
+    permutation group; any doubling element is reported and the
+    computation refused.
     """
+    require_even(code, flavor)
     elements = group_elements(gens, GROUP_CAP)
     bad = _doubling_element(code, elements, flavor)
     if bad is not None:

@@ -12,7 +12,7 @@ order.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import gc
 import json
 import sys
 from contextlib import nullcontext
@@ -21,7 +21,7 @@ from . import __version__
 from .characters import character_cyclic, character_group, lift_info
 from .codes import CATALOG_CODES, load_code, mask_to_points
 from .errors import DomainError, ParseError, ThetaforgeError
-from .lattice import flavor_theta, is_even
+from .lattice import flavor_theta, require_even
 from .modfunc import identify, is_replicable, theta_quotient
 from .perms import orbit_type, parse_generators, read_group_file, type_str
 from .qseries import DEN, PrecisionError
@@ -39,16 +39,22 @@ _EXIT_CODES = (
 )
 
 
+def _sha256(data):
+    # hashlib loads OpenSSL, so only the jobs that write a digest import it
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
+
+
 def _fingerprint(job, contents):
     """sha256 of the job, with the path inputs replaced by `contents`."""
     blob = json.dumps(dict(job, **contents), sort_keys=True,
                       separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _sha256(blob.encode())
 
 
 def _file_digest(path):
     with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        return "sha256:" + _sha256(fh.read())
 
 
 def _path_contents(args):
@@ -150,14 +156,15 @@ def _trunc(args):
     return trunc
 
 
-def _require_even(code, flavor):
-    """Quotients and replicability are defined for even lattices only."""
-    if not is_even(code, flavor):
-        raise DomainError("the %s lattice of the code is odd" % flavor)
+def _krep(args):
+    """--krep, refused below 1 before anything is computed."""
+    if args.krep < 1:
+        raise DomainError("--krep must be at least 1, got %d" % args.krep)
+    return args.krep
 
 
 def _quotient_pipeline(code, gens, flavor, trunc48):
-    _require_even(code, flavor)
+    require_even(code, flavor)
     theta = flavor_theta(code, gens, flavor, trunc48)
     label = type_str(orbit_type(gens, code.n))
     return theta, label, theta_quotient(theta, label, N=code.n)
@@ -184,7 +191,8 @@ def _run_compute(args):
         _, label, quo = _quotient_pipeline(code, gens, args.flavor, trunc48)
         outputs = {"orbit_type": label, "series": quo.to_json_obj()}
     elif command == "replicable":
-        outputs = _replicability(code, gens, args.flavor, trunc48, args.krep)
+        outputs = _replicability(code, gens, args.flavor, trunc48,
+                                 _krep(args))
     elif command == "identify":
         _, label, quo = _quotient_pipeline(code, gens, args.flavor, trunc48)
         name, delta = identify(quo)
@@ -232,7 +240,8 @@ def _run_verify(args):
 def _run_scan(args):
     code = load_code(args.code)
     trunc = _trunc(args)
-    _require_even(code, args.flavor)
+    krep = _krep(args)
+    require_even(code, args.flavor)
     contents = _path_contents(args)
     records = []
     with open(args.file) as fh:
@@ -242,14 +251,14 @@ def _run_scan(args):
                 continue
             job = {"command": "scan-line", "code": args.code,
                    "flavor": args.flavor, "group": text, "trunc": trunc,
-                   "krep": args.krep}
+                   "krep": krep}
             record = {"line": i, "input": text,
                       "fingerprint": _fingerprint(job, contents),
                       "version": __version__}
             try:
                 gens = parse_generators(text, code.n)
                 record["outputs"] = _replicability(
-                    code, gens, args.flavor, trunc * DEN, args.krep)
+                    code, gens, args.flavor, trunc * DEN, krep)
             except (ThetaforgeError, PrecisionError) as exc:
                 record["error"] = _error(exc)
             records.append(record)
@@ -306,6 +315,16 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one verb; argv None means this process was started for it.
+
+    A started process freezes its start-up heap: the objects made by
+    the imports live until exit, and frozen, neither the collector nor
+    the interpreter's teardown walks them.  Objects made afterwards are
+    still collected.  A call with an argv list changes no state of the
+    process.
+    """
+    if argv is None:
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":

@@ -220,6 +220,16 @@ def is_even(code: BinaryCode, flavor: str) -> bool:
         j is None or (code.n % 8 == 0 and code.n // 8 % 2 == j))
 
 
+def require_even(code: BinaryCode, flavor: str) -> None:
+    """Refuse an odd lattice before anything is computed on it.
+
+    Quotients, replicability, traces and characters are defined for
+    even lattices only.
+    """
+    if not is_even(code, flavor):
+        raise DomainError("the %s lattice of the code is odd" % flavor)
+
+
 def theta_fixed(code: BinaryCode, gens, trunc48: int) -> QSeries:
     """Theta series of the sublattice fixed by the subgroup <gens>.
 

@@ -10,13 +10,14 @@ refused as not applicable.
 
 import pytest
 
-from thetaforge import lattice
+from thetaforge import characters, lattice
 from thetaforge.characters import (
-    CharacterReport, LiftInfo, character_cyclic, character_group,
-    character_plus, lift_info, trace_series,
+    CharacterReport, LiftInfo, _character, _doubling_element,
+    character_cyclic, character_group, character_plus, lift_info,
+    trace_series,
 )
 from thetaforge.codes import catalog_code
-from thetaforge.errors import DomainError
+from thetaforge.errors import DomainError, ThetaforgeError
 from thetaforge.lattice import (
     catalog_theta, doubling_code_criterion, kernel_theta)
 from thetaforge.perms import parse_generators, parse_perm
@@ -184,6 +185,41 @@ def test_group_character_refuses_doubling_elements():
     assert report.lift_order == 2 and not report.doubling
 
 
+def test_character_invariant_checks_the_mean_of_the_traces():
+    # rank 8: the pole sits at q^(-16/48) and dimensions at q^(-16/48 + k)
+    pole = QSeries({-16: 1}, T(2))
+    plus = lambda coeffs: QSeries({-16: 1, **coeffs}, T(2))
+    mean = _character([plus({32: 2}), pole], 8)
+    assert mean == QSeries({-16: 1, 32: 1}, T(2))
+    bad = "character has a non-dimension coefficient %s at %s/48"
+    for terms, message in [
+        ([QSeries({-8: 1}, T(2))], "character pole is off"),
+        ([plus({32: 1}), pole], bad % ("1/2", 32)),
+        ([plus({40: 1})], bad % (1, 40)),
+        ([plus({32: -1})], bad % (-1, 32)),
+    ]:
+        with pytest.raises(ThetaforgeError) as err:
+            _character(terms, 8)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: trace_series(HAM, REP24, 0, T(4), flavor="super0"),
+    lambda: character_cyclic(HAM, REP24, T(4), flavor="super0"),
+    lambda: character_group(HAM, F21, T(4), flavor="super0"),
+], ids=["trace_series", "character_cyclic", "character_group"])
+def test_characters_refuse_odd_lattices_before_computing(monkeypatch, build):
+    # N/8 = 1 is odd, so the super0 glueing of hamming8 is the odd Z^8
+    def no_theta(*args, **kwargs):
+        raise AssertionError("computed a theta series for an odd lattice")
+
+    monkeypatch.setattr(characters, "theta_twisted", no_theta)
+    monkeypatch.setattr(characters, "flavor_theta", no_theta)
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == "the super0 lattice of the code is odd"
+
+
 def test_group_character_refuses_groups_above_ten_thousand_elements():
     s8 = parse_generators("(1,2), (1,2,3,4,5,6,7,8)", 8)
     with pytest.raises(DomainError) as err:
@@ -193,12 +229,14 @@ def test_group_character_refuses_groups_above_ten_thousand_elements():
 
 def test_group_character_uses_the_flavor_doubling_criterion():
     # the code criterion sees no doubling here, the super0 lattice
-    # criterion does, and it is the one that decides the lift
+    # criterion does, and it is the one that gates the group; the odd
+    # super0 lattice of hamming8 is itself refused before that gate
     gens = parse_generators("(1,2)(3,4,5,8,7,6)", 8)
     assert not doubling_code_criterion(HAM, gens[0])[0]
+    assert _doubling_element(HAM, gens, "super0") == gens[0]
     with pytest.raises(DomainError) as err:
         character_group(HAM, gens, 8 * DEN, flavor="super0")
-    assert "order doubling" in str(err.value)
+    assert str(err.value) == "the super0 lattice of the code is odd"
 
 
 # ---------- identity checks ----------

@@ -5,15 +5,21 @@ description, so identical invocations must be byte-identical; a file
 input counts by its contents, a catalog name by its name.  Each
 verb accepts only the flags it reads.  Scan keeps input order, its
 output does not depend on the environment, and per-line failures must
-not take down the whole run.
+not take down the whole run.  A process started for one job prints
+exactly what an in-process `main` call prints; only the process entry
+freezes the heap, and only a job with a fingerprint loads OpenSSL.
 """
 
+import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from thetaforge import cli
+from thetaforge import characters, cli
 from thetaforge.cli import main
 from thetaforge.codes import catalog_code
 from thetaforge.lattice import theta_fixed
@@ -256,16 +262,24 @@ def test_oversized_code_file_exits_3(capsys, tmp_path):
         assert payload["message"] == "refusing to enumerate 2^25 codewords"
 
 
-def test_broken_character_invariant_exits_3(capsys):
+def test_broken_character_invariant_exits_3(capsys, monkeypatch):
     # the super0 flavor of hamming8 is the odd lattice Z^8, whose
-    # averaged traces leave the dimension grid
-    code, out, err = run(capsys, "character", "--flavor", "super0",
-                         "--group", "(1,7)(2,4)(3,8)(5,6)")
-    assert code == 3
-    assert out == ""
-    payload = json.loads(err)["error"]
-    assert payload["type"] == "ThetaforgeError"
-    assert "non-dimension coefficient" in payload["message"]
+    # averaged traces would leave the dimension grid: it is refused
+    # before any trace is computed
+    def no_theta(*args, **kwargs):
+        raise AssertionError("computed a theta series for an odd lattice")
+
+    monkeypatch.setattr(characters, "theta_twisted", no_theta)
+    monkeypatch.setattr(characters, "flavor_theta", no_theta)
+    for group in ("(1,7)(2,4)(3,8)(5,6)",
+                  "(1,2)(3,8)(4,7)(5,6), (1,3)(2,8)(4,6)(5,7)"):
+        code, out, err = run(capsys, "character", "--flavor", "super0",
+                             "--group", group)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "DomainError",
+            "message": "the super0 lattice of the code is odd"}
 
 
 ODD = ["--flavor", "super0", "--group", "(1,5,2)(3,7,8)"]
@@ -328,6 +342,25 @@ def test_trunc_below_one_is_refused(capsys, argv):
     payload = json.loads(err)["error"]
     assert payload["type"] == "DomainError"
     assert "at least 1," in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["replicable", "--krep", "0"],
+    ["replicable", "--krep", "-2"],
+    ["scan", str(DATA / "hamming8_classes.txt"), "--krep", "0"],
+], ids=["replicable-0", "replicable-negative", "scan-0"])
+def test_krep_below_one_is_refused_before_computing(capsys, monkeypatch,
+                                                    argv):
+    def no_theta(*args):
+        raise AssertionError("computed a theta series for a bad --krep")
+
+    monkeypatch.setattr(cli, "flavor_theta", no_theta)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "DomainError",
+        "message": "--krep must be at least 1, got %s" % argv[-1]}
 
 
 @pytest.mark.parametrize("argv", [
@@ -419,3 +452,73 @@ def test_scan_of_only_comments_is_empty(capsys, tmp_path):
     code, out, err = run(capsys, "scan", str(listing))
     assert code == 0
     assert json.loads(out) == []
+
+
+# ---------- the process entry point ----------
+
+SRC = Path(cli.__file__).parents[1]
+
+
+def spawn(*argv, python=()):
+    """Run thetaforge as its own process; return (status, stdout, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, *python, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--group", "(2,8,4,6)(3,5)", "--trunc", "4"],
+    ["scan", str(DATA / "hamming8_classes.txt"), "--trunc", "12"],
+    ["verify", "ex33"],
+    ["theta", "--trunc", "0"],
+    ["theta", "--krep", "5"],
+], ids=["theta", "scan", "verify", "exit-3", "exit-2"])
+def test_a_process_prints_what_an_in_process_call_prints(capsys, argv):
+    try:
+        status = main(argv)
+    except SystemExit as exit_info:
+        status = exit_info.code
+    captured = capsys.readouterr()
+    assert spawn("-m", "thetaforge.cli", *argv) == (
+        status, captured.out, captured.err)
+
+
+def test_an_in_process_call_leaves_the_heap_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["theta", "--trunc", "2"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_console_script_entry_freezes_the_start_up_heap():
+    # the console script calls main() with no argv, as this does
+    code, out, err = spawn("-c", (
+        "import gc, sys\n"
+        "from thetaforge.cli import main\n"
+        "sys.argv = ['thetaforge', 'theta', '--trunc', '1']\n"
+        "status = main()\n"
+        "print(status, gc.get_freeze_count() > 0, file=sys.stderr)\n"))
+    assert code == 0, err
+    assert json.loads(out)["job"]["trunc"] == 1
+    assert err == "0 True\n"
+
+
+def _imported(stderr):
+    """Module names in the -X importtime report on stderr."""
+    return {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_only_fingerprinted_jobs_load_openssl():
+    code, _, err = spawn("-X", "importtime", "-m", "thetaforge.cli",
+                         "verify", "ex33")
+    assert code == 0
+    assert "thetaforge.verify" in _imported(err)
+    assert "_hashlib" not in _imported(err)
+    code, _, err = spawn("-X", "importtime", "-m", "thetaforge.cli",
+                         "theta", "--trunc", "1")
+    assert code == 0
+    assert "_hashlib" in _imported(err)

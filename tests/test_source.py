@@ -8,7 +8,9 @@ on its arguments and runs in one thread: it reads no environment
 variable and imports no thread, process or file-lock module.  Every
 division by an eta product goes through `modfunc.eta_quotient`, which
 owns the precision window, so no other module divides by a call to
-``eta`` or ``eta_product``.
+``eta`` or ``eta_product``.  No module imports ``hashlib`` when it is
+imported itself: hashlib loads OpenSSL, which every process would pay
+for, so only the function that computes a digest imports it.
 """
 
 import ast
@@ -19,14 +21,14 @@ import thetaforge
 SRC = Path(thetaforge.__file__).parent
 
 
-def _offending_nodes(is_bad, skip=()):
+def _offending_nodes(is_bad, skip=(), walk=ast.walk):
     found = []
     for path in sorted(SRC.rglob("*.py")):
         if path.name in skip:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         found += ["%s:%d" % (path.name, node.lineno)
-                  for node in ast.walk(tree) if is_bad(node)]
+                  for node in walk(tree) if is_bad(node)]
     return found
 
 
@@ -108,3 +110,42 @@ def test_eta_division_guard_sees_every_form():
         "a / den\n")
     assert [node.lineno for node in ast.walk(tree)
             if _divides_by_eta(node)] == [1, 2, 3]
+
+
+def _import_time_nodes(tree):
+    """Nodes that run when the module is imported: all but function bodies."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports_hashlib(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "hashlib" for a in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "hashlib")
+
+
+def test_no_module_imports_hashlib_at_import_time():
+    assert _offending_nodes(_imports_hashlib, walk=_import_time_nodes) == []
+
+
+def test_hashlib_guard_sees_every_module_level_form():
+    tree = ast.parse(
+        "import hashlib\n"
+        "from hashlib import sha256\n"
+        "import json, hashlib as h\n"
+        "if True:\n"
+        "    import hashlib\n"
+        "class A:\n"
+        "    import hashlib\n"
+        "def f():\n"
+        "    import hashlib\n"
+        "g = lambda: __import__('hashlib')\n"
+        "from .hashlib import x\n")
+    assert sorted(node.lineno for node in _import_time_nodes(tree)
+                  if _imports_hashlib(node)) == [1, 2, 3, 5, 7]
