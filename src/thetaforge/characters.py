@@ -27,7 +27,7 @@ from .lattice import (
 )
 from .modfunc import eta_product, eta_quotient
 from .perms import Perm, group_elements
-from .qseries import DEN, QSeries
+from .qseries import DEN, QSeries, exact_int
 
 # Largest group whose character is averaged element by element.
 GROUP_CAP = 10000
@@ -177,7 +177,7 @@ def character_plus(source, trunc48: int, rank=None,
     else:
         if rank is None:
             raise DomainError("a bare theta series needs its lattice rank")
-        N = int(rank)
+        N = exact_int(rank, "rank")
         theta_of = source.truncate48 if isinstance(source, QSeries) else source
     if N < 8 or N % 8:
         raise DomainError("rank must be a multiple of 8, at least 8; got %s" % N)

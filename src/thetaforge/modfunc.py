@@ -19,10 +19,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DomainError, ParseError, ThetaforgeError
 from .lattice import catalog_theta
-from .qseries import DEN, PrecisionError, QSeries, eta, exact_div
+from .qseries import DEN, PrecisionError, QSeries, eta, exact_div, exact_int
 
 _PART_RE = re.compile(r"(\d+)(?:\^(\d+))?\Z")
 
@@ -100,7 +101,7 @@ def theta_quotient(theta, orbit_type, N=None):
                        theta.trunc48 - 4 * orbit_degree(orbit_type))
     if N is None:
         return quo
-    N = int(N)
+    N = exact_int(N, "rank")
     if N <= 0 or N % 8:
         raise DomainError("rank must be a positive multiple of 8, got %d" % N)
     return quo.pow_rational(Fraction(24, N))
@@ -153,17 +154,23 @@ def _check_hauptmodul_shape(f):
 def faber_table(f, K_rep):
     """Coefficients a[n][k] of the Faber polynomials of f, 1 <= n,k <= K_rep.
 
-    F_1 = f and F_{k+1} = f*F_k - sum_{n=1}^{k-1} a_{k-n} F_n - (k+1) a_k;
-    a[n][k] is read off from F_k = q^-k + k * sum_n a[n][k] q^n.  The input
-    must be normalized to q^-1 + sum_{n>=1} a_n q^n with the constant
-    already removed, and must carry coefficients through q^(2*K_rep).
+    The input must be normalized to f = q^-1 + sum_{t>=1} a_t q^t, with
+    the constant already removed, and must carry coefficients through
+    q^(2*K_rep).  Only positive powers are stored: F_k = q^-k +
+    sum_{j>=1} G_{j,k} q^j, so a[n][k] = G_{n,k}/k and G_{j,1} = a_j.
+    F_{k+1} = f*F_k - sum_{n<k} a_{k-n} F_n - (k+1) a_k then reads
 
-    Each F_k is a plain list of integer-exponent coefficients starting at
-    q^-K, kept only on its exact window: the q^-1 term of f costs one
-    power per step, so F_k is exact through q^(2K-k+1), which still
-    covers q^K for every k <= K.
+        G_{j,k+1} = a_{j+k} + G_{j+1,k} + sum_{i=1}^{j-1} G_{i,k} a_{j-i}
+                    - sum_{n=1}^{k-1} a_{k-n} G_{j,n},
+
+    and row k+1 is exact through q^(2K-k-1), which still covers q^K.
+    The table is symmetric, so the entries j <= k of row k+1 are filled
+    as (k+1) G_{k+1,j} / j; the last of them is also run through the
+    recurrence as a check.  With s = gcd{t+1 : a_t != 0}, f is q^-1
+    times a series in q^s, so G_{j,k} = 0 unless s divides j+k: only
+    those entries are computed, and both sums step by s.
     """
-    K = int(K_rep)
+    K = exact_int(K_rep, "K_rep")
     if K < 1:
         raise DomainError("K_rep must be at least 1")
     _check_hauptmodul_shape(f)
@@ -173,35 +180,34 @@ def faber_table(f, K_rep):
         raise PrecisionError(
             "replicability at K_rep=%d needs coefficients through q^%d" % (K, 2 * K))
 
-    # polys[k][K + e] is the coefficient of q^e in F_k, for e <= 2K - k + 1
-    polys = [None, [f.coeff48(e * DEN) for e in range(-K, 2 * K + 1)]]
-    a1 = polys[1][K:]
-    table = [[None] * (K + 1) for _ in range(K + 1)]
-    for n in range(1, K + 1):
-        table[n][1] = a1[n]
+    a = [f.coeff48(t * DEN) for t in range(2 * K)]
+    # s = 2K+1 for f = q^-1: every G_{j,k} is 0 and none lies on that stride
+    s = gcd(*(t + 1 for t, c in enumerate(a) if c)) or 2 * K + 1
+    rows = [None, a]                  # rows[k][j] = G_{j,k}, j <= 2K - k
+    cols = [[0, c] for c in a]        # cols[j][n] = G_{j,n}
     for k in range(1, K):
-        size = 3 * K - k + 1         # F_{k+1} is exact through q^(2K-k)
-        cur = polys[k]
-        nxt = cur[1:size + 1]        # the q^-1 term of f shifts F_k down
-        for i in range(K - k, size - 1):
-            c = cur[i]
-            if c:                    # c q^(i-K) times the a_j q^j of f
-                nxt[i + 1:] = [x + c * y for x, y in zip(nxt[i + 1:], a1[1:])]
-        for n in range(1, k):
-            c = a1[k - n]
-            if c:
-                nxt = [x - c * y for x, y in zip(nxt, polys[n])]
-        nxt[K] -= (k + 1) * a1[k]
-        polys.append(nxt)
-        if nxt[K - k - 1] != 1 or any(nxt[K - k:K + 1]):
-            raise ThetaforgeError("Faber recurrence lost normalization")
-        for n in range(1, K + 1):
-            table[n][k + 1] = exact_div(nxt[K + n], k + 1)
-    for n in range(1, K + 1):
-        for k in range(1, n):
-            if table[n][k] != table[k][n]:
+        row = rows[k]
+        nxt = [0] * (2 * K - k)
+        i0, n0 = (-k - 1) % s + 1, k % s + 1   # first i, n on the stride
+        filled = range((-k - 2) % s + 1, k + 1, s)
+        for j in filled:
+            nxt[j] = exact_div((k + 1) * rows[j][k + 1], j)
+        for j in range(filled[-1] if filled else filled.start, len(nxt), s):
+            # an a slice that wraps below 0 meets an empty row or column slice
+            g = (a[j + k] + row[j + 1]
+                 + sum(map(mul, row[i0:j:s], a[j - i0:0:-s]))
+                 - sum(map(mul, cols[j][n0:k:s], a[k - n0:0:-s])))
+            if j <= k and g != nxt[j]:
                 raise ThetaforgeError(
-                    "Faber table asymmetric at (%d, %d)" % (n, k))
+                    "Faber table asymmetric at (%d, %d)" % (k + 1, j))
+            nxt[j] = g
+        rows.append(nxt)
+        for col, g in zip(cols, nxt):
+            col.append(g)
+    table = [[None] * (K + 1) for _ in range(K + 1)]
+    for k in range(1, K + 1):
+        for n in range(k, K + 1):
+            table[n][k] = table[k][n] = exact_div(rows[k][n], k)
     return ReplicabilityReport(K, table=table)
 
 
@@ -214,7 +220,7 @@ def is_replicable(f, K_rep=12):
     try:
         report = faber_table(f0, K_rep)
     except PrecisionError:
-        return ReplicabilityReport(int(K_rep), verdict="insufficient-precision")
+        return ReplicabilityReport(K_rep, verdict="insufficient-precision")
     classes = {}
     violations = []
     for n in range(1, report.K_rep + 1):

@@ -58,11 +58,12 @@ def _exact_coeff(c):
     return _norm_coeff(c)
 
 
-def _exact_exp(e):
-    """An exponent or bound in 48ths from outside; only an int is taken."""
-    if not isinstance(e, int):
-        raise TypeError("exponent %r is not an int" % (e,))
-    return e
+def exact_int(n, what="exponent"):
+    """An integer argument from outside (an exponent or bound in 48ths,
+    a count, a rank); only an int is taken, never a truncated one."""
+    if not isinstance(n, int):
+        raise TypeError("%s %r is not an int" % (what, n))
+    return n
 
 
 def to_exp48(e):
@@ -119,10 +120,10 @@ class QSeries:
     __slots__ = ("coeffs", "trunc48")
 
     def __init__(self, coeffs, trunc48):
-        trunc48 = _exact_exp(trunc48)
+        trunc48 = exact_int(trunc48)
         clean = {}
         for e, c in coeffs.items():
-            e = _exact_exp(e)
+            e = exact_int(e)
             if e >= trunc48:
                 continue
             c = _exact_coeff(c)
@@ -142,7 +143,7 @@ class QSeries:
 
     @classmethod
     def zero(cls, trunc48):
-        return cls._raw({}, _exact_exp(trunc48))
+        return cls._raw({}, exact_int(trunc48))
 
     @classmethod
     def one(cls, trunc48):
@@ -151,7 +152,7 @@ class QSeries:
     @classmethod
     def monomial(cls, coeff, exp48, trunc48):
         coeff = _exact_coeff(coeff)
-        exp48, trunc48 = _exact_exp(exp48), _exact_exp(trunc48)
+        exp48, trunc48 = exact_int(exp48), exact_int(trunc48)
         if not coeff or exp48 >= trunc48:
             return cls.zero(trunc48)
         return cls._raw({exp48: coeff}, trunc48)
@@ -359,7 +360,7 @@ class QSeries:
 
     def dilate(self, m):
         """Replace q by q**m for a positive integer m."""
-        m = int(m)
+        m = exact_int(m, "dilation factor")
         if m < 1:
             raise ValueError("dilation factor must be a positive integer")
         return QSeries._raw({e * m: c for e, c in self.coeffs.items()},
@@ -367,7 +368,7 @@ class QSeries:
 
     def truncate48(self, t48):
         """Drop all terms at exponent >= t48 (48ths); never widens the window."""
-        t48 = int(t48)
+        t48 = exact_int(t48)
         if t48 > self.trunc48:
             raise PrecisionError(
                 "cannot truncate at %s/48: the series is exact only below %s/48"
@@ -436,7 +437,7 @@ def eta(scale, trunc48):
     Expanded with Euler's pentagonal number theorem, so building one is
     cheap at any truncation used here.
     """
-    scale = int(scale)
+    scale, trunc48 = exact_int(scale, "eta scale"), exact_int(trunc48)
     if scale < 1:
         raise ValueError("eta scale must be a positive integer")
     coeffs = {}
@@ -462,6 +463,7 @@ def shifted_theta(weight, shift, trunc48, alternating=False):
     """
     weight = Fraction(weight)
     shift = Fraction(shift)
+    trunc48 = exact_int(trunc48)
     if weight <= 0:
         raise ValueError("theta weight must be positive")
     coeffs = {}

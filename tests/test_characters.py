@@ -163,6 +163,11 @@ def test_character_plus_needs_octave_rank():
         character_plus(QSeries({0: 1}, T(10)), T(4), rank=12)
 
 
+def test_character_plus_refuses_a_non_integer_rank():
+    with pytest.raises(TypeError):
+        character_plus(kernel_theta(HAM, REP24, T(10)), T(4), rank=8.5)
+
+
 # ---------- characters of larger groups ----------
 
 def test_frobenius_group_characters():

@@ -13,11 +13,12 @@ and against quotients recomputed from fixed-sublattice thetas.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from thetaforge import modfunc
 from thetaforge.characters import trace_series
 from thetaforge.codes import catalog_code
-from thetaforge.errors import DomainError, ParseError
+from thetaforge.errors import DomainError, ParseError, ThetaforgeError
 from thetaforge.lattice import (
     FLAVORS, catalog_theta, flavor_theta, is_even, lift_order, theta_fixed,
     theta_full, theta_twisted,
@@ -141,6 +142,11 @@ def test_quotient_rejects_wrong_rank():
         theta_quotient(th - 1, {1: 8}, N=8)
 
 
+def test_quotient_refuses_a_non_integer_rank():
+    with pytest.raises(TypeError):
+        theta_quotient(theta_full(HAM, T(8)), {1: 8}, N=8.9)
+
+
 def test_klein_subgroup_quotient_expansion():
     gens = parse_generators("(4,6)(5,7), (4,7)(5,6), (1,3)(2,8)", 8)
     th = theta_fixed(HAM, gens, T(16))
@@ -187,11 +193,65 @@ def _faber_input(source, K):
     return strip_constant(f)[0]
 
 
-@pytest.mark.parametrize("K", [1, 5, 24])
-@pytest.mark.parametrize("source", ["T_4A", "T_3A", "(1,6)(7,8)"])
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 7, 24])
+@pytest.mark.parametrize("source", [
+    "T_4A", "T_3A", "(1,6)(7,8)", "T_8B", "T_16a"])
 def test_faber_table_against_series_oracle(source, K):
     f = _faber_input(source, K)
     assert faber_table(f, K).table == oracle_faber_table(f, K)
+
+
+coeff_st = st.integers(min_value=-9, max_value=9)
+exact_coeff_st = st.one_of(
+    coeff_st, st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+@st.composite
+def strided_faber_input(draw):
+    """(f, K): f = q^-1 plus a tail on the exponents t with s | t+1."""
+    K = draw(st.integers(min_value=1, max_value=6))
+    s = draw(st.integers(min_value=1, max_value=5))
+    coeffs = {-DEN: 1}
+    for t in range(s - 1, 2 * K + 1, s):
+        if t:
+            coeffs[t * DEN] = draw(exact_coeff_st)
+    return QSeries(coeffs, T(2 * K) + 1), K
+
+
+@given(strided_faber_input())
+@example((QSeries({-DEN: 1}, T(13)), 6))
+@settings(max_examples=60, deadline=None)
+def test_faber_table_on_strided_tails_against_the_oracle(case):
+    f, K = case
+    assert faber_table(f, K).table == oracle_faber_table(f, K)
+
+
+@pytest.mark.parametrize("name", ["T_4A", "T_16a"])   # strides 1 and 4
+@pytest.mark.parametrize("K", [1, 6, 13])
+def test_faber_table_precision_boundary(name, K):
+    f = strip_constant(mckay_thompson(name, 2 * K * DEN + 1))[0]
+    assert f.trunc48 == 2 * K * DEN + 1
+    assert faber_table(f, K).table == oracle_faber_table(f, K)
+    with pytest.raises(PrecisionError):
+        faber_table(f.truncate48(2 * K * DEN), K)
+
+
+def test_faber_table_checks_the_symmetric_fill(monkeypatch):
+    f = _faber_input("T_3A", 4)
+    monkeypatch.setattr(modfunc, "exact_div", lambda a, b: Fraction(a, b) + 1)
+    with pytest.raises(ThetaforgeError, match=r"asymmetric at \(2, 1\)"):
+        faber_table(f, 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: faber_table(f, 12.7),
+    lambda f: is_replicable(f, 12.7),
+    lambda f: is_replicable(f, "5"),
+], ids=["faber_table", "is_replicable", "is_replicable-str"])
+def test_faber_counts_must_be_ints(call):
+    # int() would run these at K_rep = 12 and 5
+    with pytest.raises(TypeError):
+        call(_faber_input("T_4A", 13))
 
 
 def test_faber_table_against_closed_forms():
@@ -216,9 +276,6 @@ def test_faber_table_rejects_unnormalized_input():
         faber_table(mckay_thompson("T_4A", T(10)), 4)  # constant 24 left in
     with pytest.raises(DomainError):
         faber_table(eta(1, T(10)), 4)
-
-
-coeff_st = st.integers(min_value=-9, max_value=9)
 
 
 @given(st.lists(coeff_st, min_size=1, max_size=8))

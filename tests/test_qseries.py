@@ -200,6 +200,20 @@ def test_inexact_exponents_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: QSeries.one(T(101)).truncate48(100.9),
+    lambda: QSeries.one(T(4)).dilate(2.5),
+    lambda: eta(1.9, T(4)),
+    lambda: eta(1, 100.5),
+    lambda: theta3(1, 48.5),
+], ids=["truncate48", "dilate", "eta", "eta-bound", "theta-bound"])
+def test_non_integer_arguments_rejected(call):
+    # int() would run the first three on 100, 2 and eta(q) instead, and
+    # the builders would hand out a series with a float bound
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_from_pairs_merges():
     f = QSeries.from_pairs([(1, 2), (1, 3), (Fraction(1, 2), 1)], 4)
     assert f.coefficient(1) == 5
