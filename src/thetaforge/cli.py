@@ -3,19 +3,23 @@
 Jobs are canonicalized to a JSON object and fingerprinted with sha256,
 so reruns of the same job produce byte-identical output.  A code or
 group file given by path counts by the sha256 of its contents, so two
-different files at one path get different fingerprints.  Each verb
-accepts only the flags it reads.  Scans run their lines one after the
+different files at one path get different fingerprints.  One table,
+`VERBS`, says which flags each verb takes; `parse_args` reads argv
+against it in place of argparse, whose import and subparsers cost each
+short process about 4 ms.  Flags are spelled in full, and a usage error
+exits 2 in argparse's wording.  Scans run their lines one after the
 other, keep going past bad input lines, and emit records in input
 order.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
+import re
 import sys
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 from . import __version__
 from .characters import character_cyclic, character_group, lift_info
@@ -29,7 +33,23 @@ from .verify import FIGURE_IDS, verify_figure
 
 THETA_TRUNC = 16   # default integer q-powers for thetas and characters
 REP_TRUNC = 26     # default for replicability and identification
-_KREP_VERBS = ("replicable", "identify", "scan")   # verbs that take --krep
+
+# Each verb's flags, and its positional argument if it has one, with a
+# converter and a default.  A converter is str, int, a tuple of choices
+# or bool for a switch: --table sets `table`, and --json excludes it.
+_FORMAT = {"--out": (str, None), "--json": (bool, False),
+           "--table": (bool, False)}
+_INPUTS = {"--code": (str, "hamming8"), "--trunc": (int, None),
+           "--flavor": (("plain", "super0", "super1"), "plain")}
+_COMPUTE = {**_INPUTS, "--group": (str, None), "--group-file": (str, None),
+            **_FORMAT}
+_DEEP = {**_COMPUTE, "--krep": (int, 12)}
+VERBS = {"theta": _COMPUTE, "quotient": _COMPUTE, "replicable": _DEEP,
+         "identify": _DEEP, "doubling": _COMPUTE, "character": _COMPUTE,
+         "verify": {"figure": (FIGURE_IDS, None), **_FORMAT},
+         "scan": {"file": (str, None), **_INPUTS, "--krep": (int, 12),
+                  **_FORMAT}}
+_FLAG = re.compile(r"-(?!\d+$|\d*\.\d+$).")   # a negative number is a value
 
 _EXIT_CODES = (
     (ParseError, 2),
@@ -137,14 +157,14 @@ def _job_record(args, trunc):
         or "",
         "trunc": trunc,
     }
-    if args.command in _KREP_VERBS:
+    if "--krep" in VERBS[args.command]:
         job["krep"] = args.krep
     return job
 
 
 def _trunc(args):
     """--trunc or the verb's default; replicability needs 10 powers."""
-    deep = args.command in _KREP_VERBS
+    deep = "--krep" in VERBS[args.command]
     trunc = args.trunc
     if trunc is None:
         trunc = REP_TRUNC if deep else THETA_TRUNC
@@ -270,48 +290,79 @@ def _run_scan(args):
     return 1 if failed else 0
 
 
-def _add_output(sub):
-    sub.add_argument("--out", default=None, help="write output here")
-    fmt = sub.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="table", action="store_false",
-                     default=False)
-    fmt.add_argument("--table", dest="table", action="store_true")
+def _usage(verb):
+    """The usage line that help and usage errors print, read off VERBS."""
+    words = [verb or "{%s} ..." % ",".join(VERBS)]
+    for name, (convert, _) in VERBS.get(verb, {}).items():
+        meta = ("{%s}" % ",".join(convert) if isinstance(convert, tuple)
+                else name.lstrip("-").upper())
+        words.append(meta if name[0] != "-" else "[%s]" % (
+            name if convert is bool else name + " " + meta))
+    return "usage: thetaforge [-h] %s\n" % " ".join(words)
 
 
-def _add_inputs(sub, group_flags=True, krep=False):
-    sub.add_argument("--code", default="hamming8",
-                     help="catalog name or path to a generator-matrix file")
-    if group_flags:
-        sub.add_argument("--group", default=None,
-                         help="comma-separated permutations in cycle notation")
-        sub.add_argument("--group-file", default=None,
-                         help="file with one permutation per line")
-    sub.add_argument("--flavor", default="plain",
-                     choices=("plain", "super0", "super1"))
-    sub.add_argument("--trunc", type=int, default=None,
-                     help="integer q-powers to keep")
-    if krep:
-        sub.add_argument("--krep", type=int, default=12,
-                         help="replicability bound K")
-    _add_output(sub)
+def _exit(verb, error=None):
+    """Help on stdout and status 0, or a usage error on stderr and 2."""
+    if error:
+        error = "thetaforge%s: error: %s\n" % (verb and " " + verb or "",
+                                               error)
+    (sys.stderr if error else sys.stdout).write(_usage(verb) + (error or ""))
+    raise SystemExit(2 if error else 0)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="thetaforge",
-        description="theta series, theta quotients, and characters of"
-                    " fixed subVOAs for binary-code lattices")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("theta", "quotient", "replicable", "identify", "doubling",
-                 "character"):
-        _add_inputs(subs.add_parser(name), krep=name in _KREP_VERBS)
-    verify = subs.add_parser("verify")
-    verify.add_argument("figure", choices=FIGURE_IDS)
-    _add_output(verify)
-    scan = subs.add_parser("scan")
-    scan.add_argument("file", help="one generating set per line")
-    _add_inputs(scan, group_flags=False, krep=True)
-    return parser
+def parse_args(argv):
+    """Read argv against VERBS into the attributes that the verbs read.
+
+    Flags take `--flag value` or `--flag=value`, and the last of a
+    repeated flag wins.  Help exits 0, and bad usage exits 2 with
+    argparse's wording of the error.
+    """
+    verb = argv[0] if argv else None
+    if verb in ("-h", "--help"):
+        _exit(None)
+    if verb not in VERBS:
+        _exit(None, "argument command: invalid choice: %r (choose from %s)"
+              % (verb, ", ".join(map(repr, VERBS))) if argv
+              else "the following arguments are required: command")
+    spec = VERBS[verb]
+    args = {name: default for name, (_, default) in spec.items()}
+    wanted = [name for name in spec if name[0] != "-"]   # positionals
+    extras, switch, tokens = [], None, iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            _exit(verb)
+        if not _FLAG.match(token) and wanted:
+            name, value = wanted.pop(0), token
+        elif not _FLAG.match(token) or name not in spec:
+            extras.append(token)
+            continue
+        elif spec[name][0] is bool:   # --json or --table
+            if eq or switch not in (None, name):
+                _exit(verb, "argument %s: %s" % (name, "ignored explicit"
+                      " argument %r" % value if eq else
+                      "not allowed with argument " + switch))
+            switch, value = name, True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or _FLAG.match(value):
+                _exit(verb, "argument %s: expected one argument" % name)
+        convert = spec[name][0]
+        if isinstance(convert, tuple) and value not in convert:
+            _exit(verb, "argument %s: invalid choice: %r (choose from %s)"
+                  % (name, value, ", ".join(map(repr, convert))))
+        try:
+            args[name] = int(value) if convert is int else value
+        except ValueError:
+            _exit(verb, "argument %s: invalid int value: %r" % (name, value))
+    if wanted:
+        _exit(verb, "the following arguments are required: " + wanted[0])
+    if extras:
+        _exit(None, "unrecognized arguments: " + " ".join(extras))
+    # --json is the default and only excludes --table
+    return SimpleNamespace(command=verb, **{
+        name.lstrip("-").replace("-", "_"): value
+        for name, value in args.items() if name != "--json"})
 
 
 def main(argv=None):
@@ -325,7 +376,7 @@ def main(argv=None):
     """
     if argv is None:
         gc.freeze()
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.command == "verify":
             return _run_verify(args)

@@ -227,13 +227,8 @@ def catalog_code(name):
     """Fetch a built-in code by one of the CATALOG_CODES names."""
     if name == "hamming8":
         return BinaryCode.from_rows_text(HAMMING8_ROWS)
-    if name == "golay24":
-        code = BinaryCode.from_rows_text(GOLAY24_ROWS)
-        info = code.checks()
-        if (info["dim"], info["min_weight"]) != (12, 8) \
-                or not info["self_dual"] or not info["doubly_even"]:
-            raise DomainError("built-in Golay rows failed validation: %r" % info)
-        return code
+    if name == "golay24":   # constant rows, whose weights the tests check
+        return BinaryCode.from_rows_text(GOLAY24_ROWS)
     if name == "hamming8+hamming8":
         h = BinaryCode.from_rows_text(HAMMING8_ROWS)
         return h.direct_sum(h)

@@ -12,11 +12,12 @@ propagates truncations honestly, so multiplying by a series with a
 negative leading exponent shrinks the window the way it should, and
 truncating never widens a window: asking for more than is known is a
 PrecisionError.  Coefficients are ints or Fractions, never floats, and
-a whole number is always stored as an int: a Fraction coefficient
-never has denominator 1.  Every coefficient division goes through
-`exact_div`, which returns an int whenever the quotient is whole, so
-the coefficients of integral series stay ints through products,
-powers and divisions.
+so are powers, theta weights and shifts and exponents given in q-units:
+a float raises TypeError.  A whole number is always stored as an int: a
+Fraction coefficient never has denominator 1.  Every coefficient
+division goes through `exact_div`, which returns an int whenever the
+quotient is whole, so the coefficients of integral series stay ints
+through products, powers and divisions.
 
 Products are sparse convolutions.  A rational power f**r, and with it
 division (f / g is f * g**-1), runs J.C.P. Miller's power recurrence
@@ -66,9 +67,17 @@ def exact_int(n, what="exponent"):
     return n
 
 
+def exact_rational(r, what="exponent"):
+    """A rational argument from outside (a power, a theta weight or
+    shift, an exponent in q-units); a float is refused, not rounded."""
+    if not isinstance(r, (int, Fraction)):
+        raise TypeError("%s %r is not an int or a Fraction" % (what, r))
+    return Fraction(r)
+
+
 def to_exp48(e):
     """Convert an exponent given in q-units to integer 48ths."""
-    e48 = Fraction(e) * DEN
+    e48 = exact_rational(e) * DEN
     if e48.denominator != 1:
         raise ValueError("exponent %s is not a multiple of 1/%d" % (e, DEN))
     return int(e48)
@@ -96,8 +105,8 @@ def rational_power(c, r):
     Negative bases are only allowed for integer r.  A whole result is
     an int.
     """
-    c = Fraction(c)
-    r = Fraction(r)
+    c = exact_rational(c, "base")
+    r = exact_rational(r, "power")
     if r.denominator == 1:
         return _norm_coeff(c ** int(r))
     if c <= 0:
@@ -321,7 +330,7 @@ class QSeries:
         by r v.  Requires c**r to be an exact rational and r*v to stay on
         the exponent grid.
         """
-        r = Fraction(r)
+        r = exact_rational(r, "power")
         if not self.coeffs:
             if r > 0:
                 return QSeries.zero(int(self.trunc48 * r))
@@ -461,8 +470,8 @@ def shifted_theta(weight, shift, trunc48, alternating=False):
     weight is a positive rational, shift is a rational in [0, 1).
     Exponents must land on the 1/48 grid.
     """
-    weight = Fraction(weight)
-    shift = Fraction(shift)
+    weight = exact_rational(weight, "theta weight")
+    shift = exact_rational(shift, "theta shift")
     trunc48 = exact_int(trunc48)
     if weight <= 0:
         raise ValueError("theta weight must be positive")

@@ -4,9 +4,11 @@ The oracles are exhaustive and slow by design, so they live beside the
 tests that use them and not in the package.  So do the fixed-subcode
 shapes that pin a fixed theta series in closed form, which only the
 lattice and acceptance tests ask about, and the full-window catalog
-identification that `modfunc.identify` shortcuts with a prefix probe.
+identification that `modfunc.identify` shortcuts with a prefix probe,
+and the argparse parser that `cli.parse_args` replaced.
 """
 
+import argparse
 from itertools import permutations as _all_perms
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from thetaforge.errors import DomainError
 from thetaforge.modfunc import MT_NAMES, mckay_thompson, strip_constant
 from thetaforge.perms import Perm, parse_generators
 from thetaforge.qseries import DEN, PrecisionError
+from thetaforge.verify import FIGURE_IDS
 
 
 def brute_force_automorphisms(is_member, n, cap_degree=8):
@@ -163,3 +166,52 @@ def full_window_identify(f):
         if f0.matches(entry):
             return name, c - ce
     return None, None
+
+
+# ---------- the argparse command line, as the CLI built it before ----------
+
+_KREP_VERBS = ("replicable", "identify", "scan")   # verbs that take --krep
+
+
+def _add_output(sub):
+    sub.add_argument("--out", default=None, help="write output here")
+    fmt = sub.add_mutually_exclusive_group()
+    fmt.add_argument("--json", dest="table", action="store_false",
+                     default=False)
+    fmt.add_argument("--table", dest="table", action="store_true")
+
+
+def _add_inputs(sub, group_flags=True, krep=False):
+    sub.add_argument("--code", default="hamming8",
+                     help="catalog name or path to a generator-matrix file")
+    if group_flags:
+        sub.add_argument("--group", default=None,
+                         help="comma-separated permutations in cycle notation")
+        sub.add_argument("--group-file", default=None,
+                         help="file with one permutation per line")
+    sub.add_argument("--flavor", default="plain",
+                     choices=("plain", "super0", "super1"))
+    sub.add_argument("--trunc", type=int, default=None,
+                     help="integer q-powers to keep")
+    if krep:
+        sub.add_argument("--krep", type=int, default=12,
+                         help="replicability bound K")
+    _add_output(sub)
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="thetaforge",
+        description="theta series, theta quotients, and characters of"
+                    " fixed subVOAs for binary-code lattices")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name in ("theta", "quotient", "replicable", "identify", "doubling",
+                 "character"):
+        _add_inputs(subs.add_parser(name), krep=name in _KREP_VERBS)
+    verify = subs.add_parser("verify")
+    verify.add_argument("figure", choices=FIGURE_IDS)
+    _add_output(verify)
+    scan = subs.add_parser("scan")
+    scan.add_argument("file", help="one generating set per line")
+    _add_inputs(scan, group_flags=False, krep=True)
+    return parser

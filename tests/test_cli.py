@@ -11,8 +11,10 @@ freezes the heap, and only a job with a fingerprint loads OpenSSL.
 """
 
 import gc
+import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,8 @@ from thetaforge.cli import main
 from thetaforge.codes import catalog_code
 from thetaforge.lattice import theta_fixed
 from thetaforge.perms import parse_generators
+
+from oracles import build_parser
 
 DATA = Path(__file__).parent / "data"
 
@@ -522,3 +526,179 @@ def test_only_fingerprinted_jobs_load_openssl():
                          "theta", "--trunc", "1")
     assert code == 0
     assert "_hashlib" in _imported(err)
+
+
+def test_the_cli_loads_no_argument_parsing_library():
+    code, _, err = spawn("-X", "importtime", "-m", "thetaforge.cli",
+                         "theta", "--trunc", "1")
+    assert code == 0
+    assert {"argparse", "gettext", "locale"} & _imported(err) == set()
+
+
+# ---------- the verb table against the argparse parser it replaced ----------
+
+ROOT = Path(__file__).parents[1]
+
+
+def _parsed(parse, argv):
+    """(exit status, attributes) of one parse; attributes None on exit."""
+    try:
+        return 0, vars(parse(list(argv)))
+    except SystemExit as exit_info:
+        return exit_info.code, None
+
+
+def _readme_argvs():
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("thetaforge ")]
+
+
+def _perfbench_argvs(directory):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    argvs = [bench.SETUP_JOB[1]]
+    for seed in (0, 3):
+        inputs = bench.Inputs(seed, str(directory / str(seed)))
+        for workload in ("leech", "series", "catalog"):
+            argvs += [job.argv for job in bench.workload_jobs(workload,
+                                                             inputs)]
+    return argvs
+
+
+def _sample_values(convert):
+    if isinstance(convert, tuple):
+        return list(convert)
+    return ["7", "-3", "0"] if convert is int else ["x", "(1,2)(3,4)", ""]
+
+
+def _every_flag_argvs():
+    """Each verb with each of its flags, as `--flag v` and `--flag=v`."""
+    argvs = []
+    for verb, spec in cli.VERBS.items():
+        head = [verb] + [_sample_values(c)[0] for n, (c, _) in spec.items()
+                         if n[0] != "-"]
+        for name, (convert, _) in spec.items():
+            if name[0] != "-":
+                continue
+            if convert is bool:
+                argvs.append(head + [name])
+                continue
+            for value in _sample_values(convert):
+                argvs += [head + [name, value], head + ["%s=%s" % (name, value)]]
+    return argvs
+
+
+REPEATED = [
+    ["theta", "--trunc", "5", "--trunc", "7"],
+    ["theta", "--code", "golay24", "--code=hamming8"],
+    ["replicable", "--krep=3", "--krep", "30", "--flavor", "super1",
+     "--flavor=plain"],
+    ["theta", "--table", "--table"],
+    ["verify", "--json", "ex33", "--json", "--out", "a", "--out", "b"],
+    ["scan", "--code", "x", "lines.txt", "--trunc", "12"],
+    ["scan", "-3"],
+    ["scan", "-"],
+    ["theta", "--group", "-3", "--trunc=-3"],
+]
+
+# argv, and the last line the old parser wrote to stderr for it
+USAGE_ERRORS = [
+    (["theta", "--krep", "5"],
+     "thetaforge: error: unrecognized arguments: --krep 5"),
+    (["verify", "ex33", "--trunc", "5"],
+     "thetaforge: error: unrecognized arguments: --trunc 5"),
+    (["scan", "lines.txt", "--group", "()"],
+     "thetaforge: error: unrecognized arguments: --group ()"),
+    (["verify", "ex33", "ex34"],
+     "thetaforge: error: unrecognized arguments: ex34"),
+    (["theta", "-x", "extra", "--cache=1"],
+     "thetaforge: error: unrecognized arguments: -x extra --cache=1"),
+    (["verify", "fig99"],
+     "thetaforge verify: error: argument figure: invalid choice: 'fig99'"
+     " (choose from 'fig1', 'fig2', 'fig5', 'fig7', 'ex33', 'ex34',"
+     " 'ex53', 'ex81', 'thmC', 'thmD')"),
+    (["theta", "--flavor", "bogus"],
+     "thetaforge theta: error: argument --flavor: invalid choice: 'bogus'"
+     " (choose from 'plain', 'super0', 'super1')"),
+    (["theta", "--trunc", "x"],
+     "thetaforge theta: error: argument --trunc: invalid int value: 'x'"),
+    (["scan", "f", "--krep=1.5"],
+     "thetaforge scan: error: argument --krep: invalid int value: '1.5'"),
+    (["theta", "--trunc"],
+     "thetaforge theta: error: argument --trunc: expected one argument"),
+    (["theta", "--group", "--table"],
+     "thetaforge theta: error: argument --group: expected one argument"),
+    (["verify"],
+     "thetaforge verify: error: the following arguments are required:"
+     " figure"),
+    (["scan", "--code", "golay24"],
+     "thetaforge scan: error: the following arguments are required: file"),
+    (["theta", "--json", "--table"],
+     "thetaforge theta: error: argument --table: not allowed with argument"
+     " --json"),
+    (["verify", "ex33", "--table", "--json"],
+     "thetaforge verify: error: argument --json: not allowed with argument"
+     " --table"),
+    (["theta", "--json=x"],
+     "thetaforge theta: error: argument --json: ignored explicit argument"
+     " 'x'"),
+    ([], "thetaforge: error: the following arguments are required: command"),
+    (["bogus"],
+     "thetaforge: error: argument command: invalid choice: 'bogus' (choose"
+     " from 'theta', 'quotient', 'replicable', 'identify', 'doubling',"
+     " 'character', 'verify', 'scan')"),
+]
+
+
+def test_the_verb_table_parses_as_the_argparse_parser_did(capsys, tmp_path):
+    corpus = (_readme_argvs() + _perfbench_argvs(tmp_path)
+              + _every_flag_argvs() + REPEATED
+              + [argv for argv, _ in USAGE_ERRORS])
+    assert {argv[0] for argv in _readme_argvs()} == set(cli.VERBS)
+    for argv in corpus:
+        new = _parsed(cli.parse_args, argv)
+        assert new == _parsed(build_parser().parse_args, argv), argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,error", USAGE_ERRORS,
+                         ids=[" ".join(a) or "empty" for a, _ in USAGE_ERRORS])
+def test_usage_errors_keep_the_argparse_wording(capsys, argv, error):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.parse_args(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, last = captured.err.splitlines()
+    assert usage.startswith("usage: thetaforge [-h] ")
+    assert last == error
+
+
+def test_flag_prefixes_are_no_longer_expanded(capsys):
+    # argparse took a unique prefix of a flag; the verb table does not
+    for argv in (["theta", "--tr", "5"], ["replicable", "--kr=20"]):
+        assert _parsed(build_parser().parse_args, argv)[0] == 0
+        assert _parsed(cli.parse_args, argv) == (2, None)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", [None] + list(cli.VERBS))
+def test_help_names_every_verb_and_flag(capsys, verb):
+    argv = ["--help"] if verb is None else [verb, "-h"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: thetaforge [-h] ")
+    names = (list(cli.VERBS) if verb is None else
+             [verb] + [name for name in cli.VERBS[verb] if name[0] == "-"])
+    assert all(name in out for name in names)
+
+
+def test_a_help_process_exits_0():
+    code, out, err = spawn("-m", "thetaforge.cli", "scan", "--help")
+    assert (code, err) == (0, "")
+    assert "--krep" in out and "FILE" in out

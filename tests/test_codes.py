@@ -48,6 +48,17 @@ def test_golay_checks():
     assert golay.weight_enumerator() == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
 
 
+def test_loading_golay_lists_no_codewords(monkeypatch):
+    # the rows are a constant, checked once by test_golay_checks above;
+    # listing all 4096 words on every load took nearly all of its time
+    def no_listing(self):
+        raise AssertionError("listed the codewords of a catalog code")
+
+    monkeypatch.setattr(BinaryCode, "codewords", no_listing)
+    golay = catalog_code("golay24")
+    assert (golay.n, golay.dim) == (24, 12)
+
+
 def test_contains_agrees_with_span():
     ham = catalog_code("hamming8")
     words = set(ham.codewords())

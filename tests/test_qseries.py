@@ -214,6 +214,24 @@ def test_non_integer_arguments_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: eta(1, T(10)).pow_rational(0.5),
+    lambda: eta(1, T(10)).pow_rational(0.1),
+    lambda: shifted_theta(0.5, 0, T(10)),
+    lambda: shifted_theta(1, 0.5, T(10)),
+    lambda: to_exp48(0.5),
+    lambda: rational_power(4, 0.5),
+    lambda: rational_power(4.0, 2),
+], ids=["pow_rational", "pow_rational-off-grid", "shifted_theta-weight",
+        "shifted_theta-shift", "to_exp48", "rational_power",
+        "rational_power-base"])
+def test_float_powers_weights_and_exponents_rejected(call):
+    # Fraction() would take 0.5 as 1/2, and 0.1 as a power with a 2^55
+    # denominator that "leaves the grid"
+    with pytest.raises(TypeError, match="is not an int or a Fraction"):
+        call()
+
+
 def test_from_pairs_merges():
     f = QSeries.from_pairs([(1, 2), (1, 3), (Fraction(1, 2), 1)], 4)
     assert f.coefficient(1) == 5

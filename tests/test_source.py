@@ -10,7 +10,11 @@ division by an eta product goes through `modfunc.eta_quotient`, which
 owns the precision window, so no other module divides by a call to
 ``eta`` or ``eta_product``.  No module imports ``hashlib`` when it is
 imported itself: hashlib loads OpenSSL, which every process would pay
-for, so only the function that computes a digest imports it.
+for, so only the function that computes a digest imports it.  No module
+imports ``argparse``, ``optparse`` or ``gettext`` at all: every CLI job
+is a short process, and argparse with gettext and locale cost about
+4 ms of each, so the command line is read by `cli.parse_args` against
+the `cli.VERBS` table.
 """
 
 import ast
@@ -149,3 +153,31 @@ def test_hashlib_guard_sees_every_module_level_form():
         "from .hashlib import x\n")
     assert sorted(node.lineno for node in _import_time_nodes(tree)
                   if _imports_hashlib(node)) == [1, 2, 3, 5, 7]
+
+
+_PARSER_MODULES = ("argparse", "optparse", "gettext")
+
+
+def _imports_a_parser(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] in _PARSER_MODULES
+                   for a in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] in _PARSER_MODULES)
+
+
+def test_no_module_imports_an_argument_parser():
+    assert _offending_nodes(_imports_a_parser) == []
+
+
+def test_parser_guard_sees_every_form():
+    tree = ast.parse(
+        "import argparse\n"
+        "from optparse import OptionParser\n"
+        "import json, gettext as g\n"
+        "def f():\n"
+        "    import argparse\n"
+        "from .argparse import x\n"
+        "import argparse_helpers\n")
+    assert sorted(node.lineno for node in ast.walk(tree)
+                  if _imports_a_parser(node)) == [1, 2, 3, 5]
