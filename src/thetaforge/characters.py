@@ -2,11 +2,11 @@
 
 A permutation automorphism of the code lifts to the lattice vertex
 algebra; the lift has the same order as the lattice automorphism or
-twice that, and the doubling verdict is computable both from codewords
-and from lattice vectors.  Traces of lift powers are theta-over-eta
-quotients, twisted by a sign character on even powers, and averaging
-them gives the character of the fixed subVOA.  The identities relating
-these characters across subgroups are checked in `verify`.
+twice that, and the basis rows of the code decide which (see
+`lattice`).  Traces of lift powers are theta-over-eta quotients,
+twisted by a sign character on even powers, and averaging them gives
+the character of the fixed subVOA.  The identities relating these
+characters across subgroups are checked in `verify`.
 
 Every eta division goes through `modfunc.eta_quotient`, and callers
 hand it each theta as a function of the window, never a padded series.
@@ -80,15 +80,12 @@ def lift_info(code: BinaryCode, g: Perm, trunc48=None,
               flavor: str = "plain") -> LiftInfo:
     """Evaluate both doubling criteria; attach the kernel theta if asked.
 
-    The codeword and lattice-vector criteria provably agree for the
-    plain glueing; for the quarter-shift flavors the lattice criterion
-    decides and the codeword verdict is reported alongside.
+    The flavor's lattice criterion decides, and the code's verdict and
+    witness are reported alongside; for the plain glueing they agree.
     """
     m = g.order()
     code_flag, witness = doubling_code_criterion(code, g)
     lat_flag, _ = doubling_lattice_criterion(code, g, flavor=flavor)
-    if flavor == "plain" and code_flag != lat_flag:
-        raise ThetaforgeError("doubling criteria disagree on %s" % g)
     kernel = None
     if lat_flag and trunc48 is not None:
         kernel = kernel_theta(code, g, trunc48, flavor=flavor)

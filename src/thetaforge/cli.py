@@ -123,7 +123,8 @@ def _render_table(record, out):
 
 def _emit(args, obj):
     """Write a record, or a scan's list of records, to stdout or --out."""
-    with (open(args.out, "w") if args.out else nullcontext(sys.stdout)) as out:
+    with (nullcontext(sys.stdout) if args.out is None
+          else open(args.out, "w")) as out:
         if not args.table:
             out.write(_dump(obj))
         elif isinstance(obj, list):

@@ -128,40 +128,11 @@ class BinaryCode:
             words += [w ^ b for w in words]
         return words
 
-    def weight_enumerator(self):
-        """Counts of codewords by Hamming weight, as a dict."""
-        we = {}
-        for w in self.codewords():
-            k = w.bit_count()
-            we[k] = we.get(k, 0) + 1
-        return we
-
-    def min_weight(self):
-        nonzero = [w for w in self.weight_enumerator() if w]
-        if not nonzero:
-            raise DomainError("the zero code has no minimum weight")
-        return min(nonzero)
-
-    def is_self_dual(self):
-        if 2 * self.dim != self.n:
-            return False
-        rows = self.basis
-        return all((a & b).bit_count() % 2 == 0 for a in rows for b in rows)
-
     def is_doubly_even(self):
         # wt(a ⊕ b) = wt(a) + wt(b) - 2|a ∩ b|, so the rows decide it
         rows = self.basis
         return all(r.bit_count() % 4 == 0 for r in rows) and all(
             (a & b).bit_count() % 2 == 0 for a in rows for b in rows)
-
-    def checks(self):
-        return {
-            "length": self.n,
-            "dim": self.dim,
-            "min_weight": self.min_weight() if self.dim else None,
-            "self_dual": self.is_self_dual(),
-            "doubly_even": self.is_doubly_even(),
-        }
 
     # ---------- symmetry ----------
 

@@ -35,6 +35,13 @@ on the a_Omega/4 cosets and 0 otherwise, its constant part is
 which must be a multiple of 8; the coset sign is (-1)^(e8/8).  No
 lattice vectors are ever enumerated here; a brute-force enumerator
 lives in the test suite as an oracle.
+
+Order doubling needs no census either.  With h = g^{m/2}, the parity
+of <v, hv> on the coset a_B/2 + Z^N is q(B) = |B ∩ hB|/2 mod 2, and on
+a doubly even code q is GF(2)-linear (the cross terms 2<v, hw> of an
+integral lattice are even), so the basis rows of C decide it.  On the
+quarter-shifted cosets the e8 rule adds |B|/2 + N/8 with β = 1, and
+|B|/2 is even, so those cosets add only the constant N/8 + j.
 """
 
 from __future__ import annotations
@@ -239,11 +246,6 @@ def theta_fixed(code: BinaryCode, gens, trunc48: int) -> QSeries:
     return _census_theta(code, gens, trunc48)
 
 
-def theta_full(code: BinaryCode, trunc48: int) -> QSeries:
-    """Theta series of the full code lattice: theta_fixed with no group."""
-    return theta_fixed(code, [], trunc48)
-
-
 def theta_super(code: BinaryCode, gens, j: int, trunc48: int) -> QSeries:
     """Theta series of the fixed sublattice for the a_Omega/4 glueing.
 
@@ -306,53 +308,44 @@ def kernel_theta(code: BinaryCode, g: Perm, trunc48: int,
 
 
 def doubling_code_criterion(code: BinaryCode, g: Perm):
-    """Order-doubling test on codewords.
+    """Order-doubling test on the basis rows of a doubly even code.
 
     The standard lift of g to the lattice vertex algebra has twice the
     order of g exactly when some codeword B has |B ∩ g^{m/2}B| ≡ 2
-    mod 4 (m even).  Returns (verdict, witness codeword mask or None).
+    mod 4 (m even).  That parity is linear in B (module docstring), so
+    the first basis row with it is also the first such word in
+    codewords() order, which counts in binary over the rows.  Returns
+    (verdict, witness codeword mask or None).
     """
+    if not code.is_doubly_even():
+        raise DomainError("doubling needs a doubly even code")
     if not code.is_automorphism(g):
         raise DomainError("%s is not a code automorphism" % g)
     m = g.order()
     if m % 2:
         return False, None
     h = g ** (m // 2)
-    for bmask, hmask in zip(code.codewords(), _images(code, h)):
-        if (bmask & hmask).bit_count() % 4 == 2:
-            return True, bmask
+    for b in code.basis:
+        if (b & h.apply_mask(b)).bit_count() % 4 == 2:
+            return True, b
     return False, None
 
 
 def doubling_lattice_criterion(code: BinaryCode, g: Perm, flavor: str = "plain"):
-    """Order-doubling test on lattice vectors.
+    """Order-doubling test on the flavor's lattice vectors.
 
-    Looks for a vector v with <v, g^{m/2}v> odd, coset by coset: on each
-    codeword coset the parity of the pairing is constant, and it is read
-    off from the same popcount sign rule used for twisted thetas (with
-    every block a single coordinate).  Returns (verdict, witness).
+    The plain glueing has the code's verdict.  The a_Omega/4 glueing
+    with coset parity j doubles at the coset of B = 0 when N/8 + j is
+    odd, and otherwise has the code's verdict too (module docstring).
+    Returns (verdict, witness codeword mask or None).
     """
     parity = _coset_parity(flavor)
-    if not code.is_automorphism(g):
-        raise DomainError("%s is not a code automorphism" % g)
-    m = g.order()
-    if m % 2:
-        return False, None
-    h = g ** (m // 2)
-    n = code.n
-    pair_mask = sum(1 << i for i in range(n) if h(i) != i)
-    self_mask = ((1 << n) - 1) ^ pair_mask
-    for bmask, hmask in zip(code.codewords(), _images(code, h)):
-        key = ((bmask & self_mask).bit_count(), (bmask & pair_mask).bit_count(),
-               (bmask & hmask & pair_mask).bit_count())
-        if _twist_parity(0, n, *key):
-            return True, bmask
-        # On the quarter-shifted coset every coordinate alternates and
-        # the coordinate sum is pinned mod 2, so the flags contribute
-        # the coset parity.
-        if parity is not None and (_twist_parity(1, n, *key) + parity) % 2:
-            return True, bmask
-    return False, None
+    verdict = doubling_code_criterion(code, g)
+    # the e8 rule at B = 0 and β = 1 is N/8 mod 2; it refuses N ≢ 0 mod 8
+    if parity is not None and g.order() % 2 == 0 and (
+            _twist_parity(1, code.n, 0, 0, 0) + parity) % 2:
+        return True, 0
+    return verdict
 
 
 def lift_order(code: BinaryCode, g: Perm, flavor: str = "plain") -> int:

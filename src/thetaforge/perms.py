@@ -65,9 +65,6 @@ class Perm:
     def __hash__(self):
         return hash(self.images)
 
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
-
     def cycles(self):
         """Nontrivial cycles as tuples of 0-based points, each starting
         at its smallest point."""

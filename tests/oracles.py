@@ -5,15 +5,18 @@ tests that use them and not in the package.  So do the fixed-subcode
 shapes that pin a fixed theta series in closed form, which only the
 lattice and acceptance tests ask about, and the full-window catalog
 identification that `modfunc.identify` shortcuts with a prefix probe,
-and the argparse parser that `cli.parse_args` replaced.
+the codeword walks that the basis-row doubling criteria replaced, and
+the argparse parser that `cli.parse_args` replaced.
 """
 
 import argparse
+from collections import Counter
 from itertools import permutations as _all_perms
 from pathlib import Path
 
 from thetaforge.codes import BinaryCode
 from thetaforge.errors import DomainError
+from thetaforge.lattice import _coset_parity, _images, _twist_parity
 from thetaforge.modfunc import MT_NAMES, mckay_thompson, strip_constant
 from thetaforge.perms import Perm, parse_generators
 from thetaforge.qseries import DEN, PrecisionError
@@ -48,6 +51,59 @@ def brute_fixed_words(code: BinaryCode, gens):
     """
     return [w for w in code.codewords()
             if all(g.apply_mask(w) == w for g in gens)]
+
+
+def weight_enumerator(code: BinaryCode):
+    """Counts of codewords by Hamming weight, by walking all of C."""
+    return Counter(w.bit_count() for w in code.codewords())
+
+
+def walk_doubling_code(code: BinaryCode, g: Perm):
+    """The codeword walk that `lattice.doubling_code_criterion` replaced.
+
+    The first codeword B, in codewords() order, with |B ∩ hB| ≡ 2 mod 4
+    for h = g^(m/2), m even.  Returns (verdict, witness or None).
+    """
+    if not code.is_automorphism(g):
+        raise DomainError("%s is not a code automorphism" % g)
+    m = g.order()
+    if m % 2:
+        return False, None
+    h = g ** (m // 2)
+    for bmask, hmask in zip(code.codewords(), _images(code, h)):
+        if (bmask & hmask).bit_count() % 4 == 2:
+            return True, bmask
+    return False, None
+
+
+def walk_doubling_lattice(code: BinaryCode, g: Perm, flavor: str):
+    """The coset walk that `lattice.doubling_lattice_criterion` replaced.
+
+    Reads the parity of <v, g^(m/2) v> off each codeword coset, and off
+    its quarter-shifted partner under a super flavor, in codewords()
+    order.  Returns (verdict, witness or None).
+    """
+    parity = _coset_parity(flavor)
+    if not code.is_automorphism(g):
+        raise DomainError("%s is not a code automorphism" % g)
+    m = g.order()
+    if m % 2:
+        return False, None
+    h = g ** (m // 2)
+    n = code.n
+    pair_mask = sum(1 << i for i in range(n) if h(i) != i)
+    self_mask = ((1 << n) - 1) ^ pair_mask
+    for bmask, hmask in zip(code.codewords(), _images(code, h)):
+        key = ((bmask & self_mask).bit_count(), (bmask & pair_mask).bit_count(),
+               (bmask & hmask & pair_mask).bit_count())
+        if _twist_parity(0, n, *key):
+            return True, bmask
+        # On the quarter-shifted coset every coordinate alternates and
+        # the coordinate sum is pinned mod 2, so the flags contribute
+        # the coset parity.
+        if parity is not None and (_twist_parity(1, n, *key) + parity) % 2:
+            return True, bmask
+    return False, None
 
 
 def hamming8_class_representatives():

@@ -16,10 +16,11 @@ from thetaforge.characters import (
     character_cyclic, character_group, character_plus, lift_info,
     trace_series,
 )
-from thetaforge.codes import catalog_code
+from thetaforge.codes import BinaryCode, catalog_code
 from thetaforge.errors import DomainError, ThetaforgeError
 from thetaforge.lattice import (
-    catalog_theta, doubling_code_criterion, kernel_theta)
+    catalog_theta, doubling_code_criterion, doubling_lattice_criterion,
+    kernel_theta, lift_order)
 from thetaforge.perms import parse_generators, parse_perm
 from thetaforge.qseries import DEN, PrecisionError, QSeries
 from thetaforge.verify import verify_identity
@@ -111,6 +112,20 @@ def test_lift_info_orders_and_kernel():
 def test_code_criterion_alone():
     assert doubling_code_criterion(HAM, REP24)[0]
     assert not doubling_code_criterion(HAM, NR24)[0]
+
+
+def test_doubling_lists_no_codewords(monkeypatch):
+    def no_listing(self):
+        raise AssertionError("listed the codewords to decide doubling")
+
+    golay = catalog_code("golay24")
+    swap = parse_perm("".join("(%d,%d)" % (i, i + 12) for i in range(1, 13)), 24)
+    monkeypatch.setattr(BinaryCode, "codewords", no_listing)
+    assert doubling_code_criterion(golay, swap)[0]
+    for flavor in ("plain", "super0", "super1"):
+        assert doubling_lattice_criterion(golay, swap, flavor)[0]
+        assert lift_order(golay, swap, flavor=flavor) == 4
+        assert _doubling_element(golay, [swap], flavor) == swap
 
 
 # ---------- characters of cyclic groups ----------

@@ -201,6 +201,18 @@ def test_doubling_reports_both_criteria_and_the_witness(capsys):
     assert kt["coeffs"][:3] == [[0, 1], [48, 112], [96, 1136]]
 
 
+def test_doubling_refuses_a_code_that_is_not_doubly_even(capsys, tmp_path):
+    # i2^4 has four disjoint words of weight 2
+    path = tmp_path / "i2x4.txt"
+    path.write_text("11000000\n00110000\n00001100\n00000011\n")
+    code, out, err = run(capsys, "doubling", "--code", str(path),
+                         "--group", "(1,2)")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "DomainError", "message": "doubling needs a doubly even code"}
+
+
 def test_doubling_wants_exactly_one_permutation(capsys):
     code, out, err = run(capsys, "doubling")
     assert code == 3
@@ -377,6 +389,14 @@ def test_missing_paths_exit_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+
+def test_an_empty_out_path_exits_3(capsys):
+    for out_flag in (["--out="], ["--out", ""]):
+        code, out, err = run(capsys, "theta", "--trunc", "1", *out_flag)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
 
 
 # ---------- verify ----------

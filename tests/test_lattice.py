@@ -8,23 +8,28 @@ products, and never shares code with the blockwise engine.
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import comb, isqrt
+from operator import mul
+from pathlib import Path
+from random import Random
 
 import pytest
 
-from thetaforge.codes import BinaryCode, catalog_code
+from thetaforge.codes import BinaryCode, catalog_code, load_code
 from thetaforge.errors import DomainError
 from thetaforge.lattice import (
-    catalog_theta, doubling_code_criterion, doubling_lattice_criterion,
-    flavor_theta, is_even, kernel_theta, lift_order, theta_fixed, theta_full,
-    theta_matches, theta_super, theta_twisted,
+    FLAVORS, catalog_theta, doubling_code_criterion,
+    doubling_lattice_criterion, flavor_theta, is_even, kernel_theta,
+    lift_order, theta_fixed, theta_matches, theta_super, theta_twisted,
 )
 from thetaforge.perms import Perm, orbits, parse_generators, parse_perm
 from thetaforge.qseries import DEN, QSeries, eta, shifted_theta
 
 from oracles import (
     a_partition_order, brute_fixed_words, brute_force_automorphisms,
-    d_partition_anchor, hamming8_class_representatives,
+    d_partition_anchor, hamming8_class_representatives, walk_doubling_code,
+    walk_doubling_lattice, weight_enumerator,
 )
 
 T = lambda n: n * DEN
@@ -148,26 +153,26 @@ def test_full_theta_routes_agree():
     even, odd = shifted_theta(1, 0, T(12)), shifted_theta(1, HALF, T(12))
     for code in (HAM, catalog_code("hamming8+hamming8")):
         expect = QSeries.zero(T(12))
-        for weight, count in code.weight_enumerator().items():
+        for weight, count in weight_enumerator(code).items():
             expect = expect + even ** (code.n - weight) * odd ** weight * count
-        assert theta_full(code, T(12)).matches(expect)
+        assert theta_fixed(code, [], T(12)).matches(expect)
 
 
 def test_e8_theta():
     cat = catalog_theta("E8", 1, T(12))
     assert cat.integer_coefficients(0, 3) == [1, 240, 2160, 6720]
-    assert theta_full(HAM, T(12)).matches(cat)
-    assert theta_full(catalog_code("hamming8+hamming8"), T(12)).matches(cat * cat)
+    assert theta_fixed(HAM, [], T(12)).matches(cat)
+    assert theta_fixed(catalog_code("hamming8+hamming8"), [], T(12)).matches(cat * cat)
 
 
 def test_fixed_theta_trivial_group_oracle():
-    assert_matches_oracle(theta_full(HAM, T(6)), oracle_theta(HAM, [], T(6)))
+    assert_matches_oracle(theta_fixed(HAM, [], T(6)), oracle_theta(HAM, [], T(6)))
 
 
 def test_oversized_codes_are_refused_on_every_route():
     big = BinaryCode(26, [1 << i for i in range(25)])
     one = Perm.identity(26)
-    routes = (lambda: theta_full(big, T(4)),
+    routes = (lambda: theta_fixed(big, [], T(4)),
               lambda: theta_super(big, [], 0, T(4)),
               lambda: theta_twisted(big, one, 0, T(4)))
     for route in routes:
@@ -249,7 +254,7 @@ def test_leech_theta():
 
 def test_niemeier_theta():
     golay = catalog_code("golay24")
-    assert theta_full(golay, T(3)).integer_coefficients(0, 2) == [1, 48, 195408]
+    assert theta_fixed(golay, [], T(3)).integer_coefficients(0, 2) == [1, 48, 195408]
 
 
 # ---------- twisted thetas ----------
@@ -403,6 +408,88 @@ def test_leech_half_swap_doubles():
         "(1,13)(2,14)(3,15)(4,16)(5,17)(6,18)(7,19)(8,20)(9,21)(10,22)(11,23)(12,24)",
         24)
     assert lift_order(golay, two, flavor="super1") == 4
+
+
+def _assert_criteria_match_the_walks(code, elements):
+    """Both criteria give the walks' verdict and witness; count doublings."""
+    doubled = Counter()
+    for g in elements:
+        assert doubling_code_criterion(code, g) == walk_doubling_code(code, g), g
+        for flavor in FLAVORS:
+            got = doubling_lattice_criterion(code, g, flavor)
+            assert got == walk_doubling_lattice(code, g, flavor), (g, flavor)
+            doubled[flavor, got[0]] += 1
+    return doubled
+
+
+def test_doubling_criteria_match_the_walks_on_hamming8():
+    auts = brute_force_automorphisms(HAM.contains, 8)
+    assert len(auts) == 1344
+    doubled = _assert_criteria_match_the_walks(HAM, auts)
+    assert doubled["plain", True] and doubled["plain", False]
+
+
+def test_doubling_criteria_match_the_walks_on_golay24():
+    data = Path(__file__).parent / "data"
+    code = load_code(str(data / "golay24_rows.txt"))
+    lines = [line.split("#", 1)[0].strip()
+             for line in (data / "golay24_fig8.txt").read_text().splitlines()]
+    gens = [g for text in lines if text for g in parse_generators(text, 24)]
+    rng = Random(12)
+    elements = set()
+    while len(elements) < 200:
+        word = [rng.choice(gens) for _ in range(rng.randint(1, 4))]
+        elements.add(reduce(mul, word))
+    doubled = _assert_criteria_match_the_walks(
+        code, sorted(elements, key=lambda g: g.images))
+    for flavor in FLAVORS:
+        assert doubled[flavor, True] and doubled[flavor, False], flavor
+
+
+def test_doubling_criteria_match_the_walks_on_hamming8_squared():
+    code = catalog_code("hamming8+hamming8")
+    auts = brute_force_automorphisms(HAM.contains, 8)
+    swap = Perm(tuple(range(8, 16)) + tuple(range(8)))
+    rng = Random(12)
+    elements = set()
+    while len(elements) < 150:
+        a, b = rng.choice(auts), rng.choice(auts)
+        g = Perm(a.images + tuple(8 + i for i in b.images))
+        elements.add(g * swap if rng.random() < 0.5 else g)
+    doubled = _assert_criteria_match_the_walks(
+        code, sorted(elements, key=lambda g: g.images))
+    assert doubled["plain", True] and doubled["plain", False]
+
+
+def test_doubling_on_a_code_too_large_to_list():
+    # golay24² ⊕ hamming8² has dimension 32; the half swap of the first
+    # golay24, extended by the identity, doubles as it does on golay24
+    golay = catalog_code("golay24")
+    ham2 = catalog_code("hamming8+hamming8")
+    big = golay.direct_sum(golay).direct_sum(ham2)
+    assert big.dim == 32
+    two = parse_perm(
+        "(1,13)(2,14)(3,15)(4,16)(5,17)(6,18)(7,19)(8,20)(9,21)(10,22)(11,23)(12,24)",
+        24)
+    wide = Perm(two.images + tuple(range(24, 64)))
+    assert doubling_code_criterion(big, wide) == doubling_code_criterion(golay, two)
+    assert doubling_lattice_criterion(big, wide) == doubling_lattice_criterion(
+        golay, two)
+    # N/8 is 8 here and 3 on golay24, so super0 here is super1 there
+    assert doubling_lattice_criterion(big, wide, "super0") == (
+        doubling_lattice_criterion(golay, two, "super1"))
+    assert lift_order(big, wide) == lift_order(golay, two) == 4
+
+
+def test_super_doubling_needs_a_length_divisible_by_8():
+    code = BinaryCode(12, [0b1111, 0b11110000])
+    g = parse_perm("(1,2)(3,4)", 12)
+    assert code.is_doubly_even() and code.is_automorphism(g)
+    with pytest.raises(DomainError) as err:
+        doubling_lattice_criterion(code, g, "super0")
+    with pytest.raises(DomainError) as walked:
+        walk_doubling_lattice(code, g, "super0")
+    assert str(err.value) == str(walked.value)
 
 
 # ---------- catalog ----------

@@ -21,7 +21,7 @@ from thetaforge.codes import catalog_code
 from thetaforge.errors import DomainError, ParseError, ThetaforgeError
 from thetaforge.lattice import (
     FLAVORS, catalog_theta, flavor_theta, is_even, lift_order, theta_fixed,
-    theta_full, theta_twisted,
+    theta_twisted,
 )
 from thetaforge.modfunc import (
     MT_NAMES, eta_product, eta_quotient, faber_table, identify,
@@ -109,7 +109,7 @@ def test_trace_series_against_a_wide_division(flavor):
 # ---------- theta quotients ----------
 
 def test_quotient_of_full_lattice_theta_is_shifted_j():
-    f = theta_quotient(theta_full(HAM, T(16)), {1: 8}, N=8)
+    f = theta_quotient(theta_fixed(HAM, [], T(16)), {1: 8}, N=8)
     got, delta = identify(f)
     assert got == "T_1A" and delta == 744
     assert f.coeff48(-DEN) == 1
@@ -121,7 +121,7 @@ def test_quotient_of_full_lattice_theta_is_shifted_j():
 def test_quotient_keeps_integer_coefficients():
     for name in ("hamming8", "hamming8+hamming8", "golay24"):
         code = catalog_code(name)
-        f = theta_quotient(theta_full(code, T(10)), {1: code.n}, N=code.n)
+        f = theta_quotient(theta_fixed(code, [], T(10)), {1: code.n}, N=code.n)
         assert f.is_integral()
 
 
@@ -135,7 +135,7 @@ def test_raw_quotient_used_for_inner_power_rows():
 
 
 def test_quotient_rejects_wrong_rank():
-    th = theta_full(HAM, T(8))
+    th = theta_fixed(HAM, [], T(8))
     with pytest.raises(DomainError):
         theta_quotient(th, {1: 8}, N=12)
     with pytest.raises(DomainError):
@@ -144,7 +144,7 @@ def test_quotient_rejects_wrong_rank():
 
 def test_quotient_refuses_a_non_integer_rank():
     with pytest.raises(TypeError):
-        theta_quotient(theta_full(HAM, T(8)), {1: 8}, N=8.9)
+        theta_quotient(theta_fixed(HAM, [], T(8)), {1: 8}, N=8.9)
 
 
 def test_klein_subgroup_quotient_expansion():

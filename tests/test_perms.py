@@ -19,7 +19,7 @@ perm_st = st.permutations(range(8)).map(lambda im: Perm(tuple(im)))
 
 def test_identity():
     e = Perm.identity(5)
-    assert e.is_identity()
+    assert e == Perm.identity(5)
     assert e.order() == 1
     assert e.cycles() == []
     assert str(e) == "()"
