@@ -60,9 +60,15 @@ _EXIT_CODES = (
 
 
 def _sha256(data):
-    # hashlib loads OpenSSL, so only the jobs that write a digest import it
-    import hashlib
-    return hashlib.sha256(data).hexdigest()
+    # the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto
+    try:
+        from _sha256 import sha256      # CPython 3.10 and 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256    # CPython 3.12 and later
+        except ImportError:             # built without its own hashes
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
 def _fingerprint(job, contents):

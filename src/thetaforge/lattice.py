@@ -48,12 +48,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import and_
 import re
 
 from .codes import BinaryCode
 from .errors import DomainError
 from .perms import Perm, orbits
-from .qseries import DEN, QSeries, exact_div, shifted_theta
+from .qseries import DEN, QSeries, shifted_theta
 
 HALF = Fraction(1, 2)
 
@@ -165,16 +166,17 @@ def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
     masks += [((1 << n) - 1) ^ pair_mask, pair_mask]
     # walk B in codewords() order with hB beside it (h is linear; with
     # no twist pair_mask is 0); a key is |B ∩ U_s| for each size s,
-    # then p_self, p_pair and p_hh
+    # then p_self, p_pair and p_hh, counted one column per mask by map
     words = images = sub.codewords()
     if twist is not None:
         images = _images(sub, twist)
-    keys = Counter(tuple((w & m).bit_count() for m in masks)
-                   + ((w & hw & pair_mask).bit_count(),)
-                   for w, hw in zip(words, images))
+    columns = [map(m.__and__, words) for m in masks]
+    columns.append(map(pair_mask.__and__, map(and_, words, images)))
+    keys = Counter(zip(*[map(int.bit_count, c) for c in columns]))
 
     # branch β = 0 is the coset a_B/2 + Z^N (even coordinate sum on the
-    # a_Omega/4 glueing); β = 1 shifts every coordinate by a quarter more
+    # a_Omega/4 glueing); β = 1 shifts every coordinate by a quarter more.
+    # census holds twice each weight, so that every weight is an int
     branches = ((0, None),) if j is None else ((0, 0), (1, j))
     census = Counter()
     for key, count in keys.items():
@@ -191,21 +193,21 @@ def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
                           ((size, low, a), total - bits // size)]
             signature = tuple(sorted(s for s in specs if s[1]))
             if parity is None:
-                census[signature] += coeff
+                census[signature] += 2 * coeff
                 continue
             # Restrict to coordinate sum == parity mod 2: the indicator is
             # (1 + (-1)^parity (-1)^sum)/2, and (-1)^sum flips the
             # alternating flag of every odd-size block.
             flipped = tuple(sorted(((size, s, a != (size % 2 == 1)), mult)
                                    for (size, s, a), mult in signature))
-            census[signature] += exact_div(coeff, 2)
-            census[flipped] += exact_div(coeff * (-1) ** parity, 2)
+            census[signature] += coeff
+            census[flipped] += coeff * (-1) ** parity
     total = QSeries.zero(trunc48)
     for signature in sorted(census):
         coeff = census[signature]
         if coeff:
             total = total + _block_product(signature, trunc48) * coeff
-    return total.truncate48(trunc48)
+    return (total / 2).truncate48(trunc48)
 
 
 def _coset_parity(flavor):

@@ -5,21 +5,26 @@ tests that use them and not in the package.  So do the fixed-subcode
 shapes that pin a fixed theta series in closed form, which only the
 lattice and acceptance tests ask about, and the full-window catalog
 identification that `modfunc.identify` shortcuts with a prefix probe,
-the codeword walks that the basis-row doubling criteria replaced, and
-the argparse parser that `cli.parse_args` replaced.
+the codeword walks that the basis-row doubling criteria replaced, the
+tuple-per-codeword census that the column census replaced, and the
+argparse parser that `cli.parse_args` replaced.
 """
 
 import argparse
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations as _all_perms
 from pathlib import Path
 
 from thetaforge.codes import BinaryCode
 from thetaforge.errors import DomainError
-from thetaforge.lattice import _coset_parity, _images, _twist_parity
+from thetaforge.lattice import (
+    HALF, _block_product, _coset_parity, _images, _orbit_blocks,
+    _paired_blocks, _twist_parity,
+)
 from thetaforge.modfunc import MT_NAMES, mckay_thompson, strip_constant
 from thetaforge.perms import Perm, parse_generators
-from thetaforge.qseries import DEN, PrecisionError
+from thetaforge.qseries import DEN, PrecisionError, QSeries, exact_div
 from thetaforge.verify import FIGURE_IDS
 
 
@@ -104,6 +109,78 @@ def walk_doubling_lattice(code: BinaryCode, g: Perm, flavor: str):
         if parity is not None and (_twist_parity(1, n, *key) + parity) % 2:
             return True, bmask
     return False, None
+
+
+def tuple_census_theta(code: BinaryCode, gens, trunc48: int, j=None,
+                       twist: Perm = None) -> QSeries:
+    """The popcount census that `lattice._census_theta` replaced.
+
+    It builds one key tuple per codeword in Python and weights the two
+    coordinate-sum halves of a coset by Fraction(k, 2).  The engine now
+    counts keys one column per mask and keeps twice each weight as an
+    int; both must give the same series.
+    """
+    n = code.n
+    sub = code.fixed_subcode(gens)
+    blocks = _orbit_blocks(gens, n)
+    # being fixed is linear, so checking the basis covers every codeword
+    for row in sub.basis:
+        for omask, _ in blocks:
+            if row & omask not in (0, omask):
+                raise DomainError(
+                    "codeword %#x is not a union of orbit blocks" % row)
+    sizes = sorted({size for _, size in blocks})
+    nblocks = [sum(1 for _, s in blocks if s == size) for size in sizes]
+    masks = [sum(m for m, s in blocks if s == size) for size in sizes]
+    pair_mask = 0
+    if twist is not None:
+        partner = _paired_blocks(blocks, twist)
+        pair_mask = sum(m for i, (m, _) in enumerate(blocks) if partner[i] != i)
+    masks += [((1 << n) - 1) ^ pair_mask, pair_mask]
+    # walk B in codewords() order with hB beside it (h is linear; with
+    # no twist pair_mask is 0); a key is |B ∩ U_s| for each size s,
+    # then p_self, p_pair and p_hh
+    words = images = sub.codewords()
+    if twist is not None:
+        images = _images(sub, twist)
+    keys = Counter(tuple((w & m).bit_count() for m in masks)
+                   + ((w & hw & pair_mask).bit_count(),)
+                   for w, hw in zip(words, images))
+
+    # branch β = 0 is the coset a_B/2 + Z^N (even coordinate sum on the
+    # a_Omega/4 glueing); β = 1 shifts every coordinate by a quarter more
+    branches = ((0, None),) if j is None else ((0, 0), (1, j))
+    census = Counter()
+    for key, count in keys.items():
+        for beta, parity in branches:
+            odd = twist is not None and _twist_parity(beta, n, *key[-3:])
+            coeff = -count if odd else count
+            # quarter shifts on a twisted coset make odd blocks alternate
+            alt = twist is not None and beta == 1
+            low = Fraction(beta, 4)
+            specs = []
+            for size, total, bits in zip(sizes, nblocks, key):
+                a = alt and size % 2 == 1
+                specs += [((size, low + HALF, a), bits // size),
+                          ((size, low, a), total - bits // size)]
+            signature = tuple(sorted(s for s in specs if s[1]))
+            if parity is None:
+                census[signature] += coeff
+                continue
+            # Restrict to coordinate sum == parity mod 2: the indicator is
+            # (1 + (-1)^parity (-1)^sum)/2, and (-1)^sum flips the
+            # alternating flag of every odd-size block.
+            flipped = tuple(sorted(((size, s, a != (size % 2 == 1)), mult)
+                                   for (size, s, a), mult in signature))
+            census[signature] += exact_div(coeff, 2)
+            census[flipped] += exact_div(coeff * (-1) ** parity, 2)
+    total = QSeries.zero(trunc48)
+    for signature in sorted(census):
+        coeff = census[signature]
+        if coeff:
+            total = total + _block_product(signature, trunc48) * coeff
+    return total.truncate48(trunc48)
+
 
 
 def hamming8_class_representatives():

@@ -7,19 +7,23 @@ verb accepts only the flags it reads.  Scan keeps input order, its
 output does not depend on the environment, and per-line failures must
 not take down the whole run.  A process started for one job prints
 exactly what an in-process `main` call prints; only the process entry
-freezes the heap, and only a job with a fingerprint loads OpenSSL.
+freezes the heap, and no job loads OpenSSL: fingerprints come from the
+interpreter's own SHA-256.
 """
 
 import gc
+import hashlib
 import importlib.util
 import json
 import os
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from thetaforge import characters, cli
 from thetaforge.cli import main
@@ -536,16 +540,54 @@ def _imported(stderr):
             if line.startswith("import time:")}
 
 
-def test_only_fingerprinted_jobs_load_openssl():
-    code, _, err = spawn("-X", "importtime", "-m", "thetaforge.cli",
-                         "verify", "ex33")
-    assert code == 0
+@pytest.mark.parametrize("argv", [
+    ["theta", "--trunc", "1"],
+    ["scan", str(DATA / "hamming8_classes.txt"), "--trunc", "12"],
+    ["character", "--group", "(1,7)(2,4)(3,8)(5,6)", "--trunc", "2"],
+    ["doubling", "--group", "(1,7)(2,4)(3,8)(5,6)", "--trunc", "2"],
+    ["verify", "ex33"],
+], ids=["theta", "scan", "character", "doubling", "verify"])
+def test_no_job_loads_openssl(argv):
+    code, out, err = spawn("-X", "importtime", "-m", "thetaforge.cli", *argv)
+    assert code == 0, err
+    assert "fingerprint" in out or argv[0] == "verify"
     assert "thetaforge.verify" in _imported(err)
     assert "_hashlib" not in _imported(err)
-    code, _, err = spawn("-X", "importtime", "-m", "thetaforge.cli",
-                         "theta", "--trunc", "1")
-    assert code == 0
-    assert "_hashlib" in _imported(err)
+
+
+@given(st.binary(max_size=2000))
+@example(b"")
+@example(b"a" * 55)
+@example(b"b" * 56)
+@example(b"c" * 64)
+@example(b"d" * 1000)
+def test_the_digest_is_hashlib_sha256(data):
+    assert cli._sha256(data) == hashlib.sha256(data).hexdigest()
+
+
+def _recording_module(name, calls):
+    def sha256(data):
+        calls.append(name)
+        return hashlib.sha256(data)
+    module = types.ModuleType(name)
+    module.sha256 = sha256
+    return module
+
+
+@pytest.mark.parametrize("missing, fallback", [
+    (["_sha256"], "_sha2"),
+    (["_sha256", "_sha2"], "hashlib"),
+])
+def test_each_digest_import_fallback_gives_the_same_digest(
+        monkeypatch, missing, fallback):
+    data = b"thetaforge" * 50
+    calls = []
+    for name in missing:
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.setitem(sys.modules, fallback,
+                        _recording_module(fallback, calls))
+    assert cli._sha256(data) == hashlib.sha256(data).hexdigest()
+    assert calls == [fallback]
 
 
 def test_the_cli_loads_no_argument_parsing_library():

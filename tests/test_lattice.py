@@ -19,7 +19,8 @@ import pytest
 from thetaforge.codes import BinaryCode, catalog_code, load_code
 from thetaforge.errors import DomainError
 from thetaforge.lattice import (
-    FLAVORS, catalog_theta, doubling_code_criterion,
+    FLAVORS, _census_theta, _coset_parity, catalog_theta,
+    doubling_code_criterion,
     doubling_lattice_criterion, flavor_theta, is_even, kernel_theta,
     lift_order, theta_fixed, theta_matches, theta_super, theta_twisted,
 )
@@ -28,8 +29,8 @@ from thetaforge.qseries import DEN, QSeries, eta, shifted_theta
 
 from oracles import (
     a_partition_order, brute_fixed_words, brute_force_automorphisms,
-    d_partition_anchor, hamming8_class_representatives, walk_doubling_code,
-    walk_doubling_lattice, weight_enumerator,
+    d_partition_anchor, hamming8_class_representatives, tuple_census_theta,
+    walk_doubling_code, walk_doubling_lattice, weight_enumerator,
 )
 
 T = lambda n: n * DEN
@@ -420,6 +421,42 @@ def _assert_criteria_match_the_walks(code, elements):
             assert got == walk_doubling_lattice(code, g, flavor), (g, flavor)
             doubled[flavor, got[0]] += 1
     return doubled
+
+
+def _assert_census_matches_the_tuple_walk(code, gens, t):
+    """Engine and tuple census agree, in ints, on <gens> under every
+    flavor, and for a lone g of even order m also twisted at every even j."""
+    cases = [(gens, None)]
+    if len(gens) == 1 and gens[0].order() % 2 == 0:
+        g, m = gens[0], gens[0].order()
+        cases += [([g ** j], g ** (j // 2)) for j in range(0, 2 * m, 2)]
+    for flavor in FLAVORS:
+        parity = _coset_parity(flavor)
+        for fixing, twist in cases:
+            got = _census_theta(code, fixing, t, j=parity, twist=twist)
+            want = tuple_census_theta(code, fixing, t, j=parity, twist=twist)
+            assert got == want, (fixing, twist, flavor)
+            assert all(type(c) is int for c in got.coeffs.values())
+            assert all(type(c) is int for c in want.coeffs.values())
+
+
+@pytest.mark.parametrize("g", hamming8_class_representatives(), ids=str)
+def test_census_matches_the_tuple_walk_on_hamming8(g):
+    _assert_census_matches_the_tuple_walk(HAM, [g], T(8))
+
+
+def test_census_matches_the_tuple_walk_on_golay24():
+    half_swap = Perm([(i + 12) % 24 for i in range(24)])
+    _assert_census_matches_the_tuple_walk(catalog_code("golay24"),
+                                          [half_swap], T(4))
+    data = Path(__file__).parent / "data"
+    code = load_code(str(data / "golay24_rows.txt"))
+    for line in (data / "golay24_fig8.txt").read_text().splitlines():
+        text = line.split("#", 1)[0].strip()
+        if text:
+            gens = parse_generators(text, 24)
+            for fixing in [gens] + [[g] for g in gens]:
+                _assert_census_matches_the_tuple_walk(code, fixing, T(4))
 
 
 def test_doubling_criteria_match_the_walks_on_hamming8():
