@@ -194,12 +194,12 @@ def _quotient_pipeline(code, gens, flavor, trunc48):
     require_even(code, flavor)
     theta = flavor_theta(code, gens, flavor, trunc48)
     label = type_str(orbit_type(gens, code.n))
-    return theta, label, theta_quotient(theta, label, N=code.n)
+    return label, theta_quotient(theta, label, N=code.n)
 
 
 def _replicability(code, gens, flavor, trunc48, krep):
     """Outputs of `replicable` and of each scan line."""
-    _, label, quo = _quotient_pipeline(code, gens, flavor, trunc48)
+    label, quo = _quotient_pipeline(code, gens, flavor, trunc48)
     report = is_replicable(quo, krep)
     report.identified_as, report.constant_delta = identify(quo)
     return {"orbit_type": label, "replicability": report.to_json_obj()}
@@ -210,18 +210,18 @@ def _run_compute(args):
     gens = _load_group(args, code.n)
     command = args.command
     trunc = _trunc(args)
+    krep = _krep(args) if "--krep" in VERBS[command] else None
     trunc48 = trunc * DEN
     if command == "theta":
         outputs = {"series": flavor_theta(
             code, gens, args.flavor, trunc48).to_json_obj()}
     elif command == "quotient":
-        _, label, quo = _quotient_pipeline(code, gens, args.flavor, trunc48)
+        label, quo = _quotient_pipeline(code, gens, args.flavor, trunc48)
         outputs = {"orbit_type": label, "series": quo.to_json_obj()}
     elif command == "replicable":
-        outputs = _replicability(code, gens, args.flavor, trunc48,
-                                 _krep(args))
+        outputs = _replicability(code, gens, args.flavor, trunc48, krep)
     elif command == "identify":
-        _, label, quo = _quotient_pipeline(code, gens, args.flavor, trunc48)
+        label, quo = _quotient_pipeline(code, gens, args.flavor, trunc48)
         name, delta = identify(quo)
         outputs = {"orbit_type": label, "identified_as": name,
                    "constant_delta": None if delta is None else str(delta)}

@@ -4,10 +4,12 @@ Dividing a fixed-sublattice theta series by the eta product of the
 orbit type and raising the result to 24/N gives a q-expansion with a
 simple pole at infinity.  This module builds those eta products and
 quotients, expands Faber polynomials to test replicability of such a
-series, and matches candidates against a small catalog of closed-form
-eta expansions (the T_nX series of monstrous moonshine).  A candidate
-is compared first on the 8 positive powers identification needs, and
-only a catalog series that agrees there is built over the full window.
+series, and matches candidates against a small catalog of T_nX series
+of monstrous moonshine.  The catalog is a table of eta quotients: each
+series is a constant plus a sum of them, each evaluated through
+`eta_quotient`.  A candidate is compared first on the 8 positive powers
+identification needs, and only a catalog series that agrees there is
+built over the full window.
 
 Every theta/eta division in the package goes through `eta_quotient`:
 a result exact below t needs the numerator through t + 2N and the eta
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from operator import mul
 
@@ -239,78 +242,44 @@ def is_replicable(f, K_rep=12):
 
 # ---------- catalog of closed-form expansions ----------
 
-MT_NAMES = ("T_1A", "T_4A", "T_8B", "T_16a", "T_3A", "T_6b", "T_12A", "T_7A")
-
-_PAD = 6 * DEN
-
-
-def _build_t4a(t48):
-    pad = t48 + _PAD
-    f = (eta(2, pad) ** 2 / (eta(1, pad) * eta(4, pad))) ** 24
-    return f
-
-
-def _build_t8b(t48):
-    return _build_t4a((t48 + DEN) // 2).dilate(2).pow_rational(Fraction(1, 2))
-
-
-def _build_t16a(t48):
-    return _build_t4a((t48 + 3 * DEN) // 4).dilate(4).pow_rational(Fraction(1, 4))
-
-
-def _build_t3a(t48):
-    pad = t48 + _PAD
-    u = eta(1, pad) ** 6 / eta(3, pad) ** 6
-    return (u + 27 * u.pow_rational(-1)) ** 2
-
-
-def _build_t6b(t48):
-    return _build_t3a((t48 + DEN) // 2).dilate(2).pow_rational(Fraction(1, 2))
-
-
-def _build_t12a(t48):
-    pad = t48 + _PAD
-    num = eta(2, pad) ** 2 * eta(6, pad) ** 2
-    den = eta(1, pad) * eta(4, pad) * eta(3, pad) * eta(12, pad)
-    return (num / den) ** 6
-
-
-def _build_t7a(t48):
-    pad = t48 + _PAD
-    a = eta(1, pad) * eta(7, pad) / (eta(2, pad) * eta(14, pad))
-    return (a + 4 * a.pow_rational(-2)) ** 3
-
-
-def _build_t1a(t48):
-    pad = t48 + _PAD
-    f = (catalog_theta("E8", 1, pad) / eta(1, pad) ** 8) ** 3
-    return f - 744
-
-
-_BUILDERS = {
-    "T_1A": _build_t1a,
-    "T_4A": _build_t4a,
-    "T_8B": _build_t8b,
-    "T_16a": _build_t16a,
-    "T_3A": _build_t3a,
-    "T_6b": _build_t6b,
-    "T_12A": _build_t12a,
-    "T_7A": _build_t7a,
+# name -> (constant, terms): the series is constant + sum c * num / den
+# over its terms (c, num, den), num(window) the numerator and den the
+# exponents of the eta product divided by, eta(kτ)^r written k^r as in
+# Conway and Norton's tables.  T_7A is a^3 + 12 + 48 a^-3 + 64 a^-6
+# with a = eta(τ) eta(7τ) / (eta(2τ) eta(14τ)).
+_CATALOG = {
+    "T_1A": (-744, [(1, lambda t: catalog_theta("E8", 1, t) ** 3, "1^24")]),
+    "T_4A": (0, [(1, partial(eta_product, "2^48"), "1^24 4^24")]),
+    "T_8B": (0, [(1, partial(eta_product, "4^24"), "2^12 8^12")]),
+    "T_16a": (0, [(1, partial(eta_product, "8^12"), "4^6 16^6")]),
+    "T_3A": (54, [(1, partial(eta_product, "1^12"), "3^12"),
+                  (729, partial(eta_product, "3^12"), "1^12")]),
+    "T_6b": (0, [(1, partial(eta_product, "2^6"), "6^6"),
+                 (27, partial(eta_product, "6^6"), "2^6")]),
+    "T_12A": (0, [(1, partial(eta_product, "2^12 6^12"),
+                   "1^6 3^6 4^6 12^6")]),
+    "T_7A": (12, [(1, partial(eta_product, "1^3 7^3"), "2^3 14^3"),
+                  (48, partial(eta_product, "2^3 14^3"), "1^3 7^3"),
+                  (64, partial(eta_product, "2^6 14^6"), "1^6 7^6")]),
 }
+
+MT_NAMES = tuple(_CATALOG)
 
 _mt_cache = {}
 
 
 def mckay_thompson(name, trunc48):
     """Closed-form expansion of the named catalog series, q^-1 + O(1)."""
-    if name not in _BUILDERS:
+    if name not in _CATALOG:
         raise DomainError("unknown series %r; catalog has %s"
                           % (name, ", ".join(MT_NAMES)))
     cached = _mt_cache.get(name)
     if cached is None or cached.trunc48 < trunc48:
-        cached = _BUILDERS[name](trunc48)
-        if (cached.trunc48 < trunc48 or cached.valuation48() != -DEN
-                or cached.lead_coeff() != 1 or not cached.is_integral()):
+        constant, terms = _CATALOG[name]
+        cached = sum((c * eta_quotient(num, den, trunc48)
+                      for c, num, den in terms), constant)
+        if (cached.valuation48() != -DEN or cached.lead_coeff() != 1
+                or not cached.is_integral()):
             raise ThetaforgeError(
                 "catalog series %s is not an integral q^-1 + O(1)"
                 " expansion below %d/48" % (name, trunc48))

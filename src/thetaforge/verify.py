@@ -17,6 +17,8 @@ of the same kind, so the thmC, thmD and ex81 figures carry its rows.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .characters import (
     GROUP_CAP, _doubling_element, character_cyclic, character_group,
     character_plus, lift_info, trace_series,
@@ -396,18 +398,8 @@ def _check_thmC(which, code, g1, g2, trunc48, flavor):
     return [_hypotheses(), _compare("nr quotient identity", lhs2, rhs2)]
 
 
-def _split_prime_power(n):
-    """n = p**k for prime p, else (None, None)."""
-    for p in range(2, n + 1):
-        if p * p > n and n > 1:
-            return n, 1
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            return (p, k) if n == 1 else (None, None)
-    return None, None
+def _is_prime(n):
+    return n > 1 and all(n % p for p in range(2, isqrt(n) + 1))
 
 
 def _check_thmD(code, gens, elements, trunc48, flavor):
@@ -417,7 +409,7 @@ def _check_thmD(code, gens, elements, trunc48, flavor):
     if len(pq) != 2:
         return [_hypotheses("group of order %d is not of p*q shape" % order)]
     p, q = pq
-    if (_split_prime_power(p) != (p, 1) or _split_prime_power(q) != (q, 1)
+    if (not _is_prime(p) or not _is_prime(q)
             or p * q != order or (q - 1) % p):
         return [_hypotheses("group of order %d is not of p*q shape" % order)]
     a = next(el for el in elements if el.order() == q)
@@ -437,8 +429,7 @@ def _check_p2q(code, gens, elements, trunc48, flavor):
     order = len(elements)
     candidates = [(p, q) for p in range(2, order) for q in range(p + 1, order)
                   if p * p * q == order
-                  and _split_prime_power(p) == (p, 1)
-                  and _split_prime_power(q) == (q, 1)]
+                  and _is_prime(p) and _is_prime(q)]
     if not candidates:
         return [_hypotheses("group order %d is not p^2*q" % order)]
     p, q = candidates[0]

@@ -5,6 +5,7 @@ tests that use them and not in the package.  So do the fixed-subcode
 shapes that pin a fixed theta series in closed form, which only the
 lattice and acceptance tests ask about, and the full-window catalog
 identification that `modfunc.identify` shortcuts with a prefix probe,
+the hand-padded catalog builders that the eta-quotient table replaced,
 the codeword walks that the basis-row doubling criteria replaced, the
 tuple-per-codeword census that the column census replaced, and the
 argparse parser that `cli.parse_args` replaced.
@@ -20,11 +21,11 @@ from thetaforge.codes import BinaryCode
 from thetaforge.errors import DomainError
 from thetaforge.lattice import (
     HALF, _block_product, _coset_parity, _images, _orbit_blocks,
-    _paired_blocks, _twist_parity,
+    _paired_blocks, _twist_parity, catalog_theta,
 )
 from thetaforge.modfunc import MT_NAMES, mckay_thompson, strip_constant
 from thetaforge.perms import Perm, parse_generators
-from thetaforge.qseries import DEN, PrecisionError, QSeries, exact_div
+from thetaforge.qseries import DEN, PrecisionError, QSeries, eta, exact_div
 from thetaforge.verify import FIGURE_IDS
 
 
@@ -300,6 +301,66 @@ def full_window_identify(f):
             return name, c - ce
     return None, None
 
+
+
+# ---------- the catalog builders that `modfunc._CATALOG` replaced ----------
+
+_PAD = 6 * DEN
+
+
+def _build_t4a(t48):
+    pad = t48 + _PAD
+    f = (eta(2, pad) ** 2 / (eta(1, pad) * eta(4, pad))) ** 24
+    return f
+
+
+def _build_t8b(t48):
+    return _build_t4a((t48 + DEN) // 2).dilate(2).pow_rational(Fraction(1, 2))
+
+
+def _build_t16a(t48):
+    return _build_t4a((t48 + 3 * DEN) // 4).dilate(4).pow_rational(Fraction(1, 4))
+
+
+def _build_t3a(t48):
+    pad = t48 + _PAD
+    u = eta(1, pad) ** 6 / eta(3, pad) ** 6
+    return (u + 27 * u.pow_rational(-1)) ** 2
+
+
+def _build_t6b(t48):
+    return _build_t3a((t48 + DEN) // 2).dilate(2).pow_rational(Fraction(1, 2))
+
+
+def _build_t12a(t48):
+    pad = t48 + _PAD
+    num = eta(2, pad) ** 2 * eta(6, pad) ** 2
+    den = eta(1, pad) * eta(4, pad) * eta(3, pad) * eta(12, pad)
+    return (num / den) ** 6
+
+
+def _build_t7a(t48):
+    pad = t48 + _PAD
+    a = eta(1, pad) * eta(7, pad) / (eta(2, pad) * eta(14, pad))
+    return (a + 4 * a.pow_rational(-2)) ** 3
+
+
+def _build_t1a(t48):
+    pad = t48 + _PAD
+    f = (catalog_theta("E8", 1, pad) / eta(1, pad) ** 8) ** 3
+    return f - 744
+
+
+CATALOG_BUILDERS = {
+    "T_1A": _build_t1a,
+    "T_4A": _build_t4a,
+    "T_8B": _build_t8b,
+    "T_16a": _build_t16a,
+    "T_3A": _build_t3a,
+    "T_6b": _build_t6b,
+    "T_12A": _build_t12a,
+    "T_7A": _build_t7a,
+}
 
 # ---------- the argparse command line, as the CLI built it before ----------
 

@@ -368,7 +368,8 @@ def test_trunc_below_one_is_refused(capsys, argv):
     ["replicable", "--krep", "0"],
     ["replicable", "--krep", "-2"],
     ["scan", str(DATA / "hamming8_classes.txt"), "--krep", "0"],
-], ids=["replicable-0", "replicable-negative", "scan-0"])
+    ["identify", "--krep", "0"],
+], ids=["replicable-0", "replicable-negative", "scan-0", "identify-0"])
 def test_krep_below_one_is_refused_before_computing(capsys, monkeypatch,
                                                     argv):
     def no_theta(*args):

@@ -31,7 +31,9 @@ from thetaforge.modfunc import (
 from thetaforge.perms import parse_generators, parse_perm
 from thetaforge.qseries import DEN, PrecisionError, QSeries, eta
 
-from oracles import full_window_identify, hamming8_class_representatives
+from oracles import (
+    CATALOG_BUILDERS, full_window_identify, hamming8_class_representatives,
+)
 
 T = lambda n: n * DEN
 
@@ -342,6 +344,20 @@ def test_all_named_series_are_integral_hauptmodul_shaped():
         assert f.lead_coeff() == 1
         assert f.is_integral()
         assert is_replicable(f, 12).verdict == "replicable-up-to-K_rep"
+
+
+# on and off the integer grid, from one power past q^0 up to 200 powers
+CATALOG_WINDOWS = (49, T(2), T(9), T(26), T(30), T(100) + 7, T(200))
+
+
+@pytest.mark.parametrize("name", MT_NAMES)
+def test_catalog_rows_match_the_hand_padded_builders(monkeypatch, name):
+    monkeypatch.setattr(modfunc, "_mt_cache", {})
+    for w in CATALOG_WINDOWS:   # each wider than the cached one: built afresh
+        got = mckay_thompson(name, w)
+        assert got == CATALOG_BUILDERS[name](w).truncate48(w), (name, w)
+        assert got.trunc48 == w
+        assert all(type(c) is int for c in got.coeffs.values()), (name, w)
 
 
 def test_unknown_series_name_rejected():
