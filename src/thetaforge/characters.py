@@ -16,35 +16,13 @@ from __future__ import annotations
 
 from .codes import BinaryCode
 from .errors import DomainError, ThetaforgeError
-from .lattice import (
-    doubling_code_criterion,
-    doubling_lattice_criterion,
-    flavor_theta,
-    kernel_theta,
-    lift_order,
-    require_even,
-    theta_twisted,
-)
+from .lattice import lift_order, require_even, theta_fixed, theta_twisted
 from .modfunc import eta_product, eta_quotient
 from .perms import Perm, group_elements
 from .qseries import DEN, QSeries, exact_int
 
 # Largest group whose character is averaged element by element.
 GROUP_CAP = 10000
-
-
-class LiftInfo:
-    """Lift data for one automorphism: order, doubling, kernel theta."""
-
-    def __init__(self, g, lattice_order, lift_order, doubling,
-                 code_doubling, witness, kernel_theta=None):
-        self.g = g
-        self.lattice_order = lattice_order
-        self.lift_order = lift_order
-        self.doubling = doubling
-        self.code_doubling = code_doubling
-        self.witness = witness
-        self.kernel_theta = kernel_theta
 
 
 class CharacterReport:
@@ -74,23 +52,6 @@ def _doubling_element(code: BinaryCode, elements, flavor: str):
     """
     return next((el for el in elements if el.order() % 2 == 0
                  and lift_order(code, el, flavor=flavor) > el.order()), None)
-
-
-def lift_info(code: BinaryCode, g: Perm, trunc48=None,
-              flavor: str = "plain") -> LiftInfo:
-    """Evaluate both doubling criteria; attach the kernel theta if asked.
-
-    The flavor's lattice criterion decides, and the code's verdict and
-    witness are reported alongside; for the plain glueing they agree.
-    """
-    m = g.order()
-    code_flag, witness = doubling_code_criterion(code, g)
-    lat_flag, _ = doubling_lattice_criterion(code, g, flavor=flavor)
-    kernel = None
-    if lat_flag and trunc48 is not None:
-        kernel = kernel_theta(code, g, trunc48, flavor=flavor)
-    return LiftInfo(g, m, m * (2 if lat_flag else 1), lat_flag,
-                    code_flag, witness, kernel)
 
 
 def trace_series(code: BinaryCode, g: Perm, j: int, trunc48: int,
@@ -152,9 +113,9 @@ def character_group(code: BinaryCode, gens, trunc48: int,
         raise DomainError(
             "element %s lifts with order doubling; "
             "the fixed-group character is not a plain average" % bad)
-    ch = _character([eta_quotient(lambda t: flavor_theta(code, [el], flavor, t),
-                                  el.cycle_type(), trunc48)
-                     for el in elements], code.n)
+    ch = _character(
+        [eta_quotient(lambda t: theta_fixed(code, [el], t, flavor=flavor),
+                      el.cycle_type(), trunc48) for el in elements], code.n)
     desc = "<%s>" % ", ".join(str(p) for p in gens)
     return CharacterReport(desc, code.n, len(elements), False, {}, ch)
 
@@ -170,7 +131,7 @@ def character_plus(source, trunc48: int, rank=None,
     """
     if isinstance(source, BinaryCode):
         N = source.n
-        theta_of = lambda t: flavor_theta(source, [], flavor, t)
+        theta_of = lambda t: theta_fixed(source, [], t, flavor=flavor)
     else:
         if rank is None:
             raise DomainError("a bare theta series needs its lattice rank")

@@ -22,10 +22,13 @@ from contextlib import nullcontext
 from types import SimpleNamespace
 
 from . import __version__
-from .characters import character_cyclic, character_group, lift_info
+from .characters import character_cyclic, character_group
 from .codes import CATALOG_CODES, load_code, mask_to_points
 from .errors import DomainError, ParseError, ThetaforgeError
-from .lattice import flavor_theta, require_even
+from .lattice import (
+    FLAVORS, doubling_code_criterion, kernel_theta, lift_order, require_even,
+    theta_fixed,
+)
 from .modfunc import identify, is_replicable, theta_quotient
 from .perms import orbit_type, parse_generators, read_group_file, type_str
 from .qseries import DEN, PrecisionError
@@ -40,7 +43,7 @@ REP_TRUNC = 26     # default for replicability and identification
 _FORMAT = {"--out": (str, None), "--json": (bool, False),
            "--table": (bool, False)}
 _INPUTS = {"--code": (str, "hamming8"), "--trunc": (int, None),
-           "--flavor": (("plain", "super0", "super1"), "plain")}
+           "--flavor": (FLAVORS, "plain")}
 _COMPUTE = {**_INPUTS, "--group": (str, None), "--group-file": (str, None),
             **_FORMAT}
 _DEEP = {**_COMPUTE, "--krep": (int, 12)}
@@ -97,26 +100,42 @@ def _dump(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _is_series(v):
+    return isinstance(v, dict) and "coeffs" in v and "lead_num48" in v
+
+
 def _render_value(v):
-    if isinstance(v, dict) and "coeffs" in v and "lead_num48" in v:
-        terms = []
-        for e, c in v["coeffs"]:
-            if e % DEN:
-                terms.append("%s q^(%d/48)" % (c, e))
-            else:
-                terms.append("%s q^%d" % (c, e // DEN))
-        return " + ".join(terms) if terms else "0"
-    return json.dumps(v, sort_keys=True)
+    if not _is_series(v):
+        return json.dumps(v, sort_keys=True)
+    terms = []
+    for e, c in v["coeffs"]:
+        if e % DEN:
+            terms.append("%s q^(%d/48)" % (c, e))
+        else:
+            terms.append("%s q^%d" % (c, e // DEN))
+    return " + ".join(terms) if terms else "0"
+
+
+def _render_rows(key, v, out):
+    """Rows for one value: a series row is followed by a row for each of
+    its other keys, and a mapping of series gets one row per series."""
+    if isinstance(v, dict) and v and all(map(_is_series, v.values())):
+        items = v.items()
+    else:
+        out.write("%-12s %s\n" % (key, _render_value(v)))
+        items = v.items() if _is_series(v) else ()
+    for k, x in sorted(items):
+        if k not in ("coeffs", "lead_num48", "trunc_num48"):
+            _render_rows("%s.%s" % (key, k), x, out)
 
 
 def _render_table(record, out):
     rows = record.get("rows")
     for key in sorted(record):
-        if key in ("outputs", "rows"):
-            continue
-        out.write("%-12s %s\n" % (key, _render_value(record[key])))
+        if key not in ("outputs", "rows"):
+            _render_rows(key, record[key], out)
     for key, value in sorted(record.get("outputs", {}).items()):
-        out.write("%-12s %s\n" % (key, _render_value(value)))
+        _render_rows(key, value, out)
     if rows:
         width = max(len(r["label"]) for r in rows) + 2
         for r in rows:
@@ -192,7 +211,7 @@ def _krep(args):
 
 def _quotient_pipeline(code, gens, flavor, trunc48):
     require_even(code, flavor)
-    theta = flavor_theta(code, gens, flavor, trunc48)
+    theta = theta_fixed(code, gens, trunc48, flavor=flavor)
     label = type_str(orbit_type(gens, code.n))
     return label, theta_quotient(theta, label, N=code.n)
 
@@ -213,8 +232,8 @@ def _run_compute(args):
     krep = _krep(args) if "--krep" in VERBS[command] else None
     trunc48 = trunc * DEN
     if command == "theta":
-        outputs = {"series": flavor_theta(
-            code, gens, args.flavor, trunc48).to_json_obj()}
+        outputs = {"series": theta_fixed(
+            code, gens, trunc48, flavor=args.flavor).to_json_obj()}
     elif command == "quotient":
         label, quo = _quotient_pipeline(code, gens, args.flavor, trunc48)
         outputs = {"orbit_type": label, "series": quo.to_json_obj()}
@@ -229,17 +248,19 @@ def _run_compute(args):
         if len(gens) != 1:
             raise DomainError("doubling checks a single automorphism;"
                               " give --group with one permutation")
-        info = lift_info(code, gens[0], trunc48=trunc48, flavor=args.flavor)
+        g = gens[0]
+        code_doubling, witness = doubling_code_criterion(code, g)
+        order = lift_order(code, g, flavor=args.flavor)
         outputs = {"doubling": {
-            "lattice_order": info.lattice_order,
-            "lift_order": info.lift_order,
-            "doubling": info.doubling,
-            "code_criterion": info.code_doubling,
-            "witness": (None if info.witness is None
-                        else mask_to_points(info.witness)),
+            "lattice_order": g.order(),
+            "lift_order": order,
+            "doubling": order > g.order(),
+            "code_criterion": code_doubling,
+            "witness": None if witness is None else mask_to_points(witness),
         }}
-        if info.kernel_theta is not None:
-            outputs["kernel_theta"] = info.kernel_theta.to_json_obj()
+        if order > g.order():
+            outputs["kernel_theta"] = kernel_theta(
+                code, g, trunc48, flavor=args.flavor).to_json_obj()
     else:  # character
         if len(gens) == 1:
             report = character_cyclic(code, gens[0], trunc48,

@@ -239,37 +239,18 @@ def require_even(code: BinaryCode, flavor: str) -> None:
         raise DomainError("the %s lattice of the code is odd" % flavor)
 
 
-def theta_fixed(code: BinaryCode, gens, trunc48: int) -> QSeries:
+def theta_fixed(code: BinaryCode, gens, trunc48: int,
+                flavor: str = "plain") -> QSeries:
     """Theta series of the sublattice fixed by the subgroup <gens>.
 
     Exponents count half the norm, so the series of an even lattice has
     integer exponents.  gens may be empty, giving the full lattice.
+    flavor picks the glueing: "plain", or "super0"/"super1" for the
+    a_Omega/4 construction with coset parity j = 0 or 1; that lattice
+    is even and unimodular when N/8 == j mod 2, and the Golay code with
+    "super1" gives the Leech lattice.
     """
-    return _census_theta(code, gens, trunc48)
-
-
-def theta_super(code: BinaryCode, gens, j: int, trunc48: int) -> QSeries:
-    """Theta series of the fixed sublattice for the a_Omega/4 glueing.
-
-    j in {0, 1} selects the parity of the coordinate sum on the shifted
-    cosets; the lattice is even and unimodular when N/8 == j mod 2.
-    The Golay code with j = 1 gives the Leech lattice.
-    """
-    if j not in (0, 1):
-        raise DomainError("coset parity j must be 0 or 1, got %r" % j)
-    return _census_theta(code, gens, trunc48, j=j)
-
-
-def flavor_theta(code: BinaryCode, gens, flavor: str, trunc48: int) -> QSeries:
-    """Fixed-sublattice theta for a glueing named by flavor.
-
-    "plain" is theta_fixed; "super0"/"super1" are theta_super with that
-    coset parity.
-    """
-    j = _coset_parity(flavor)
-    if j is None:
-        return theta_fixed(code, gens, trunc48)
-    return theta_super(code, gens, j, trunc48)
+    return _census_theta(code, gens, trunc48, j=_coset_parity(flavor))
 
 
 def theta_twisted(code: BinaryCode, g: Perm, j: int, trunc48: int,
@@ -278,17 +259,16 @@ def theta_twisted(code: BinaryCode, g: Perm, j: int, trunc48: int,
 
     Vectors are weighted by (-1)^{<v, g^{j/2} v>}.  For odd j (or odd
     order of g) the weight is trivial and the plain fixed theta is
-    returned.  flavor picks the glueing: "plain", or "super0"/"super1"
-    for the a_Omega/4 construction with that coset parity.
+    returned.  flavor picks the glueing, as in theta_fixed.
     """
     parity = _coset_parity(flavor)
     m = g.order()
     gj = g ** (j % m)
     if j % 2 or m % 2:
-        return flavor_theta(code, [gj], flavor, trunc48)
+        return theta_fixed(code, [gj], trunc48, flavor=flavor)
     if j % (2 * m) == 0:
         # the weight is <v, v> mod 2, trivial on an even lattice
-        return flavor_theta(code, [], flavor, trunc48)
+        return theta_fixed(code, [], trunc48, flavor=flavor)
     h = g ** (j // 2 % m)
     return _census_theta(code, [gj], trunc48, j=parity, twist=h)
 
@@ -304,7 +284,7 @@ def kernel_theta(code: BinaryCode, g: Perm, trunc48: int,
     m = g.order()
     if m % 2:
         raise DomainError("kernel sublattice needs an automorphism of even order")
-    full = flavor_theta(code, [], flavor, trunc48)
+    full = theta_fixed(code, [], trunc48, flavor=flavor)
     twisted = theta_twisted(code, g, m, trunc48, flavor=flavor)
     return ((full + twisted) / 2).truncate48(trunc48)
 

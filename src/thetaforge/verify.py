@@ -21,12 +21,12 @@ from math import isqrt
 
 from .characters import (
     GROUP_CAP, _doubling_element, character_cyclic, character_group,
-    character_plus, lift_info, trace_series,
+    character_plus, trace_series,
 )
 from .codes import catalog_code
 from .errors import DomainError
 from .lattice import (
-    catalog_theta, flavor_theta, is_even, kernel_theta, theta_fixed,
+    catalog_theta, is_even, kernel_theta, lift_order, theta_fixed,
     theta_matches,
 )
 from .modfunc import eta_quotient, identify, is_replicable, theta_quotient
@@ -352,7 +352,7 @@ def _is_half_cycle_type(g, N):
 def _fixed_theta_is(code, g, flavor, trunc48, name):
     """Whether the g-fixed theta is the catalog series `name` at scale 2."""
     window = max(trunc48 + 2 * DEN, 12 * DEN)
-    return theta_matches(flavor_theta(code, [g], flavor, window),
+    return theta_matches(theta_fixed(code, [g], window, flavor=flavor),
                          catalog_theta(name, 2, window))
 
 
@@ -364,7 +364,7 @@ def _d_lattice_character(N, trunc48):
 
 
 def _quotient_by_eta2(code, g, trunc48, flavor):
-    return eta_quotient(lambda t: flavor_theta(code, [g], flavor, t),
+    return eta_quotient(lambda t: theta_fixed(code, [g], t, flavor=flavor),
                         {2: code.n // 2}, trunc48)
 
 
@@ -374,7 +374,7 @@ def _check_thmC(which, code, g1, g2, trunc48, flavor):
         return [_hypotheses("first class must have cycle type 2^(N/2)")]
     if not _fixed_theta_is(code, g1, flavor, trunc48, "A1^%d" % (N // 2)):
         return [_hypotheses("first fixed theta is not the A1(2)^(N/2) series")]
-    if not lift_info(code, g1, flavor=flavor).doubling:
+    if lift_order(code, g1, flavor=flavor) == g1.order():
         return [_hypotheses("first lift does not double, no kernel sublattice")]
     if which == "ThmC-2":
         if g2 is None:
@@ -496,7 +496,7 @@ def _check_parity(code, g_rep, g_nr, trunc48, flavor):
     rows.append(_compare_on_parity(
         "nr character meets the negation-fixed character on even powers",
         ch_nr, ch_plus, N, 0))
-    if N % 16 == 8 and lift_info(code, g_rep, flavor=flavor).doubling:
+    if N % 16 == 8 and lift_order(code, g_rep, flavor=flavor) > g_rep.order():
         ch_rep = character_cyclic(code, g_rep, trunc48, flavor=flavor).character
         ch_ker = character_plus(
             lambda t: kernel_theta(code, g_rep, t, flavor=flavor), trunc48,

@@ -20,7 +20,7 @@ from thetaforge.cli import main
 from thetaforge.codes import catalog_code, load_code
 from thetaforge.lattice import (
     catalog_theta, doubling_code_criterion, doubling_lattice_criterion,
-    kernel_theta, theta_fixed, theta_matches, theta_super, theta_twisted,
+    kernel_theta, theta_fixed, theta_matches, theta_twisted,
 )
 from thetaforge.modfunc import (
     faber_table, identify, is_replicable, mckay_thompson, strip_constant,
@@ -296,13 +296,13 @@ def test_criterion_11_partition_shapes_pin_the_theta():
 
 def test_criterion_12_rank_24_stretch_rows():
     with gate(12, "rank-24 lattice rows and replicable quotients"):
-        leech = theta_super(GOLAY, [], 1, T(6))
+        leech = theta_fixed(GOLAY, [], T(6), flavor="super1")
         assert row(leech, 0, 6) == [
             1, 0, 196560, 16773120, 398034000, 4629381120]
         kernel = kernel_theta(GOLAY, HALFSWAP, T(6), flavor="super1")
         assert row(kernel, 0, 6) == [
             1, 0, 98256, 8384512, 199066704, 2314125312]
-        fixed = theta_super(GOLAY, [HALFSWAP], 1, T(11))
+        fixed = theta_fixed(GOLAY, [HALFSWAP], T(11), flavor="super1")
         quo = theta_quotient(fixed, "2^12", N=24)
         name, delta = identify(quo)
         assert name == "T_4A"

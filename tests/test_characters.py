@@ -12,9 +12,8 @@ import pytest
 
 from thetaforge import characters, lattice
 from thetaforge.characters import (
-    CharacterReport, LiftInfo, _character, _doubling_element,
-    character_cyclic, character_group, character_plus, lift_info,
-    trace_series,
+    CharacterReport, _character, _doubling_element, character_cyclic,
+    character_group, character_plus, trace_series,
 )
 from thetaforge.codes import BinaryCode, catalog_code
 from thetaforge.errors import DomainError, ThetaforgeError
@@ -93,20 +92,15 @@ def test_character_cyclic_decides_the_lift_order_once(monkeypatch):
 
 # ---------- lift data ----------
 
-def test_lift_info_orders_and_kernel():
-    info = lift_info(HAM, REP24, trunc48=T(8))
-    assert (info.lattice_order, info.lift_order) == (2, 4)
-    assert info.doubling and info.code_doubling
-    assert info.witness is not None
-    assert info.kernel_theta.matches(catalog_theta("D8", 1, T(8)))
-    assert info.kernel_theta.matches(kernel_theta(HAM, REP24, T(8)))
+def test_lift_orders_and_kernel():
+    assert (REP24.order(), lift_order(HAM, REP24)) == (2, 4)
+    doubled, witness = doubling_code_criterion(HAM, REP24)
+    assert doubled and witness is not None
+    assert kernel_theta(HAM, REP24, T(8)).matches(catalog_theta("D8", 1, T(8)))
 
-    info = lift_info(HAM, NR24)
-    assert (info.lift_order, info.doubling) == (2, False)
-    assert info.kernel_theta is None
-
-    assert lift_info(HAM, EX_G).lift_order == 8
-    assert lift_info(HAM, parse_perm("(1,5,2)(3,7,8)", 8)).lift_order == 3
+    assert lift_order(HAM, NR24) == 2
+    assert lift_order(HAM, EX_G) == 8
+    assert lift_order(HAM, parse_perm("(1,5,2)(3,7,8)", 8)) == 3
 
 
 def test_code_criterion_alone():
@@ -234,7 +228,7 @@ def test_characters_refuse_odd_lattices_before_computing(monkeypatch, build):
         raise AssertionError("computed a theta series for an odd lattice")
 
     monkeypatch.setattr(characters, "theta_twisted", no_theta)
-    monkeypatch.setattr(characters, "flavor_theta", no_theta)
+    monkeypatch.setattr(characters, "theta_fixed", no_theta)
     with pytest.raises(DomainError) as err:
         build()
     assert str(err.value) == "the super0 lattice of the code is odd"

@@ -151,6 +151,25 @@ def test_table_mode_renders_series_terms(capsys):
     assert "fingerprint" in out
 
 
+def test_table_mode_keeps_every_field_of_a_character(capsys):
+    argv = ["character", "--group", "(1,7)(2,4)(3,8)(5,6)", "--trunc", "2"]
+    code, out, err = run(capsys, *argv, "--table")
+    assert code == 0
+    # the series row, then one row for each other key of the record
+    assert out.splitlines()[-7:] == [
+        "character    1 q^(-16/48) + 64 q^(32/48) + 1052 q^(80/48)",
+        "character.doubling true",
+        "character.lift_order 4",
+        "character.per_j.0 1 q^(-16/48) + 248 q^(32/48) + 4124 q^(80/48)",
+        "character.per_j.1 1 q^(-16/48) + 8 q^(32/48) + 28 q^(80/48)",
+        "character.per_j.2 1 q^(-16/48) + -8 q^(32/48) + 28 q^(80/48)",
+        "character.per_j.3 1 q^(-16/48) + 8 q^(32/48) + 28 q^(80/48)",
+    ]
+    ch = run_json(capsys, *argv)["outputs"]["character"]
+    assert sorted(ch) == ["coeffs", "doubling", "lead_num48", "lift_order",
+                          "per_j", "trunc_num48"]
+
+
 # ---------- the individual commands ----------
 
 def test_quotient_reports_orbit_type_and_pole(capsys):
@@ -203,6 +222,11 @@ def test_doubling_reports_both_criteria_and_the_witness(capsys):
                  "code_criterion": True, "witness": [1, 6, 7, 8]}
     kt = rec["outputs"]["kernel_theta"]
     assert kt["coeffs"][:3] == [[0, 1], [48, 112], [96, 1136]]
+    # a lift that keeps its order has no kernel sublattice to report
+    rec = run_json(capsys, "doubling", "--group", "(1,2)(3,8)(4,7)(5,6)")
+    assert rec["outputs"] == {"doubling": {
+        "lattice_order": 2, "lift_order": 2, "doubling": False,
+        "code_criterion": False, "witness": None}}
 
 
 def test_doubling_refuses_a_code_that_is_not_doubly_even(capsys, tmp_path):
@@ -290,7 +314,7 @@ def test_broken_character_invariant_exits_3(capsys, monkeypatch):
         raise AssertionError("computed a theta series for an odd lattice")
 
     monkeypatch.setattr(characters, "theta_twisted", no_theta)
-    monkeypatch.setattr(characters, "flavor_theta", no_theta)
+    monkeypatch.setattr(characters, "theta_fixed", no_theta)
     for group in ("(1,7)(2,4)(3,8)(5,6)",
                   "(1,2)(3,8)(4,7)(5,6), (1,3)(2,8)(4,6)(5,7)"):
         code, out, err = run(capsys, "character", "--flavor", "super0",
@@ -313,10 +337,10 @@ ODD = ["--flavor", "super0", "--group", "(1,5,2)(3,7,8)"]
 ], ids=["quotient", "replicable", "identify", "scan"])
 def test_odd_lattices_are_refused_before_computing(capsys, monkeypatch, argv):
     # N/8 = 1 is odd, so the super0 glueing of hamming8 is odd
-    def no_theta(*args):
+    def no_theta(*args, **kwargs):
         raise AssertionError("computed a theta series for an odd lattice")
 
-    monkeypatch.setattr(cli, "flavor_theta", no_theta)
+    monkeypatch.setattr(cli, "theta_fixed", no_theta)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -372,10 +396,10 @@ def test_trunc_below_one_is_refused(capsys, argv):
 ], ids=["replicable-0", "replicable-negative", "scan-0", "identify-0"])
 def test_krep_below_one_is_refused_before_computing(capsys, monkeypatch,
                                                     argv):
-    def no_theta(*args):
+    def no_theta(*args, **kwargs):
         raise AssertionError("computed a theta series for a bad --krep")
 
-    monkeypatch.setattr(cli, "flavor_theta", no_theta)
+    monkeypatch.setattr(cli, "theta_fixed", no_theta)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""

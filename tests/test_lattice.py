@@ -21,8 +21,8 @@ from thetaforge.errors import DomainError
 from thetaforge.lattice import (
     FLAVORS, _census_theta, _coset_parity, catalog_theta,
     doubling_code_criterion,
-    doubling_lattice_criterion, flavor_theta, is_even, kernel_theta,
-    lift_order, theta_fixed, theta_matches, theta_super, theta_twisted,
+    doubling_lattice_criterion, is_even, kernel_theta, lift_order,
+    theta_fixed, theta_matches, theta_twisted,
 )
 from thetaforge.perms import Perm, orbits, parse_generators, parse_perm
 from thetaforge.qseries import DEN, QSeries, eta, shifted_theta
@@ -174,7 +174,7 @@ def test_oversized_codes_are_refused_on_every_route():
     big = BinaryCode(26, [1 << i for i in range(25)])
     one = Perm.identity(26)
     routes = (lambda: theta_fixed(big, [], T(4)),
-              lambda: theta_super(big, [], 0, T(4)),
+              lambda: theta_fixed(big, [], T(4), flavor="super0"),
               lambda: theta_twisted(big, one, 0, T(4)))
     for route in routes:
         with pytest.raises(DomainError, match=r"refusing to enumerate 2\^25"):
@@ -215,29 +215,25 @@ def test_is_even_on_the_catalog_codes():
 
 
 def test_super_hamming_is_e8():
-    assert theta_super(HAM, [], 1, T(12)).matches(catalog_theta("E8", 1, T(12)))
+    assert theta_fixed(HAM, [], T(12), flavor="super1").matches(
+        catalog_theta("E8", 1, T(12)))
 
 
 def test_super_theta_against_oracle():
-    th = theta_super(HAM, [], 1, T(6))
+    th = theta_fixed(HAM, [], T(6), flavor="super1")
     assert_matches_oracle(th, oracle_theta(HAM, [], T(6), super_j=1))
-    th = theta_super(HAM, [EX_G], 1, T(6))
+    th = theta_fixed(HAM, [EX_G], T(6), flavor="super1")
     assert_matches_oracle(th, oracle_theta(HAM, [EX_G], T(6), super_j=1))
 
 
 def test_super_rejects_bad_parity():
-    with pytest.raises(DomainError):
-        theta_super(HAM, [], 2, T(6))
+    with pytest.raises(DomainError, match="unknown lattice flavor"):
+        theta_fixed(HAM, [], T(6), flavor="super2")
 
 
 def test_flavor_dispatch():
-    assert flavor_theta(HAM, [EX_G], "plain", T(8)).matches(
-        theta_fixed(HAM, [EX_G], T(8)))
-    for j in (0, 1):
-        assert flavor_theta(HAM, [EX_G], "super%d" % j, T(8)).matches(
-            theta_super(HAM, [EX_G], j, T(8)))
     calls = [
-        lambda: flavor_theta(HAM, [], "super2", T(4)),
+        lambda: theta_fixed(HAM, [], T(4), flavor="super2"),
         lambda: theta_twisted(HAM, REP24, 2, T(4), flavor="super2"),
         lambda: kernel_theta(HAM, REP24, T(4), flavor="super2"),
         lambda: doubling_lattice_criterion(HAM, REP24, "super2"),
@@ -249,7 +245,7 @@ def test_flavor_dispatch():
 
 def test_leech_theta():
     golay = catalog_code("golay24")
-    th = theta_super(golay, [], 1, T(5))
+    th = theta_fixed(golay, [], T(5), flavor="super1")
     assert th.integer_coefficients(0, 4) == [1, 0, 196560, 16773120, 398034000]
 
 

@@ -20,7 +20,7 @@ from thetaforge.characters import trace_series
 from thetaforge.codes import catalog_code
 from thetaforge.errors import DomainError, ParseError, ThetaforgeError
 from thetaforge.lattice import (
-    FLAVORS, catalog_theta, flavor_theta, is_even, lift_order, theta_fixed,
+    FLAVORS, catalog_theta, is_even, lift_order, theta_fixed,
     theta_twisted,
 )
 from thetaforge.modfunc import (
@@ -404,7 +404,7 @@ def test_split_orbit_theta_identifies_as_t12a():
 @pytest.mark.parametrize("flavor", ["plain", "super1"])
 def test_identify_agrees_with_the_full_window_loop_on_the_classes(powers, flavor):
     for g in hamming8_class_representatives():
-        th = flavor_theta(HAM, [g], flavor, T(powers))
+        th = theta_fixed(HAM, [g], T(powers), flavor=flavor)
         f = theta_quotient(th, g.cycle_type(), N=8)
         assert identify(f) == full_window_identify(f), (g, powers)
 

@@ -14,7 +14,9 @@ pay for, so only the function that computes a digest imports it.  No module
 imports ``argparse``, ``optparse`` or ``gettext`` at all: every CLI job
 is a short process, and argparse with gettext and locale cost about
 4 ms of each, so the command line is read by `cli.parse_args` against
-the `cli.VERBS` table.
+the `cli.VERBS` table.  The flavor names of the a_Omega/4 glueing are
+spelled only in `lattice`, which dispatches on them; every other module
+takes them from `lattice.FLAVORS` or passes a flavor through.
 """
 
 import ast
@@ -203,3 +205,27 @@ def test_parser_guard_sees_every_form():
         "import argparse_helpers\n")
     assert sorted(node.lineno for node in ast.walk(tree)
                   if _imports_a_parser(node)) == [1, 2, 3, 5]
+
+
+def _names_a_flavor(node):
+    """A string constant spelling a flavor of the a_Omega/4 glueing."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in ("super0", "super1"))
+
+
+def test_flavor_names_are_spelled_only_in_lattice():
+    assert _offending_nodes(_names_a_flavor, skip=("lattice.py",)) == []
+
+
+def test_flavor_guard_sees_every_form():
+    tree = ast.parse(
+        "a = 'super0'\n"
+        "b = ('plain', 'super0', 'super1')\n"
+        "f(flavor='super1')\n"
+        "c = {'super1': 1}\n"
+        "d = 'super2'\n"
+        "e = 'the super1 lattice'\n"
+        "g = b'super0'\n"
+        "h = 'super%d' % j\n")
+    assert sorted(node.lineno for node in ast.walk(tree)
+                  if _names_a_flavor(node)) == [1, 2, 2, 3, 4]

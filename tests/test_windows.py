@@ -13,7 +13,7 @@ from thetaforge.characters import (
 )
 from thetaforge.codes import catalog_code
 from thetaforge.lattice import (
-    catalog_theta, flavor_theta, kernel_theta, lift_order, theta_twisted,
+    catalog_theta, kernel_theta, lift_order, theta_fixed, theta_twisted,
 )
 from thetaforge.modfunc import (
     MT_NAMES, eta_product, eta_quotient, mckay_thompson, orbit_degree,
@@ -48,15 +48,15 @@ def _trace(draw, w):
 
 def _eta_quotient(draw, w):
     g, flavor = draw(classes), draw(all_flavors)
-    return eta_quotient(lambda t: flavor_theta(HAM, [g], flavor, t),
+    return eta_quotient(lambda t: theta_fixed(HAM, [g], t, flavor=flavor),
                         g.cycle_type(), w)
 
 
 def _theta_quotient(draw, w):
     g = draw(classes)
     # the documented window is the theta's less 4N for degree N
-    theta = flavor_theta(HAM, [g], draw(even_flavors),
-                         w + 4 * orbit_degree(g.cycle_type()))
+    theta = theta_fixed(HAM, [g], w + 4 * orbit_degree(g.cycle_type()),
+                        flavor=draw(even_flavors))
     return theta_quotient(theta, g.cycle_type())
 
 
@@ -65,13 +65,13 @@ def _character_plus(draw, w):
     if draw(st.booleans()):
         return character_plus(HAM, w, flavor=flavor)
     # a precomputed theta needs 2N = 16 48ths past the window
-    theta = flavor_theta(HAM, [], flavor, w + draw(st.integers(0, 32)))
+    theta = theta_fixed(HAM, [], w + draw(st.integers(0, 32)), flavor=flavor)
     return character_plus(theta, w, rank=8)
 
 
 ENTRY_POINTS = {
-    "flavor_theta": lambda draw, w: flavor_theta(
-        HAM, [draw(classes)], draw(all_flavors), w),
+    "theta_fixed": lambda draw, w: theta_fixed(
+        HAM, [draw(classes)], w, flavor=draw(all_flavors)),
     "theta_twisted": lambda draw, w: theta_twisted(
         HAM, draw(classes), draw(st.integers(0, 8)), w,
         flavor=draw(all_flavors)),
