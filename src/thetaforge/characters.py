@@ -12,13 +12,14 @@ Every eta division goes through `modfunc.eta_quotient`, and callers
 hand it each theta as a function of the window, never a padded series.
 """
 
-from __future__ import annotations
+from collections import Counter
+from operator import mul
 
 from .codes import BinaryCode
 from .errors import DomainError, ThetaforgeError
 from .lattice import lift_order, require_even, theta_fixed, theta_twisted
 from .modfunc import eta_product, eta_quotient
-from .perms import Perm, group_elements
+from .perms import Perm, group_elements, orbits
 from .qseries import DEN, QSeries, exact_int
 
 # Largest group whose character is averaged element by element.
@@ -75,9 +76,15 @@ def _trace(code, g, j, trunc48, flavor):
                         (g ** (j % g.order())).cycle_type(), trunc48)
 
 
-def _character(terms, N):
-    """Mean of the trace series, checked as the character of a rank-N VOA."""
-    ch = sum(terms[1:], terms[0]) / len(terms)
+def _character(terms, N, counts=None):
+    """Mean of the trace series, checked as the character of a rank-N VOA.
+
+    counts[i], when given, is the number of elements whose trace is
+    terms[i].
+    """
+    counts = counts or [1] * len(terms)
+    total = sum(map(mul, terms[1:], counts[1:]), terms[0] * counts[0])
+    ch = total / sum(counts)
     if ch.valuation48() != -2 * N:
         raise ThetaforgeError("character pole is off")
     for e, c in ch.coeffs.items():
@@ -113,9 +120,21 @@ def character_group(code: BinaryCode, gens, trunc48: int,
         raise DomainError(
             "element %s lifts with order doubling; "
             "the fixed-group character is not a plain average" % bad)
-    ch = _character(
-        [eta_quotient(lambda t: theta_fixed(code, [el], t, flavor=flavor),
-                      el.cycle_type(), trunc48) for el in elements], code.n)
+    # An element's trace reads only its cycles as point sets (the fixed
+    # subcode, the orbit blocks and the cycle type), so each partition
+    # is traced once and weighted by its count.  A repeat that is not
+    # an automorphism is refused, as its own trace would refuse it.
+    traces, counts = {}, Counter()
+    for el in elements:
+        cycles = tuple(orbits([el], code.n))
+        if cycles not in traces:
+            traces[cycles] = eta_quotient(
+                lambda t: theta_fixed(code, [el], t, flavor=flavor),
+                el.cycle_type(), trunc48)
+        elif not code.is_automorphism(el):
+            raise DomainError("%s is not an automorphism of the code" % el)
+        counts[cycles] += 1
+    ch = _character(list(traces.values()), code.n, list(counts.values()))
     desc = "<%s>" % ", ".join(str(p) for p in gens)
     return CharacterReport(desc, code.n, len(elements), False, {}, ch)
 

@@ -10,13 +10,16 @@ short process about 4 ms.  Flags are spelled in full, and a usage error
 exits 2 in argparse's wording.  Scans run their lines one after the
 other, keep going past bad input lines, and emit records in input
 order.
+
+Records and fingerprints are written by `_json`, which gives the bytes
+of `json.dumps(..., sort_keys=True)` for the types records hold; the
+json module itself cost each process about 3 ms to import.  A process
+started for one job flushes stdout and stderr itself, so a failed write
+exits 3 with its error record, and then ends with `os._exit`, skipping
+the interpreter's teardown.
 """
 
-from __future__ import annotations
-
-import gc
-import json
-import re
+import os
 import sys
 from contextlib import nullcontext
 from types import SimpleNamespace
@@ -24,7 +27,7 @@ from types import SimpleNamespace
 from . import __version__
 from .characters import character_cyclic, character_group
 from .codes import CATALOG_CODES, load_code, mask_to_points
-from .errors import DomainError, ParseError, ThetaforgeError
+from .errors import DomainError, ParseError, ThetaforgeError, read_lines
 from .lattice import (
     FLAVORS, doubling_code_criterion, kernel_theta, lift_order, require_even,
     theta_fixed,
@@ -52,7 +55,6 @@ VERBS = {"theta": _COMPUTE, "quotient": _COMPUTE, "replicable": _DEEP,
          "verify": {"figure": (FIGURE_IDS, None), **_FORMAT},
          "scan": {"file": (str, None), **_INPUTS, "--krep": (int, 12),
                   **_FORMAT}}
-_FLAG = re.compile(r"-(?!\d+$|\d*\.\d+$).")   # a negative number is a value
 
 _EXIT_CODES = (
     (ParseError, 2),
@@ -74,10 +76,69 @@ def _sha256(data):
     return sha256(data).hexdigest()
 
 
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r",
+            "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+
+
+def _json_str(s):
+    """A JSON string literal with json's ensure_ascii escapes."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"%s"' % s
+    out = []
+    for ch in s:
+        o = ord(ch)
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif 0x20 <= o < 0x7f:
+            out.append(ch)
+        elif o > 0xffff:   # a surrogate pair
+            o -= 0x10000
+            out.append("\\u%04x\\u%04x"
+                       % (0xd800 | o >> 10, 0xdc00 | o & 0x3ff))
+        else:
+            out.append("\\u%04x" % o)
+    return '"%s"' % "".join(out)
+
+
+def _json(obj, item=", ", key=": ", indent="", newline=""):
+    """json.dumps(obj, sort_keys=True) in the layouts that cli writes.
+
+    item and key are json's separators.  indent is one level's indent,
+    and newline is the line break and indent of obj's own line; both
+    are "" for a one-line layout.  It takes the types that records
+    hold: dicts with str keys, lists, tuples, str, int, bool and None.
+    Anything else raises TypeError, so no other output is ever written.
+    """
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + indent
+    if isinstance(obj, (list, tuple)):
+        ends, parts = "[]", [_json(v, item, key, indent, inner) for v in obj]
+    elif isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("keys must be str")
+        ends = "{}"
+        parts = [_json_str(k) + key + _json(v, item, key, indent, inner)
+                 for k, v in sorted(obj.items())]
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(obj).__name__)
+    if not parts:
+        return ends
+    return ends[0] + inner + (item + inner).join(parts) + newline + ends[1]
+
+
 def _fingerprint(job, contents):
     """sha256 of the job, with the path inputs replaced by `contents`."""
-    blob = json.dumps(dict(job, **contents), sort_keys=True,
-                      separators=(",", ":"))
+    blob = _json(dict(job, **contents), ",", ":")
     return _sha256(blob.encode())
 
 
@@ -97,7 +158,7 @@ def _path_contents(args):
 
 
 def _dump(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _json(obj, ",", ": ", "  ", "\n") + "\n"
 
 
 def _is_series(v):
@@ -106,7 +167,7 @@ def _is_series(v):
 
 def _render_value(v):
     if not _is_series(v):
-        return json.dumps(v, sort_keys=True)
+        return _json(v)
     terms = []
     for e, c in v["coeffs"]:
         if e % DEN:
@@ -292,24 +353,23 @@ def _run_scan(args):
     require_even(code, args.flavor)
     contents = _path_contents(args)
     records = []
-    with open(args.file) as fh:
-        for i, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            job = {"command": "scan-line", "code": args.code,
-                   "flavor": args.flavor, "group": text, "trunc": trunc,
-                   "krep": krep}
-            record = {"line": i, "input": text,
-                      "fingerprint": _fingerprint(job, contents),
-                      "version": __version__}
-            try:
-                gens = parse_generators(text, code.n)
-                record["outputs"] = _replicability(
-                    code, gens, args.flavor, trunc * DEN, krep)
-            except (ThetaforgeError, PrecisionError) as exc:
-                record["error"] = _error(exc)
-            records.append(record)
+    for i, raw in enumerate(read_lines(args.file), start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        job = {"command": "scan-line", "code": args.code,
+               "flavor": args.flavor, "group": text, "trunc": trunc,
+               "krep": krep}
+        record = {"line": i, "input": text,
+                  "fingerprint": _fingerprint(job, contents),
+                  "version": __version__}
+        try:
+            gens = parse_generators(text, code.n)
+            record["outputs"] = _replicability(
+                code, gens, args.flavor, trunc * DEN, krep)
+        except (ThetaforgeError, PrecisionError) as exc:
+            record["error"] = _error(exc)
+        records.append(record)
     failed = sum(1 for r in records if "error" in r)
     _emit(args, records)
     if failed:
@@ -338,6 +398,22 @@ def _exit(verb, error=None):
     raise SystemExit(2 if error else 0)
 
 
+def _is_flag(token):
+    """Whether a token is a flag; "-5" and "-.5" are values, as in argparse.
+
+    A dash and one more character make a flag, unless the rest is a
+    number: decimal digits, or digits around one dot with at least one
+    after it.  As in argparse's pattern, the rest may end in one
+    newline, and a newline right after the dash is not a flag.
+    """
+    if token[:1] != "-" or token[1:2] in ("", "\n"):
+        return False
+    rest = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, frac = rest.partition(".")
+    return not (rest.isdecimal() or dot and frac.isdecimal()
+                and (whole == "" or whole.isdecimal()))
+
+
 def parse_args(argv):
     """Read argv against VERBS into the attributes that the verbs read.
 
@@ -360,9 +436,9 @@ def parse_args(argv):
         name, eq, value = token.partition("=")
         if token in ("-h", "--help"):
             _exit(verb)
-        if not _FLAG.match(token) and wanted:
+        if not _is_flag(token) and wanted:
             name, value = wanted.pop(0), token
-        elif not _FLAG.match(token) or name not in spec:
+        elif not _is_flag(token) or name not in spec:
             extras.append(token)
             continue
         elif spec[name][0] is bool:   # --json or --table
@@ -373,7 +449,7 @@ def parse_args(argv):
             switch, value = name, True
         elif not eq:
             value = next(tokens, None)
-            if value is None or _FLAG.match(value):
+            if value is None or _is_flag(value):
                 _exit(verb, "argument %s: expected one argument" % name)
         convert = spec[name][0]
         if isinstance(convert, tuple) and value not in convert:
@@ -396,26 +472,34 @@ def parse_args(argv):
 def main(argv=None):
     """Run one verb; argv None means this process was started for it.
 
-    A started process freezes its start-up heap: the objects made by
-    the imports live until exit, and frozen, neither the collector nor
-    the interpreter's teardown walks them.  Objects made afterwards are
-    still collected.  A call with an argv list changes no state of the
-    process.
+    A started process flushes stdout and stderr itself, so a failed
+    write gives the OSError record and exit 3, and then it ends with
+    os._exit.  The interpreter's teardown would only free the objects
+    of a process that is about to end, and the package registers no
+    atexit handler.  Help and usage errors leave by SystemExit in
+    either case.  A call with an argv list returns the exit status and
+    changes no state of the process.
     """
-    if argv is None:
-        gc.freeze()
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    started = argv is None
+    args = parse_args(sys.argv[1:] if started else argv)
     try:
         if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "scan":
-            return _run_scan(args)
-        return _run_compute(args)
+            status = _run_verify(args)
+        elif args.command == "scan":
+            status = _run_scan(args)
+        else:
+            status = _run_compute(args)
+        if started:
+            sys.stdout.flush()
+            sys.stderr.flush()
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
-        code = next(c for cls, c in _EXIT_CODES if isinstance(exc, cls))
+        status = next(c for cls, c in _EXIT_CODES if isinstance(exc, cls))
         sys.stderr.write(_dump({"error": _error(exc)}))
-        return code
+    if not started:
+        return status
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

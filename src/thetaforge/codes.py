@@ -6,9 +6,7 @@ extended Hamming code of length 8, the extended Golay code of length 24
 in (I | B) form, and their direct-sum combination of length 16.
 """
 
-from __future__ import annotations
-
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_lines
 from .perms import Perm
 
 HAMMING8_ROWS = [
@@ -97,11 +95,10 @@ class BinaryCode:
     @classmethod
     def from_file(cls, path):
         rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    rows.append(line)
+        for line in read_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if line:
+                rows.append(line)
         if not rows:
             raise ParseError("no generator rows in %s" % path)
         return cls.from_rows_text(rows)

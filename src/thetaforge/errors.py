@@ -1,4 +1,5 @@
-"""Shared exception types, so the CLI can map failures to diagnostics."""
+"""Shared exception types, so the CLI can map failures to diagnostics,
+and the reader of input files, which are UTF-8 in every locale."""
 
 
 class ThetaforgeError(Exception):
@@ -11,3 +12,13 @@ class ParseError(ThetaforgeError, ValueError):
 
 class DomainError(ThetaforgeError, ValueError):
     """Structurally valid input outside the supported domain."""
+
+
+def read_lines(path):
+    """The lines of a UTF-8 text file; undecodable bytes are a ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                "%s is not UTF-8 text: %s" % (path, exc)) from None

@@ -44,8 +44,6 @@ quarter-shifted cosets the e8 rule adds |B|/2 + N/8 with β = 1, and
 |B|/2 is even, so those cosets add only the constant N/8 + j.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from fractions import Fraction
 from operator import and_
@@ -336,7 +334,8 @@ def lift_order(code: BinaryCode, g: Perm, flavor: str = "plain") -> int:
     return g.order() * (2 if doubled else 1)
 
 
-_CATALOG_RE = re.compile(r"(A1|A2|K|E8|D(\d+)(\*?))(?:\^(\d+))?\Z")
+# compiled, and cached by re, on first use
+_CATALOG_RE = r"(A1|A2|K|E8|D(\d+)(\*?))(?:\^(\d+))?\Z"
 
 
 def _gram2_series(a, b, c, trunc48):
@@ -367,7 +366,7 @@ def catalog_theta(name: str, scale: int = 1, trunc48: int = 16 * DEN) -> QSeries
     integer, dilating exponents; the A1(2) of rank-one fixed sublattices
     is catalog_theta("A1", 2).
     """
-    match = _CATALOG_RE.match(name.replace(" ", ""))
+    match = re.match(_CATALOG_RE, name.replace(" ", ""))
     if match is None:
         raise DomainError("unknown catalog lattice %r" % name)
     if scale < 1:

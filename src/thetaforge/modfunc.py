@@ -16,8 +16,6 @@ a result exact below t needs the numerator through t + 2N and the eta
 product of degree N through t + 4N.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from functools import partial
@@ -28,7 +26,7 @@ from .errors import DomainError, ParseError, ThetaforgeError
 from .lattice import catalog_theta
 from .qseries import DEN, PrecisionError, QSeries, eta, exact_div, exact_int
 
-_PART_RE = re.compile(r"(\d+)(?:\^(\d+))?\Z")
+_PART_RE = r"(\d+)(?:\^(\d+))?\Z"   # compiled, and cached by re, on first use
 
 
 def parse_orbit_type(spec):
@@ -40,7 +38,7 @@ def parse_orbit_type(spec):
     if isinstance(spec, str):
         counts = {}
         for tok in spec.split():
-            m = _PART_RE.match(tok)
+            m = re.match(_PART_RE, tok)
             if not m:
                 raise ParseError("bad orbit-type token %r in %r" % (tok, spec))
             t = int(m.group(1))

@@ -5,12 +5,10 @@ is disjoint-cycle notation on 1-based points, e.g. "(2,8,4,6)(3,5)",
 with "()" for the identity.
 """
 
-from __future__ import annotations
-
 import re
 from math import lcm
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_lines
 
 GROUP_ELEMENT_CAP = 10 ** 6
 
@@ -119,17 +117,18 @@ class Perm:
         return "Perm(%s)" % str(self)
 
 
-_TOKEN = re.compile(r"\(|\)|,|\s+|\d+")
+_TOKEN = r"\(|\)|,|\s+|\d+"   # compiled, and cached by re, on first use
 
 
 def parse_perm(text, n):
     """Parse one permutation in cycle notation on points 1..n."""
+    token = re.compile(_TOKEN)
     pos = 0
     images = list(range(n))
     touched = set()
     cycle = None
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if not m:
             raise ParseError("unexpected token %r in permutation %r"
                              % (text[pos], text))
@@ -200,11 +199,10 @@ def read_group_file(path, n):
     """One generating set per file: one permutation per nonempty line;
     '#' starts a comment."""
     gens = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                gens.append(parse_perm(line, n))
+    for line in read_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            gens.append(parse_perm(line, n))
     if not gens:
         raise ParseError("no permutations found in %s" % path)
     return gens

@@ -25,8 +25,6 @@ on the exponent stride of f, which costs O(T^2) for T terms; with
 f = c q^v (1 + ...) the result is exact below trunc48 - v + r v.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd
 

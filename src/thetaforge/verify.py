@@ -15,8 +15,6 @@ here too.  `verify_identity` runs one on given inputs and reports rows
 of the same kind, so the thmC, thmD and ex81 figures carry its rows.
 """
 
-from __future__ import annotations
-
 from math import isqrt
 
 from .characters import (

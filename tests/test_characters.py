@@ -19,10 +19,11 @@ from thetaforge.codes import BinaryCode, catalog_code
 from thetaforge.errors import DomainError, ThetaforgeError
 from thetaforge.lattice import (
     catalog_theta, doubling_code_criterion, doubling_lattice_criterion,
-    kernel_theta, lift_order)
-from thetaforge.perms import parse_generators, parse_perm
+    kernel_theta, lift_order, theta_fixed)
+from thetaforge.modfunc import eta_quotient
+from thetaforge.perms import group_elements, parse_generators, parse_perm
 from thetaforge.qseries import DEN, PrecisionError, QSeries
-from thetaforge.verify import verify_identity
+from thetaforge.verify import _SUBGROUP_CLASSES, verify_identity
 
 T = lambda n: n * DEN
 
@@ -251,6 +252,45 @@ def test_group_character_uses_the_flavor_doubling_criterion():
     with pytest.raises(DomainError) as err:
         character_group(HAM, gens, 8 * DEN, flavor="super0")
     assert str(err.value) == "the super0 lattice of the code is odd"
+
+
+def _elementwise_character(code, gens, trunc48, flavor):
+    """The mean of one trace per element, each computed on its own."""
+    terms = [eta_quotient(
+        lambda t: theta_fixed(code, [el], t, flavor=flavor),
+        el.cycle_type(), trunc48) for el in group_elements(gens)]
+    return sum(terms[1:], terms[0]) / len(terms)
+
+
+@pytest.mark.parametrize("flavor", ["plain", "super1"])
+@pytest.mark.parametrize("text", [t for t, _ in _SUBGROUP_CLASSES if t])
+def test_group_character_is_the_mean_over_every_element(text, flavor):
+    # character_group traces each partition of the points into cycles
+    # once; the mean must be the element-by-element one
+    gens = parse_generators(text, 8)
+    if _doubling_element(HAM, group_elements(gens), flavor) is not None:
+        with pytest.raises(DomainError, match="lifts with order doubling"):
+            character_group(HAM, gens, T(3), flavor=flavor)
+        return
+    got = character_group(HAM, gens, T(3), flavor=flavor).character
+    want = _elementwise_character(HAM, gens, T(3), flavor)
+    assert got.to_json_obj() == want.to_json_obj()
+
+
+def test_group_character_refuses_a_repeated_partition_off_the_code(
+        monkeypatch):
+    # (1,2,3)(4,5,6) is an automorphism of this code and (1,2,3)(4,6,5),
+    # with the same cycles as point sets, is not; the second one's
+    # trace is never computed, so the automorphism check has to refuse it
+    code = BinaryCode.from_rows_text(["10010011", "01001011", "00100111"])
+    good, bad = parse_generators("(1,2,3)(4,5,6), (1,2,3)(4,6,5)", 8)
+    assert code.is_automorphism(good) and not code.is_automorphism(bad)
+    monkeypatch.setattr(characters, "group_elements",
+                        lambda gens, cap: [parse_perm("()", 8), *gens])
+    with pytest.raises(DomainError) as err:
+        character_group(code, [good, bad], T(2))
+    assert str(err.value) == (
+        "(1,2,3)(4,6,5) is not an automorphism of the code")
 
 
 # ---------- identity checks ----------

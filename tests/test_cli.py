@@ -6,20 +6,22 @@ input counts by its contents, a catalog name by its name.  Each
 verb accepts only the flags it reads.  Scan keeps input order, its
 output does not depend on the environment, and per-line failures must
 not take down the whole run.  A process started for one job prints
-exactly what an in-process `main` call prints; only the process entry
-freezes the heap, and no job loads OpenSSL: fingerprints come from the
-interpreter's own SHA-256.
+exactly what an in-process `main` call prints, flushes its own output
+and exits without the interpreter's teardown; a failed write exits 3.
+No job loads OpenSSL or json: fingerprints come from the interpreter's
+own SHA-256, and records from a writer that matches json.dumps.
 """
 
-import gc
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -512,51 +514,85 @@ def test_scan_of_only_comments_is_empty(capsys, tmp_path):
 SRC = Path(cli.__file__).parents[1]
 
 
-def spawn(*argv, python=()):
+def spawn(*argv, python=(), stdout=subprocess.PIPE, unbuffered=True):
     """Run thetaforge as its own process; return (status, stdout, stderr)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    if not unbuffered:
+        env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run([sys.executable, *python, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["theta", "--group", "(2,8,4,6)(3,5)", "--trunc", "4"],
-    ["scan", str(DATA / "hamming8_classes.txt"), "--trunc", "12"],
-    ["verify", "ex33"],
-    ["theta", "--trunc", "0"],
-    ["theta", "--krep", "5"],
-], ids=["theta", "scan", "verify", "exit-3", "exit-2"])
-def test_a_process_prints_what_an_in_process_call_prints(capsys, argv):
+def in_process(capsys, argv):
+    """(status, stdout, stderr) of a main call, SystemExit included."""
     try:
         status = main(argv)
     except SystemExit as exit_info:
         status = exit_info.code
     captured = capsys.readouterr()
-    assert spawn("-m", "thetaforge.cli", *argv) == (
-        status, captured.out, captured.err)
+    return status, captured.out, captured.err
 
 
-def test_an_in_process_call_leaves_the_heap_unfrozen(capsys):
-    frozen = gc.get_freeze_count()
-    assert main(["theta", "--trunc", "2"]) == 0
-    capsys.readouterr()
-    assert gc.get_freeze_count() == frozen
+@pytest.mark.parametrize("status, argv", [
+    (0, ["theta", "--group", "(2,8,4,6)(3,5)", "--trunc", "4"]),
+    (0, ["scan", str(DATA / "hamming8_classes.txt"), "--trunc", "12"]),
+    (0, ["verify", "ex33"]),
+    (3, ["theta", "--trunc", "0"]),
+    (2, ["theta", "--krep", "5"]),
+    (4, ["identify", "--code", "golay24", "--trunc", "10"]),
+    (0, ["character", "--group", "(1,7)(2,4)(3,8)(5,6)", "--trunc", "3",
+         "--out", "OUT"]),
+], ids=["theta", "scan", "verify", "exit-3", "exit-2", "exit-4", "out"])
+def test_a_process_prints_what_an_in_process_call_prints(
+        capsys, tmp_path, status, argv):
+    out = tmp_path / "record.json"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+
+    def written():
+        text = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return text
+
+    want = in_process(capsys, argv), written()
+    assert want[0][0] == status
+    assert (spawn("-m", "thetaforge.cli", *argv), written()) == want
 
 
-def test_the_console_script_entry_freezes_the_start_up_heap():
-    # the console script calls main() with no argv, as this does
-    code, out, err = spawn("-c", (
-        "import gc, sys\n"
-        "from thetaforge.cli import main\n"
-        "sys.argv = ['thetaforge', 'theta', '--trunc', '1']\n"
-        "status = main()\n"
-        "print(status, gc.get_freeze_count() > 0, file=sys.stderr)\n"))
-    assert code == 0, err
-    assert json.loads(out)["job"]["trunc"] == 1
-    assert err == "0 True\n"
+# main() with no argv list, as the console script calls it; it must not
+# return, so the line after it never prints
+BARE_MAIN = "from thetaforge.cli import main\nmain()\nprint('returned')\n"
+
+
+@pytest.mark.parametrize("entry", [
+    ["-m", "thetaforge.cli"], ["-c", BARE_MAIN]], ids=["module", "bare-main"])
+@pytest.mark.parametrize("argv", [
+    ["theta", "--trunc", "2"],
+    ["scan", str(DATA / "golay24_fig8.txt"), "--trunc", "10"],
+    ["character", "--group", "(1,5)(2,6), (3,8)(4,7)", "--trunc", "2"],
+    ["theta", "--trunc", "0"],
+], ids=["theta", "scan-exit-1", "character", "exit-3"])
+def test_a_started_process_gives_the_in_process_status_and_output(
+        capsys, entry, argv):
+    assert spawn(*entry, *argv) == in_process(capsys, argv)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_a_failed_write_to_stdout_exits_3_with_the_error_record(unbuffered):
+    # block-buffered stdout used to be flushed only at teardown, which
+    # reported the OSError as ignored and exited 120
+    with open("/dev/full", "w") as full:
+        code, _, err = spawn("-m", "thetaforge.cli", "theta", "--trunc", "2",
+                             stdout=full, unbuffered=unbuffered)
+    assert code == 3
+    assert json.loads(err) == {"error": {
+        "type": "OSError", "message": "[Errno 28] No space left on device"}}
 
 
 def _imported(stderr):
@@ -620,6 +656,93 @@ def test_the_cli_loads_no_argument_parsing_library():
                          "theta", "--trunc", "1")
     assert code == 0
     assert {"argparse", "gettext", "locale"} & _imported(err) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--trunc", "1"],
+    ["scan", str(DATA / "hamming8_classes.txt"), "--trunc", "12"],
+    ["verify", "ex33", "--table"],
+], ids=["theta", "scan", "verify-table"])
+def test_no_job_loads_json_or_future(argv):
+    code, _, err = spawn("-X", "importtime", "-m", "thetaforge.cli", *argv)
+    assert code == 0, err
+    assert {"json", "json.decoder", "__future__"} & _imported(err) == set()
+
+
+# ---------- the record writer against json.dumps ----------
+
+# every code point: control characters, lone surrogates, astral planes
+TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=0x10ffff,
+                             exclude_categories=()), max_size=12)
+RECORDS = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(RECORDS)
+@example({"a\u00e9\ud800\U0001f600":
+          ["\x00\x1f\x7f\\\"\n\r\t\b\f", -10 ** 40]})
+@example({"": {}, "b": [], "c": [[]], "d": [{}], "e": ()})
+def test_the_writer_matches_json_dumps_in_every_layout(record):
+    assert cli._dump(record) == json.dumps(record, sort_keys=True,
+                                           indent=2) + "\n"
+    assert cli._json(record, ",", ":") == json.dumps(
+        record, sort_keys=True, separators=(",", ":"))
+    assert cli._json(record) == json.dumps(record, sort_keys=True)
+
+
+@pytest.mark.parametrize("record", [
+    0.5, Fraction(1, 3), [1, 2.0], {"a": {"b": Fraction(2)}},
+    {1: "x"}, {"a": 1, None: 2}, {(1, 2): 3}, {True: 1}, {1, 2}, b"x",
+], ids=["float", "Fraction", "nested-float", "nested-Fraction", "int-key",
+        "None-key", "tuple-key", "bool-key", "set", "bytes"])
+def test_the_writer_refuses_what_records_never_hold(record):
+    with pytest.raises(TypeError):
+        cli._json(record)
+    with pytest.raises(TypeError):
+        cli._dump(record)
+
+
+# ---------- reading input files ----------
+
+@pytest.mark.parametrize("argv, text", [
+    (["scan", "FILE"], "(1,2)(3,4)(5,6)(7,8)  # \u00e9t\u00e9\n"),
+    (["theta", "--code", "FILE"],
+     "11110000 # \u00e9\n00001111\n11001100\n10101010\n"),
+    (["theta", "--group-file", "FILE"], "(1,2)(3,4)(5,6)(7,8) # \u00e9\n"),
+], ids=["scan", "code", "group-file"])
+def test_input_files_are_utf8_and_other_bytes_a_parse_error(
+        capsys, tmp_path, argv, text):
+    path = tmp_path / "input.txt"
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    path.write_bytes(text.encode("utf-8"))
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    path.write_bytes(b"\xff" + text.encode("utf-8"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("%s is not UTF-8 text: " % path)
+
+
+# the pattern parse_args used to tell flags from negative numbers
+OLD_FLAG = re.compile(r"-(?!\d+$|\d*\.\d+$).")
+
+
+@given(st.text("-0123456789.\nx \u0663\u00b2", max_size=6))
+@example("-5")
+@example("-.5")
+@example("-5.")
+@example("-5\n")
+@example("-\n")
+@example("--")
+@example("-\u00b2")
+def test_flags_and_negative_numbers_split_as_before(token):
+    assert cli._is_flag(token) == bool(OLD_FLAG.match(token))
 
 
 # ---------- the verb table against the argparse parser it replaced ----------

@@ -16,7 +16,11 @@ is a short process, and argparse with gettext and locale cost about
 4 ms of each, so the command line is read by `cli.parse_args` against
 the `cli.VERBS` table.  The flavor names of the a_Omega/4 glueing are
 spelled only in `lattice`, which dispatches on them; every other module
-takes them from `lattice.FLAVORS` or passes a flavor through.
+takes them from `lattice.FLAVORS` or passes a flavor through.  For the
+same start-up cost no module imports ``json`` (`cli` writes records
+itself) or anything from ``__future__``, and none compiles a regular
+expression when it is imported: a pattern is compiled the first time
+its parser runs.
 """
 
 import ast
@@ -151,11 +155,17 @@ def _import_time_nodes(tree):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def _imports_hashlib(node):
-    if isinstance(node, ast.Import):
-        return any(a.name.split(".")[0] == "hashlib" for a in node.names)
-    return (isinstance(node, ast.ImportFrom) and node.level == 0
-            and node.module.split(".")[0] == "hashlib")
+def _importer(*modules):
+    """A predicate: the node imports one of `modules`, or a submodule."""
+    def imports(node):
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] in modules for a in node.names)
+        return (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] in modules)
+    return imports
+
+
+_imports_hashlib = _importer("hashlib")
 
 
 def test_no_module_imports_hashlib_at_import_time():
@@ -179,15 +189,7 @@ def test_hashlib_guard_sees_every_module_level_form():
                   if _imports_hashlib(node)) == [1, 2, 3, 5, 7]
 
 
-_PARSER_MODULES = ("argparse", "optparse", "gettext")
-
-
-def _imports_a_parser(node):
-    if isinstance(node, ast.Import):
-        return any(a.name.split(".")[0] in _PARSER_MODULES
-                   for a in node.names)
-    return (isinstance(node, ast.ImportFrom) and node.level == 0
-            and node.module.split(".")[0] in _PARSER_MODULES)
+_imports_a_parser = _importer("argparse", "optparse", "gettext")
 
 
 def test_no_module_imports_an_argument_parser():
@@ -229,3 +231,77 @@ def test_flavor_guard_sees_every_form():
         "h = 'super%d' % j\n")
     assert sorted(node.lineno for node in ast.walk(tree)
                   if _names_a_flavor(node)) == [1, 2, 2, 3, 4]
+
+
+_imports_json_or_future = _importer("json", "__future__")
+
+
+def test_no_module_imports_json_or_future():
+    assert _offending_nodes(_imports_json_or_future) == []
+
+
+def test_json_and_future_guard_sees_every_form():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os, json.decoder as d\n"
+        "from json import dumps\n"
+        "def f():\n"
+        "    import json\n"
+        "from .json import x\n"
+        "import jsonschema\n")
+    assert sorted(node.lineno for node in ast.walk(tree)
+                  if _imports_json_or_future(node)) == [1, 2, 3, 4, 6]
+
+
+# re functions that compile their pattern argument
+_COMPILERS = ("compile", "match", "fullmatch", "search", "sub", "subn",
+              "split", "findall", "finditer")
+
+
+def _import_time_compiles(tree):
+    """Calls that compile a regular expression when the module is imported,
+    through `re` under any name or a function imported from it."""
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name == "re"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "re":
+            functions |= {a.asname or a.name for a in node.names
+                          if a.name in _COMPILERS}
+    for node in _import_time_nodes(tree):
+        func = getattr(node, "func", None)
+        if (isinstance(func, ast.Attribute) and func.attr in _COMPILERS
+                and isinstance(func.value, ast.Name)
+                and func.value.id in modules
+                or isinstance(func, ast.Name) and func.id in functions):
+            yield node
+
+
+def test_no_module_compiles_a_pattern_when_imported():
+    assert _offending_nodes(lambda node: True,
+                            walk=_import_time_compiles) == []
+
+
+def test_pattern_guard_sees_every_module_level_form():
+    tree = ast.parse(
+        "import re\n"
+        "A = re.compile('a')\n"
+        "B = [re.match('b', s)]\n"
+        "class C:\n"
+        "    D = re.compile('d')\n"
+        "if True:\n"
+        "    E = re.sub('e', '', s)\n"
+        "from re import compile as rc, escape\n"
+        "F = rc('f')\n"
+        "import re as regex\n"
+        "G = regex.findall('g', s)\n"
+        "def f():\n"
+        "    return re.compile('h')\n"
+        "H = lambda: re.match('i', s)\n"
+        "I = re.escape('j')\n"
+        "J = escape('k')\n"
+        "K = other.compile('l')\n")
+    assert sorted(node.lineno for node in _import_time_compiles(tree)) == [
+        2, 3, 5, 7, 9, 11]
