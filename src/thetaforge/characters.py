@@ -12,9 +12,6 @@ Every eta division goes through `modfunc.eta_quotient`, and callers
 hand it each theta as a function of the window, never a padded series.
 """
 
-from collections import Counter
-from operator import mul
-
 from .codes import BinaryCode
 from .errors import DomainError, ThetaforgeError
 from .lattice import lift_order, require_even, theta_fixed, theta_twisted
@@ -76,15 +73,9 @@ def _trace(code, g, j, trunc48, flavor):
                         (g ** (j % g.order())).cycle_type(), trunc48)
 
 
-def _character(terms, N, counts=None):
-    """Mean of the trace series, checked as the character of a rank-N VOA.
-
-    counts[i], when given, is the number of elements whose trace is
-    terms[i].
-    """
-    counts = counts or [1] * len(terms)
-    total = sum(map(mul, terms[1:], counts[1:]), terms[0] * counts[0])
-    ch = total / sum(counts)
+def _character(terms, N):
+    """Mean of the trace series, checked as the character of a rank-N VOA."""
+    ch = sum(terms[1:], terms[0]) / len(terms)
     if ch.valuation48() != -2 * N:
         raise ThetaforgeError("character pole is off")
     for e, c in ch.coeffs.items():
@@ -122,9 +113,10 @@ def character_group(code: BinaryCode, gens, trunc48: int,
             "the fixed-group character is not a plain average" % bad)
     # An element's trace reads only its cycles as point sets (the fixed
     # subcode, the orbit blocks and the cycle type), so each partition
-    # is traced once and weighted by its count.  A repeat that is not
-    # an automorphism is refused, as its own trace would refuse it.
-    traces, counts = {}, Counter()
+    # is traced once and its series reused for every element with it.
+    # A repeat that is not an automorphism is refused, as its own trace
+    # would refuse it.
+    traces, terms = {}, []
     for el in elements:
         cycles = tuple(orbits([el], code.n))
         if cycles not in traces:
@@ -133,8 +125,8 @@ def character_group(code: BinaryCode, gens, trunc48: int,
                 el.cycle_type(), trunc48)
         elif not code.is_automorphism(el):
             raise DomainError("%s is not an automorphism of the code" % el)
-        counts[cycles] += 1
-    ch = _character(list(traces.values()), code.n, list(counts.values()))
+        terms.append(traces[cycles])
+    ch = _character(terms, code.n)
     desc = "<%s>" % ", ".join(str(p) for p in gens)
     return CharacterReport(desc, code.n, len(elements), False, {}, ch)
 

@@ -21,7 +21,7 @@ the interpreter's teardown.
 
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from types import SimpleNamespace
 
 from . import __version__
@@ -82,8 +82,6 @@ _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r",
 
 def _json_str(s):
     """A JSON string literal with json's ensure_ascii escapes."""
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-        return '"%s"' % s
     out = []
     for ch in s:
         o = ord(ch)
@@ -474,7 +472,8 @@ def main(argv=None):
 
     A started process flushes stdout and stderr itself, so a failed
     write gives the OSError record and exit 3, and then it ends with
-    os._exit.  The interpreter's teardown would only free the objects
+    os._exit.  What a verb wrote to stdout before an error is flushed
+    too.  The interpreter's teardown would only free the objects
     of a process that is about to end, and the package registers no
     atexit handler.  Help and usage errors leave by SystemExit in
     either case.  A call with an argv list returns the exit status and
@@ -494,6 +493,9 @@ def main(argv=None):
             sys.stderr.flush()
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         status = next(c for cls, c in _EXIT_CODES if isinstance(exc, cls))
+        if started:
+            with suppress(OSError):   # it may be the stdout that failed
+                sys.stdout.flush()
         sys.stderr.write(_dump({"error": _error(exc)}))
     if not started:
         return status

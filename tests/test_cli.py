@@ -595,6 +595,24 @@ def test_a_failed_write_to_stdout_exits_3_with_the_error_record(unbuffered):
         "type": "OSError", "message": "[Errno 28] No space left on device"}}
 
 
+# a verb that writes part of its output and then fails
+PARTIAL_MAIN = """import sys
+from thetaforge import cli
+def partial(args):
+    sys.stdout.write("partial\\n")
+    raise cli.DomainError("late")
+cli._run_compute = partial
+cli.main()
+"""
+
+
+def test_a_started_process_flushes_stdout_written_before_an_error():
+    code, out, err = spawn("-c", PARTIAL_MAIN, "theta", unbuffered=False)
+    assert (code, out) == (3, "partial\n")
+    assert json.loads(err) == {"error": {
+        "type": "DomainError", "message": "late"}}
+
+
 def _imported(stderr):
     """Module names in the -X importtime report on stderr."""
     return {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
