@@ -12,6 +12,8 @@ Every eta division goes through `modfunc.eta_quotient`, and callers
 hand it each theta as a function of the window, never a padded series.
 """
 
+from math import gcd
+
 from .codes import BinaryCode
 from .errors import DomainError, ThetaforgeError
 from .lattice import lift_order, require_even, theta_fixed, theta_twisted
@@ -87,10 +89,19 @@ def _character(terms, N):
 
 def character_cyclic(code: BinaryCode, g: Perm, trunc48: int,
                      flavor: str = "plain") -> CharacterReport:
-    """Character of the subVOA fixed by the cyclic group of the lift."""
+    """Character of the subVOA fixed by the cyclic group of the lift.
+
+    The traces are rational series and powers of the lift that generate
+    the same subgroup are Galois conjugate, so T_j = T_gcd(j,n): one
+    trace is computed per divisor of the lift order n (and one for
+    j = 0), and reused for every other j.
+    """
     require_even(code, flavor)
     n = lift_order(code, g, flavor=flavor)
-    per = {j: _trace(code, g, j, trunc48, flavor) for j in range(n)}
+    per = {}
+    for j in range(n):
+        d = gcd(j, n)
+        per[j] = per[d] if d < j else _trace(code, g, j, trunc48, flavor)
     ch = _character(list(per.values()), code.n)
     return CharacterReport("<%s>" % g, code.n, n, n != g.order(), per, ch)
 

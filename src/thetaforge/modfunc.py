@@ -66,12 +66,23 @@ def orbit_degree(orbit_type):
     return sum(t * r for t, r in parse_orbit_type(orbit_type))
 
 
+# Eta products by (normalized orbit type, window); QSeries instances are
+# never mutated, so sharing them is safe.
+_eta_product_cache = {}
+
+
 def eta_product(orbit_type, trunc48):
-    """Product of eta(q^t)^count over the orbit type, truncated."""
-    out = QSeries.one(trunc48)
-    for t, r in parse_orbit_type(orbit_type):
-        out = out * eta(t, trunc48) ** r
-    return out.truncate48(trunc48)
+    """Product of eta(q^t)^count over the orbit type, truncated; built
+    once per orbit type and window, and shared."""
+    parts = parse_orbit_type(orbit_type)
+    key = (parts, trunc48)
+    got = _eta_product_cache.get(key)
+    if got is None:
+        out = QSeries.one(trunc48)
+        for t, r in parts:
+            out = out * eta(t, trunc48) ** r
+        got = _eta_product_cache[key] = out.truncate48(trunc48)
+    return got
 
 
 def eta_quotient(numerator, orbit_type, trunc48):
@@ -93,13 +104,19 @@ def theta_quotient(theta, orbit_type, N=None):
 
     With N omitted the bare quotient is returned, exact below
     theta.trunc48 - 4N for an orbit type of degree N: the window
-    `eta_quotient` can deliver from theta.
+    `eta_quotient` can deliver from theta.  A theta too short to leave
+    any window raises PrecisionError.
     """
     orbit_type = parse_orbit_type(orbit_type)
     if theta.is_zero() or theta.valuation48() != 0 or theta.lead_coeff() != 1:
         raise DomainError("theta series must start with constant term 1")
-    quo = eta_quotient(theta.truncate48, orbit_type,
-                       theta.trunc48 - 4 * orbit_degree(orbit_type))
+    degree = orbit_degree(orbit_type)
+    window = theta.trunc48 - 4 * degree
+    if window <= 0:
+        raise PrecisionError(
+            "theta exact below %d/48 leaves no window for the quotient by"
+            " an eta product of degree %d" % (theta.trunc48, degree))
+    quo = eta_quotient(theta.truncate48, orbit_type, window)
     if N is None:
         return quo
     N = exact_int(N, "rank")

@@ -47,7 +47,7 @@ class Perm:
 
     def __pow__(self, k):
         if k < 0:
-            return self.inverse() ** (-k)
+            return self.inverse() ** abs(k)
         out = Perm.identity(self.n)
         base = self
         while k:

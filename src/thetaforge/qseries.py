@@ -19,10 +19,12 @@ division goes through `exact_div`, which returns an int whenever the
 quotient is whole, so the coefficients of integral series stay ints
 through products, powers and divisions.
 
-Products are sparse convolutions.  A rational power f**r, and with it
-division (f / g is f * g**-1), runs J.C.P. Miller's power recurrence
-on the exponent stride of f, which costs O(T^2) for T terms; with
-f = c q^v (1 + ...) the result is exact below trunc48 - v + r v.
+Products are sparse convolutions.  A rational power f**r runs J.C.P.
+Miller's power recurrence on the exponent stride of f, which costs
+O(T^2) for T terms; with f = c q^v (1 + ...) the result is exact below
+trunc48 - v + r v, and f**1 is f itself.  Division f / g is one long
+division on the common stride of f and g, T * nnz(g) products with no
+inverse series built, exact below the window f * g**-1 would have.
 """
 
 from fractions import Fraction
@@ -293,6 +295,19 @@ class QSeries:
         return self.__mul__(other)
 
     def __truediv__(self, other):
+        """self / other, by a scalar or by long division by a series.
+
+        With f = self and g = other laid out from their leading
+        exponents v_f and v_g on the stride d = gcd of all their
+        exponent gaps, the quotient starts at q^(v_f - v_g) and
+        (Knuth, TAOCP vol. 2, 4.7)
+
+            q_n = (a_n - sum_{k>=1} b_k q_{n-k}) / b_0,
+
+        summed over the nonzero b_k only: one pass of T * nnz(g) products
+        for T quotient terms, and no inverse series.  The result is exact
+        below min(v_f + T_g - 2 v_g, T_f - v_g), the window of f * g**-1.
+        """
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("series divided by zero")
@@ -301,7 +316,30 @@ class QSeries:
                 self.trunc48)
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self * other.pow_rational(-1)
+        if not other.coeffs:
+            raise ValueError("series divided by the zero series")
+        vf, vg = self.valuation48(), other.valuation48()
+        t = min(vf + other.trunc48 - 2 * vg, self.trunc48 - vg)
+        d = 0
+        for e in self.coeffs:
+            d = gcd(d, e - vf)
+        for e in other.coeffs:
+            d = gcd(d, e - vg)
+        lead = vf - vg
+        d = d or max(t - lead, 1)   # two monomials: any stride will do
+        b0 = other.coeffs[vg]
+        b = [(k, other.coeffs[vg + k * d])
+             for k in sorted((e - vg) // d for e in other.coeffs if e != vg)]
+        a = self.coeffs
+        q = []
+        for n, e in enumerate(range(vf, t + vg, d)):
+            s = a.get(e, 0)
+            for k, bk in b:
+                if k > n:
+                    break
+                s -= bk * q[n - k]
+            q.append(exact_div(s, b0))
+        return QSeries._raw({lead + n * d: c for n, c in enumerate(q) if c}, t)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -329,6 +367,8 @@ class QSeries:
         the exponent grid.
         """
         r = exact_rational(r, "power")
+        if r == 1:
+            return self
         if not self.coeffs:
             if r > 0:
                 return QSeries.zero(int(self.trunc48 * r))
@@ -474,13 +514,17 @@ def shifted_theta(weight, shift, trunc48, alternating=False):
     if weight <= 0:
         raise ValueError("theta weight must be positive")
     coeffs = {}
+    # with weight = a/b and shift = s/t, weight (n + shift)^2 in 48ths is
+    # 48 a (n t + s)^2 / (b t^2) = num m^2 / den, all in ints
+    num = weight.numerator * DEN
+    den = weight.denominator * shift.denominator ** 2
 
     def put(n):
-        e = weight * (n + shift) ** 2 * DEN
-        if e.denominator != 1:
-            raise ValueError(
-                "theta exponent %s leaves the 1/%d grid" % (e / DEN, DEN))
-        e = int(e)
+        m = n * shift.denominator + shift.numerator
+        e, rem = divmod(num * m * m, den)
+        if rem:
+            raise ValueError("theta exponent %s leaves the 1/%d grid"
+                             % (Fraction(num * m * m, den * DEN), DEN))
         if e >= trunc48:
             return False
         s = -1 if (alternating and n % 2) else 1

@@ -8,6 +8,8 @@ instances that satisfy their hypotheses and on ones that must be
 refused as not applicable.
 """
 
+from math import gcd
+
 import pytest
 
 from thetaforge import characters, lattice
@@ -18,12 +20,15 @@ from thetaforge.characters import (
 from thetaforge.codes import BinaryCode, catalog_code
 from thetaforge.errors import DomainError, ThetaforgeError
 from thetaforge.lattice import (
-    catalog_theta, doubling_code_criterion, doubling_lattice_criterion,
-    kernel_theta, lift_order, theta_fixed)
+    FLAVORS, catalog_theta, doubling_code_criterion,
+    doubling_lattice_criterion, is_even, kernel_theta, lift_order,
+    theta_fixed)
 from thetaforge.modfunc import eta_quotient
 from thetaforge.perms import group_elements, parse_generators, parse_perm
 from thetaforge.qseries import DEN, PrecisionError, QSeries
 from thetaforge.verify import _SUBGROUP_CLASSES, verify_identity
+
+from oracles import hamming8_class_representatives
 
 T = lambda n: n * DEN
 
@@ -87,8 +92,27 @@ def test_character_cyclic_decides_the_lift_order_once(monkeypatch):
     report = character_cyclic(golay, swap, T(2), flavor="super1")
     assert len(calls) == 1
     assert report.lift_order == 4 and report.doubling
+    # every j traced on its own, against one trace per divisor of 4
     for j, series in report.per_j.items():
         assert series == trace_series(golay, swap, j, T(2), flavor="super1")
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_character_cyclic_traces_once_per_divisor(flavor):
+    # T_j = T_gcd(j,n) lets character_cyclic reuse one trace per divisor
+    # of the lift order n; here every j is traced on its own.  The super0
+    # lattice of hamming8 is odd and refused, so there the rule is
+    # checked on the traces themselves.
+    for g in hamming8_class_representatives():
+        n = lift_order(HAM, g, flavor=flavor)
+        every = {j: characters._trace(HAM, g, j, T(8), flavor)
+                 for j in range(n)}
+        if is_even(HAM, flavor):
+            got = character_cyclic(HAM, g, T(8), flavor=flavor).per_j
+            assert got == every, (g, flavor)
+        else:
+            assert all(every[j] == every[gcd(j, n)]
+                       for j in range(1, n)), (g, flavor)
 
 
 # ---------- lift data ----------

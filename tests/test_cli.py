@@ -390,6 +390,25 @@ def test_trunc_below_one_is_refused(capsys, argv):
     assert "at least 1," in payload["message"]
 
 
+@pytest.mark.parametrize("trunc", ["1", "2"])
+def test_a_quotient_with_no_window_exits_4(capsys, trunc):
+    # golay24 divides by eta^24, which takes 2 powers of theta's window
+    code, out, err = run(capsys, "quotient", "--code", "golay24",
+                         "--trunc", trunc)
+    assert (code, out) == (4, "")
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "PrecisionError"
+    assert "no window" in payload["message"]
+
+
+def test_the_shortest_golay24_quotient_with_a_window_is_exact(capsys):
+    rec = run_json(capsys, "quotient", "--code", "golay24", "--trunc", "3")
+    series = rec["outputs"]["series"]
+    # q^-1 (1 + 48 q)(1 + 24 q) through q^0: 48 roots, and 24 from eta^-24
+    assert (series["lead_num48"], series["trunc_num48"]) == (-48, 48)
+    assert series["coeffs"] == [[-48, 1], [0, 72]]
+
+
 @pytest.mark.parametrize("argv", [
     ["replicable", "--krep", "0"],
     ["replicable", "--krep", "-2"],

@@ -67,6 +67,21 @@ def test_eta_product_is_product_of_etas():
     assert eta_product({1: 2, 2: 1, 4: 1}, T(4)).valuation48() == 2 * 8
 
 
+def test_eta_product_is_built_once_and_shared_unchanged(monkeypatch):
+    monkeypatch.setattr(modfunc, "_eta_product_cache", {})
+    first = eta_product("1^2 2 4", T(10))
+    snapshot = (dict(first.coeffs), first.trunc48)
+    assert eta_product({4: 1, 1: 2, 2: 1}, T(10)) is first
+    assert eta_product("1^2 2 4", T(9)) == first.truncate48(T(9))
+    derived = [first * first, first + first, first - 1, -first, 3 * first,
+               first / first, first / 3, first ** 2, first ** 1,
+               first.pow_rational(Fraction(1, 2)), first.truncate48(T(4)),
+               first.dilate(2)]
+    assert derived[8] is first   # a first power is the series itself
+    assert (first.coeffs, first.trunc48) == snapshot
+    assert eta_product("1^2 2 4", T(10)) == QSeries(*snapshot)
+
+
 # ---------- the eta quotient and its window ----------
 
 @pytest.mark.parametrize("otype", [{1: 8}, {2: 4}, {1: 2, 2: 1, 4: 1},
@@ -142,6 +157,17 @@ def test_quotient_rejects_wrong_rank():
         theta_quotient(th, {1: 8}, N=12)
     with pytest.raises(DomainError):
         theta_quotient(th - 1, {1: 8}, N=8)
+
+
+@pytest.mark.parametrize("powers", [1, 2])
+def test_quotient_with_no_window_is_a_precision_error(powers):
+    # eta^24 starts at q^1, so it takes 2 powers of theta's window
+    golay = catalog_code("golay24")
+    theta = theta_fixed(golay, [], T(powers))
+    with pytest.raises(PrecisionError, match="no window"):
+        theta_quotient(theta, {1: 24}, N=24)
+    assert theta_quotient(theta_fixed(golay, [], T(3)), {1: 24},
+                          N=24).trunc48 == T(1)
 
 
 def test_quotient_refuses_a_non_integer_rank():

@@ -154,6 +154,27 @@ def integral_power_case_st(draw):
     return QSeries(coeffs, end), r
 
 
+@st.composite
+def grid_series_st(draw):
+    """A nonzero series on a stride of 1 to 48 from a valuation of -48 to
+    48: int or Fraction coefficients, any nonzero lead, and as few as one
+    term."""
+    stride = draw(st.integers(min_value=1, max_value=48))
+    v = draw(st.integers(min_value=-48, max_value=48))
+    terms = draw(st.integers(min_value=0, max_value=12))
+    tail = draw(st.dictionaries(st.integers(min_value=1, max_value=12),
+                                coeff_st, max_size=6))
+    coeffs = {v + stride * k: c for k, c in tail.items() if k <= terms}
+    coeffs[v] = draw(coeff_st.filter(bool))
+    end = v + draw(st.integers(min_value=1, max_value=stride * (terms + 1)))
+    return QSeries(coeffs, end)
+
+
+numerator_st = st.one_of(
+    grid_series_st(),
+    st.builds(QSeries.zero, st.integers(min_value=-48, max_value=240)))
+
+
 def whole_numbers_are_ints(f):
     return all(type(c) is int or c.denominator > 1 for c in f.coeffs.values())
 
@@ -373,6 +394,13 @@ def test_integer_pow_against_repeated_mul(a, n):
     assert a ** n == want
 
 
+@given(series_st)
+@settings(max_examples=40, deadline=None)
+def test_first_power_is_the_series_itself(a):
+    assert a.pow_rational(1) == a
+    assert a ** 1 == a
+
+
 def test_pow_rational_inverse():
     f = theta3(1, T(12))
     g = f.pow_rational(-1)
@@ -426,6 +454,25 @@ def test_division_roundtrip():
     a = theta3(1, T(15)) ** 3
     b = eta(1, T(15)) ** 2
     assert ((a / b) * b).matches(a)
+
+
+@given(numerator_st, grid_series_st())
+@settings(max_examples=200, deadline=None)
+def test_long_division_equals_multiplying_by_the_inverse(f, g):
+    got, want = f / g, f * g.pow_rational(-1)
+    assert got.trunc48 == want.trunc48
+    assert got.coeffs == want.coeffs
+    assert ({e: type(c) for e, c in got.coeffs.items()}
+            == {e: type(c) for e, c in want.coeffs.items()})
+
+
+@pytest.mark.parametrize("trunc48", [-48, 0, T(3)])
+def test_dividing_by_the_zero_series_is_a_value_error(trunc48):
+    f, zero = theta3(1, T(4)), QSeries.zero(trunc48)
+    with pytest.raises(ValueError):
+        f * zero.pow_rational(-1)
+    with pytest.raises(ValueError):
+        f / zero
 
 
 def test_truediv_by_scalar():

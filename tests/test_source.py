@@ -8,7 +8,9 @@ on its arguments and runs in one thread: it reads no environment
 variable and imports no thread, process or file-lock module.  Every
 division by an eta product goes through `modfunc.eta_quotient`, which
 owns the precision window, so no code outside its body divides by a
-call to ``eta`` or ``eta_product``.  No module imports ``hashlib`` when
+call to ``eta`` or ``eta_product``, and nothing raises a series to a
+negative power: every division is the one long division of
+`QSeries.__truediv__`.  No module imports ``hashlib`` when
 it is imported itself: hashlib loads OpenSSL, which every process would
 pay for, so only the function that computes a digest imports it.  No module
 imports ``argparse``, ``optparse`` or ``gettext`` at all: every CLI job
@@ -142,6 +144,51 @@ def test_eta_division_walk_skips_only_the_eta_quotient_body():
         "x = a / eta(1, t)\n")
     assert sorted(node.lineno for node in _outside_eta_quotient(tree)
                   if _divides_by_eta(node)) == [4, 5]
+
+
+def _is_negative(node):
+    """A literal negative number: -x, or a Fraction with a negative
+    numerator."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return True
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction" and bool(node.args)
+            and _is_negative(node.args[0]))
+
+
+def _inverts(node):
+    """A negative power: ``x ** -n``, ``pow(x, -n)`` or
+    ``x.pow_rational(-r)``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _is_negative(node.right)
+    if not isinstance(node, ast.Call):
+        return False
+    func, args = node.func, node.args
+    if isinstance(func, ast.Name) and func.id == "pow":
+        return len(args) >= 2 and _is_negative(args[1])
+    return (isinstance(func, ast.Attribute) and func.attr == "pow_rational"
+            and bool(args) and _is_negative(args[0]))
+
+
+def test_no_series_is_inverted_in_the_package():
+    # division is one long division (QSeries.__truediv__); no inverse
+    # series is built on the way
+    assert _offending_nodes(_inverts) == []
+
+
+def test_inversion_guard_sees_every_form():
+    tree = ast.parse(
+        "a = f.pow_rational(-1)\n"
+        "b = f.pow_rational(Fraction(-24, n))\n"
+        "c = f ** -1\n"
+        "d = f ** -n\n"
+        "e = pow(f, -2)\n"
+        "g = f.pow_rational(Fraction(24, n))\n"
+        "h = f ** 2\n"
+        "i = f - 1\n"
+        "j = f.pow_rational(r)\n")
+    assert sorted(node.lineno for node in ast.walk(tree)
+                  if _inverts(node)) == [1, 2, 3, 4, 5]
 
 
 def _import_time_nodes(tree):
