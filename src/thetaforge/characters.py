@@ -21,16 +21,10 @@ from .modfunc import eta_product, eta_quotient
 from .perms import Perm, group_elements, orbits
 from .qseries import DEN, QSeries, exact_int
 
-# Largest group whose character is averaged element by element.
-GROUP_CAP = 10000
-
-
 class CharacterReport:
     """Assembled character plus the per-power traces that built it."""
 
-    def __init__(self, description, c, lift_order, doubling, per_j, character):
-        self.description = description
-        self.c = c
+    def __init__(self, lift_order, doubling, per_j, character):
         self.lift_order = lift_order
         self.doubling = doubling
         self.per_j = per_j
@@ -103,7 +97,7 @@ def character_cyclic(code: BinaryCode, g: Perm, trunc48: int,
         d = gcd(j, n)
         per[j] = per[d] if d < j else _trace(code, g, j, trunc48, flavor)
     ch = _character(list(per.values()), code.n)
-    return CharacterReport("<%s>" % g, code.n, n, n != g.order(), per, ch)
+    return CharacterReport(n, n != g.order(), per, ch)
 
 
 def character_group(code: BinaryCode, gens, trunc48: int,
@@ -116,7 +110,7 @@ def character_group(code: BinaryCode, gens, trunc48: int,
     computation refused.
     """
     require_even(code, flavor)
-    elements = group_elements(gens, GROUP_CAP)
+    elements = group_elements(gens)
     bad = _doubling_element(code, elements, flavor)
     if bad is not None:
         raise DomainError(
@@ -137,9 +131,7 @@ def character_group(code: BinaryCode, gens, trunc48: int,
         elif not code.is_automorphism(el):
             raise DomainError("%s is not an automorphism of the code" % el)
         terms.append(traces[cycles])
-    ch = _character(terms, code.n)
-    desc = "<%s>" % ", ".join(str(p) for p in gens)
-    return CharacterReport(desc, code.n, len(elements), False, {}, ch)
+    return CharacterReport(len(elements), False, {}, _character(terms, code.n))
 
 
 def character_plus(source, trunc48: int, rank=None,
@@ -152,6 +144,7 @@ def character_plus(source, trunc48: int, rank=None,
     series, or a function of the window as `eta_quotient` takes it.
     """
     if isinstance(source, BinaryCode):
+        require_even(source, flavor)
         N = source.n
         theta_of = lambda t: theta_fixed(source, [], t, flavor=flavor)
     else:

@@ -32,8 +32,8 @@ from .lattice import (
     FLAVORS, doubling_code_criterion, kernel_theta, lift_order, require_even,
     theta_fixed,
 )
-from .modfunc import identify, is_replicable, theta_quotient
-from .perms import orbit_type, parse_generators, read_group_file, type_str
+from .modfunc import fixed_quotient, identify, is_replicable
+from .perms import parse_generators, read_group_file
 from .qseries import DEN, PrecisionError
 from .verify import FIGURE_IDS, verify_figure
 
@@ -268,16 +268,9 @@ def _krep(args):
     return args.krep
 
 
-def _quotient_pipeline(code, gens, flavor, trunc48):
-    require_even(code, flavor)
-    theta = theta_fixed(code, gens, trunc48, flavor=flavor)
-    label = type_str(orbit_type(gens, code.n))
-    return label, theta_quotient(theta, label, N=code.n)
-
-
 def _replicability(code, gens, flavor, trunc48, krep):
     """Outputs of `replicable` and of each scan line."""
-    label, quo = _quotient_pipeline(code, gens, flavor, trunc48)
+    label, quo = fixed_quotient(code, gens, trunc48, flavor)
     report = is_replicable(quo, krep)
     report.identified_as, report.constant_delta = identify(quo)
     return {"orbit_type": label, "replicability": report.to_json_obj()}
@@ -294,12 +287,12 @@ def _run_compute(args):
         outputs = {"series": theta_fixed(
             code, gens, trunc48, flavor=args.flavor).to_json_obj()}
     elif command == "quotient":
-        label, quo = _quotient_pipeline(code, gens, args.flavor, trunc48)
+        label, quo = fixed_quotient(code, gens, trunc48, args.flavor)
         outputs = {"orbit_type": label, "series": quo.to_json_obj()}
     elif command == "replicable":
         outputs = _replicability(code, gens, args.flavor, trunc48, krep)
     elif command == "identify":
-        label, quo = _quotient_pipeline(code, gens, args.flavor, trunc48)
+        label, quo = fixed_quotient(code, gens, trunc48, args.flavor)
         name, delta = identify(quo)
         outputs = {"orbit_type": label, "identified_as": name,
                    "constant_delta": None if delta is None else str(delta)}

@@ -46,6 +46,7 @@ quarter-shifted cosets the e8 rule adds |B|/2 + N/8 with β = 1, and
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from operator import and_
 import re
 
@@ -60,34 +61,21 @@ FLAVORS = ("plain", "super0", "super1")
 
 # Factors and per-coset block products are cached by value; QSeries
 # instances are never mutated, so sharing them is safe.
-_factor_cache = {}
-_product_cache = {}
-
-
+@cache
 def _factor(weight, shift, alternating, trunc48):
-    key = (weight, shift, alternating, trunc48)
-    got = _factor_cache.get(key)
-    if got is None:
-        got = shifted_theta(weight, shift, trunc48, alternating=alternating)
-        _factor_cache[key] = got
-    return got
+    return shifted_theta(weight, shift, trunc48, alternating=alternating)
 
 
+@cache
 def _block_product(signature, trunc48):
     """Product over ((weight, shift, alt), multiplicity) factor specs."""
-    key = (signature, trunc48)
-    got = _product_cache.get(key)
-    if got is None:
-        out = QSeries.one(trunc48)
-        for (weight, shift, alt), mult in signature:
-            base = _factor(weight, shift, alt, trunc48)
-            if base.is_zero():
-                out = QSeries.zero(trunc48)
-                break
-            out = out * base ** mult
-        got = out.truncate48(trunc48)
-        _product_cache[key] = got
-    return got
+    out = QSeries.one(trunc48)
+    for (weight, shift, alt), mult in signature:
+        base = _factor(weight, shift, alt, trunc48)
+        if base.is_zero():
+            return QSeries.zero(trunc48)
+        out = out * base ** mult
+    return out.truncate48(trunc48)
 
 
 def _orbit_blocks(gens, n):

@@ -13,17 +13,21 @@ built over the full window.
 
 Every theta/eta division in the package goes through `eta_quotient`:
 a result exact below t needs the numerator through t + 2N and the eta
-product of degree N through t + 4N.
+product of degree N through t + 4N.  `fixed_quotient` is the one path
+from a code, a group and a flavor to the labelled quotient
+(theta/eta_g)^(24/N), and the rank N is read off the degree of the
+orbit type.
 """
 
 import re
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import gcd
 from operator import mul
 
+from . import perms
 from .errors import DomainError, ParseError, ThetaforgeError
-from .lattice import catalog_theta
+from .lattice import catalog_theta, require_even, theta_fixed
 from .qseries import DEN, PrecisionError, QSeries, eta, exact_div, exact_int
 
 _PART_RE = r"(\d+)(?:\^(\d+))?\Z"   # compiled, and cached by re, on first use
@@ -32,8 +36,9 @@ _PART_RE = r"(\d+)(?:\^(\d+))?\Z"   # compiled, and cached by re, on first use
 def parse_orbit_type(spec):
     """Normalize an orbit type to a sorted tuple of (length, count) pairs.
 
-    Accepts a dict {length: count} as produced by cycle_type(), a bare
-    iterable of cycle lengths, or a string such as "2^2 4^1".
+    Accepts a string such as "2^2 4^1", a dict {length: count} as
+    produced by cycle_type() and orbit_type(), or the sorted pairs this
+    function returns, so that normalizing twice changes nothing.
     """
     if isinstance(spec, str):
         counts = {}
@@ -43,16 +48,8 @@ def parse_orbit_type(spec):
                 raise ParseError("bad orbit-type token %r in %r" % (tok, spec))
             t = int(m.group(1))
             counts[t] = counts.get(t, 0) + int(m.group(2) or 1)
-    elif isinstance(spec, dict):
-        counts = dict(spec)
     else:
-        counts = {}
-        for part in spec:
-            if isinstance(part, tuple):
-                t, r = part
-            else:
-                t, r = part, 1
-            counts[t] = counts.get(t, 0) + r
+        counts = dict(spec)
     if not counts:
         raise DomainError("empty orbit type")
     for t, r in counts.items():
@@ -66,23 +63,19 @@ def orbit_degree(orbit_type):
     return sum(t * r for t, r in parse_orbit_type(orbit_type))
 
 
-# Eta products by (normalized orbit type, window); QSeries instances are
-# never mutated, so sharing them is safe.
-_eta_product_cache = {}
-
-
 def eta_product(orbit_type, trunc48):
     """Product of eta(q^t)^count over the orbit type, truncated; built
     once per orbit type and window, and shared."""
-    parts = parse_orbit_type(orbit_type)
-    key = (parts, trunc48)
-    got = _eta_product_cache.get(key)
-    if got is None:
-        out = QSeries.one(trunc48)
-        for t, r in parts:
-            out = out * eta(t, trunc48) ** r
-        got = _eta_product_cache[key] = out.truncate48(trunc48)
-    return got
+    return _eta_product(parse_orbit_type(orbit_type), trunc48)
+
+
+# QSeries instances are never mutated, so sharing them is safe
+@cache
+def _eta_product(parts, trunc48):
+    out = QSeries.one(trunc48)
+    for t, r in parts:
+        out = out * eta(t, trunc48) ** r
+    return out.truncate48(trunc48)
 
 
 def eta_quotient(numerator, orbit_type, trunc48):
@@ -99,41 +92,54 @@ def eta_quotient(numerator, orbit_type, trunc48):
     return quo.truncate48(trunc48)
 
 
-def theta_quotient(theta, orbit_type, N=None):
-    """theta / eta_product, raised to 24/N when a rank N is given.
+def theta_quotient(theta, orbit_type):
+    """(theta / eta_product)^(24/N) for an orbit type of degree N.
 
-    With N omitted the bare quotient is returned, exact below
-    theta.trunc48 - 4N for an orbit type of degree N: the window
-    `eta_quotient` can deliver from theta.  A theta too short to leave
-    any window raises PrecisionError.
+    N is the rank of the lattice and must be a positive multiple of 8.
+    The result is exact below theta.trunc48 - 2N - 48: the quotient by
+    the eta product is exact below theta.trunc48 - 4N, the window
+    `eta_quotient` can deliver from theta, and starts at q^(-N/24).  A
+    theta too short to leave that quotient any window raises
+    PrecisionError, before a rank off the multiples of 8 is refused.
     """
     orbit_type = parse_orbit_type(orbit_type)
     if theta.is_zero() or theta.valuation48() != 0 or theta.lead_coeff() != 1:
         raise DomainError("theta series must start with constant term 1")
-    degree = orbit_degree(orbit_type)
-    window = theta.trunc48 - 4 * degree
+    N = orbit_degree(orbit_type)
+    window = theta.trunc48 - 4 * N
     if window <= 0:
         raise PrecisionError(
             "theta exact below %d/48 leaves no window for the quotient by"
-            " an eta product of degree %d" % (theta.trunc48, degree))
-    quo = eta_quotient(theta.truncate48, orbit_type, window)
-    if N is None:
-        return quo
-    N = exact_int(N, "rank")
-    if N <= 0 or N % 8:
+            " an eta product of degree %d" % (theta.trunc48, N))
+    if N % 8:
         raise DomainError("rank must be a positive multiple of 8, got %d" % N)
+    quo = eta_quotient(theta.truncate48, orbit_type, window)
     return quo.pow_rational(Fraction(24, N))
+
+
+def fixed_quotient(code, gens, trunc48, flavor="plain"):
+    """The quotient of the <gens>-fixed sublattice of the flavor's
+    lattice, labelled by its orbit type.
+
+    Returns (label, quotient): the orbit type written as "1^2 3^2" and
+    theta_quotient of the fixed theta series exact below trunc48.  The
+    flavor's lattice must be even.
+    """
+    require_even(code, flavor)
+    orbits = perms.orbit_type(gens, code.n)
+    theta = theta_fixed(code, gens, trunc48, flavor=flavor)
+    return perms.type_str(orbits), theta_quotient(theta, orbits)
 
 
 # ---------- Faber polynomials and replicability ----------
 
 class ReplicabilityReport:
-    """Faber coefficient table plus the bounded replicability verdict."""
+    """The bounded replicability verdict, and the identification when
+    one was made."""
 
-    def __init__(self, K_rep, table=None, verdict=None, violations=(),
+    def __init__(self, K_rep, verdict, violations=(),
                  identified_as=None, constant_delta=None):
         self.K_rep = K_rep
-        self.table = table
         self.verdict = verdict
         self.violations = list(violations)
         self.identified_as = identified_as
@@ -170,7 +176,8 @@ def _check_hauptmodul_shape(f):
 
 
 def faber_table(f, K_rep):
-    """Coefficients a[n][k] of the Faber polynomials of f, 1 <= n,k <= K_rep.
+    """Coefficients a[n][k] of the Faber polynomials of f, 1 <= n,k <= K_rep,
+    as a list of rows indexed from 0, with row and column 0 unused.
 
     The input must be normalized to f = q^-1 + sum_{t>=1} a_t q^t, with
     the constant already removed, and must carry coefficients through
@@ -226,7 +233,7 @@ def faber_table(f, K_rep):
     for k in range(1, K + 1):
         for n in range(k, K + 1):
             table[n][k] = table[k][n] = exact_div(rows[k][n], k)
-    return ReplicabilityReport(K, table=table)
+    return table
 
 
 def is_replicable(f, K_rep=12):
@@ -236,23 +243,23 @@ def is_replicable(f, K_rep=12):
     """
     f0, _ = strip_constant(f)
     try:
-        report = faber_table(f0, K_rep)
+        table = faber_table(f0, K_rep)
     except PrecisionError:
-        return ReplicabilityReport(K_rep, verdict="insufficient-precision")
+        return ReplicabilityReport(K_rep, "insufficient-precision")
+    K = len(table) - 1
     classes = {}
     violations = []
-    for n in range(1, report.K_rep + 1):
-        for k in range(n, report.K_rep + 1):
+    for n in range(1, K + 1):
+        for k in range(n, K + 1):
             key = (gcd(n, k), n * k)
             if key not in classes:
                 classes[key] = (n, k)
                 continue
             r, s = classes[key]
-            if report.table[n][k] != report.table[r][s]:
+            if table[n][k] != table[r][s]:
                 violations.append((n, k, r, s))
-    report.violations = violations
-    report.verdict = "not-replicable" if violations else "replicable-up-to-K_rep"
-    return report
+    verdict = "not-replicable" if violations else "replicable-up-to-K_rep"
+    return ReplicabilityReport(K, verdict, violations)
 
 
 # ---------- catalog of closed-form expansions ----------

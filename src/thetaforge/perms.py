@@ -10,7 +10,9 @@ from math import lcm
 
 from .errors import DomainError, ParseError, read_lines
 
-GROUP_ELEMENT_CAP = 10 ** 6
+# Largest group closure, and so the largest group whose character is
+# averaged element by element.
+GROUP_ELEMENT_CAP = 10000
 
 
 class Perm:
@@ -251,7 +253,7 @@ def type_str(ot):
     return " ".join("%d^%d" % (t, ot[t]) for t in sorted(ot))
 
 
-def group_elements(gens, cap=GROUP_ELEMENT_CAP):
+def group_elements(gens):
     """All elements of the generated group, by breadth-first closure."""
     if not gens:
         raise DomainError("empty generating set")
@@ -267,8 +269,8 @@ def group_elements(gens, cap=GROUP_ELEMENT_CAP):
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
-                    if len(seen) > cap:
-                        raise DomainError(
-                            "group closure exceeded %d elements" % cap)
+                    if len(seen) > GROUP_ELEMENT_CAP:
+                        raise DomainError("group closure exceeded %d elements"
+                                          % GROUP_ELEMENT_CAP)
         frontier = nxt
     return sorted(seen, key=lambda p: p.images)

@@ -18,8 +18,8 @@ of the same kind, so the thmC, thmD and ex81 figures carry its rows.
 from math import isqrt
 
 from .characters import (
-    GROUP_CAP, _doubling_element, character_cyclic, character_group,
-    character_plus, trace_series,
+    _doubling_element, character_cyclic, character_group, character_plus,
+    trace_series,
 )
 from .codes import catalog_code
 from .errors import DomainError
@@ -27,10 +27,8 @@ from .lattice import (
     catalog_theta, is_even, kernel_theta, lift_order, theta_fixed,
     theta_matches,
 )
-from .modfunc import eta_quotient, identify, is_replicable, theta_quotient
-from .perms import (
-    Perm, group_elements, orbit_type, parse_generators, type_str,
-)
+from .modfunc import eta_quotient, fixed_quotient, identify, is_replicable
+from .perms import Perm, group_elements, parse_generators
 from .qseries import DEN, QSeries
 
 FIGURE_IDS = ("fig1", "fig2", "fig5", "fig7", "ex33", "ex34", "ex53",
@@ -82,14 +80,6 @@ def _gens(text, n=8):
     return parse_generators(text, n) if text else []
 
 
-def _identified_quotient(code, gens, trunc48):
-    theta = theta_fixed(code, gens, trunc48)
-    quo = theta_quotient(theta, type_str(orbit_type(gens, code.n)), N=code.n)
-    report = is_replicable(quo)
-    report.identified_as, report.constant_delta = identify(quo)
-    return report
-
-
 # Cycle type, generator, and the name of the resulting theta quotient,
 # one row per conjugacy class with replicable quotient (tabulated).
 _SINGLE_CLASSES = (
@@ -136,18 +126,16 @@ def _fig_identifications(rows_spec, with_type):
             want_type, text, name = entry
         else:
             text, name = entry
-        gens = _gens(text)
-        report = _identified_quotient(ham, gens, 30 * DEN)
-        got_type = type_str(orbit_type(gens, 8))
+        got_type, quo = fixed_quotient(ham, _gens(text), 30 * DEN)
         if with_type and got_type != want_type:
             rows.append(RowResult(want_type + "  " + (text or "1"),
                                   want_type, got_type, False))
             continue
         label = "%s  %s" % (got_type, text or "1")
-        got = report.identified_as or report.verdict
-        ok = (report.identified_as == name
-              and report.verdict == "replicable-up-to-K_rep")
-        rows.append(RowResult(label, name, got, ok))
+        verdict = is_replicable(quo).verdict
+        identified, _ = identify(quo)
+        ok = identified == name and verdict == "replicable-up-to-K_rep"
+        rows.append(RowResult(label, name, identified or verdict, ok))
     return rows
 
 
@@ -232,8 +220,7 @@ def _verify_ex33():
 def _verify_ex34():
     ham = catalog_code("hamming8")
     gens = parse_generators("(4,6)(5,7), (4,7)(5,6), (1,3)(2,8)", 8)
-    theta = theta_fixed(ham, gens, 12 * DEN)
-    quo = theta_quotient(theta, type_str(orbit_type(gens, 8)), N=8)
+    _, quo = fixed_quotient(ham, gens, 12 * DEN)
     rows = [
         _series_row("quotient through q^3", quo, -DEN,
                     [1, 18, 150, 780, 2928]),
@@ -511,7 +498,7 @@ def _check_group(which, code, gens, trunc48, flavor):
         return [_hypotheses("needs a group of generators")]
     if not is_even(code, flavor):
         return [_hypotheses("the %s lattice of the code is odd" % flavor)]
-    elements = group_elements(gens, GROUP_CAP)
+    elements = group_elements(gens)
     bad = _doubling_element(code, elements, flavor)
     if bad is not None:
         return [_hypotheses("element %s has order doubling" % bad)]

@@ -197,6 +197,13 @@ def test_character_plus_needs_octave_rank():
         character_plus(QSeries({0: 1}, T(10)), T(4), rank=12)
 
 
+def test_character_plus_refuses_an_odd_lattice():
+    # the super0 lattice of hamming8 is odd: its character would carry
+    # half-integral exponents
+    with pytest.raises(DomainError, match="lattice of the code is odd"):
+        character_plus(HAM, 4 * DEN, flavor="super0")
+
+
 def test_character_plus_refuses_a_non_integer_rank():
     with pytest.raises(TypeError):
         character_plus(kernel_theta(HAM, REP24, T(10)), T(4), rank=8.5)
@@ -310,7 +317,7 @@ def test_group_character_refuses_a_repeated_partition_off_the_code(
     good, bad = parse_generators("(1,2,3)(4,5,6), (1,2,3)(4,6,5)", 8)
     assert code.is_automorphism(good) and not code.is_automorphism(bad)
     monkeypatch.setattr(characters, "group_elements",
-                        lambda gens, cap: [parse_perm("()", 8), *gens])
+                        lambda gens: [parse_perm("()", 8), *gens])
     with pytest.raises(DomainError) as err:
         character_group(code, [good, bad], T(2))
     assert str(err.value) == (

@@ -401,6 +401,23 @@ def test_a_quotient_with_no_window_exits_4(capsys, trunc):
     assert "no window" in payload["message"]
 
 
+@pytest.mark.parametrize("trunc,status,error", [
+    ("1", 4, "PrecisionError"), ("2", 3, "DomainError")])
+def test_a_quotient_with_no_window_is_refused_before_its_rank(
+        capsys, tmp_path, trunc, status, error):
+    # three disjoint tetrads: doubly even of length 12, so the rank 12 of
+    # its lattice is no multiple of 8; eta^12 takes 1 power of the window
+    path = tmp_path / "tetrads12.txt"
+    path.write_text("111100000000\n000011110000\n000000001111\n")
+    code, out, err = run(capsys, "quotient", "--code", str(path),
+                         "--trunc", trunc)
+    assert (code, out) == (status, "")
+    payload = json.loads(err)["error"]
+    assert payload["type"] == error
+    assert ("no window" if status == 4 else "rank must be a positive"
+            " multiple of 8, got 12") in payload["message"]
+
+
 def test_the_shortest_golay24_quotient_with_a_window_is_exact(capsys):
     rec = run_json(capsys, "quotient", "--code", "golay24", "--trunc", "3")
     series = rec["outputs"]["series"]

@@ -24,12 +24,13 @@ from thetaforge.lattice import (
     theta_twisted,
 )
 from thetaforge.modfunc import (
-    MT_NAMES, eta_product, eta_quotient, faber_table, identify,
-    is_replicable, mckay_thompson, orbit_degree, parse_orbit_type,
+    MT_NAMES, eta_product, eta_quotient, faber_table, fixed_quotient,
+    identify, is_replicable, mckay_thompson, orbit_degree, parse_orbit_type,
     strip_constant, theta_quotient,
 )
-from thetaforge.perms import parse_generators, parse_perm
+from thetaforge.perms import orbit_type, parse_generators, parse_perm, type_str
 from thetaforge.qseries import DEN, PrecisionError, QSeries, eta
+from thetaforge.verify import _SUBGROUP_CLASSES
 
 from oracles import (
     CATALOG_BUILDERS, full_window_identify, hamming8_class_representatives,
@@ -46,7 +47,6 @@ def test_parse_orbit_type_forms():
     want = ((1, 2), (2, 1), (4, 1))
     assert parse_orbit_type("1^2 2 4") == want
     assert parse_orbit_type({4: 1, 1: 2, 2: 1}) == want
-    assert parse_orbit_type([1, 1, 2, 4]) == want
     assert parse_orbit_type([(1, 2), (2, 1), (4, 1)]) == want
     assert orbit_degree(want) == 8
 
@@ -67,8 +67,8 @@ def test_eta_product_is_product_of_etas():
     assert eta_product({1: 2, 2: 1, 4: 1}, T(4)).valuation48() == 2 * 8
 
 
-def test_eta_product_is_built_once_and_shared_unchanged(monkeypatch):
-    monkeypatch.setattr(modfunc, "_eta_product_cache", {})
+def test_eta_product_is_built_once_and_shared_unchanged():
+    modfunc._eta_product.cache_clear()
     first = eta_product("1^2 2 4", T(10))
     snapshot = (dict(first.coeffs), first.trunc48)
     assert eta_product({4: 1, 1: 2, 2: 1}, T(10)) is first
@@ -126,7 +126,7 @@ def test_trace_series_against_a_wide_division(flavor):
 # ---------- theta quotients ----------
 
 def test_quotient_of_full_lattice_theta_is_shifted_j():
-    f = theta_quotient(theta_fixed(HAM, [], T(16)), {1: 8}, N=8)
+    f = theta_quotient(theta_fixed(HAM, [], T(16)), {1: 8})
     got, delta = identify(f)
     assert got == "T_1A" and delta == 744
     assert f.coeff48(-DEN) == 1
@@ -138,14 +138,14 @@ def test_quotient_of_full_lattice_theta_is_shifted_j():
 def test_quotient_keeps_integer_coefficients():
     for name in ("hamming8", "hamming8+hamming8", "golay24"):
         code = catalog_code(name)
-        f = theta_quotient(theta_fixed(code, [], T(10)), {1: code.n}, N=code.n)
+        f = theta_quotient(theta_fixed(code, [], T(10)), {1: code.n})
         assert f.is_integral()
 
 
 def test_raw_quotient_used_for_inner_power_rows():
     # no 24/N rescaling: theta over eta(q^2)^4 alone
     th = theta_fixed(HAM, [parse_perm("(1,7)(2,4)(3,8)(5,6)", 8)], T(16))
-    f = theta_quotient(th, {2: 4})
+    f = eta_quotient(th.truncate48, {2: 4}, T(16) - 32)
     assert f.valuation48() == -16
     assert [f.coeff48(-16 + 48 * k) for k in range(7)] == [
         1, 8, 28, 64, 134, 288, 568]
@@ -153,10 +153,10 @@ def test_raw_quotient_used_for_inner_power_rows():
 
 def test_quotient_rejects_wrong_rank():
     th = theta_fixed(HAM, [], T(8))
+    with pytest.raises(DomainError, match="rank must be"):
+        theta_quotient(th, {1: 12})
     with pytest.raises(DomainError):
-        theta_quotient(th, {1: 8}, N=12)
-    with pytest.raises(DomainError):
-        theta_quotient(th - 1, {1: 8}, N=8)
+        theta_quotient(th - 1, {1: 8})
 
 
 @pytest.mark.parametrize("powers", [1, 2])
@@ -165,20 +165,41 @@ def test_quotient_with_no_window_is_a_precision_error(powers):
     golay = catalog_code("golay24")
     theta = theta_fixed(golay, [], T(powers))
     with pytest.raises(PrecisionError, match="no window"):
-        theta_quotient(theta, {1: 24}, N=24)
-    assert theta_quotient(theta_fixed(golay, [], T(3)), {1: 24},
-                          N=24).trunc48 == T(1)
+        theta_quotient(theta, {1: 24})
+    shortest = theta_quotient(theta_fixed(golay, [], T(3)), {1: 24})
+    assert shortest.trunc48 == T(1)
 
 
-def test_quotient_refuses_a_non_integer_rank():
-    with pytest.raises(TypeError):
-        theta_quotient(theta_fixed(HAM, [], T(8)), {1: 8}, N=8.9)
+def test_fixed_quotient_is_the_labelled_theta_quotient():
+    # every hamming8 class representative and every subgroup class of
+    # `verify` under two flavors, and the golay24 half swap on Leech
+    groups = ([[g] for g in hamming8_class_representatives()]
+              + [parse_generators(text, 8) if text else []
+                 for text, _ in _SUBGROUP_CLASSES])
+    assert len(groups) == 11 + 19
+    cases = [(HAM, gens, flavor) for flavor in ("plain", "super1")
+             for gens in groups]
+    swap = parse_generators("(1,13)(2,14)(3,15)(4,16)(5,17)(6,18)(7,19)"
+                            "(8,20)(9,21)(10,22)(11,23)(12,24)", 24)
+    cases.append((catalog_code("golay24"), swap, "super1"))
+    for code, gens, flavor in cases:
+        t48 = T(4) + 4 * code.n
+        label, quo = fixed_quotient(code, gens, t48, flavor=flavor)
+        otype = orbit_type(gens, code.n)
+        assert label == type_str(otype)
+        assert quo == theta_quotient(
+            theta_fixed(code, gens, t48, flavor=flavor), otype)
+
+
+def test_fixed_quotient_refuses_an_odd_lattice():
+    with pytest.raises(DomainError, match="super0 lattice of the code is odd"):
+        fixed_quotient(HAM, [], T(8), flavor="super0")
 
 
 def test_klein_subgroup_quotient_expansion():
     gens = parse_generators("(4,6)(5,7), (4,7)(5,6), (1,3)(2,8)", 8)
     th = theta_fixed(HAM, gens, T(16))
-    f = theta_quotient(th, {2: 2, 4: 1}, N=8)
+    f = theta_quotient(th, {2: 2, 4: 1})
     assert [f.coeff48(k * DEN) for k in range(-1, 8)] == [
         1, 18, 150, 780, 2928, 8892, 24032, 60840, 145089]
     assert identify(f) == (None, None)
@@ -217,7 +238,7 @@ def _faber_input(source, K):
     else:
         g = parse_perm(source, 8)
         th = theta_fixed(HAM, [g], T(2 * K + 4))
-        f = theta_quotient(th, g.cycle_type(), N=8)
+        f = theta_quotient(th, g.cycle_type())
     return strip_constant(f)[0]
 
 
@@ -226,7 +247,7 @@ def _faber_input(source, K):
     "T_4A", "T_3A", "(1,6)(7,8)", "T_8B", "T_16a"])
 def test_faber_table_against_series_oracle(source, K):
     f = _faber_input(source, K)
-    assert faber_table(f, K).table == oracle_faber_table(f, K)
+    assert faber_table(f, K) == oracle_faber_table(f, K)
 
 
 coeff_st = st.integers(min_value=-9, max_value=9)
@@ -251,7 +272,7 @@ def strided_faber_input(draw):
 @settings(max_examples=60, deadline=None)
 def test_faber_table_on_strided_tails_against_the_oracle(case):
     f, K = case
-    assert faber_table(f, K).table == oracle_faber_table(f, K)
+    assert faber_table(f, K) == oracle_faber_table(f, K)
 
 
 @pytest.mark.parametrize("name", ["T_4A", "T_16a"])   # strides 1 and 4
@@ -259,7 +280,7 @@ def test_faber_table_on_strided_tails_against_the_oracle(case):
 def test_faber_table_precision_boundary(name, K):
     f = strip_constant(mckay_thompson(name, 2 * K * DEN + 1))[0]
     assert f.trunc48 == 2 * K * DEN + 1
-    assert faber_table(f, K).table == oracle_faber_table(f, K)
+    assert faber_table(f, K) == oracle_faber_table(f, K)
     with pytest.raises(PrecisionError):
         faber_table(f.truncate48(2 * K * DEN), K)
 
@@ -284,12 +305,12 @@ def test_faber_counts_must_be_ints(call):
 
 def test_faber_table_against_closed_forms():
     f, _ = strip_constant(mckay_thompson("T_4A", T(10)))
-    report = faber_table(f, 4)
+    table = faber_table(f, 4)
     f2, f3 = faber_low_columns(f)
     for n in range(1, 5):
-        assert report.table[n][1] == f.coeff48(n * DEN)
-        assert report.table[n][2] == Fraction(f2.coeff48(n * DEN), 2)
-        assert report.table[n][3] == Fraction(f3.coeff48(n * DEN), 3)
+        assert table[n][1] == f.coeff48(n * DEN)
+        assert table[n][2] == Fraction(f2.coeff48(n * DEN), 2)
+        assert table[n][3] == Fraction(f3.coeff48(n * DEN), 3)
 
 
 def test_faber_table_needs_precision():
@@ -313,10 +334,10 @@ def test_faber_table_symmetry(tail):
     coeffs = {-DEN: 1}
     coeffs.update({(i + 1) * DEN: c for i, c in enumerate(tail) if c})
     f = QSeries(coeffs, T(2 * K + 1))
-    report = faber_table(f, K)
+    table = faber_table(f, K)
     for n in range(1, K + 1):
         for k in range(1, K + 1):
-            assert report.table[n][k] == report.table[k][n]
+            assert table[n][k] == table[k][n]
 
 
 @given(st.fractions(min_value=-20, max_value=20, max_denominator=6))
@@ -416,13 +437,13 @@ PAIRINGS = [
                          ids=[p[0] for p in PAIRINGS])
 def test_orbit_type_quotients_identify(name, otype, ref, delta):
     th = catalog_theta(ref[0], ref[1], T(14))
-    f = theta_quotient(th, otype, N=8)
+    f = theta_quotient(th, otype)
     assert identify(f) == (name, delta)
 
 
 def test_split_orbit_theta_identifies_as_t12a():
     th = catalog_theta("A1", 2, T(14)) * catalog_theta("A1", 6, T(14))
-    f = theta_quotient(th, {2: 1, 6: 1}, N=8)
+    f = theta_quotient(th, {2: 1, 6: 1})
     assert identify(f) == ("T_12A", 0)
 
 
@@ -431,7 +452,7 @@ def test_split_orbit_theta_identifies_as_t12a():
 def test_identify_agrees_with_the_full_window_loop_on_the_classes(powers, flavor):
     for g in hamming8_class_representatives():
         th = theta_fixed(HAM, [g], T(powers), flavor=flavor)
-        f = theta_quotient(th, g.cycle_type(), N=8)
+        f = theta_quotient(th, g.cycle_type())
         assert identify(f) == full_window_identify(f), (g, powers)
 
 
@@ -463,7 +484,7 @@ def test_identify_needs_window():
 def quotient_of(text):
     g = parse_perm(text, 8)
     th = theta_fixed(HAM, [g], T(26))
-    return theta_quotient(th, g.cycle_type(), N=8)
+    return theta_quotient(th, g.cycle_type())
 
 
 def test_replicable_class_identifications():

@@ -22,7 +22,9 @@ takes them from `lattice.FLAVORS` or passes a flavor through.  For the
 same start-up cost no module imports ``json`` (`cli` writes records
 itself) or anything from ``__future__``, and none compiles a regular
 expression when it is imported: a pattern is compiled the first time
-its parser runs.
+its parser runs.  Only `modfunc` names ``theta_quotient``: every other
+module gets the labelled quotient of a fixed sublattice from
+`modfunc.fixed_quotient`, which reads the rank off the orbit type.
 """
 
 import ast
@@ -299,6 +301,33 @@ def test_json_and_future_guard_sees_every_form():
         "import jsonschema\n")
     assert sorted(node.lineno for node in ast.walk(tree)
                   if _imports_json_or_future(node)) == [1, 2, 3, 4, 6]
+
+
+def _names_theta_quotient(node):
+    """An import, a call or any other use of `theta_quotient`."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return any(a.name.split(".")[-1] == "theta_quotient"
+                   for a in node.names)
+    return (isinstance(node, ast.Name) and node.id == "theta_quotient"
+            or isinstance(node, ast.Attribute)
+            and node.attr == "theta_quotient")
+
+
+def test_only_modfunc_names_theta_quotient():
+    assert _offending_nodes(_names_theta_quotient, skip=("modfunc.py",)) == []
+
+
+def test_theta_quotient_guard_sees_imports_and_calls():
+    tree = ast.parse(
+        "from .modfunc import theta_quotient\n"
+        "from .modfunc import eta_quotient, theta_quotient as tq\n"
+        "q = theta_quotient(theta, orbit_type)\n"
+        "r = modfunc.theta_quotient(theta, orbit_type)\n"
+        "s = fixed_quotient(code, gens, t)\n"
+        "u = 'theta_quotient'\n"
+        "from .modfunc import eta_quotient\n")
+    assert sorted(node.lineno for node in ast.walk(tree)
+                  if _names_theta_quotient(node)) == [1, 2, 3, 4]
 
 
 # re functions that compile their pattern argument

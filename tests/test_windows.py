@@ -54,8 +54,8 @@ def _eta_quotient(draw, w):
 
 def _theta_quotient(draw, w):
     g = draw(classes)
-    # the documented window is the theta's less 4N for degree N
-    theta = theta_fixed(HAM, [g], w + 4 * orbit_degree(g.cycle_type()),
+    # the documented window is the theta's less 2N + 48 for degree N
+    theta = theta_fixed(HAM, [g], w + 2 * orbit_degree(g.cycle_type()) + DEN,
                         flavor=draw(even_flavors))
     return theta_quotient(theta, g.cycle_type())
 
