@@ -8,18 +8,22 @@ twisted by a sign character on even powers, and averaging them gives
 the character of the fixed subVOA.  The identities relating these
 characters across subgroups are checked in `verify`.
 
-Every eta division goes through `modfunc.eta_quotient`, and callers
-hand it each theta as a function of the window, never a padded series.
+Every trace, of a cyclic power, a group element or the full lattice,
+goes through `_trace`.  `character_plus(code, trunc48, g=None,
+flavor=...)` adds the -id twist to the trace of the full lattice, or
+with g of even order to the kernel sublattice of g over eta^N.  Every
+eta division goes through `modfunc.eta_quotient`, and callers hand it
+each theta as a function of the window, never a padded series.
 """
 
 from math import gcd
 
 from .codes import BinaryCode
 from .errors import DomainError, ThetaforgeError
-from .lattice import lift_order, require_even, theta_fixed, theta_twisted
+from .lattice import kernel_theta, lift_order, require_even, theta_twisted
 from .modfunc import eta_product, eta_quotient
 from .perms import Perm, group_elements, orbits
-from .qseries import DEN, QSeries, exact_int
+from .qseries import DEN, QSeries
 
 class CharacterReport:
     """Assembled character plus the per-power traces that built it."""
@@ -125,35 +129,30 @@ def character_group(code: BinaryCode, gens, trunc48: int,
     for el in elements:
         cycles = tuple(orbits([el], code.n))
         if cycles not in traces:
-            traces[cycles] = eta_quotient(
-                lambda t: theta_fixed(code, [el], t, flavor=flavor),
-                el.cycle_type(), trunc48)
+            traces[cycles] = _trace(code, el, 1, trunc48, flavor)
         elif not code.is_automorphism(el):
             raise DomainError("%s is not an automorphism of the code" % el)
         terms.append(traces[cycles])
     return CharacterReport(len(elements), False, {}, _character(terms, code.n))
 
 
-def character_plus(source, trunc48: int, rank=None,
+def character_plus(code: BinaryCode, trunc48: int, g=None,
                    flavor: str = "plain") -> QSeries:
     """Character of the subVOA fixed by lifting negation.
 
     Half of theta/eta^N plus the contribution of the -id twist, which
-    depends only on the rank: eta(q)^N/eta(q^2)^N.  source is a code,
-    or a lattice theta with the rank passed separately: a precomputed
-    series, or a function of the window as `eta_quotient` takes it.
+    depends only on the rank N = code.n: eta(q)^N/eta(q^2)^N.  theta is
+    the flavor's lattice of the code, or with g of even order its
+    kernel sublattice (see `lattice.kernel_theta`).
     """
-    if isinstance(source, BinaryCode):
-        require_even(source, flavor)
-        N = source.n
-        theta_of = lambda t: theta_fixed(source, [], t, flavor=flavor)
-    else:
-        if rank is None:
-            raise DomainError("a bare theta series needs its lattice rank")
-        N = exact_int(rank, "rank")
-        theta_of = source.truncate48 if isinstance(source, QSeries) else source
+    require_even(code, flavor)
+    N = code.n
     if N < 8 or N % 8:
         raise DomainError("rank must be a multiple of 8, at least 8; got %s" % N)
-    fixed_part = eta_quotient(theta_of, {1: N}, trunc48)
+    if g is None:
+        fixed_part = _trace(code, Perm.identity(N), 0, trunc48, flavor)
+    else:
+        fixed_part = eta_quotient(
+            lambda t: kernel_theta(code, g, t, flavor=flavor), {1: N}, trunc48)
     neg_part = eta_quotient(lambda t: eta_product({1: N}, t), {2: N}, trunc48)
     return (fixed_part + neg_part) / 2

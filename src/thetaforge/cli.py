@@ -358,7 +358,7 @@ def _run_scan(args):
             gens = parse_generators(text, code.n)
             record["outputs"] = _replicability(
                 code, gens, args.flavor, trunc * DEN, krep)
-        except (ThetaforgeError, PrecisionError) as exc:
+        except ThetaforgeError as exc:
             record["error"] = _error(exc)
         records.append(record)
     failed = sum(1 for r in records if "error" in r)

@@ -14,6 +14,10 @@ class DomainError(ThetaforgeError, ValueError):
     """Structurally valid input outside the supported domain."""
 
 
+class PrecisionError(ThetaforgeError, ValueError):
+    """A coefficient at or beyond the truncation bound was requested."""
+
+
 def read_lines(path):
     """The lines of a UTF-8 text file; undecodable bytes are a ParseError."""
     with open(path, encoding="utf-8") as fh:

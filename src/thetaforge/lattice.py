@@ -270,6 +270,8 @@ def kernel_theta(code: BinaryCode, g: Perm, trunc48: int,
     m = g.order()
     if m % 2:
         raise DomainError("kernel sublattice needs an automorphism of even order")
+    if not code.is_automorphism(g):
+        raise DomainError("%s is not an automorphism of the code" % g)
     full = theta_fixed(code, [], trunc48, flavor=flavor)
     twisted = theta_twisted(code, g, m, trunc48, flavor=flavor)
     return ((full + twisted) / 2).truncate48(trunc48)

@@ -126,8 +126,10 @@ def fixed_quotient(code, gens, trunc48, flavor="plain"):
     flavor's lattice must be even.
     """
     require_even(code, flavor)
-    orbits = perms.orbit_type(gens, code.n)
+    # theta_fixed refuses a generator of the wrong degree before the
+    # orbits are walked
     theta = theta_fixed(code, gens, trunc48, flavor=flavor)
+    orbits = perms.orbit_type(gens, code.n)
     return perms.type_str(orbits), theta_quotient(theta, orbits)
 
 
@@ -287,26 +289,23 @@ _CATALOG = {
 
 MT_NAMES = tuple(_CATALOG)
 
-_mt_cache = {}
 
-
+@cache
 def mckay_thompson(name, trunc48):
-    """Closed-form expansion of the named catalog series, q^-1 + O(1)."""
+    """Closed-form expansion of the named catalog series, q^-1 + O(1);
+    built once per name and window, and shared."""
     if name not in _CATALOG:
         raise DomainError("unknown series %r; catalog has %s"
                           % (name, ", ".join(MT_NAMES)))
-    cached = _mt_cache.get(name)
-    if cached is None or cached.trunc48 < trunc48:
-        constant, terms = _CATALOG[name]
-        cached = sum((c * eta_quotient(num, den, trunc48)
-                      for c, num, den in terms), constant)
-        if (cached.valuation48() != -DEN or cached.lead_coeff() != 1
-                or not cached.is_integral()):
-            raise ThetaforgeError(
-                "catalog series %s is not an integral q^-1 + O(1)"
-                " expansion below %d/48" % (name, trunc48))
-        _mt_cache[name] = cached
-    return cached.truncate48(trunc48)
+    constant, terms = _CATALOG[name]
+    out = sum((c * eta_quotient(num, den, trunc48) for c, num, den in terms),
+              constant)
+    if (out.valuation48() != -DEN or out.lead_coeff() != 1
+            or not out.is_integral()):
+        raise ThetaforgeError(
+            "catalog series %s is not an integral q^-1 + O(1)"
+            " expansion below %d/48" % (name, trunc48))
+    return out
 
 
 def identify(f):

@@ -86,15 +86,7 @@ class Perm:
 
     def cycle_type(self):
         """Multiset of cycle lengths including fixed points, as a dict."""
-        ct = {}
-        moved = 0
-        for cyc in self.cycles():
-            ct[len(cyc)] = ct.get(len(cyc), 0) + 1
-            moved += len(cyc)
-        fixed = self.n - moved
-        if fixed:
-            ct[1] = ct.get(1, 0) + fixed
-        return ct
+        return orbit_type([self], self.n)
 
     def order(self):
         cycs = self.cycles()
@@ -210,34 +202,26 @@ def read_group_file(path, n):
     return gens
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def orbits(gens, n):
     """Orbits of the group generated by gens on {0..n-1}, as sorted
     tuples sorted by smallest point."""
-    uf = _UnionFind(n)
-    for g in gens:
-        for i, j in enumerate(g.images):
-            uf.union(i, j)
-    buckets = {}
-    for i in range(n):
-        buckets.setdefault(uf.find(i), []).append(i)
-    return sorted((tuple(sorted(b)) for b in buckets.values()),
-                  key=lambda t: t[0])
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit, todo = [start], [start]
+        while todo:
+            i = todo.pop()
+            for g in gens:
+                j = g.images[i]
+                if not seen[j]:
+                    seen[j] = True
+                    orbit.append(j)
+                    todo.append(j)
+        out.append(tuple(sorted(orbit)))
+    return out
 
 
 def orbit_type(gens, n):

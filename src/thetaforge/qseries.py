@@ -30,11 +30,9 @@ inverse series built, exact below the window f * g**-1 would have.
 from fractions import Fraction
 from math import gcd
 
+from .errors import PrecisionError
+
 DEN = 48
-
-
-class PrecisionError(ValueError):
-    """A coefficient at or beyond the truncation bound was requested."""
 
 
 def _norm_coeff(c):

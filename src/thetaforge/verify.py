@@ -24,16 +24,11 @@ from .characters import (
 from .codes import catalog_code
 from .errors import DomainError
 from .lattice import (
-    catalog_theta, is_even, kernel_theta, lift_order, theta_fixed,
-    theta_matches,
+    catalog_theta, is_even, lift_order, theta_fixed, theta_matches,
 )
 from .modfunc import eta_quotient, fixed_quotient, identify, is_replicable
 from .perms import Perm, group_elements, parse_generators
 from .qseries import DEN, QSeries
-
-FIGURE_IDS = ("fig1", "fig2", "fig5", "fig7", "ex33", "ex34", "ex53",
-              "ex81", "thmC", "thmD")
-
 
 class RowResult:
     """One verified table row; ok is None for informational rows."""
@@ -167,7 +162,7 @@ def _verify_fig5():
     series = (
         character_cyclic(ham, rep, t48).character,
         character_cyclic(ham, nr, t48).character,
-        character_plus(lambda t: kernel_theta(ham, rep, t), t48, rank=8),
+        character_plus(ham, t48, rep),
         character_plus(ham, t48),
     )
     return [_series_row(label, s, -16, expected)
@@ -348,11 +343,6 @@ def _d_lattice_character(N, trunc48):
                         {2: half}, trunc48)
 
 
-def _quotient_by_eta2(code, g, trunc48, flavor):
-    return eta_quotient(lambda t: theta_fixed(code, [g], t, flavor=flavor),
-                        {2: code.n // 2}, trunc48)
-
-
 def _check_thmC(which, code, g1, g2, trunc48, flavor):
     N = code.n
     if not _is_half_cycle_type(g1, N):
@@ -369,16 +359,15 @@ def _check_thmC(which, code, g1, g2, trunc48, flavor):
         if not _fixed_theta_is(code, g2, flavor, trunc48, "D%d*" % (N // 2)):
             return [_hypotheses("second fixed theta is not the D*(2) series")]
     ch1 = character_cyclic(code, g1, trunc48, flavor=flavor).character
-    ch_ker_plus = character_plus(
-        lambda t: kernel_theta(code, g1, t, flavor=flavor), trunc48, rank=N)
+    ch_ker_plus = character_plus(code, trunc48, g1, flavor=flavor)
     ch_d = _d_lattice_character(N, trunc48)
     if which == "ThmC-1":
-        lhs1 = _quotient_by_eta2(code, g1, trunc48, flavor)
+        lhs1 = trace_series(code, g1, 1, trunc48, flavor)
         rhs1 = (ch1 - ch_ker_plus + ch_d).truncate48(trunc48)
         return [_hypotheses(), _compare("rep quotient identity", lhs1, rhs1)]
     ch2 = character_cyclic(code, g2, trunc48, flavor=flavor).character
     ch_plus = character_plus(code, trunc48, flavor=flavor)
-    lhs2 = _quotient_by_eta2(code, g2, trunc48, flavor)
+    lhs2 = trace_series(code, g2, 1, trunc48, flavor)
     rhs2 = (2 * (ch2 - ch_plus) - (ch1 - ch_ker_plus) + ch_d).truncate48(trunc48)
     return [_hypotheses(), _compare("nr quotient identity", lhs2, rhs2)]
 
@@ -412,8 +401,8 @@ def _check_thmD(code, gens, elements, trunc48, flavor):
 
 def _check_p2q(code, gens, elements, trunc48, flavor):
     order = len(elements)
-    candidates = [(p, q) for p in range(2, order) for q in range(p + 1, order)
-                  if p * p * q == order
+    candidates = [(p, q) for p in range(2, isqrt(order) + 1)
+                  if order % (p * p) == 0 and (q := order // (p * p)) > p
                   and _is_prime(p) and _is_prime(q)]
     if not candidates:
         return [_hypotheses("group order %d is not p^2*q" % order)]
@@ -461,8 +450,8 @@ def _check_parity(code, g_rep, g_nr, trunc48, flavor):
     if not _fixed_theta_is(code, g_nr, flavor, trunc48, "D%d*" % (N // 2)):
         return [_hypotheses("nr fixed theta is not the D*(2) series")]
     rows = [_hypotheses()]
-    quo_rep = _quotient_by_eta2(code, g_rep, trunc48, flavor)
-    quo_nr = _quotient_by_eta2(code, g_nr, trunc48, flavor)
+    quo_rep = trace_series(code, g_rep, 1, trunc48, flavor)
+    quo_nr = trace_series(code, g_nr, 1, trunc48, flavor)
     parity = 0 if N % 16 == 8 else 1
     side = "even" if parity == 0 else "odd"
     rows.append(_compare_on_parity(
@@ -483,9 +472,7 @@ def _check_parity(code, g_rep, g_nr, trunc48, flavor):
         ch_nr, ch_plus, N, 0))
     if N % 16 == 8 and lift_order(code, g_rep, flavor=flavor) > g_rep.order():
         ch_rep = character_cyclic(code, g_rep, trunc48, flavor=flavor).character
-        ch_ker = character_plus(
-            lambda t: kernel_theta(code, g_rep, t, flavor=flavor), trunc48,
-            rank=N)
+        ch_ker = character_plus(code, trunc48, g_rep, flavor=flavor)
         rows.append(_compare_on_parity(
             "rep character meets the kernel-plus character on even powers",
             ch_rep, ch_ker, N, 0))
@@ -536,6 +523,8 @@ _REGISTRY = {
     "thmC": _verify_thmC,
     "thmD": _verify_thmD,
 }
+
+FIGURE_IDS = tuple(_REGISTRY)
 
 
 def verify_figure(figure_id: str) -> FigureReport:

@@ -175,8 +175,7 @@ def test_criterion_06_involution_characters_and_even_parts():
         t48 = T(12)
         ch_rep = character_cyclic(HAM, REP, t48).character
         ch_nr = character_cyclic(HAM, NR, t48).character
-        v_d8 = character_plus(kernel_theta(HAM, REP, t48 + T(16)),
-                              t48, rank=8)
+        v_d8 = character_plus(HAM, t48, REP)
         v_e8 = character_plus(HAM, t48)
         assert row(ch_rep, -16, 7) == [
             1, 64, 1052, 8704, 53382, 264448, 1133112]

@@ -23,9 +23,9 @@ from thetaforge.lattice import (
     FLAVORS, catalog_theta, doubling_code_criterion,
     doubling_lattice_criterion, is_even, kernel_theta, lift_order,
     theta_fixed)
-from thetaforge.modfunc import eta_quotient
+from thetaforge.modfunc import eta_product, eta_quotient
 from thetaforge.perms import group_elements, parse_generators, parse_perm
-from thetaforge.qseries import DEN, PrecisionError, QSeries
+from thetaforge.qseries import DEN, QSeries
 from thetaforge.verify import _SUBGROUP_CLASSES, verify_identity
 
 from oracles import hamming8_class_representatives
@@ -176,25 +176,18 @@ def test_character_report_json_shape():
 def test_character_plus_rows():
     plus = character_plus(HAM, T(7))
     assert rows(plus, 8, 7) == [1, 120, 2076, 17344, 106630, 528608, 2265656]
-    kernel = kernel_theta(HAM, REP24, T(13))
-    half = character_plus(kernel, T(7), rank=8)
+    half = character_plus(HAM, T(7), REP24)
     assert rows(half, 8, 7) == [1, 56, 1052, 8640, 53382, 264160, 1133112]
 
 
-def test_character_plus_refuses_a_short_theta():
-    # E8 theta known below q^8 cannot give the character below q^10;
-    # this used to come back silently truncated at q^(364/48)
-    short = catalog_theta("E8", 1, 8 * DEN)
-    with pytest.raises(PrecisionError):
-        character_plus(short, 10 * DEN, rank=8)
-    assert character_plus(short, 7 * DEN, rank=8).trunc48 == 7 * DEN
-
-
 def test_character_plus_needs_octave_rank():
-    with pytest.raises(DomainError):
-        character_plus(kernel_theta(HAM, REP24, T(10)), T(4))
-    with pytest.raises(DomainError):
-        character_plus(QSeries({0: 1}, T(10)), T(4), rank=12)
+    # three disjoint tetrads: a doubly even code of length 12, rank 12
+    tetrads = BinaryCode(12, [0b1111 << 4 * i for i in range(3)])
+    assert tetrads.is_doubly_even()
+    with pytest.raises(DomainError, match="rank must be a multiple of 8"):
+        character_plus(tetrads, T(4))
+    with pytest.raises(DomainError, match="rank must be a multiple of 8"):
+        character_plus(tetrads, T(4), parse_perm("(1,2)(3,4)", 12))
 
 
 def test_character_plus_refuses_an_odd_lattice():
@@ -202,11 +195,39 @@ def test_character_plus_refuses_an_odd_lattice():
     # half-integral exponents
     with pytest.raises(DomainError, match="lattice of the code is odd"):
         character_plus(HAM, 4 * DEN, flavor="super0")
+    # and so is the kernel sublattice of that lattice
+    with pytest.raises(DomainError, match="lattice of the code is odd"):
+        character_plus(HAM, 4 * DEN, REP24, flavor="super0")
 
 
-def test_character_plus_refuses_a_non_integer_rank():
-    with pytest.raises(TypeError):
-        character_plus(kernel_theta(HAM, REP24, T(10)), T(4), rank=8.5)
+@pytest.mark.parametrize("g", ["(1,5,2)(3,7,8)", "(1,3,7,8,5,4,2)"])
+def test_character_plus_refuses_an_odd_order_kernel(g):
+    with pytest.raises(DomainError, match="automorphism of even order"):
+        character_plus(HAM, T(4), parse_perm(g, 8))
+
+
+def test_character_plus_refuses_a_kernel_off_the_code():
+    # an even-order permutation that moves codewords off the code: its
+    # twisted theta alone would be computed without a word
+    g = parse_perm("(1,6,3,5,8,2,4,7)", 8)
+    assert not HAM.is_automorphism(g)
+    with pytest.raises(DomainError) as err:
+        character_plus(HAM, T(4), g)
+    assert str(err.value) == "%s is not an automorphism of the code" % g
+
+
+@pytest.mark.parametrize("flavor", ["plain", "super1"])
+def test_kernel_plus_character_is_the_two_eta_quotients(flavor):
+    # (theta_K / eta^8 + eta^8 / eta(2τ)^8) / 2 for the kernel sublattice
+    # K of each even-order class representative, built by hand
+    neg = eta_quotient(lambda t: eta_product({1: 8}, t), {2: 8}, T(10))
+    for g in hamming8_class_representatives():
+        if g.order() % 2:
+            continue
+        fixed = eta_quotient(
+            lambda t: kernel_theta(HAM, g, t, flavor=flavor), {1: 8}, T(10))
+        assert (character_plus(HAM, T(10), g, flavor=flavor)
+                == (fixed + neg) / 2), str(g)
 
 
 # ---------- characters of larger groups ----------
@@ -260,7 +281,7 @@ def test_characters_refuse_odd_lattices_before_computing(monkeypatch, build):
         raise AssertionError("computed a theta series for an odd lattice")
 
     monkeypatch.setattr(characters, "theta_twisted", no_theta)
-    monkeypatch.setattr(characters, "theta_fixed", no_theta)
+    monkeypatch.setattr(characters, "kernel_theta", no_theta)
     with pytest.raises(DomainError) as err:
         build()
     assert str(err.value) == "the super0 lattice of the code is odd"
@@ -306,6 +327,18 @@ def test_group_character_is_the_mean_over_every_element(text, flavor):
     got = character_group(HAM, gens, T(3), flavor=flavor).character
     want = _elementwise_character(HAM, gens, T(3), flavor)
     assert got.to_json_obj() == want.to_json_obj()
+
+
+@pytest.mark.parametrize("flavor", ["plain", "super1"])
+def test_cyclic_group_character_is_the_cyclic_character(flavor):
+    # one generator without doubling: the group's lift is the cyclic
+    # one, so both routes average the same traces
+    for g in hamming8_class_representatives():
+        if lift_order(HAM, g, flavor=flavor) > g.order():
+            continue
+        got = character_group(HAM, [g], T(6), flavor=flavor).character
+        want = character_cyclic(HAM, g, T(6), flavor=flavor).character
+        assert got == want, str(g)
 
 
 def test_group_character_refuses_a_repeated_partition_off_the_code(

@@ -316,7 +316,7 @@ def test_broken_character_invariant_exits_3(capsys, monkeypatch):
         raise AssertionError("computed a theta series for an odd lattice")
 
     monkeypatch.setattr(characters, "theta_twisted", no_theta)
-    monkeypatch.setattr(characters, "theta_fixed", no_theta)
+    monkeypatch.setattr(characters, "kernel_theta", no_theta)
     for group in ("(1,7)(2,4)(3,8)(5,6)",
                   "(1,2)(3,8)(4,7)(5,6), (1,3)(2,8)(4,6)(5,7)"):
         code, out, err = run(capsys, "character", "--flavor", "super0",

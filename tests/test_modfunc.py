@@ -196,6 +196,15 @@ def test_fixed_quotient_refuses_an_odd_lattice():
         fixed_quotient(HAM, [], T(8), flavor="super0")
 
 
+@pytest.mark.parametrize("degree", [10, 6])
+def test_fixed_quotient_refuses_a_generator_of_the_wrong_degree(degree):
+    g = parse_perm("(%d,%d)" % (degree - 1, degree), degree)
+    with pytest.raises(DomainError) as err:
+        fixed_quotient(HAM, [g], T(10))
+    assert str(err.value) == (
+        "permutation %s acts on %d points, code has length 8" % (g, degree))
+
+
 def test_klein_subgroup_quotient_expansion():
     gens = parse_generators("(4,6)(5,7), (4,7)(5,6), (1,3)(2,8)", 8)
     th = theta_fixed(HAM, gens, T(16))
@@ -398,9 +407,9 @@ CATALOG_WINDOWS = (49, T(2), T(9), T(26), T(30), T(100) + 7, T(200))
 
 
 @pytest.mark.parametrize("name", MT_NAMES)
-def test_catalog_rows_match_the_hand_padded_builders(monkeypatch, name):
-    monkeypatch.setattr(modfunc, "_mt_cache", {})
-    for w in CATALOG_WINDOWS:   # each wider than the cached one: built afresh
+def test_catalog_rows_match_the_hand_padded_builders(name):
+    mckay_thompson.cache_clear()
+    for w in CATALOG_WINDOWS:   # each window is its own memo entry: built afresh
         got = mckay_thompson(name, w)
         assert got == CATALOG_BUILDERS[name](w).truncate48(w), (name, w)
         assert got.trunc48 == w

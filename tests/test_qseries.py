@@ -475,6 +475,14 @@ def test_dividing_by_the_zero_series_is_a_value_error(trunc48):
         f / zero
 
 
+def test_precision_error_is_one_class_in_the_package_hierarchy():
+    import thetaforge
+    from thetaforge import errors
+    assert thetaforge.PrecisionError is PrecisionError is errors.PrecisionError
+    assert issubclass(PrecisionError, errors.ThetaforgeError)
+    assert issubclass(PrecisionError, ValueError)
+
+
 def test_truediv_by_scalar():
     f = QSeries.from_pairs([(0, 3), (1, 6)], 3)
     assert (f / 3).coefficient(1) == 2

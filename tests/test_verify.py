@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from thetaforge.codes import catalog_code
 from thetaforge.errors import DomainError
-from thetaforge.verify import FIGURE_IDS, verify_figure
+from thetaforge.verify import FIGURE_IDS, _check_p2q, _is_prime, verify_figure
 
 ROW_COUNTS = {
     "fig1": 6,
@@ -70,3 +71,26 @@ def test_unknown_figure_is_refused():
     with pytest.raises(DomainError) as exc:
         verify_figure("fig99")
     assert "fig1" in str(exc.value)
+
+
+def _double_loop_candidates(limit):
+    """The p^2 q factorizations of every order up to limit, by the
+    former double loop over p < q < order, run once for all orders."""
+    found = {}
+    for p in range(2, limit + 1):
+        for q in range(p + 1, limit + 1):
+            if p * p * q <= limit and _is_prime(p) and _is_prime(q):
+                found.setdefault(p * p * q, []).append((p, q))
+    return found
+
+
+def test_p2q_gate_reads_the_order_as_the_double_loop_did():
+    # with no generators the group counts as abelian, so the first row
+    # says whether the order factored; a p^2 q factorization is unique
+    code = catalog_code("hamming8")
+    reference = _double_loop_candidates(1500)
+    for order in range(1, 1501):
+        row = _check_p2q(code, [], [None] * order, 2 * 48, "plain")[0]
+        reason = ("group is abelian" if order in reference
+                  else "group order %d is not p^2*q" % order)
+        assert row.got == "not-applicable: " + reason, order

@@ -61,12 +61,9 @@ def _theta_quotient(draw, w):
 
 
 def _character_plus(draw, w):
-    flavor = draw(even_flavors)
-    if draw(st.booleans()):
-        return character_plus(HAM, w, flavor=flavor)
-    # a precomputed theta needs 2N = 16 48ths past the window
-    theta = theta_fixed(HAM, [], w + draw(st.integers(0, 32)), flavor=flavor)
-    return character_plus(theta, w, rank=8)
+    # the full lattice, or the kernel sublattice of an even-order class
+    g = draw(st.none() | st.sampled_from(EVEN_CLASSES))
+    return character_plus(HAM, w, g, flavor=draw(even_flavors))
 
 
 ENTRY_POINTS = {
