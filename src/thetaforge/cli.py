@@ -344,10 +344,7 @@ def _run_scan(args):
     require_even(code, args.flavor)
     contents = _path_contents(args)
     records = []
-    for i, raw in enumerate(read_lines(args.file), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for i, text in read_lines(args.file):
         job = {"command": "scan-line", "code": args.code,
                "flavor": args.flavor, "group": text, "trunc": trunc,
                "krep": krep}

@@ -94,11 +94,7 @@ class BinaryCode:
 
     @classmethod
     def from_file(cls, path):
-        rows = []
-        for line in read_lines(path):
-            line = line.split("#", 1)[0].strip()
-            if line:
-                rows.append(line)
+        rows = [text for _, text in read_lines(path)]
         if not rows:
             raise ParseError("no generator rows in %s" % path)
         return cls.from_rows_text(rows)

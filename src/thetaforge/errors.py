@@ -19,10 +19,15 @@ class PrecisionError(ThetaforgeError, ValueError):
 
 
 def read_lines(path):
-    """The lines of a UTF-8 text file; undecodable bytes are a ParseError."""
+    """(line number, text) for each line of a UTF-8 text file whose text
+    is not blank once its '#' comment is cut; line numbers count from 1
+    and undecodable bytes are a ParseError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return fh.readlines()
+            lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise ParseError(
                 "%s is not UTF-8 text: %s" % (path, exc)) from None
+    stripped = ((i, line.split("#", 1)[0].strip())
+                for i, line in enumerate(lines, start=1))
+    return [(i, text) for i, text in stripped if text]

@@ -34,7 +34,9 @@ on the a_Omega/4 cosets and 0 otherwise, its constant part is
 
 which must be a multiple of 8; the coset sign is (-1)^(e8/8).  No
 lattice vectors are ever enumerated here; a brute-force enumerator
-lives in the test suite as an oracle.
+lives in the test suite as an oracle.  The reference lattices of
+`catalog_theta` are not enumerated either: each is a polynomial in
+the Jacobi thetas of q^scale.
 
 Order doubling needs no census either.  With h = g^{m/2}, the parity
 of <v, hv> on the coset a_B/2 + Z^N is q(B) = |B ∩ hB|/2 mod 2, and on
@@ -53,7 +55,7 @@ import re
 from .codes import BinaryCode
 from .errors import DomainError
 from .perms import Perm, orbits
-from .qseries import DEN, QSeries, shifted_theta
+from .qseries import DEN, QSeries, shifted_theta, theta2, theta3, theta4
 
 HALF = Fraction(1, 2)
 
@@ -244,17 +246,19 @@ def theta_twisted(code: BinaryCode, g: Perm, j: int, trunc48: int,
     """Sign-twisted theta series of the sublattice fixed by g^j.
 
     Vectors are weighted by (-1)^{<v, g^{j/2} v>}.  For odd j (or odd
-    order of g) the weight is trivial and the plain fixed theta is
-    returned.  flavor picks the glueing, as in theta_fixed.
+    order m of g) the weight is trivial and the plain fixed theta is
+    returned, and so it is when 2m divides j: then g^j = 1 and the
+    weight is <v, v> mod 2, trivial on an even lattice.  g must be an
+    automorphism of the code.  flavor picks the glueing, as in
+    theta_fixed.
     """
     parity = _coset_parity(flavor)
+    if not code.is_automorphism(g):
+        raise DomainError("%s is not an automorphism of the code" % g)
     m = g.order()
     gj = g ** (j % m)
-    if j % 2 or m % 2:
+    if j % 2 or m % 2 or j % (2 * m) == 0:
         return theta_fixed(code, [gj], trunc48, flavor=flavor)
-    if j % (2 * m) == 0:
-        # the weight is <v, v> mod 2, trivial on an even lattice
-        return theta_fixed(code, [], trunc48, flavor=flavor)
     h = g ** (j // 2 % m)
     return _census_theta(code, [gj], trunc48, j=parity, twist=h)
 
@@ -270,10 +274,9 @@ def kernel_theta(code: BinaryCode, g: Perm, trunc48: int,
     m = g.order()
     if m % 2:
         raise DomainError("kernel sublattice needs an automorphism of even order")
-    if not code.is_automorphism(g):
-        raise DomainError("%s is not an automorphism of the code" % g)
-    full = theta_fixed(code, [], trunc48, flavor=flavor)
+    # theta_twisted refuses a non-automorphism before any census
     twisted = theta_twisted(code, g, m, trunc48, flavor=flavor)
+    full = theta_fixed(code, [], trunc48, flavor=flavor)
     return ((full + twisted) / 2).truncate48(trunc48)
 
 
@@ -328,33 +331,18 @@ def lift_order(code: BinaryCode, g: Perm, flavor: str = "plain") -> int:
 _CATALOG_RE = r"(A1|A2|K|E8|D(\d+)(\*?))(?:\^(\d+))?\Z"
 
 
-def _gram2_series(a, b, c, trunc48):
-    """Σ q^{a x² + b x y + c y²} over integer (x, y), exponents < trunc."""
-    coeffs = Counter()
-    # minimum of the form over x for fixed y is (c - b²/4a) y²
-    floor_coeff = Fraction(4 * a * c - b * b, 4 * a)
-    y = 0
-    while 48 * floor_coeff * y * y < trunc48:
-        for yy in ((y,) if y == 0 else (y, -y)):
-            x = -(b * yy) // (2 * a)
-            while 48 * (a * x * x + b * x * yy + c * yy * yy) < trunc48:
-                coeffs[48 * (a * x * x + b * x * yy + c * yy * yy)] += 1
-                x += 1
-            x = -(b * yy) // (2 * a) - 1
-            while 48 * (a * x * x + b * x * yy + c * yy * yy) < trunc48:
-                coeffs[48 * (a * x * x + b * x * yy + c * yy * yy)] += 1
-                x -= 1
-        y += 1
-    return QSeries(dict(coeffs), trunc48)
-
-
-def catalog_theta(name: str, scale: int = 1, trunc48: int = 16 * DEN) -> QSeries:
+def catalog_theta(name: str, scale: int, trunc48: int) -> QSeries:
     """Closed-form theta series of small reference lattices.
 
     name is a base name with an optional power suffix: A1, A2, K, E8,
     Dn, Dn* or e.g. "A1^4".  scale rescales the quadratic form by an
-    integer, dilating exponents; the A1(2) of rank-one fixed sublattices
-    is catalog_theta("A1", 2).
+    integer; the A1(2) of rank-one fixed sublattices is
+    catalog_theta("A1", 2, t).  Each base is a polynomial in the Jacobi
+    thetas of q**scale, built directly below trunc48: A1 = θ3, E8 =
+    (θ2⁸ + θ3⁸ + θ4⁸)/2, Dn = (θ3ⁿ + θ4ⁿ)/2 and Dn* = θ3ⁿ + θ2ⁿ.  A2 and
+    K are the forms x² + xy + c y² with c = 1 and 2, which read
+    (x + y/2)² + d y²/4 with d = 4c - 1; split on the parity of y they
+    are θ3(2s) θ3(2ds) + θ2(2s) θ2(2ds) at s = scale.
     """
     match = re.match(_CATALOG_RE, name.replace(" ", ""))
     if match is None:
@@ -363,32 +351,24 @@ def catalog_theta(name: str, scale: int = 1, trunc48: int = 16 * DEN) -> QSeries
         raise DomainError("scale must be a positive integer, got %r" % scale)
     power = int(match.group(4) or 1)
     base = match.group(1)
-    inner = -(-trunc48 // scale)
+    s, t = scale, trunc48
     if base == "A1":
-        series = _factor(HALF, Fraction(0), False, inner)
-    elif base == "A2":
-        series = _gram2_series(1, 1, 1, inner)
-    elif base == "K":
-        series = _gram2_series(1, 1, 2, inner)
+        series = theta3(s, t)
+    elif base in ("A2", "K"):
+        d = 3 if base == "A2" else 7
+        series = (theta3(2 * s, t) * theta3(2 * d * s, t)
+                  + theta2(2 * s, t) * theta2(2 * d * s, t))
     elif base == "E8":
-        t2 = _factor(HALF, HALF, False, inner)
-        t3 = _factor(HALF, Fraction(0), False, inner)
-        t4 = _factor(HALF, Fraction(0), True, inner)
-        series = (t2 ** 8 + t3 ** 8 + t4 ** 8) / 2
+        series = (theta2(s, t) ** 8 + theta3(s, t) ** 8 + theta4(s, t) ** 8) / 2
     else:
         rank = int(match.group(2))
-        t3 = _factor(HALF, Fraction(0), False, inner)
         if match.group(3):
-            t2 = _factor(HALF, HALF, False, inner)
-            series = t3 ** rank + t2 ** rank
+            series = theta3(s, t) ** rank + theta2(s, t) ** rank
         else:
-            t4 = _factor(HALF, Fraction(0), True, inner)
-            series = (t3 ** rank + t4 ** rank) / 2
-    if scale != 1:
-        series = series.dilate(scale)
+            series = (theta3(s, t) ** rank + theta4(s, t) ** rank) / 2
     if power != 1:
         series = series ** power
-    return series.truncate48(trunc48)
+    return series
 
 
 def theta_matches(a: QSeries, b: QSeries) -> bool:

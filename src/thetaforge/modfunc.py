@@ -6,10 +6,12 @@ simple pole at infinity.  This module builds those eta products and
 quotients, expands Faber polynomials to test replicability of such a
 series, and matches candidates against a small catalog of T_nX series
 of monstrous moonshine.  The catalog is a table of eta quotients: each
-series is a constant plus a sum of them, each evaluated through
-`eta_quotient`.  A candidate is compared first on the 8 positive powers
-identification needs, and only a catalog series that agrees there is
-built over the full window.
+series is a constant plus a sum of them, each term a coefficient and the
+eta exponents of its numerator and denominator, evaluated through
+`eta_quotient`; T_1A = j - 744 too, through the Γ0(2) Hauptmodul
+eta(τ)^24 / eta(2τ)^24.  A candidate is compared first on the 8
+positive powers identification needs, and only a catalog series that
+agrees there is built over the full window.
 
 Every theta/eta division in the package goes through `eta_quotient`:
 a result exact below t needs the numerator through t + 2N and the eta
@@ -27,7 +29,7 @@ from operator import mul
 
 from . import perms
 from .errors import DomainError, ParseError, ThetaforgeError
-from .lattice import catalog_theta, require_even, theta_fixed
+from .lattice import require_even, theta_fixed
 from .qseries import DEN, PrecisionError, QSeries, eta, exact_div, exact_int
 
 _PART_RE = r"(\d+)(?:\^(\d+))?\Z"   # compiled, and cached by re, on first use
@@ -267,24 +269,22 @@ def is_replicable(f, K_rep=12):
 # ---------- catalog of closed-form expansions ----------
 
 # name -> (constant, terms): the series is constant + sum c * num / den
-# over its terms (c, num, den), num(window) the numerator and den the
-# exponents of the eta product divided by, eta(kτ)^r written k^r as in
-# Conway and Norton's tables.  T_7A is a^3 + 12 + 48 a^-3 + 64 a^-6
+# over its terms (c, num, den), num and den the exponents of two eta
+# products, eta(kτ)^r written k^r as in Conway and Norton's tables.
+# T_1A = j - 744 with j = (t + 256)^3 / t^2 for the Γ0(2) Hauptmodul
+# t = eta(τ)^24 / eta(2τ)^24.  T_7A is a^3 + 12 + 48 a^-3 + 64 a^-6
 # with a = eta(τ) eta(7τ) / (eta(2τ) eta(14τ)).
 _CATALOG = {
-    "T_1A": (-744, [(1, lambda t: catalog_theta("E8", 1, t) ** 3, "1^24")]),
-    "T_4A": (0, [(1, partial(eta_product, "2^48"), "1^24 4^24")]),
-    "T_8B": (0, [(1, partial(eta_product, "4^24"), "2^12 8^12")]),
-    "T_16a": (0, [(1, partial(eta_product, "8^12"), "4^6 16^6")]),
-    "T_3A": (54, [(1, partial(eta_product, "1^12"), "3^12"),
-                  (729, partial(eta_product, "3^12"), "1^12")]),
-    "T_6b": (0, [(1, partial(eta_product, "2^6"), "6^6"),
-                 (27, partial(eta_product, "6^6"), "2^6")]),
-    "T_12A": (0, [(1, partial(eta_product, "2^12 6^12"),
-                   "1^6 3^6 4^6 12^6")]),
-    "T_7A": (12, [(1, partial(eta_product, "1^3 7^3"), "2^3 14^3"),
-                  (48, partial(eta_product, "2^3 14^3"), "1^3 7^3"),
-                  (64, partial(eta_product, "2^6 14^6"), "1^6 7^6")]),
+    "T_1A": (24, [(1, "1^24", "2^24"), (196608, "2^24", "1^24"),
+                  (16777216, "2^48", "1^48")]),
+    "T_4A": (0, [(1, "2^48", "1^24 4^24")]),
+    "T_8B": (0, [(1, "4^24", "2^12 8^12")]),
+    "T_16a": (0, [(1, "8^12", "4^6 16^6")]),
+    "T_3A": (54, [(1, "1^12", "3^12"), (729, "3^12", "1^12")]),
+    "T_6b": (0, [(1, "2^6", "6^6"), (27, "6^6", "2^6")]),
+    "T_12A": (0, [(1, "2^12 6^12", "1^6 3^6 4^6 12^6")]),
+    "T_7A": (12, [(1, "1^3 7^3", "2^3 14^3"), (48, "2^3 14^3", "1^3 7^3"),
+                  (64, "2^6 14^6", "1^6 7^6")]),
 }
 
 MT_NAMES = tuple(_CATALOG)
@@ -298,8 +298,8 @@ def mckay_thompson(name, trunc48):
         raise DomainError("unknown series %r; catalog has %s"
                           % (name, ", ".join(MT_NAMES)))
     constant, terms = _CATALOG[name]
-    out = sum((c * eta_quotient(num, den, trunc48) for c, num, den in terms),
-              constant)
+    out = sum((c * eta_quotient(partial(eta_product, num), den, trunc48)
+               for c, num, den in terms), constant)
     if (out.valuation48() != -DEN or out.lead_coeff() != 1
             or not out.is_integral()):
         raise ThetaforgeError(

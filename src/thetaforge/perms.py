@@ -192,11 +192,7 @@ def parse_generators(text, n):
 def read_group_file(path, n):
     """One generating set per file: one permutation per nonempty line;
     '#' starts a comment."""
-    gens = []
-    for line in read_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            gens.append(parse_perm(line, n))
+    gens = [parse_perm(text, n) for _, text in read_lines(path)]
     if not gens:
         raise ParseError("no permutations found in %s" % path)
     return gens

@@ -30,6 +30,7 @@ from hypothesis import example, given, strategies as st
 from thetaforge import characters, cli
 from thetaforge.cli import main
 from thetaforge.codes import catalog_code
+from thetaforge.errors import ParseError, read_lines
 from thetaforge.lattice import theta_fixed
 from thetaforge.perms import parse_generators
 
@@ -781,6 +782,20 @@ def test_input_files_are_utf8_and_other_bytes_a_parse_error(
     error = json.loads(err)["error"]
     assert error["type"] == "ParseError"
     assert error["message"].startswith("%s is not UTF-8 text: " % path)
+
+
+def test_read_lines_numbers_the_lines_left_once_comments_are_cut(tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"# header\r\n\r\n  11110000  # first row\r\n"
+                     b"   \n\t# indented comment\n00001111\r\n"
+                     b"#\n11001100#tight\n\n")
+    assert read_lines(path) == [(3, "11110000"), (6, "00001111"),
+                                (8, "11001100")]
+    path.write_bytes(b"\n# only comments\n\n")
+    assert read_lines(path) == []
+    path.write_bytes(b"11110000\n\xff\n")
+    with pytest.raises(ParseError, match="is not UTF-8 text"):
+        read_lines(path)
 
 
 # the pattern parse_args used to tell flags from negative numbers

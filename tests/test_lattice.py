@@ -296,6 +296,25 @@ def test_twisted_super_against_oracle():
         assert_matches_oracle(tw, want)
 
 
+def test_twisted_theta_refuses_a_non_automorphism():
+    # g^8 = 1 is an automorphism, so the fixed-subcode check alone let
+    # j = 8 through; every j is refused before any census
+    g = parse_perm("(1,6,3,5,8,2,4,7)", 8)
+    assert not HAM.is_automorphism(g)
+    for j in (1, 2, 4, 8):
+        with pytest.raises(DomainError) as err:
+            theta_twisted(HAM, g, j, T(4))
+        assert str(err.value) == "%s is not an automorphism of the code" % g
+
+
+def test_twisted_at_a_multiple_of_twice_the_order_is_the_full_theta():
+    for g in CLASS_REPS:
+        for flavor in FLAVORS:
+            j = 2 * g.order()
+            assert theta_twisted(HAM, g, j, T(6), flavor=flavor) == (
+                theta_fixed(HAM, [], T(6), flavor=flavor)), (g, flavor)
+
+
 def test_twisted_odd_j_is_plain():
     assert theta_twisted(HAM, EX_G, 1, T(8)).matches(theta_fixed(HAM, [EX_G], T(8)))
     assert theta_twisted(HAM, EX_G, 3, T(8)).matches(
@@ -548,6 +567,33 @@ def test_catalog_kleinian():
     got = catalog_theta("K", 1, T(8))
     assert got.integer_coefficients(0, 7) == [want[e] for e in range(8)]
     assert got.integer_coefficients(0, 4) == [1, 2, 4, 0, 6]
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_catalog_hexagonal(scale):
+    # brute force over the norm form x² + xy + y², scaled
+    want = Counter()
+    for x in range(-8, 9):
+        for y in range(-8, 9):
+            e = scale * (x * x + x * y + y * y)
+            if e < 10:
+                want[e] += 1
+    got = catalog_theta("A2", scale, T(10))
+    assert got.integer_coefficients(0, 9) == [want[e] for e in range(10)]
+
+
+# the former definition of a scaled catalog series: the unscaled one
+# over ⌈t/s⌉, dilated by s and cut back to t
+CATALOG_BASES = ["A1", "A2", "K", "E8", "D4", "D4*", "D8", "A1^4", "A2^3"]
+
+
+@pytest.mark.parametrize("name", CATALOG_BASES)
+def test_catalog_scales_like_a_dilation(name):
+    for scale in range(1, 5):
+        for t in (1, 12, 47, T(1), T(1) + 1, T(7) + 5, T(12)):
+            want = catalog_theta(name, 1, -(-t // scale)).dilate(scale)
+            assert catalog_theta(name, scale, t) == want.truncate48(t), (
+                name, scale, t)
 
 
 def test_catalog_a2_eta_identity():

@@ -416,6 +416,17 @@ def test_catalog_rows_match_the_hand_padded_builders(name):
         assert all(type(c) is int for c in got.coeffs.values()), (name, w)
 
 
+def test_catalog_rows_are_eta_exponents():
+    # each term is data, c * eta_product(num) / eta_product(den)
+    assert MT_NAMES == tuple(modfunc._CATALOG)
+    for name, (constant, terms) in modfunc._CATALOG.items():
+        assert type(constant) is int, name
+        for term in terms:
+            assert [type(x) for x in term] == [int, str, str], (name, term)
+            parse_orbit_type(term[1])
+            parse_orbit_type(term[2])
+
+
 def test_unknown_series_name_rejected():
     with pytest.raises(DomainError):
         mckay_thompson("T_2A", T(4))

@@ -25,6 +25,9 @@ expression when it is imported: a pattern is compiled the first time
 its parser runs.  Only `modfunc` names ``theta_quotient``: every other
 module gets the labelled quotient of a fixed sublattice from
 `modfunc.fixed_quotient`, which reads the rank off the orbit type.
+Only `qseries` and `verify` call the ``QSeries(...)`` constructor on a
+coefficient dict: `verify`'s parity comparison filters coefficients,
+and every other series is built from `eta`, the thetas and arithmetic.
 """
 
 import ast
@@ -381,3 +384,30 @@ def test_pattern_guard_sees_every_module_level_form():
         "K = other.compile('l')\n")
     assert sorted(node.lineno for node in _import_time_compiles(tree)) == [
         2, 3, 5, 7, 9, 11]
+
+
+def _constructs_a_series(node):
+    """A call of the QSeries constructor, by name or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "QSeries"
+            or isinstance(func, ast.Attribute) and func.attr == "QSeries")
+
+
+def test_only_qseries_and_verify_construct_a_series():
+    assert _offending_nodes(_constructs_a_series,
+                            skip=("qseries.py", "verify.py")) == []
+
+
+def test_series_constructor_guard_sees_every_form():
+    tree = ast.parse(
+        "a = QSeries(dict(coeffs), t)\n"
+        "b = qseries.QSeries({0: 1}, t)\n"
+        "c = [QSeries(d, t) for d in ds]\n"
+        "d = QSeries.zero(t)\n"
+        "e = QSeries.one(t) * QSeries.monomial(1, 0, t)\n"
+        "f = QSeries\n"
+        "g = isinstance(x, QSeries)\n")
+    assert sorted(node.lineno for node in ast.walk(tree)
+                  if _constructs_a_series(node)) == [1, 2, 3]
