@@ -11,13 +11,14 @@ below ``trunc48`` (also in 48ths) and nothing beyond.  Arithmetic
 propagates truncations honestly, so multiplying by a series with a
 negative leading exponent shrinks the window the way it should, and
 truncating never widens a window: asking for more than is known is a
-PrecisionError.  Coefficients are ints or Fractions, never floats, and
-so are powers, theta weights and shifts and exponents given in q-units:
-a float raises TypeError.  A whole number is always stored as an int: a
-Fraction coefficient never has denominator 1.  Every coefficient
-division goes through `exact_div`, which returns an int whenever the
-quotient is whole, so the coefficients of integral series stay ints
-through products, powers and divisions.
+PrecisionError.  Every exponent and window, in and out, is in 48ths;
+only `integer_coefficients` reads whole powers q^k.  Coefficients are
+ints or Fractions, never floats, and so are powers and theta weights
+and shifts: a float raises TypeError.  A whole number is always stored
+as an int: a Fraction coefficient never has denominator 1.  Every
+coefficient division goes through `exact_div`, which returns an int
+whenever the quotient is whole, so the coefficients of integral series
+stay ints through products, powers and divisions.
 
 Products are sparse convolutions.  A rational power f**r runs J.C.P.
 Miller's power recurrence on the exponent stride of f, which costs
@@ -67,18 +68,10 @@ def exact_int(n, what="exponent"):
 
 def exact_rational(r, what="exponent"):
     """A rational argument from outside (a power, a theta weight or
-    shift, an exponent in q-units); a float is refused, not rounded."""
+    shift); a float is refused, not rounded."""
     if not isinstance(r, (int, Fraction)):
         raise TypeError("%s %r is not an int or a Fraction" % (what, r))
     return Fraction(r)
-
-
-def to_exp48(e):
-    """Convert an exponent given in q-units to integer 48ths."""
-    e48 = exact_rational(e) * DEN
-    if e48.denominator != 1:
-        raise ValueError("exponent %s is not a multiple of 1/%d" % (e, DEN))
-    return int(e48)
 
 
 def iroot(n, k):
@@ -164,15 +157,6 @@ class QSeries:
             return cls.zero(trunc48)
         return cls._raw({exp48: coeff}, trunc48)
 
-    @classmethod
-    def from_pairs(cls, pairs, trunc):
-        """Build from (exponent, coefficient) pairs, exponents in q-units."""
-        coeffs = {}
-        for e, c in pairs:
-            e48 = to_exp48(e)
-            coeffs[e48] = coeffs.get(e48, 0) + c
-        return cls(coeffs, to_exp48(trunc))
-
     # ---------- inspection ----------
 
     def is_zero(self):
@@ -194,12 +178,8 @@ class QSeries:
                 % (e48, self.trunc48))
         return self.coeffs.get(e48, 0)
 
-    def coefficient(self, e):
-        """Coefficient at exponent e (int or Fraction, in q-units)."""
-        return self.coeff48(to_exp48(e))
-
     def integer_coefficients(self, lo, hi):
-        """Coefficients at q^lo, ..., q^hi inclusive."""
+        """Coefficients at the whole powers q^lo, ..., q^hi inclusive."""
         return [self.coeff48(k * DEN) for k in range(lo, hi + 1)]
 
     def exponents48(self):
@@ -212,15 +192,12 @@ class QSeries:
 
     def matches(self, other):
         """Coefficientwise equality below the smaller truncation."""
-        return self.first_mismatch48(other) is None
-
-    def first_mismatch48(self, other):
-        """Smallest exponent (48ths) where the two series differ, or None."""
         t = min(self.trunc48, other.trunc48)
-        exps = set(self.coeffs) | set(other.coeffs)
-        bad = [e for e in exps
-               if e < t and self.coeffs.get(e, 0) != other.coeffs.get(e, 0)]
-        return min(bad) if bad else None
+        for a, b in ((self.coeffs, other.coeffs), (other.coeffs, self.coeffs)):
+            for e, c in a.items():
+                if e < t and c != b.get(e, 0):
+                    return False
+        return True
 
     # ---------- arithmetic ----------
 
@@ -420,11 +397,7 @@ class QSeries:
                 % (t48, self.trunc48))
         return QSeries._raw({e: c for e, c in self.coeffs.items() if e < t48}, t48)
 
-    def truncate(self, t):
-        """Drop all terms at exponent >= t (q-units)."""
-        return self.truncate48(to_exp48(t))
-
-    # ---------- serialization / display ----------
+    # ---------- serialization ----------
 
     def to_json_obj(self):
         pairs = []
@@ -436,42 +409,8 @@ class QSeries:
                 "trunc_num48": self.trunc48,
                 "coeffs": pairs}
 
-    @classmethod
-    def from_json_obj(cls, obj):
-        coeffs = {}
-        for e, c in obj["coeffs"]:
-            if isinstance(c, str):
-                num, den = c.split("/")
-                c = Fraction(int(num), int(den))
-            coeffs[int(e)] = c
-        return cls(coeffs, obj["trunc_num48"])
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0 + O(q^%s)" % _exp_str(Fraction(self.trunc48, DEN))
-        bits = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            if e == 0:
-                term = str(mag)
-            else:
-                qpow = "q" if e == DEN else "q^%s" % _exp_str(Fraction(e, DEN))
-                term = qpow if mag == 1 else "%s%s" % (mag, qpow)
-            if not bits:
-                bits.append(term if sign == "+" else "-" + term)
-            else:
-                bits.append("%s %s" % (sign, term))
-        bits.append("+ O(q^%s)" % _exp_str(Fraction(self.trunc48, DEN)))
-        return " ".join(bits)
-
     def __repr__(self):
         return "QSeries(%d terms, trunc %s/48)" % (len(self.coeffs), self.trunc48)
-
-
-def _exp_str(e):
-    return str(e.numerator) if e.denominator == 1 else "(%s)" % e
 
 
 # ---------- the basic series ----------

@@ -28,7 +28,7 @@ from .lattice import (
 )
 from .modfunc import eta_quotient, fixed_quotient, identify, is_replicable
 from .perms import Perm, group_elements, parse_generators
-from .qseries import DEN, QSeries
+from .qseries import DEN
 
 class RowResult:
     """One verified table row; ok is None for informational rows."""
@@ -309,31 +309,36 @@ def _hypotheses(reason=None):
     return RowResult("hypotheses", "applicable", got, reason is None)
 
 
-def _compare(label, lhs, rhs):
-    mismatch = lhs.first_mismatch48(rhs)
-    got = "match" if mismatch is None else "first mismatch at %s/48" % mismatch
-    return RowResult(label, "match", got, mismatch is None)
+def _compare(label, lhs, rhs, N=None, parity=None):
+    """Whether lhs and rhs agree on their common window; given N, only
+    on the powers q^(k - N/24) with k of the given parity."""
+    bad = (lhs - rhs).coeffs
+    if N is not None:
+        bad = [e for e in bad
+               if (e + 2 * N) % DEN == 0 and (e + 2 * N) // DEN % 2 == parity]
+    got = "first mismatch at %s/48" % min(bad) if bad else "match"
+    return RowResult(label, "match", got, not bad)
 
 
-def _compare_on_parity(label, lhs, rhs, N, parity):
-    """Compare the coefficients of q^(k - N/24) for k of the given parity."""
-    def part(series):
-        return QSeries({e: c for e, c in series.coeffs.items()
-                        if (e + 2 * N) % DEN == 0
-                        and (e + 2 * N) // DEN % 2 == parity},
-                       series.trunc48)
-    return _compare(label, part(lhs), part(rhs))
+# the fixed theta of a half swap of each kind: catalog name at scale 2
+# for half = N/2, and how a failed gate names it
+_HALF_SWAP_THETAS = {"A1": ("A1^%d", "A1(2)^(N/2)"), "D*": ("D%d*", "D*(2)")}
 
 
-def _is_half_cycle_type(g, N):
-    return g.cycle_type() == {2: N // 2}
-
-
-def _fixed_theta_is(code, g, flavor, trunc48, name):
-    """Whether the g-fixed theta is the catalog series `name` at scale 2."""
+def _half_swap_reason(code, g, kind, role, flavor, trunc48):
+    """Why g is not a half swap, of cycle type 2^(N/2), whose fixed theta
+    is the `kind` series; None when it is."""
+    if g is None:
+        return "%s class missing" % role
+    half = code.n // 2
+    if g.cycle_type() != {2: half}:
+        return "%s class must have cycle type 2^(N/2)" % role
+    name, shown = _HALF_SWAP_THETAS[kind]
     window = max(trunc48 + 2 * DEN, 12 * DEN)
-    return theta_matches(theta_fixed(code, [g], window, flavor=flavor),
-                         catalog_theta(name, 2, window))
+    if not theta_matches(theta_fixed(code, [g], window, flavor=flavor),
+                         catalog_theta(name % half, 2, window)):
+        return "%s fixed theta is not the %s series" % (role, shown)
+    return None
 
 
 def _d_lattice_character(N, trunc48):
@@ -344,23 +349,16 @@ def _d_lattice_character(N, trunc48):
 
 
 def _check_thmC(which, code, g1, g2, trunc48, flavor):
-    N = code.n
-    if not _is_half_cycle_type(g1, N):
-        return [_hypotheses("first class must have cycle type 2^(N/2)")]
-    if not _fixed_theta_is(code, g1, flavor, trunc48, "A1^%d" % (N // 2)):
-        return [_hypotheses("first fixed theta is not the A1(2)^(N/2) series")]
-    if lift_order(code, g1, flavor=flavor) == g1.order():
-        return [_hypotheses("first lift does not double, no kernel sublattice")]
-    if which == "ThmC-2":
-        if g2 is None:
-            return [_hypotheses("second class missing")]
-        if not _is_half_cycle_type(g2, N):
-            return [_hypotheses("second class must have cycle type 2^(N/2)")]
-        if not _fixed_theta_is(code, g2, flavor, trunc48, "D%d*" % (N // 2)):
-            return [_hypotheses("second fixed theta is not the D*(2) series")]
+    reason = _half_swap_reason(code, g1, "A1", "first", flavor, trunc48)
+    if reason is None and lift_order(code, g1, flavor=flavor) == g1.order():
+        reason = "first lift does not double, no kernel sublattice"
+    if reason is None and which == "ThmC-2":
+        reason = _half_swap_reason(code, g2, "D*", "second", flavor, trunc48)
+    if reason is not None:
+        return [_hypotheses(reason)]
     ch1 = character_cyclic(code, g1, trunc48, flavor=flavor).character
     ch_ker_plus = character_plus(code, trunc48, g1, flavor=flavor)
-    ch_d = _d_lattice_character(N, trunc48)
+    ch_d = _d_lattice_character(code.n, trunc48)
     if which == "ThmC-1":
         lhs1 = trace_series(code, g1, 1, trunc48, flavor)
         rhs1 = (ch1 - ch_ker_plus + ch_d).truncate48(trunc48)
@@ -440,40 +438,36 @@ def _check_p2q(code, gens, elements, trunc48, flavor):
 
 
 def _check_parity(code, g_rep, g_nr, trunc48, flavor):
+    reason = (_half_swap_reason(code, g_rep, "A1", "rep", flavor, trunc48)
+              or _half_swap_reason(code, g_nr, "D*", "nr", flavor, trunc48))
+    if reason is not None:
+        return [_hypotheses(reason)]
     N = code.n
-    if g_rep is None or g_nr is None:
-        return [_hypotheses("needs both half-cycle classes")]
-    if not (_is_half_cycle_type(g_rep, N) and _is_half_cycle_type(g_nr, N)):
-        return [_hypotheses("both classes must have cycle type 2^(N/2)")]
-    if not _fixed_theta_is(code, g_rep, flavor, trunc48, "A1^%d" % (N // 2)):
-        return [_hypotheses("rep fixed theta is not the A1(2)^(N/2) series")]
-    if not _fixed_theta_is(code, g_nr, flavor, trunc48, "D%d*" % (N // 2)):
-        return [_hypotheses("nr fixed theta is not the D*(2) series")]
     rows = [_hypotheses()]
     quo_rep = trace_series(code, g_rep, 1, trunc48, flavor)
     quo_nr = trace_series(code, g_nr, 1, trunc48, flavor)
     parity = 0 if N % 16 == 8 else 1
     side = "even" if parity == 0 else "odd"
-    rows.append(_compare_on_parity(
+    rows.append(_compare(
         "rep and nr quotients agree on %s powers" % side,
         quo_rep, quo_nr, N, parity))
     if N % 16 == 8:
         ch_d = _d_lattice_character(N, trunc48)
-        rows.append(_compare_on_parity(
+        rows.append(_compare(
             "D-lattice character meets rep quotient on even powers",
             ch_d, quo_rep, N, 0))
-        rows.append(_compare_on_parity(
+        rows.append(_compare(
             "D-lattice character meets nr quotient on even powers",
             ch_d, quo_nr, N, 0))
     ch_nr = character_cyclic(code, g_nr, trunc48, flavor=flavor).character
     ch_plus = character_plus(code, trunc48, flavor=flavor)
-    rows.append(_compare_on_parity(
+    rows.append(_compare(
         "nr character meets the negation-fixed character on even powers",
         ch_nr, ch_plus, N, 0))
     if N % 16 == 8 and lift_order(code, g_rep, flavor=flavor) > g_rep.order():
         ch_rep = character_cyclic(code, g_rep, trunc48, flavor=flavor).character
         ch_ker = character_plus(code, trunc48, g_rep, flavor=flavor)
-        rows.append(_compare_on_parity(
+        rows.append(_compare(
             "rep character meets the kernel-plus character on even powers",
             ch_rep, ch_ker, N, 0))
     return rows

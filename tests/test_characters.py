@@ -388,7 +388,10 @@ def test_theorem_c_hypothesis_gates():
     r = verify_identity("ThmC-2", HAM, T(7), g1=REP24, g2=REP24)
     assert not_applicable(r) is not None
     r = verify_identity("ThmC-2", HAM, T(7), g1=REP24)
-    assert not_applicable(r) is not None
+    assert not_applicable(r) == "second class missing"
+    for which in ("ThmC-1", "ThmC-2"):
+        r = verify_identity(which, HAM, T(5))
+        assert not_applicable(r) == "first class missing"
 
 
 def test_theorem_pq_on_the_order_21_group():
@@ -452,9 +455,13 @@ def test_parity_properties_on_the_length_8_code():
 
 def test_parity_properties_gate():
     r = verify_identity("parity-props", HAM, T(7), g1=REP24, g2=EX_G)
-    assert not_applicable(r) is not None
+    assert not_applicable(r) == "nr class must have cycle type 2^(N/2)"
     r = verify_identity("parity-props", HAM, T(7), g1=NR24, g2=NR24)
-    assert not_applicable(r) is not None
+    assert not_applicable(r) == "rep fixed theta is not the A1(2)^(N/2) series"
+    r = verify_identity("parity-props", HAM, T(7), g1=REP24)
+    assert not_applicable(r) == "nr class missing"
+    r = verify_identity("parity-props", HAM, T(7), g2=NR24)
+    assert not_applicable(r) == "rep class missing"
 
 
 def test_unknown_identity_rejected():

@@ -36,7 +36,6 @@ from oracles import (
 T = lambda n: n * DEN
 
 HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 
 HAM = catalog_code("hamming8")
 EX_G = parse_perm("(2,8,4,6)(3,5)", 8)
@@ -53,58 +52,53 @@ def oracle_theta(code, gens, trunc48, super_j=None, twist=None):
     """Enumerate fixed-sublattice vectors directly and tally exponents.
 
     super_j switches to the a_Omega/4 glueing with that coset-sum
-    parity; twist weights each vector v by (-1)^{<v, twist(v)>}.
+    parity; twist weights each vector v by (-1)^{<v, twist(v)>}.  Each
+    orbit block carries one coordinate v = x + s, integer x and shift s
+    in quarters, walked as the integer y = 4 v: a block of size w adds
+    48 w v^2 = 3 w y^2 to the exponent in 48ths.
     """
     n = code.n
     blocks = orbits(gens, n)
     sizes = [len(b) for b in blocks]
+    images = None if twist is None else [twist(i) for i in range(n)]
     acc = Counter()
-    if super_j is None:
-        branches = [(Fraction(0), None)]
-    else:
-        branches = [(Fraction(0), 0), (QUARTER, super_j)]
+    branches = [(0, None)] if super_j is None else [(0, 0), (1, super_j)]
     for bmask in brute_fixed_words(code, gens):
         for extra, parity in branches:
-            shifts = []
-            for block in blocks:
-                inside = all(bmask >> p & 1 for p in block)
-                shifts.append((HALF if inside else Fraction(0)) + extra)
             per_block = []
-            for w, s in zip(sizes, shifts):
+            for block, w in zip(blocks, sizes):
+                s4 = (2 if all(bmask >> p & 1 for p in block) else 0) + extra
                 xmax = isqrt(trunc48 // w) + 2
-                opts = []
-                for x in range(-xmax, xmax + 1):
-                    e = DEN * w * (x + s) ** 2
-                    assert e.denominator == 1
-                    if e < trunc48:
-                        opts.append((x, int(e)))
-                per_block.append(opts)
+                per_block.append([(x, 4 * x + s4, 3 * w * (4 * x + s4) ** 2)
+                                  for x in range(-xmax, xmax + 1)
+                                  if 3 * w * (4 * x + s4) ** 2 < trunc48])
 
-            def walk(idx, e48, vals):
+            def walk(idx, e48, xs, ys):
                 if idx == len(blocks):
                     if parity is not None and sum(
-                            w * x for w, x in zip(sizes, vals)) % 2 != parity:
+                            w * x for w, x in zip(sizes, xs)) % 2 != parity:
                         return
-                    acc[e48] += _twist_sign(blocks, shifts, vals, n, twist)
+                    acc[e48] += _twist_sign(blocks, ys, n, images)
                     return
-                for x, e in per_block[idx]:
+                for x, y, e in per_block[idx]:
                     if e48 + e < trunc48:
-                        walk(idx + 1, e48 + e, vals + [x])
+                        walk(idx + 1, e48 + e, xs + [x], ys + [y])
 
-            walk(0, 0, [])
+            walk(0, 0, [], [])
     return {e: c for e, c in acc.items() if c}
 
 
-def _twist_sign(blocks, shifts, vals, n, twist):
-    if twist is None:
+def _twist_sign(blocks, ys, n, images):
+    """(-1)^{<v, h v>} with <v, h v> = 2 sum v_i v_h(i) = sum y_i y_h(i) / 8."""
+    if images is None:
         return 1
-    v = [None] * n
-    for block, s, x in zip(blocks, shifts, vals):
+    y = [0] * n
+    for block, yb in zip(blocks, ys):
         for p in block:
-            v[p] = x + s
-    pairing = 2 * sum(v[i] * v[twist(i)] for i in range(n))
-    assert pairing.denominator == 1
-    return -1 if int(pairing) % 2 else 1
+            y[p] = yb
+    pairing8 = sum(y[i] * y[images[i]] for i in range(n))
+    assert pairing8 % 8 == 0
+    return -1 if pairing8 // 8 % 2 else 1
 
 
 def assert_matches_oracle(series, oracle):
@@ -252,6 +246,49 @@ def test_leech_theta():
 def test_niemeier_theta():
     golay = catalog_code("golay24")
     assert theta_fixed(golay, [], T(3)).integer_coefficients(0, 2) == [1, 48, 195408]
+
+
+# ---------- deep windows against closed forms ----------
+
+def _list_mul(a, b):
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:len(a) - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _e4(k):
+    """E4 = 1 + 240 sum sigma_3(n) q^n through q^(k-1), as a list."""
+    return [1] + [240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
+                  for n in range(1, k)]
+
+
+def _discriminant(k):
+    """Delta = q prod (1 - q^n)^24 through q^(k-1), as a list."""
+    prod = [1] + [0] * (k - 1)
+    for n in range(1, k):
+        for _ in range(24):
+            for i in range(k - 1, n - 1, -1):
+                prod[i] -= prod[i - n]
+    return [0] + prod[:k - 1]
+
+
+@pytest.mark.parametrize("name,flavor,c_delta", [
+    ("hamming8", "plain", None), ("hamming8+hamming8", "plain", None),
+    ("golay24", "plain", 672), ("golay24", "super1", 720)])
+def test_full_theta_at_100_powers_is_its_closed_form(name, flavor, c_delta):
+    # rank 8: E4; rank 16: E4^2; rank 24: E4^3 - c Delta, with c = 720
+    # for the Leech lattice (no roots) and 672 for the 48-root lattice
+    k = 100
+    e4 = _e4(k)
+    want = e4 if name == "hamming8" else _list_mul(e4, e4)
+    if c_delta is not None:
+        want = [a - c_delta * d
+                for a, d in zip(_list_mul(want, e4), _discriminant(k))]
+    theta = theta_fixed(catalog_code(name), [], T(k), flavor=flavor)
+    assert theta.trunc48 == T(k)
+    assert dict(theta.coeffs) == {T(n): c for n, c in enumerate(want) if c}
 
 
 # ---------- twisted thetas ----------
@@ -625,7 +662,7 @@ def test_parity_matching_of_a1_and_dual_d():
         d = catalog_theta("D%d*" % (n // 2), 2, T(17))
         for k in range(17):
             if (k % 2 == 0) == even_agree:
-                assert a.coefficient(k) == d.coefficient(k), (n, k)
+                assert a.coeff48(T(k)) == d.coeff48(T(k)), (n, k)
 
 
 def test_theta_matches_window_guard():

@@ -395,9 +395,8 @@ def _constructs_a_series(node):
             or isinstance(func, ast.Attribute) and func.attr == "QSeries")
 
 
-def test_only_qseries_and_verify_construct_a_series():
-    assert _offending_nodes(_constructs_a_series,
-                            skip=("qseries.py", "verify.py")) == []
+def test_only_qseries_constructs_a_series():
+    assert _offending_nodes(_constructs_a_series, skip=("qseries.py",)) == []
 
 
 def test_series_constructor_guard_sees_every_form():

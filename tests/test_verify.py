@@ -14,7 +14,10 @@ import pytest
 
 from thetaforge.codes import catalog_code
 from thetaforge.errors import DomainError
-from thetaforge.verify import FIGURE_IDS, _check_p2q, _is_prime, verify_figure
+from thetaforge.qseries import DEN, QSeries
+from thetaforge.verify import (
+    FIGURE_IDS, _check_p2q, _compare, _is_prime, verify_figure,
+)
 
 ROW_COUNTS = {
     "fig1": 6,
@@ -94,3 +97,23 @@ def test_p2q_gate_reads_the_order_as_the_double_loop_did():
         reason = ("group is abelian" if order in reference
                   else "group order %d is not p^2*q" % order)
         assert row.got == "not-applicable: " + reason, order
+
+
+def test_compare_names_the_smaller_of_two_mismatches():
+    lhs = QSeries({-16: 1, 32: 5, 80: 7}, 4 * DEN)
+    rhs = QSeries({-16: 2, 32: 5, 80: 6}, 3 * DEN)
+    row = _compare("row", lhs, rhs).to_json_obj()
+    assert row == {"label": "row", "expected": "match",
+                   "got": "first mismatch at -16/48", "ok": False}
+    assert _compare("row", lhs, lhs).got == "match"
+
+
+def test_compare_on_a_parity_ignores_the_filtered_out_powers():
+    # N = 8: the powers q^(k - 1/3) sit at 48 k - 16, and a difference
+    # at 0 lies off that grid
+    lhs = QSeries({-16: 1, 0: 3, 32: 4, 80: 9}, 5 * DEN)
+    rhs = QSeries({-16: 1, 0: 2, 32: 5, 80: 9}, 5 * DEN)
+    assert _compare("even", lhs, rhs, N=8, parity=0).got == "match"
+    odd = _compare("odd", lhs, rhs, N=8, parity=1)
+    assert (odd.got, odd.ok) == ("first mismatch at 32/48", False)
+    assert _compare("all", lhs, rhs).got == "first mismatch at 0/48"
