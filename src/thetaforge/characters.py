@@ -143,7 +143,8 @@ def character_plus(code: BinaryCode, trunc48: int, g=None,
     Half of theta/eta^N plus the contribution of the -id twist, which
     depends only on the rank N = code.n: eta(q)^N/eta(q^2)^N.  theta is
     the flavor's lattice of the code, or with g of even order its
-    kernel sublattice (see `lattice.kernel_theta`).
+    kernel sublattice (see `lattice.kernel_theta`).  The mean is checked
+    as a character by `_character`, like every other.
     """
     require_even(code, flavor)
     N = code.n
@@ -155,4 +156,4 @@ def character_plus(code: BinaryCode, trunc48: int, g=None,
         fixed_part = eta_quotient(
             lambda t: kernel_theta(code, g, t, flavor=flavor), {1: N}, trunc48)
     neg_part = eta_quotient(lambda t: eta_product({1: N}, t), {2: N}, trunc48)
-    return (fixed_part + neg_part) / 2
+    return _character([fixed_part, neg_part], N)

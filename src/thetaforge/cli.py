@@ -233,17 +233,12 @@ def _load_group(args, n):
     return []
 
 
-def _job_record(args, trunc):
-    job = {
-        "command": args.command,
-        "code": args.code,
-        "flavor": args.flavor,
-        "group": args.group or (args.group_file and "@" + args.group_file)
-        or "",
-        "trunc": trunc,
-    }
-    if "--krep" in VERBS[args.command]:
-        job["krep"] = args.krep
+def _job_record(args, command, group, trunc, krep):
+    """The fingerprinted job; krep None leaves it out."""
+    job = {"command": command, "code": args.code, "flavor": args.flavor,
+           "group": group, "trunc": trunc}
+    if krep is not None:
+        job["krep"] = krep
     return job
 
 
@@ -271,9 +266,11 @@ def _krep(args):
 def _replicability(code, gens, flavor, trunc48, krep):
     """Outputs of `replicable` and of each scan line."""
     label, quo = fixed_quotient(code, gens, trunc48, flavor)
-    report = is_replicable(quo, krep)
-    report.identified_as, report.constant_delta = identify(quo)
-    return {"orbit_type": label, "replicability": report.to_json_obj()}
+    record = is_replicable(quo, krep)
+    record["identified_as"], delta = identify(quo)
+    record["constant_delta"] = None if delta is None else "%d/%d" % (
+        delta.numerator, delta.denominator)
+    return {"orbit_type": label, "replicability": record}
 
 
 def _run_compute(args):
@@ -321,7 +318,8 @@ def _run_compute(args):
             report = character_group(code, gens, trunc48,
                                      flavor=args.flavor)
         outputs = {"character": report.to_json_obj()}
-    job = _job_record(args, trunc)
+    group = args.group or (args.group_file and "@" + args.group_file) or ""
+    job = _job_record(args, command, group, trunc, krep)
     _emit(args, {
         "fingerprint": _fingerprint(job, _path_contents(args)),
         "job": job,
@@ -332,9 +330,9 @@ def _run_compute(args):
 
 
 def _run_verify(args):
-    report = verify_figure(args.figure)
-    _emit(args, report.to_json_obj())
-    return 0 if report.ok else 1
+    record = verify_figure(args.figure)
+    _emit(args, record)
+    return 1 if record["status"] == "fail" else 0
 
 
 def _run_scan(args):
@@ -345,9 +343,7 @@ def _run_scan(args):
     contents = _path_contents(args)
     records = []
     for i, text in read_lines(args.file):
-        job = {"command": "scan-line", "code": args.code,
-               "flavor": args.flavor, "group": text, "trunc": trunc,
-               "krep": krep}
+        job = _job_record(args, "scan-line", text, trunc, krep)
         record = {"line": i, "input": text,
                   "fingerprint": _fingerprint(job, contents),
                   "version": __version__}

@@ -137,32 +137,6 @@ def fixed_quotient(code, gens, trunc48, flavor="plain"):
 
 # ---------- Faber polynomials and replicability ----------
 
-class ReplicabilityReport:
-    """The bounded replicability verdict, and the identification when
-    one was made."""
-
-    def __init__(self, K_rep, verdict, violations=(),
-                 identified_as=None, constant_delta=None):
-        self.K_rep = K_rep
-        self.verdict = verdict
-        self.violations = list(violations)
-        self.identified_as = identified_as
-        self.constant_delta = constant_delta
-
-    def to_json_obj(self):
-        delta = self.constant_delta
-        if delta is not None:
-            delta = Fraction(delta)
-            delta = "%d/%d" % (delta.numerator, delta.denominator)
-        return {
-            "verdict": self.verdict,
-            "K_rep": self.K_rep,
-            "violations": [list(v) for v in self.violations],
-            "identified_as": self.identified_as,
-            "constant_delta": delta,
-        }
-
-
 def strip_constant(f):
     """Split f into (f - constant term, constant term)."""
     c = f.coeffs.get(0, 0)
@@ -244,12 +218,16 @@ def is_replicable(f, K_rep=12):
     """Bounded replicability check: a[n][k] must match a[r][s] whenever
     the pairs share their gcd and lcm.  The constant term is stripped
     before tabulation.  Never a proof, only a verdict up to K_rep.
+
+    Returns the record {"verdict", "K_rep", "violations"}, each violation
+    a list [n, k, r, s] of two entries that should agree and do not.
     """
     f0, _ = strip_constant(f)
     try:
         table = faber_table(f0, K_rep)
     except PrecisionError:
-        return ReplicabilityReport(K_rep, "insufficient-precision")
+        return {"verdict": "insufficient-precision", "K_rep": K_rep,
+                "violations": []}
     K = len(table) - 1
     classes = {}
     violations = []
@@ -261,9 +239,9 @@ def is_replicable(f, K_rep=12):
                 continue
             r, s = classes[key]
             if table[n][k] != table[r][s]:
-                violations.append((n, k, r, s))
+                violations.append([n, k, r, s])
     verdict = "not-replicable" if violations else "replicable-up-to-K_rep"
-    return ReplicabilityReport(K, verdict, violations)
+    return {"verdict": verdict, "K_rep": K, "violations": violations}
 
 
 # ---------- catalog of closed-form expansions ----------

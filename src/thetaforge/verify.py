@@ -6,15 +6,21 @@ scratch and compares.  Expected values marked "tabulated" below are
 reference rows copied from the source tables; the few marked
 "recomputed" were frozen from this engine's own arithmetic after
 cross-checking against the brute-force oracle, because the printed row
-has a transcription problem (see ex34).  Failures are results, not
-exceptions: callers get a per-row report.
+has a transcription problem (see ex34).  Each row is written beside its
+recipe.  Failures are results, not exceptions: `verify_figure` returns
+the record {"figure", "status", "rows"}, each row a record {"label",
+"expected", "got", "ok"}, with ok None for an informational row, and
+the status "fail" when any other row is not ok.
 
 The identities between characters of fixed subVOAs (Theorem C for rank
 8, the pq and p^2 q group theorems, the parity properties) are checked
-here too.  `verify_identity` runs one on given inputs and reports rows
-of the same kind, so the thmC, thmD and ex81 figures carry its rows.
+here too.  `verify_identity` runs one on given inputs and returns a
+record of the same kind, so the thmC, thmD and ex81 figures carry its
+rows.  The group theorems are one relation, k Ch^G = Ch^A + k Ch^B -
+Ch V, over the subgroups that each shape names.
 """
 
+from functools import partial
 from math import isqrt
 
 from .characters import (
@@ -27,52 +33,33 @@ from .lattice import (
     catalog_theta, is_even, lift_order, theta_fixed, theta_matches,
 )
 from .modfunc import eta_quotient, fixed_quotient, identify, is_replicable
-from .perms import Perm, group_elements, parse_generators
+from .perms import Perm, group_elements, parse_generators, parse_perm
 from .qseries import DEN
 
-class RowResult:
-    """One verified table row; ok is None for informational rows."""
-
-    def __init__(self, label, expected, got, ok):
-        self.label = label
-        self.expected = expected
-        self.got = got
-        self.ok = ok
-
-    def to_json_obj(self):
-        return {"label": self.label, "expected": self.expected,
-                "got": self.got, "ok": self.ok}
+# hamming8 elements that several figures use, parsed where they are
+# used: `cli` imports this module in every process
+_REP = "(1,7)(2,4)(3,8)(5,6)"        # the 2^4 class whose lift doubles
+_NR = "(1,2)(3,8)(4,7)(5,6)"         # the 2^4 class whose lift does not
+_EX_G = "(2,8,4,6)(3,5)"             # the worked element of ex33 and ex53
+_F21 = "(1,2,5,3,7,6,4), (2,5,7)(3,4,6)"   # order 7 and order 3 generators
 
 
-class FigureReport:
-    def __init__(self, figure, rows):
-        self.figure = figure
-        self.rows = rows
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.rows if r.ok is not None)
-
-    @property
-    def status(self):
-        return "pass" if self.ok else "fail"
-
-    def to_json_obj(self):
-        return {"figure": self.figure, "status": self.status,
-                "rows": [r.to_json_obj() for r in self.rows]}
+def _row(label, expected, got, ok):
+    """One table row; ok is None for an informational row."""
+    return {"label": label, "expected": expected, "got": got, "ok": ok}
 
 
-def _coeff_row(series, base48, count):
-    return [series.coeff48(base48 + DEN * k) for k in range(count)]
+def _report(figure, rows):
+    """The record of a figure or identity: it passes when no checked row
+    fails."""
+    ok = all(r["ok"] for r in rows if r["ok"] is not None)
+    return {"figure": figure, "status": "pass" if ok else "fail",
+            "rows": rows}
 
 
 def _series_row(label, series, base48, expected):
-    got = _coeff_row(series, base48, len(expected))
-    return RowResult(label, expected, got, got == expected)
-
-
-def _gens(text, n=8):
-    return parse_generators(text, n) if text else []
+    got = [series.coeff48(base48 + DEN * k) for k in range(len(expected))]
+    return _row(label, expected, got, got == expected)
 
 
 # Cycle type, generator, and the name of the resulting theta quotient,
@@ -80,7 +67,7 @@ def _gens(text, n=8):
 _SINGLE_CLASSES = (
     ("1^8", "", "T_1A"),
     ("1^2 3^2", "(1,5,2)(3,7,8)", "T_3A"),
-    ("2^4", "(1,7)(2,4)(3,8)(5,6)", "T_4A"),
+    ("2^4", _REP, "T_4A"),
     ("1^1 7^1", "(1,3,7,8,5,4,2)", "T_7A"),
     ("4^2", "(1,3,7,8)(2,5,4,6)", "T_8B"),
     ("2^1 6^1", "(1,3,7,8,2,6)(4,5)", "T_6b"),
@@ -92,7 +79,7 @@ _SUBGROUP_CLASSES = (
     ("", "T_1A"),
     ("(1,5,2)(3,7,8)", "T_3A"),
     ("(1,4,3)(5,8,7), (1,3)(5,7)", "T_3A"),
-    ("(1,7)(2,4)(3,8)(5,6)", "T_4A"),
+    (_REP, "T_4A"),
     ("(1,5)(2,6), (3,8)(4,7)", "T_4A"),
     ("(1,3,7,8,5,4,2)", "T_7A"),
     ("(1,4,3)(5,8,7), (1,7,3,4,6,5,8)", "T_7A"),
@@ -113,101 +100,79 @@ _SUBGROUP_CLASSES = (
 )
 
 
-def _fig_identifications(rows_spec, with_type):
+def _identifications(rows):
+    """One row per (orbit type or None, generators, name): the quotient
+    of the fixed sublattice must be replicable and be the named series,
+    and have the orbit type when one is given."""
     ham = catalog_code("hamming8")
-    rows = []
-    for entry in rows_spec:
-        if with_type:
-            want_type, text, name = entry
-        else:
-            text, name = entry
-        got_type, quo = fixed_quotient(ham, _gens(text), 30 * DEN)
-        if with_type and got_type != want_type:
-            rows.append(RowResult(want_type + "  " + (text or "1"),
-                                  want_type, got_type, False))
+    out = []
+    for want_type, text, name in rows:
+        gens = parse_generators(text, 8) if text else []
+        got_type, quo = fixed_quotient(ham, gens, 30 * DEN)
+        label = "%s  %s" % (want_type or got_type, text or "1")
+        if want_type not in (None, got_type):
+            out.append(_row(label, want_type, got_type, False))
             continue
-        label = "%s  %s" % (got_type, text or "1")
-        verdict = is_replicable(quo).verdict
+        verdict = is_replicable(quo)["verdict"]
         identified, _ = identify(quo)
         ok = identified == name and verdict == "replicable-up-to-K_rep"
-        rows.append(RowResult(label, name, identified or verdict, ok))
-    return rows
-
-
-def _verify_fig1():
-    return _fig_identifications(_SINGLE_CLASSES, with_type=True)
-
-
-def _verify_fig2():
-    return _fig_identifications(_SUBGROUP_CLASSES, with_type=False)
-
-
-# Characters of the rank-8 fixed subVOAs through q^6 (tabulated).  The
-# higher-rank rows of the same table need code inputs that are not
-# supplied, so they are not recomputed here.
-_FIG5_ROWS = (
-    ("2^4 rep character", [1, 64, 1052, 8704, 53382, 264448, 1133112]),
-    ("2^4 nr character", [1, 136, 2076, 17472, 106630, 529184, 2265656]),
-    ("fixed-kernel plus character",
-     [1, 56, 1052, 8640, 53382, 264160, 1133112]),
-    ("full plus character", [1, 120, 2076, 17344, 106630, 528608, 2265656]),
-)
+        out.append(_row(label, name, identified or verdict, ok))
+    return out
 
 
 def _verify_fig5():
+    # characters of the rank-8 fixed subVOAs through q^6 (tabulated); the
+    # higher-rank rows of the same table need code inputs that are not
+    # supplied, so they are not recomputed here
     ham = catalog_code("hamming8")
-    rep = parse_generators("(1,7)(2,4)(3,8)(5,6)", 8)[0]
-    nr = parse_generators("(1,2)(3,8)(4,7)(5,6)", 8)[0]
+    rep, nr = parse_perm(_REP, 8), parse_perm(_NR, 8)
     t48 = 8 * DEN
-    series = (
-        character_cyclic(ham, rep, t48).character,
-        character_cyclic(ham, nr, t48).character,
-        character_plus(ham, t48, rep),
-        character_plus(ham, t48),
-    )
-    return [_series_row(label, s, -16, expected)
-            for (label, expected), s in zip(_FIG5_ROWS, series)]
-
-
-# Quotients theta/eta(q^2)^{N/2} for the three ranks (tabulated).  The
-# rank-16 and rank-24 rows depend only on the named sublattice, so they
-# are recomputed from the catalog series.
-_FIG7_ROWS = (
-    ("rank 8 rep", 8, [1, 8, 28, 64, 134, 288, 568]),
-    ("rank 8 nr", 8, [1, 24, 28, 192, 134, 864, 568]),
-    ("rank 16 rep", 16, [1, 16, 120, 576, 2076, 6304, 17344]),
-    ("rank 16 nr", 16, [1, 16, 376, 576, 6172, 6304, 52160]),
-    ("rank 24 rep", 24,
-     [1, 24, 276, 2048, 11202, 49152, 184024, 614400, 1881471]),
-    ("rank 24 nr", 24,
-     [1, 24, 276, 6144, 11202, 147456, 184024, 1843200, 1881471]),
-)
+    return [
+        _series_row("2^4 rep character",
+                    character_cyclic(ham, rep, t48).character, -16,
+                    [1, 64, 1052, 8704, 53382, 264448, 1133112]),
+        _series_row("2^4 nr character",
+                    character_cyclic(ham, nr, t48).character, -16,
+                    [1, 136, 2076, 17472, 106630, 529184, 2265656]),
+        _series_row("fixed-kernel plus character",
+                    character_plus(ham, t48, rep), -16,
+                    [1, 56, 1052, 8640, 53382, 264160, 1133112]),
+        _series_row("full plus character", character_plus(ham, t48), -16,
+                    [1, 120, 2076, 17344, 106630, 528608, 2265656]),
+    ]
 
 
 def _verify_fig7():
+    # quotients theta/eta(q^2)^{N/2} for the three ranks (tabulated); the
+    # rank-16 and rank-24 rows depend only on the named sublattice, so
+    # they are recomputed from the catalog series
     ham = catalog_code("hamming8")
-    rep = parse_generators("(1,7)(2,4)(3,8)(5,6)", 8)[0]
-    nr = parse_generators("(1,2)(3,8)(4,7)(5,6)", 8)[0]
-    t48 = 8 * DEN                  # the longest row runs through q^7
-    thetas = {
-        "rank 8 rep": lambda t: theta_fixed(ham, [rep], t),
-        "rank 8 nr": lambda t: theta_fixed(ham, [nr], t),
-        "rank 16 rep": lambda t: catalog_theta("A1^8", 2, t),
-        "rank 16 nr": lambda t: catalog_theta("D8*", 2, t),
-        "rank 24 rep": lambda t: catalog_theta("A1^12", 2, t),
-        "rank 24 nr": lambda t: catalog_theta("D12*", 2, t),
-    }
-    rows = []
-    for label, n, expected in _FIG7_ROWS:
-        quo = eta_quotient(thetas[label], {2: n // 2}, t48)
-        rows.append(_series_row(label, quo, -2 * n, expected))
-    return rows
+    rep, nr = parse_perm(_REP, 8), parse_perm(_NR, 8)
+
+    def row(label, n, theta, expected):
+        # the longest row runs through q^7
+        quo = eta_quotient(theta, {2: n // 2}, 8 * DEN)
+        return _series_row(label, quo, -2 * n, expected)
+
+    return [
+        row("rank 8 rep", 8, partial(theta_fixed, ham, [rep]),
+            [1, 8, 28, 64, 134, 288, 568]),
+        row("rank 8 nr", 8, partial(theta_fixed, ham, [nr]),
+            [1, 24, 28, 192, 134, 864, 568]),
+        row("rank 16 rep", 16, partial(catalog_theta, "A1^8", 2),
+            [1, 16, 120, 576, 2076, 6304, 17344]),
+        row("rank 16 nr", 16, partial(catalog_theta, "D8*", 2),
+            [1, 16, 376, 576, 6172, 6304, 52160]),
+        row("rank 24 rep", 24, partial(catalog_theta, "A1^12", 2),
+            [1, 24, 276, 2048, 11202, 49152, 184024, 614400, 1881471]),
+        row("rank 24 nr", 24, partial(catalog_theta, "D12*", 2),
+            [1, 24, 276, 6144, 11202, 147456, 184024, 1843200, 1881471]),
+    ]
 
 
 def _verify_ex33():
-    ham = catalog_code("hamming8")
-    g = parse_generators("(2,8,4,6)(3,5)", 8)
-    theta = theta_fixed(ham, g, 10 * DEN)
+    theta = theta_fixed(catalog_code("hamming8"), [parse_perm(_EX_G, 8)],
+                        10 * DEN)
     return [_series_row("fixed theta of (2,8,4,6)(3,5)", theta, 0,
                         [1, 14, 30, 36, 62, 72, 68, 112, 126, 98])]
 
@@ -216,85 +181,70 @@ def _verify_ex34():
     ham = catalog_code("hamming8")
     gens = parse_generators("(4,6)(5,7), (4,7)(5,6), (1,3)(2,8)", 8)
     _, quo = fixed_quotient(ham, gens, 12 * DEN)
-    rows = [
+    return [
         _series_row("quotient through q^3", quo, -DEN,
                     [1, 18, 150, 780, 2928]),
         # tail recomputed here; the printed q^4 term does not match it
         _series_row("quotient q^4..q^6 (recomputed)", quo, 4 * DEN,
                     [8892, 24032, 60840]),
+        _row("printed q^4 term differs from recomputation", 88926,
+             quo.coeff48(4 * DEN), None),
     ]
-    got4 = quo.coeff48(4 * DEN)
-    rows.append(RowResult("printed q^4 term differs from recomputation",
-                          88926, got4, None))
-    return rows
-
-
-_EX53_ROWS = (
-    (1, [1, 16, 64, 192, 510, 1216, 2688]),
-    (0, [1, 248, 4124, 34752, 213126, 1057504, 4530744]),
-    (2, [1, 0, -4, 0, 6, 0, -8, 0, 17, 0, -28]),
-    (4, [1, -8, 28, -64, 134, -288, 568]),
-    (6, [1, 0, -4, 0, 6, 0, -8, 0, 17, 0, -28]),
-)
 
 
 def _verify_ex53():
     ham = catalog_code("hamming8")
-    g = parse_generators("(2,8,4,6)(3,5)", 8)[0]
-    rows = []
-    for j, expected in _EX53_ROWS:
-        series = trace_series(ham, g, j, len(expected) * DEN)
-        rows.append(_series_row("T(0,%d)" % j, series, -16, expected))
-    report = character_cyclic(ham, g, 8 * DEN)
-    rows.append(_series_row("character of the fixed subVOA",
-                            report.character, -16,
-                            [1, 38, 550, 4432, 26914, 132760, 567756]))
-    return rows
-
-
-_EX81_ROWS = (
-    ("order 21 group", [1, 22, 242, 1762, 10460, 51078, 217266]),
-    ("order 7 subgroup", [1, 38, 596, 4974, 30468, 151102, 647298]),
-    ("order 3 subgroup", [1, 92, 1418, 11688, 71346, 353212, 1511748]),
-)
+    g = parse_perm(_EX_G, 8)
+    return [
+        _series_row("T(0,1)", trace_series(ham, g, 1, 7 * DEN), -16,
+                    [1, 16, 64, 192, 510, 1216, 2688]),
+        _series_row("T(0,0)", trace_series(ham, g, 0, 7 * DEN), -16,
+                    [1, 248, 4124, 34752, 213126, 1057504, 4530744]),
+        _series_row("T(0,2)", trace_series(ham, g, 2, 11 * DEN), -16,
+                    [1, 0, -4, 0, 6, 0, -8, 0, 17, 0, -28]),
+        _series_row("T(0,4)", trace_series(ham, g, 4, 7 * DEN), -16,
+                    [1, -8, 28, -64, 134, -288, 568]),
+        _series_row("T(0,6)", trace_series(ham, g, 6, 11 * DEN), -16,
+                    [1, 0, -4, 0, 6, 0, -8, 0, 17, 0, -28]),
+        _series_row("character of the fixed subVOA",
+                    character_cyclic(ham, g, 8 * DEN).character, -16,
+                    [1, 38, 550, 4432, 26914, 132760, 567756]),
+    ]
 
 
 def _verify_ex81():
     ham = catalog_code("hamming8")
-    h1 = parse_generators("(1,2,5,3,7,6,4)", 8)
-    h2 = parse_generators("(2,5,7)(3,4,6)", 8)
+    f21 = parse_generators(_F21, 8)
     t48 = 8 * DEN
-    chars = (
-        character_group(ham, h1 + h2, t48).character,
-        character_group(ham, h1, t48).character,
-        character_group(ham, h2, t48).character,
-    )
-    rows = [_series_row(label, s, -16, expected)
-            for (label, expected), s in zip(_EX81_ROWS, chars)]
-    full_char = trace_series(ham, Perm.identity(8), 0, t48)
-    combo = chars[1] + 3 * chars[2] - full_char
-    rows.append(_series_row("combination Ch7 + 3 Ch3 - ChV", combo,
-                            -16, [3, 66, 726, 5286, 31380, 153234, 651798]))
-    identity = verify_identity("ThmD-pq", ham, t48, group=h1 + h2)
-    rows.append(RowResult("identity verdict", "pass", identity.status,
-                          identity.ok))
-    return rows
+    ch7 = character_group(ham, f21[:1], t48).character
+    ch3 = character_group(ham, f21[1:], t48).character
+    full = trace_series(ham, Perm.identity(8), 0, t48)
+    status = verify_identity("ThmD-pq", ham, t48, group=f21)["status"]
+    return [
+        _series_row("order 21 group", character_group(ham, f21, t48).character,
+                    -16, [1, 22, 242, 1762, 10460, 51078, 217266]),
+        _series_row("order 7 subgroup", ch7, -16,
+                    [1, 38, 596, 4974, 30468, 151102, 647298]),
+        _series_row("order 3 subgroup", ch3, -16,
+                    [1, 92, 1418, 11688, 71346, 353212, 1511748]),
+        _series_row("combination Ch7 + 3 Ch3 - ChV", ch7 + 3 * ch3 - full,
+                    -16, [3, 66, 726, 5286, 31380, 153234, 651798]),
+        _row("identity verdict", "pass", status, status == "pass"),
+    ]
 
 
 def _verify_thmC():
     ham = catalog_code("hamming8")
-    rep = parse_generators("(1,7)(2,4)(3,8)(5,6)", 8)[0]
-    nr = parse_generators("(1,2)(3,8)(4,7)(5,6)", 8)[0]
+    rep, nr = parse_perm(_REP, 8), parse_perm(_NR, 8)
     t48 = 11 * DEN
-    return (verify_identity("ThmC-1", ham, t48, g1=rep).rows
-            + verify_identity("ThmC-2", ham, t48, g1=rep, g2=nr).rows
-            + verify_identity("parity-props", ham, t48, g1=rep, g2=nr).rows)
+    return (verify_identity("ThmC-1", ham, t48, g1=rep)["rows"]
+            + verify_identity("ThmC-2", ham, t48, g1=rep, g2=nr)["rows"]
+            + verify_identity("parity-props", ham, t48, g1=rep, g2=nr)["rows"])
 
 
 def _verify_thmD():
-    ham = catalog_code("hamming8")
-    group = parse_generators("(1,2,5,3,7,6,4), (2,5,7)(3,4,6)", 8)
-    return verify_identity("ThmD-pq", ham, 8 * DEN, group=group).rows
+    return verify_identity("ThmD-pq", catalog_code("hamming8"), 8 * DEN,
+                           group=parse_generators(_F21, 8))["rows"]
 
 
 # ---------- identity checks ----------
@@ -306,7 +256,7 @@ def _verify_thmD():
 
 def _hypotheses(reason=None):
     got = "applicable" if reason is None else "not-applicable: " + reason
-    return RowResult("hypotheses", "applicable", got, reason is None)
+    return _row("hypotheses", "applicable", got, reason is None)
 
 
 def _compare(label, lhs, rhs, N=None, parity=None):
@@ -317,7 +267,7 @@ def _compare(label, lhs, rhs, N=None, parity=None):
         bad = [e for e in bad
                if (e + 2 * N) % DEN == 0 and (e + 2 * N) // DEN % 2 == parity]
     got = "first mismatch at %s/48" % min(bad) if bad else "match"
-    return RowResult(label, "match", got, not bad)
+    return _row(label, "match", got, not bad)
 
 
 # the fixed theta of a half swap of each kind: catalog name at scale 2
@@ -374,27 +324,31 @@ def _is_prime(n):
     return n > 1 and all(n % p for p in range(2, isqrt(n) + 1))
 
 
+def _group_relation(label, code, k, gens, a_gens, b_gens, trunc48, flavor):
+    """The rows of k Ch^G = Ch^A + k Ch^B - Ch V, with G, A and B the
+    groups that gens, a_gens and b_gens generate, and V the full VOA."""
+    ch_g, ch_a, ch_b = (
+        character_group(code, s, trunc48, flavor=flavor).character
+        for s in (gens, a_gens, b_gens))
+    ch_full = trace_series(code, Perm.identity(code.n), 0, trunc48, flavor=flavor)
+    return [_hypotheses(),
+            _compare(label, k * ch_g, ch_a + k * ch_b - ch_full)]
+
+
 def _check_thmD(code, gens, elements, trunc48, flavor):
     order = len(elements)
     # order must be p*q with q > p primes, q = 1 mod p, and nonabelian
     pq = sorted({el.order() for el in elements} - {1})
-    if len(pq) != 2:
+    if not (len(pq) == 2 and all(map(_is_prime, pq))
+            and pq[0] * pq[1] == order and (pq[1] - 1) % pq[0] == 0):
         return [_hypotheses("group of order %d is not of p*q shape" % order)]
     p, q = pq
-    if (not _is_prime(p) or not _is_prime(q)
-            or p * q != order or (q - 1) % p):
-        return [_hypotheses("group of order %d is not of p*q shape" % order)]
     a = next(el for el in elements if el.order() == q)
     b = next(el for el in elements if el.order() == p)
     if a * b == b * a:
         return [_hypotheses("group is abelian, no semidirect structure")]
-    ch_g = character_group(code, gens, trunc48, flavor=flavor).character
-    ch_q = character_group(code, [a], trunc48, flavor=flavor).character
-    ch_p = character_group(code, [b], trunc48, flavor=flavor).character
-    ch_full = trace_series(code, Perm.identity(code.n), 0, trunc48, flavor=flavor)
-    return [_hypotheses(),
-            _compare("p*Ch^G = Ch^Zq + p*Ch^Zp - Ch V",
-                     p * ch_g, ch_q + p * ch_p - ch_full)]
+    return _group_relation("p*Ch^G = Ch^Zq + p*Ch^Zp - Ch V",
+                           code, p, gens, [a], [b], trunc48, flavor)
 
 
 def _check_p2q(code, gens, elements, trunc48, flavor):
@@ -414,26 +368,19 @@ def _check_p2q(code, gens, elements, trunc48, flavor):
             "an element of mixed order breaks the Sylow partition")]
     a = next(el for el in elements if el.order() == q)
     n_q_elements = sum(1 for el in elements if el.order() == q)
-    ch_g = character_group(code, gens, trunc48, flavor=flavor).character
-    ch_q = character_group(code, [a], trunc48, flavor=flavor).character
-    ch_full = trace_series(code, Perm.identity(code.n), 0, trunc48, flavor=flavor)
     if n_q_elements == (q - 1) * p * p:
         # normal Sylow-p subgroup: the p^2 elements of p-power order
         psyl = [el for el in elements if el.order() in (p, p * p)]
-        ch_p2 = character_group(code, psyl, trunc48, flavor=flavor).character
-        return [_hypotheses(),
-                _compare("q*Ch^G = Ch^P + q*Ch^Zq - Ch V",
-                         q * ch_g, ch_p2 + q * ch_q - ch_full)]
+        return _group_relation("q*Ch^G = Ch^P + q*Ch^Zq - Ch V",
+                               code, q, gens, psyl, [a], trunc48, flavor)
     if n_q_elements == q - 1:
         # normal Z_q; the complement must be cyclic for the q Sylow-p
         # subgroups to cover the rest without overlap
         sq = next((el for el in elements if el.order() == p * p), None)
         if sq is None:
             return [_hypotheses("no cyclic subgroup of order %d" % (p * p))]
-        ch_p2 = character_group(code, [sq], trunc48, flavor=flavor).character
-        return [_hypotheses(),
-                _compare("p2*Ch^G = p2*Ch^Zp2 + Ch^Zq - Ch V",
-                         p * p * ch_g, p * p * ch_p2 + ch_q - ch_full)]
+        return _group_relation("p2*Ch^G = p2*Ch^Zp2 + Ch^Zq - Ch V",
+                               code, p * p, gens, [a], [sq], trunc48, flavor)
     return [_hypotheses("Sylow census matches neither semidirect shape")]
 
 
@@ -488,8 +435,8 @@ def _check_group(which, code, gens, trunc48, flavor):
 
 
 def verify_identity(which, code, trunc48, g1=None, g2=None, group=None,
-                    flavor: str = "plain") -> FigureReport:
-    """Run one of the character identities as a report of rows.
+                    flavor: str = "plain") -> dict:
+    """Run one of the character identities as a record of rows.
 
     The first row says whether the hypotheses hold; when they do not,
     it names the one that fails and no comparison follows.
@@ -502,12 +449,13 @@ def verify_identity(which, code, trunc48, g1=None, g2=None, group=None,
         rows = _check_parity(code, g1, g2, trunc48, flavor)
     else:
         raise DomainError("unknown identity %r" % which)
-    return FigureReport(which, rows)
+    return _report(which, rows)
 
 
 _REGISTRY = {
-    "fig1": _verify_fig1,
-    "fig2": _verify_fig2,
+    "fig1": lambda: _identifications(_SINGLE_CLASSES),
+    "fig2": lambda: _identifications((None, text, name)
+                                     for text, name in _SUBGROUP_CLASSES),
     "fig5": _verify_fig5,
     "fig7": _verify_fig7,
     "ex33": _verify_ex33,
@@ -521,9 +469,9 @@ _REGISTRY = {
 FIGURE_IDS = tuple(_REGISTRY)
 
 
-def verify_figure(figure_id: str) -> FigureReport:
+def verify_figure(figure_id: str) -> dict:
     """Recompute one recorded table and compare row by row."""
     if figure_id not in _REGISTRY:
         raise DomainError("unknown figure id %r; known: %s"
                           % (figure_id, ", ".join(FIGURE_IDS)))
-    return FigureReport(figure_id, _REGISTRY[figure_id]())
+    return _report(figure_id, _REGISTRY[figure_id]())

@@ -216,6 +216,16 @@ def test_character_plus_refuses_a_kernel_off_the_code():
     assert str(err.value) == "%s is not an automorphism of the code" % g
 
 
+def test_character_plus_is_checked_as_a_character(monkeypatch):
+    # a kernel theta of the wrong sign cancels the pole at q^(-N/24) and
+    # leaves negative coefficients, which no character has
+    kernel = characters.kernel_theta
+    monkeypatch.setattr(characters, "kernel_theta",
+                        lambda *args, **kwargs: -kernel(*args, **kwargs))
+    with pytest.raises(ThetaforgeError, match="character pole is off"):
+        character_plus(HAM, T(4), REP24)
+
+
 @pytest.mark.parametrize("flavor", ["plain", "super1"])
 def test_kernel_plus_character_is_the_two_eta_quotients(flavor):
     # (theta_K / eta^8 + eta^8 / eta(2τ)^8) / 2 for the kernel sublattice
@@ -365,19 +375,20 @@ def not_applicable(report):
     A not-applicable report is its hypotheses row alone: no comparison
     runs after a failed hypothesis.
     """
-    head = report.rows[0]
-    assert head.label == "hypotheses"
-    if head.ok:
-        assert head.got == "applicable"
+    head = report["rows"][0]
+    assert head["label"] == "hypotheses"
+    if head["ok"]:
+        assert head["got"] == "applicable"
         return None
-    assert head.got.startswith("not-applicable: ") and len(report.rows) == 1
-    return head.got[len("not-applicable: "):]
+    assert (head["got"].startswith("not-applicable: ")
+            and len(report["rows"]) == 1)
+    return head["got"][len("not-applicable: "):]
 
 
 def test_theorem_c_identities():
     for r in (verify_identity("ThmC-1", HAM, T(7), g1=REP24),
               verify_identity("ThmC-2", HAM, T(7), g1=REP24, g2=NR24)):
-        assert not_applicable(r) is None and r.ok
+        assert not_applicable(r) is None and r["status"] == "pass"
 
 
 def test_theorem_c_hypothesis_gates():
@@ -396,8 +407,8 @@ def test_theorem_c_hypothesis_gates():
 
 def test_theorem_pq_on_the_order_21_group():
     r = verify_identity("ThmD-pq", HAM, T(7), group=F21)
-    assert not_applicable(r) is None and r.ok
-    assert r.rows[1].label == "p*Ch^G = Ch^Zq + p*Ch^Zp - Ch V"
+    assert not_applicable(r) is None and r["status"] == "pass"
+    assert r["rows"][1]["label"] == "p*Ch^G = Ch^Zq + p*Ch^Zp - Ch V"
 
 
 def test_theorem_pq_gates():
@@ -423,8 +434,8 @@ def test_group_theorems_refuse_odd_lattices():
 def test_theorem_p2q_case_with_normal_klein():
     a4 = [parse_perm("(3,4,5)(6,8,7)", 8), parse_perm("(1,6)(2,5)(3,4)(7,8)", 8)]
     r = verify_identity("Thm-p2q", HAM, T(7), group=a4)
-    assert not_applicable(r) is None and r.ok
-    assert r.rows[1].label == "q*Ch^G = Ch^P + q*Ch^Zq - Ch V"
+    assert not_applicable(r) is None and r["status"] == "pass"
+    assert r["rows"][1]["label"] == "q*Ch^G = Ch^P + q*Ch^Zq - Ch V"
 
 
 def test_theorem_p2q_gates():
@@ -442,15 +453,32 @@ def test_theorem_p2q_gates():
     assert not_applicable(r) is not None
 
 
+def test_theorem_p2q_case_with_normal_cyclic_q():
+    # F20 = Z5 x| Z4 on five hamming8 blocks, block b on the points
+    # 8b+1..8b+8: one generator sends block b to b+1 mod 5, the other
+    # to 2b mod 5, so Z5 is normal and the complement Z4 is cyclic
+    code = BinaryCode(40, [row << 8 * b for b in range(5) for row in HAM.basis])
+    assert len(code.basis) == 20
+
+    def blocks(order):
+        return "".join("(%s)" % ",".join(str(8 * b + i) for b in order)
+                       for i in range(1, 9))
+
+    f20 = parse_generators(blocks(range(5)) + ", " + blocks((1, 2, 4, 3)), 40)
+    assert len(group_elements(f20)) == 20
+    r = verify_identity("Thm-p2q", code, T(2), group=f20)
+    assert not_applicable(r) is None and r["status"] == "pass"
+    assert r["rows"][1] == {"label": "p2*Ch^G = p2*Ch^Zp2 + Ch^Zq - Ch V",
+                            "expected": "match", "got": "match", "ok": True}
+
+
 def test_parity_properties_on_the_length_8_code():
     r = verify_identity("parity-props", HAM, T(11), g1=REP24, g2=NR24)
     assert not_applicable(r) is None
-    assert r.ok and len(r.rows) == 6
-    labels = [row.label for row in r.rows[1:]]
+    assert r["status"] == "pass" and len(r["rows"]) == 6
+    labels = [row["label"] for row in r["rows"][1:]]
     assert any("even powers" in lab for lab in labels)
-    obj = r.to_json_obj()
-    assert obj["status"] == "pass"
-    assert all(row["ok"] for row in obj["rows"])
+    assert all(row["ok"] for row in r["rows"])
 
 
 def test_parity_properties_gate():

@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from thetaforge import characters, cli
+from thetaforge import characters, cli, verify
 from thetaforge.cli import main
 from thetaforge.codes import catalog_code
 from thetaforge.errors import ParseError, read_lines
@@ -201,6 +201,7 @@ def test_replicable_lists_violations(capsys):
     rep = rec["outputs"]["replicability"]
     assert rep["verdict"] == "not-replicable"
     assert rep["violations"][0] == [2, 3, 1, 6]
+    assert rep["identified_as"] is None
 
 
 def test_replicable_degrades_to_insufficient_precision(capsys):
@@ -488,6 +489,35 @@ def test_verbs_refuse_flags_they_ignore(capsys, argv):
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_a_failing_figure_exits_1_and_marks_its_rows(capsys, monkeypatch):
+    theta = verify.theta_fixed
+    monkeypatch.setattr(verify, "theta_fixed",
+                        lambda *args, **kwargs: 2 * theta(*args, **kwargs))
+    code, out, _ = run(capsys, "verify", "ex33")
+    assert code == 1
+    assert json.loads(out)["status"] == "fail"
+    code, out, _ = run(capsys, "verify", "ex33", "--table")
+    assert code == 1
+    assert 'status       "fail"\n' in out
+    assert "fixed theta of (2,8,4,6)(3,5)   FAIL expected " in out
+
+
+EX34_TABLE = (
+    'figure       "ex34"\n'
+    'status       "pass"\n'
+    'quotient through q^3                          ok   expected'
+    ' [1, 18, 150, 780, 2928]  got [1, 18, 150, 780, 2928]\n'
+    'quotient q^4..q^6 (recomputed)                ok   expected'
+    ' [8892, 24032, 60840]  got [8892, 24032, 60840]\n'
+    'printed q^4 term differs from recomputation   note expected 88926'
+    '  got 8892\n'
+)
+
+
+def test_verify_table_marks_checked_and_informational_rows(capsys):
+    assert run(capsys, "verify", "ex34", "--table") == (0, EX34_TABLE, "")
 
 
 def test_verify_rejects_unknown_figures(capsys):

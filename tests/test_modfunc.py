@@ -326,7 +326,7 @@ def test_faber_table_needs_precision():
     f, _ = strip_constant(mckay_thompson("T_3A", T(24)))
     with pytest.raises(PrecisionError):
         faber_table(f, 12)
-    assert is_replicable(f, 12).verdict == "insufficient-precision"
+    assert is_replicable(f, 12)["verdict"] == "insufficient-precision"
 
 
 def test_faber_table_rejects_unnormalized_input():
@@ -356,7 +356,7 @@ def test_sparse_series_is_replicable(c):
     if c:
         coeffs[DEN] = c if c.denominator > 1 else int(c)
     f = QSeries(coeffs, T(26))
-    assert is_replicable(f, 12).verdict == "replicable-up-to-K_rep"
+    assert is_replicable(f, 12)["verdict"] == "replicable-up-to-K_rep"
 
 
 # ---------- named series ----------
@@ -399,7 +399,7 @@ def test_all_named_series_are_integral_hauptmodul_shaped():
         assert f.valuation48() == -DEN
         assert f.lead_coeff() == 1
         assert f.is_integral()
-        assert is_replicable(f, 12).verdict == "replicable-up-to-K_rep"
+        assert is_replicable(f, 12)["verdict"] == "replicable-up-to-K_rep"
 
 
 # on and off the integer grid, from one power past q^0 up to 200 powers
@@ -517,27 +517,25 @@ def test_replicable_class_identifications():
     ]:
         f = quotient_of(text)
         r = is_replicable(f, 12)
-        assert r.verdict == "replicable-up-to-K_rep", text
+        assert r["verdict"] == "replicable-up-to-K_rep", text
         assert identify(f)[0] == want
 
 
 def test_nonreplicable_class_violations():
     f = quotient_of("(1,6)(7,8)")
     r = is_replicable(f, 12)
-    assert r.verdict == "not-replicable"
-    assert r.violations == [
-        (2, 3, 1, 6), (2, 5, 1, 10), (3, 4, 1, 12),
-        (4, 6, 2, 12), (5, 6, 3, 10)]
+    assert r["verdict"] == "not-replicable"
+    assert r["violations"] == [
+        [2, 3, 1, 6], [2, 5, 1, 10], [3, 4, 1, 12],
+        [4, 6, 2, 12], [5, 6, 3, 10]]
     assert identify(f) == (None, None)
     for text in ["(1,2)(3,8)(4,7)(5,6)", "(1,5,2,6)(3,7,8,4)", "(1,7,8,6)(4,5)"]:
         r = is_replicable(quotient_of(text), 12)
-        assert r.verdict == "not-replicable"
-        assert r.violations[0] == (2, 3, 1, 6)
+        assert r["verdict"] == "not-replicable"
+        assert r["violations"][0] == [2, 3, 1, 6]
 
 
 def test_report_round_trips_to_json():
-    r = is_replicable(quotient_of("(1,6)(7,8)"), 12)
-    obj = r.to_json_obj()
+    obj = is_replicable(quotient_of("(1,6)(7,8)"), 12)
     assert obj["verdict"] == "not-replicable"
     assert obj["violations"][0] == [2, 3, 1, 6]
-    assert obj["identified_as"] is None

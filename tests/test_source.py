@@ -25,12 +25,17 @@ expression when it is imported: a pattern is compiled the first time
 its parser runs.  Only `modfunc` names ``theta_quotient``: every other
 module gets the labelled quotient of a fixed sublattice from
 `modfunc.fixed_quotient`, which reads the rank off the orbit type.
-Only `qseries` and `verify` call the ``QSeries(...)`` constructor on a
-coefficient dict: `verify`'s parity comparison filters coefficients,
-and every other series is built from `eta`, the thetas and arithmetic.
+Only `qseries` calls the ``QSeries(...)`` constructor on a coefficient
+dict: every other series is built from `eta`, the thetas and
+arithmetic.  Importing `cli`, which every process does, parses no
+permutation and builds no series: the generators of the recorded
+figures stay cycle strings until a figure runs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import thetaforge
@@ -410,3 +415,32 @@ def test_series_constructor_guard_sees_every_form():
         "g = isinstance(x, QSeries)\n")
     assert sorted(node.lineno for node in ast.walk(tree)
                   if _constructs_a_series(node)) == [1, 2, 3]
+
+
+# counts, in a fresh process, the permutations parsed and the series
+# built while `thetaforge.cli` is imported
+_IMPORT_WORK = """
+from thetaforge import perms, qseries
+calls = []
+parse_perm, raw = perms.parse_perm, qseries.QSeries._raw.__func__
+
+def counted_parse(*args):
+    calls.append("parse_perm")
+    return parse_perm(*args)
+
+def counted_raw(cls, *args):
+    calls.append("_raw")
+    return raw(cls, *args)
+
+perms.parse_perm = counted_parse
+qseries.QSeries._raw = classmethod(counted_raw)
+import thetaforge.cli
+print(calls)
+"""
+
+
+def test_importing_the_cli_parses_no_permutation_and_builds_no_series():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_WORK], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
