@@ -16,6 +16,7 @@ eta division goes through `modfunc.eta_quotient`, and callers hand it
 each theta as a function of the window, never a padded series.
 """
 
+from functools import cache
 from math import gcd
 
 from .codes import BinaryCode
@@ -67,8 +68,12 @@ def trace_series(code: BinaryCode, g: Perm, j: int, trunc48: int,
     return _trace(code, g, j, trunc48, flavor)
 
 
+# QSeries instances are never mutated, so sharing them is safe
+@cache
 def _trace(code, g, j, trunc48, flavor):
-    """trace_series for a j already known to lie below the lift order."""
+    """trace_series for a j already known to lie below the lift order;
+    computed once per code, element, power, window and flavor, so the
+    characters that `verify` checks more than once are traced once."""
     return eta_quotient(lambda t: theta_twisted(code, g, j, t, flavor=flavor),
                         (g ** (j % g.order())).cycle_type(), trunc48)
 

@@ -180,6 +180,9 @@ class BinaryCode:
         return (isinstance(other, BinaryCode)
                 and self.n == other.n and self.basis == other.basis)
 
+    def __hash__(self):
+        return hash((self.n, self.basis))
+
     def __repr__(self):
         return "BinaryCode(n=%d, dim=%d)" % (self.n, self.dim)
 

@@ -10,17 +10,17 @@ A code automorphism permutes the a_i, so a subgroup G acts on the
 lattice.  Vectors fixed by G are constant on each G-orbit of
 coordinates, and range over cosets of codewords B fixed by G, which are
 unions of orbits.  On such a coset every orbit block carries a shift of
-0 or 1/2 (plus 1/4 on the a_Omega/4 cosets), so its theta series is a
-product of one-dimensional shifted thetas that depends on B only
-through how many blocks of each size B contains.  The fixed subcode
-comes from GF(2) elimination on the basis of C, so only it, not C,
-has to be small enough to list (dimension 24 or less).  One census
-walks it once and counts codewords by a tuple of integer popcounts:
-|B ∩ U_s| for the union U_s of the size-s blocks.  This is
-the size-refined weight enumerator of the fixed code on the orbit set;
-for the trivial group it is Construction A, Θ = W_C(θ₃(2τ), θ₂(2τ)).
-Shift signatures and block products are then built once per distinct
-key, not once per codeword.
+0 or 1/2 (plus 1/4 on the a_Omega/4 cosets), kept as a whole number of
+quarters, so its theta series is a product of one-dimensional shifted
+thetas that depends on B only through how many blocks of each size B
+contains.  The fixed subcode comes from GF(2) elimination on the basis
+of C, so only it, not C, has to be small enough to list (dimension 24
+or less).  One census walks it once and counts codewords by a tuple of
+integer popcounts: |B ∩ U_s| for the union U_s of the size-s blocks.
+This is the size-refined weight enumerator of the fixed code on the
+orbit set; for the trivial group it is Construction A, Θ =
+W_C(θ₃(2τ), θ₂(2τ)).  Shift signatures and block products are then
+built once per distinct key, not once per codeword.
 
 Sign-twisted sums, needed for traces of lifted automorphisms, weight v
 by (-1)^{<v, hv>} for an h that pairs up the orbit blocks.  The key
@@ -47,7 +47,6 @@ quarter-shifted cosets the e8 rule adds |B|/2 + N/8 with β = 1, and
 """
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from operator import and_
 import re
@@ -55,25 +54,25 @@ import re
 from .codes import BinaryCode
 from .errors import DomainError
 from .perms import Perm, orbits
-from .qseries import DEN, QSeries, shifted_theta, theta2, theta3, theta4
-
-HALF = Fraction(1, 2)
+from .qseries import DEN, QSeries, int_theta, theta2, theta3, theta4
 
 FLAVORS = ("plain", "super0", "super1")
 
 # Factors and per-coset block products are cached by value; QSeries
 # instances are never mutated, so sharing them is safe.
 @cache
-def _factor(weight, shift, alternating, trunc48):
-    return shifted_theta(weight, shift, trunc48, alternating=alternating)
+def _factor(size, quarters, alternating, trunc48):
+    """Theta of an orbit block of `size` coordinates shifted by quarters/4:
+    sum q^(size (n + quarters/4)^2), 3 size (4n + quarters)^2 in 48ths."""
+    return int_theta(3 * size, 1, 4, quarters, trunc48, alternating)
 
 
 @cache
 def _block_product(signature, trunc48):
-    """Product over ((weight, shift, alt), multiplicity) factor specs."""
+    """Product over ((size, quarters, alt), multiplicity) factor specs."""
     out = QSeries.one(trunc48)
-    for (weight, shift, alt), mult in signature:
-        base = _factor(weight, shift, alt, trunc48)
+    for (size, quarters, alt), mult in signature:
+        base = _factor(size, quarters, alt, trunc48)
         if base.is_zero():
             return QSeries.zero(trunc48)
         out = out * base ** mult
@@ -173,12 +172,12 @@ def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
             coeff = -count if odd else count
             # quarter shifts on a twisted coset make odd blocks alternate
             alt = twist is not None and beta == 1
-            low = Fraction(beta, 4)
+            # shifts in quarters: β/4 off B, β/4 + 1/2 on B
             specs = []
             for size, total, bits in zip(sizes, nblocks, key):
                 a = alt and size % 2 == 1
-                specs += [((size, low + HALF, a), bits // size),
-                          ((size, low, a), total - bits // size)]
+                specs += [((size, beta + 2, a), bits // size),
+                          ((size, beta, a), total - bits // size)]
             signature = tuple(sorted(s for s in specs if s[1]))
             if parity is None:
                 census[signature] += 2 * coeff

@@ -22,7 +22,6 @@ orbit type.
 """
 
 import re
-from fractions import Fraction
 from functools import cache, partial
 from math import gcd
 from operator import mul
@@ -116,7 +115,8 @@ def theta_quotient(theta, orbit_type):
     if N % 8:
         raise DomainError("rank must be a positive multiple of 8, got %d" % N)
     quo = eta_quotient(theta.truncate48, orbit_type, window)
-    return quo.pow_rational(Fraction(24, N))
+    # 24/N is 3 or 1 at ranks 8 and 24, and a Fraction only at rank 16
+    return quo.pow_rational(exact_div(24, N))
 
 
 def fixed_quotient(code, gens, trunc48, flavor="plain"):
@@ -138,11 +138,10 @@ def fixed_quotient(code, gens, trunc48, flavor="plain"):
 # ---------- Faber polynomials and replicability ----------
 
 def strip_constant(f):
-    """Split f into (f - constant term, constant term)."""
+    """Split f into (f - constant term, constant term), the constant an
+    int or a Fraction as f stores it (0 when f has none)."""
     c = f.coeffs.get(0, 0)
-    if c:
-        return f - c, Fraction(c)
-    return f, Fraction(0)
+    return (f - c if c else f), c
 
 
 def _check_hauptmodul_shape(f):

@@ -15,10 +15,17 @@ PrecisionError.  Every exponent and window, in and out, is in 48ths;
 only `integer_coefficients` reads whole powers q^k.  Coefficients are
 ints or Fractions, never floats, and so are powers and theta weights
 and shifts: a float raises TypeError.  A whole number is always stored
-as an int: a Fraction coefficient never has denominator 1.  Every
-coefficient division goes through `exact_div`, which returns an int
-whenever the quotient is whole, so the coefficients of integral series
-stay ints through products, powers and divisions.
+as an int: a Fraction never has denominator 1.  Every coefficient
+division goes through `exact_div`, which returns an int whenever the
+quotient is whole, so the coefficients of integral series stay ints
+through products, powers and divisions.
+
+A Fraction is made only for a value that is not whole: by `exact_div`,
+by `rational_power`, or for the message of an off-grid theta exponent,
+all through `_fraction`.  This module does not import `fractions` (with
+it `decimal` and `numbers`) until then, so a job whose values are all
+whole never loads it; until it is loaded no Fraction can exist, and
+type checks look the class up in `sys.modules`.
 
 Products are sparse convolutions.  A rational power f**r runs J.C.P.
 Miller's power recurrence on the exponent stride of f, which costs
@@ -28,18 +35,34 @@ division on the common stride of f and g, T * nnz(g) products with no
 inverse series built, exact below the window f * g**-1 would have.
 """
 
-from fractions import Fraction
 from math import gcd
+import sys
 
 from .errors import PrecisionError
 
 DEN = 48
 
 
+def _fraction(n, d):
+    """The Fraction n/d, for n/d not whole; the one place `fractions`
+    is imported."""
+    from fractions import Fraction
+    return Fraction(n, d)
+
+
+def _is_rational(x):
+    """Whether x is an int or a Fraction.  No Fraction exists before
+    `fractions` is loaded, so the check does not load it."""
+    if isinstance(x, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
 def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+    if isinstance(c, int) or c.denominator != 1:
+        return c
+    return c.numerator
 
 
 def exact_div(a, b):
@@ -47,13 +70,13 @@ def exact_div(a, b):
     else a Fraction (never one with denominator 1)."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
+        return _fraction(a, b) if r else q
     return _norm_coeff(a / b)
 
 
 def _exact_coeff(c):
     """A coefficient from outside, normalized; floats and the like are refused."""
-    if not isinstance(c, (int, Fraction)):
+    if not _is_rational(c):
         raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
     return _norm_coeff(c)
 
@@ -68,10 +91,10 @@ def exact_int(n, what="exponent"):
 
 def exact_rational(r, what="exponent"):
     """A rational argument from outside (a power, a theta weight or
-    shift); a float is refused, not rounded."""
-    if not isinstance(r, (int, Fraction)):
+    shift), as an int when it is whole; a float is refused, not rounded."""
+    if not _is_rational(r):
         raise TypeError("%s %r is not an int or a Fraction" % (what, r))
-    return Fraction(r)
+    return _norm_coeff(r)
 
 
 def iroot(n, k):
@@ -94,19 +117,21 @@ def rational_power(c, r):
     """Exact c**r for rational c and r, or raise ValueError.
 
     Negative bases are only allowed for integer r.  A whole result is
-    an int.
+    an int, and a negative power of an int is a Fraction, never a float.
     """
     c = exact_rational(c, "base")
     r = exact_rational(r, "power")
-    if r.denominator == 1:
-        return _norm_coeff(c ** int(r))
-    if c <= 0:
-        raise ValueError("cannot take a fractional power of %s exactly" % c)
-    pn = iroot(c.numerator, r.denominator)
-    pd = iroot(c.denominator, r.denominator)
-    if pn is None or pd is None:
-        raise ValueError("%s has no exact %d-th root" % (c, r.denominator))
-    return _norm_coeff(Fraction(pn, pd) ** r.numerator)
+    k = r.denominator
+    roots = c.numerator, c.denominator
+    if k != 1:
+        if c <= 0:
+            raise ValueError("cannot take a fractional power of %s exactly" % c)
+        roots = iroot(roots[0], k), iroot(roots[1], k)
+        if None in roots:
+            raise ValueError("%s has no exact %d-th root" % (c, k))
+    num, den = roots if r >= 0 else roots[::-1]
+    p = abs(r.numerator)
+    return exact_div(num ** p, den ** p)
 
 
 class QSeries:
@@ -212,10 +237,10 @@ class QSeries:
         return QSeries._raw({e: -c for e, c in self.coeffs.items()}, self.trunc48)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.monomial(other, 0, self.trunc48)
         if not isinstance(other, QSeries):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            other = QSeries.monomial(other, 0, self.trunc48)
         t = min(self.trunc48, other.trunc48)
         out = {e: c for e, c in self.coeffs.items() if e < t}
         for e, c in other.coeffs.items():
@@ -231,9 +256,7 @@ class QSeries:
         return self.__add__(other)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__add__(-other)
-        if not isinstance(other, QSeries):
+        if not (isinstance(other, QSeries) or _is_rational(other)):
             return NotImplemented
         return self.__add__(-other)
 
@@ -241,14 +264,14 @@ class QSeries:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QSeries):
+            if not _is_rational(other):
+                return NotImplemented
             if not other:
                 return QSeries.zero(self.trunc48)
             return QSeries._raw(
                 {e: _norm_coeff(c * other) for e, c in self.coeffs.items()},
                 self.trunc48)
-        if not isinstance(other, QSeries):
-            return NotImplemented
         t = min(self.valuation48() + other.trunc48,
                 other.valuation48() + self.trunc48)
         out = {}
@@ -283,14 +306,14 @@ class QSeries:
         for T quotient terms, and no inverse series.  The result is exact
         below min(v_f + T_g - 2 v_g, T_f - v_g), the window of f * g**-1.
         """
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QSeries):
+            if not _is_rational(other):
+                return NotImplemented
             if not other:
                 raise ZeroDivisionError("series divided by zero")
             return QSeries._raw(
                 {e: exact_div(c, other) for e, c in self.coeffs.items()},
                 self.trunc48)
-        if not isinstance(other, QSeries):
-            return NotImplemented
         if not other.coeffs:
             raise ValueError("series divided by the zero series")
         vf, vg = self.valuation48(), other.valuation48()
@@ -439,29 +462,26 @@ def eta(scale, trunc48):
     return QSeries._raw(coeffs, trunc48)
 
 
-def shifted_theta(weight, shift, trunc48, alternating=False):
-    """Sum over n of (-1)^(n if alternating) q^(weight*(n+shift)^2).
+def int_theta(num, den, stride, offset, trunc48, alternating=False):
+    """Sum over n of (-1)^(n if alternating) q^(num (stride n + offset)^2 / den),
+    the exponents in 48ths: the integer core of every theta series.
 
-    weight is a positive rational, shift is a rational in [0, 1).
-    Exponents must land on the 1/48 grid.
+    num, den and stride are positive ints and offset is an int; every
+    exponent must be a whole number of 48ths.
     """
-    weight = exact_rational(weight, "theta weight")
-    shift = exact_rational(shift, "theta shift")
+    for x in (num, den, stride, offset):
+        exact_int(x, "theta parameter")
     trunc48 = exact_int(trunc48)
-    if weight <= 0:
-        raise ValueError("theta weight must be positive")
+    if num < 1 or den < 1 or stride < 1:
+        raise ValueError("theta parameters must be positive")
     coeffs = {}
-    # with weight = a/b and shift = s/t, weight (n + shift)^2 in 48ths is
-    # 48 a (n t + s)^2 / (b t^2) = num m^2 / den, all in ints
-    num = weight.numerator * DEN
-    den = weight.denominator * shift.denominator ** 2
 
     def put(n):
-        m = n * shift.denominator + shift.numerator
+        m = n * stride + offset
         e, rem = divmod(num * m * m, den)
         if rem:
             raise ValueError("theta exponent %s leaves the 1/%d grid"
-                             % (Fraction(num * m * m, den * DEN), DEN))
+                             % (_fraction(num * m * m, den * DEN), DEN))
         if e >= trunc48:
             return False
         s = -1 if (alternating and n % 2) else 1
@@ -481,16 +501,33 @@ def shifted_theta(weight, shift, trunc48, alternating=False):
     return QSeries._raw(coeffs, trunc48)
 
 
+def shifted_theta(weight, shift, trunc48, alternating=False):
+    """Sum over n of (-1)^(n if alternating) q^(weight*(n+shift)^2).
+
+    weight is a positive rational, shift is a rational in [0, 1).
+    Exponents must land on the 1/48 grid.
+    """
+    weight = exact_rational(weight, "theta weight")
+    shift = exact_rational(shift, "theta shift")
+    if weight <= 0:
+        raise ValueError("theta weight must be positive")
+    # with weight = a/b and shift = s/t, weight (n + shift)^2 in 48ths is
+    # 48 a (n t + s)^2 / (b t^2), all in ints
+    t = shift.denominator
+    return int_theta(weight.numerator * DEN, weight.denominator * t * t, t,
+                     shift.numerator, trunc48, alternating)
+
+
 def theta2(t, trunc48):
-    """Jacobi theta_2 of q**t: sum q^(t(n+1/2)^2/2)."""
-    return shifted_theta(Fraction(t, 2), Fraction(1, 2), trunc48)
+    """Jacobi theta_2 of q**t: sum q^(t(n+1/2)^2/2), 6t (2n+1)^2 in 48ths."""
+    return int_theta(6 * t, 1, 2, 1, trunc48)
 
 
 def theta3(t, trunc48):
-    """Jacobi theta_3 of q**t: sum q^(t n^2/2)."""
-    return shifted_theta(Fraction(t, 2), 0, trunc48)
+    """Jacobi theta_3 of q**t: sum q^(t n^2/2), 24t n^2 in 48ths."""
+    return int_theta(24 * t, 1, 1, 0, trunc48)
 
 
 def theta4(t, trunc48):
     """Jacobi theta_4 of q**t: sum (-1)^n q^(t n^2/2)."""
-    return shifted_theta(Fraction(t, 2), 0, trunc48, alternating=True)
+    return int_theta(24 * t, 1, 1, 0, trunc48, alternating=True)

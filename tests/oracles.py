@@ -20,13 +20,17 @@ from pathlib import Path
 from thetaforge.codes import BinaryCode
 from thetaforge.errors import DomainError
 from thetaforge.lattice import (
-    HALF, _block_product, _coset_parity, _images, _orbit_blocks,
-    _paired_blocks, _twist_parity, catalog_theta,
+    _coset_parity, _images, _orbit_blocks, _paired_blocks, _twist_parity,
+    catalog_theta,
 )
 from thetaforge.modfunc import MT_NAMES, mckay_thompson, strip_constant
 from thetaforge.perms import Perm, parse_generators
-from thetaforge.qseries import DEN, PrecisionError, QSeries, eta, exact_div
+from thetaforge.qseries import (
+    DEN, PrecisionError, QSeries, eta, exact_div, shifted_theta,
+)
 from thetaforge.verify import FIGURE_IDS
+
+HALF = Fraction(1, 2)
 
 
 def brute_force_automorphisms(is_member, n, cap_degree=8):
@@ -116,10 +120,12 @@ def tuple_census_theta(code: BinaryCode, gens, trunc48: int, j=None,
                        twist: Perm = None) -> QSeries:
     """The popcount census that `lattice._census_theta` replaced.
 
-    It builds one key tuple per codeword in Python and weights the two
-    coordinate-sum halves of a coset by Fraction(k, 2).  The engine now
-    counts keys one column per mask and keeps twice each weight as an
-    int; both must give the same series.
+    It builds one key tuple per codeword in Python, keys block shifts by
+    Fractions, weights the two coordinate-sum halves of a coset by
+    Fraction(k, 2) and builds each block product from the public
+    `shifted_theta`.  The engine now counts keys one column per mask,
+    keys shifts by whole quarters and keeps twice each weight as an int;
+    both must give the same series.
     """
     n = code.n
     sub = code.fixed_subcode(gens)
@@ -179,8 +185,16 @@ def tuple_census_theta(code: BinaryCode, gens, trunc48: int, j=None,
     for signature in sorted(census):
         coeff = census[signature]
         if coeff:
-            total = total + _block_product(signature, trunc48) * coeff
+            total = total + _shifted_product(signature, trunc48) * coeff
     return total.truncate48(trunc48)
+
+
+def _shifted_product(signature, trunc48):
+    """Product over ((weight, shift, alt), multiplicity) of shifted thetas."""
+    out = QSeries.one(trunc48)
+    for (weight, shift, alt), mult in signature:
+        out = out * shifted_theta(weight, shift, trunc48, alt) ** mult
+    return out.truncate48(trunc48)
 
 
 

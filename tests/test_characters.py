@@ -290,6 +290,8 @@ def test_characters_refuse_odd_lattices_before_computing(monkeypatch, build):
     def no_theta(*args, **kwargs):
         raise AssertionError("computed a theta series for an odd lattice")
 
+    # a memoized trace would not reach the patched theta
+    characters._trace.cache_clear()
     monkeypatch.setattr(characters, "theta_twisted", no_theta)
     monkeypatch.setattr(characters, "kernel_theta", no_theta)
     with pytest.raises(DomainError) as err:

@@ -317,6 +317,8 @@ def test_broken_character_invariant_exits_3(capsys, monkeypatch):
     def no_theta(*args, **kwargs):
         raise AssertionError("computed a theta series for an odd lattice")
 
+    # a memoized trace would not reach the patched theta
+    characters._trace.cache_clear()
     monkeypatch.setattr(characters, "theta_twisted", no_theta)
     monkeypatch.setattr(characters, "kernel_theta", no_theta)
     for group in ("(1,7)(2,4)(3,8)(5,6)",

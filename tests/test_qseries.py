@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thetaforge.lattice import _factor
 from thetaforge.qseries import (
-    DEN, PrecisionError, QSeries, eta, exact_div, iroot, rational_power,
-    shifted_theta, theta2, theta3, theta4,
+    DEN, PrecisionError, QSeries, eta, exact_div, int_theta, iroot,
+    rational_power, shifted_theta, theta2, theta3, theta4,
 )
 
 T = lambda n: n * DEN  # integer q-power -> 48ths
@@ -219,7 +220,11 @@ def test_inexact_exponents_rejected(build):
     lambda: eta(1.9, T(4)),
     lambda: eta(1, 100.5),
     lambda: theta3(1, 48.5),
-], ids=["truncate48", "dilate", "eta", "eta-bound", "theta-bound"])
+    lambda: int_theta(3, 1, 4, 1, 100.5),
+    lambda: int_theta(1.5, 1, 1, 0, T(4)),
+    lambda: theta2(1.5, T(4)),
+], ids=["truncate48", "dilate", "eta", "eta-bound", "theta-bound",
+        "int_theta-bound", "int_theta-weight", "theta2-scale"])
 def test_non_integer_arguments_rejected(call):
     # int() would run the first three on 100, 2 and eta(q) instead, and
     # the builders would hand out a series with a float bound
@@ -307,6 +312,16 @@ def test_shifted_theta_against_oracle(weight, shift, alt):
     t48 = T(25)
     got = shifted_theta(weight, shift, t48, alternating=alt)
     assert got.coeffs == oracle_shifted_theta(weight, shift, t48, alt)
+
+
+@pytest.mark.parametrize("alt", [False, True])
+def test_census_factors_are_the_quarter_shifted_thetas(alt):
+    # the census keys a block of w coordinates by its shift in quarters k
+    # and builds sum q^(3w (4n + k)^2 / 48) from ints alone
+    for w in range(1, 25):
+        for k in range(4):
+            want = shifted_theta(w, Fraction(k, 4), T(8), alternating=alt)
+            assert _factor(w, k, alt, T(8)) == want, (w, k, alt)
 
 
 def test_alternating_half_shift_cancels():
@@ -426,6 +441,50 @@ def test_rational_power_and_iroot():
     with pytest.raises(ValueError):
         rational_power(2, Fraction(1, 2))
     assert rational_power(Fraction(-2), 3) == Fraction(-8)
+
+
+def test_a_negative_power_of_an_int_is_a_fraction():
+    got = rational_power(2, -1)
+    assert type(got) is Fraction and got == Fraction(1, 2)
+    assert type(rational_power(-2, -3)) is Fraction
+    assert rational_power(-2, -3) == Fraction(-1, 8)
+    assert rational_power(Fraction(1, 2), -2) == 4
+    assert type(rational_power(Fraction(1, 2), -2)) is int
+
+
+def _outcome(call, *args):
+    """(type, value) of a call's result, or the type of what it raised."""
+    try:
+        got = call(*args)
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err)
+    if isinstance(got, QSeries):
+        return got.trunc48, {e: (type(c), c) for e, c in got.coeffs.items()}
+    return type(got), got
+
+
+small_st = st.integers(min_value=-30, max_value=30)
+
+
+@given(small_st, small_st, st.integers(min_value=-4, max_value=4),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=200, deadline=None)
+def test_whole_fractions_take_the_int_path(a, b, p, q):
+    # an int and the equal Fraction give equal values of equal types
+    r = Fraction(p, q)
+    for x, y in ((a, b), (a, r), (b, r)):
+        want = [_outcome(exact_div, x, y), _outcome(rational_power, x, y)]
+        for fx, fy in ((Fraction(x), y), (x, Fraction(y)),
+                       (Fraction(x), Fraction(y))):
+            assert [_outcome(exact_div, fx, fy),
+                    _outcome(rational_power, fx, fy)] == want, (x, y)
+
+
+@given(st.sampled_from([1, -1, 3, 64]), st.integers(min_value=-4, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_whole_fraction_powers_of_a_series_take_the_int_path(c, p):
+    f = c * theta3(1, T(4)) + QSeries.monomial(Fraction(1, 2), T(1), T(4))
+    assert _outcome(f.pow_rational, p) == _outcome(f.pow_rational, Fraction(p))
 
 
 def test_binom_frac():

@@ -10,7 +10,10 @@ division by an eta product goes through `modfunc.eta_quotient`, which
 owns the precision window, so no code outside its body divides by a
 call to ``eta`` or ``eta_product``, and nothing raises a series to a
 negative power: every division is the one long division of
-`QSeries.__truediv__`.  No module imports ``hashlib`` when
+`QSeries.__truediv__`.  No module imports ``fractions`` or ``decimal``
+when it is imported: `qseries._fraction` loads them for the first value
+that is not whole, so a job whose values are all whole never pays for
+them.  No module imports ``hashlib`` when
 it is imported itself: hashlib loads OpenSSL, which every process would
 pay for, so only the function that computes a digest imports it.  No module
 imports ``argparse``, ``optparse`` or ``gettext`` at all: every CLI job
@@ -246,6 +249,34 @@ def test_hashlib_guard_sees_every_module_level_form():
                   if _imports_hashlib(node)) == [1, 2, 3, 5, 7]
 
 
+_imports_exact_numbers = _importer("fractions", "decimal")
+
+
+def test_no_module_imports_fractions_or_decimal_at_import_time():
+    # only `qseries._fraction` loads fractions, for a value not whole
+    assert _offending_nodes(_imports_exact_numbers,
+                            walk=_import_time_nodes) == []
+
+
+def test_fractions_guard_sees_every_module_level_form():
+    tree = ast.parse(
+        "from fractions import Fraction\n"
+        "import fractions\n"
+        "import os, decimal as d\n"
+        "from decimal import Decimal\n"
+        "if True:\n"
+        "    from fractions import Fraction\n"
+        "class A:\n"
+        "    import fractions\n"
+        "def f():\n"
+        "    from fractions import Fraction\n"
+        "g = lambda: __import__('fractions')\n"
+        "from .fractions import x\n"
+        "import fractions_helpers\n")
+    assert sorted(node.lineno for node in _import_time_nodes(tree)
+                  if _imports_exact_numbers(node)) == [1, 2, 3, 4, 6, 8]
+
+
 _imports_a_parser = _importer("argparse", "optparse", "gettext")
 
 
@@ -444,3 +475,49 @@ def test_importing_the_cli_parses_no_permutation_and_builds_no_series():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_WORK], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# runs CLI jobs in one fresh interpreter and prints their exit statuses
+# and which of fractions and decimal it has loaded
+_LOADED_AFTER_JOBS = """
+import contextlib, io, sys
+from thetaforge.cli import main
+statuses = []
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        statuses.append(main(argv))
+print(statuses, [m for m in ("fractions", "decimal") if m in sys.modules])
+"""
+
+_SWAP = "".join("(%d,%d)" % (i, i + 12) for i in range(1, 13))
+_LEECH = ["--code", "golay24", "--flavor", "super1"]
+
+# every value these jobs hold is whole
+_INTEGRAL_JOBS = [
+    ["theta", "--trunc", "1"],
+    ["theta", *_LEECH, "--trunc", "4"],
+    ["doubling", *_LEECH, "--group", _SWAP, "--trunc", "4"],
+    ["quotient", "--group", "(2,8,4,6)(3,5)", "--trunc", "200"],
+    ["character", "--group", "(1,2)(3,8)(4,7)(5,6), (1,3)(2,8)(4,6)(5,7)"],
+    ["doubling", "--group", "(1,7)(2,4)(3,8)(5,6)"],
+] + [["verify", f] for f in ("fig5", "fig7", "ex33", "ex34", "ex53", "ex81",
+                             "thmC", "thmD")]
+
+
+def _loaded_after(jobs):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_JOBS % (jobs,)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_integral_jobs_load_neither_fractions_nor_decimal():
+    assert _loaded_after(_INTEGRAL_JOBS) == "%s []\n" % ([0] * 14)
+
+
+def test_a_faber_table_with_fractions_loads_them():
+    # the Faber entries G_{n,k}/k of T_3A are not all whole, so the
+    # check above would see the import if an integral job made one
+    assert _loaded_after([["replicable", "--group", "(1,5,2)(3,7,8)"]]) == (
+        "[0] ['fractions', 'decimal']\n")

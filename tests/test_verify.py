@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from thetaforge import characters
 from thetaforge.codes import catalog_code
 from thetaforge.errors import DomainError
 from thetaforge.qseries import DEN, QSeries
@@ -31,6 +32,16 @@ ROW_COUNTS = {
     "thmC": 10,
     "thmD": 2,
 }
+
+
+def test_a_figure_traces_each_character_once():
+    # ex81 checks three group characters as rows and again inside an
+    # identity; the memo on _trace computes each trace once, so a second
+    # run of the figure computes none
+    first = verify_figure("ex81")
+    misses = characters._trace.cache_info().misses
+    assert verify_figure("ex81") == first
+    assert characters._trace.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("figure", FIGURE_IDS)
