@@ -135,8 +135,8 @@ def character_group(code: BinaryCode, gens, trunc48: int,
         cycles = tuple(orbits([el], code.n))
         if cycles not in traces:
             traces[cycles] = _trace(code, el, 1, trunc48, flavor)
-        elif not code.is_automorphism(el):
-            raise DomainError("%s is not an automorphism of the code" % el)
+        else:
+            code.require_automorphism(el)
         terms.append(traces[cycles])
     return CharacterReport(len(elements), False, {}, _character(terms, code.n))
 
@@ -155,10 +155,11 @@ def character_plus(code: BinaryCode, trunc48: int, g=None,
     N = code.n
     if N < 8 or N % 8:
         raise DomainError("rank must be a multiple of 8, at least 8; got %s" % N)
+    ones, twos = ((1, N),), ((2, N),)     # eta(τ)^N and eta(2τ)^N
     if g is None:
         fixed_part = _trace(code, Perm.identity(N), 0, trunc48, flavor)
     else:
         fixed_part = eta_quotient(
-            lambda t: kernel_theta(code, g, t, flavor=flavor), {1: N}, trunc48)
-    neg_part = eta_quotient(lambda t: eta_product({1: N}, t), {2: N}, trunc48)
+            lambda t: kernel_theta(code, g, t, flavor=flavor), ones, trunc48)
+    neg_part = eta_quotient(lambda t: eta_product(ones, t), twos, trunc48)
     return _character([fixed_part, neg_part], N)

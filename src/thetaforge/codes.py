@@ -134,6 +134,11 @@ class BinaryCode:
             return False
         return all(self.contains(perm.apply_mask(b)) for b in self.basis)
 
+    def require_automorphism(self, perm):
+        """Refuse a permutation that is not an automorphism of the code."""
+        if not self.is_automorphism(perm):
+            raise DomainError("%s is not an automorphism of the code" % perm)
+
     def fixed_subcode(self, gens):
         """Subcode of words fixed by every generator.
 
@@ -152,9 +157,7 @@ class BinaryCode:
                 raise DomainError(
                     "permutation %s acts on %d points, code has length %d"
                     % (g, g.n, self.n))
-            if not self.is_automorphism(g):
-                raise DomainError(
-                    "%s is not an automorphism of the code" % g)
+            self.require_automorphism(g)
         pivots = {}
         fixed = []
         for w in self.basis:

@@ -53,7 +53,7 @@ import re
 
 from .codes import BinaryCode
 from .errors import DomainError
-from .perms import Perm, orbits
+from .perms import Perm, orbit_type, orbits
 from .qseries import DEN, QSeries, int_theta, theta2, theta3, theta4
 
 FLAVORS = ("plain", "super0", "super1")
@@ -143,8 +143,7 @@ def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
             if row & omask not in (0, omask):
                 raise DomainError(
                     "codeword %#x is not a union of orbit blocks" % row)
-    sizes = sorted({size for _, size in blocks})
-    nblocks = [sum(1 for _, s in blocks if s == size) for size in sizes]
+    sizes, nblocks = zip(*orbit_type(gens, n))
     masks = [sum(m for m, s in blocks if s == size) for size in sizes]
     pair_mask = 0
     if twist is not None:
@@ -252,8 +251,7 @@ def theta_twisted(code: BinaryCode, g: Perm, j: int, trunc48: int,
     theta_fixed.
     """
     parity = _coset_parity(flavor)
-    if not code.is_automorphism(g):
-        raise DomainError("%s is not an automorphism of the code" % g)
+    code.require_automorphism(g)
     m = g.order()
     gj = g ** (j % m)
     if j % 2 or m % 2 or j % (2 * m) == 0:
@@ -291,8 +289,7 @@ def doubling_code_criterion(code: BinaryCode, g: Perm):
     """
     if not code.is_doubly_even():
         raise DomainError("doubling needs a doubly even code")
-    if not code.is_automorphism(g):
-        raise DomainError("%s is not a code automorphism" % g)
+    code.require_automorphism(g)
     m = g.order()
     if m % 2:
         return False, None

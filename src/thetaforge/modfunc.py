@@ -18,69 +18,39 @@ a result exact below t needs the numerator through t + 2N and the eta
 product of degree N through t + 4N.  `fixed_quotient` is the one path
 from a code, a group and a flavor to the labelled quotient
 (theta/eta_g)^(24/N), and the rank N is read off the degree of the
-orbit type.
+orbit type.  Orbit types and eta exponents are the (length, count)
+pairs of `perms`; catalog rows, written "1^24", are parsed per series.
 """
 
-import re
 from functools import cache, partial
 from math import gcd
 from operator import mul
 
 from . import perms
-from .errors import DomainError, ParseError, ThetaforgeError
+from .errors import DomainError, ThetaforgeError
 from .lattice import require_even, theta_fixed
 from .qseries import DEN, PrecisionError, QSeries, eta, exact_div, exact_int
-
-_PART_RE = r"(\d+)(?:\^(\d+))?\Z"   # compiled, and cached by re, on first use
-
-
-def parse_orbit_type(spec):
-    """Normalize an orbit type to a sorted tuple of (length, count) pairs.
-
-    Accepts a string such as "2^2 4^1", a dict {length: count} as
-    produced by cycle_type() and orbit_type(), or the sorted pairs this
-    function returns, so that normalizing twice changes nothing.
-    """
-    if isinstance(spec, str):
-        counts = {}
-        for tok in spec.split():
-            m = re.match(_PART_RE, tok)
-            if not m:
-                raise ParseError("bad orbit-type token %r in %r" % (tok, spec))
-            t = int(m.group(1))
-            counts[t] = counts.get(t, 0) + int(m.group(2) or 1)
-    else:
-        counts = dict(spec)
-    if not counts:
-        raise DomainError("empty orbit type")
-    for t, r in counts.items():
-        if not (isinstance(t, int) and isinstance(r, int) and t >= 1 and r >= 1):
-            raise DomainError("orbit type needs positive integer parts, got %r" % (spec,))
-    return tuple(sorted(counts.items()))
 
 
 def orbit_degree(orbit_type):
     """Number of points moved or fixed: sum of length * count."""
-    return sum(t * r for t, r in parse_orbit_type(orbit_type))
-
-
-def eta_product(orbit_type, trunc48):
-    """Product of eta(q^t)^count over the orbit type, truncated; built
-    once per orbit type and window, and shared."""
-    return _eta_product(parse_orbit_type(orbit_type), trunc48)
+    return sum(t * r for t, r in orbit_type)
 
 
 # QSeries instances are never mutated, so sharing them is safe
 @cache
-def _eta_product(parts, trunc48):
+def eta_product(orbit_type, trunc48):
+    """Product of eta(q^t)^count over the (length, count) pairs,
+    truncated; built once per orbit type and window, and shared."""
     out = QSeries.one(trunc48)
-    for t, r in parts:
+    for t, r in orbit_type:
         out = out * eta(t, trunc48) ** r
     return out.truncate48(trunc48)
 
 
 def eta_quotient(numerator, orbit_type, trunc48):
-    """numerator / eta_product(orbit_type), exact below trunc48.
+    """numerator / eta_product(orbit_type), exact below trunc48, for
+    an orbit type given as sorted (length, count) pairs.
 
     numerator(window) returns a series of valuation >= 0 exact below
     window; a precomputed series passes its own truncate48.  An eta
@@ -94,7 +64,8 @@ def eta_quotient(numerator, orbit_type, trunc48):
 
 
 def theta_quotient(theta, orbit_type):
-    """(theta / eta_product)^(24/N) for an orbit type of degree N.
+    """(theta / eta_product)^(24/N) for an orbit type of degree N,
+    given as sorted (length, count) pairs.
 
     N is the rank of the lattice and must be a positive multiple of 8.
     The result is exact below theta.trunc48 - 2N - 48: the quotient by
@@ -103,7 +74,6 @@ def theta_quotient(theta, orbit_type):
     theta too short to leave that quotient any window raises
     PrecisionError, before a rank off the multiples of 8 is refused.
     """
-    orbit_type = parse_orbit_type(orbit_type)
     if theta.is_zero() or theta.valuation48() != 0 or theta.lead_coeff() != 1:
         raise DomainError("theta series must start with constant term 1")
     N = orbit_degree(orbit_type)
@@ -131,8 +101,8 @@ def fixed_quotient(code, gens, trunc48, flavor="plain"):
     # theta_fixed refuses a generator of the wrong degree before the
     # orbits are walked
     theta = theta_fixed(code, gens, trunc48, flavor=flavor)
-    orbits = perms.orbit_type(gens, code.n)
-    return perms.type_str(orbits), theta_quotient(theta, orbits)
+    otype = perms.orbit_type(gens, code.n)
+    return perms.type_str(otype), theta_quotient(theta, otype)
 
 
 # ---------- Faber polynomials and replicability ----------
@@ -275,7 +245,9 @@ def mckay_thompson(name, trunc48):
         raise DomainError("unknown series %r; catalog has %s"
                           % (name, ", ".join(MT_NAMES)))
     constant, terms = _CATALOG[name]
-    out = sum((c * eta_quotient(partial(eta_product, num), den, trunc48)
+    parse = perms.parse_orbit_type
+    out = sum((c * eta_quotient(partial(eta_product, parse(num)), parse(den),
+                                trunc48)
                for c, num, den in terms), constant)
     if (out.valuation48() != -DEN or out.lead_coeff() != 1
             or not out.is_integral()):

@@ -3,9 +3,15 @@
 Permutations are stored as tuples of 0-based images.  The text syntax
 is disjoint-cycle notation on 1-based points, e.g. "(2,8,4,6)(3,5)",
 with "()" for the identity.
+
+An orbit type, a cycle type or a set of eta exponents has one form in
+the package, sorted (length, count) pairs such as ((1, 2), (2, 1), (4, 1)):
+`orbit_type` and `Perm.cycle_type` produce it, `parse_orbit_type` reads
+it from "1^2 2 4" and `type_str` prints it as "1^2 2^1 4^1".
 """
 
 import re
+from collections import Counter
 from math import lcm
 
 from .errors import DomainError, ParseError, read_lines
@@ -85,7 +91,8 @@ class Perm:
         return out
 
     def cycle_type(self):
-        """Multiset of cycle lengths including fixed points, as a dict."""
+        """Cycle lengths including fixed points, as sorted (length,
+        count) pairs."""
         return orbit_type([self], self.n)
 
     def order(self):
@@ -221,16 +228,34 @@ def orbits(gens, n):
 
 
 def orbit_type(gens, n):
-    """Multiset of orbit sizes, as a dict size -> count."""
-    ot = {}
-    for orb in orbits(gens, n):
-        ot[len(orb)] = ot.get(len(orb), 0) + 1
-    return ot
+    """Orbit sizes of the group generated by gens, as sorted (size,
+    count) pairs."""
+    return tuple(sorted(Counter(map(len, orbits(gens, n))).items()))
+
+
+_PART_RE = r"(\d+)(?:\^(\d+))?\Z"   # compiled, and cached by re, on first use
+
+
+def parse_orbit_type(text):
+    """Read an orbit type written as e.g. "1^2 2 4" into sorted (length,
+    count) pairs; a repeated length adds its counts."""
+    counts = Counter()
+    for tok in text.split():
+        m = re.match(_PART_RE, tok)
+        if not m:
+            raise ParseError("bad orbit-type token %r in %r" % (tok, text))
+        counts[int(m.group(1))] += int(m.group(2) or 1)
+    if not counts:
+        raise DomainError("empty orbit type")
+    if 0 in counts or 0 in counts.values():
+        raise DomainError("orbit type needs positive integer parts, got %r"
+                          % (text,))
+    return tuple(sorted(counts.items()))
 
 
 def type_str(ot):
-    """Render an orbit or cycle type dict as e.g. '1^2 2^1 4^1'."""
-    return " ".join("%d^%d" % (t, ot[t]) for t in sorted(ot))
+    """Render orbit-type pairs as e.g. '1^2 2^1 4^1'."""
+    return " ".join("%d^%d" % part for part in ot)
 
 
 def group_elements(gens):

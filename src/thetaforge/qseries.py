@@ -74,13 +74,6 @@ def exact_div(a, b):
     return _norm_coeff(a / b)
 
 
-def _exact_coeff(c):
-    """A coefficient from outside, normalized; floats and the like are refused."""
-    if not _is_rational(c):
-        raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
-    return _norm_coeff(c)
-
-
 def exact_int(n, what="exponent"):
     """An integer argument from outside (an exponent or bound in 48ths,
     a count, a rank); only an int is taken, never a truncated one."""
@@ -89,7 +82,7 @@ def exact_int(n, what="exponent"):
     return n
 
 
-def exact_rational(r, what="exponent"):
+def exact_rational(r, what):
     """A rational argument from outside (a power, a theta weight or
     shift), as an int when it is whole; a float is refused, not rounded."""
     if not _is_rational(r):
@@ -151,7 +144,7 @@ class QSeries:
             e = exact_int(e)
             if e >= trunc48:
                 continue
-            c = _exact_coeff(c)
+            c = exact_rational(c, "coefficient")
             if c:
                 clean[e] = c
         self.coeffs = clean
@@ -176,7 +169,7 @@ class QSeries:
 
     @classmethod
     def monomial(cls, coeff, exp48, trunc48):
-        coeff = _exact_coeff(coeff)
+        coeff = exact_rational(coeff, "coefficient")
         exp48, trunc48 = exact_int(exp48), exact_int(trunc48)
         if not coeff or exp48 >= trunc48:
             return cls.zero(trunc48)

@@ -151,7 +151,7 @@ def _verify_fig7():
 
     def row(label, n, theta, expected):
         # the longest row runs through q^7
-        quo = eta_quotient(theta, {2: n // 2}, 8 * DEN)
+        quo = eta_quotient(theta, ((2, n // 2),), 8 * DEN)
         return _series_row(label, quo, -2 * n, expected)
 
     return [
@@ -281,7 +281,7 @@ def _half_swap_reason(code, g, kind, role, flavor, trunc48):
     if g is None:
         return "%s class missing" % role
     half = code.n // 2
-    if g.cycle_type() != {2: half}:
+    if g.cycle_type() != ((2, half),):
         return "%s class must have cycle type 2^(N/2)" % role
     name, shown = _HALF_SWAP_THETAS[kind]
     window = max(trunc48 + 2 * DEN, 12 * DEN)
@@ -295,7 +295,7 @@ def _d_lattice_character(N, trunc48):
     """Character of the half-rank D lattice VOA in the doubled variable."""
     half = N // 2
     return eta_quotient(lambda t: catalog_theta("D%d" % half, 2, t),
-                        {2: half}, trunc48)
+                        ((2, half),), trunc48)
 
 
 def _check_thmC(which, code, g1, g2, trunc48, flavor):

@@ -230,12 +230,12 @@ def test_character_plus_is_checked_as_a_character(monkeypatch):
 def test_kernel_plus_character_is_the_two_eta_quotients(flavor):
     # (theta_K / eta^8 + eta^8 / eta(2τ)^8) / 2 for the kernel sublattice
     # K of each even-order class representative, built by hand
-    neg = eta_quotient(lambda t: eta_product({1: 8}, t), {2: 8}, T(10))
+    neg = eta_quotient(lambda t: eta_product(((1, 8),), t), ((2, 8),), T(10))
     for g in hamming8_class_representatives():
         if g.order() % 2:
             continue
         fixed = eta_quotient(
-            lambda t: kernel_theta(HAM, g, t, flavor=flavor), {1: 8}, T(10))
+            lambda t: kernel_theta(HAM, g, t, flavor=flavor), ((1, 8),), T(10))
         assert (character_plus(HAM, T(10), g, flavor=flavor)
                 == (fixed + neg) / 2), str(g)
 
@@ -351,6 +351,23 @@ def test_cyclic_group_character_is_the_cyclic_character(flavor):
         got = character_group(HAM, [g], T(6), flavor=flavor).character
         want = character_cyclic(HAM, g, T(6), flavor=flavor).character
         assert got == want, str(g)
+
+
+def test_every_route_refuses_a_non_automorphism_with_one_message():
+    g = parse_perm("(1,2)", 8)
+    routes = [
+        HAM.require_automorphism,
+        lambda g: HAM.fixed_subcode([g]),
+        lambda g: lattice.theta_twisted(HAM, g, 1, T(4)),
+        lambda g: doubling_code_criterion(HAM, g),
+        lambda g: doubling_lattice_criterion(HAM, g, flavor="super1"),
+        lambda g: character_cyclic(HAM, g, T(4)),
+        lambda g: character_group(HAM, [g], T(4)),
+    ]
+    for refuse in routes:
+        with pytest.raises(DomainError) as err:
+            refuse(g)
+        assert str(err.value) == "(1,2) is not an automorphism of the code"
 
 
 def test_group_character_refuses_a_repeated_partition_off_the_code(

@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from thetaforge import characters, cli, verify
+from thetaforge import __version__, characters, cli, verify
 from thetaforge.cli import main
 from thetaforge.codes import catalog_code
 from thetaforge.errors import ParseError, read_lines
@@ -281,6 +281,15 @@ def test_group_file_flag_reads_one_permutation_per_line(capsys, tmp_path):
 
 
 # ---------- error reporting ----------
+
+@pytest.mark.parametrize("verb", ["theta", "doubling", "character"])
+def test_a_non_automorphism_is_refused_with_one_message(capsys, verb):
+    code, out, err = run(capsys, verb, "--group", "(1,2)")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == {
+        "type": "DomainError",
+        "message": "(1,2) is not an automorphism of the code"}
+
 
 def test_parse_errors_exit_2_with_a_diagnostic(capsys):
     code, out, err = run(capsys, "theta", "--group", "(1,x)")
@@ -568,6 +577,46 @@ def test_scan_survives_bad_lines_and_flags_them(capsys, tmp_path):
     assert records[1]["error"]["type"] == "ParseError"
     assert "outputs" not in records[1]
     assert records[0]["outputs"]["replicability"]["verdict"]
+
+
+SCAN_TABLE = (
+    'fingerprint  "6c391eba86963eef52ce7a445daeab29'
+    '5165f436144b54d8444bb43dc87a85af"\n'
+    'input        "(1,5,2)(3,7,8)"\n'
+    'line         1\n'
+    'version      "%(version)s"\n'
+    'orbit_type   "1^2 3^2"\n'
+    'replicability {"K_rep": 12, "constant_delta": "0/1",'
+    ' "identified_as": "T_3A", "verdict": "replicable-up-to-K_rep",'
+    ' "violations": []}\n'
+    '\n'
+    'error        {"message": "(1,2) is not an automorphism of the code",'
+    ' "type": "DomainError"}\n'
+    'fingerprint  "04bbd0c8e16130542f22fbe5b750aace'
+    '0091102bd8f190ec8e7cbf640641f446"\n'
+    'input        "(1,2)"\n'
+    'line         2\n'
+    'version      "%(version)s"\n'
+    '\n'
+    'fingerprint  "50a475036064b9c1f5b82f461e8b253a'
+    '5e68be5cf91940b5e789953592c6fe40"\n'
+    'input        "(1,2)(3,8)(4,7)(5,6)"\n'
+    'line         3\n'
+    'version      "%(version)s"\n'
+    'orbit_type   "2^4"\n'
+    'replicability {"K_rep": 12, "constant_delta": null,'
+    ' "identified_as": null, "verdict": "not-replicable",'
+    ' "violations": [[2, 3, 1, 6], [2, 5, 1, 10], [3, 4, 1, 12],'
+    ' [4, 6, 2, 12], [5, 6, 3, 10]]}\n'
+    '\n'
+) % {"version": __version__}
+
+
+def test_scan_table_renders_each_line_and_the_error_row(capsys, tmp_path):
+    listing = tmp_path / "three.txt"
+    listing.write_text("(1,5,2)(3,7,8)\n(1,2)\n(1,2)(3,8)(4,7)(5,6)\n")
+    assert run(capsys, "scan", str(listing), "--table") == (
+        1, SCAN_TABLE, "scan: 1 of 3 lines failed\n")
 
 
 def test_scan_of_only_comments_is_empty(capsys, tmp_path):

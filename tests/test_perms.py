@@ -1,12 +1,14 @@
 """Permutation parsing, group closure, and orbit bookkeeping."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from thetaforge.errors import DomainError, ParseError
 from thetaforge.perms import (
-    Perm, group_elements, orbit_type, orbits, parse_generators, parse_perm,
-    read_group_file, type_str,
+    Perm, group_elements, orbit_type, orbits, parse_generators,
+    parse_orbit_type, parse_perm, read_group_file, type_str,
 )
 
 from oracles import brute_force_automorphisms
@@ -41,12 +43,12 @@ def test_pow_and_inverse():
     assert g ** -1 == g.inverse()
     assert g ** 7 == g.inverse()
     assert g ** -3 == g
-    assert (g ** 2).cycle_type() == {2: 4}
+    assert (g ** 2).cycle_type() == ((2, 4),)
 
 
 def test_cycle_type_counts_fixed_points():
     g = parse_perm("(2,8,4,6)(3,5)", 8)
-    assert g.cycle_type() == {1: 2, 2: 1, 4: 1}
+    assert g.cycle_type() == ((1, 2), (2, 1), (4, 1))
     assert g.order() == 4
     assert str(g) == "(2,8,4,6)(3,5)"
 
@@ -118,20 +120,39 @@ def test_degree_mismatch():
 
 def test_orbits_of_trivial_group():
     assert orbits([], 4) == [(0,), (1,), (2,), (3,)]
-    assert orbit_type([], 4) == {1: 4}
+    assert orbit_type([], 4) == ((1, 4),)
 
 
 def test_orbits_and_type():
     gens = parse_generators("(4,6)(5,7), (4,7)(5,6), (1,3)(2,8)", 8)
     assert orbits(gens, 8) == [(0, 2), (1, 7), (3, 4, 5, 6)]
-    assert orbit_type(gens, 8) == {2: 2, 4: 1}
+    assert orbit_type(gens, 8) == ((2, 2), (4, 1))
     assert type_str(orbit_type(gens, 8)) == "2^2 4^1"
 
 
 def test_orbit_type_subgroup_vs_element():
     g = parse_perm("(1,3,7,8,2,6)(4,5)", 8)
-    assert orbit_type([g], 8) == {2: 1, 6: 1}
-    assert g.cycle_type() == {2: 1, 6: 1}
+    assert orbit_type([g], 8) == ((2, 1), (6, 1))
+    assert g.cycle_type() == ((2, 1), (6, 1))
+
+
+@st.composite
+def generating_sets(draw):
+    n = draw(st.integers(1, 12))
+    gens = draw(st.lists(st.permutations(range(n)).map(Perm), max_size=3))
+    return n, gens
+
+
+@given(generating_sets())
+def test_orbit_type_is_sorted_pairs_that_round_trip(case):
+    n, gens = case
+    ot = orbit_type(gens, n)
+    assert type(ot) is tuple
+    assert ot == tuple(sorted(Counter(map(len, orbits(gens, n))).items()))
+    assert sum(t * r for t, r in ot) == n
+    assert parse_orbit_type(type_str(ot)) == ot
+    for g in gens:
+        assert g.cycle_type() == orbit_type([g], n)
 
 
 # ---------- group closure ----------
@@ -171,4 +192,4 @@ def test_read_group_file(tmp_path):
     path.write_text("# two generators\n(1,2)(3,4)\n\n(1,3)(2,4)\n")
     gens = read_group_file(str(path), 4)
     assert len(gens) == 2
-    assert orbit_type(gens, 4) == {4: 1}
+    assert orbit_type(gens, 4) == ((4, 1),)

@@ -28,6 +28,9 @@ expression when it is imported: a pattern is compiled the first time
 its parser runs.  Only `modfunc` names ``theta_quotient``: every other
 module gets the labelled quotient of a fixed sublattice from
 `modfunc.fixed_quotient`, which reads the rank off the orbit type.
+An orbit type has one form, the (length, count) pairs of `perms`, so no
+call hands ``eta_product``, ``eta_quotient`` or ``theta_quotient`` an
+orbit type written as a dict or a string.
 Only `qseries` calls the ``QSeries(...)`` constructor on a coefficient
 dict: every other series is built from `eta`, the thetas and
 arithmetic.  Importing `cli`, which every process does, parses no
@@ -367,6 +370,47 @@ def test_theta_quotient_guard_sees_imports_and_calls():
         "from .modfunc import eta_quotient\n")
     assert sorted(node.lineno for node in ast.walk(tree)
                   if _names_theta_quotient(node)) == [1, 2, 3, 4]
+
+
+# the position of the orbit type among each eta function's arguments
+_ORBIT_TYPE_ARG = {"eta_product": 0, "eta_quotient": 1, "theta_quotient": 1}
+
+
+def _writes_an_orbit_type(node):
+    """A call that hands an eta function its orbit type as a dict
+    display, a dict comprehension or a string."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    if name not in _ORBIT_TYPE_ARG:
+        return False
+    i = _ORBIT_TYPE_ARG[name]
+    args = node.args[i:i + 1] + [k.value for k in node.keywords
+                                 if k.arg == "orbit_type"]
+    return any(isinstance(a, (ast.Dict, ast.DictComp))
+               or isinstance(a, ast.Constant) and isinstance(a.value, str)
+               for a in args)
+
+
+def test_orbit_types_reach_the_eta_functions_as_pairs():
+    assert _offending_nodes(_writes_an_orbit_type) == []
+
+
+def test_orbit_type_guard_sees_every_form():
+    tree = ast.parse(
+        "a = eta_product({1: 8}, t)\n"
+        "b = eta_quotient(num, {2: n}, t)\n"
+        "c = theta_quotient(theta, '2^12')\n"
+        "d = modfunc.eta_product({t: 1 for t in ts}, w)\n"
+        "e = eta_quotient(num, orbit_type={2: 4}, trunc48=t)\n"
+        "f = eta_product(((1, 8),), t)\n"
+        "g = eta_quotient(num, parse_orbit_type('2^4'), t)\n"
+        "h = eta_quotient({1: 8}, ot, t)\n"
+        "i = type_str({2: 4})\n"
+        "j = theta_quotient(theta, g.cycle_type())\n")
+    assert sorted(node.lineno for node in ast.walk(tree)
+                  if _writes_an_orbit_type(node)) == [1, 2, 3, 4, 5]
 
 
 # re functions that compile their pattern argument

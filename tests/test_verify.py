@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from thetaforge import characters
+from thetaforge import characters, verify
 from thetaforge.codes import catalog_code
 from thetaforge.errors import DomainError
 from thetaforge.qseries import DEN, QSeries
@@ -42,6 +42,17 @@ def test_a_figure_traces_each_character_once():
     misses = characters._trace.cache_info().misses
     assert verify_figure("ex81") == first
     assert characters._trace.cache_info().misses == misses
+
+
+def test_a_row_whose_orbit_type_disagrees_fails_its_figure(monkeypatch):
+    # the 3-cycle pair has orbit type 1^2 3^2, not the 2^4 the row expects
+    monkeypatch.setattr(verify, "_SINGLE_CLASSES",
+                        (("2^4", "(1,5,2)(3,7,8)", "T_3A"),))
+    assert verify_figure("fig1") == {"figure": "fig1", "status": "fail",
+                                     "rows": [{"label": "2^4  (1,5,2)(3,7,8)",
+                                               "expected": "2^4",
+                                               "got": "1^2 3^2",
+                                               "ok": False}]}
 
 
 @pytest.mark.parametrize("figure", FIGURE_IDS)
