@@ -111,11 +111,16 @@ class BinaryCode:
                 mask ^= b
         return mask == 0
 
-    def codewords(self):
-        """All codewords, in a deterministic order."""
+    def require_listable(self):
+        """Refuse a code of dimension above 24, too large to list or to
+        count by its 2^dim words."""
         if self.dim > 24:
             raise DomainError(
                 "refusing to enumerate 2^%d codewords" % self.dim)
+
+    def codewords(self):
+        """All codewords, in a deterministic order."""
+        self.require_listable()
         words = [0]
         for b in self.basis:
             words += [w ^ b for w in words]

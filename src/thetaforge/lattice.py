@@ -14,11 +14,14 @@ unions of orbits.  On such a coset every orbit block carries a shift of
 quarters, so its theta series is a product of one-dimensional shifted
 thetas that depends on B only through how many blocks of each size B
 contains.  The fixed subcode comes from GF(2) elimination on the basis
-of C, so only it, not C, has to be small enough to list (dimension 24
-or less).  One census walks it once and counts codewords by a tuple of
-integer popcounts: |B ∩ U_s| for the union U_s of the size-s blocks.
-This is the size-refined weight enumerator of the fixed code on the
-orbit set; for the trivial group it is Construction A, Θ =
+of C, so only it, not C, has to be small enough to count word by word
+(dimension 24 or less).  One census counts its codewords by a tuple of
+integer popcounts, |B ∩ U_s| for the union U_s of the size-s blocks,
+without listing them: each coordinate is a 2^dim-bit plane over the
+words, each popcount a bit-sliced sum of planes, and the words of one
+key are one leaf of the all-ones selector split on those sums' digit
+planes.  This is the size-refined weight enumerator of the fixed code
+on the orbit set; for the trivial group it is Construction A, Θ =
 W_C(θ₃(2τ), θ₂(2τ)).  Shift signatures and block products are then
 built once per distinct key, not once per codeword.
 
@@ -33,8 +36,8 @@ on the a_Omega/4 cosets and 0 otherwise, its constant part is
     e8 = 4(1+β)·p_self + β·N + 4β·p_pair + 4·p_hh,
 
 which must be a multiple of 8; the coset sign is (-1)^(e8/8).  No
-lattice vectors are ever enumerated here; a brute-force enumerator
-lives in the test suite as an oracle.  The reference lattices of
+lattice vectors and no codewords are ever listed here; brute-force
+enumerators live in the test suite as oracles.  The reference lattices of
 `catalog_theta` are not enumerated either: each is a polynomial in
 the Jacobi thetas of q^scale.
 
@@ -48,7 +51,6 @@ quarter-shifted cosets the e8 rule adds |B|/2 + N/8 with β = 1, and
 
 from collections import Counter
 from functools import cache
-from operator import and_
 import re
 
 from .codes import BinaryCode
@@ -118,12 +120,103 @@ def _twist_parity(beta, n, p_self, p_pair, p_hh):
     return e8 // 8 % 2
 
 
-def _images(code: BinaryCode, h: Perm):
-    """h(B) for every codeword B in codewords() order, from h(basis rows)."""
-    images = [0]
-    for hrow in map(h.apply_mask, code.basis):
-        images += [hw ^ hrow for hw in images]
-    return images
+def _row_patterns(k):
+    """Pattern of each of k basis rows over the 2^k words of codewords()
+    order: bit w of pattern b is bit b of w, so 2^b zeros then 2^b ones,
+    repeated, built by doubling shifts."""
+    patterns = []
+    for b in range(k):
+        half = 1 << b
+        x, length = ((1 << half) - 1) << half, half << 1
+        while length < 1 << k:
+            x |= x << length
+            length <<= 1
+        patterns.append(x)
+    return patterns
+
+
+def _digit_planes(terms):
+    """Digit planes, least significant first, of the bit-sliced sum of
+    t copies of plane P over the (P, t) terms, added with ripple carries."""
+    digits = []
+    for plane, t in terms:
+        digits += [0] * (t.bit_length() - len(digits))
+        for pos in range(t.bit_length()):
+            carry = plane if t >> pos & 1 else 0
+            i = pos
+            while carry:
+                if i == len(digits):
+                    digits.append(0)
+                digits[i], carry = digits[i] ^ carry, digits[i] & carry
+                i += 1
+    return digits
+
+
+def _census_keys(code: BinaryCode, masks, pair_mask=0,
+                 twist: Perm = None) -> Counter:
+    """Counter of the popcount keys of the codewords of code, none listed.
+
+    A key is |B ∩ m| for each mask m, then |B ∩ hB ∩ pair_mask| for the
+    twist h.  Word w of codewords() order is the XOR of the rows whose
+    bit is set in w, so coordinate i over all words is the 2^k-bit plane
+    P_i, the XOR of the patterns of the rows that contain i, and
+    coordinate i of hB is P_{h⁻¹(i)}.  Each key column is a bit-sliced
+    sum of planes, P_i over the coordinates of its mask or P_i &
+    P_{h⁻¹(i)} over the paired ones, and the words of one key are one
+    leaf of the all-ones selector split on every column's digit planes.
+    Coordinates in the same rows share a plane, which a column adds once
+    with its multiplicity; a repeated mask is counted once and a zero
+    mask not at all.
+    """
+    code.require_listable()
+    n = code.n
+    vectors = [0] * n       # bit b of vectors[i]: row b contains i
+    planes = [0] * n
+    for b, (row, pattern) in enumerate(zip(code.basis,
+                                           _row_patterns(code.dim))):
+        while row:
+            low = row & -row
+            i = low.bit_length() - 1
+            vectors[i] |= 1 << b
+            planes[i] ^= pattern
+            row ^= low
+    plane = dict(zip(vectors, planes))
+    support = [i for i in range(n) if vectors[i]]
+    # a key is packed 8 bits per column, as no sum exceeds n <= 64; the
+    # slot past every column stays 0, for a zero mask and an absent twist
+    columns, weights = {}, []
+    zero = 8 * (len(masks) + 1)
+
+    def add_column(terms):
+        """Weigh the digit planes of the sum of t copies of P over (P, t)."""
+        shift = 8 * len(columns)
+        weights.extend((d, 1 << shift + bit)
+                       for bit, d in enumerate(_digit_planes(terms)) if d)
+        return shift
+
+    for m in masks:
+        if m and m not in columns:
+            counts = Counter(vectors[i] for i in support if m >> i & 1)
+            columns[m] = add_column((plane[a], t) for a, t in counts.items())
+    shifts = [columns.get(m, zero) for m in masks] + [zero]
+    if pair_mask:
+        inverse = twist.inverse().images
+        counts = Counter(tuple(sorted((vectors[i], vectors[inverse[i]])))
+                         for i in support if pair_mask >> i & 1)
+        shifts[-1] = add_column((plane[a] & plane[b], t)
+                                for (a, b), t in counts.items() if a)
+    leaves = [((1 << (1 << code.dim)) - 1, 0)]
+    for digit, weight in weights:
+        halves = []
+        for sel, key in leaves:
+            on = sel & digit
+            if on:
+                halves.append((on, key + weight))
+            if on != sel:
+                halves.append((sel ^ on, key))
+        leaves = halves
+    return Counter({tuple(key >> shift & 255 for shift in shifts): sel.bit_count()
+                    for sel, key in leaves})
 
 
 def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
@@ -150,15 +243,9 @@ def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
         partner = _paired_blocks(blocks, twist)
         pair_mask = sum(m for i, (m, _) in enumerate(blocks) if partner[i] != i)
     masks += [((1 << n) - 1) ^ pair_mask, pair_mask]
-    # walk B in codewords() order with hB beside it (h is linear; with
-    # no twist pair_mask is 0); a key is |B ∩ U_s| for each size s,
-    # then p_self, p_pair and p_hh, counted one column per mask by map
-    words = images = sub.codewords()
-    if twist is not None:
-        images = _images(sub, twist)
-    columns = [map(m.__and__, words) for m in masks]
-    columns.append(map(pair_mask.__and__, map(and_, words, images)))
-    keys = Counter(zip(*[map(int.bit_count, c) for c in columns]))
+    # a key is |B ∩ U_s| for each size s, then p_self, p_pair and p_hh
+    # (with no twist pair_mask is 0)
+    keys = _census_keys(sub, masks, pair_mask, twist)
 
     # branch β = 0 is the coset a_B/2 + Z^N (even coordinate sum on the
     # a_Omega/4 glueing); β = 1 shifts every coordinate by a quarter more.

@@ -122,25 +122,26 @@ def _check_hauptmodul_shape(f):
             raise DomainError("series has exponent %s/48 off the integer grid" % e)
 
 
-def faber_table(f, K_rep):
-    """Coefficients a[n][k] of the Faber polynomials of f, 1 <= n,k <= K_rep,
-    as a list of rows indexed from 0, with row and column 0 unused.
+def _faber_rows(f, K_rep):
+    """Rows G of the Faber polynomials of f: rows[k][j] = G_{j,k} for
+    1 <= k <= K_rep and j <= 2*K_rep - k, with row 0 unused.
 
     The input must be normalized to f = q^-1 + sum_{t>=1} a_t q^t, with
     the constant already removed, and must carry coefficients through
     q^(2*K_rep).  Only positive powers are stored: F_k = q^-k +
-    sum_{j>=1} G_{j,k} q^j, so a[n][k] = G_{n,k}/k and G_{j,1} = a_j.
-    F_{k+1} = f*F_k - sum_{n<k} a_{k-n} F_n - (k+1) a_k then reads
+    sum_{j>=1} G_{j,k} q^j, so G_{j,1} = a_j, and every G_{j,k} is an
+    int when f has int coefficients.  F_{k+1} = f*F_k - sum_{n<k}
+    a_{k-n} F_n - (k+1) a_k then reads
 
         G_{j,k+1} = a_{j+k} + G_{j+1,k} + sum_{i=1}^{j-1} G_{i,k} a_{j-i}
                     - sum_{n=1}^{k-1} a_{k-n} G_{j,n},
 
     and row k+1 is exact through q^(2K-k-1), which still covers q^K.
-    The table is symmetric, so the entries j <= k of row k+1 are filled
-    as (k+1) G_{k+1,j} / j; the last of them is also run through the
-    recurrence as a check.  With s = gcd{t+1 : a_t != 0}, f is q^-1
-    times a series in q^s, so G_{j,k} = 0 unless s divides j+k: only
-    those entries are computed, and both sums step by s.
+    The table G_{j,k}/k is symmetric, so the entries j <= k of row k+1
+    are filled as (k+1) G_{k+1,j} / j; the last of them is also run
+    through the recurrence as a check.  With s = gcd{t+1 : a_t != 0}, f
+    is q^-1 times a series in q^s, so G_{j,k} = 0 unless s divides j+k:
+    only those entries are computed, and both sums step by s.
     """
     K = exact_int(K_rep, "K_rep")
     if K < 1:
@@ -176,6 +177,15 @@ def faber_table(f, K_rep):
         rows.append(nxt)
         for col, g in zip(cols, nxt):
             col.append(g)
+    return rows
+
+
+def faber_table(f, K_rep):
+    """Coefficients a[n][k] = G_{n,k}/k of the Faber polynomials of f,
+    1 <= n,k <= K_rep, as a list of rows indexed from 0, with row and
+    column 0 unused.  f is normalized as for `_faber_rows`."""
+    rows = _faber_rows(f, K_rep)
+    K = len(rows) - 1
     table = [[None] * (K + 1) for _ in range(K + 1)]
     for k in range(1, K + 1):
         for n in range(k, K + 1):
@@ -193,11 +203,11 @@ def is_replicable(f, K_rep=12):
     """
     f0, _ = strip_constant(f)
     try:
-        table = faber_table(f0, K_rep)
+        rows = _faber_rows(f0, K_rep)
     except PrecisionError:
         return {"verdict": "insufficient-precision", "K_rep": K_rep,
                 "violations": []}
-    K = len(table) - 1
+    K = len(rows) - 1
     classes = {}
     violations = []
     for n in range(1, K + 1):
@@ -206,8 +216,10 @@ def is_replicable(f, K_rep=12):
             if key not in classes:
                 classes[key] = (n, k)
                 continue
+            # a[n][k] = G_{k,n}/n and a[r][s] = G_{s,r}/r, compared
+            # without a division
             r, s = classes[key]
-            if table[n][k] != table[r][s]:
+            if rows[n][k] * r != rows[r][s] * n:
                 violations.append([n, k, r, s])
     verdict = "not-replicable" if violations else "replicable-up-to-K_rep"
     return {"verdict": verdict, "K_rep": K, "violations": violations}

@@ -7,8 +7,9 @@ lattice and acceptance tests ask about, and the full-window catalog
 identification that `modfunc.identify` shortcuts with a prefix probe,
 the hand-padded catalog builders that the eta-quotient table replaced,
 the codeword walks that the basis-row doubling criteria replaced, the
-tuple-per-codeword census that the column census replaced, and the
-argparse parser that `cli.parse_args` replaced.
+tuple-per-codeword census and the codeword images h(B) that the
+bit-plane census replaced, and the argparse parser that
+`cli.parse_args` replaced.
 """
 
 import argparse
@@ -20,7 +21,7 @@ from pathlib import Path
 from thetaforge.codes import BinaryCode
 from thetaforge.errors import DomainError
 from thetaforge.lattice import (
-    _coset_parity, _images, _orbit_blocks, _paired_blocks, _twist_parity,
+    _coset_parity, _orbit_blocks, _paired_blocks, _twist_parity,
     catalog_theta,
 )
 from thetaforge.modfunc import MT_NAMES, mckay_thompson, strip_constant
@@ -66,6 +67,14 @@ def brute_fixed_words(code: BinaryCode, gens):
 def weight_enumerator(code: BinaryCode):
     """Counts of codewords by Hamming weight, by walking all of C."""
     return Counter(w.bit_count() for w in code.codewords())
+
+
+def _images(code: BinaryCode, h: Perm):
+    """h(B) for every codeword B in codewords() order, from h(basis rows)."""
+    images = [0]
+    for hrow in map(h.apply_mask, code.basis):
+        images += [hw ^ hrow for hw in images]
+    return images
 
 
 def walk_doubling_code(code: BinaryCode, g: Perm):

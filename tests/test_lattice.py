@@ -15,12 +15,13 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from thetaforge.codes import BinaryCode, catalog_code, load_code
 from thetaforge.errors import DomainError
 from thetaforge.lattice import (
-    FLAVORS, _census_theta, _coset_parity, catalog_theta,
-    doubling_code_criterion,
+    FLAVORS, _census_keys, _census_theta, _coset_parity, _orbit_blocks,
+    _paired_blocks, catalog_theta, doubling_code_criterion,
     doubling_lattice_criterion, is_even, kernel_theta, lift_order,
     theta_fixed, theta_matches, theta_twisted,
 )
@@ -29,8 +30,8 @@ from thetaforge.qseries import DEN, QSeries, eta, shifted_theta
 
 from oracles import (
     a_partition_order, brute_fixed_words, brute_force_automorphisms,
-    d_partition_anchor, hamming8_class_representatives, tuple_census_theta,
-    walk_doubling_code, walk_doubling_lattice, weight_enumerator,
+    _images, d_partition_anchor, hamming8_class_representatives,
+    tuple_census_theta, walk_doubling_code, walk_doubling_lattice, weight_enumerator,
 )
 
 T = lambda n: n * DEN
@@ -158,6 +159,13 @@ def test_e8_theta():
     assert cat.integer_coefficients(0, 3) == [1, 240, 2160, 6720]
     assert theta_fixed(HAM, [], T(12)).matches(cat)
     assert theta_fixed(catalog_code("hamming8+hamming8"), [], T(12)).matches(cat * cat)
+
+
+def test_five_e8_blocks_census_a_dimension_20_code():
+    # 2^20 words, the largest census the tests make: a bit-plane count
+    code = BinaryCode(40, [row << 8 * b for b in range(5) for row in HAM.basis])
+    assert code.dim == 20
+    assert theta_fixed(code, [], T(32)) == catalog_theta("E8", 1, T(32)) ** 5
 
 
 def test_fixed_theta_trivial_group_oracle():
@@ -509,6 +517,66 @@ def test_census_matches_the_tuple_walk_on_golay24():
             gens = parse_generators(text, 24)
             for fixing in [gens] + [[g] for g in gens]:
                 _assert_census_matches_the_tuple_walk(code, fixing, T(4))
+
+
+_BASES = [catalog_code(name)
+          for name in ("hamming8", "hamming8+hamming8", "golay24")]
+_HALF_SWAP = Perm([(i + 12) % 24 for i in range(24)])
+
+
+@st.composite
+def key_cases(draw):
+    """A random subcode of a relabelled doubly even code, with either a
+    random group and no twist, or a twist h of order dividing 4 and the
+    group <h²>, whose orbit blocks h pairs up (h⁻¹ ≠ h on any 4-cycle),
+    and a random coordinate set that h need not preserve."""
+    base = draw(st.sampled_from(_BASES))
+    n = base.n
+    relabel = Perm(draw(st.permutations(range(n))))
+    rows = draw(st.lists(st.sampled_from(base.codewords()), max_size=base.dim))
+    code = BinaryCode(n, map(relabel.apply_mask, rows))
+    if not draw(st.booleans()):
+        gens = draw(st.lists(st.permutations(range(n)).map(Perm), max_size=2))
+        return code, gens, None, 0
+    points = draw(st.permutations(range(n)))
+    images = list(range(n))
+    start = 0
+    while start < n:
+        length = min(draw(st.sampled_from([1, 2, 4])), n - start)
+        cycle = points[start:start + length]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+        start += length
+    h = Perm(images)
+    return code, [h * h], h, draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(key_cases())
+@example((BinaryCode(24, []), [], _HALF_SWAP, 0))
+@example((BinaryCode(8, []), [parse_perm("(1,2,3,4)", 8)], None, 0))
+@example((catalog_code("golay24"), [], _HALF_SWAP, 0xfff))
+@example((HAM, [EX_G ** 2], EX_G, 0b00000110))
+def test_plane_keys_match_a_count_over_the_codewords(case):
+    # on a coordinate set that h preserves, |B ∩ hB| = |B ∩ h⁻¹B|, so
+    # only a set that it does not preserve tells h⁻¹ from h
+    code, gens, twist, loose = case
+    n = code.n
+    blocks = _orbit_blocks(gens, n)
+    masks = [sum(m for m, s in blocks if s == size)
+             for size in sorted({s for _, s in blocks})]
+    pair_mask = 0
+    if twist is not None:
+        partner = _paired_blocks(blocks, twist)
+        pair_mask = sum(m for i, (m, _) in enumerate(blocks) if partner[i] != i)
+    masks += [((1 << n) - 1) ^ pair_mask, pair_mask]
+    words = code.codewords()
+    images = words if twist is None else _images(code, twist)
+    for paired in {pair_mask, loose}:
+        want = Counter(tuple((w & m).bit_count() for m in masks)
+                       + ((w & hw & paired).bit_count(),)
+                       for w, hw in zip(words, images))
+        assert _census_keys(code, masks, paired, twist) == want
 
 
 def test_doubling_criteria_match_the_walks_on_hamming8():

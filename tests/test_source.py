@@ -31,6 +31,8 @@ module gets the labelled quotient of a fixed sublattice from
 An orbit type has one form, the (length, count) pairs of `perms`, so no
 call hands ``eta_product``, ``eta_quotient`` or ``theta_quotient`` an
 orbit type written as a dict or a string.
+`lattice` never names ``codewords``: its census counts popcount keys on
+bit planes of the fixed subcode, and only the test oracles list words.
 Only `qseries` calls the ``QSeries(...)`` constructor on a coefficient
 dict: every other series is built from `eta`, the thetas and
 arithmetic.  Importing `cli`, which every process does, parses no
@@ -205,6 +207,31 @@ def test_inversion_guard_sees_every_form():
         "j = f.pow_rational(r)\n")
     assert sorted(node.lineno for node in ast.walk(tree)
                   if _inverts(node)) == [1, 2, 3, 4, 5]
+
+
+def _names_codewords(node):
+    """``x.codewords``, called or not, or a bare name ``codewords``."""
+    return (isinstance(node, ast.Attribute) and node.attr == "codewords"
+            or isinstance(node, ast.Name) and node.id == "codewords")
+
+
+def test_lattice_lists_no_codewords():
+    # the census counts its keys on bit planes of the fixed subcode
+    tree = ast.parse((SRC / "lattice.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if _names_codewords(node)] == []
+
+
+def test_codeword_guard_sees_every_form():
+    tree = ast.parse(
+        "a = sub.codewords()\n"
+        "b = map(f, code.codewords())\n"
+        "c = BinaryCode.codewords\n"
+        "d = codewords(sub)\n"
+        "e = sub.require_listable()\n"
+        "f = 'codewords() order'\n")
+    assert sorted(node.lineno for node in ast.walk(tree)
+                  if _names_codewords(node)) == [1, 2, 3, 4]
 
 
 def _import_time_nodes(tree):
@@ -536,16 +563,22 @@ print(statuses, [m for m in ("fractions", "decimal") if m in sys.modules])
 _SWAP = "".join("(%d,%d)" % (i, i + 12) for i in range(1, 13))
 _LEECH = ["--code", "golay24", "--flavor", "super1"]
 
-# every value these jobs hold is whole
+_CLASSES = str(Path(__file__).parent / "data" / "hamming8_classes.txt")
+
+# every value these jobs hold is whole; replicability compares the
+# Faber entries G/k by cross-multiplying, so it makes no Fraction
 _INTEGRAL_JOBS = [
     ["theta", "--trunc", "1"],
     ["theta", *_LEECH, "--trunc", "4"],
     ["doubling", *_LEECH, "--group", _SWAP, "--trunc", "4"],
     ["quotient", "--group", "(2,8,4,6)(3,5)", "--trunc", "200"],
+    ["replicable", "--group", "(1,5,2)(3,7,8)", "--krep", "48",
+     "--trunc", "100"],
+    ["scan", _CLASSES],
     ["character", "--group", "(1,2)(3,8)(4,7)(5,6), (1,3)(2,8)(4,6)(5,7)"],
     ["doubling", "--group", "(1,7)(2,4)(3,8)(5,6)"],
-] + [["verify", f] for f in ("fig5", "fig7", "ex33", "ex34", "ex53", "ex81",
-                             "thmC", "thmD")]
+] + [["verify", f] for f in ("fig1", "fig2", "fig5", "fig7", "ex33", "ex34",
+                             "ex53", "ex81", "thmC", "thmD")]
 
 
 def _loaded_after(jobs):
@@ -557,11 +590,11 @@ def _loaded_after(jobs):
 
 
 def test_integral_jobs_load_neither_fractions_nor_decimal():
-    assert _loaded_after(_INTEGRAL_JOBS) == "%s []\n" % ([0] * 14)
+    assert _loaded_after(_INTEGRAL_JOBS) == "%s []\n" % ([0] * 18)
 
 
-def test_a_faber_table_with_fractions_loads_them():
-    # the Faber entries G_{n,k}/k of T_3A are not all whole, so the
+def test_a_rank_16_quotient_loads_fractions():
+    # the power 24/16 = 3/2 of a rank-16 quotient is not whole, so the
     # check above would see the import if an integral job made one
-    assert _loaded_after([["replicable", "--group", "(1,5,2)(3,7,8)"]]) == (
+    assert _loaded_after([["quotient", "--code", "hamming8+hamming8"]]) == (
         "[0] ['fractions', 'decimal']\n")
