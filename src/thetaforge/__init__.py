@@ -9,9 +9,9 @@ by the lifted automorphisms.
 
 __version__ = "0.1.0"
 
-from .qseries import DEN, PrecisionError, QSeries, eta, shifted_theta
+from .qseries import DEN, PrecisionError, QSeries, shifted_theta
 
 __all__ = [
-    "DEN", "PrecisionError", "QSeries", "eta", "shifted_theta",
+    "DEN", "PrecisionError", "QSeries", "shifted_theta",
     "__version__",
 ]

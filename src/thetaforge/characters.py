@@ -11,9 +11,10 @@ characters across subgroups are checked in `verify`.
 Every trace, of a cyclic power, a group element or the full lattice,
 goes through `_trace`.  `character_plus(code, trunc48, g=None,
 flavor=...)` adds the -id twist to the trace of the full lattice, or
-with g of even order to the kernel sublattice of g over eta^N.  Every
-eta division goes through `modfunc.eta_quotient`, and callers hand it
-each theta as a function of the window, never a padded series.
+with g of even order to the kernel sublattice of g over eta^N, and
+eta(τ)^N/eta(2τ)^N as one signed `modfunc.eta_product`.  Every theta/eta
+division goes through `modfunc.eta_quotient`, and callers hand it each
+theta as a function of the window, never a padded series.
 """
 
 from functools import cache
@@ -155,11 +156,11 @@ def character_plus(code: BinaryCode, trunc48: int, g=None,
     N = code.n
     if N < 8 or N % 8:
         raise DomainError("rank must be a multiple of 8, at least 8; got %s" % N)
-    ones, twos = ((1, N),), ((2, N),)     # eta(τ)^N and eta(2τ)^N
     if g is None:
         fixed_part = _trace(code, Perm.identity(N), 0, trunc48, flavor)
     else:
         fixed_part = eta_quotient(
-            lambda t: kernel_theta(code, g, t, flavor=flavor), ones, trunc48)
-    neg_part = eta_quotient(lambda t: eta_product(ones, t), twos, trunc48)
+            lambda t: kernel_theta(code, g, t, flavor=flavor), ((1, N),),
+            trunc48)
+    neg_part = eta_product(((1, N), (2, -N)), trunc48)
     return _character([fixed_part, neg_part], N)

@@ -7,29 +7,31 @@ quotients, expands Faber polynomials to test replicability of such a
 series, and matches candidates against a small catalog of T_nX series
 of monstrous moonshine.  The catalog is a table of eta quotients: each
 series is a constant plus a sum of them, each term a coefficient and the
-eta exponents of its numerator and denominator, evaluated through
-`eta_quotient`; T_1A = j - 744 too, through the Γ0(2) Hauptmodul
-eta(τ)^24 / eta(2τ)^24.  A candidate is compared first on the 8
-positive powers identification needs, and only a catalog series that
-agrees there is built over the full window.
+eta exponents of its numerator and denominator, evaluated as one
+`eta_product` with signed counts; T_1A = j - 744 too, through the Γ0(2)
+Hauptmodul eta(τ)^24 / eta(2τ)^24.  A candidate is compared first on
+the 8 positive powers identification needs, and only a catalog series
+that agrees there is built over the full window.
 
-Every theta/eta division in the package goes through `eta_quotient`:
-a result exact below t needs the numerator through t + 2N and the eta
-product of degree N through t + 4N.  `fixed_quotient` is the one path
+`eta_product`, `eta_quotient` and `theta_quotient` are one-line callers
+of `qseries.eta_power`, the one eta kernel.  Every theta/eta division in
+the package goes through `eta_quotient` or `theta_quotient`: a result
+exact below t needs the numerator through t + 2N for an eta product of
+degree N.  `fixed_quotient` is the one path
 from a code, a group and a flavor to the labelled quotient
 (theta/eta_g)^(24/N), and the rank N is read off the degree of the
 orbit type.  Orbit types and eta exponents are the (length, count)
 pairs of `perms`; catalog rows, written "1^24", are parsed per series.
 """
 
-from functools import cache, partial
+from functools import cache
 from math import gcd
 from operator import mul
 
 from . import perms
 from .errors import DomainError, ThetaforgeError
 from .lattice import require_even, theta_fixed
-from .qseries import DEN, PrecisionError, QSeries, eta, exact_div, exact_int
+from .qseries import DEN, PrecisionError, eta_power, exact_div, exact_int
 
 
 def orbit_degree(orbit_type):
@@ -39,13 +41,11 @@ def orbit_degree(orbit_type):
 
 # QSeries instances are never mutated, so sharing them is safe
 @cache
-def eta_product(orbit_type, trunc48):
-    """Product of eta(q^t)^count over the (length, count) pairs,
-    truncated; built once per orbit type and window, and shared."""
-    out = QSeries.one(trunc48)
-    for t, r in orbit_type:
-        out = out * eta(t, trunc48) ** r
-    return out.truncate48(trunc48)
+def eta_product(pairs, trunc48):
+    """Product of eta(q^t)^count over the (length, count) pairs, counts
+    of either sign, exact below trunc48; built once per pairs and
+    window, and shared."""
+    return eta_power(1, tuple((t, -r) for t, r in pairs), 1, trunc48)
 
 
 def eta_quotient(numerator, orbit_type, trunc48):
@@ -54,13 +54,12 @@ def eta_quotient(numerator, orbit_type, trunc48):
 
     numerator(window) returns a series of valuation >= 0 exact below
     window; a precomputed series passes its own truncate48.  An eta
-    product of degree N starts at q^(N/24), 2N in 48ths, so the numerator
-    is needed through trunc48 + 2N and the eta product through
-    trunc48 + 4N.  A shorter numerator raises PrecisionError.
+    product of degree N starts at q^(N/24), 2N in 48ths, so the
+    numerator is needed through trunc48 + 2N.  A shorter numerator
+    raises PrecisionError.
     """
-    lead = 2 * orbit_degree(orbit_type)
-    quo = numerator(trunc48 + lead) / eta_product(orbit_type, trunc48 + 2 * lead)
-    return quo.truncate48(trunc48)
+    return eta_power(numerator(trunc48 + 2 * orbit_degree(orbit_type)),
+                     orbit_type, 1, trunc48)
 
 
 def theta_quotient(theta, orbit_type):
@@ -68,25 +67,23 @@ def theta_quotient(theta, orbit_type):
     given as sorted (length, count) pairs.
 
     N is the rank of the lattice and must be a positive multiple of 8.
-    The result is exact below theta.trunc48 - 2N - 48: the quotient by
-    the eta product is exact below theta.trunc48 - 4N, the window
-    `eta_quotient` can deliver from theta, and starts at q^(-N/24).  A
-    theta too short to leave that quotient any window raises
-    PrecisionError, before a rank off the multiples of 8 is refused.
+    The result starts at q^-1 and is exact below theta.trunc48 - 2N - 48,
+    the window that theta gives it.  A theta exact only below 4N, which
+    leaves theta / eta_product no window, raises PrecisionError, before
+    a rank off the multiples of 8 is refused.
     """
     if theta.is_zero() or theta.valuation48() != 0 or theta.lead_coeff() != 1:
         raise DomainError("theta series must start with constant term 1")
     N = orbit_degree(orbit_type)
-    window = theta.trunc48 - 4 * N
-    if window <= 0:
+    if theta.trunc48 <= 4 * N:
         raise PrecisionError(
             "theta exact below %d/48 leaves no window for the quotient by"
             " an eta product of degree %d" % (theta.trunc48, N))
     if N % 8:
         raise DomainError("rank must be a positive multiple of 8, got %d" % N)
-    quo = eta_quotient(theta.truncate48, orbit_type, window)
     # 24/N is 3 or 1 at ranks 8 and 24, and a Fraction only at rank 16
-    return quo.pow_rational(exact_div(24, N))
+    return eta_power(theta, orbit_type, exact_div(24, N),
+                     theta.trunc48 - 2 * N - DEN)
 
 
 def fixed_quotient(code, gens, trunc48, flavor="plain"):
@@ -180,19 +177,6 @@ def _faber_rows(f, K_rep):
     return rows
 
 
-def faber_table(f, K_rep):
-    """Coefficients a[n][k] = G_{n,k}/k of the Faber polynomials of f,
-    1 <= n,k <= K_rep, as a list of rows indexed from 0, with row and
-    column 0 unused.  f is normalized as for `_faber_rows`."""
-    rows = _faber_rows(f, K_rep)
-    K = len(rows) - 1
-    table = [[None] * (K + 1) for _ in range(K + 1)]
-    for k in range(1, K + 1):
-        for n in range(k, K + 1):
-            table[n][k] = table[k][n] = exact_div(rows[k][n], k)
-    return table
-
-
 def is_replicable(f, K_rep=12):
     """Bounded replicability check: a[n][k] must match a[r][s] whenever
     the pairs share their gcd and lcm.  The constant term is stripped
@@ -258,8 +242,8 @@ def mckay_thompson(name, trunc48):
                           % (name, ", ".join(MT_NAMES)))
     constant, terms = _CATALOG[name]
     parse = perms.parse_orbit_type
-    out = sum((c * eta_quotient(partial(eta_product, parse(num)), parse(den),
-                                trunc48)
+    out = sum((c * eta_product(parse(num) + tuple((t, -r) for t, r in
+                                                  parse(den)), trunc48)
                for c, num, den in terms), constant)
     if (out.valuation48() != -DEN or out.lead_coeff() != 1
             or not out.is_integral()):

@@ -30,12 +30,15 @@ type checks look the class up in `sys.modules`.
 Products are sparse convolutions.  A rational power f**r runs J.C.P.
 Miller's power recurrence on the exponent stride of f, which costs
 O(T^2) for T terms; with f = c q^v (1 + ...) the result is exact below
-trunc48 - v + r v, and f**1 is f itself.  Division f / g is one long
-division on the common stride of f and g, T * nnz(g) products with no
-inverse series built, exact below the window f * g**-1 would have.
+trunc48 - v + r v, and f**1 is f itself.  A series is divided only by a
+scalar.  Every eta product, eta quotient and theta quotient is one call
+of `eta_power`, which runs Euler's divisor-sum recurrence for
+(num / prod eta(q^t)^count)^power: each term is two dot products of
+the earlier terms against small numbers, and no eta series is built.
 """
 
 from math import gcd
+from operator import mul
 import sys
 
 from .errors import PrecisionError
@@ -286,51 +289,15 @@ class QSeries:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        """self / other, by a scalar or by long division by a series.
-
-        With f = self and g = other laid out from their leading
-        exponents v_f and v_g on the stride d = gcd of all their
-        exponent gaps, the quotient starts at q^(v_f - v_g) and
-        (Knuth, TAOCP vol. 2, 4.7)
-
-            q_n = (a_n - sum_{k>=1} b_k q_{n-k}) / b_0,
-
-        summed over the nonzero b_k only: one pass of T * nnz(g) products
-        for T quotient terms, and no inverse series.  The result is exact
-        below min(v_f + T_g - 2 v_g, T_f - v_g), the window of f * g**-1.
-        """
-        if not isinstance(other, QSeries):
-            if not _is_rational(other):
-                return NotImplemented
-            if not other:
-                raise ZeroDivisionError("series divided by zero")
-            return QSeries._raw(
-                {e: exact_div(c, other) for e, c in self.coeffs.items()},
-                self.trunc48)
-        if not other.coeffs:
-            raise ValueError("series divided by the zero series")
-        vf, vg = self.valuation48(), other.valuation48()
-        t = min(vf + other.trunc48 - 2 * vg, self.trunc48 - vg)
-        d = 0
-        for e in self.coeffs:
-            d = gcd(d, e - vf)
-        for e in other.coeffs:
-            d = gcd(d, e - vg)
-        lead = vf - vg
-        d = d or max(t - lead, 1)   # two monomials: any stride will do
-        b0 = other.coeffs[vg]
-        b = [(k, other.coeffs[vg + k * d])
-             for k in sorted((e - vg) // d for e in other.coeffs if e != vg)]
-        a = self.coeffs
-        q = []
-        for n, e in enumerate(range(vf, t + vg, d)):
-            s = a.get(e, 0)
-            for k, bk in b:
-                if k > n:
-                    break
-                s -= bk * q[n - k]
-            q.append(exact_div(s, b0))
-        return QSeries._raw({lead + n * d: c for n, c in enumerate(q) if c}, t)
+        """self / other for a nonzero int or Fraction; a series divides
+        no series (see `eta_power`)."""
+        if not _is_rational(other):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("series divided by zero")
+        return QSeries._raw(
+            {e: exact_div(c, other) for e, c in self.coeffs.items()},
+            self.trunc48)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -431,28 +398,70 @@ class QSeries:
 
 # ---------- the basic series ----------
 
-def eta(scale, trunc48):
-    """Dedekind eta of q**scale: q^(scale/24) prod (1 - q^(scale*n)).
+def eta_power(num, counts, power, trunc48):
+    """(num / prod eta(q^t)^count)^power, exact below trunc48.
 
-    Expanded with Euler's pentagonal number theorem, so building one is
-    cheap at any truncation used here.
+    num is an int, a Fraction or a series, the (t, count) pairs have
+    t >= 1 and counts of either sign, and power is an int or a Fraction.
+    With num = c q^v h, h_0 = 1, and E = prod (1 - q^(tn))^count, the
+    result is c**power q^((v - 2N) power) f for N = sum t count, and
+    f = (h/E)^(p/q) solves h Df = (p/q) f (Dh + h S) with D = q d/dq and,
+    by Euler, S = -D log E = sum sigma(m) q^m, sigma(m) = sum of
+    d count over t | d | m.  Indexed by steps of the common exponent
+    stride, with D counting steps, that is
+
+        n q f_n = sum_{k>=1} (p U_k - q (n-k) h_k) f_{n-k},  U = Dh + h S,
+
+    two dot products of earlier terms against small numbers per term.
+    A series num must be exact below trunc48 - (v - 2N) power + v.
     """
-    scale, trunc48 = exact_int(scale, "eta scale"), exact_int(trunc48)
-    if scale < 1:
-        raise ValueError("eta scale must be a positive integer")
-    coeffs = {}
-    k = 0
-    while True:
-        placed = False
-        for kk in ((k, -k) if k else (0,)):
-            e48 = scale * (2 + 24 * kk * (3 * kk - 1))
-            if e48 < trunc48:
-                coeffs[e48] = 1 if kk % 2 == 0 else -1
-                placed = True
-        if not placed and k > 0:
-            break
-        k += 1
-    return QSeries._raw(coeffs, trunc48)
+    power, trunc48 = exact_rational(power, "power"), exact_int(trunc48)
+    counts = [(exact_int(t, "eta length"), exact_int(r, "eta count"))
+              for t, r in counts]
+    if min((t for t, _ in counts), default=1) < 1:
+        raise ValueError("eta lengths must be positive integers")
+    series = isinstance(num, QSeries)
+    if series and not num.coeffs:
+        raise PrecisionError("the numerator is 0 below %d/48, so its lead"
+                             " is unknown" % num.trunc48)
+    v = num.valuation48() if series else 0
+    c = num.coeffs[v] if series else exact_rational(num, "numerator")
+    shift = (v - 2 * sum(t * r for t, r in counts)) * power
+    if shift.denominator != 1:
+        raise ValueError("power %s takes the lead %s/48 off the grid"
+                         % (power, shift / power))
+    window = trunc48 - int(shift)
+    if series and num.trunc48 - v < window:
+        raise PrecisionError(
+            "the eta quotient below %d/48 needs a numerator exact below"
+            " %d/48, not %d/48" % (trunc48, window + v, num.trunc48))
+    h = {e - v: exact_div(x, c) for e, x in num.coeffs.items()
+         if v < e < v + window} if series else {}
+    s = gcd(*h, *(DEN * t for t, r in counts if r)) or max(window, 1)
+    terms = max(0, -(-window // s))
+    sig = [0] * terms      # S on the stride, in steps a = 48d/s
+    for t, r in counts:
+        for a in range(DEN * t // s, terms, DEN * t // s) if r else ():
+            for k in range(a, terms, a):
+                sig[k] += r * a
+    hs = [0] * terms
+    for e, x in h.items():
+        hs[e // s] = x
+    p, q = power.numerator, power.denominator
+    if h:   # U = Dh + h S; with h = 1 it is S
+        sig = [k * hk + sk + sum(map(mul, hs[1:k], sig[k - 1:0:-1]))
+               for k, (hk, sk) in enumerate(zip(hs, sig))]
+    u, hq = [p * x for x in sig], [q * x for x in hs]
+    f, nf = [1], [0]   # nf[n] = n f_n
+    for n in range(1, terms):
+        acc = sum(map(mul, u[n:0:-1], f))
+        if h:
+            acc -= sum(map(mul, hq[n:0:-1], nf))
+        f.append(exact_div(acc, n * q))
+        nf.append(n * f[n])
+    cr = rational_power(c, power)
+    return QSeries._raw({int(shift) + n * s: _norm_coeff(cr * x)
+                         for n, x in enumerate(f[:terms]) if x}, trunc48)
 
 
 def int_theta(num, den, stride, offset, trunc48, alternating=False):

@@ -6,6 +6,8 @@ shapes that pin a fixed theta series in closed form, which only the
 lattice and acceptance tests ask about, and the full-window catalog
 identification that `modfunc.identify` shortcuts with a prefix probe,
 the hand-padded catalog builders that the eta-quotient table replaced,
+the eta function as its explicit product, which the one eta kernel
+`qseries.eta_power` replaced,
 the codeword walks that the basis-row doubling criteria replaced, the
 tuple-per-codeword census and the codeword images h(B) that the
 bit-plane census replaced, and the argparse parser that
@@ -27,7 +29,7 @@ from thetaforge.lattice import (
 from thetaforge.modfunc import MT_NAMES, mckay_thompson, strip_constant
 from thetaforge.perms import Perm, parse_generators
 from thetaforge.qseries import (
-    DEN, PrecisionError, QSeries, eta, exact_div, shifted_theta,
+    DEN, PrecisionError, QSeries, exact_div, shifted_theta,
 )
 from thetaforge.verify import FIGURE_IDS
 
@@ -325,6 +327,25 @@ def full_window_identify(f):
     return None, None
 
 
+# ---------- eta as its product ----------
+
+def oracle_eta(scale, trunc48):
+    """eta(q^scale) as an explicit finite product of (1 - q^(scale*n)),
+    shifted by q^(scale/24), exact below trunc48."""
+    prod = {0: 1}
+    n = 1
+    while scale * n * DEN < trunc48:
+        new = {}
+        for e, c in prod.items():
+            new[e] = new.get(e, 0) + c
+            e2 = e + scale * n * DEN
+            if e2 < trunc48:
+                new[e2] = new.get(e2, 0) - c
+        prod = {e: c for e, c in new.items() if c}
+        n += 1
+    # q^(scale/24) is 2*scale in 48ths
+    return QSeries({e + 2 * scale: c for e, c in prod.items()}, trunc48)
+
 
 # ---------- the catalog builders that `modfunc._CATALOG` replaced ----------
 
@@ -333,8 +354,8 @@ _PAD = 6 * DEN
 
 def _build_t4a(t48):
     pad = t48 + _PAD
-    f = (eta(2, pad) ** 2 / (eta(1, pad) * eta(4, pad))) ** 24
-    return f
+    eta1, eta2, eta4 = (oracle_eta(k, pad) for k in (1, 2, 4))
+    return (eta2 ** 2 * (eta1 * eta4) ** -1) ** 24
 
 
 def _build_t8b(t48):
@@ -347,7 +368,7 @@ def _build_t16a(t48):
 
 def _build_t3a(t48):
     pad = t48 + _PAD
-    u = eta(1, pad) ** 6 / eta(3, pad) ** 6
+    u = oracle_eta(1, pad) ** 6 * oracle_eta(3, pad) ** -6
     return (u + 27 * u.pow_rational(-1)) ** 2
 
 
@@ -357,20 +378,22 @@ def _build_t6b(t48):
 
 def _build_t12a(t48):
     pad = t48 + _PAD
-    num = eta(2, pad) ** 2 * eta(6, pad) ** 2
-    den = eta(1, pad) * eta(4, pad) * eta(3, pad) * eta(12, pad)
-    return (num / den) ** 6
+    eta = {k: oracle_eta(k, pad) for k in (1, 2, 3, 4, 6, 12)}
+    num = eta[2] ** 2 * eta[6] ** 2
+    den = eta[1] * eta[4] * eta[3] * eta[12]
+    return (num * den ** -1) ** 6
 
 
 def _build_t7a(t48):
     pad = t48 + _PAD
-    a = eta(1, pad) * eta(7, pad) / (eta(2, pad) * eta(14, pad))
+    eta = {k: oracle_eta(k, pad) for k in (1, 2, 7, 14)}
+    a = eta[1] * eta[7] * (eta[2] * eta[14]) ** -1
     return (a + 4 * a.pow_rational(-2)) ** 3
 
 
 def _build_t1a(t48):
     pad = t48 + _PAD
-    f = (catalog_theta("E8", 1, pad) / eta(1, pad) ** 8) ** 3
+    f = (catalog_theta("E8", 1, pad) * oracle_eta(1, pad) ** -8) ** 3
     return f - 744
 
 

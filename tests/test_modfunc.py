@@ -24,18 +24,19 @@ from thetaforge.lattice import (
     theta_twisted,
 )
 from thetaforge.modfunc import (
-    MT_NAMES, eta_product, eta_quotient, faber_table, fixed_quotient,
+    MT_NAMES, _faber_rows, eta_product, eta_quotient, fixed_quotient,
     identify, is_replicable, mckay_thompson, orbit_degree, strip_constant,
     theta_quotient,
 )
 from thetaforge.perms import (
     orbit_type, parse_generators, parse_orbit_type, parse_perm, type_str,
 )
-from thetaforge.qseries import DEN, PrecisionError, QSeries, eta
+from thetaforge.qseries import DEN, PrecisionError, QSeries
 from thetaforge.verify import _SUBGROUP_CLASSES
 
 from oracles import (
     CATALOG_BUILDERS, full_window_identify, hamming8_class_representatives,
+    oracle_eta,
 )
 
 T = lambda n: n * DEN
@@ -59,7 +60,7 @@ def test_parse_orbit_type_rejects_junk(bad):
 
 def test_eta_product_is_product_of_etas():
     prod = eta_product(((2, 2), (4, 1)), T(10))
-    ref = eta(2, T(10)) ** 2 * eta(4, T(10))
+    ref = oracle_eta(2, T(10)) ** 2 * oracle_eta(4, T(10))
     assert prod.matches(ref)
     # valuation only depends on the degree: sum over cycles of t/24
     assert prod.valuation48() == 2 * 8
@@ -75,7 +76,7 @@ def test_eta_product_is_built_once_and_shared_unchanged():
     assert (eta_product(parse_orbit_type("1^2 2 4"), T(9))
             == first.truncate48(T(9)))
     derived = [first * first, first + first, first - 1, -first, 3 * first,
-               first / first, first / 3, first ** 2, first ** 1,
+               first * first ** -1, first / 3, first ** 2, first ** 1,
                first.pow_rational(Fraction(1, 2)), first.truncate48(T(4)),
                first.dilate(2)]
     assert derived[8] is first   # a first power is the series itself
@@ -99,7 +100,8 @@ def test_eta_quotient_needs_the_numerator_through_trunc_plus_2n(text):
 
     quo = eta_quotient(numerator, otype, T(6))
     assert asked == [need]
-    assert quo == (theta / eta_product(otype, T(12))).truncate48(T(6))
+    wide = theta * eta_product(otype, T(12)) ** -1
+    assert quo == wide.truncate48(T(6))
     with pytest.raises(PrecisionError):
         eta_quotient(lambda window: theta.truncate48(need - 1), otype, T(6))
 
@@ -112,7 +114,7 @@ def test_trace_series_against_a_wide_division(flavor):
         for j in range(lift_order(HAM, g, flavor=flavor)):
             ctype = (g ** (j % g.order())).cycle_type()
             wide = (theta_twisted(HAM, g, j, T(18), flavor=flavor)
-                    / eta_product(ctype, T(18)))
+                    * eta_product(ctype, T(18)) ** -1)
             if is_even(HAM, flavor):
                 got = trace_series(HAM, g, j, T(8), flavor=flavor)
             else:
@@ -224,13 +226,15 @@ def faber_low_columns(f):
     return f * f - 2 * a1, f * f * f - 3 * a1 * f - 3 * a2
 
 
-def oracle_faber_table(f, K):
-    """The Faber recurrence with every F_k expanded as a QSeries."""
+def oracle_faber_grid(f, K):
+    """The Faber recurrence with every F_k expanded as a QSeries:
+    table[n][k] = G_{n,k}, the coefficient of q^n in F_k, for
+    1 <= n, k <= K, with row and column 0 unused."""
     a1 = [None] + [f.coeff48(n * DEN) for n in range(1, 2 * K + 1)]
     table = [[None] * (K + 1) for _ in range(K + 1)]
     polys = [None, f]
     for n in range(1, K + 1):
-        table[n][1] = Fraction(a1[n])
+        table[n][1] = a1[n]
     for k in range(1, K):
         nxt = f * polys[k]
         for n in range(1, k):
@@ -238,8 +242,15 @@ def oracle_faber_table(f, K):
         nxt = nxt - (k + 1) * a1[k]
         polys.append(nxt)
         for n in range(1, K + 1):
-            table[n][k + 1] = Fraction(nxt.coeff48(n * DEN), k + 1)
+            table[n][k + 1] = nxt.coeff48(n * DEN)
     return table
+
+
+def faber_grid(f, K):
+    """G_{n,k} off `_faber_rows`, laid out as `oracle_faber_grid`."""
+    rows = _faber_rows(f, K)
+    return [[None] * (K + 1)] + [[None] + [rows[k][n] for k in range(1, K + 1)]
+                                 for n in range(1, K + 1)]
 
 
 def _faber_input(source, K):
@@ -257,7 +268,7 @@ def _faber_input(source, K):
     "T_4A", "T_3A", "(1,6)(7,8)", "T_8B", "T_16a"])
 def test_faber_table_against_series_oracle(source, K):
     f = _faber_input(source, K)
-    assert faber_table(f, K) == oracle_faber_table(f, K)
+    assert faber_grid(f, K) == oracle_faber_grid(f, K)
 
 
 coeff_st = st.integers(min_value=-9, max_value=9)
@@ -282,7 +293,7 @@ def strided_faber_input(draw):
 @settings(max_examples=60, deadline=None)
 def test_faber_table_on_strided_tails_against_the_oracle(case):
     f, K = case
-    assert faber_table(f, K) == oracle_faber_table(f, K)
+    assert faber_grid(f, K) == oracle_faber_grid(f, K)
 
 
 @pytest.mark.parametrize("name", ["T_4A", "T_16a"])   # strides 1 and 4
@@ -290,20 +301,20 @@ def test_faber_table_on_strided_tails_against_the_oracle(case):
 def test_faber_table_precision_boundary(name, K):
     f = strip_constant(mckay_thompson(name, 2 * K * DEN + 1))[0]
     assert f.trunc48 == 2 * K * DEN + 1
-    assert faber_table(f, K) == oracle_faber_table(f, K)
+    assert faber_grid(f, K) == oracle_faber_grid(f, K)
     with pytest.raises(PrecisionError):
-        faber_table(f.truncate48(2 * K * DEN), K)
+        faber_grid(f.truncate48(2 * K * DEN), K)
 
 
 def test_faber_table_checks_the_symmetric_fill(monkeypatch):
     f = _faber_input("T_3A", 4)
     monkeypatch.setattr(modfunc, "exact_div", lambda a, b: Fraction(a, b) + 1)
     with pytest.raises(ThetaforgeError, match=r"asymmetric at \(2, 1\)"):
-        faber_table(f, 4)
+        _faber_rows(f, 4)
 
 
 @pytest.mark.parametrize("call", [
-    lambda f: faber_table(f, 12.7),
+    lambda f: _faber_rows(f, 12.7),
     lambda f: is_replicable(f, 12.7),
     lambda f: is_replicable(f, "5"),
 ], ids=["faber_table", "is_replicable", "is_replicable-str"])
@@ -315,26 +326,26 @@ def test_faber_counts_must_be_ints(call):
 
 def test_faber_table_against_closed_forms():
     f, _ = strip_constant(mckay_thompson("T_4A", T(10)))
-    table = faber_table(f, 4)
+    rows = _faber_rows(f, 4)
     f2, f3 = faber_low_columns(f)
     for n in range(1, 5):
-        assert table[n][1] == f.coeff48(n * DEN)
-        assert table[n][2] == Fraction(f2.coeff48(n * DEN), 2)
-        assert table[n][3] == Fraction(f3.coeff48(n * DEN), 3)
+        assert rows[1][n] == f.coeff48(n * DEN)
+        assert rows[2][n] == f2.coeff48(n * DEN)
+        assert rows[3][n] == f3.coeff48(n * DEN)
 
 
 def test_faber_table_needs_precision():
     f, _ = strip_constant(mckay_thompson("T_3A", T(24)))
     with pytest.raises(PrecisionError):
-        faber_table(f, 12)
+        _faber_rows(f, 12)
     assert is_replicable(f, 12)["verdict"] == "insufficient-precision"
 
 
 def test_faber_table_rejects_unnormalized_input():
     with pytest.raises(DomainError):
-        faber_table(mckay_thompson("T_4A", T(10)), 4)  # constant 24 left in
+        _faber_rows(mckay_thompson("T_4A", T(10)), 4)  # constant 24 left in
     with pytest.raises(DomainError):
-        faber_table(eta(1, T(10)), 4)
+        _faber_rows(oracle_eta(1, T(10)), 4)
 
 
 @given(st.lists(coeff_st, min_size=1, max_size=8))
@@ -344,10 +355,11 @@ def test_faber_table_symmetry(tail):
     coeffs = {-DEN: 1}
     coeffs.update({(i + 1) * DEN: c for i, c in enumerate(tail) if c})
     f = QSeries(coeffs, T(2 * K + 1))
-    table = faber_table(f, K)
+    # the entries G_{n,k}/k are symmetric in n and k
+    rows = _faber_rows(f, K)
     for n in range(1, K + 1):
         for k in range(1, K + 1):
-            assert table[n][k] == table[k][n]
+            assert rows[k][n] * n == rows[n][k] * k
 
 
 @given(st.fractions(min_value=-20, max_value=20, max_denominator=6))
@@ -436,9 +448,10 @@ def test_unknown_series_name_rejected():
 def test_k_lattice_theta_closed_form():
     # ((eta_1 eta_7)^3 + 4 (eta_2 eta_14)^3) / (eta_1 eta_2 eta_7 eta_14)
     w = T(12)
-    num = (eta(1, w) * eta(7, w)) ** 3 + 4 * (eta(2, w) * eta(14, w)) ** 3
-    den = eta(1, w) * eta(2, w) * eta(7, w) * eta(14, w)
-    assert (num / den).matches(catalog_theta("K", 1, T(10)))
+    eta = {k: oracle_eta(k, w) for k in (1, 2, 7, 14)}
+    num = (eta[1] * eta[7]) ** 3 + 4 * (eta[2] * eta[14]) ** 3
+    den = eta[1] * eta[2] * eta[7] * eta[14]
+    assert (num * den ** -1).matches(catalog_theta("K", 1, T(10)))
 
 
 # ---------- orbit-type quotients land on the catalog ----------
@@ -497,7 +510,7 @@ def test_identify_needs_window():
     f = mckay_thompson("T_4A", T(8))
     with pytest.raises(PrecisionError):
         identify(f)
-    assert identify(eta(1, T(12))) == (None, None)
+    assert identify(oracle_eta(1, T(12))) == (None, None)
 
 
 # ---------- verdicts for the order-two classes ----------

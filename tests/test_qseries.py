@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from thetaforge.lattice import _factor
 from thetaforge.qseries import (
-    DEN, PrecisionError, QSeries, eta, exact_div, int_theta, iroot,
+    DEN, PrecisionError, QSeries, eta_power, exact_div, int_theta, iroot,
     rational_power, shifted_theta, theta2, theta3, theta4,
 )
+
+from oracles import oracle_eta
 
 T = lambda n: n * DEN  # integer q-power -> 48ths
 
@@ -59,27 +61,6 @@ def oracle_pow_rational(f, r):
     cr = rational_power(c, r)
     rv = int(r * v)
     return QSeries({e + rv: cr * cc for e, cc in out.coeffs.items()}, trel + rv)
-
-
-def oracle_eta(scale, trunc48):
-    """eta(q^scale) as an explicit finite product of (1 - q^(scale*n))."""
-    prod = {0: 1}
-    n = 1
-    while scale * n * DEN < trunc48:
-        new = {}
-        for e, c in prod.items():
-            new[e] = new.get(e, 0) + c
-            e2 = e + scale * n * DEN
-            if e2 < trunc48:
-                new[e2] = new.get(e2, 0) - c
-        prod = {e: c for e, c in new.items() if c}
-        n += 1
-    shifted = {}
-    for e, c in prod.items():
-        e2 = e + scale * 2  # q^(scale/24) = 2*scale in 48ths
-        if e2 < trunc48:
-            shifted[e2] = c
-    return shifted
 
 
 def oracle_shifted_theta(weight, shift, trunc48, alternating=False):
@@ -156,24 +137,40 @@ def integral_power_case_st(draw):
 
 
 @st.composite
-def grid_series_st(draw):
-    """A nonzero series on a stride of 1 to 48 from a valuation of -48 to
-    48: int or Fraction coefficients, any nonzero lead, and as few as one
-    term."""
-    stride = draw(st.integers(min_value=1, max_value=48))
-    v = draw(st.integers(min_value=-48, max_value=48))
-    terms = draw(st.integers(min_value=0, max_value=12))
-    tail = draw(st.dictionaries(st.integers(min_value=1, max_value=12),
-                                coeff_st, max_size=6))
-    coeffs = {v + stride * k: c for k, c in tail.items() if k <= terms}
-    coeffs[v] = draw(coeff_st.filter(bool))
-    end = v + draw(st.integers(min_value=1, max_value=stride * (terms + 1)))
-    return QSeries(coeffs, end)
+def eta_power_case_st(draw):
+    """(num, counts, power, window end) for `eta_power`: num a scalar c,
+    or c times a theta, plain or twisted with negative coefficients,
+    led at q^0 or at q^v with v > 0; signed counts of lengths 1 to 24;
+    power 1, 3 or 3/2, with c a square for 3/2."""
+    power = draw(st.sampled_from([1, 3, Fraction(3, 2)]))
+    counts = tuple(draw(st.lists(
+        st.tuples(st.integers(min_value=1, max_value=24),
+                  st.integers(min_value=-3, max_value=3).filter(bool)),
+        min_size=1, max_size=3)))
+    c = draw(st.sampled_from([1, 4, Fraction(1, 9)] if power != 1
+                             else [1, -1, 2, Fraction(-1, 3)]))
+    kind = draw(st.sampled_from(["scalar", "theta", "led"]))
+    end = draw(st.integers(min_value=1, max_value=10 * DEN))
+    if kind == "scalar":
+        return c, counts, power, end
+    w = draw(st.integers(min_value=1, max_value=3))
+    num = int_theta(24 * w, 1, 1, 0, end, alternating=draw(st.booleans()))
+    if kind == "led":
+        # an even v keeps (v - 2N) 3/2 on the grid
+        v = draw(st.sampled_from([2, 4, 24, 48]))
+        num = QSeries.monomial(1, v, end + v) * num
+    return c * num, counts, power, end
 
 
-numerator_st = st.one_of(
-    grid_series_st(),
-    st.builds(QSeries.zero, st.integers(min_value=-48, max_value=240)))
+def composed_eta_power(num, counts, power, pad):
+    """(num / prod eta(q^t)^count)^power from the explicit eta products,
+    each raised by integer ** and inverted by pow_rational(-1), with
+    every eta exact below pad."""
+    out = QSeries.one(pad) * num
+    for t, r in counts:
+        factor = oracle_eta(t, pad) ** abs(r)
+        out = out * (factor.pow_rational(-1) if r > 0 else factor)
+    return out.pow_rational(power)
 
 
 def whole_numbers_are_ints(f):
@@ -217,8 +214,8 @@ def test_inexact_exponents_rejected(build):
 @pytest.mark.parametrize("call", [
     lambda: QSeries.one(T(101)).truncate48(100.9),
     lambda: QSeries.one(T(4)).dilate(2.5),
-    lambda: eta(1.9, T(4)),
-    lambda: eta(1, 100.5),
+    lambda: eta_power(1, ((1.9, 1),), 1, T(4)),
+    lambda: eta_power(1, ((1, 1),), 1, 100.5),
     lambda: theta3(1, 48.5),
     lambda: int_theta(3, 1, 4, 1, 100.5),
     lambda: int_theta(1.5, 1, 1, 0, T(4)),
@@ -226,20 +223,22 @@ def test_inexact_exponents_rejected(build):
 ], ids=["truncate48", "dilate", "eta", "eta-bound", "theta-bound",
         "int_theta-bound", "int_theta-weight", "theta2-scale"])
 def test_non_integer_arguments_rejected(call):
-    # int() would run the first three on 100, 2 and eta(q) instead, and
+    # int() would run the first three on 100, 2 and 1/eta(q) instead, and
     # the builders would hand out a series with a float bound
     with pytest.raises(TypeError):
         call()
 
 
 @pytest.mark.parametrize("call", [
-    lambda: eta(1, T(10)).pow_rational(0.5),
-    lambda: eta(1, T(10)).pow_rational(0.1),
+    lambda: oracle_eta(1, T(10)).pow_rational(0.5),
+    lambda: oracle_eta(1, T(10)).pow_rational(0.1),
+    lambda: eta_power(1, ((1, 1),), 0.5, T(10)),
     lambda: shifted_theta(0.5, 0, T(10)),
     lambda: shifted_theta(1, 0.5, T(10)),
     lambda: rational_power(4, 0.5),
     lambda: rational_power(4.0, 2),
-], ids=["pow_rational", "pow_rational-off-grid", "shifted_theta-weight",
+], ids=["pow_rational", "pow_rational-off-grid", "eta_power",
+        "shifted_theta-weight",
         "shifted_theta-shift", "rational_power", "rational_power-base"])
 def test_float_powers_weights_and_exponents_rejected(call):
     # Fraction() would take 0.5 as 1/2, and 0.1 as a power with a 2^55
@@ -284,21 +283,45 @@ def test_json_roundtrip(a):
 
 # ---------- eta ----------
 
+def eta(scale, trunc48):
+    """eta(q^scale) from the kernel: 1 / eta(q^scale)^-1."""
+    return eta_power(1, ((scale, -1),), 1, trunc48)
+
+
 @pytest.mark.parametrize("scale", [1, 2, 3, 7])
 def test_eta_matches_finite_product(scale):
     t48 = T(20)
-    assert eta(scale, t48).coeffs == oracle_eta(scale, t48)
+    assert eta(scale, t48) == oracle_eta(scale, t48)
 
 
 def test_eta_24_is_discriminant():
     # Ramanujan tau: classical values
     tau = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
-    d = eta(1, T(12)) ** 24
+    d = eta_power(1, ((1, -24),), 1, T(12))
     assert [d.coeff48(T(k)) for k in range(1, 11)] == tau
 
 
 def test_eta_dilate_consistency():
     assert eta(3, T(30)).matches(eta(1, T(10)).dilate(3))
+
+
+@given(eta_power_case_st(), st.integers(min_value=0, max_value=2 * DEN))
+@settings(max_examples=80, deadline=None)
+def test_eta_power_against_the_explicit_products(case, cut):
+    num, counts, power, end = case
+    # the products lose 4 t |count| of each eta's window at most; with
+    # pad past that a series numerator is what limits the composition
+    pad = end + DEN + 4 * sum(t * abs(r) for t, r in counts)
+    want = composed_eta_power(num, counts, power, pad)
+    got = eta_power(num, counts, power, want.trunc48)
+    assert got == want
+    assert whole_numbers_are_ints(got)
+    narrower = want.trunc48 - cut
+    assert eta_power(num, counts, power, narrower) == want.truncate48(narrower)
+    if isinstance(num, QSeries):
+        with pytest.raises(PrecisionError):
+            eta_power(num.truncate48(num.trunc48 - 1), counts, power,
+                      want.trunc48)
 
 
 # ---------- shifted thetas ----------
@@ -351,20 +374,20 @@ def test_theta_eta_quotients_q20():
     t48 = T(21)
     for t in (1, 2):
         lhs = theta2(t, t48)
-        rhs = 2 * eta(2 * t, t48) ** 2 / eta(t, t48)
-        assert lhs.matches(rhs)
+        rhs = 2 * eta_power(1, ((2 * t, -2), (t, 1)), 1, t48)
+        assert lhs == rhs
     lhs = theta3(2, t48)
-    rhs = eta(2, t48) ** 5 / (eta(1, t48) * eta(4, t48)) ** 2
-    assert lhs.matches(rhs)
+    rhs = eta_power(1, ((2, -5), (1, 2), (4, 2)), 1, t48)
+    assert lhs == rhs
     lhs = theta4(2, t48)
-    rhs = eta(1, t48) ** 2 / eta(2, t48)
-    assert lhs.matches(rhs)
+    rhs = eta_power(1, ((1, -2), (2, 1)), 1, t48)
+    assert lhs == rhs
 
 
 # ---------- powers ----------
 
 def test_integer_pow_matches_repeated_mul():
-    f = eta(1, T(10)) + 3 * theta3(2, T(10))
+    f = oracle_eta(1, T(10)) + 3 * theta3(2, T(10))
     assert (f ** 5).matches(f * f * f * f * f)
 
 
@@ -495,29 +518,19 @@ def test_binom_frac():
 
 # ---------- division ----------
 
-def test_division_roundtrip():
-    a = theta3(1, T(15)) ** 3
-    b = eta(1, T(15)) ** 2
-    assert ((a / b) * b).matches(a)
-
-
-@given(numerator_st, grid_series_st())
-@settings(max_examples=200, deadline=None)
-def test_long_division_equals_multiplying_by_the_inverse(f, g):
-    got, want = f / g, f * g.pow_rational(-1)
-    assert got.trunc48 == want.trunc48
-    assert got.coeffs == want.coeffs
-    assert ({e: type(c) for e, c in got.coeffs.items()}
-            == {e: type(c) for e, c in want.coeffs.items()})
-
-
 @pytest.mark.parametrize("trunc48", [-48, 0, T(3)])
-def test_dividing_by_the_zero_series_is_a_value_error(trunc48):
+def test_inverting_the_zero_series_is_a_value_error(trunc48):
     f, zero = theta3(1, T(4)), QSeries.zero(trunc48)
     with pytest.raises(ValueError):
         f * zero.pow_rational(-1)
-    with pytest.raises(ValueError):
-        f / zero
+
+
+@pytest.mark.parametrize("g", [theta3(1, T(4)), QSeries.zero(T(3))])
+def test_a_series_divides_no_series(g):
+    # a series is divided only by an int or a Fraction; an eta quotient
+    # is `eta_power`, and any other quotient is f * g ** -1
+    with pytest.raises(TypeError):
+        theta3(1, T(4)) / g
 
 
 def test_precision_error_is_one_class_in_the_package_hierarchy():

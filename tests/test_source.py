@@ -9,8 +9,8 @@ variable and imports no thread, process or file-lock module.  Every
 division by an eta product goes through `modfunc.eta_quotient`, which
 owns the precision window, so no code outside its body divides by a
 call to ``eta`` or ``eta_product``, and nothing raises a series to a
-negative power: every division is the one long division of
-`QSeries.__truediv__`.  No module imports ``fractions`` or ``decimal``
+negative power: every eta product and quotient is the one recurrence
+of `qseries.eta_power`, and a series is divided only by a scalar.  No module imports ``fractions`` or ``decimal``
 when it is imported: `qseries._fraction` loads them for the first value
 that is not whole, so a job whose values are all whole never pays for
 them.  No module imports ``hashlib`` when
@@ -34,7 +34,7 @@ orbit type written as a dict or a string.
 `lattice` never names ``codewords``: its census counts popcount keys on
 bit planes of the fixed subcode, and only the test oracles list words.
 Only `qseries` calls the ``QSeries(...)`` constructor on a coefficient
-dict: every other series is built from `eta`, the thetas and
+dict: every other series is built from `eta_power`, the thetas and
 arithmetic.  Importing `cli`, which every process does, parses no
 permutation and builds no series: the generators of the recorded
 figures stay cycle strings until a figure runs.
@@ -189,8 +189,8 @@ def _inverts(node):
 
 
 def test_no_series_is_inverted_in_the_package():
-    # division is one long division (QSeries.__truediv__); no inverse
-    # series is built on the way
+    # an eta quotient is one recurrence (qseries.eta_power), and no
+    # inverse series is built on the way
     assert _offending_nodes(_inverts) == []
 
 
