@@ -3,15 +3,15 @@
 Dividing a fixed-sublattice theta series by the eta product of the
 orbit type and raising the result to 24/N gives a q-expansion with a
 simple pole at infinity.  This module builds those eta products and
-quotients, expands Faber polynomials to test replicability of such a
-series, and matches candidates against a small catalog of T_nX series
-of monstrous moonshine.  The catalog is a table of eta quotients: each
-series is a constant plus a sum of them, each term a coefficient and the
-eta exponents of its numerator and denominator, evaluated as one
-`eta_product` with signed counts; T_1A = j - 744 too, through the Γ0(2)
-Hauptmodul eta(τ)^24 / eta(2τ)^24.  A candidate is compared first on
-the 8 positive powers identification needs, and only a catalog series
-that agrees there is built over the full window.
+quotients, tests replicability of such a series on the K x K square of
+its Faber coefficients, and matches candidates against a small catalog
+of T_nX series of monstrous moonshine.  The catalog is a table of eta
+quotients: each series is a constant plus a sum of them, each term a
+coefficient and the eta exponents of its numerator and denominator,
+evaluated as one `eta_product` with signed counts; T_1A = j - 744 too,
+through the Γ0(2) Hauptmodul eta(τ)^24 / eta(2τ)^24.  A candidate is
+compared first on the 8 positive powers identification needs, and only
+a catalog series that agrees there is built over the full window.
 
 `eta_product`, `eta_quotient` and `theta_quotient` are one-line callers
 of `qseries.eta_power`, the one eta kernel.  Every theta/eta division in
@@ -120,25 +120,23 @@ def _check_hauptmodul_shape(f):
 
 
 def _faber_rows(f, K_rep):
-    """Rows G of the Faber polynomials of f: rows[k][j] = G_{j,k} for
-    1 <= k <= K_rep and j <= 2*K_rep - k, with row 0 unused.
+    """Faber rows of f on the K x K square: rows[k][j] = G_{j,k}, the
+    coefficient of q^j in F_k, for 1 <= j, k <= K_rep (index 0 unused).
 
-    The input must be normalized to f = q^-1 + sum_{t>=1} a_t q^t, with
-    the constant already removed, and must carry coefficients through
-    q^(2*K_rep).  Only positive powers are stored: F_k = q^-k +
-    sum_{j>=1} G_{j,k} q^j, so G_{j,1} = a_j, and every G_{j,k} is an
-    int when f has int coefficients.  F_{k+1} = f*F_k - sum_{n<k}
-    a_{k-n} F_n - (k+1) a_k then reads
-
-        G_{j,k+1} = a_{j+k} + G_{j+1,k} + sum_{i=1}^{j-1} G_{i,k} a_{j-i}
-                    - sum_{n=1}^{k-1} a_{k-n} G_{j,n},
-
-    and row k+1 is exact through q^(2K-k-1), which still covers q^K.
-    The table G_{j,k}/k is symmetric, so the entries j <= k of row k+1
-    are filled as (k+1) G_{k+1,j} / j; the last of them is also run
-    through the recurrence as a check.  With s = gcd{t+1 : a_t != 0}, f
-    is q^-1 times a series in q^s, so G_{j,k} = 0 unless s divides j+k:
-    only those entries are computed, and both sums step by s.
+    f must be q^-1 + sum_{t>=1} a_t q^t, its constant removed, exact
+    through q^(2*K_rep); G is all ints when f is.  F_{k+1} = f*F_k -
+    sum_{n<k} a_{k-n} F_n - (k+1) a_k gives the relation (j, k):
+    G_{j,k+1} = a_{j+k} + G_{j+1,k} + S(j, k), where S(j, k) =
+    sum_{i<j} G_{i,k} a_{j-i} - sum_{n<k} a_{k-n} G_{j,n} reads only
+    earlier anti-diagonals j + k.  By the symmetry j G_{j,k} = k G_{k,j},
+    anti-diagonal sigma starts at its middle: G_{m,m+1} = (m+1) X and
+    G_{m+1,m} = m X with X = a_{2m} + S(m, m) at sigma = 2m+1, and
+    G_{m,m} = m a_{2m-1} + ((m+1) S(m, m-1) + (m-1) S(m-1, m)) / 2 at
+    sigma = 2m.  Relation (j, sigma-j-1) walks out for j down to
+    max(2, sigma-K), each mirror an exact division, and for sigma <= K+1
+    its step onto row 1 must give G_{1,sigma-1} = (sigma-1) a_{sigma-1},
+    a check.  With s = gcd{t+1 : a_t != 0}, G_{j,k} = 0 unless s | j+k:
+    only those anti-diagonals are walked, and the sums step by s.
     """
     K = exact_int(K_rep, "K_rep")
     if K < 1:
@@ -153,27 +151,36 @@ def _faber_rows(f, K_rep):
     a = [f.coeff48(t * DEN) for t in range(2 * K)]
     # s = 2K+1 for f = q^-1: every G_{j,k} is 0 and none lies on that stride
     s = gcd(*(t + 1 for t, c in enumerate(a) if c)) or 2 * K + 1
-    rows = [None, a]                  # rows[k][j] = G_{j,k}, j <= 2K - k
-    cols = [[0, c] for c in a]        # cols[j][n] = G_{j,n}
-    for k in range(1, K):
-        row = rows[k]
-        nxt = [0] * (2 * K - k)
+    rows = [[0] * (K + 1) for _ in range(K + 1)]   # rows[k][j] = G_{j,k}
+    cols = [[0] * (K + 1) for _ in range(K + 1)]   # cols[j][k] = G_{j,k}
+
+    def pair(j, k, g):   # G_{j,k} = g and its mirror G_{k,j} = j g / k
+        rows[k][j] = cols[j][k] = g
+        rows[j][k] = cols[k][j] = exact_div(j * g, k)
+
+    def S(j, k):
         i0, n0 = (-k - 1) % s + 1, k % s + 1   # first i, n on the stride
-        filled = range((-k - 2) % s + 1, k + 1, s)
-        for j in filled:
-            nxt[j] = exact_div((k + 1) * rows[j][k + 1], j)
-        for j in range(filled[-1] if filled else filled.start, len(nxt), s):
-            # an a slice that wraps below 0 meets an empty row or column slice
-            g = (a[j + k] + row[j + 1]
-                 + sum(map(mul, row[i0:j:s], a[j - i0:0:-s]))
-                 - sum(map(mul, cols[j][n0:k:s], a[k - n0:0:-s])))
-            if j <= k and g != nxt[j]:
-                raise ThetaforgeError(
-                    "Faber table asymmetric at (%d, %d)" % (k + 1, j))
-            nxt[j] = g
-        rows.append(nxt)
-        for col, g in zip(cols, nxt):
-            col.append(g)
+        # an a slice that wraps below 0 meets an empty row or column slice
+        return (sum(map(mul, rows[k][i0:j:s], a[j - i0:0:-s]))
+                - sum(map(mul, cols[j][n0:k:s], a[k - n0:0:-s])))
+
+    def step(j, k):      # G_{j,k} by relation (j, k-1)
+        return a[j + k - 1] + cols[j + 1][k - 1] + S(j, k - 1)
+
+    for k in range(1, K + 1):
+        pair(1, k, k * a[k])
+    for sigma in range(-(-4 // s) * s, 2 * K + 1, s):
+        m, odd = divmod(sigma, 2)
+        if odd:
+            pair(m, m + 1, (m + 1) * (a[2 * m] + S(m, m)))
+        else:
+            pair(m, m, m * a[2 * m - 1] + exact_div(
+                (m + 1) * S(m, m - 1) + (m - 1) * S(m - 1, m), 2))
+        for j in range(m - 1, max(2, sigma - K) - 1, -1):
+            pair(j, sigma - j, step(j, sigma - j))
+        if sigma <= K + 1 and step(1, sigma - 1) != cols[1][sigma - 1]:
+            raise ThetaforgeError(
+                "Faber table asymmetric at (1, %d)" % (sigma - 1))
     return rows
 
 

@@ -363,14 +363,6 @@ class QSeries:
         return QSeries._raw({n * d + shift: gn for n, gn in enumerate(g) if gn},
                             trel + shift)
 
-    def dilate(self, m):
-        """Replace q by q**m for a positive integer m."""
-        m = exact_int(m, "dilation factor")
-        if m < 1:
-            raise ValueError("dilation factor must be a positive integer")
-        return QSeries._raw({e * m: c for e, c in self.coeffs.items()},
-                            self.trunc48 * m)
-
     def truncate48(self, t48):
         """Drop all terms at exponent >= t48 (48ths); never widens the window."""
         t48 = exact_int(t48)

@@ -8,7 +8,8 @@ identification that `modfunc.identify` shortcuts with a prefix probe,
 the hand-padded catalog builders that the eta-quotient table replaced,
 the eta function as its explicit product, which the one eta kernel
 `qseries.eta_power` replaced,
-the codeword walks that the basis-row doubling criteria replaced, the
+the codeword walks that the basis-row doubling criteria replaced,
+the dilation q -> q^m that only tests ask for, the
 tuple-per-codeword census and the codeword images h(B) that the
 bit-plane census replaced, and the argparse parser that
 `cli.parse_args` replaced.
@@ -347,6 +348,11 @@ def oracle_eta(scale, trunc48):
     return QSeries({e + 2 * scale: c for e, c in prod.items()}, trunc48)
 
 
+def dilate(f, m):
+    """f with q replaced by q^m for a positive integer m."""
+    return QSeries({e * m: c for e, c in f.coeffs.items()}, f.trunc48 * m)
+
+
 # ---------- the catalog builders that `modfunc._CATALOG` replaced ----------
 
 _PAD = 6 * DEN
@@ -359,11 +365,12 @@ def _build_t4a(t48):
 
 
 def _build_t8b(t48):
-    return _build_t4a((t48 + DEN) // 2).dilate(2).pow_rational(Fraction(1, 2))
+    return dilate(_build_t4a((t48 + DEN) // 2), 2).pow_rational(Fraction(1, 2))
 
 
 def _build_t16a(t48):
-    return _build_t4a((t48 + 3 * DEN) // 4).dilate(4).pow_rational(Fraction(1, 4))
+    return dilate(_build_t4a((t48 + 3 * DEN) // 4), 4).pow_rational(
+        Fraction(1, 4))
 
 
 def _build_t3a(t48):
@@ -373,7 +380,7 @@ def _build_t3a(t48):
 
 
 def _build_t6b(t48):
-    return _build_t3a((t48 + DEN) // 2).dilate(2).pow_rational(Fraction(1, 2))
+    return dilate(_build_t3a((t48 + DEN) // 2), 2).pow_rational(Fraction(1, 2))
 
 
 def _build_t12a(t48):

@@ -30,7 +30,7 @@ from thetaforge.qseries import DEN, QSeries, shifted_theta
 
 from oracles import (
     a_partition_order, brute_fixed_words, brute_force_automorphisms,
-    _images, d_partition_anchor, hamming8_class_representatives,
+    dilate, _images, d_partition_anchor, hamming8_class_representatives,
     oracle_eta, tuple_census_theta, walk_doubling_code, walk_doubling_lattice,
     weight_enumerator,
 )
@@ -697,7 +697,7 @@ CATALOG_BASES = ["A1", "A2", "K", "E8", "D4", "D4*", "D8", "A1^4", "A2^3"]
 def test_catalog_scales_like_a_dilation(name):
     for scale in range(1, 5):
         for t in (1, 12, 47, T(1), T(1) + 1, T(7) + 5, T(12)):
-            want = catalog_theta(name, 1, -(-t // scale)).dilate(scale)
+            want = dilate(catalog_theta(name, 1, -(-t // scale)), scale)
             assert catalog_theta(name, scale, t) == want.truncate48(t), (
                 name, scale, t)
 
@@ -713,7 +713,8 @@ def test_catalog_a2_eta_identity():
 
 def test_catalog_powers_and_scales():
     assert catalog_theta("A1^4", 2, T(8)).matches(catalog_theta("A1", 2, T(8)) ** 4)
-    assert catalog_theta("A2", 2, T(8)).matches(catalog_theta("A2", 1, T(16)).dilate(2))
+    assert catalog_theta("A2", 2, T(8)).matches(
+        dilate(catalog_theta("A2", 1, T(16)), 2))
     assert catalog_theta("D8", 1, T(6)).integer_coefficients(0, 2) == [1, 112, 1136]
 
 

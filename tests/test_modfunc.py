@@ -35,8 +35,8 @@ from thetaforge.qseries import DEN, PrecisionError, QSeries
 from thetaforge.verify import _SUBGROUP_CLASSES
 
 from oracles import (
-    CATALOG_BUILDERS, full_window_identify, hamming8_class_representatives,
-    oracle_eta,
+    CATALOG_BUILDERS, dilate, full_window_identify,
+    hamming8_class_representatives, oracle_eta,
 )
 
 T = lambda n: n * DEN
@@ -78,7 +78,7 @@ def test_eta_product_is_built_once_and_shared_unchanged():
     derived = [first * first, first + first, first - 1, -first, 3 * first,
                first * first ** -1, first / 3, first ** 2, first ** 1,
                first.pow_rational(Fraction(1, 2)), first.truncate48(T(4)),
-               first.dilate(2)]
+               dilate(first, 2)]
     assert derived[8] is first   # a first power is the series itself
     assert (first.coeffs, first.trunc48) == snapshot
     assert eta_product(parse_orbit_type("1^2 2 4"), T(10)) == QSeries(*snapshot)
@@ -271,6 +271,14 @@ def test_faber_table_against_series_oracle(source, K):
     assert faber_grid(f, K) == oracle_faber_grid(f, K)
 
 
+def test_faber_table_on_the_series_benchmark_input():
+    # the quotient that `replicable --group "(1,5,2)(3,7,8)" --krep 48
+    # --trunc 100` tabulates on hamming8
+    _, q = fixed_quotient(HAM, parse_generators("(1,5,2)(3,7,8)", 8), T(100))
+    f = strip_constant(q)[0]
+    assert faber_grid(f, 48) == oracle_faber_grid(f, 48)
+
+
 coeff_st = st.integers(min_value=-9, max_value=9)
 exact_coeff_st = st.one_of(
     coeff_st, st.fractions(min_value=-9, max_value=9, max_denominator=6))
@@ -279,7 +287,7 @@ exact_coeff_st = st.one_of(
 @st.composite
 def strided_faber_input(draw):
     """(f, K): f = q^-1 plus a tail on the exponents t with s | t+1."""
-    K = draw(st.integers(min_value=1, max_value=6))
+    K = draw(st.integers(min_value=1, max_value=12))
     s = draw(st.integers(min_value=1, max_value=5))
     coeffs = {-DEN: 1}
     for t in range(s - 1, 2 * K + 1, s):
@@ -288,8 +296,28 @@ def strided_faber_input(draw):
     return QSeries(coeffs, T(2 * K) + 1), K
 
 
+def strided_tail(s, K):
+    """(f, K): a fixed tail on stride s, its first coefficient 1/3."""
+    tail = [t for t in range(s - 1, 2 * K + 1, s) if t]
+    coeffs = {-DEN: 1, T(tail[0]): Fraction(1, 3)}
+    coeffs.update({T(t): t % 7 - 2 for t in tail[1:] if t % 7 - 2})
+    return QSeries(coeffs, T(2 * K) + 1), K
+
+
+# The square walks the anti-diagonals sigma = j + k that stride s
+# divides.  These put sigma = K + 1, the last one closed on row 1, and
+# sigma = 2K, the last one, on stride 1 to 5, at both middle parities.
 @given(strided_faber_input())
 @example((QSeries({-DEN: 1}, T(13)), 6))
+@example(strided_tail(1, 6))    # sigma = 7 odd, 12 even
+@example(strided_tail(1, 7))    # sigma = 8 even, 14 even
+@example(strided_tail(2, 5))    # sigma = 6 and 10
+@example(strided_tail(3, 8))    # sigma = 9 odd
+@example(strided_tail(3, 6))    # sigma = 12 even
+@example(strided_tail(4, 7))    # sigma = 8
+@example(strided_tail(4, 8))    # sigma = 16
+@example(strided_tail(5, 4))    # sigma = 5 odd
+@example(strided_tail(5, 10))   # sigma = 20 even
 @settings(max_examples=60, deadline=None)
 def test_faber_table_on_strided_tails_against_the_oracle(case):
     f, K = case
@@ -309,7 +337,9 @@ def test_faber_table_precision_boundary(name, K):
 def test_faber_table_checks_the_symmetric_fill(monkeypatch):
     f = _faber_input("T_3A", 4)
     monkeypatch.setattr(modfunc, "exact_div", lambda a, b: Fraction(a, b) + 1)
-    with pytest.raises(ThetaforgeError, match=r"asymmetric at \(2, 1\)"):
+    # every exact division is off by one, so the first walk onto row 1,
+    # at sigma = 4, no longer gives G_{1,3} = 3 a_3
+    with pytest.raises(ThetaforgeError, match=r"asymmetric at \(1, 3\)"):
         _faber_rows(f, 4)
 
 
@@ -399,11 +429,11 @@ def test_halved_dilations_are_consistent():
     t4a = mckay_thompson("T_4A", T(24))
     t8b = mckay_thompson("T_8B", T(12))
     t16a = mckay_thompson("T_16a", T(6))
-    assert (t8b * t8b).matches(t4a.dilate(2))
-    assert (t16a ** 4).matches(t4a.dilate(4))
+    assert (t8b * t8b).matches(dilate(t4a, 2))
+    assert (t16a ** 4).matches(dilate(t4a, 4))
     t3a = mckay_thompson("T_3A", T(12))
     t6b = mckay_thompson("T_6b", T(6))
-    assert (t6b * t6b).matches(t3a.dilate(2))
+    assert (t6b * t6b).matches(dilate(t3a, 2))
 
 
 def test_all_named_series_are_integral_hauptmodul_shaped():
