@@ -9,9 +9,6 @@ by the lifted automorphisms.
 
 __version__ = "0.1.0"
 
-from .qseries import DEN, PrecisionError, QSeries, shifted_theta
+from .qseries import DEN, PrecisionError, QSeries
 
-__all__ = [
-    "DEN", "PrecisionError", "QSeries", "shifted_theta",
-    "__version__",
-]
+__all__ = ["DEN", "PrecisionError", "QSeries", "__version__"]

@@ -8,6 +8,12 @@ twisted by a sign character on even powers, and averaging them gives
 the character of the fixed subVOA.  The identities relating these
 characters across subgroups are checked in `verify`.
 
+`character_cyclic` and `character_group` return the record {"lift_order",
+"doubling", "per_j", "character"}: the lift order (for a group, the
+group order), whether the lift doubles, the trace series of each power
+j of a cyclic lift (none for a group) and the character series.  `cli`
+writes it out, and `verify` reads its "character".
+
 Every trace, of a cyclic power, a group element or the full lattice,
 goes through `_trace`.  `character_plus(code, trunc48, g=None,
 flavor=...)` adds the -id twist to the trace of the full lattice, or
@@ -26,23 +32,6 @@ from .lattice import kernel_theta, lift_order, require_even, theta_twisted
 from .modfunc import eta_product, eta_quotient
 from .perms import Perm, group_elements, orbits
 from .qseries import DEN, QSeries
-
-class CharacterReport:
-    """Assembled character plus the per-power traces that built it."""
-
-    def __init__(self, lift_order, doubling, per_j, character):
-        self.lift_order = lift_order
-        self.doubling = doubling
-        self.per_j = per_j
-        self.character = character
-
-    def to_json_obj(self):
-        obj = self.character.to_json_obj()
-        obj["doubling"] = self.doubling
-        obj["lift_order"] = self.lift_order
-        obj["per_j"] = {str(j): s.to_json_obj()
-                        for j, s in sorted(self.per_j.items())}
-        return obj
 
 
 def _doubling_element(code: BinaryCode, elements, flavor: str):
@@ -92,7 +81,7 @@ def _character(terms, N):
 
 
 def character_cyclic(code: BinaryCode, g: Perm, trunc48: int,
-                     flavor: str = "plain") -> CharacterReport:
+                     flavor: str = "plain") -> dict:
     """Character of the subVOA fixed by the cyclic group of the lift.
 
     The traces are rational series and powers of the lift that generate
@@ -107,11 +96,12 @@ def character_cyclic(code: BinaryCode, g: Perm, trunc48: int,
         d = gcd(j, n)
         per[j] = per[d] if d < j else _trace(code, g, j, trunc48, flavor)
     ch = _character(list(per.values()), code.n)
-    return CharacterReport(n, n != g.order(), per, ch)
+    return {"lift_order": n, "doubling": n != g.order(), "per_j": per,
+            "character": ch}
 
 
 def character_group(code: BinaryCode, gens, trunc48: int,
-                    flavor: str = "plain") -> CharacterReport:
+                    flavor: str = "plain") -> dict:
     """Character of the subVOA fixed by lifting a whole subgroup.
 
     Only supported on an even lattice and when no element's lift
@@ -139,7 +129,8 @@ def character_group(code: BinaryCode, gens, trunc48: int,
         else:
             code.require_automorphism(el)
         terms.append(traces[cycles])
-    return CharacterReport(len(elements), False, {}, _character(terms, code.n))
+    return {"lift_order": len(elements), "doubling": False, "per_j": {},
+            "character": _character(terms, code.n)}
 
 
 def character_plus(code: BinaryCode, trunc48: int, g=None,

@@ -39,6 +39,7 @@ from .verify import FIGURE_IDS, verify_figure
 
 THETA_TRUNC = 16   # default integer q-powers for thetas and characters
 REP_TRUNC = 26     # default for replicability and identification
+MAX_TRUNC = 1000   # largest window any verb computes
 
 # Each verb's flags, and its positional argument if it has one, with a
 # converter and a default.  A converter is str, int, a tuple of choices
@@ -243,13 +244,17 @@ def _job_record(args, command, group, trunc, krep):
 
 
 def _trunc(args):
-    """--trunc or the verb's default; replicability needs 10 powers."""
+    """--trunc or the verb's default, refused above MAX_TRUNC before
+    anything is computed; replicability needs 10 powers."""
     deep = "--krep" in VERBS[args.command]
     trunc = args.trunc
     if trunc is None:
         trunc = REP_TRUNC if deep else THETA_TRUNC
     if trunc < 1:
         raise DomainError("--trunc must be at least 1, got %d" % trunc)
+    if trunc > MAX_TRUNC:
+        raise DomainError("--trunc must be at most %d, got %d"
+                          % (MAX_TRUNC, trunc))
     if deep and trunc < 10:
         raise DomainError(
             "replicability needs at least 10 integer powers, got %d" % trunc)
@@ -317,7 +322,12 @@ def _run_compute(args):
         else:
             report = character_group(code, gens, trunc48,
                                      flavor=args.flavor)
-        outputs = {"character": report.to_json_obj()}
+        character = report["character"].to_json_obj()
+        character["doubling"] = report["doubling"]
+        character["lift_order"] = report["lift_order"]
+        character["per_j"] = {str(j): s.to_json_obj()
+                              for j, s in sorted(report["per_j"].items())}
+        outputs = {"character": character}
     group = args.group or (args.group_file and "@" + args.group_file) or ""
     job = _job_record(args, command, group, trunc, krep)
     _emit(args, {

@@ -118,14 +118,6 @@ class BinaryCode:
             raise DomainError(
                 "refusing to enumerate 2^%d codewords" % self.dim)
 
-    def codewords(self):
-        """All codewords, in a deterministic order."""
-        self.require_listable()
-        words = [0]
-        for b in self.basis:
-            words += [w ^ b for w in words]
-        return words
-
     def is_doubly_even(self):
         # wt(a ⊕ b) = wt(a) + wt(b) - 2|a ∩ b|, so the rows decide it
         rows = self.basis

@@ -66,7 +66,7 @@ FLAVORS = ("plain", "super0", "super1")
 def _factor(size, quarters, alternating, trunc48):
     """Theta of an orbit block of `size` coordinates shifted by quarters/4:
     sum q^(size (n + quarters/4)^2), 3 size (4n + quarters)^2 in 48ths."""
-    return int_theta(3 * size, 1, 4, quarters, trunc48, alternating)
+    return int_theta(3 * size, 4, quarters, trunc48, alternating)
 
 
 @cache
@@ -121,9 +121,9 @@ def _twist_parity(beta, n, p_self, p_pair, p_hh):
 
 
 def _row_patterns(k):
-    """Pattern of each of k basis rows over the 2^k words of codewords()
-    order: bit w of pattern b is bit b of w, so 2^b zeros then 2^b ones,
-    repeated, built by doubling shifts."""
+    """Pattern of each of k basis rows over the 2^k words in binary
+    counting order over the basis rows: bit w of pattern b is bit b of
+    w, so 2^b zeros then 2^b ones, repeated, built by doubling shifts."""
     patterns = []
     for b in range(k):
         half = 1 << b
@@ -157,16 +157,16 @@ def _census_keys(code: BinaryCode, masks, pair_mask=0,
     """Counter of the popcount keys of the codewords of code, none listed.
 
     A key is |B ∩ m| for each mask m, then |B ∩ hB ∩ pair_mask| for the
-    twist h.  Word w of codewords() order is the XOR of the rows whose
-    bit is set in w, so coordinate i over all words is the 2^k-bit plane
-    P_i, the XOR of the patterns of the rows that contain i, and
-    coordinate i of hB is P_{h⁻¹(i)}.  Each key column is a bit-sliced
-    sum of planes, P_i over the coordinates of its mask or P_i &
-    P_{h⁻¹(i)} over the paired ones, and the words of one key are one
-    leaf of the all-ones selector split on every column's digit planes.
-    Coordinates in the same rows share a plane, which a column adds once
-    with its multiplicity; a repeated mask is counted once and a zero
-    mask not at all.
+    twist h.  In binary counting order over the basis rows, word w is
+    the XOR of the rows whose bit is set in w, so coordinate i over all
+    words is the 2^k-bit plane P_i, the XOR of the patterns of the rows
+    that contain i, and coordinate i of hB is P_{h⁻¹(i)}.  Each key
+    column is a bit-sliced sum of planes, P_i over the coordinates of
+    its mask or P_i & P_{h⁻¹(i)} over the paired ones, and the words of
+    one key are one leaf of the all-ones selector split on every
+    column's digit planes.  Coordinates in the same rows share a plane,
+    which a column adds once with its multiplicity; a repeated mask is
+    counted once and a zero mask not at all.
     """
     code.require_listable()
     n = code.n
@@ -370,8 +370,8 @@ def doubling_code_criterion(code: BinaryCode, g: Perm):
     The standard lift of g to the lattice vertex algebra has twice the
     order of g exactly when some codeword B has |B ∩ g^{m/2}B| ≡ 2
     mod 4 (m even).  That parity is linear in B (module docstring), so
-    the first basis row with it is also the first such word in
-    codewords() order, which counts in binary over the rows.  Returns
+    the witness, the first basis row with it, is also the first such
+    word in binary counting order over the basis rows.  Returns
     (verdict, witness codeword mask or None).
     """
     if not code.is_doubly_even():

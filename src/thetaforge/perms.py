@@ -37,9 +37,6 @@ class Perm:
     def n(self):
         return len(self.images)
 
-    def __call__(self, i):
-        return self.images[i]
-
     def __mul__(self, other):
         """self * other means: apply other first, then self."""
         if self.n != other.n:

@@ -11,21 +11,19 @@ below ``trunc48`` (also in 48ths) and nothing beyond.  Arithmetic
 propagates truncations honestly, so multiplying by a series with a
 negative leading exponent shrinks the window the way it should, and
 truncating never widens a window: asking for more than is known is a
-PrecisionError.  Every exponent and window, in and out, is in 48ths;
-only `integer_coefficients` reads whole powers q^k.  Coefficients are
-ints or Fractions, never floats, and so are powers and theta weights
-and shifts: a float raises TypeError.  A whole number is always stored
-as an int: a Fraction never has denominator 1.  Every coefficient
-division goes through `exact_div`, which returns an int whenever the
-quotient is whole, so the coefficients of integral series stay ints
-through products, powers and divisions.
+PrecisionError.  Every exponent and window, in and out, is in 48ths.
+Coefficients are ints or Fractions, never floats, and so are powers: a
+float raises TypeError.  A whole number is always stored as an int: a
+Fraction never has denominator 1.  Every coefficient division goes
+through `exact_div`, which returns an int whenever the quotient is
+whole, so the coefficients of integral series stay ints through
+products, powers and divisions.
 
-A Fraction is made only for a value that is not whole: by `exact_div`,
-by `rational_power`, or for the message of an off-grid theta exponent,
-all through `_fraction`.  This module does not import `fractions` (with
-it `decimal` and `numbers`) until then, so a job whose values are all
-whole never loads it; until it is loaded no Fraction can exist, and
-type checks look the class up in `sys.modules`.
+A Fraction is made only for a value that is not whole: by `exact_div`
+or by `rational_power`, both through `_fraction`.  This module does not
+import `fractions` (with it `decimal` and `numbers`) until then, so a
+job whose values are all whole never loads it; until it is loaded no
+Fraction can exist, and type checks look the class up in `sys.modules`.
 
 Products are sparse convolutions.  A rational power f**r runs J.C.P.
 Miller's power recurrence on the exponent stride of f, which costs
@@ -86,8 +84,9 @@ def exact_int(n, what="exponent"):
 
 
 def exact_rational(r, what):
-    """A rational argument from outside (a power, a theta weight or
-    shift), as an int when it is whole; a float is refused, not rounded."""
+    """A rational argument from outside (a power, a base or a
+    coefficient), as an int when it is whole; a float is refused, not
+    rounded."""
     if not _is_rational(r):
         raise TypeError("%s %r is not an int or a Fraction" % (what, r))
     return _norm_coeff(r)
@@ -198,10 +197,6 @@ class QSeries:
                 "coefficient at %s/48 is beyond the truncation %s/48"
                 % (e48, self.trunc48))
         return self.coeffs.get(e48, 0)
-
-    def integer_coefficients(self, lo, hi):
-        """Coefficients at the whole powers q^lo, ..., q^hi inclusive."""
-        return [self.coeff48(k * DEN) for k in range(lo, hi + 1)]
 
     def exponents48(self):
         return sorted(self.coeffs)
@@ -456,26 +451,22 @@ def eta_power(num, counts, power, trunc48):
                          for n, x in enumerate(f[:terms]) if x}, trunc48)
 
 
-def int_theta(num, den, stride, offset, trunc48, alternating=False):
-    """Sum over n of (-1)^(n if alternating) q^(num (stride n + offset)^2 / den),
+def int_theta(num, stride, offset, trunc48, alternating=False):
+    """Sum over n of (-1)^(n if alternating) q^(num (stride n + offset)^2),
     the exponents in 48ths: the integer core of every theta series.
 
-    num, den and stride are positive ints and offset is an int; every
-    exponent must be a whole number of 48ths.
+    num and stride are positive ints and offset is an int.
     """
-    for x in (num, den, stride, offset):
+    for x in (num, stride, offset):
         exact_int(x, "theta parameter")
     trunc48 = exact_int(trunc48)
-    if num < 1 or den < 1 or stride < 1:
+    if num < 1 or stride < 1:
         raise ValueError("theta parameters must be positive")
     coeffs = {}
 
     def put(n):
         m = n * stride + offset
-        e, rem = divmod(num * m * m, den)
-        if rem:
-            raise ValueError("theta exponent %s leaves the 1/%d grid"
-                             % (_fraction(num * m * m, den * DEN), DEN))
+        e = num * m * m
         if e >= trunc48:
             return False
         s = -1 if (alternating and n % 2) else 1
@@ -495,33 +486,16 @@ def int_theta(num, den, stride, offset, trunc48, alternating=False):
     return QSeries._raw(coeffs, trunc48)
 
 
-def shifted_theta(weight, shift, trunc48, alternating=False):
-    """Sum over n of (-1)^(n if alternating) q^(weight*(n+shift)^2).
-
-    weight is a positive rational, shift is a rational in [0, 1).
-    Exponents must land on the 1/48 grid.
-    """
-    weight = exact_rational(weight, "theta weight")
-    shift = exact_rational(shift, "theta shift")
-    if weight <= 0:
-        raise ValueError("theta weight must be positive")
-    # with weight = a/b and shift = s/t, weight (n + shift)^2 in 48ths is
-    # 48 a (n t + s)^2 / (b t^2), all in ints
-    t = shift.denominator
-    return int_theta(weight.numerator * DEN, weight.denominator * t * t, t,
-                     shift.numerator, trunc48, alternating)
-
-
 def theta2(t, trunc48):
     """Jacobi theta_2 of q**t: sum q^(t(n+1/2)^2/2), 6t (2n+1)^2 in 48ths."""
-    return int_theta(6 * t, 1, 2, 1, trunc48)
+    return int_theta(6 * t, 2, 1, trunc48)
 
 
 def theta3(t, trunc48):
     """Jacobi theta_3 of q**t: sum q^(t n^2/2), 24t n^2 in 48ths."""
-    return int_theta(24 * t, 1, 1, 0, trunc48)
+    return int_theta(24 * t, 1, 0, trunc48)
 
 
 def theta4(t, trunc48):
     """Jacobi theta_4 of q**t: sum (-1)^n q^(t n^2/2)."""
-    return int_theta(24 * t, 1, 1, 0, trunc48, alternating=True)
+    return int_theta(24 * t, 1, 0, trunc48, alternating=True)

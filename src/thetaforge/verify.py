@@ -129,10 +129,10 @@ def _verify_fig5():
     t48 = 8 * DEN
     return [
         _series_row("2^4 rep character",
-                    character_cyclic(ham, rep, t48).character, -16,
+                    character_cyclic(ham, rep, t48)["character"], -16,
                     [1, 64, 1052, 8704, 53382, 264448, 1133112]),
         _series_row("2^4 nr character",
-                    character_cyclic(ham, nr, t48).character, -16,
+                    character_cyclic(ham, nr, t48)["character"], -16,
                     [1, 136, 2076, 17472, 106630, 529184, 2265656]),
         _series_row("fixed-kernel plus character",
                     character_plus(ham, t48, rep), -16,
@@ -207,7 +207,7 @@ def _verify_ex53():
         _series_row("T(0,6)", trace_series(ham, g, 6, 11 * DEN), -16,
                     [1, 0, -4, 0, 6, 0, -8, 0, 17, 0, -28]),
         _series_row("character of the fixed subVOA",
-                    character_cyclic(ham, g, 8 * DEN).character, -16,
+                    character_cyclic(ham, g, 8 * DEN)["character"], -16,
                     [1, 38, 550, 4432, 26914, 132760, 567756]),
     ]
 
@@ -216,13 +216,14 @@ def _verify_ex81():
     ham = catalog_code("hamming8")
     f21 = parse_generators(_F21, 8)
     t48 = 8 * DEN
-    ch7 = character_group(ham, f21[:1], t48).character
-    ch3 = character_group(ham, f21[1:], t48).character
+    ch7 = character_group(ham, f21[:1], t48)["character"]
+    ch3 = character_group(ham, f21[1:], t48)["character"]
     full = trace_series(ham, Perm.identity(8), 0, t48)
     status = verify_identity("ThmD-pq", ham, t48, group=f21)["status"]
     return [
-        _series_row("order 21 group", character_group(ham, f21, t48).character,
-                    -16, [1, 22, 242, 1762, 10460, 51078, 217266]),
+        _series_row("order 21 group",
+                    character_group(ham, f21, t48)["character"], -16,
+                    [1, 22, 242, 1762, 10460, 51078, 217266]),
         _series_row("order 7 subgroup", ch7, -16,
                     [1, 38, 596, 4974, 30468, 151102, 647298]),
         _series_row("order 3 subgroup", ch3, -16,
@@ -306,14 +307,14 @@ def _check_thmC(which, code, g1, g2, trunc48, flavor):
         reason = _half_swap_reason(code, g2, "D*", "second", flavor, trunc48)
     if reason is not None:
         return [_hypotheses(reason)]
-    ch1 = character_cyclic(code, g1, trunc48, flavor=flavor).character
+    ch1 = character_cyclic(code, g1, trunc48, flavor=flavor)["character"]
     ch_ker_plus = character_plus(code, trunc48, g1, flavor=flavor)
     ch_d = _d_lattice_character(code.n, trunc48)
     if which == "ThmC-1":
         lhs1 = trace_series(code, g1, 1, trunc48, flavor)
         rhs1 = (ch1 - ch_ker_plus + ch_d).truncate48(trunc48)
         return [_hypotheses(), _compare("rep quotient identity", lhs1, rhs1)]
-    ch2 = character_cyclic(code, g2, trunc48, flavor=flavor).character
+    ch2 = character_cyclic(code, g2, trunc48, flavor=flavor)["character"]
     ch_plus = character_plus(code, trunc48, flavor=flavor)
     lhs2 = trace_series(code, g2, 1, trunc48, flavor)
     rhs2 = (2 * (ch2 - ch_plus) - (ch1 - ch_ker_plus) + ch_d).truncate48(trunc48)
@@ -328,7 +329,7 @@ def _group_relation(label, code, k, gens, a_gens, b_gens, trunc48, flavor):
     """The rows of k Ch^G = Ch^A + k Ch^B - Ch V, with G, A and B the
     groups that gens, a_gens and b_gens generate, and V the full VOA."""
     ch_g, ch_a, ch_b = (
-        character_group(code, s, trunc48, flavor=flavor).character
+        character_group(code, s, trunc48, flavor=flavor)["character"]
         for s in (gens, a_gens, b_gens))
     ch_full = trace_series(code, Perm.identity(code.n), 0, trunc48, flavor=flavor)
     return [_hypotheses(),
@@ -406,13 +407,14 @@ def _check_parity(code, g_rep, g_nr, trunc48, flavor):
         rows.append(_compare(
             "D-lattice character meets nr quotient on even powers",
             ch_d, quo_nr, N, 0))
-    ch_nr = character_cyclic(code, g_nr, trunc48, flavor=flavor).character
+    ch_nr = character_cyclic(code, g_nr, trunc48, flavor=flavor)["character"]
     ch_plus = character_plus(code, trunc48, flavor=flavor)
     rows.append(_compare(
         "nr character meets the negation-fixed character on even powers",
         ch_nr, ch_plus, N, 0))
     if N % 16 == 8 and lift_order(code, g_rep, flavor=flavor) > g_rep.order():
-        ch_rep = character_cyclic(code, g_rep, trunc48, flavor=flavor).character
+        ch_rep = character_cyclic(code, g_rep, trunc48,
+                                  flavor=flavor)["character"]
         ch_ker = character_plus(code, trunc48, g_rep, flavor=flavor)
         rows.append(_compare(
             "rep character meets the kernel-plus character on even powers",

@@ -166,6 +166,7 @@ def _other_jobs():
         ["theta", "--code", "no/such/file.txt"],
         ["theta", "--group", "()", "--group-file", group_file],
         ["theta", "--trunc", "0"],
+        ["theta", "--trunc", "1001"],
         ["replicable", "--trunc", "9"],
         ["replicable", "--krep", "0"],
         ["doubling", "--group", "(1,2)(3,4)(5,6)(7,8), (1,3)(2,4)(5,7)(6,8)"],

@@ -9,8 +9,9 @@ the hand-padded catalog builders that the eta-quotient table replaced,
 the eta function as its explicit product, which the one eta kernel
 `qseries.eta_power` replaced,
 the codeword walks that the basis-row doubling criteria replaced,
-the dilation q -> q^m that only tests ask for, the
-tuple-per-codeword census and the codeword images h(B) that the
+the dilation q -> q^m, the codeword listing, the coefficients at whole
+powers and the thetas with a rational weight and shift, which only tests
+ask for, the tuple-per-codeword census and the codeword images h(B) that the
 bit-plane census replaced, and the argparse parser that
 `cli.parse_args` replaced.
 """
@@ -19,6 +20,7 @@ import argparse
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations as _all_perms
+from math import isqrt
 from pathlib import Path
 
 from thetaforge.codes import BinaryCode
@@ -29,12 +31,49 @@ from thetaforge.lattice import (
 )
 from thetaforge.modfunc import MT_NAMES, mckay_thompson, strip_constant
 from thetaforge.perms import Perm, parse_generators
-from thetaforge.qseries import (
-    DEN, PrecisionError, QSeries, exact_div, shifted_theta,
-)
+from thetaforge.qseries import DEN, PrecisionError, QSeries, exact_div
 from thetaforge.verify import FIGURE_IDS
 
 HALF = Fraction(1, 2)
+
+
+# ---------- listings and readings that only tests ask for ----------
+
+def codewords(code: BinaryCode):
+    """All codewords of code, in binary counting order over the basis
+    rows: word w is the XOR of the rows whose bit is set in w."""
+    code.require_listable()
+    words = [0]
+    for b in code.basis:
+        words += [w ^ b for w in words]
+    return words
+
+
+def integer_coefficients(f, lo, hi):
+    """Coefficients of f at the whole powers q^lo, ..., q^hi inclusive."""
+    return [f.coeff48(k * DEN) for k in range(lo, hi + 1)]
+
+
+def shifted_theta(weight, shift, trunc48, alternating=False):
+    """Sum over n of (-1)^(n if alternating) q^(weight (n + shift)^2),
+    exact below trunc48, by summing every term of |n| up to a bound.
+
+    weight is a positive rational and shift a rational in [0, 1); every
+    exponent below the window must be a whole number of 48ths.
+    """
+    weight, shift = Fraction(weight), Fraction(shift)
+    # |n + shift| < sqrt(trunc48 / (48 weight)) for every term kept
+    bound = isqrt(max(0, -(-Fraction(trunc48, DEN) // weight))) + 2
+    out = {}
+    for n in range(-bound, bound + 1):
+        e = weight * (n + shift) ** 2 * DEN
+        if e >= trunc48:
+            continue
+        if e.denominator != 1:
+            raise ValueError("theta exponent %s/48 is off the grid" % e)
+        sign = -1 if alternating and n % 2 else 1
+        out[int(e)] = out.get(int(e), 0) + sign
+    return QSeries(out, trunc48)
 
 
 def brute_force_automorphisms(is_member, n, cap_degree=8):
@@ -63,13 +102,13 @@ def brute_fixed_words(code: BinaryCode, gens):
     Keeps the oracles independent of `BinaryCode.fixed_subcode`, which
     solves for the same words by elimination.
     """
-    return [w for w in code.codewords()
+    return [w for w in codewords(code)
             if all(g.apply_mask(w) == w for g in gens)]
 
 
 def weight_enumerator(code: BinaryCode):
     """Counts of codewords by Hamming weight, by walking all of C."""
-    return Counter(w.bit_count() for w in code.codewords())
+    return Counter(w.bit_count() for w in codewords(code))
 
 
 def _images(code: BinaryCode, h: Perm):
@@ -92,7 +131,7 @@ def walk_doubling_code(code: BinaryCode, g: Perm):
     if m % 2:
         return False, None
     h = g ** (m // 2)
-    for bmask, hmask in zip(code.codewords(), _images(code, h)):
+    for bmask, hmask in zip(codewords(code), _images(code, h)):
         if (bmask & hmask).bit_count() % 4 == 2:
             return True, bmask
     return False, None
@@ -113,9 +152,9 @@ def walk_doubling_lattice(code: BinaryCode, g: Perm, flavor: str):
         return False, None
     h = g ** (m // 2)
     n = code.n
-    pair_mask = sum(1 << i for i in range(n) if h(i) != i)
+    pair_mask = sum(1 << i for i in range(n) if h.images[i] != i)
     self_mask = ((1 << n) - 1) ^ pair_mask
-    for bmask, hmask in zip(code.codewords(), _images(code, h)):
+    for bmask, hmask in zip(codewords(code), _images(code, h)):
         key = ((bmask & self_mask).bit_count(), (bmask & pair_mask).bit_count(),
                (bmask & hmask & pair_mask).bit_count())
         if _twist_parity(0, n, *key):
@@ -134,8 +173,8 @@ def tuple_census_theta(code: BinaryCode, gens, trunc48: int, j=None,
 
     It builds one key tuple per codeword in Python, keys block shifts by
     Fractions, weights the two coordinate-sum halves of a coset by
-    Fraction(k, 2) and builds each block product from the public
-    `shifted_theta`.  The engine now counts keys one column per mask,
+    Fraction(k, 2) and builds each block product from `shifted_theta`
+    above.  The engine now counts keys one column per mask,
     keys shifts by whole quarters and keeps twice each weight as an int;
     both must give the same series.
     """
@@ -159,7 +198,7 @@ def tuple_census_theta(code: BinaryCode, gens, trunc48: int, j=None,
     # walk B in codewords() order with hB beside it (h is linear; with
     # no twist pair_mask is 0); a key is |B ∩ U_s| for each size s,
     # then p_self, p_pair and p_hh
-    words = images = sub.codewords()
+    words = images = codewords(sub)
     if twist is not None:
         images = _images(sub, twist)
     keys = Counter(tuple((w & m).bit_count() for m in masks)
@@ -265,7 +304,7 @@ def a_partition_order(code: BinaryCode, g: Perm):
         return None
     # Any sum of k >= 2 disjoint basis words has weight 2kr > 2r, so the
     # basis is exactly the set of minimal-weight fixed words.
-    basis = [w for w in fixed.codewords() if bin(w).count("1") == 2 * r]
+    basis = [w for w in codewords(fixed) if bin(w).count("1") == 2 * r]
     if len(basis) != fixed.dim:
         return None
     union = 0
@@ -293,7 +332,7 @@ def d_partition_anchor(code: BinaryCode, g: Perm):
     fixed = BinaryCode(code.n, brute_fixed_words(code, [g]))
     if 4 * (fixed.dim - 1) != code.n:
         return None
-    words = fixed.codewords()
+    words = codewords(fixed)
     quads = [w for w in words if bin(w).count("1") == 4]
     halves = [w for w in words if 2 * bin(w).count("1") == code.n]
     universe = (1 << code.n) - 1

@@ -14,8 +14,8 @@ import pytest
 
 from thetaforge import characters, lattice
 from thetaforge.characters import (
-    CharacterReport, _character, _doubling_element, character_cyclic,
-    character_group, character_plus, trace_series,
+    _character, _doubling_element, character_cyclic, character_group,
+    character_plus, trace_series,
 )
 from thetaforge.codes import BinaryCode, catalog_code
 from thetaforge.errors import DomainError, ThetaforgeError
@@ -91,9 +91,9 @@ def test_character_cyclic_decides_the_lift_order_once(monkeypatch):
     monkeypatch.setattr(lattice, "doubling_lattice_criterion", counted)
     report = character_cyclic(golay, swap, T(2), flavor="super1")
     assert len(calls) == 1
-    assert report.lift_order == 4 and report.doubling
+    assert report["lift_order"] == 4 and report["doubling"]
     # every j traced on its own, against one trace per divisor of 4
-    for j, series in report.per_j.items():
+    for j, series in report["per_j"].items():
         assert series == trace_series(golay, swap, j, T(2), flavor="super1")
 
 
@@ -108,7 +108,7 @@ def test_character_cyclic_traces_once_per_divisor(flavor):
         every = {j: characters._trace(HAM, g, j, T(8), flavor)
                  for j in range(n)}
         if is_even(HAM, flavor):
-            got = character_cyclic(HAM, g, T(8), flavor=flavor).per_j
+            got = character_cyclic(HAM, g, T(8), flavor=flavor)["per_j"]
             assert got == every, (g, flavor)
         else:
             assert all(every[j] == every[gcd(j, n)]
@@ -134,12 +134,13 @@ def test_code_criterion_alone():
 
 
 def test_doubling_lists_no_codewords(monkeypatch):
+    # every walk over the words, listed or counted, asks this first
     def no_listing(self):
-        raise AssertionError("listed the codewords to decide doubling")
+        raise AssertionError("walked the codewords to decide doubling")
 
     golay = catalog_code("golay24")
     swap = parse_perm("".join("(%d,%d)" % (i, i + 12) for i in range(1, 13)), 24)
-    monkeypatch.setattr(BinaryCode, "codewords", no_listing)
+    monkeypatch.setattr(BinaryCode, "require_listable", no_listing)
     assert doubling_code_criterion(golay, swap)[0]
     for flavor in ("plain", "super0", "super1"):
         assert doubling_lattice_criterion(golay, swap, flavor)[0]
@@ -151,24 +152,25 @@ def test_doubling_lists_no_codewords(monkeypatch):
 
 def test_order_four_character():
     report = character_cyclic(HAM, EX_G, T(7))
-    assert rows(report.character, 8, 7) == [
+    assert rows(report["character"], 8, 7) == [
         1, 38, 550, 4432, 26914, 132760, 567756]
-    assert report.lift_order == 8 and report.doubling
-    assert sorted(report.per_j) == list(range(8))
+    assert report["lift_order"] == 8 and report["doubling"]
+    assert sorted(report["per_j"]) == list(range(8))
 
 
 def test_involution_characters():
-    rep = character_cyclic(HAM, REP24, T(7)).character
+    rep = character_cyclic(HAM, REP24, T(7))["character"]
     assert rows(rep, 8, 7) == [1, 64, 1052, 8704, 53382, 264448, 1133112]
-    nr = character_cyclic(HAM, NR24, T(7)).character
+    nr = character_cyclic(HAM, NR24, T(7))["character"]
     assert rows(nr, 8, 7) == [1, 136, 2076, 17472, 106630, 529184, 2265656]
 
 
-def test_character_report_json_shape():
-    obj = character_cyclic(HAM, NR24, T(3)).to_json_obj()
-    assert obj["doubling"] is False
-    assert obj["lift_order"] == 2
-    assert set(obj["per_j"]) == {"0", "1"}
+def test_character_record_shape():
+    report = character_cyclic(HAM, NR24, T(3))
+    assert set(report) == {"lift_order", "doubling", "per_j", "character"}
+    assert report["doubling"] is False
+    assert report["lift_order"] == 2
+    assert set(report["per_j"]) == {0, 1}
 
 
 # ---------- negation-fixed characters ----------
@@ -243,13 +245,13 @@ def test_kernel_plus_character_is_the_two_eta_quotients(flavor):
 # ---------- characters of larger groups ----------
 
 def test_frobenius_group_characters():
-    assert rows(character_group(HAM, F21, T(7)).character, 8, 7) == [
+    assert rows(character_group(HAM, F21, T(7))["character"], 8, 7) == [
         1, 22, 242, 1762, 10460, 51078, 217266]
     sub7 = [parse_perm("(1,2,5,3,7,6,4)", 8)]
-    assert rows(character_group(HAM, sub7, T(7)).character, 8, 7) == [
+    assert rows(character_group(HAM, sub7, T(7))["character"], 8, 7) == [
         1, 38, 596, 4974, 30468, 151102, 647298]
     sub3 = [parse_perm("(2,5,7)(3,4,6)", 8)]
-    assert rows(character_group(HAM, sub3, T(7)).character, 8, 7) == [
+    assert rows(character_group(HAM, sub3, T(7))["character"], 8, 7) == [
         1, 92, 1418, 11688, 71346, 353212, 1511748]
 
 
@@ -259,7 +261,7 @@ def test_group_character_refuses_doubling_elements():
     assert "(1,7)(2,4)(3,8)(5,6)" in str(err.value)
     # fine when no element doubles
     report = character_group(HAM, [NR24], T(4))
-    assert report.lift_order == 2 and not report.doubling
+    assert report["lift_order"] == 2 and not report["doubling"]
 
 
 def test_character_invariant_checks_the_mean_of_the_traces():
@@ -336,7 +338,7 @@ def test_group_character_is_the_mean_over_every_element(text, flavor):
         with pytest.raises(DomainError, match="lifts with order doubling"):
             character_group(HAM, gens, T(3), flavor=flavor)
         return
-    got = character_group(HAM, gens, T(3), flavor=flavor).character
+    got = character_group(HAM, gens, T(3), flavor=flavor)["character"]
     want = _elementwise_character(HAM, gens, T(3), flavor)
     assert got.to_json_obj() == want.to_json_obj()
 
@@ -348,8 +350,8 @@ def test_cyclic_group_character_is_the_cyclic_character(flavor):
     for g in hamming8_class_representatives():
         if lift_order(HAM, g, flavor=flavor) > g.order():
             continue
-        got = character_group(HAM, [g], T(6), flavor=flavor).character
-        want = character_cyclic(HAM, g, T(6), flavor=flavor).character
+        got = character_group(HAM, [g], T(6), flavor=flavor)["character"]
+        want = character_cyclic(HAM, g, T(6), flavor=flavor)["character"]
         assert got == want, str(g)
 
 

@@ -403,6 +403,30 @@ def test_trunc_below_one_is_refused(capsys, argv):
     assert "at least 1," in payload["message"]
 
 
+@pytest.mark.parametrize("verb", ["theta", "quotient", "replicable",
+                                  "identify", "doubling", "character",
+                                  "scan"])
+def test_trunc_above_the_cap_is_refused_before_any_work(
+        capsys, tmp_path, verb):
+    # an unbounded window once ran for minutes and grew past 5 GB listing
+    # theta terms; past the cap nothing is computed, and were the cap
+    # gone, one line of 1001 powers is all this would compute
+    argv = [verb]
+    if verb == "scan":
+        argv.append(str(tmp_path / "one_line.txt"))
+        Path(argv[-1]).write_text("(1,5,2)(3,7,8)\n")
+    code, out, err = run(capsys, *argv, "--trunc", str(cli.MAX_TRUNC + 1))
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": {
+        "type": "DomainError",
+        "message": "--trunc must be at most 1000, got 1001"}}
+
+
+def test_the_largest_window_is_computed(capsys):
+    record = run_json(capsys, "theta", "--trunc", str(cli.MAX_TRUNC))
+    assert record["outputs"]["series"]["trunc_num48"] == 1000 * 48
+
+
 @pytest.mark.parametrize("trunc", ["1", "2"])
 def test_a_quotient_with_no_window_exits_4(capsys, trunc):
     # golay24 divides by eta^24, which takes 2 powers of theta's window

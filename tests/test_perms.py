@@ -31,7 +31,7 @@ def test_composition_order():
     # images compose right-to-left: (a*b)(i) = a(b(i))
     a = parse_perm("(1,2)", 3)
     b = parse_perm("(2,3)", 3)
-    assert (a * b)(2) == 0  # b: 2->3 is 1->2 zero-based, then a: 2->1
+    assert (a * b).images[2] == 0  # b: 2->3 is 1->2 zero-based, then a: 2->1
     assert a * b == parse_perm("(1,2,3)", 3)
     assert b * a == parse_perm("(1,3,2)", 3)
 

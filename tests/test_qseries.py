@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from thetaforge.lattice import _factor
 from thetaforge.qseries import (
     DEN, PrecisionError, QSeries, eta_power, exact_div, int_theta, iroot,
-    rational_power, shifted_theta, theta2, theta3, theta4,
+    rational_power, theta2, theta3, theta4,
 )
 
-from oracles import dilate, oracle_eta
+from oracles import dilate, oracle_eta, shifted_theta
 
 T = lambda n: n * DEN  # integer q-power -> 48ths
 
@@ -61,20 +61,6 @@ def oracle_pow_rational(f, r):
     cr = rational_power(c, r)
     rv = int(r * v)
     return QSeries({e + rv: cr * cc for e, cc in out.coeffs.items()}, trel + rv)
-
-
-def oracle_shifted_theta(weight, shift, trunc48, alternating=False):
-    weight, shift = Fraction(weight), Fraction(shift)
-    out = {}
-    bound = 4 + int((Fraction(trunc48, DEN) / weight) ** Fraction(1, 2) * 2)
-    for n in range(-bound, bound + 1):
-        e = weight * (n + shift) ** 2 * DEN
-        assert e.denominator == 1
-        e = int(e)
-        if e < trunc48:
-            s = -1 if (alternating and n % 2) else 1
-            out[e] = out.get(e, 0) + s
-    return {e: c for e, c in out.items() if c}
 
 
 # ---------- strategies ----------
@@ -154,7 +140,7 @@ def eta_power_case_st(draw):
     if kind == "scalar":
         return c, counts, power, end
     w = draw(st.integers(min_value=1, max_value=3))
-    num = int_theta(24 * w, 1, 1, 0, end, alternating=draw(st.booleans()))
+    num = int_theta(24 * w, 1, 0, end, alternating=draw(st.booleans()))
     if kind == "led":
         # an even v keeps (v - 2N) 3/2 on the grid
         v = draw(st.sampled_from([2, 4, 24, 48]))
@@ -216,8 +202,8 @@ def test_inexact_exponents_rejected(build):
     lambda: eta_power(1, ((1.9, 1),), 1, T(4)),
     lambda: eta_power(1, ((1, 1),), 1, 100.5),
     lambda: theta3(1, 48.5),
-    lambda: int_theta(3, 1, 4, 1, 100.5),
-    lambda: int_theta(1.5, 1, 1, 0, T(4)),
+    lambda: int_theta(3, 4, 1, 100.5),
+    lambda: int_theta(1.5, 1, 0, T(4)),
     lambda: theta2(1.5, T(4)),
 ], ids=["truncate48", "eta", "eta-bound", "theta-bound",
         "int_theta-bound", "int_theta-weight", "theta2-scale"])
@@ -232,13 +218,10 @@ def test_non_integer_arguments_rejected(call):
     lambda: oracle_eta(1, T(10)).pow_rational(0.5),
     lambda: oracle_eta(1, T(10)).pow_rational(0.1),
     lambda: eta_power(1, ((1, 1),), 0.5, T(10)),
-    lambda: shifted_theta(0.5, 0, T(10)),
-    lambda: shifted_theta(1, 0.5, T(10)),
     lambda: rational_power(4, 0.5),
     lambda: rational_power(4.0, 2),
 ], ids=["pow_rational", "pow_rational-off-grid", "eta_power",
-        "shifted_theta-weight",
-        "shifted_theta-shift", "rational_power", "rational_power-base"])
+        "rational_power", "rational_power-base"])
 def test_float_powers_weights_and_exponents_rejected(call):
     # Fraction() would take 0.5 as 1/2, and 0.1 as a power with a 2^55
     # denominator that "leaves the grid"
@@ -330,10 +313,14 @@ def test_eta_power_against_the_explicit_products(case, cut):
     (2, Fraction(3, 4), True), (Fraction(1, 2), 0, True),
     (Fraction(1, 2), Fraction(1, 2), False), (3, 0, False),
 ])
-def test_shifted_theta_against_oracle(weight, shift, alt):
-    t48 = T(25)
-    got = shifted_theta(weight, shift, t48, alternating=alt)
-    assert got.coeffs == oracle_shifted_theta(weight, shift, t48, alt)
+def test_int_theta_against_the_shifted_theta_oracle(weight, shift, alt):
+    # weight (n + s/t)^2 is 48 weight / t^2 (t n + s)^2 in 48ths
+    shift = Fraction(shift)
+    t = shift.denominator
+    num = Fraction(weight) * DEN / (t * t)
+    assert num.denominator == 1
+    got = int_theta(int(num), t, shift.numerator, T(25), alternating=alt)
+    assert got == shifted_theta(weight, shift, T(25), alternating=alt)
 
 
 @pytest.mark.parametrize("alt", [False, True])
@@ -347,15 +334,16 @@ def test_census_factors_are_the_quarter_shifted_thetas(alt):
 
 
 def test_alternating_half_shift_cancels():
-    assert shifted_theta(3, Fraction(1, 2), T(40), alternating=True).is_zero()
+    # a block of 3 coordinates shifted by 2 quarters
+    assert _factor(3, 2, True, T(40)).is_zero()
 
 
 def test_quarter_shift_symmetry():
-    a = shifted_theta(2, Fraction(1, 4), T(30))
-    b = shifted_theta(2, Fraction(3, 4), T(30))
+    a = _factor(2, 1, False, T(30))
+    b = _factor(2, 3, False, T(30))
     assert a.matches(b)
-    aa = shifted_theta(2, Fraction(1, 4), T(30), alternating=True)
-    bb = shifted_theta(2, Fraction(3, 4), T(30), alternating=True)
+    aa = _factor(2, 1, True, T(30))
+    bb = _factor(2, 3, True, T(30))
     assert aa.matches(-bb)
 
 

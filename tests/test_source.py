@@ -31,13 +31,16 @@ module gets the labelled quotient of a fixed sublattice from
 An orbit type has one form, the (length, count) pairs of `perms`, so no
 call hands ``eta_product``, ``eta_quotient`` or ``theta_quotient`` an
 orbit type written as a dict or a string.
-`lattice` never names ``codewords``: its census counts popcount keys on
-bit planes of the fixed subcode, and only the test oracles list words.
+No module defines or names ``codewords``: the census counts popcount
+keys on bit planes of the fixed subcode, and only the test oracles list
+words.
 Only `qseries` calls the ``QSeries(...)`` constructor on a coefficient
 dict: every other series is built from `eta_power`, the thetas and
 arithmetic.  Importing `cli`, which every process does, parses no
 permutation and builds no series: the generators of the recorded
-figures stay cycle strings until a figure runs.
+figures stay cycle strings until a figure runs.  Every def and class of
+the package is reached from `cli.main`, so the package holds only what
+a verb runs: code that only tests call lives in `tests/oracles.py`.
 """
 
 import ast
@@ -60,6 +63,111 @@ def _offending_nodes(is_bad, skip=(), walk=ast.walk):
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in walk(tree) if is_bad(node)]
     return found
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, node) for every def and class under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _DEFS):
+            yield prefix + child.name, child
+            yield from _definitions(child, prefix + child.name + ".")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _used_names(node):
+    """The names and attribute names that node reads, outside any def or
+    class nested in it, which is reached on its own."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, _DEFS))
+
+
+def _unreached(trees, root="cli.main"):
+    """The defs and classes of the modules in `trees` (name -> parsed
+    module) that nothing reaches, as "module.qualified.name".
+
+    The roots are `root`, every module-level statement but imports and
+    defs, and the dunder methods of each class reached.  A reached def
+    reads names; each name reaches every def or class of that name in
+    any module, so the walk follows names, not scopes, and never misses
+    a call.  An import line reaches nothing.
+    """
+    labels, by_name, todo, reached = {}, {}, [], set()
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            label = "%s.%s" % (module, qualname)
+            labels[label] = node
+            by_name.setdefault(node.name, []).append((label, node))
+        todo += [s for s in tree.body
+                 if not isinstance(s, _DEFS + (ast.Import, ast.ImportFrom))]
+
+    def reach(label, node):
+        if label in reached:
+            return
+        reached.add(label)
+        todo.append(node)
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if (isinstance(method, _DEFS) and method.name[:2] == "__"
+                        and method.name[-2:] == "__"):
+                    reach(label + "." + method.name, method)
+
+    reach(root, labels[root])
+    followed = set()
+    while todo:
+        for name in set(_used_names(todo.pop())) - followed:
+            followed.add(name)
+            for label, node in by_name.get(name, ()):
+                reach(label, node)
+    return sorted(set(labels) - reached)
+
+
+def test_every_definition_is_reached_from_a_verb():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert _unreached(trees) == []
+
+
+def test_reachability_guard_sees_every_form():
+    trees = {name: ast.parse(text) for name, text in {
+        "cli": (
+            "from .util import Box, helper, only_imported\n"
+            "TABLE = {'a': lambda: helper()}\n"
+            "def main(argv=None):\n"
+            "    return Box(TABLE['a']()).used()\n"
+            "def unreached_function():\n"
+            "    return main()\n"),
+        "util": (
+            "def helper():\n"
+            "    return 1\n"
+            "def only_imported():\n"
+            "    return 2\n"
+            "class Box:\n"
+            "    def __init__(self, x):\n"
+            "        self.x = x\n"
+            "    def __eq__(self, other):\n"
+            "        return self.x == other.x\n"
+            "    def used(self):\n"
+            "        return self.x\n"
+            "    def unreached_method(self):\n"
+            "        return self.used()\n"
+            "class Unused:\n"
+            "    def __repr__(self):\n"
+            "        return 'Unused'\n"),
+    }.items()}
+    assert _unreached(trees) == [
+        "cli.unreached_function", "util.Box.unreached_method",
+        "util.Unused", "util.Unused.__repr__", "util.only_imported"]
 
 
 def test_no_assert_statements_in_the_package():
@@ -210,16 +318,18 @@ def test_inversion_guard_sees_every_form():
 
 
 def _names_codewords(node):
-    """``x.codewords``, called or not, or a bare name ``codewords``."""
+    """``x.codewords``, called or not, a bare name ``codewords`` or a
+    ``def codewords``."""
     return (isinstance(node, ast.Attribute) and node.attr == "codewords"
-            or isinstance(node, ast.Name) and node.id == "codewords")
+            or isinstance(node, ast.Name) and node.id == "codewords"
+            or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "codewords")
 
 
-def test_lattice_lists_no_codewords():
-    # the census counts its keys on bit planes of the fixed subcode
-    tree = ast.parse((SRC / "lattice.py").read_text())
-    assert [node.lineno for node in ast.walk(tree)
-            if _names_codewords(node)] == []
+def test_no_module_lists_codewords():
+    # the census counts its keys on bit planes of the fixed subcode, and
+    # only the test oracles list words
+    assert _offending_nodes(_names_codewords) == []
 
 
 def test_codeword_guard_sees_every_form():
@@ -229,9 +339,16 @@ def test_codeword_guard_sees_every_form():
         "c = BinaryCode.codewords\n"
         "d = codewords(sub)\n"
         "e = sub.require_listable()\n"
-        "f = 'codewords() order'\n")
+        "f = 'codewords() order'\n"
+        "class C:\n"
+        "    def codewords(self):\n"
+        "        return []\n"
+        "def codewords(code):\n"
+        "    return []\n"
+        "def listed_codewords(code):\n"
+        "    return []\n")
     assert sorted(node.lineno for node in ast.walk(tree)
-                  if _names_codewords(node)) == [1, 2, 3, 4]
+                  if _names_codewords(node)) == [1, 2, 3, 4, 8, 10]
 
 
 def _import_time_nodes(tree):

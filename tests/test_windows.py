@@ -81,10 +81,10 @@ ENTRY_POINTS = {
     "eta_quotient": _eta_quotient,
     "trace_series": _trace,
     "character_cyclic": lambda draw, w: character_cyclic(
-        HAM, draw(classes), w, flavor=draw(even_flavors)).character,
+        HAM, draw(classes), w, flavor=draw(even_flavors))["character"],
     "character_group": lambda draw, w: character_group(
         HAM, draw(st.sampled_from(PLAIN_GROUPS)), w,
-        flavor=draw(even_flavors)).character,
+        flavor=draw(even_flavors))["character"],
     "character_plus": _character_plus,
     "mckay_thompson": lambda draw, w: mckay_thompson(
         draw(st.sampled_from(MT_NAMES)), w),
