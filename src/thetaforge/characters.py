@@ -17,7 +17,8 @@ writes it out, and `verify` reads its "character".
 Every trace, of a cyclic power, a group element or the full lattice,
 goes through `_trace`.  `character_plus(code, trunc48, g=None,
 flavor=...)` adds the -id twist to the trace of the full lattice, or
-with g of even order to the kernel sublattice of g over eta^N, and
+with g of even order m to the kernel sublattice of g over eta^N, read
+off the traces as the mean of T(0,0) and T(0,m), and
 eta(τ)^N/eta(2τ)^N as one signed `modfunc.eta_product`.  Every theta/eta
 division goes through `modfunc.eta_quotient`, and callers hand it each
 theta as a function of the window, never a padded series.
@@ -28,7 +29,7 @@ from math import gcd
 
 from .codes import BinaryCode
 from .errors import DomainError, ThetaforgeError
-from .lattice import kernel_theta, lift_order, require_even, theta_twisted
+from .lattice import lift_order, require_even, theta_twisted
 from .modfunc import eta_product, eta_quotient
 from .perms import Perm, group_elements, orbits
 from .qseries import DEN, QSeries
@@ -61,9 +62,10 @@ def trace_series(code: BinaryCode, g: Perm, j: int, trunc48: int,
 # QSeries instances are never mutated, so sharing them is safe
 @cache
 def _trace(code, g, j, trunc48, flavor):
-    """trace_series for a j already known to lie below the lift order;
-    computed once per code, element, power, window and flavor, so the
-    characters that `verify` checks more than once are traced once."""
+    """trace_series for a j already known to lie below the lift order,
+    or j = ord g for the twisted part of `character_plus`; computed once
+    per code, element, power, window and flavor, so the characters that
+    `verify` checks more than once are traced once."""
     return eta_quotient(lambda t: theta_twisted(code, g, j, t, flavor=flavor),
                         (g ** (j % g.order())).cycle_type(), trunc48)
 
@@ -139,9 +141,10 @@ def character_plus(code: BinaryCode, trunc48: int, g=None,
 
     Half of theta/eta^N plus the contribution of the -id twist, which
     depends only on the rank N = code.n: eta(q)^N/eta(q^2)^N.  theta is
-    the flavor's lattice of the code, or with g of even order its
-    kernel sublattice (see `lattice.kernel_theta`).  The mean is checked
-    as a character by `_character`, like every other.
+    the flavor's lattice of the code, or with g of even order m its
+    kernel sublattice (see `lattice.kernel_theta`), whose theta/eta^N is
+    the mean of the traces T(0,0) and T(0,m).  The mean is checked as a
+    character by `_character`, like every other.
     """
     require_even(code, flavor)
     N = code.n
@@ -150,8 +153,13 @@ def character_plus(code: BinaryCode, trunc48: int, g=None,
     if g is None:
         fixed_part = _trace(code, Perm.identity(N), 0, trunc48, flavor)
     else:
-        fixed_part = eta_quotient(
-            lambda t: kernel_theta(code, g, t, flavor=flavor), ((1, N),),
-            trunc48)
+        m = g.order()
+        if m % 2:
+            raise DomainError(
+                "kernel sublattice needs an automorphism of even order")
+        # the traces that `character_cyclic` of a doubling g has cached;
+        # the twisted one refuses a non-automorphism
+        fixed_part = (_trace(code, g, 0, trunc48, flavor)
+                      + _trace(code, g, m, trunc48, flavor)) / 2
     neg_part = eta_product(((1, N), (2, -N)), trunc48)
     return _character([fixed_part, neg_part], N)

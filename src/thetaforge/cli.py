@@ -40,6 +40,7 @@ from .verify import FIGURE_IDS, verify_figure
 THETA_TRUNC = 16   # default integer q-powers for thetas and characters
 REP_TRUNC = 26     # default for replicability and identification
 MAX_TRUNC = 1000   # largest window any verb computes
+MAX_KREP = 200     # largest K_rep: the Faber square costs about K^3
 
 # Each verb's flags, and its positional argument if it has one, with a
 # converter and a default.  A converter is str, int, a tuple of choices
@@ -262,9 +263,13 @@ def _trunc(args):
 
 
 def _krep(args):
-    """--krep, refused below 1 before anything is computed."""
+    """--krep, refused below 1 or above MAX_KREP before anything is
+    computed."""
     if args.krep < 1:
         raise DomainError("--krep must be at least 1, got %d" % args.krep)
+    if args.krep > MAX_KREP:
+        raise DomainError("--krep must be at most %d, got %d"
+                          % (MAX_KREP, args.krep))
     return args.krep
 
 

@@ -55,8 +55,8 @@ import re
 
 from .codes import BinaryCode
 from .errors import DomainError
-from .perms import Perm, orbit_type, orbits
-from .qseries import DEN, QSeries, int_theta, theta2, theta3, theta4
+from .perms import Perm, orbits
+from .qseries import QSeries, int_theta, theta2, theta3, theta4
 
 FLAVORS = ("plain", "super0", "super1")
 
@@ -236,7 +236,7 @@ def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
             if row & omask not in (0, omask):
                 raise DomainError(
                     "codeword %#x is not a union of orbit blocks" % row)
-    sizes, nblocks = zip(*orbit_type(gens, n))
+    sizes, nblocks = zip(*sorted(Counter(s for _, s in blocks).items()))
     masks = [sum(m for m, s in blocks if s == size) for size in sizes]
     pair_mask = 0
     if twist is not None:
@@ -452,15 +452,3 @@ def catalog_theta(name: str, scale: int, trunc48: int) -> QSeries:
     if power != 1:
         series = series ** power
     return series
-
-
-def theta_matches(a: QSeries, b: QSeries) -> bool:
-    """Whether two theta series agree on their common window.
-
-    The window must cover at least 10 q-powers; agreement is reported
-    as theta-equality up to the window, never as an isometry claim.
-    """
-    window = min(a.trunc48, b.trunc48)
-    if window < 10 * DEN:
-        raise DomainError("comparison window shorter than 10 q-powers")
-    return a.matches(b)

@@ -35,7 +35,7 @@ of `eta_power`, which runs Euler's divisor-sum recurrence for
 the earlier terms against small numbers, and no eta series is built.
 """
 
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 import sys
 
@@ -455,34 +455,25 @@ def int_theta(num, stride, offset, trunc48, alternating=False):
     """Sum over n of (-1)^(n if alternating) q^(num (stride n + offset)^2),
     the exponents in 48ths: the integer core of every theta series.
 
-    num and stride are positive ints and offset is an int.
+    num and stride are positive ints and offset is any int.  The terms
+    below trunc48 are those with |stride n + offset| <= bound, where
+    bound = isqrt((trunc48 - 1) // num); there are none when trunc48 <= 0.
     """
     for x in (num, stride, offset):
         exact_int(x, "theta parameter")
     trunc48 = exact_int(trunc48)
     if num < 1 or stride < 1:
         raise ValueError("theta parameters must be positive")
+    bound = isqrt((trunc48 - 1) // num) if trunc48 > 0 else -1
     coeffs = {}
-
-    def put(n):
-        m = n * stride + offset
-        e = num * m * m
-        if e >= trunc48:
-            return False
-        s = -1 if (alternating and n % 2) else 1
-        c = coeffs.get(e, 0) + s
+    for n in range(-((bound + offset) // stride),
+                   (bound - offset) // stride + 1):
+        e = num * (stride * n + offset) ** 2
+        c = coeffs.get(e, 0) + (-1 if alternating and n % 2 else 1)
         if c:
             coeffs[e] = c
         else:
-            coeffs.pop(e, None)
-        return True
-
-    n = 0
-    while put(n):
-        n += 1
-    n = -1
-    while put(n):
-        n -= 1
+            del coeffs[e]
     return QSeries._raw(coeffs, trunc48)
 
 

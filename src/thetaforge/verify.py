@@ -12,12 +12,15 @@ the record {"figure", "status", "rows"}, each row a record {"label",
 "expected", "got", "ok"}, with ok None for an informational row, and
 the status "fail" when any other row is not ok.
 
-The identities between characters of fixed subVOAs (Theorem C for rank
-8, the pq and p^2 q group theorems, the parity properties) are checked
-here too.  `verify_identity` runs one on given inputs and returns a
-record of the same kind, so the thmC, thmD and ex81 figures carry its
-rows.  The group theorems are one relation, k Ch^G = Ch^A + k Ch^B -
-Ch V, over the subgroups that each shape names.
+The identities between characters of fixed subVOAs are checked here
+too, each by a function that takes exactly its theorem's inputs and
+returns a record of the same kind, so the thmC, thmD and ex81 figures
+carry its rows: `check_thmC(code, g_rep, trunc48, g_nr=None)` is
+Theorem C for rank 8, `check_parity(code, g_rep, g_nr, trunc48)` the
+parity properties, and `check_group(code, gens, trunc48)` the group
+theorem that the order of <gens> names, pq or p^2 q.  The group
+theorems are one relation, k Ch^G = Ch^A + k Ch^B - Ch V, over the
+subgroups that each shape names.
 """
 
 from functools import partial
@@ -29,9 +32,7 @@ from .characters import (
 )
 from .codes import catalog_code
 from .errors import DomainError
-from .lattice import (
-    catalog_theta, is_even, lift_order, theta_fixed, theta_matches,
-)
+from .lattice import catalog_theta, is_even, lift_order, theta_fixed
 from .modfunc import eta_quotient, fixed_quotient, identify, is_replicable
 from .perms import Perm, group_elements, parse_generators, parse_perm
 from .qseries import DEN
@@ -219,7 +220,7 @@ def _verify_ex81():
     ch7 = character_group(ham, f21[:1], t48)["character"]
     ch3 = character_group(ham, f21[1:], t48)["character"]
     full = trace_series(ham, Perm.identity(8), 0, t48)
-    status = verify_identity("ThmD-pq", ham, t48, group=f21)["status"]
+    status = check_group(ham, f21, t48)["status"]
     return [
         _series_row("order 21 group",
                     character_group(ham, f21, t48)["character"], -16,
@@ -238,20 +239,20 @@ def _verify_thmC():
     ham = catalog_code("hamming8")
     rep, nr = parse_perm(_REP, 8), parse_perm(_NR, 8)
     t48 = 11 * DEN
-    return (verify_identity("ThmC-1", ham, t48, g1=rep)["rows"]
-            + verify_identity("ThmC-2", ham, t48, g1=rep, g2=nr)["rows"]
-            + verify_identity("parity-props", ham, t48, g1=rep, g2=nr)["rows"])
+    return (check_thmC(ham, rep, t48)["rows"]
+            + check_thmC(ham, rep, t48, g_nr=nr)["rows"]
+            + check_parity(ham, rep, nr, t48)["rows"])
 
 
 def _verify_thmD():
-    return verify_identity("ThmD-pq", catalog_code("hamming8"), 8 * DEN,
-                           group=parse_generators(_F21, 8))["rows"]
+    return check_group(catalog_code("hamming8"),
+                       parse_generators(_F21, 8), 8 * DEN)["rows"]
 
 
 # ---------- identity checks ----------
 #
-# Each check returns its rows: first "hypotheses", which is either
-# applicable or names the hypothesis that fails, then one row per
+# Each check's record holds its rows: first "hypotheses", which is
+# either applicable or names the hypothesis that fails, then one row per
 # coefficient comparison.  A failed hypothesis ends the check, so it
 # is told apart from a failed comparison by its row.
 
@@ -271,23 +272,16 @@ def _compare(label, lhs, rhs, N=None, parity=None):
     return _row(label, "match", got, not bad)
 
 
-# the fixed theta of a half swap of each kind: catalog name at scale 2
-# for half = N/2, and how a failed gate names it
-_HALF_SWAP_THETAS = {"A1": ("A1^%d", "A1(2)^(N/2)"), "D*": ("D%d*", "D*(2)")}
-
-
-def _half_swap_reason(code, g, kind, role, flavor, trunc48):
+def _half_swap_reason(code, g, name, shown, role, flavor, trunc48):
     """Why g is not a half swap, of cycle type 2^(N/2), whose fixed theta
-    is the `kind` series; None when it is."""
-    if g is None:
-        return "%s class missing" % role
+    is the catalog series `name` % (N/2) at scale 2, shown as `shown`;
+    None when it is."""
     half = code.n // 2
     if g.cycle_type() != ((2, half),):
         return "%s class must have cycle type 2^(N/2)" % role
-    name, shown = _HALF_SWAP_THETAS[kind]
     window = max(trunc48 + 2 * DEN, 12 * DEN)
-    if not theta_matches(theta_fixed(code, [g], window, flavor=flavor),
-                         catalog_theta(name % half, 2, window)):
+    if not theta_fixed(code, [g], window, flavor=flavor).matches(
+            catalog_theta(name % half, 2, window)):
         return "%s fixed theta is not the %s series" % (role, shown)
     return None
 
@@ -299,30 +293,53 @@ def _d_lattice_character(N, trunc48):
                         ((2, half),), trunc48)
 
 
-def _check_thmC(which, code, g1, g2, trunc48, flavor):
-    reason = _half_swap_reason(code, g1, "A1", "first", flavor, trunc48)
-    if reason is None and lift_order(code, g1, flavor=flavor) == g1.order():
+def check_thmC(code, g_rep, trunc48, g_nr=None,
+               flavor: str = "plain") -> dict:
+    """Theorem C for a half swap g_rep whose lift doubles: ThmC-1, the
+    rep quotient identity, or, given the half swap g_nr, ThmC-2, the nr
+    quotient identity."""
+    theorem = "ThmC-1" if g_nr is None else "ThmC-2"
+    reason = _half_swap_reason(code, g_rep, "A1^%d", "A1(2)^(N/2)", "first",
+                               flavor, trunc48)
+    if reason is None and lift_order(code, g_rep, flavor=flavor) == g_rep.order():
         reason = "first lift does not double, no kernel sublattice"
-    if reason is None and which == "ThmC-2":
-        reason = _half_swap_reason(code, g2, "D*", "second", flavor, trunc48)
+    if reason is None and g_nr is not None:
+        reason = _half_swap_reason(code, g_nr, "D%d*", "D*(2)", "second",
+                                   flavor, trunc48)
     if reason is not None:
-        return [_hypotheses(reason)]
-    ch1 = character_cyclic(code, g1, trunc48, flavor=flavor)["character"]
-    ch_ker_plus = character_plus(code, trunc48, g1, flavor=flavor)
+        return _report(theorem, [_hypotheses(reason)])
+    ch1 = character_cyclic(code, g_rep, trunc48, flavor=flavor)["character"]
+    ch_ker_plus = character_plus(code, trunc48, g_rep, flavor=flavor)
     ch_d = _d_lattice_character(code.n, trunc48)
-    if which == "ThmC-1":
-        lhs1 = trace_series(code, g1, 1, trunc48, flavor)
-        rhs1 = (ch1 - ch_ker_plus + ch_d).truncate48(trunc48)
-        return [_hypotheses(), _compare("rep quotient identity", lhs1, rhs1)]
-    ch2 = character_cyclic(code, g2, trunc48, flavor=flavor)["character"]
-    ch_plus = character_plus(code, trunc48, flavor=flavor)
-    lhs2 = trace_series(code, g2, 1, trunc48, flavor)
-    rhs2 = (2 * (ch2 - ch_plus) - (ch1 - ch_ker_plus) + ch_d).truncate48(trunc48)
-    return [_hypotheses(), _compare("nr quotient identity", lhs2, rhs2)]
+    if g_nr is None:
+        label, g, rhs = "rep quotient identity", g_rep, ch1 - ch_ker_plus + ch_d
+    else:
+        ch2 = character_cyclic(code, g_nr, trunc48, flavor=flavor)["character"]
+        ch_plus = character_plus(code, trunc48, flavor=flavor)
+        label, g = "nr quotient identity", g_nr
+        rhs = 2 * (ch2 - ch_plus) - (ch1 - ch_ker_plus) + ch_d
+    lhs = trace_series(code, g, 1, trunc48, flavor)
+    return _report(theorem, [
+        _hypotheses(), _compare(label, lhs, rhs.truncate48(trunc48))])
 
 
 def _is_prime(n):
     return n > 1 and all(n % p for p in range(2, isqrt(n) + 1))
+
+
+def _group_shape(order):
+    """The group theorem an order names, with its primes p < q:
+    ("ThmD-pq", p, q) for p*q, ("Thm-p2q", p, q) for p^2*q, and
+    (None, None, None) for any other order.  The smallest prime factor
+    p of the order decides the shape."""
+    p = next((d for d in range(2, isqrt(order) + 1) if order % d == 0), None)
+    if p is not None:
+        r = order // p
+        if r > p and _is_prime(r):
+            return "ThmD-pq", p, r
+        if r % p == 0 and r // p > p and _is_prime(r // p):
+            return "Thm-p2q", p, r // p
+    return None, None, None
 
 
 def _group_relation(label, code, k, gens, a_gens, b_gens, trunc48, flavor):
@@ -336,14 +353,9 @@ def _group_relation(label, code, k, gens, a_gens, b_gens, trunc48, flavor):
             _compare(label, k * ch_g, ch_a + k * ch_b - ch_full)]
 
 
-def _check_thmD(code, gens, elements, trunc48, flavor):
-    order = len(elements)
-    # order must be p*q with q > p primes, q = 1 mod p, and nonabelian
-    pq = sorted({el.order() for el in elements} - {1})
-    if not (len(pq) == 2 and all(map(_is_prime, pq))
-            and pq[0] * pq[1] == order and (pq[1] - 1) % pq[0] == 0):
-        return [_hypotheses("group of order %d is not of p*q shape" % order)]
-    p, q = pq
+def _check_thmD(code, gens, elements, p, q, trunc48, flavor):
+    # a group of order p*q is a semidirect product Z_q x| Z_p unless it
+    # is cyclic, and then its elements of order p and q commute
     a = next(el for el in elements if el.order() == q)
     b = next(el for el in elements if el.order() == p)
     if a * b == b * a:
@@ -352,14 +364,7 @@ def _check_thmD(code, gens, elements, trunc48, flavor):
                            code, p, gens, [a], [b], trunc48, flavor)
 
 
-def _check_p2q(code, gens, elements, trunc48, flavor):
-    order = len(elements)
-    candidates = [(p, q) for p in range(2, isqrt(order) + 1)
-                  if order % (p * p) == 0 and (q := order // (p * p)) > p
-                  and _is_prime(p) and _is_prime(q)]
-    if not candidates:
-        return [_hypotheses("group order %d is not p^2*q" % order)]
-    p, q = candidates[0]
+def _check_p2q(code, gens, elements, p, q, trunc48, flavor):
     if all(x * y == y * x for x in gens for y in gens):
         return [_hypotheses("group is abelian")]
     # the averaging argument partitions the group into one p-Sylow orbit
@@ -385,11 +390,15 @@ def _check_p2q(code, gens, elements, trunc48, flavor):
     return [_hypotheses("Sylow census matches neither semidirect shape")]
 
 
-def _check_parity(code, g_rep, g_nr, trunc48, flavor):
-    reason = (_half_swap_reason(code, g_rep, "A1", "rep", flavor, trunc48)
-              or _half_swap_reason(code, g_nr, "D*", "nr", flavor, trunc48))
+def check_parity(code, g_rep, g_nr, trunc48, flavor: str = "plain") -> dict:
+    """The parity properties of the rep and nr half swaps: where their
+    quotients and characters agree."""
+    reason = (_half_swap_reason(code, g_rep, "A1^%d", "A1(2)^(N/2)", "rep",
+                                flavor, trunc48)
+              or _half_swap_reason(code, g_nr, "D%d*", "D*(2)", "nr",
+                                   flavor, trunc48))
     if reason is not None:
-        return [_hypotheses(reason)]
+        return _report("parity-props", [_hypotheses(reason)])
     N = code.n
     rows = [_hypotheses()]
     quo_rep = trace_series(code, g_rep, 1, trunc48, flavor)
@@ -419,39 +428,28 @@ def _check_parity(code, g_rep, g_nr, trunc48, flavor):
         rows.append(_compare(
             "rep character meets the kernel-plus character on even powers",
             ch_rep, ch_ker, N, 0))
-    return rows
+    return _report("parity-props", rows)
 
 
-def _check_group(which, code, gens, trunc48, flavor):
-    """Gate both group theorems on a lifted group of the same order."""
-    if not gens:
-        return [_hypotheses("needs a group of generators")]
+def check_group(code, gens, trunc48, flavor: str = "plain") -> dict:
+    """The group theorem that the order of <gens> names, on its lift:
+    ThmD-pq for order p*q and Thm-p2q for p^2*q, with primes p < q.
+    Any other order, the trivial group's included, names none and gives
+    the record "group" with one not-applicable row."""
+    elements = group_elements(gens) if gens else [Perm.identity(code.n)]
+    theorem, p, q = _group_shape(len(elements))
+    if theorem is None:
+        return _report("group", [_hypotheses(
+            "group of order %d is neither p*q nor p^2*q" % len(elements))])
     if not is_even(code, flavor):
-        return [_hypotheses("the %s lattice of the code is odd" % flavor)]
-    elements = group_elements(gens)
+        return _report(theorem, [_hypotheses(
+            "the %s lattice of the code is odd" % flavor)])
     bad = _doubling_element(code, elements, flavor)
     if bad is not None:
-        return [_hypotheses("element %s has order doubling" % bad)]
-    check = _check_thmD if which == "ThmD-pq" else _check_p2q
-    return check(code, gens, elements, trunc48, flavor)
-
-
-def verify_identity(which, code, trunc48, g1=None, g2=None, group=None,
-                    flavor: str = "plain") -> dict:
-    """Run one of the character identities as a record of rows.
-
-    The first row says whether the hypotheses hold; when they do not,
-    it names the one that fails and no comparison follows.
-    """
-    if which in ("ThmC-1", "ThmC-2"):
-        rows = _check_thmC(which, code, g1, g2, trunc48, flavor)
-    elif which in ("ThmD-pq", "Thm-p2q"):
-        rows = _check_group(which, code, group, trunc48, flavor)
-    elif which == "parity-props":
-        rows = _check_parity(code, g1, g2, trunc48, flavor)
-    else:
-        raise DomainError("unknown identity %r" % which)
-    return _report(which, rows)
+        return _report(theorem, [_hypotheses(
+            "element %s has order doubling" % bad)])
+    check = _check_thmD if theorem == "ThmD-pq" else _check_p2q
+    return _report(theorem, check(code, gens, elements, p, q, trunc48, flavor))
 
 
 _REGISTRY = {

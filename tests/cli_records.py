@@ -169,6 +169,7 @@ def _other_jobs():
         ["theta", "--trunc", "1001"],
         ["replicable", "--trunc", "9"],
         ["replicable", "--krep", "0"],
+        ["replicable", "--krep", "201"],
         ["doubling", "--group", "(1,2)(3,4)(5,6)(7,8), (1,3)(2,4)(5,7)(6,8)"],
         ["character", "--code", "golay24", "--group",
          "(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)(13,14)(15,16)(17,18)(19,20)"

@@ -76,6 +76,19 @@ def shifted_theta(weight, shift, trunc48, alternating=False):
     return QSeries(out, trunc48)
 
 
+def brute_int_theta(num, stride, offset, trunc48, alternating=False):
+    """Sum over n of (-1)^(n if alternating) q^(num (stride n + offset)^2)
+    below trunc48, term by term over a range of n so wide that every
+    term left out lies at or above trunc48."""
+    reach = (isqrt(max(trunc48, 0)) + 1 + abs(offset)) // stride + 1
+    out = {}
+    for n in range(-reach, reach + 1):
+        e = num * (stride * n + offset) ** 2
+        if e < trunc48:
+            out[e] = out.get(e, 0) + (-1 if alternating and n % 2 else 1)
+    return QSeries({e: c for e, c in out.items() if c}, trunc48)
+
+
 def brute_force_automorphisms(is_member, n, cap_degree=8):
     """All coordinate permutations preserving a predicate on masks.
 

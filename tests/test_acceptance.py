@@ -20,7 +20,7 @@ from thetaforge.cli import main
 from thetaforge.codes import catalog_code, load_code
 from thetaforge.lattice import (
     catalog_theta, doubling_code_criterion, doubling_lattice_criterion,
-    kernel_theta, theta_fixed, theta_matches, theta_twisted,
+    kernel_theta, theta_fixed, theta_twisted,
 )
 from thetaforge.modfunc import (
     _faber_rows, identify, is_replicable, mckay_thompson, strip_constant,
@@ -30,7 +30,7 @@ from thetaforge.perms import (
     Perm, orbits, parse_generators, parse_orbit_type, parse_perm,
 )
 from thetaforge.qseries import DEN, QSeries
-from thetaforge.verify import verify_figure, verify_identity
+from thetaforge.verify import check_group, check_thmC, verify_figure
 
 from oracles import (
     a_partition_order, brute_force_automorphisms, d_partition_anchor,
@@ -93,7 +93,7 @@ def test_criterion_02_subgroup_fixed_theta_and_quotient():
     with gate(2, "Klein-type subgroup theta and its orbit quotient"):
         gens = parse_generators("(4,6)(5,7), (4,7)(5,6), (1,3)(2,8)", 8)
         theta = theta_fixed(HAM, gens, T(12))
-        assert theta_matches(theta, catalog_theta("A1^3", 2, T(12)))
+        assert theta.matches(catalog_theta("A1^3", 2, T(12)))
         assert row(theta, 0, 10) == [1, 6, 12, 8, 6, 24, 24, 0, 12, 30]
         quo = theta_quotient(theta, parse_orbit_type("2^2 4^1"))
         got = row(quo, -DEN, 9)
@@ -216,8 +216,8 @@ def test_criterion_07_quotient_rows_and_parity_matching():
 
 def test_criterion_08_character_identities_for_rank_8():
     with gate(8, "both rank-8 character identities"):
-        one = verify_identity("ThmC-1", HAM, T(8), g1=REP)
-        two = verify_identity("ThmC-2", HAM, T(8), g1=REP, g2=NR)
+        one = check_thmC(HAM, REP, T(8))
+        two = check_thmC(HAM, REP, T(8), g_nr=NR)
         for report in (one, two):
             assert report["rows"][0]["got"] == "applicable", \
                 report["rows"][0]["got"]
@@ -245,7 +245,7 @@ def test_criterion_09_frobenius_group_characters():
         assert row(combo, -16, 7) == [
             3, 66, 726, 5286, 31380, 153234, 651798]
         assert combo.matches(3 * ch_g)
-        report = verify_identity("ThmD-pq", HAM, t48, group=h1 + h2)
+        report = check_group(HAM, h1 + h2, t48)
         assert report["rows"][0]["got"] == "applicable", \
             report["rows"][0]["got"]
         assert report["status"] == "pass"
@@ -277,20 +277,19 @@ def test_criterion_11_partition_shapes_pin_the_theta():
             r = a_partition_order(HAM, g)
             if r is not None:
                 counts[r] += 1
-                assert theta_matches(
-                    theta_fixed(HAM, [g], t48),
+                assert theta_fixed(HAM, [g], t48).matches(
                     catalog_theta("A1^%d" % (8 // r), r, t48)), g
             if d_partition_anchor(HAM, g) is not None:
                 anchored += 1
-                assert theta_matches(theta_fixed(HAM, [g], t48),
-                                     catalog_theta("D4*", 2, t48)), g
+                assert theta_fixed(HAM, [g], t48).matches(
+                    catalog_theta("D4*", 2, t48)), g
         assert counts == {2: 42, 4: 168}
         assert anchored == 7
         double_rep = Perm([REP.images[i] for i in range(8)]
                           + [8 + REP.images[i] for i in range(8)])
         assert a_partition_order(HH, double_rep) == 2
-        assert theta_matches(theta_fixed(HH, [double_rep], t48),
-                             catalog_theta("A1^8", 2, t48))
+        assert theta_fixed(HH, [double_rep], t48).matches(
+            catalog_theta("A1^8", 2, t48))
         swap = Perm(list(range(8, 16)) + list(range(8)))
         assert HH.is_automorphism(swap)
         assert a_partition_order(HH, swap) is None
@@ -327,7 +326,7 @@ def test_criterion_12_rank_24_stretch_rows():
                                  parse_orbit_type(orbit_label(gens, 24)))
             assert (is_replicable(quo, 12)["verdict"]
                     == "replicable-up-to-K_rep")
-        assert theta_matches(first, catalog_theta("A2^3", 2, T(28)))
+        assert first.matches(catalog_theta("A2^3", 2, T(28)))
 
 
 def test_criterion_13_property_suite(tmp_path):
@@ -347,9 +346,8 @@ def test_criterion_13_property_suite(tmp_path):
             2 * shifted_theta(1, HALF, t48) * shifted_theta(1, 0, t48))
         assert (t3 * t3).matches(
             shifted_theta(1, 0, t48) ** 2 + shifted_theta(1, HALF, t48) ** 2)
-        assert theta_matches(catalog_theta("A1^5", 1, t48), t3 ** 5)
-        assert theta_matches(catalog_theta("D6*", 1, t48),
-                             t3 ** 6 + t2 ** 6)
+        assert catalog_theta("A1^5", 1, t48).matches(t3 ** 5)
+        assert catalog_theta("D6*", 1, t48).matches(t3 ** 6 + t2 ** 6)
         theta4 = shifted_theta(1, 0, t48, alternating=True)
         assert (oracle_eta(1, t48) ** 2).matches(theta4 * oracle_eta(2, t48))
 

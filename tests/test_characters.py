@@ -26,7 +26,9 @@ from thetaforge.lattice import (
 from thetaforge.modfunc import eta_product, eta_quotient
 from thetaforge.perms import group_elements, parse_generators, parse_perm
 from thetaforge.qseries import DEN, QSeries
-from thetaforge.verify import _SUBGROUP_CLASSES, verify_identity
+from thetaforge.verify import (
+    _SUBGROUP_CLASSES, check_group, check_parity, check_thmC,
+)
 
 from oracles import hamming8_class_representatives
 
@@ -220,12 +222,32 @@ def test_character_plus_refuses_a_kernel_off_the_code():
 
 def test_character_plus_is_checked_as_a_character(monkeypatch):
     # a kernel theta of the wrong sign cancels the pole at q^(-N/24) and
-    # leaves negative coefficients, which no character has
-    kernel = characters.kernel_theta
-    monkeypatch.setattr(characters, "kernel_theta",
-                        lambda *args, **kwargs: -kernel(*args, **kwargs))
-    with pytest.raises(ThetaforgeError, match="character pole is off"):
-        character_plus(HAM, T(4), REP24)
+    # leaves negative coefficients, which no character has; the kernel
+    # part is read off the traces, so the traces must not be memoized
+    # from before the patch, nor kept after it
+    theta = characters.theta_twisted
+    characters._trace.cache_clear()
+    monkeypatch.setattr(characters, "theta_twisted",
+                        lambda *args, **kwargs: -theta(*args, **kwargs))
+    try:
+        with pytest.raises(ThetaforgeError, match="character pole is off"):
+            character_plus(HAM, T(4), REP24)
+    finally:
+        characters._trace.cache_clear()
+
+
+@pytest.mark.parametrize("flavor", ["plain", "super1"])
+def test_kernel_plus_character_reuses_the_cyclic_traces(monkeypatch, flavor):
+    # character_cyclic of a doubling g traces j = 0 and j = ord g, the
+    # two traces the kernel part is the mean of, so no census runs again
+    def no_census(*args, **kwargs):
+        raise AssertionError("computed a theta series again")
+
+    for g in (REP24, EX_G):
+        character_cyclic(HAM, g, T(6), flavor=flavor)
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "_census_theta", no_census)
+            character_plus(HAM, T(6), g, flavor=flavor)
 
 
 @pytest.mark.parametrize("flavor", ["plain", "super1"])
@@ -295,7 +317,6 @@ def test_characters_refuse_odd_lattices_before_computing(monkeypatch, build):
     # a memoized trace would not reach the patched theta
     characters._trace.cache_clear()
     monkeypatch.setattr(characters, "theta_twisted", no_theta)
-    monkeypatch.setattr(characters, "kernel_theta", no_theta)
     with pytest.raises(DomainError) as err:
         build()
     assert str(err.value) == "the super0 lattice of the code is odd"
@@ -407,37 +428,57 @@ def not_applicable(report):
 
 
 def test_theorem_c_identities():
-    for r in (verify_identity("ThmC-1", HAM, T(7), g1=REP24),
-              verify_identity("ThmC-2", HAM, T(7), g1=REP24, g2=NR24)):
+    for r, figure in ((check_thmC(HAM, REP24, T(7)), "ThmC-1"),
+                      (check_thmC(HAM, REP24, T(7), g_nr=NR24), "ThmC-2")):
         assert not_applicable(r) is None and r["status"] == "pass"
+        assert r["figure"] == figure
 
 
 def test_theorem_c_hypothesis_gates():
-    r = verify_identity("ThmC-1", HAM, T(7), g1=EX_G)
+    r = check_thmC(HAM, EX_G, T(7))
     assert "cycle type" in not_applicable(r)
-    r = verify_identity("ThmC-1", HAM, T(7), g1=NR24)
+    r = check_thmC(HAM, NR24, T(7))
     assert "A1(2)" in not_applicable(r)
-    r = verify_identity("ThmC-2", HAM, T(7), g1=REP24, g2=REP24)
+    r = check_thmC(HAM, REP24, T(7), g_nr=REP24)
     assert not_applicable(r) is not None
-    r = verify_identity("ThmC-2", HAM, T(7), g1=REP24)
-    assert not_applicable(r) == "second class missing"
-    for which in ("ThmC-1", "ThmC-2"):
-        r = verify_identity(which, HAM, T(5))
-        assert not_applicable(r) == "first class missing"
 
 
 def test_theorem_pq_on_the_order_21_group():
-    r = verify_identity("ThmD-pq", HAM, T(7), group=F21)
+    r = check_group(HAM, F21, T(7))
     assert not_applicable(r) is None and r["status"] == "pass"
+    assert r["figure"] == "ThmD-pq"
     assert r["rows"][1]["label"] == "p*Ch^G = Ch^Zq + p*Ch^Zp - Ch V"
 
 
 def test_theorem_pq_gates():
-    r = verify_identity("ThmD-pq", HAM, T(5),
-                        group=[parse_perm("(1,5,2)(3,7,8)", 8)])
-    assert not_applicable(r) is not None
-    r = verify_identity("ThmD-pq", HAM, T(5), group=[])
-    assert not_applicable(r) is not None
+    # order 6 = 2*3: the cyclic group is abelian, and an S3 with a
+    # doubling involution does not lift to a copy of itself
+    r = check_group(HAM, [parse_perm("(1,3,7,8,2,6)(4,5)", 8)], T(5))
+    assert not_applicable(r) == "group is abelian, no semidirect structure"
+    r = check_group(HAM, [REP24, parse_perm("(1,2)(4,5)(3,8)(6,7)", 8)], T(3))
+    assert not_applicable(r) == (
+        "element (1,2)(3,8)(4,5)(6,7) has order doubling")
+
+
+def test_group_order_names_the_theorem():
+    # F21 has order 7*3, A4 order 2^2*3 and F20 order 2^2*5; the Klein
+    # four-group, the dihedral group of order 8, a 3-cycle pair and the
+    # trivial group name neither
+    a4 = [parse_perm("(3,4,5)(6,8,7)", 8), parse_perm("(1,6)(2,5)(3,4)(7,8)", 8)]
+    code, f20 = _f20()
+    klein = parse_generators("(1,5)(2,6), (3,8)(4,7)", 8)
+    d8 = parse_generators(
+        "(2,5)(3,4), (1,8)(2,5)(3,4)(6,7), (1,5)(2,8)(3,7)(4,6)", 8)
+    assert len(group_elements(klein)) == 4 and len(group_elements(d8)) == 8
+    assert check_group(HAM, F21, T(3))["figure"] == "ThmD-pq"
+    assert check_group(HAM, a4, T(3))["figure"] == "Thm-p2q"
+    assert check_group(code, f20, T(1))["figure"] == "Thm-p2q"
+    three = [parse_perm("(1,5,2)(3,7,8)", 8)]
+    for gens, order in ((klein, 4), (d8, 8), (three, 3), ([], 1)):
+        r = check_group(HAM, gens, T(3))
+        assert r["figure"] == "group"
+        assert not_applicable(r) == (
+            "group of order %d is neither p*q nor p^2*q" % order)
 
 
 def test_group_theorems_refuse_odd_lattices():
@@ -445,16 +486,16 @@ def test_group_theorems_refuse_odd_lattices():
     # code is an odd lattice and the theorems do not apply to it
     group = parse_generators("(1,4,3)(5,8,7), (1,7,3,4,6,5,8)", 8)
     a4 = [parse_perm("(3,4,5)(6,8,7)", 8), parse_perm("(1,6)(2,5)(3,4)(7,8)", 8)]
-    for which, gens in (("ThmD-pq", group), ("Thm-p2q", a4)):
-        r = verify_identity(which, HAM, T(5), group=gens, flavor="super0")
+    for gens in (group, a4):
+        r = check_group(HAM, gens, T(5), flavor="super0")
         assert not_applicable(r) == "the super0 lattice of the code is odd"
-        r = verify_identity(which, HAM, T(5), group=gens, flavor="super1")
+        r = check_group(HAM, gens, T(5), flavor="super1")
         assert not_applicable(r) is None
 
 
 def test_theorem_p2q_case_with_normal_klein():
     a4 = [parse_perm("(3,4,5)(6,8,7)", 8), parse_perm("(1,6)(2,5)(3,4)(7,8)", 8)]
-    r = verify_identity("Thm-p2q", HAM, T(7), group=a4)
+    r = check_group(HAM, a4, T(7))
     assert not_applicable(r) is None and r["status"] == "pass"
     assert r["rows"][1]["label"] == "q*Ch^G = Ch^P + q*Ch^Zq - Ch V"
 
@@ -464,20 +505,14 @@ def test_theorem_p2q_gates():
     # so the partition argument does not apply (order-6 elements exist)
     dic = [parse_perm("(3,4,5)(6,8,7)(11,13,12)(14,15,16)", 16),
            parse_perm("(1,9,2,10)(3,11,8,16)(4,12,7,15)(5,13,6,14)", 16)]
-    r = verify_identity("Thm-p2q", HH, T(3), group=dic)
+    r = check_group(HH, dic, T(3))
     assert "mixed order" in not_applicable(r)
-    r = verify_identity("Thm-p2q", HAM, T(3), group=F21)
-    assert not_applicable(r) is not None
-    r = verify_identity("Thm-p2q", HAM, T(3),
-                        group=[parse_perm("(1,7)(2,4)(3,8)(5,6)", 8),
-                               parse_perm("(1,2)(4,5)(3,8)(6,7)", 8)])
-    assert not_applicable(r) is not None
 
 
-def test_theorem_p2q_case_with_normal_cyclic_q():
-    # F20 = Z5 x| Z4 on five hamming8 blocks, block b on the points
-    # 8b+1..8b+8: one generator sends block b to b+1 mod 5, the other
-    # to 2b mod 5, so Z5 is normal and the complement Z4 is cyclic
+def _f20():
+    """F20 = Z5 x| Z4 on five hamming8 blocks, block b on the points
+    8b+1..8b+8: one generator sends block b to b+1 mod 5, the other to
+    2b mod 5, so Z5 is normal and the complement Z4 is cyclic."""
     code = BinaryCode(40, [row << 8 * b for b in range(5) for row in HAM.basis])
     assert len(code.basis) == 20
 
@@ -487,14 +522,19 @@ def test_theorem_p2q_case_with_normal_cyclic_q():
 
     f20 = parse_generators(blocks(range(5)) + ", " + blocks((1, 2, 4, 3)), 40)
     assert len(group_elements(f20)) == 20
-    r = verify_identity("Thm-p2q", code, T(2), group=f20)
+    return code, f20
+
+
+def test_theorem_p2q_case_with_normal_cyclic_q():
+    code, f20 = _f20()
+    r = check_group(code, f20, T(2))
     assert not_applicable(r) is None and r["status"] == "pass"
     assert r["rows"][1] == {"label": "p2*Ch^G = p2*Ch^Zp2 + Ch^Zq - Ch V",
                             "expected": "match", "got": "match", "ok": True}
 
 
 def test_parity_properties_on_the_length_8_code():
-    r = verify_identity("parity-props", HAM, T(11), g1=REP24, g2=NR24)
+    r = check_parity(HAM, REP24, NR24, T(11))
     assert not_applicable(r) is None
     assert r["status"] == "pass" and len(r["rows"]) == 6
     labels = [row["label"] for row in r["rows"][1:]]
@@ -503,16 +543,7 @@ def test_parity_properties_on_the_length_8_code():
 
 
 def test_parity_properties_gate():
-    r = verify_identity("parity-props", HAM, T(7), g1=REP24, g2=EX_G)
+    r = check_parity(HAM, REP24, EX_G, T(7))
     assert not_applicable(r) == "nr class must have cycle type 2^(N/2)"
-    r = verify_identity("parity-props", HAM, T(7), g1=NR24, g2=NR24)
+    r = check_parity(HAM, NR24, NR24, T(7))
     assert not_applicable(r) == "rep fixed theta is not the A1(2)^(N/2) series"
-    r = verify_identity("parity-props", HAM, T(7), g1=REP24)
-    assert not_applicable(r) == "nr class missing"
-    r = verify_identity("parity-props", HAM, T(7), g2=NR24)
-    assert not_applicable(r) == "rep class missing"
-
-
-def test_unknown_identity_rejected():
-    with pytest.raises(DomainError):
-        verify_identity("ThmE", HAM, T(4), g1=REP24)

@@ -329,7 +329,6 @@ def test_broken_character_invariant_exits_3(capsys, monkeypatch):
     # a memoized trace would not reach the patched theta
     characters._trace.cache_clear()
     monkeypatch.setattr(characters, "theta_twisted", no_theta)
-    monkeypatch.setattr(characters, "kernel_theta", no_theta)
     for group in ("(1,7)(2,4)(3,8)(5,6)",
                   "(1,2)(3,8)(4,7)(5,6), (1,3)(2,8)(4,6)(5,7)"):
         code, out, err = run(capsys, "character", "--flavor", "super0",
@@ -481,6 +480,33 @@ def test_krep_below_one_is_refused_before_computing(capsys, monkeypatch,
     assert json.loads(err)["error"] == {
         "type": "DomainError",
         "message": "--krep must be at least 1, got %s" % argv[-1]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["replicable", "--group", "(1,5,2)(3,7,8)", "--trunc", "1000",
+     "--krep", "201"],
+    ["scan", str(DATA / "hamming8_classes.txt"), "--krep", "499"],
+    ["identify", "--krep", "1000"],
+], ids=["replicable", "scan", "identify"])
+def test_krep_above_the_cap_is_refused_before_computing(capsys, monkeypatch,
+                                                        argv):
+    # the Faber square costs about K^3, so a large K would run for minutes
+    def no_quotient(*args, **kwargs):
+        raise AssertionError("computed a quotient for a bad --krep")
+
+    monkeypatch.setattr(cli, "fixed_quotient", no_quotient)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "DomainError",
+        "message": "--krep must be at most %d, got %s"
+                   % (cli.MAX_KREP, argv[-1])}
+
+
+def test_krep_at_the_cap_is_accepted():
+    args = cli.parse_args(["replicable", "--krep", str(cli.MAX_KREP)])
+    assert cli._krep(args) == cli.MAX_KREP == 200
 
 
 @pytest.mark.parametrize("argv", [

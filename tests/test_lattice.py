@@ -23,7 +23,7 @@ from thetaforge.lattice import (
     FLAVORS, _census_keys, _census_theta, _coset_parity, _orbit_blocks,
     _paired_blocks, catalog_theta, doubling_code_criterion,
     doubling_lattice_criterion, is_even, kernel_theta, lift_order,
-    theta_fixed, theta_matches, theta_twisted,
+    theta_fixed, theta_twisted,
 )
 from thetaforge.perms import Perm, orbits, parse_generators, parse_perm
 from thetaforge.qseries import DEN, QSeries
@@ -736,13 +736,6 @@ def test_parity_matching_of_a1_and_dual_d():
                 assert a.coeff48(T(k)) == d.coeff48(T(k)), (n, k)
 
 
-def test_theta_matches_window_guard():
-    a = catalog_theta("E8", 1, T(6))
-    with pytest.raises(DomainError):
-        theta_matches(a, a)
-    assert theta_matches(catalog_theta("E8", 1, T(12)), catalog_theta("E8", 1, T(14)))
-
-
 # ---------- fixed-subcode shapes that pin the theta series ----------
 
 def test_partition_basis_shapes_on_the_length_8_code():
@@ -772,7 +765,7 @@ def test_partition_shape_implies_the_closed_form_theta():
         assert a_partition_order(code, g) == r
         n = code.n
         got = theta_fixed(code, [g], T(13))
-        assert theta_matches(got, catalog_theta("A1^%d" % (n // r), r, T(13)))
+        assert got.matches(catalog_theta("A1^%d" % (n // r), r, T(13)))
         # binomial expansion over the weight census of the fixed subcode
         t2 = shifted_theta(r, HALF, T(13))
         t3 = shifted_theta(r, Fraction(0), T(13))
@@ -784,8 +777,7 @@ def test_partition_shape_implies_the_closed_form_theta():
 
 
 def test_anchored_shape_implies_the_dual_d_theta():
-    assert theta_matches(theta_fixed(HAM, [NR24], T(13)),
-                         catalog_theta("D4*", 2, T(13)))
+    assert theta_fixed(HAM, [NR24], T(13)).matches(catalog_theta("D4*", 2, T(13)))
     t2 = shifted_theta(1, HALF, T(13))
     t3 = shifted_theta(1, Fraction(0), T(13))
     assert theta_fixed(HAM, [NR24], T(13)).matches(t3 ** 4 + t2 ** 4)

@@ -11,7 +11,7 @@ from thetaforge.qseries import (
     rational_power, theta2, theta3, theta4,
 )
 
-from oracles import dilate, oracle_eta, shifted_theta
+from oracles import brute_int_theta, dilate, oracle_eta, shifted_theta
 
 T = lambda n: n * DEN  # integer q-power -> 48ths
 
@@ -321,6 +321,23 @@ def test_int_theta_against_the_shifted_theta_oracle(weight, shift, alt):
     assert num.denominator == 1
     got = int_theta(int(num), t, shift.numerator, T(25), alternating=alt)
     assert got == shifted_theta(weight, shift, T(25), alternating=alt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 6), st.integers(-40, 40),
+       st.integers(-100, 3000), st.booleans())
+def test_int_theta_against_a_brute_sum(num, stride, offset, trunc48, alt):
+    # any int offset, below 0 or at least the stride included, and
+    # windows <= 0, which hold no term
+    assert (int_theta(num, stride, offset, trunc48, alt)
+            == brute_int_theta(num, stride, offset, trunc48, alt))
+
+
+def test_int_theta_keeps_the_terms_of_an_offset_outside_the_stride():
+    assert int_theta(1, 1, -7, 1).coeffs == {0: 1}
+    assert int_theta(3, 2, 5, 4 * 75).coeffs == {3: 2, 27: 2, 75: 2, 147: 2,
+                                                 243: 2}
+    assert int_theta(1, 1, 0, 0).coeffs == {}
 
 
 @pytest.mark.parametrize("alt", [False, True])

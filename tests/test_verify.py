@@ -13,11 +13,10 @@ from pathlib import Path
 import pytest
 
 from thetaforge import characters, verify
-from thetaforge.codes import catalog_code
 from thetaforge.errors import DomainError
 from thetaforge.qseries import DEN, QSeries
 from thetaforge.verify import (
-    FIGURE_IDS, _check_p2q, _compare, _is_prime, verify_figure,
+    FIGURE_IDS, _compare, _group_shape, _is_prime, verify_figure,
 )
 
 ROW_COUNTS = {
@@ -98,27 +97,33 @@ def test_unknown_figure_is_refused():
     assert "fig1" in str(exc.value)
 
 
-def _double_loop_candidates(limit):
-    """The p^2 q factorizations of every order up to limit, by the
-    former double loop over p < q < order, run once for all orders."""
+def _double_loop_candidates(limit, power):
+    """The p^power q factorizations, p < q primes, of every order up to
+    limit, by a double loop over p < q, run once for all orders."""
     found = {}
     for p in range(2, limit + 1):
-        for q in range(p + 1, limit + 1):
-            if p * p * q <= limit and _is_prime(p) and _is_prime(q):
-                found.setdefault(p * p * q, []).append((p, q))
+        for q in range(p + 1, limit // p ** power + 1):
+            if _is_prime(p) and _is_prime(q):
+                found.setdefault(p ** power * q, []).append((p, q))
     return found
 
 
-def test_p2q_gate_reads_the_order_as_the_double_loop_did():
-    # with no generators the group counts as abelian, so the first row
-    # says whether the order factored; a p^2 q factorization is unique
-    code = catalog_code("hamming8")
-    reference = _double_loop_candidates(1500)
+def test_group_shape_reads_the_order_as_the_double_loop_did():
+    # one factorization names both theorems: each order has at most one
+    # p*q and one p^2 q factorization, and never both
+    pq = _double_loop_candidates(1500, 1)
+    p2q = _double_loop_candidates(1500, 2)
+    assert not set(pq) & set(p2q)
     for order in range(1, 1501):
-        row = _check_p2q(code, [], [None] * order, 2 * 48, "plain")[0]
-        reason = ("group is abelian" if order in reference
-                  else "group order %d is not p^2*q" % order)
-        assert row["got"] == "not-applicable: " + reason, order
+        if order in pq:
+            [(p, q)] = pq[order]
+            want = ("ThmD-pq", p, q)
+        elif order in p2q:
+            [(p, q)] = p2q[order]
+            want = ("Thm-p2q", p, q)
+        else:
+            want = (None, None, None)
+        assert _group_shape(order) == want, order
 
 
 def test_compare_names_the_smaller_of_two_mismatches():
