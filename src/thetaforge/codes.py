@@ -7,7 +7,6 @@ in (I | B) form, and their direct-sum combination of length 16.
 """
 
 from .errors import DomainError, ParseError, read_lines
-from .perms import Perm
 
 HAMMING8_ROWS = [
     "10000111",

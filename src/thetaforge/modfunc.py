@@ -39,12 +39,10 @@ def orbit_degree(orbit_type):
     return sum(t * r for t, r in orbit_type)
 
 
-# QSeries instances are never mutated, so sharing them is safe
-@cache
 def eta_product(pairs, trunc48):
     """Product of eta(q^t)^count over the (length, count) pairs, counts
-    of either sign, exact below trunc48; built once per pairs and
-    window, and shared."""
+    of either sign, exact below trunc48; each catalog row is kept by
+    `mckay_thompson`'s cache, so this one keeps nothing."""
     return eta_power(1, tuple((t, -r) for t, r in pairs), 1, trunc48)
 
 
@@ -240,6 +238,7 @@ _CATALOG = {
 MT_NAMES = tuple(_CATALOG)
 
 
+# QSeries instances are never mutated, so sharing them is safe
 @cache
 def mckay_thompson(name, trunc48):
     """Closed-form expansion of the named catalog series, q^-1 + O(1);

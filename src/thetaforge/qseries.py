@@ -25,14 +25,16 @@ import `fractions` (with it `decimal` and `numbers`) until then, so a
 job whose values are all whole never loads it; until it is loaded no
 Fraction can exist, and type checks look the class up in `sys.modules`.
 
-Products are sparse convolutions.  A rational power f**r runs J.C.P.
-Miller's power recurrence on the exponent stride of f, which costs
-O(T^2) for T terms; with f = c q^v (1 + ...) the result is exact below
-trunc48 - v + r v, and f**1 is f itself.  A series is divided only by a
-scalar.  Every eta product, eta quotient and theta quotient is one call
-of `eta_power`, which runs Euler's divisor-sum recurrence for
-(num / prod eta(q^t)^count)^power: each term is two dot products of
-the earlier terms against small numbers, and no eta series is built.
+Products are sparse convolutions.  A series is divided only by a
+scalar.  Every power f**r with r not 0 or 1, eta product, eta quotient
+and theta quotient is one call of `eta_power`, which runs Euler's
+divisor-sum recurrence for (num / prod eta(q^t)^count)^power: each
+term is two dot products of the earlier terms against small numbers,
+and no eta series is built.  With no eta factor it is J.C.P. Miller's
+power recurrence, summed over the nonzero terms of num only, so a
+rational power f**r costs O(T^2) for T terms, less when f is sparse;
+with f = c q^v (1 + ...) it is exact below trunc48 - v + r v, and f**1
+is f itself.
 """
 
 from math import gcd, isqrt
@@ -304,20 +306,12 @@ class QSeries:
         return self.pow_rational(n)
 
     def pow_rational(self, r):
-        """Exact f**r for rational r = p/q, by J.C.P. Miller's recurrence.
+        """Exact f**r for rational r: `eta_power` with no eta factor.
 
-        Writes f = c q^v (1 + h), so f**r = c**r q^(r v) g with
-        g = (1 + h)**r.  Laid out along the stride d = gcd of the
-        exponents of h, with h_0 = 0 and g_0 = 1, g satisfies
-        (Knuth, TAOCP vol. 2, 4.7)
-
-            n q g_n = sum_{k=1..n} ((p + q) k - n q) h_k g_{n-k},
-
-        which costs O(T^2) for T terms on the stride, and less when h is
-        sparse.  Integer powers and inverses take the same path.  The
-        result is exact below trunc48 - v + r v, the window of h shifted
-        by r v.  Requires c**r to be an exact rational and r*v to stay on
-        the exponent grid.
+        With f = c q^v (1 + h) the result is c**r q^(r v) (1 + h)**r,
+        exact below trunc48 - v + r v, the window of h shifted by r v.
+        Integer powers and inverses take the same path.  Requires c**r
+        to be an exact rational and r*v to stay on the exponent grid.
         """
         r = exact_rational(r, "power")
         if r == 1:
@@ -329,34 +323,11 @@ class QSeries:
         if not r:
             return self ** 0
         v = self.valuation48()
-        c = self.coeffs[v]
         rv = r * v
         if rv.denominator != 1:
             raise ValueError("power %s of leading exponent %s/48 leaves the grid"
                              % (r, v))
-        cr = rational_power(c, r)
-        trel = self.trunc48 - v
-        d = 0
-        for e in self.coeffs:
-            d = gcd(d, e - v)
-        d = d or trel
-        p, q = r.numerator, r.denominator
-        h = [(k, (p + q) * k, exact_div(self.coeffs[v + k * d], c))
-             for k in sorted((e - v) // d for e in self.coeffs if e != v)]
-        g = [1]
-        for n in range(1, (trel - 1) // d + 1):
-            nq = n * q
-            s = 0
-            for k, pqk, hk in h:
-                if k > n:
-                    break
-                s += (pqk - nq) * hk * g[n - k]
-            g.append(exact_div(s, nq))
-        shift = int(rv)
-        if cr != 1:
-            g = [_norm_coeff(cr * gn) for gn in g]
-        return QSeries._raw({n * d + shift: gn for n, gn in enumerate(g) if gn},
-                            trel + shift)
+        return eta_power(self, (), r, self.trunc48 - v + int(rv))
 
     def truncate48(self, t48):
         """Drop all terms at exponent >= t48 (48ths); never widens the window."""
@@ -400,55 +371,81 @@ def eta_power(num, counts, power, trunc48):
         n q f_n = sum_{k>=1} (p U_k - q (n-k) h_k) f_{n-k},  U = Dh + h S,
 
     two dot products of earlier terms against small numbers per term.
-    A series num must be exact below trunc48 - (v - 2N) power + v.
+    With E = 1 (no counts, or all 0) S = 0 and U = Dh, so the sum is
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7)
+
+        n q f_n = sum_{k>=1} ((p + q) k - q n) h_k f_{n-k},
+
+    run over the nonzero h_k alone: a sparse theta's power pays for its
+    terms, not for its window.  A series num must be exact below
+    trunc48 - (v - 2N) power + v.
     """
     power, trunc48 = exact_rational(power, "power"), exact_int(trunc48)
-    counts = [(exact_int(t, "eta length"), exact_int(r, "eta count"))
-              for t, r in counts]
-    if min((t for t, _ in counts), default=1) < 1:
-        raise ValueError("eta lengths must be positive integers")
+    eta, degree = [], 0   # the factors of E, and N
+    for t, r in counts:
+        t, r = exact_int(t, "eta length"), exact_int(r, "eta count")
+        if t < 1:
+            raise ValueError("eta lengths must be positive integers")
+        if r:
+            eta.append((t, r))
+            degree += t * r
     series = isinstance(num, QSeries)
     if series and not num.coeffs:
         raise PrecisionError("the numerator is 0 below %d/48, so its lead"
                              " is unknown" % num.trunc48)
     v = num.valuation48() if series else 0
     c = num.coeffs[v] if series else exact_rational(num, "numerator")
-    shift = (v - 2 * sum(t * r for t, r in counts)) * power
+    shift = (v - 2 * degree) * power
     if shift.denominator != 1:
         raise ValueError("power %s takes the lead %s/48 off the grid"
                          % (power, shift / power))
-    window = trunc48 - int(shift)
+    shift = int(shift)
+    window = trunc48 - shift
     if series and num.trunc48 - v < window:
         raise PrecisionError(
             "the eta quotient below %d/48 needs a numerator exact below"
             " %d/48, not %d/48" % (trunc48, window + v, num.trunc48))
-    h = {e - v: exact_div(x, c) for e, x in num.coeffs.items()
-         if v < e < v + window} if series else {}
-    s = gcd(*h, *(DEN * t for t, r in counts if r)) or max(window, 1)
+    h = {e - v: x if c == 1 else exact_div(x, c)
+         for e, x in num.coeffs.items() if v < e < v + window} if series else {}
+    s = gcd(*h, *[DEN * t for t, _ in eta]) or max(window, 1)
     terms = max(0, -(-window // s))
-    sig = [0] * terms      # S on the stride, in steps a = 48d/s
-    for t, r in counts:
-        for a in range(DEN * t // s, terms, DEN * t // s) if r else ():
-            for k in range(a, terms, a):
-                sig[k] += r * a
-    hs = [0] * terms
-    for e, x in h.items():
-        hs[e // s] = x
     p, q = power.numerator, power.denominator
-    if h:   # U = Dh + h S; with h = 1 it is S
-        sig = [k * hk + sk + sum(map(mul, hs[1:k], sig[k - 1:0:-1]))
-               for k, (hk, sk) in enumerate(zip(hs, sig))]
-    u, hq = [p * x for x in sig], [q * x for x in hs]
-    f, nf = [1], [0]   # nf[n] = n f_n
-    for n in range(1, terms):
-        acc = sum(map(mul, u[n:0:-1], f))
-        if h:
-            acc -= sum(map(mul, hq[n:0:-1], nf))
-        f.append(exact_div(acc, n * q))
-        nf.append(n * f[n])
-    cr = rational_power(c, power)
-    return QSeries._raw({int(shift) + n * s: _norm_coeff(cr * x)
-                         for n, x in enumerate(f[:terms]) if x}, trunc48)
+    cr = 1 if c == 1 else rational_power(c, power)
+    f = [1]
+    if eta:
+        sig = [0] * terms      # S on the stride, in steps a = 48d/s
+        for t, r in eta:
+            for a in range(DEN * t // s, terms, DEN * t // s):
+                for k in range(a, terms, a):
+                    sig[k] += r * a
+        hs = [0] * terms
+        for e, x in h.items():
+            hs[e // s] = x
+        if h:   # U = Dh + h S; with h = 1 it is S
+            sig = [k * hk + sk + sum(map(mul, hs[1:k], sig[k - 1:0:-1]))
+                   for k, (hk, sk) in enumerate(zip(hs, sig))]
+        u, hq = [p * x for x in sig], [q * x for x in hs]
+        nf = [0]   # nf[n] = n f_n
+        for n in range(1, terms):
+            acc = sum(map(mul, u[n:0:-1], f))
+            if h:
+                acc -= sum(map(mul, hq[n:0:-1], nf))
+            f.append(exact_div(acc, n * q))
+            nf.append(n * f[n])
+    else:   # E = 1, U = Dh: Miller's recurrence over the nonzero h_k
+        nz = [(e // s, (p + q) * (e // s), x) for e, x in sorted(h.items())]
+        for n in range(1, terms):
+            nq = n * q
+            acc = 0
+            for k, pqk, x in nz:
+                if k > n:
+                    break
+                acc += (pqk - nq) * x * f[n - k]
+            f.append(exact_div(acc, nq))
+    if cr != 1:
+        f = [_norm_coeff(cr * x) for x in f]
+    return QSeries._raw({shift + n * s: x for n, x in enumerate(f[:terms]) if x},
+                        trunc48)
 
 
 def int_theta(num, stride, offset, trunc48, alternating=False):

@@ -80,11 +80,32 @@ series_st = st.builds(
 
 POWERS = [Fraction(r) for r in ("-2", "-1", "-1/2", "1/2", "1/3", "3/2")]
 
+# positive int powers like those `lattice` raises its block thetas to
+ENGINE_POWERS = [2, 3, 8, 12, 24]
+
+
+@st.composite
+def engine_power_case_st(draw):
+    """(f, r) in the shape the engine raises: a block theta
+    `lattice._factor` with quarters 0 to 3 (lead 1, or 2 for quarters
+    2), plain or alternating, to a positive int power.  Alternating
+    quarters 2 is the zero series, which the engine never raises."""
+    size = draw(st.integers(min_value=1, max_value=4))
+    quarters = draw(st.integers(min_value=0, max_value=3))
+    alternating = quarters != 2 and draw(st.booleans())
+    lead = 3 * size * min(quarters, 4 - quarters) ** 2
+    end = lead + draw(st.integers(min_value=1, max_value=16 * DEN))
+    f = _factor(size, quarters, alternating, end)
+    return f, draw(st.sampled_from(ENGINE_POWERS))
+
 
 @st.composite
 def power_case_st(draw):
     """(f, r) with f**r exact: a perfect sixth-power lead at an exponent
-    divisible by 6, a tail on a random stride, and any window end."""
+    divisible by 6, a tail on a random stride, and any window end; or,
+    one time in four, an engine case."""
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return draw(engine_power_case_st())
     r = draw(st.sampled_from(POWERS))
     stride = draw(st.sampled_from([1, 2, 3, 8, 16, 48]))
     v = 6 * draw(st.integers(min_value=-8, max_value=8))
@@ -105,7 +126,10 @@ def power_case_st(draw):
 @st.composite
 def integral_power_case_st(draw):
     """(f, r) with integer coefficients and f**r exact: the lead is a
-    sixth power (negated only for integer r), the tail any integers."""
+    sixth power (negated only for integer r), the tail any integers; or,
+    one time in four, an engine case."""
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return draw(engine_power_case_st())
     r = draw(st.sampled_from(POWERS))
     stride = draw(st.sampled_from([1, 2, 3, 48]))
     v = 6 * draw(st.integers(min_value=-8, max_value=8))

@@ -41,6 +41,9 @@ permutation and builds no series: the generators of the recorded
 figures stay cycle strings until a figure runs.  Every def and class of
 the package is reached from `cli.main`, so the package holds only what
 a verb runs: code that only tests call lives in `tests/oracles.py`.
+No module imports a name it never reads (a name in ``__all__`` is
+read): the reachability walk follows definitions, not imports, so it
+cannot see a stale import line.
 """
 
 import ast
@@ -168,6 +171,51 @@ def test_reachability_guard_sees_every_form():
     assert _unreached(trees) == [
         "cli.unreached_function", "util.Box.unreached_method",
         "util.Unused", "util.Unused.__repr__", "util.only_imported"]
+
+
+def _unread_imports(tree):
+    """(line, name) for each name an import in tree binds and no code in
+    tree reads; the names listed in ``__all__`` count as read."""
+    bound, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert ["%s:%d %s" % (path.name, line, name)
+            for path in sorted(SRC.rglob("*.py"))
+            for line, name in _unread_imports(ast.parse(path.read_text()))
+            ] == []
+
+
+def test_unread_import_guard_sees_every_form():
+    tree = ast.parse(
+        "import os, sys\n"
+        "import z\n"
+        "import a.b as c\n"
+        "import p.q\n"
+        "from x import y, w as v\n"
+        "from . import m\n"
+        "from typing import *\n"
+        "__all__ = ['m']\n"
+        "def f():\n"
+        "    import inner\n"
+        "    return os.sep, p.q.r, v\n"
+        "t = c_name, z_attr.z, x.y\n")
+    assert _unread_imports(tree) == [
+        (1, "sys"), (2, "z"), (3, "c"), (5, "y"), (10, "inner")]
 
 
 def test_no_assert_statements_in_the_package():
