@@ -25,16 +25,18 @@ import `fractions` (with it `decimal` and `numbers`) until then, so a
 job whose values are all whole never loads it; until it is loaded no
 Fraction can exist, and type checks look the class up in `sys.modules`.
 
-Products are sparse convolutions.  A series is divided only by a
-scalar.  Every power f**r with r not 0 or 1, eta product, eta quotient
-and theta quotient is one call of `eta_power`, which runs Euler's
-divisor-sum recurrence for (num / prod eta(q^t)^count)^power: each
-term is two dot products of the earlier terms against small numbers,
-and no eta series is built.  With no eta factor it is J.C.P. Miller's
-power recurrence, summed over the nonzero terms of num only, so a
-rational power f**r costs O(T^2) for T terms, less when f is sparse;
-with f = c q^v (1 + ...) it is exact below trunc48 - v + r v, and f**1
-is f itself.
+Only this module calls ``QSeries(coeffs, trunc48)``, which checks
+nothing: outside values enter through `monomial` and the checked
+arguments of the builders.  Products are sparse convolutions.  A
+series is divided only by a scalar.  Every power f**r (r an int or a
+Fraction, not 0 or 1), eta product, eta quotient and theta quotient is
+one call of `eta_power`, which runs Euler's divisor-sum recurrence for
+(num / prod eta(q^t)^count)^power: each term is two dot products of
+the earlier terms against small numbers, and no eta series is built.
+With no eta factor it is J.C.P. Miller's power recurrence, summed
+over the nonzero terms of num only, so a rational power f**r costs
+O(T^2) for T terms, less when f is sparse; with f = c q^v (1 + ...) it
+is exact below trunc48 - v + r v, and f**1 is f itself.
 """
 
 from math import gcd, isqrt
@@ -136,36 +138,22 @@ class QSeries:
 
     ``coeffs`` maps exponent (in 48ths) to a nonzero int or Fraction;
     ``trunc48`` is the exclusive bound below which the series is exact.
+    The constructor takes both as they are and checks nothing: every
+    exponent is an int below trunc48 and every whole value an int.
     Instances are immutable by convention: no method mutates self.
     """
 
     __slots__ = ("coeffs", "trunc48")
 
     def __init__(self, coeffs, trunc48):
-        trunc48 = exact_int(trunc48)
-        clean = {}
-        for e, c in coeffs.items():
-            e = exact_int(e)
-            if e >= trunc48:
-                continue
-            c = exact_rational(c, "coefficient")
-            if c:
-                clean[e] = c
-        self.coeffs = clean
+        self.coeffs = coeffs
         self.trunc48 = trunc48
-
-    @classmethod
-    def _raw(cls, coeffs, trunc48):
-        out = object.__new__(cls)
-        out.coeffs = coeffs
-        out.trunc48 = trunc48
-        return out
 
     # ---------- constructors ----------
 
     @classmethod
     def zero(cls, trunc48):
-        return cls._raw({}, exact_int(trunc48))
+        return cls({}, exact_int(trunc48))
 
     @classmethod
     def one(cls, trunc48):
@@ -177,7 +165,7 @@ class QSeries:
         exp48, trunc48 = exact_int(exp48), exact_int(trunc48)
         if not coeff or exp48 >= trunc48:
             return cls.zero(trunc48)
-        return cls._raw({exp48: coeff}, trunc48)
+        return cls({exp48: coeff}, trunc48)
 
     # ---------- inspection ----------
 
@@ -227,7 +215,7 @@ class QSeries:
     __hash__ = None
 
     def __neg__(self):
-        return QSeries._raw({e: -c for e, c in self.coeffs.items()}, self.trunc48)
+        return QSeries({e: -c for e, c in self.coeffs.items()}, self.trunc48)
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
@@ -243,7 +231,7 @@ class QSeries:
                     out[e] = _norm_coeff(s)
                 else:
                     out.pop(e, None)
-        return QSeries._raw(out, t)
+        return QSeries(out, t)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -253,34 +241,26 @@ class QSeries:
             return NotImplemented
         return self.__add__(-other)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             if not _is_rational(other):
                 return NotImplemented
             if not other:
                 return QSeries.zero(self.trunc48)
-            return QSeries._raw(
+            return QSeries(
                 {e: _norm_coeff(c * other) for e, c in self.coeffs.items()},
                 self.trunc48)
         t = min(self.valuation48() + other.trunc48,
                 other.valuation48() + self.trunc48)
         out = {}
-        a = sorted(self.coeffs.items())
         b = sorted(other.coeffs.items())
-        for e1, c1 in a:
+        for e1, c1 in sorted(self.coeffs.items()):
             for e2, c2 in b:
                 e = e1 + e2
                 if e >= t:
                     break
                 out[e] = out.get(e, 0) + c1 * c2
-        clean = {}
-        for e, c in out.items():
-            if c:
-                clean[e] = _norm_coeff(c)
-        return QSeries._raw(clean, t)
+        return QSeries({e: _norm_coeff(c) for e, c in out.items() if c}, t)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -292,21 +272,13 @@ class QSeries:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("series divided by zero")
-        return QSeries._raw(
+        return QSeries(
             {e: exact_div(c, other) for e, c in self.coeffs.items()},
             self.trunc48)
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n == 0:
-            if self.trunc48 <= 0:
-                raise PrecisionError("cannot represent 1 below truncation 0")
-            return QSeries.one(self.trunc48)
-        return self.pow_rational(n)
-
-    def pow_rational(self, r):
-        """Exact f**r for rational r: `eta_power` with no eta factor.
+    def __pow__(self, r):
+        """Exact f**r for an int or a Fraction r: `eta_power` with no eta
+        factor.
 
         With f = c q^v (1 + h) the result is c**r q^(r v) (1 + h)**r,
         exact below trunc48 - v + r v, the window of h shifted by r v.
@@ -316,12 +288,14 @@ class QSeries:
         r = exact_rational(r, "power")
         if r == 1:
             return self
+        if not r:
+            if self.trunc48 <= 0:
+                raise PrecisionError("cannot represent 1 below truncation 0")
+            return QSeries.one(self.trunc48)
         if not self.coeffs:
             if r > 0:
                 return QSeries.zero(int(self.trunc48 * r))
             raise ValueError("cannot raise the zero series to a nonpositive power")
-        if not r:
-            return self ** 0
         v = self.valuation48()
         rv = r * v
         if rv.denominator != 1:
@@ -336,16 +310,14 @@ class QSeries:
             raise PrecisionError(
                 "cannot truncate at %s/48: the series is exact only below %s/48"
                 % (t48, self.trunc48))
-        return QSeries._raw({e: c for e, c in self.coeffs.items() if e < t48}, t48)
+        return QSeries({e: c for e, c in self.coeffs.items() if e < t48}, t48)
 
     # ---------- serialization ----------
 
     def to_json_obj(self):
-        pairs = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            pairs.append([e, c if isinstance(c, int)
-                          else "%d/%d" % (c.numerator, c.denominator)])
+        pairs = [[e, c if isinstance(c, int)
+                  else "%d/%d" % (c.numerator, c.denominator)]
+                 for e, c in sorted(self.coeffs.items())]
         return {"lead_num48": self.valuation48(),
                 "trunc_num48": self.trunc48,
                 "coeffs": pairs}
@@ -444,8 +416,8 @@ def eta_power(num, counts, power, trunc48):
             f.append(exact_div(acc, nq))
     if cr != 1:
         f = [_norm_coeff(cr * x) for x in f]
-    return QSeries._raw({shift + n * s: x for n, x in enumerate(f[:terms]) if x},
-                        trunc48)
+    return QSeries({shift + n * s: x for n, x in enumerate(f[:terms]) if x},
+                   trunc48)
 
 
 def int_theta(num, stride, offset, trunc48, alternating=False):
@@ -471,7 +443,7 @@ def int_theta(num, stride, offset, trunc48, alternating=False):
             coeffs[e] = c
         else:
             del coeffs[e]
-    return QSeries._raw(coeffs, trunc48)
+    return QSeries(coeffs, trunc48)
 
 
 def theta2(t, trunc48):

@@ -133,6 +133,11 @@ def _other_jobs():
         ["theta", "--code", h16, "--trunc", "8"],
         ["quotient", "--code", h16],
         ["quotient", "--code", h16, "--group", "(1,2)(3,4)(5,6)(7,8)"],
+        # a power 12/5 quotient: the only records with Fraction values
+        ["quotient", "--code", h16, "--group", "(1,2,5,3,7,6,4)",
+         "--trunc", "4"],
+        ["quotient", "--code", h16, "--group", "(1,2,5,3,7,6,4)",
+         "--trunc", "4", "--table"],
         ["replicable", "--code", h16, "--group", "(1,9)(2,10)(3,11)(4,12)"
          "(5,13)(6,14)(7,15)(8,16)"],
         ["character", "--code", h16, "--group", "(1,9)(2,10)(3,11)(4,12)"

@@ -11,9 +11,13 @@ is another matter.  Run it from anywhere:
 
     PYTHONPATH=src python tests/corpus_lines.py
 
+`test_corpus_calls.py` replays the corpus with `calls_into` and
+`uncalled` and fails on a function that no record calls.
+
 pytest does not collect this file: its name does not start with test_.
 """
 
+import inspect
 import json
 import os
 import sys
@@ -23,16 +27,45 @@ from tempfile import TemporaryDirectory
 SRC = Path(__file__).resolve().parent.parent / "src" / "thetaforge"
 
 
-def _code_objects(code):
-    """code and every code object nested in it."""
-    yield code
+def _code_objects(code, qualname=None):
+    """(qualified name, code object) for code and every code object
+    nested in it; the module has no name.  The names are built here, as
+    `co_qualname` is new in Python 3.11."""
+    yield qualname, code
     for const in code.co_consts:
         if hasattr(const, "co_lines"):
-            yield from _code_objects(const)
+            if qualname is None:
+                name = const.co_name
+            elif code.co_flags & inspect.CO_NEWLOCALS:   # a function
+                name = "%s.<locals>.%s" % (qualname, const.co_name)
+            else:   # a class body
+                name = "%s.%s" % (qualname, const.co_name)
+            yield from _code_objects(const, name)
 
 
 def _compiled(path):
     return list(_code_objects(compile(path.read_text(), str(path), "exec")))
+
+
+def _named_functions(codes):
+    """The (qualified name, code object) pairs of named functions among
+    codes: no module or class body, and no lambda or comprehension,
+    which is called only if the function around it is."""
+    return [(name, c) for name, c in codes if "<" not in c.co_name
+            and c.co_flags & inspect.CO_NEWLOCALS]
+
+
+def replay_corpus():
+    """Run every job of the corpus in this process, from the root of the
+    repository, as `test_records.py` does; the number of jobs."""
+    from cli_records import CORPUS, ROOT, run_job
+    os.chdir(ROOT)
+    jobs = [json.loads(line)["argv"]
+            for line in (ROOT / CORPUS).read_text().splitlines()]
+    with TemporaryDirectory() as scratch:
+        for argv in jobs:
+            run_job(argv, os.path.join(scratch, "out"))
+    return len(jobs)
 
 
 def replay_traced():
@@ -56,16 +89,38 @@ def replay_traced():
 
     sys.settrace(tracer)
     try:
-        from cli_records import CORPUS, ROOT, run_job
-        os.chdir(ROOT)
-        jobs = [json.loads(line)["argv"]
-                for line in (ROOT / CORPUS).read_text().splitlines()]
-        with TemporaryDirectory() as scratch:
-            for argv in jobs:
-                run_job(argv, os.path.join(scratch, "out"))
+        count = replay_corpus()
     finally:
         sys.settrace(None)
-    return ran, called, len(jobs)
+    return ran, called, count
+
+
+def calls_into(src, run):
+    """The (file, first line) pairs of the functions under the directory
+    src that run() calls, seen by a call-only `sys.setprofile` hook; it
+    costs far less than the line tracer and leaves any tracer alone."""
+    prefix = str(src) + os.sep
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(prefix):
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+def uncalled(called, src=SRC):
+    """"module.qualified.name" of each named function of the modules in
+    the directory src whose (file, first line) is not in called."""
+    return ["%s.%s" % (path.stem, name)
+            for path in sorted(Path(src).glob("*.py"))
+            for name, c in _named_functions(_compiled(path))
+            if (str(path), c.co_firstlineno) not in called]
 
 
 def main():
@@ -74,12 +129,9 @@ def main():
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text().splitlines()
         codes = _compiled(path)
-        # named functions only: a comprehension or lambda of one that is
-        # not called is not called either
-        idle = [getattr(c, "co_qualname", c.co_name) for c in codes[1:]
-                if "<" not in c.co_name
-                and (str(path), c.co_firstlineno) not in called]
-        missed = {line for c in codes for _, _, line in c.co_lines()
+        idle = [name for name, c in _named_functions(codes)
+                if (str(path), c.co_firstlineno) not in called]
+        missed = {line for _, c in codes for _, _, line in c.co_lines()
                   if line is not None and (str(path), line) not in ran}
         total += len(missed)
         print("%s: %d functions not called, %d lines not run"

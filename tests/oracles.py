@@ -1,5 +1,9 @@
 """Test-side oracles and inputs shared by several test modules.
 
+`make_series` is the checked, normalising series builder that the tests
+and their strategies use; the package's `QSeries` constructor takes
+clean data as it is.
+
 The oracles are exhaustive and slow by design, so they live beside the
 tests that use them and not in the package.  So do the fixed-subcode
 shapes that pin a fixed theta series in closed form, which only the
@@ -31,10 +35,32 @@ from thetaforge.lattice import (
 )
 from thetaforge.modfunc import MT_NAMES, mckay_thompson, strip_constant
 from thetaforge.perms import Perm, parse_generators
-from thetaforge.qseries import DEN, PrecisionError, QSeries, exact_div
+from thetaforge.qseries import (
+    DEN, PrecisionError, QSeries, exact_div, exact_int, exact_rational,
+)
 from thetaforge.verify import FIGURE_IDS
 
 HALF = Fraction(1, 2)
+
+
+# ---------- the checked series builder ----------
+
+def make_series(coeffs, trunc48):
+    """The series with these coefficients below trunc48, in the form
+    `QSeries` stores: exponents and the bound must be ints and values
+    ints or Fractions, zeros and terms at or past trunc48 are dropped,
+    and a whole Fraction becomes an int.  The package builds each series
+    from data in that form already, so only tests need the checks."""
+    trunc48 = exact_int(trunc48)
+    clean = {}
+    for e, c in coeffs.items():
+        e = exact_int(e)
+        if e >= trunc48:
+            continue
+        c = exact_rational(c, "coefficient")
+        if c:
+            clean[e] = c
+    return QSeries(clean, trunc48)
 
 
 # ---------- listings and readings that only tests ask for ----------
@@ -73,7 +99,7 @@ def shifted_theta(weight, shift, trunc48, alternating=False):
             raise ValueError("theta exponent %s/48 is off the grid" % e)
         sign = -1 if alternating and n % 2 else 1
         out[int(e)] = out.get(int(e), 0) + sign
-    return QSeries(out, trunc48)
+    return make_series(out, trunc48)
 
 
 def brute_int_theta(num, stride, offset, trunc48, alternating=False):
@@ -86,7 +112,7 @@ def brute_int_theta(num, stride, offset, trunc48, alternating=False):
         e = num * (stride * n + offset) ** 2
         if e < trunc48:
             out[e] = out.get(e, 0) + (-1 if alternating and n % 2 else 1)
-    return QSeries({e: c for e, c in out.items() if c}, trunc48)
+    return make_series({e: c for e, c in out.items() if c}, trunc48)
 
 
 def brute_force_automorphisms(is_member, n, cap_degree=8):
@@ -397,12 +423,12 @@ def oracle_eta(scale, trunc48):
         prod = {e: c for e, c in new.items() if c}
         n += 1
     # q^(scale/24) is 2*scale in 48ths
-    return QSeries({e + 2 * scale: c for e, c in prod.items()}, trunc48)
+    return make_series({e + 2 * scale: c for e, c in prod.items()}, trunc48)
 
 
 def dilate(f, m):
     """f with q replaced by q^m for a positive integer m."""
-    return QSeries({e * m: c for e, c in f.coeffs.items()}, f.trunc48 * m)
+    return make_series({e * m: c for e, c in f.coeffs.items()}, f.trunc48 * m)
 
 
 # ---------- the catalog builders that `modfunc._CATALOG` replaced ----------
@@ -417,22 +443,21 @@ def _build_t4a(t48):
 
 
 def _build_t8b(t48):
-    return dilate(_build_t4a((t48 + DEN) // 2), 2).pow_rational(Fraction(1, 2))
+    return dilate(_build_t4a((t48 + DEN) // 2), 2) ** Fraction(1, 2)
 
 
 def _build_t16a(t48):
-    return dilate(_build_t4a((t48 + 3 * DEN) // 4), 4).pow_rational(
-        Fraction(1, 4))
+    return dilate(_build_t4a((t48 + 3 * DEN) // 4), 4) ** Fraction(1, 4)
 
 
 def _build_t3a(t48):
     pad = t48 + _PAD
     u = oracle_eta(1, pad) ** 6 * oracle_eta(3, pad) ** -6
-    return (u + 27 * u.pow_rational(-1)) ** 2
+    return (u + 27 * u ** -1) ** 2
 
 
 def _build_t6b(t48):
-    return dilate(_build_t3a((t48 + DEN) // 2), 2).pow_rational(Fraction(1, 2))
+    return dilate(_build_t3a((t48 + DEN) // 2), 2) ** Fraction(1, 2)
 
 
 def _build_t12a(t48):
@@ -447,7 +472,7 @@ def _build_t7a(t48):
     pad = t48 + _PAD
     eta = {k: oracle_eta(k, pad) for k in (1, 2, 7, 14)}
     a = eta[1] * eta[7] * (eta[2] * eta[14]) ** -1
-    return (a + 4 * a.pow_rational(-2)) ** 3
+    return (a + 4 * a ** -2) ** 3
 
 
 def _build_t1a(t48):

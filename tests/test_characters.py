@@ -25,12 +25,12 @@ from thetaforge.lattice import (
     theta_fixed)
 from thetaforge.modfunc import eta_product, eta_quotient
 from thetaforge.perms import group_elements, parse_generators, parse_perm
-from thetaforge.qseries import DEN, QSeries
+from thetaforge.qseries import DEN
 from thetaforge.verify import (
     _SUBGROUP_CLASSES, check_group, check_parity, check_thmC,
 )
 
-from oracles import hamming8_class_representatives
+from oracles import hamming8_class_representatives, make_series
 
 T = lambda n: n * DEN
 
@@ -288,13 +288,13 @@ def test_group_character_refuses_doubling_elements():
 
 def test_character_invariant_checks_the_mean_of_the_traces():
     # rank 8: the pole sits at q^(-16/48) and dimensions at q^(-16/48 + k)
-    pole = QSeries({-16: 1}, T(2))
-    plus = lambda coeffs: QSeries({-16: 1, **coeffs}, T(2))
+    pole = make_series({-16: 1}, T(2))
+    plus = lambda coeffs: make_series({-16: 1, **coeffs}, T(2))
     mean = _character([plus({32: 2}), pole], 8)
-    assert mean == QSeries({-16: 1, 32: 1}, T(2))
+    assert mean == make_series({-16: 1, 32: 1}, T(2))
     bad = "character has a non-dimension coefficient %s at %s/48"
     for terms, message in [
-        ([QSeries({-8: 1}, T(2))], "character pole is off"),
+        ([make_series({-8: 1}, T(2))], "character pole is off"),
         ([plus({32: 1}), pole], bad % ("1/2", 32)),
         ([plus({40: 1})], bad % (1, 40)),
         ([plus({32: -1})], bad % (-1, 32)),

@@ -31,8 +31,8 @@ from thetaforge.qseries import DEN, QSeries
 from oracles import (
     a_partition_order, brute_fixed_words, brute_force_automorphisms,
     codewords, dilate, _images, d_partition_anchor,
-    hamming8_class_representatives, integer_coefficients, oracle_eta,
-    shifted_theta, tuple_census_theta, walk_doubling_code,
+    hamming8_class_representatives, integer_coefficients, make_series,
+    oracle_eta, shifted_theta, tuple_census_theta, walk_doubling_code,
     walk_doubling_lattice, weight_enumerator,
 )
 
@@ -770,7 +770,7 @@ def test_partition_shape_implies_the_closed_form_theta():
         t2 = shifted_theta(r, HALF, T(13))
         t3 = shifted_theta(r, Fraction(0), T(13))
         m = n // (2 * r)
-        binom = QSeries({}, T(13))
+        binom = make_series({}, T(13))
         for k in range(m + 1):
             binom = binom + comb(m, k) * (t2 ** (2 * k)) * (t3 ** (2 * (m - k)))
         assert got.matches(binom)

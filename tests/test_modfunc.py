@@ -36,7 +36,7 @@ from thetaforge.verify import _SUBGROUP_CLASSES
 
 from oracles import (
     CATALOG_BUILDERS, dilate, full_window_identify,
-    hamming8_class_representatives, oracle_eta,
+    hamming8_class_representatives, make_series, oracle_eta,
 )
 
 T = lambda n: n * DEN
@@ -68,18 +68,19 @@ def test_eta_product_is_product_of_etas():
     assert eta_product(((1, 2), (2, 1), (4, 1)), T(4)).valuation48() == 2 * 8
 
 
-def test_eta_product_is_built_once_and_shared_unchanged():
+def test_a_shared_eta_product_is_left_unmutated():
     first = eta_product(parse_orbit_type("1^2 2 4"), T(10))
     snapshot = (dict(first.coeffs), first.trunc48)
     assert (eta_product(parse_orbit_type("1^2 2 4"), T(9))
             == first.truncate48(T(9)))
     derived = [first * first, first + first, first - 1, -first, 3 * first,
                first * first ** -1, first / 3, first ** 2, first ** 1,
-               first.pow_rational(Fraction(1, 2)), first.truncate48(T(4)),
+               first ** Fraction(1, 2), first.truncate48(T(4)),
                dilate(first, 2)]
     assert derived[8] is first   # a first power is the series itself
     assert (first.coeffs, first.trunc48) == snapshot
-    assert eta_product(parse_orbit_type("1^2 2 4"), T(10)) == QSeries(*snapshot)
+    assert (eta_product(parse_orbit_type("1^2 2 4"), T(10))
+            == make_series(*snapshot))
 
 
 # ---------- the eta quotient and its window ----------
@@ -291,7 +292,7 @@ def strided_faber_input(draw):
     for t in range(s - 1, 2 * K + 1, s):
         if t:
             coeffs[t * DEN] = draw(exact_coeff_st)
-    return QSeries(coeffs, T(2 * K) + 1), K
+    return make_series(coeffs, T(2 * K) + 1), K
 
 
 def strided_tail(s, K):
@@ -299,14 +300,14 @@ def strided_tail(s, K):
     tail = [t for t in range(s - 1, 2 * K + 1, s) if t]
     coeffs = {-DEN: 1, T(tail[0]): Fraction(1, 3)}
     coeffs.update({T(t): t % 7 - 2 for t in tail[1:] if t % 7 - 2})
-    return QSeries(coeffs, T(2 * K) + 1), K
+    return make_series(coeffs, T(2 * K) + 1), K
 
 
 # The square walks the anti-diagonals sigma = j + k that stride s
 # divides.  These put sigma = K + 1, the last one closed on row 1, and
 # sigma = 2K, the last one, on stride 1 to 5, at both middle parities.
 @given(strided_faber_input())
-@example((QSeries({-DEN: 1}, T(13)), 6))
+@example((make_series({-DEN: 1}, T(13)), 6))
 @example(strided_tail(1, 6))    # sigma = 7 odd, 12 even
 @example(strided_tail(1, 7))    # sigma = 8 even, 14 even
 @example(strided_tail(2, 5))    # sigma = 6 and 10
@@ -382,7 +383,7 @@ def test_faber_table_symmetry(tail):
     K = 4
     coeffs = {-DEN: 1}
     coeffs.update({(i + 1) * DEN: c for i, c in enumerate(tail) if c})
-    f = QSeries(coeffs, T(2 * K + 1))
+    f = make_series(coeffs, T(2 * K + 1))
     # the entries G_{n,k}/k are symmetric in n and k
     rows = _faber_rows(f, K)
     for n in range(1, K + 1):
@@ -396,7 +397,7 @@ def test_sparse_series_is_replicable(c):
     coeffs = {-DEN: 1}
     if c:
         coeffs[DEN] = c if c.denominator > 1 else int(c)
-    f = QSeries(coeffs, T(26))
+    f = make_series(coeffs, T(26))
     assert is_replicable(f, 12)["verdict"] == "replicable-up-to-K_rep"
 
 

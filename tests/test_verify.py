@@ -14,10 +14,12 @@ import pytest
 
 from thetaforge import characters, verify
 from thetaforge.errors import DomainError
-from thetaforge.qseries import DEN, QSeries
+from thetaforge.qseries import DEN
 from thetaforge.verify import (
     FIGURE_IDS, _compare, _group_shape, _is_prime, verify_figure,
 )
+
+from oracles import make_series
 
 ROW_COUNTS = {
     "fig1": 6,
@@ -127,8 +129,8 @@ def test_group_shape_reads_the_order_as_the_double_loop_did():
 
 
 def test_compare_names_the_smaller_of_two_mismatches():
-    lhs = QSeries({-16: 1, 32: 5, 80: 7}, 4 * DEN)
-    rhs = QSeries({-16: 2, 32: 5, 80: 6}, 3 * DEN)
+    lhs = make_series({-16: 1, 32: 5, 80: 7}, 4 * DEN)
+    rhs = make_series({-16: 2, 32: 5, 80: 6}, 3 * DEN)
     row = _compare("row", lhs, rhs)
     assert row == {"label": "row", "expected": "match",
                    "got": "first mismatch at -16/48", "ok": False}
@@ -138,8 +140,8 @@ def test_compare_names_the_smaller_of_two_mismatches():
 def test_compare_on_a_parity_ignores_the_filtered_out_powers():
     # N = 8: the powers q^(k - 1/3) sit at 48 k - 16, and a difference
     # at 0 lies off that grid
-    lhs = QSeries({-16: 1, 0: 3, 32: 4, 80: 9}, 5 * DEN)
-    rhs = QSeries({-16: 1, 0: 2, 32: 5, 80: 9}, 5 * DEN)
+    lhs = make_series({-16: 1, 0: 3, 32: 4, 80: 9}, 5 * DEN)
+    rhs = make_series({-16: 1, 0: 2, 32: 5, 80: 9}, 5 * DEN)
     assert _compare("even", lhs, rhs, N=8, parity=0)["got"] == "match"
     odd = _compare("odd", lhs, rhs, N=8, parity=1)
     assert (odd["got"], odd["ok"]) == ("first mismatch at 32/48", False)
