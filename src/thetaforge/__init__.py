@@ -9,6 +9,6 @@ by the lifted automorphisms.
 
 __version__ = "0.1.0"
 
-from .qseries import DEN, PrecisionError, QSeries
+from .qseries import DEN, PrecisionError
 
-__all__ = ["DEN", "PrecisionError", "QSeries", "__version__"]
+__all__ = ["DEN", "PrecisionError", "__version__"]

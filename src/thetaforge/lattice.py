@@ -71,16 +71,14 @@ def _factor(size, quarters, alternating, trunc48):
 
 @cache
 def _block_product(signature, trunc48):
-    """Product over ((size, quarters, alt), multiplicity) factor specs,
-    built on the cached product of all but the last."""
-    if not signature:
-        return QSeries.one(trunc48)
-    prefix = _block_product(signature[:-1], trunc48)
-    (size, quarters, alt), mult = signature[-1]
-    base = _factor(size, quarters, alt, trunc48)
-    if prefix.is_zero() or base.is_zero():
-        return QSeries.zero(trunc48)
-    return (prefix * base ** mult).truncate48(trunc48)
+    """Product over ((size, quarters, alt), multiplicity) factor specs."""
+    out = QSeries.one(trunc48)
+    for (size, quarters, alt), mult in signature:
+        base = _factor(size, quarters, alt, trunc48)
+        if base.is_zero():
+            return QSeries.zero(trunc48)
+        out = out * base ** mult
+    return out.truncate48(trunc48)
 
 
 def _orbit_blocks(gens, n):

@@ -26,7 +26,8 @@ job whose values are all whole never loads it; until it is loaded no
 Fraction can exist, and type checks look the class up in `sys.modules`.
 
 Only this module calls ``QSeries(coeffs, trunc48)``, which checks
-nothing: outside values enter through `monomial` and the checked
+nothing, and `thetaforge` does not export the class: outside values
+enter through `monomial`, the scalar operators and the checked
 arguments of the builders.  Products are sparse convolutions.  A
 series is divided only by a scalar.  Every power f**r (r an int or a
 Fraction, not 0 or 1), eta product, eta quotient and theta quotient is
@@ -253,14 +254,19 @@ class QSeries:
         t = min(self.valuation48() + other.trunc48,
                 other.valuation48() + self.trunc48)
         out = {}
+        a = sorted(self.coeffs.items())
         b = sorted(other.coeffs.items())
-        for e1, c1 in sorted(self.coeffs.items()):
+        for e1, c1 in a:
             for e2, c2 in b:
                 e = e1 + e2
                 if e >= t:
                     break
                 out[e] = out.get(e, 0) + c1 * c2
-        return QSeries({e: _norm_coeff(c) for e, c in out.items() if c}, t)
+        clean = {}
+        for e, c in out.items():
+            if c:
+                clean[e] = _norm_coeff(c)
+        return QSeries(clean, t)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -315,9 +321,11 @@ class QSeries:
     # ---------- serialization ----------
 
     def to_json_obj(self):
-        pairs = [[e, c if isinstance(c, int)
-                  else "%d/%d" % (c.numerator, c.denominator)]
-                 for e, c in sorted(self.coeffs.items())]
+        pairs = []
+        for e in sorted(self.coeffs):
+            c = self.coeffs[e]
+            pairs.append([e, c if isinstance(c, int)
+                          else "%d/%d" % (c.numerator, c.denominator)])
         return {"lead_num48": self.valuation48(),
                 "trunc_num48": self.trunc48,
                 "coeffs": pairs}

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import thetaforge
 from thetaforge.lattice import _factor
 from thetaforge.qseries import (
     DEN, PrecisionError, QSeries, eta_power, exact_div, int_theta, iroot,
@@ -203,22 +204,31 @@ def test_monomial_and_zero():
         m.coeff48(T(5))
 
 
+def test_the_package_does_not_export_the_unchecked_constructor():
+    # QSeries(coeffs, trunc48) stores what it is given, so the class stays
+    # internal; values from outside enter through the checked calls below
+    assert sorted(thetaforge.__all__) == ["DEN", "PrecisionError", "__version__"]
+    assert not hasattr(thetaforge, "QSeries")
+
+
 @pytest.mark.parametrize("build", [
-    lambda: make_series({0: 0.1}, T(1)),
     lambda: QSeries.monomial(0.5, 0, T(1)),
-], ids=["make_series", "monomial"])
+    lambda: QSeries.one(T(1)) + 0.1,
+    lambda: QSeries.one(T(1)) * 0.1,
+    lambda: QSeries.one(T(1)) / 0.1,
+    lambda: eta_power(0.1, (), 1, T(1)),
+], ids=["monomial", "add", "mul", "truediv", "eta_power-numerator"])
 def test_inexact_coefficients_rejected(build):
     with pytest.raises(TypeError):
         build()
 
 
 @pytest.mark.parametrize("build", [
-    lambda: make_series({0.5: 1, 47.9: 2}, T(1)),
-    lambda: make_series({0: 1}, 48.7),
+    lambda: QSeries.zero(48.7),
+    lambda: QSeries.one(48.7),
     lambda: QSeries.monomial(1, 0.9, T(1)),
     lambda: QSeries.monomial(1, 0, 48.7),
-], ids=["make_series-exponent", "make_series-bound", "monomial-exponent",
-        "monomial-bound"])
+], ids=["zero-bound", "one-bound", "monomial-exponent", "monomial-bound"])
 def test_inexact_exponents_rejected(build):
     # int() would truncate these silently to a different series
     with pytest.raises(TypeError):
