@@ -37,9 +37,7 @@ on the a_Omega/4 cosets and 0 otherwise, its constant part is
 
 which must be a multiple of 8; the coset sign is (-1)^(e8/8).  No
 lattice vectors and no codewords are ever listed here; brute-force
-enumerators live in the test suite as oracles.  The reference lattices of
-`catalog_theta` are not enumerated either: each is a polynomial in
-the Jacobi thetas of q^scale.
+enumerators live in the test suite as oracles.
 
 Order doubling needs no census either.  With h = g^{m/2}, the parity
 of <v, hv> on the coset a_B/2 + Z^N is q(B) = |B ∩ hB|/2 mod 2, and on
@@ -51,12 +49,11 @@ quarter-shifted cosets the e8 rule adds |B|/2 + N/8 with β = 1, and
 
 from collections import Counter
 from functools import cache
-import re
 
 from .codes import BinaryCode
 from .errors import DomainError
 from .perms import Perm, orbits
-from .qseries import QSeries, int_theta, theta2, theta3, theta4
+from .qseries import QSeries, int_theta
 
 FLAVORS = ("plain", "super0", "super1")
 
@@ -409,46 +406,3 @@ def lift_order(code: BinaryCode, g: Perm, flavor: str = "plain") -> int:
     doubled, _ = doubling_lattice_criterion(code, g, flavor=flavor)
     return g.order() * (2 if doubled else 1)
 
-
-# compiled, and cached by re, on first use
-_CATALOG_RE = r"(A1|A2|K|E8|D(\d+)(\*?))(?:\^(\d+))?\Z"
-
-
-def catalog_theta(name: str, scale: int, trunc48: int) -> QSeries:
-    """Closed-form theta series of small reference lattices.
-
-    name is a base name with an optional power suffix: A1, A2, K, E8,
-    Dn, Dn* or e.g. "A1^4".  scale rescales the quadratic form by an
-    integer; the A1(2) of rank-one fixed sublattices is
-    catalog_theta("A1", 2, t).  Each base is a polynomial in the Jacobi
-    thetas of q**scale, built directly below trunc48: A1 = θ3, E8 =
-    (θ2⁸ + θ3⁸ + θ4⁸)/2, Dn = (θ3ⁿ + θ4ⁿ)/2 and Dn* = θ3ⁿ + θ2ⁿ.  A2 and
-    K are the forms x² + xy + c y² with c = 1 and 2, which read
-    (x + y/2)² + d y²/4 with d = 4c - 1; split on the parity of y they
-    are θ3(2s) θ3(2ds) + θ2(2s) θ2(2ds) at s = scale.
-    """
-    match = re.match(_CATALOG_RE, name.replace(" ", ""))
-    if match is None:
-        raise DomainError("unknown catalog lattice %r" % name)
-    if scale < 1:
-        raise DomainError("scale must be a positive integer, got %r" % scale)
-    power = int(match.group(4) or 1)
-    base = match.group(1)
-    s, t = scale, trunc48
-    if base == "A1":
-        series = theta3(s, t)
-    elif base in ("A2", "K"):
-        d = 3 if base == "A2" else 7
-        series = (theta3(2 * s, t) * theta3(2 * d * s, t)
-                  + theta2(2 * s, t) * theta2(2 * d * s, t))
-    elif base == "E8":
-        series = (theta2(s, t) ** 8 + theta3(s, t) ** 8 + theta4(s, t) ** 8) / 2
-    else:
-        rank = int(match.group(2))
-        if match.group(3):
-            series = theta3(s, t) ** rank + theta2(s, t) ** rank
-        else:
-            series = (theta3(s, t) ** rank + theta4(s, t) ** rank) / 2
-    if power != 1:
-        series = series ** power
-    return series

@@ -7,9 +7,9 @@ quotients, tests replicability of such a series on the K x K square of
 its Faber coefficients, and matches candidates against a small catalog
 of T_nX series of monstrous moonshine.  The catalog is a table of eta
 quotients: each series is a constant plus a sum of them, each term a
-coefficient and the eta exponents of its numerator and denominator,
-evaluated as one `eta_product` with signed counts; T_1A = j - 744 too,
-through the Γ0(2) Hauptmodul eta(τ)^24 / eta(2τ)^24.  A candidate is
+coefficient and one tuple of (length, count) pairs, the denominator's
+counts negated, that is evaluated as one `eta_product`; T_1A = j - 744
+too, through the Γ0(2) Hauptmodul eta(τ)^24 / eta(2τ)^24.  A candidate is
 compared first on the 8 positive powers identification needs, and only
 a catalog series that agrees there is built over the full window.
 
@@ -20,8 +20,8 @@ exact below t needs the numerator through t + 2N for an eta product of
 degree N.  `fixed_quotient` is the one path
 from a code, a group and a flavor to the labelled quotient
 (theta/eta_g)^(24/N), and the rank N is read off the degree of the
-orbit type.  Orbit types and eta exponents are the (length, count)
-pairs of `perms`; catalog rows, written "1^24", are parsed per series.
+orbit type.  Orbit types, eta exponents and the catalog terms are the
+(length, count) pairs of `perms`.
 """
 
 from functools import cache
@@ -216,23 +216,30 @@ def is_replicable(f, K_rep=12):
 
 # ---------- catalog of closed-form expansions ----------
 
-# name -> (constant, terms): the series is constant + sum c * num / den
-# over its terms (c, num, den), num and den the exponents of two eta
-# products, eta(kτ)^r written k^r as in Conway and Norton's tables.
-# T_1A = j - 744 with j = (t + 256)^3 / t^2 for the Γ0(2) Hauptmodul
-# t = eta(τ)^24 / eta(2τ)^24.  T_7A is a^3 + 12 + 48 a^-3 + 64 a^-6
-# with a = eta(τ) eta(7τ) / (eta(2τ) eta(14τ)).
+# name -> (constant, terms): the series is constant + sum c * eta_product
+# over its terms (c, pairs), the numerator's pairs then the denominator's
+# with counts negated; each row's comment writes it as in Conway and
+# Norton's tables, eta(kτ)^r as k^r.  T_1A = j - 744 with j = (t + 256)^3
+# / t^2 for the Γ0(2) Hauptmodul t = eta(τ)^24 / eta(2τ)^24.  T_7A is
+# a^3 + 12 + 48 a^-3 + 64 a^-6, a = eta(τ) eta(7τ) / (eta(2τ) eta(14τ)).
 _CATALOG = {
-    "T_1A": (24, [(1, "1^24", "2^24"), (196608, "2^24", "1^24"),
-                  (16777216, "2^48", "1^48")]),
-    "T_4A": (0, [(1, "2^48", "1^24 4^24")]),
-    "T_8B": (0, [(1, "4^24", "2^12 8^12")]),
-    "T_16a": (0, [(1, "8^12", "4^6 16^6")]),
-    "T_3A": (54, [(1, "1^12", "3^12"), (729, "3^12", "1^12")]),
-    "T_6b": (0, [(1, "2^6", "6^6"), (27, "6^6", "2^6")]),
-    "T_12A": (0, [(1, "2^12 6^12", "1^6 3^6 4^6 12^6")]),
-    "T_7A": (12, [(1, "1^3 7^3", "2^3 14^3"), (48, "2^3 14^3", "1^3 7^3"),
-                  (64, "2^6 14^6", "1^6 7^6")]),
+    # 24 + 1^24/2^24 + 196608·2^24/1^24 + 16777216·2^48/1^48
+    "T_1A": (24, [(1, ((1, 24), (2, -24))), (196608, ((2, 24), (1, -24))),
+                  (16777216, ((2, 48), (1, -48)))]),
+    "T_4A": (0, [(1, ((2, 48), (1, -24), (4, -24)))]),   # 2^48/1^24 4^24
+    "T_8B": (0, [(1, ((4, 24), (2, -12), (8, -12)))]),   # 4^24/2^12 8^12
+    "T_16a": (0, [(1, ((8, 12), (4, -6), (16, -6)))]),   # 8^12/4^6 16^6
+    # 54 + 1^12/3^12 + 729·3^12/1^12
+    "T_3A": (54, [(1, ((1, 12), (3, -12))), (729, ((3, 12), (1, -12)))]),
+    # 2^6/6^6 + 27·6^6/2^6
+    "T_6b": (0, [(1, ((2, 6), (6, -6))), (27, ((6, 6), (2, -6)))]),
+    # 2^12 6^12/1^6 3^6 4^6 12^6
+    "T_12A": (0, [(1, ((2, 12), (6, 12), (1, -6), (3, -6), (4, -6),
+                       (12, -6)))]),
+    # 12 + 1^3 7^3/2^3 14^3 + 48·2^3 14^3/1^3 7^3 + 64·2^6 14^6/1^6 7^6
+    "T_7A": (12, [(1, ((1, 3), (7, 3), (2, -3), (14, -3))),
+                  (48, ((2, 3), (14, 3), (1, -3), (7, -3))),
+                  (64, ((2, 6), (14, 6), (1, -6), (7, -6)))]),
 }
 
 MT_NAMES = tuple(_CATALOG)
@@ -247,10 +254,8 @@ def mckay_thompson(name, trunc48):
         raise DomainError("unknown series %r; catalog has %s"
                           % (name, ", ".join(MT_NAMES)))
     constant, terms = _CATALOG[name]
-    parse = perms.parse_orbit_type
-    out = sum((c * eta_product(parse(num) + tuple((t, -r) for t, r in
-                                                  parse(den)), trunc48)
-               for c, num, den in terms), constant)
+    out = sum((c * eta_product(pairs, trunc48) for c, pairs in terms),
+              constant)
     if (out.valuation48() != -DEN or out.lead_coeff() != 1
             or not out.is_integral()):
         raise ThetaforgeError(

@@ -6,8 +6,8 @@ with "()" for the identity.
 
 An orbit type, a cycle type or a set of eta exponents has one form in
 the package, sorted (length, count) pairs such as ((1, 2), (2, 1), (4, 1)):
-`orbit_type` and `Perm.cycle_type` produce it, `parse_orbit_type` reads
-it from "1^2 2 4" and `type_str` prints it as "1^2 2^1 4^1".
+`orbit_type` and `Perm.cycle_type` produce it and `type_str` prints it
+as "1^2 2^1 4^1"; nothing parses it back.
 """
 
 import re
@@ -228,26 +228,6 @@ def orbit_type(gens, n):
     """Orbit sizes of the group generated by gens, as sorted (size,
     count) pairs."""
     return tuple(sorted(Counter(map(len, orbits(gens, n))).items()))
-
-
-_PART_RE = r"(\d+)(?:\^(\d+))?\Z"   # compiled, and cached by re, on first use
-
-
-def parse_orbit_type(text):
-    """Read an orbit type written as e.g. "1^2 2 4" into sorted (length,
-    count) pairs; a repeated length adds its counts."""
-    counts = Counter()
-    for tok in text.split():
-        m = re.match(_PART_RE, tok)
-        if not m:
-            raise ParseError("bad orbit-type token %r in %r" % (tok, text))
-        counts[int(m.group(1))] += int(m.group(2) or 1)
-    if not counts:
-        raise DomainError("empty orbit type")
-    if 0 in counts or 0 in counts.values():
-        raise DomainError("orbit type needs positive integer parts, got %r"
-                          % (text,))
-    return tuple(sorted(counts.items()))
 
 
 def type_str(ot):

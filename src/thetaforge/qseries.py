@@ -183,7 +183,7 @@ class QSeries:
         return self.coeffs[self.valuation48()]
 
     def coeff48(self, e48):
-        if e48 >= self.trunc48:
+        if exact_int(e48) >= self.trunc48:
             raise PrecisionError(
                 "coefficient at %s/48 is beyond the truncation %s/48"
                 % (e48, self.trunc48))

@@ -20,7 +20,9 @@ Theorem C for rank 8, `check_parity(code, g_rep, g_nr, trunc48)` the
 parity properties, and `check_group(code, gens, trunc48)` the group
 theorem that the order of <gens> names, pq or p^2 q.  The group
 theorems are one relation, k Ch^G = Ch^A + k Ch^B - Ch V, over the
-subgroups that each shape names.
+subgroups that each shape names.  Fig7 and the half-swap hypotheses
+compare with the thetas of A1(2)^n, D_n(2) and D_n*(2), n half the
+rank, each built from the Jacobi thetas of q^2 by its own function.
 """
 
 from functools import partial
@@ -32,10 +34,10 @@ from .characters import (
 )
 from .codes import catalog_code
 from .errors import DomainError
-from .lattice import catalog_theta, is_even, lift_order, theta_fixed
+from .lattice import is_even, lift_order, theta_fixed
 from .modfunc import eta_quotient, fixed_quotient, identify, is_replicable
 from .perms import Perm, group_elements, parse_generators, parse_perm
-from .qseries import DEN
+from .qseries import DEN, theta2, theta3, theta4
 
 # hamming8 elements that several figures use, parsed where they are
 # used: `cli` imports this module in every process
@@ -143,10 +145,25 @@ def _verify_fig5():
     ]
 
 
+def _theta_a1_2(n, trunc48):
+    """A1(2)^n: θ3(2τ)^n."""
+    return theta3(2, trunc48) ** n
+
+
+def _theta_d_2(n, trunc48):
+    """D_n(2): (θ3^n + θ4^n)/2 of 2τ."""
+    return (theta3(2, trunc48) ** n + theta4(2, trunc48) ** n) / 2
+
+
+def _theta_dstar_2(n, trunc48):
+    """D_n*(2): θ3^n + θ2^n of 2τ."""
+    return theta3(2, trunc48) ** n + theta2(2, trunc48) ** n
+
+
 def _verify_fig7():
     # quotients theta/eta(q^2)^{N/2} for the three ranks (tabulated); the
     # rank-16 and rank-24 rows depend only on the named sublattice, so
-    # they are recomputed from the catalog series
+    # they are recomputed from its closed form
     ham = catalog_code("hamming8")
     rep, nr = parse_perm(_REP, 8), parse_perm(_NR, 8)
 
@@ -160,13 +177,13 @@ def _verify_fig7():
             [1, 8, 28, 64, 134, 288, 568]),
         row("rank 8 nr", 8, partial(theta_fixed, ham, [nr]),
             [1, 24, 28, 192, 134, 864, 568]),
-        row("rank 16 rep", 16, partial(catalog_theta, "A1^8", 2),
+        row("rank 16 rep", 16, partial(_theta_a1_2, 8),
             [1, 16, 120, 576, 2076, 6304, 17344]),
-        row("rank 16 nr", 16, partial(catalog_theta, "D8*", 2),
+        row("rank 16 nr", 16, partial(_theta_dstar_2, 8),
             [1, 16, 376, 576, 6172, 6304, 52160]),
-        row("rank 24 rep", 24, partial(catalog_theta, "A1^12", 2),
+        row("rank 24 rep", 24, partial(_theta_a1_2, 12),
             [1, 24, 276, 2048, 11202, 49152, 184024, 614400, 1881471]),
-        row("rank 24 nr", 24, partial(catalog_theta, "D12*", 2),
+        row("rank 24 nr", 24, partial(_theta_dstar_2, 12),
             [1, 24, 276, 6144, 11202, 147456, 184024, 1843200, 1881471]),
     ]
 
@@ -272,16 +289,15 @@ def _compare(label, lhs, rhs, N=None, parity=None):
     return _row(label, "match", got, not bad)
 
 
-def _half_swap_reason(code, g, name, shown, role, flavor, trunc48):
+def _half_swap_reason(code, g, reference, shown, role, flavor, trunc48):
     """Why g is not a half swap, of cycle type 2^(N/2), whose fixed theta
-    is the catalog series `name` % (N/2) at scale 2, shown as `shown`;
-    None when it is."""
+    is reference(N/2, window), shown as `shown`; None when it is."""
     half = code.n // 2
     if g.cycle_type() != ((2, half),):
         return "%s class must have cycle type 2^(N/2)" % role
     window = max(trunc48 + 2 * DEN, 12 * DEN)
     if not theta_fixed(code, [g], window, flavor=flavor).matches(
-            catalog_theta(name % half, 2, window)):
+            reference(half, window)):
         return "%s fixed theta is not the %s series" % (role, shown)
     return None
 
@@ -289,8 +305,7 @@ def _half_swap_reason(code, g, name, shown, role, flavor, trunc48):
 def _d_lattice_character(N, trunc48):
     """Character of the half-rank D lattice VOA in the doubled variable."""
     half = N // 2
-    return eta_quotient(lambda t: catalog_theta("D%d" % half, 2, t),
-                        ((2, half),), trunc48)
+    return eta_quotient(partial(_theta_d_2, half), ((2, half),), trunc48)
 
 
 def check_thmC(code, g_rep, trunc48, g_nr=None,
@@ -299,13 +314,13 @@ def check_thmC(code, g_rep, trunc48, g_nr=None,
     rep quotient identity, or, given the half swap g_nr, ThmC-2, the nr
     quotient identity."""
     theorem = "ThmC-1" if g_nr is None else "ThmC-2"
-    reason = _half_swap_reason(code, g_rep, "A1^%d", "A1(2)^(N/2)", "first",
-                               flavor, trunc48)
+    reason = _half_swap_reason(code, g_rep, _theta_a1_2, "A1(2)^(N/2)",
+                               "first", flavor, trunc48)
     if reason is None and lift_order(code, g_rep, flavor=flavor) == g_rep.order():
         reason = "first lift does not double, no kernel sublattice"
     if reason is None and g_nr is not None:
-        reason = _half_swap_reason(code, g_nr, "D%d*", "D*(2)", "second",
-                                   flavor, trunc48)
+        reason = _half_swap_reason(code, g_nr, _theta_dstar_2, "D*(2)",
+                                   "second", flavor, trunc48)
     if reason is not None:
         return _report(theorem, [_hypotheses(reason)])
     ch1 = character_cyclic(code, g_rep, trunc48, flavor=flavor)["character"]
@@ -393,9 +408,9 @@ def _check_p2q(code, gens, elements, p, q, trunc48, flavor):
 def check_parity(code, g_rep, g_nr, trunc48, flavor: str = "plain") -> dict:
     """The parity properties of the rep and nr half swaps: where their
     quotients and characters agree."""
-    reason = (_half_swap_reason(code, g_rep, "A1^%d", "A1(2)^(N/2)", "rep",
-                                flavor, trunc48)
-              or _half_swap_reason(code, g_nr, "D%d*", "D*(2)", "nr",
+    reason = (_half_swap_reason(code, g_rep, _theta_a1_2, "A1(2)^(N/2)",
+                                "rep", flavor, trunc48)
+              or _half_swap_reason(code, g_nr, _theta_dstar_2, "D*(2)", "nr",
                                    flavor, trunc48))
     if reason is not None:
         return _report("parity-props", [_hypotheses(reason)])

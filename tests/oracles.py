@@ -13,6 +13,8 @@ the hand-padded catalog builders that the eta-quotient table replaced,
 the eta function as its explicit product, which the one eta kernel
 `qseries.eta_power` replaced,
 the codeword walks that the basis-row doubling criteria replaced,
+the closed-form thetas of the small reference lattices, whose name
+grammar the package's three half-swap builders in `verify` replaced,
 the dilation q -> q^m, the codeword listing, the coefficients at whole
 powers and the thetas with a rational weight and shift, which only tests
 ask for, the tuple-per-codeword census and the codeword images h(B) that the
@@ -26,17 +28,18 @@ from fractions import Fraction
 from itertools import permutations as _all_perms
 from math import isqrt
 from pathlib import Path
+import re
 
 from thetaforge.codes import BinaryCode
 from thetaforge.errors import DomainError
 from thetaforge.lattice import (
     _coset_parity, _orbit_blocks, _paired_blocks, _twist_parity,
-    catalog_theta,
 )
 from thetaforge.modfunc import MT_NAMES, mckay_thompson, strip_constant
 from thetaforge.perms import Perm, parse_generators
 from thetaforge.qseries import (
     DEN, PrecisionError, QSeries, exact_div, exact_int, exact_rational,
+    theta2, theta3, theta4,
 )
 from thetaforge.verify import FIGURE_IDS
 
@@ -429,6 +432,52 @@ def oracle_eta(scale, trunc48):
 def dilate(f, m):
     """f with q replaced by q^m for a positive integer m."""
     return make_series({e * m: c for e, c in f.coeffs.items()}, f.trunc48 * m)
+
+
+# ---------- the closed-form reference lattices ----------
+
+# compiled, and cached by re, on first use
+_CATALOG_RE = r"(A1|A2|K|E8|D(\d+)(\*?))(?:\^(\d+))?\Z"
+
+
+def catalog_theta(name: str, scale: int, trunc48: int) -> QSeries:
+    """Closed-form theta series of small reference lattices.
+
+    name is a base name with an optional power suffix: A1, A2, K, E8,
+    Dn, Dn* or e.g. "A1^4".  scale rescales the quadratic form by an
+    integer; the A1(2) of rank-one fixed sublattices is
+    catalog_theta("A1", 2, t).  Each base is a polynomial in the Jacobi
+    thetas of q**scale, built directly below trunc48: A1 = θ3, E8 =
+    (θ2⁸ + θ3⁸ + θ4⁸)/2, Dn = (θ3ⁿ + θ4ⁿ)/2 and Dn* = θ3ⁿ + θ2ⁿ.  A2 and
+    K are the forms x² + xy + c y² with c = 1 and 2, which read
+    (x + y/2)² + d y²/4 with d = 4c - 1; split on the parity of y they
+    are θ3(2s) θ3(2ds) + θ2(2s) θ2(2ds) at s = scale.
+    """
+    match = re.match(_CATALOG_RE, name.replace(" ", ""))
+    if match is None:
+        raise DomainError("unknown catalog lattice %r" % name)
+    if scale < 1:
+        raise DomainError("scale must be a positive integer, got %r" % scale)
+    power = int(match.group(4) or 1)
+    base = match.group(1)
+    s, t = scale, trunc48
+    if base == "A1":
+        series = theta3(s, t)
+    elif base in ("A2", "K"):
+        d = 3 if base == "A2" else 7
+        series = (theta3(2 * s, t) * theta3(2 * d * s, t)
+                  + theta2(2 * s, t) * theta2(2 * d * s, t))
+    elif base == "E8":
+        series = (theta2(s, t) ** 8 + theta3(s, t) ** 8 + theta4(s, t) ** 8) / 2
+    else:
+        rank = int(match.group(2))
+        if match.group(3):
+            series = theta3(s, t) ** rank + theta2(s, t) ** rank
+        else:
+            series = (theta3(s, t) ** rank + theta4(s, t) ** rank) / 2
+    if power != 1:
+        series = series ** power
+    return series
 
 
 # ---------- the catalog builders that `modfunc._CATALOG` replaced ----------

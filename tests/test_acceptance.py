@@ -19,22 +19,22 @@ from thetaforge.characters import (
 from thetaforge.cli import main
 from thetaforge.codes import catalog_code, load_code
 from thetaforge.lattice import (
-    catalog_theta, doubling_code_criterion, doubling_lattice_criterion,
-    kernel_theta, theta_fixed, theta_twisted,
+    doubling_code_criterion, doubling_lattice_criterion, kernel_theta,
+    theta_fixed, theta_twisted,
 )
 from thetaforge.modfunc import (
     _faber_rows, identify, is_replicable, mckay_thompson, strip_constant,
     theta_quotient,
 )
 from thetaforge.perms import (
-    Perm, orbits, parse_generators, parse_orbit_type, parse_perm,
+    Perm, orbits, parse_generators, parse_perm,
 )
 from thetaforge.qseries import DEN, QSeries
 from thetaforge.verify import check_group, check_thmC, verify_figure
 
 from oracles import (
-    a_partition_order, brute_force_automorphisms, d_partition_anchor,
-    oracle_eta, shifted_theta,
+    a_partition_order, brute_force_automorphisms, catalog_theta,
+    d_partition_anchor, oracle_eta, shifted_theta,
 )
 
 T = lambda n: n * DEN
@@ -65,15 +65,14 @@ def row(series, base48, count):
     return [series.coeff48(base48 + k * DEN) for k in range(count)]
 
 
-def orbit_label(gens, n):
-    sizes = Counter(len(o) for o in orbits(gens, n))
-    return " ".join("%d^%d" % (t, sizes[t]) for t in sorted(sizes))
+def orbit_pairs(gens, n):
+    return tuple(sorted(Counter(len(o) for o in orbits(gens, n)).items()))
 
 
 def quotient_for(code, text, trunc48):
     gens = parse_generators(text, code.n) if text else []
     theta = theta_fixed(code, gens, trunc48)
-    return theta_quotient(theta, parse_orbit_type(orbit_label(gens, code.n)))
+    return theta_quotient(theta, orbit_pairs(gens, code.n))
 
 
 def coefficients_integral(series):
@@ -95,7 +94,7 @@ def test_criterion_02_subgroup_fixed_theta_and_quotient():
         theta = theta_fixed(HAM, gens, T(12))
         assert theta.matches(catalog_theta("A1^3", 2, T(12)))
         assert row(theta, 0, 10) == [1, 6, 12, 8, 6, 24, 24, 0, 12, 30]
-        quo = theta_quotient(theta, parse_orbit_type("2^2 4^1"))
+        quo = theta_quotient(theta, ((2, 2), (4, 1)))
         got = row(quo, -DEN, 9)
         assert got[:4] == [1, 18, 150, 780]
         # tail pinned by a fresh expansion, not the typeset table
@@ -307,7 +306,7 @@ def test_criterion_12_rank_24_stretch_rows():
         assert row(kernel, 0, 6) == [
             1, 0, 98256, 8384512, 199066704, 2314125312]
         fixed = theta_fixed(GOLAY, [HALFSWAP], T(11), flavor="super1")
-        quo = theta_quotient(fixed, parse_orbit_type("2^12"))
+        quo = theta_quotient(fixed, ((2, 12),))
         name, delta = identify(quo)
         assert name == "T_4A"
         assert delta == -24
@@ -322,8 +321,7 @@ def test_criterion_12_rank_24_stretch_rows():
             theta = theta_fixed(rows_code, gens, T(28))
             if first is None:
                 first = theta
-            quo = theta_quotient(theta,
-                                 parse_orbit_type(orbit_label(gens, 24)))
+            quo = theta_quotient(theta, orbit_pairs(gens, 24))
             assert (is_replicable(quo, 12)["verdict"]
                     == "replicable-up-to-K_rep")
         assert first.matches(catalog_theta("A2^3", 2, T(28)))

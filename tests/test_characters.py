@@ -20,9 +20,8 @@ from thetaforge.characters import (
 from thetaforge.codes import BinaryCode, catalog_code
 from thetaforge.errors import DomainError, ThetaforgeError
 from thetaforge.lattice import (
-    FLAVORS, catalog_theta, doubling_code_criterion,
-    doubling_lattice_criterion, is_even, kernel_theta, lift_order,
-    theta_fixed)
+    FLAVORS, doubling_code_criterion, doubling_lattice_criterion, is_even,
+    kernel_theta, lift_order, theta_fixed)
 from thetaforge.modfunc import eta_product, eta_quotient
 from thetaforge.perms import group_elements, parse_generators, parse_perm
 from thetaforge.qseries import DEN
@@ -30,7 +29,9 @@ from thetaforge.verify import (
     _SUBGROUP_CLASSES, check_group, check_parity, check_thmC,
 )
 
-from oracles import hamming8_class_representatives, make_series
+from oracles import (
+    catalog_theta, hamming8_class_representatives, make_series,
+)
 
 T = lambda n: n * DEN
 

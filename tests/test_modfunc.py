@@ -18,9 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 from thetaforge import modfunc
 from thetaforge.characters import trace_series
 from thetaforge.codes import catalog_code
-from thetaforge.errors import DomainError, ParseError, ThetaforgeError
+from thetaforge.errors import DomainError, ThetaforgeError
 from thetaforge.lattice import (
-    FLAVORS, catalog_theta, is_even, lift_order, theta_fixed,
+    FLAVORS, is_even, lift_order, theta_fixed,
     theta_twisted,
 )
 from thetaforge.modfunc import (
@@ -29,13 +29,13 @@ from thetaforge.modfunc import (
     theta_quotient,
 )
 from thetaforge.perms import (
-    orbit_type, parse_generators, parse_orbit_type, parse_perm, type_str,
+    orbit_type, parse_generators, parse_perm, type_str,
 )
 from thetaforge.qseries import DEN, PrecisionError, QSeries
 from thetaforge.verify import _SUBGROUP_CLASSES
 
 from oracles import (
-    CATALOG_BUILDERS, dilate, full_window_identify,
+    CATALOG_BUILDERS, catalog_theta, dilate, full_window_identify,
     hamming8_class_representatives, make_series, oracle_eta,
 )
 
@@ -46,18 +46,6 @@ HAM = catalog_code("hamming8")
 
 # ---------- orbit types and eta products ----------
 
-def test_parse_orbit_type_forms():
-    want = ((1, 2), (2, 1), (4, 1))
-    assert parse_orbit_type("1^2 2 4") == want
-    assert orbit_degree(want) == 8
-
-
-@pytest.mark.parametrize("bad", ["", "2^", "x3", "2^-1", "0^2", "2^0"])
-def test_parse_orbit_type_rejects_junk(bad):
-    with pytest.raises((ParseError, DomainError)):
-        parse_orbit_type(bad)
-
-
 def test_eta_product_is_product_of_etas():
     prod = eta_product(((2, 2), (4, 1)), T(10))
     ref = oracle_eta(2, T(10)) ** 2 * oracle_eta(4, T(10))
@@ -66,12 +54,13 @@ def test_eta_product_is_product_of_etas():
     assert prod.valuation48() == 2 * 8
     assert eta_product(((1, 8),), T(4)).valuation48() == 2 * 8
     assert eta_product(((1, 2), (2, 1), (4, 1)), T(4)).valuation48() == 2 * 8
+    assert orbit_degree(((1, 2), (2, 1), (4, 1))) == 8
 
 
 def test_a_shared_eta_product_is_left_unmutated():
-    first = eta_product(parse_orbit_type("1^2 2 4"), T(10))
+    first = eta_product(((1, 2), (2, 1), (4, 1)), T(10))
     snapshot = (dict(first.coeffs), first.trunc48)
-    assert (eta_product(parse_orbit_type("1^2 2 4"), T(9))
+    assert (eta_product(((1, 2), (2, 1), (4, 1)), T(9))
             == first.truncate48(T(9)))
     derived = [first * first, first + first, first - 1, -first, 3 * first,
                first * first ** -1, first / 3, first ** 2, first ** 1,
@@ -79,15 +68,16 @@ def test_a_shared_eta_product_is_left_unmutated():
                dilate(first, 2)]
     assert derived[8] is first   # a first power is the series itself
     assert (first.coeffs, first.trunc48) == snapshot
-    assert (eta_product(parse_orbit_type("1^2 2 4"), T(10))
+    assert (eta_product(((1, 2), (2, 1), (4, 1)), T(10))
             == make_series(*snapshot))
 
 
 # ---------- the eta quotient and its window ----------
 
-@pytest.mark.parametrize("text", ["1^8", "2^4", "1^2 2 4", "1^24"])
-def test_eta_quotient_needs_the_numerator_through_trunc_plus_2n(text):
-    otype = parse_orbit_type(text)
+@pytest.mark.parametrize("otype", [((1, 8),), ((2, 4),),
+                                   ((1, 2), (2, 1), (4, 1)), ((1, 24),)],
+                         ids=["1^8", "2^4", "1^2 2 4", "1^24"])
+def test_eta_quotient_needs_the_numerator_through_trunc_plus_2n(otype):
     # the eta product of degree N starts at q^(N/24), 2N in 48ths
     need = T(6) + 2 * orbit_degree(otype)
     theta = catalog_theta("E8", 1, T(12))
@@ -459,14 +449,17 @@ def test_catalog_rows_match_the_hand_padded_builders(name):
 
 
 def test_catalog_rows_are_eta_exponents():
-    # each term is data, c * eta_product(num) / eta_product(den)
+    # each term is data, c * eta_product(pairs), the denominator's
+    # counts negated: positive lengths, nonzero counts of either sign
     assert MT_NAMES == tuple(modfunc._CATALOG)
     for name, (constant, terms) in modfunc._CATALOG.items():
         assert type(constant) is int, name
-        for term in terms:
-            assert [type(x) for x in term] == [int, str, str], (name, term)
-            parse_orbit_type(term[1])
-            parse_orbit_type(term[2])
+        for c, pairs in terms:
+            assert type(c) is int and c > 0, (name, c)
+            assert type(pairs) is tuple and pairs, (name, pairs)
+            for t, r in pairs:
+                assert type(t) is int and t > 0, (name, pairs)
+                assert type(r) is int and r != 0, (name, pairs)
 
 
 def test_unknown_series_name_rejected():

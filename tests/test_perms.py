@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from thetaforge.errors import DomainError, ParseError
 from thetaforge.perms import (
-    Perm, group_elements, orbit_type, orbits, parse_generators,
-    parse_orbit_type, parse_perm, read_group_file, type_str,
+    Perm, group_elements, orbit_type, orbits, parse_generators, parse_perm,
+    read_group_file, type_str,
 )
 
 from oracles import brute_force_automorphisms
@@ -150,7 +150,9 @@ def test_orbit_type_is_sorted_pairs_that_round_trip(case):
     assert type(ot) is tuple
     assert ot == tuple(sorted(Counter(map(len, orbits(gens, n))).items()))
     assert sum(t * r for t, r in ot) == n
-    assert parse_orbit_type(type_str(ot)) == ot
+    # the label is every pair in order, t^r, and nothing else
+    assert [tuple(map(int, part.split("^")))
+            for part in type_str(ot).split()] == list(ot)
     for g in gens:
         assert g.cycle_type() == orbit_type([g], n)
 
@@ -193,3 +195,15 @@ def test_read_group_file(tmp_path):
     gens = read_group_file(str(path), 4)
     assert len(gens) == 2
     assert orbit_type(gens, 4) == ((4, 1),)
+
+
+def test_whitespace_between_cycles_reads_two_ways(tmp_path):
+    # a generating set on one line (--group, a scan line) splits at
+    # whitespace; a group-file line is one permutation, whose cycles may
+    # be spaced apart
+    text = "(1,2) (3,4)"
+    assert parse_generators(text, 8) == [parse_perm("(1,2)", 8),
+                                         parse_perm("(3,4)", 8)]
+    path = tmp_path / "gens.txt"
+    path.write_text(text + "\n")
+    assert read_group_file(str(path), 8) == [parse_perm("(1,2)(3,4)", 8)]

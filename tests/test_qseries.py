@@ -243,11 +243,15 @@ def test_inexact_exponents_rejected(build):
     lambda: int_theta(3, 4, 1, 100.5),
     lambda: int_theta(1.5, 1, 0, T(4)),
     lambda: theta2(1.5, T(4)),
+    lambda: QSeries.monomial(5, T(1), T(2)).coeff48(47.9),
+    lambda: QSeries.monomial(5, T(1), T(2)).coeff48(48.0),
 ], ids=["truncate48", "eta", "eta-bound", "theta-bound",
-        "int_theta-bound", "int_theta-weight", "theta2-scale"])
+        "int_theta-bound", "int_theta-weight", "theta2-scale",
+        "coeff48-between", "coeff48-whole"])
 def test_non_integer_arguments_rejected(call):
     # int() would run the first two on 100 and 1/eta(q) instead, and
-    # the builders would hand out a series with a float bound
+    # the builders would hand out a series with a float bound; a float
+    # exponent would read 0 between the int keys and match one by value
     with pytest.raises(TypeError):
         call()
 

@@ -25,9 +25,12 @@ takes them from `lattice.FLAVORS` or passes a flavor through.  For the
 same start-up cost no module imports ``json`` (`cli` writes records
 itself) or anything from ``__future__``, and none compiles a regular
 expression when it is imported: a pattern is compiled the first time
-its parser runs.  Only `modfunc` names ``theta_quotient``: every other
-module gets the labelled quotient of a fixed sublattice from
-`modfunc.fixed_quotient`, which reads the rank off the orbit type.
+its parser runs.  Only `perms` imports ``re``, to read the permutations
+a user types; every constant of the package is written as the value
+its callee takes, not as text parsed back at run time.  Only `modfunc`
+names ``theta_quotient``: every other module gets the labelled
+quotient of a fixed sublattice from `modfunc.fixed_quotient`, which
+reads the rank off the orbit type.
 An orbit type has one form, the (length, count) pairs of `perms`, so no
 call hands ``eta_product``, ``eta_quotient`` or ``theta_quotient`` an
 orbit type written as a dict or a string.
@@ -595,7 +598,7 @@ def test_orbit_type_guard_sees_every_form():
         "d = modfunc.eta_product({t: 1 for t in ts}, w)\n"
         "e = eta_quotient(num, orbit_type={2: 4}, trunc48=t)\n"
         "f = eta_product(((1, 8),), t)\n"
-        "g = eta_quotient(num, parse_orbit_type('2^4'), t)\n"
+        "g = eta_quotient(num, orbit_type(gens, 8), t)\n"
         "h = eta_quotient({1: 8}, ot, t)\n"
         "i = type_str({2: 4})\n"
         "j = theta_quotient(theta, g.cycle_type())\n")
@@ -654,6 +657,32 @@ def test_pattern_guard_sees_every_module_level_form():
         "K = other.compile('l')\n")
     assert sorted(node.lineno for node in _import_time_compiles(tree)) == [
         2, 3, 5, 7, 9, 11]
+
+
+_imports_re = _importer("re")
+
+
+def test_only_perms_imports_re():
+    assert _offending_nodes(_imports_re, skip=("perms.py",)) == []
+
+
+def test_re_guard_sees_every_form():
+    tree = ast.parse(
+        "import re\n"
+        "from re import match\n"
+        "import os, re as regex\n"
+        "if True:\n"
+        "    from re import compile as rc\n"
+        "def f():\n"
+        "    import re\n"
+        "class A:\n"
+        "    import re\n"
+        "from .re import x\n"
+        "import regex\n"
+        "import requests\n"
+        "from reprlib import repr\n")
+    assert sorted(node.lineno for node in ast.walk(tree)
+                  if _imports_re(node)) == [1, 2, 3, 5, 7, 9]
 
 
 def _constructs_a_series(node):

@@ -16,10 +16,11 @@ from thetaforge import characters, verify
 from thetaforge.errors import DomainError
 from thetaforge.qseries import DEN
 from thetaforge.verify import (
-    FIGURE_IDS, _compare, _group_shape, _is_prime, verify_figure,
+    FIGURE_IDS, _compare, _group_shape, _is_prime, _theta_a1_2, _theta_d_2,
+    _theta_dstar_2, verify_figure,
 )
 
-from oracles import make_series
+from oracles import catalog_theta, make_series
 
 ROW_COUNTS = {
     "fig1": 6,
@@ -33,6 +34,16 @@ ROW_COUNTS = {
     "thmC": 10,
     "thmD": 2,
 }
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_the_half_swap_references_are_the_closed_forms(n):
+    # A1(2)^n, D_n(2) and D_n*(2) against the oracle's named closed
+    # forms, on and off the integer grid out to 24 powers
+    for w in (1, 5 * DEN + 7, 24 * DEN):
+        assert _theta_a1_2(n, w) == catalog_theta("A1^%d" % n, 2, w)
+        assert _theta_d_2(n, w) == catalog_theta("D%d" % n, 2, w)
+        assert _theta_dstar_2(n, w) == catalog_theta("D%d*" % n, 2, w)
 
 
 def test_a_figure_traces_each_character_once():

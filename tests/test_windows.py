@@ -13,7 +13,7 @@ from thetaforge.characters import (
 )
 from thetaforge.codes import catalog_code
 from thetaforge.lattice import (
-    catalog_theta, kernel_theta, lift_order, theta_fixed, theta_twisted,
+    kernel_theta, lift_order, theta_fixed, theta_twisted,
 )
 from thetaforge.modfunc import (
     MT_NAMES, eta_product, eta_quotient, mckay_thompson, orbit_degree,
@@ -21,6 +21,7 @@ from thetaforge.modfunc import (
 )
 from thetaforge.perms import parse_generators
 from thetaforge.qseries import DEN, PrecisionError
+from thetaforge.verify import _theta_a1_2, _theta_d_2, _theta_dstar_2
 
 from oracles import hamming8_class_representatives
 
@@ -32,9 +33,9 @@ PLAIN_GROUPS = [parse_generators(text, 8) for text in (
     "(1,2)(3,8)(4,7)(5,6), (1,3)(2,8)(4,6)(5,7)",
     "(1,5,2)(3,7,8)",
 )]
-LATTICES = ["A1", "A2", "K", "E8", "D4", "D4*", "A1^4"]
 
 windows = st.integers(min_value=DEN, max_value=5 * DEN)
+half_ranks = st.integers(1, 12)
 even_flavors = st.sampled_from(["plain", "super1"])
 all_flavors = st.sampled_from(["plain", "super0", "super1"])
 classes = st.sampled_from(CLASSES)
@@ -74,8 +75,9 @@ ENTRY_POINTS = {
         flavor=draw(all_flavors)),
     "kernel_theta": lambda draw, w: kernel_theta(
         HAM, draw(st.sampled_from(EVEN_CLASSES)), w, flavor=draw(all_flavors)),
-    "catalog_theta": lambda draw, w: catalog_theta(
-        draw(st.sampled_from(LATTICES)), draw(st.integers(1, 4)), w),
+    "theta_a1_2": lambda draw, w: _theta_a1_2(draw(half_ranks), w),
+    "theta_d_2": lambda draw, w: _theta_d_2(draw(half_ranks), w),
+    "theta_dstar_2": lambda draw, w: _theta_dstar_2(draw(half_ranks), w),
     "eta_product": lambda draw, w: eta_product(
         draw(classes).cycle_type(), w),
     "eta_quotient": _eta_quotient,
