@@ -244,33 +244,28 @@ def _job_record(args, command, group, trunc, krep):
     return job
 
 
+def _bounded(flag, value, top):
+    """The value of a count flag, refused below 1 or above top before
+    anything is computed."""
+    if value < 1:
+        raise DomainError("%s must be at least 1, got %d" % (flag, value))
+    if value > top:
+        raise DomainError("%s must be at most %d, got %d" % (flag, top, value))
+    return value
+
+
 def _trunc(args):
-    """--trunc or the verb's default, refused above MAX_TRUNC before
-    anything is computed; replicability needs 10 powers."""
+    """--trunc or the verb's default, bounded by MAX_TRUNC; replicability
+    needs 10 powers."""
     deep = "--krep" in VERBS[args.command]
     trunc = args.trunc
     if trunc is None:
         trunc = REP_TRUNC if deep else THETA_TRUNC
-    if trunc < 1:
-        raise DomainError("--trunc must be at least 1, got %d" % trunc)
-    if trunc > MAX_TRUNC:
-        raise DomainError("--trunc must be at most %d, got %d"
-                          % (MAX_TRUNC, trunc))
+    _bounded("--trunc", trunc, MAX_TRUNC)
     if deep and trunc < 10:
         raise DomainError(
             "replicability needs at least 10 integer powers, got %d" % trunc)
     return trunc
-
-
-def _krep(args):
-    """--krep, refused below 1 or above MAX_KREP before anything is
-    computed."""
-    if args.krep < 1:
-        raise DomainError("--krep must be at least 1, got %d" % args.krep)
-    if args.krep > MAX_KREP:
-        raise DomainError("--krep must be at most %d, got %d"
-                          % (MAX_KREP, args.krep))
-    return args.krep
 
 
 def _replicability(code, gens, flavor, trunc48, krep):
@@ -288,7 +283,8 @@ def _run_compute(args):
     gens = _load_group(args, code.n)
     command = args.command
     trunc = _trunc(args)
-    krep = _krep(args) if "--krep" in VERBS[command] else None
+    krep = (_bounded("--krep", args.krep, MAX_KREP)
+            if "--krep" in VERBS[command] else None)
     trunc48 = trunc * DEN
     if command == "theta":
         outputs = {"series": theta_fixed(
@@ -353,7 +349,7 @@ def _run_verify(args):
 def _run_scan(args):
     code = load_code(args.code)
     trunc = _trunc(args)
-    krep = _krep(args)
+    krep = _bounded("--krep", args.krep, MAX_KREP)
     require_even(code, args.flavor)
     contents = _path_contents(args)
     records = []

@@ -50,6 +50,14 @@ def mask_to_points(mask):
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _reduce(basis, word):
+    """word with each basis row XORed in whose lowest bit it has."""
+    for b in basis:
+        if word & (b & -b):
+            word ^= b
+    return word
+
+
 class BinaryCode:
     """A binary linear code, stored as a reduced row-echelon basis."""
 
@@ -64,10 +72,7 @@ class BinaryCode:
             row = int(row)
             if row >> n:
                 raise DomainError("codeword 0x%x exceeds length %d" % (row, n))
-            for b in basis:
-                low = b & -b
-                if row & low:
-                    row ^= b
+            row = _reduce(basis, row)
             if row:
                 basis.append(row)
         # back-substitute so each pivot appears in one row only
@@ -105,10 +110,7 @@ class BinaryCode:
         return len(self.basis)
 
     def contains(self, mask):
-        for b in self.basis:
-            if mask & (b & -b):
-                mask ^= b
-        return mask == 0
+        return _reduce(self.basis, mask) == 0
 
     def require_listable(self):
         """Refuse a code of dimension above 24, too large to list or to

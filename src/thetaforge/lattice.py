@@ -52,7 +52,7 @@ from functools import cache
 
 from .codes import BinaryCode
 from .errors import DomainError
-from .perms import Perm, orbits
+from .perms import Perm, orbit_type, orbits
 from .qseries import QSeries, int_theta
 
 FLAVORS = ("plain", "super0", "super1")
@@ -233,7 +233,7 @@ def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
             if row & omask not in (0, omask):
                 raise DomainError(
                     "codeword %#x is not a union of orbit blocks" % row)
-    sizes, nblocks = zip(*sorted(Counter(s for _, s in blocks).items()))
+    sizes, nblocks = zip(*orbit_type(gens, n))
     masks = [sum(m for m, s in blocks if s == size) for size in sizes]
     pair_mask = 0
     if twist is not None:

@@ -71,20 +71,13 @@ class Perm:
     def cycles(self):
         """Nontrivial cycles as tuples of 0-based points, each starting
         at its smallest point."""
-        seen = [False] * self.n
         out = []
-        for start in range(self.n):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self.images[start]
-            while j != start:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            out.append(tuple(cyc))
+        for orbit in orbits([self], self.n):
+            cyc = [orbit[0]]
+            for _ in orbit[1:]:
+                cyc.append(self.images[cyc[-1]])
+            if len(cyc) > 1:
+                out.append(tuple(cyc))
         return out
 
     def cycle_type(self):
@@ -93,8 +86,7 @@ class Perm:
         return orbit_type([self], self.n)
 
     def order(self):
-        cycs = self.cycles()
-        return lcm(*(len(c) for c in cycs)) if cycs else 1
+        return lcm(*(length for length, _ in self.cycle_type()))
 
     def apply_mask(self, mask):
         """Push a coordinate subset (bitmask, bit i = point i) forward."""

@@ -19,8 +19,8 @@ through `exact_div`, which returns an int whenever the quotient is
 whole, so the coefficients of integral series stay ints through
 products, powers and divisions.
 
-A Fraction is made only for a value that is not whole: by `exact_div`
-or by `rational_power`, both through `_fraction`.  This module does not
+A Fraction is made only for a value that is not whole, by `_fraction`,
+whose one caller is `exact_div`.  This module does not
 import `fractions` (with it `decimal` and `numbers`) until then, so a
 job whose values are all whole never loads it; until it is loaded no
 Fraction can exist, and type checks look the class up in `sys.modules`.

@@ -18,15 +18,16 @@ grammar the package's three half-swap builders in `verify` replaced,
 the dilation q -> q^m, the codeword listing, the coefficients at whole
 powers and the thetas with a rational weight and shift, which only tests
 ask for, the tuple-per-codeword census and the codeword images h(B) that the
-bit-plane census replaced, and the argparse parser that
-`cli.parse_args` replaced.
+bit-plane census replaced, the census keys of a self-dual code by the
+MacWilliams identity, and the argparse parser that `cli.parse_args`
+replaced.
 """
 
 import argparse
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations as _all_perms
-from math import isqrt
+from itertools import permutations as _all_perms, product
+from math import comb, isqrt, prod
 from pathlib import Path
 import re
 
@@ -288,6 +289,66 @@ def _shifted_product(signature, trunc48):
     for (weight, shift, alt), mult in signature:
         out = out * shifted_theta(weight, shift, trunc48, alt) ** mult
     return out.truncate48(trunc48)
+
+
+def _krawtchouk(k, j, size):
+    """K_k(j) on `size` coordinates: sum over i of (-1)^i C(j,i) C(size-j,k-i)."""
+    return sum((-1) ** i * comb(j, i) * comb(size - j, k - i)
+               for i in range(k + 1))
+
+
+def macwilliams_census_keys(code: BinaryCode, gens):
+    """The keys that `lattice._census_theta` counts with no twist, from
+    the MacWilliams identity, with no walk over the fixed words.
+
+    With C self-dual and O_1..O_m the orbits of <gens>, a union of
+    orbits sum y_o O_o is in C = C^⊥ when y ⊥ π(c) for every c in C,
+    where π(c)_o = |c ∩ O_o| mod 2.  So the fixed words are π(C)^⊥ in
+    F_2^m, and their weight enumerator split by orbit size is the
+    Krawtchouk transform of π(C)'s:
+    A^⊥(k) = |π(C)|⁻¹ sum_j A(j) prod_s K_{k_s}(j_s) on the N_s orbits
+    of size s.  A word with k_s orbits of each size s has the key
+    (s k_s for each size s, |B|, 0, 0).
+    """
+    n = code.n
+    if 2 * code.dim != n or any((a & b).bit_count() % 2
+                                for a in code.basis for b in code.basis):
+        raise ValueError("the MacWilliams census needs a self-dual code")
+    # orbits by relabelling each point with the least point it meets
+    label = list(range(n))
+    moved = True
+    while moved:
+        moved = False
+        for g in gens:
+            for i, j in enumerate(g.images):
+                if label[i] != label[j]:
+                    label[i] = label[j] = min(label[i], label[j])
+                    moved = True
+    size = Counter(label)
+    points, sizes = sorted(size), sorted(set(size.values()))
+    # orbit o is bit o of a word of π(C); the orbits of one size make a class
+    classes = [sum(1 << o for o, p in enumerate(points) if size[p] == s)
+               for s in sizes]
+    span = {0}
+    for row in code.basis:
+        image = sum((sum(row >> i & 1 for i in range(n) if label[i] == p) % 2) << o
+                    for o, p in enumerate(points))
+        if image not in span:
+            span |= {w ^ image for w in span}
+    enumerator = Counter(tuple((w & c).bit_count() for c in classes)
+                         for w in span)
+    keys = Counter()
+    totals = [c.bit_count() for c in classes]
+    for k in product(*(range(t + 1) for t in totals)):
+        count = sum(a * prod(_krawtchouk(ks, js, t)
+                             for ks, js, t in zip(k, j, totals))
+                    for j, a in enumerator.items())
+        if count % len(span):
+            raise ValueError("the transform is not a whole count")
+        if count:
+            weights = tuple(s * ks for s, ks in zip(sizes, k))
+            keys[weights + (sum(weights), 0, 0)] = count // len(span)
+    return keys
 
 
 

@@ -506,7 +506,8 @@ def test_krep_above_the_cap_is_refused_before_computing(capsys, monkeypatch,
 
 def test_krep_at_the_cap_is_accepted():
     args = cli.parse_args(["replicable", "--krep", str(cli.MAX_KREP)])
-    assert cli._krep(args) == cli.MAX_KREP == 200
+    assert (cli._bounded("--krep", args.krep, cli.MAX_KREP)
+            == cli.MAX_KREP == 200)
 
 
 @pytest.mark.parametrize("argv", [

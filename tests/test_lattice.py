@@ -17,6 +17,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from thetaforge import lattice
 from thetaforge.codes import BinaryCode, catalog_code, load_code
 from thetaforge.errors import DomainError
 from thetaforge.lattice import (
@@ -31,7 +32,8 @@ from thetaforge.qseries import DEN, QSeries
 from oracles import (
     a_partition_order, brute_fixed_words, brute_force_automorphisms,
     catalog_theta, codewords, dilate, _images, d_partition_anchor,
-    hamming8_class_representatives, integer_coefficients, make_series,
+    hamming8_class_representatives, integer_coefficients,
+    macwilliams_census_keys, make_series,
     oracle_eta, shifted_theta, tuple_census_theta, walk_doubling_code,
     walk_doubling_lattice, weight_enumerator,
 )
@@ -519,6 +521,44 @@ def test_census_matches_the_tuple_walk_on_golay24():
             gens = parse_generators(text, 24)
             for fixing in [gens] + [[g] for g in gens]:
                 _assert_census_matches_the_tuple_walk(code, fixing, T(4))
+
+
+def _macwilliams_cases():
+    """The hamming8 classes, the trivial group on hamming8+hamming8, the
+    fig8 sets on the relabelled golay24, and golay24's full census."""
+    data = Path(__file__).parent / "data"
+    cases = [(HAM, [g]) for g in CLASS_REPS]
+    cases.append((catalog_code("hamming8+hamming8"), []))
+    rows = load_code(str(data / "golay24_rows.txt"))
+    for line in (data / "golay24_fig8.txt").read_text().splitlines():
+        text = line.split("#", 1)[0].strip()
+        if text:
+            cases.append((rows, parse_generators(text, 24)))
+    cases.append((catalog_code("golay24"), []))
+    return cases
+
+
+@pytest.mark.parametrize("seed,case", enumerate(_macwilliams_cases()))
+def test_census_keys_are_the_macwilliams_transform(monkeypatch, seed, case):
+    # the judge never lists a fixed word, so a fault in the bit planes
+    # cannot show on both sides; relabelling the points moves no key
+    asked = []
+
+    def spy(*args):
+        asked.append(_census_keys(*args))
+        return asked[-1]
+
+    monkeypatch.setattr(lattice, "_census_keys", spy)
+    code, gens = case
+    n = code.n
+    want = macwilliams_census_keys(code, gens)
+    relabel = Perm(Random(seed).sample(range(n), n))
+    moved = BinaryCode(n, map(relabel.apply_mask, code.basis))
+    moved_gens = [relabel * g * relabel.inverse() for g in gens]
+    for c, fixing in ((code, gens), (moved, moved_gens)):
+        _census_theta(c, fixing, T(1))
+        assert asked.pop() == want
+        assert macwilliams_census_keys(c, fixing) == want
 
 
 _BASES = [catalog_code(name)

@@ -68,12 +68,21 @@ def test_mask_action_is_homomorphism(a, b):
 
 @given(perm_st)
 def test_parse_roundtrip(p):
-    assert parse_perm(str(p), 8) == p
+    text = str(p)
+    assert parse_perm(text, 8) == p
+    # error records print this canonical form: each cycle starts at its
+    # least point, and the cycles are sorted by it
+    if text != "()":
+        cycles = [[int(x) for x in c.split(",")]
+                  for c in text[1:-1].split(")(")]
+        assert all(len(c) > 1 and c[0] == min(c) for c in cycles)
+        assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
 
 
 @given(perm_st)
 def test_order_annihilates(p):
     assert p ** p.order() == Perm.identity(8)
+    assert all(p ** k != Perm.identity(8) for k in range(1, p.order()))
     assert p * p.inverse() == Perm.identity(8)
 
 

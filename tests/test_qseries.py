@@ -40,6 +40,23 @@ def binom_frac(r, k):
     return out
 
 
+def exact_power(c, r):
+    """c**r for the leads that `oracle_pow` meets: whole r, or c > 0 whose
+    numerator and denominator are perfect powers of r's denominator."""
+    c, r = Fraction(c), Fraction(r)
+    k = r.denominator
+
+    def root(x):
+        m = round(x ** (1 / k))
+        if m ** k != x:
+            raise ValueError("%d has no exact %d-th root" % (x, k))
+        return m
+
+    if k != 1:
+        c = Fraction(root(c.numerator), root(c.denominator))
+    return c ** r.numerator
+
+
 def oracle_pow(f, r):
     """Reference power: f = c q^v (1 + h) and f**r = c**r q^(rv) sum C(r, k) h^k.
 
@@ -61,7 +78,7 @@ def oracle_pow(f, r):
             hk = hk * h
             out = out + binom_frac(r, k) * hk
             k += 1
-    cr = rational_power(c, r)
+    cr = exact_power(c, r)
     rv = int(r * v)
     return make_series({e + rv: cr * cc for e, cc in out.coeffs.items()},
                        trel + rv)
