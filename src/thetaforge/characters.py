@@ -2,8 +2,8 @@
 
 A permutation automorphism of the code lifts to the lattice vertex
 algebra; the lift has the same order as the lattice automorphism or
-twice that, and the basis rows of the code decide which (see
-`lattice`).  Traces of lift powers are theta-over-eta quotients,
+twice that, and `lattice.lift_order` decides which from the basis
+rows of the code.  Traces of lift powers are theta-over-eta quotients,
 twisted by a sign character on even powers, and averaging them gives
 the character of the fixed subVOA.  The identities relating these
 characters across subgroups are checked in `verify`.
@@ -29,19 +29,10 @@ from math import gcd
 
 from .codes import BinaryCode
 from .errors import DomainError, ThetaforgeError
-from .lattice import lift_order, require_even, theta_twisted
+from .lattice import doubling_element, lift_order, require_even, theta_twisted
 from .modfunc import eta_product, eta_quotient
 from .perms import Perm, group_elements, orbits
 from .qseries import DEN, QSeries
-
-
-def _doubling_element(code: BinaryCode, elements, flavor: str):
-    """The first even-order element whose lift doubles its order, or None.
-
-    The flavor's lattice criterion decides, as in `lift_order`.
-    """
-    return next((el for el in elements if el.order() % 2 == 0
-                 and lift_order(code, el, flavor=flavor) > el.order()), None)
 
 
 def trace_series(code: BinaryCode, g: Perm, j: int, trunc48: int,
@@ -113,7 +104,7 @@ def character_group(code: BinaryCode, gens, trunc48: int,
     """
     require_even(code, flavor)
     elements = group_elements(gens)
-    bad = _doubling_element(code, elements, flavor)
+    bad = doubling_element(code, elements, flavor)
     if bad is not None:
         raise DomainError(
             "element %s lifts with order doubling; "

@@ -42,9 +42,10 @@ enumerators live in the test suite as oracles.
 Order doubling needs no census either.  With h = g^{m/2}, the parity
 of <v, hv> on the coset a_B/2 + Z^N is q(B) = |B ∩ hB|/2 mod 2, and on
 a doubly even code q is GF(2)-linear (the cross terms 2<v, hw> of an
-integral lattice are even), so the basis rows of C decide it.  On the
-quarter-shifted cosets the e8 rule adds |B|/2 + N/8 with β = 1, and
-|B|/2 is even, so those cosets add only the constant N/8 + j.
+integral lattice are even), so the basis rows of C decide it
+(`doubling_code_criterion`).  On the quarter-shifted cosets the e8 rule
+adds |B|/2 + N/8 with β = 1, and |B|/2 is even, so those cosets add
+only the constant N/8 + j, which `lift_order` applies at B = 0.
 """
 
 from collections import Counter
@@ -384,25 +385,25 @@ def doubling_code_criterion(code: BinaryCode, g: Perm):
     return False, None
 
 
-def doubling_lattice_criterion(code: BinaryCode, g: Perm, flavor: str = "plain"):
-    """Order-doubling test on the flavor's lattice vectors.
+def lift_order(code: BinaryCode, g: Perm, flavor: str = "plain") -> int:
+    """Order of the standard lift of g: ord(g) or twice that.
 
-    The plain glueing has the code's verdict.  The a_Omega/4 glueing
-    with coset parity j doubles at the coset of B = 0 when N/8 + j is
-    odd, and otherwise has the code's verdict too (module docstring).
-    Returns (verdict, witness codeword mask or None).
+    The code criterion decides; the a_Omega/4 glueing with coset parity
+    j also doubles at the coset of B = 0 when N/8 + j is odd.
     """
     parity = _coset_parity(flavor)
-    verdict = doubling_code_criterion(code, g)
-    # the e8 rule at B = 0 and β = 1 is N/8 mod 2; it refuses N ≢ 0 mod 8
-    if parity is not None and g.order() % 2 == 0 and (
-            _twist_parity(1, code.n, 0, 0, 0) + parity) % 2:
-        return True, 0
-    return verdict
+    doubled, _ = doubling_code_criterion(code, g)
+    m = g.order()
+    # the e8 rule at B = 0 and β = 1 is N/8 mod 2; it refuses N ≢ 0 mod 8.
+    # An even a_Omega/4 lattice has N/8 ≡ j mod 2, so it fires only on odd
+    # lattices, which only `doubling` and the ThmC and parity checks reach.
+    if parity is not None and m % 2 == 0:
+        doubled |= (_twist_parity(1, code.n, 0, 0, 0) + parity) % 2 == 1
+    return 2 * m if doubled else m
 
 
-def lift_order(code: BinaryCode, g: Perm, flavor: str = "plain") -> int:
-    """Order of the standard lift of g: ord(g) or twice that."""
-    doubled, _ = doubling_lattice_criterion(code, g, flavor=flavor)
-    return g.order() * (2 if doubled else 1)
-
+def doubling_element(code: BinaryCode, elements, flavor: str):
+    """The first even-order element whose lift doubles its order, or None;
+    `lift_order` decides under the flavor's glueing."""
+    return next((el for el in elements if el.order() % 2 == 0
+                 and lift_order(code, el, flavor=flavor) > el.order()), None)

@@ -29,12 +29,11 @@ from functools import partial
 from math import isqrt
 
 from .characters import (
-    _doubling_element, character_cyclic, character_group, character_plus,
-    trace_series,
+    character_cyclic, character_group, character_plus, trace_series,
 )
 from .codes import catalog_code
 from .errors import DomainError
-from .lattice import is_even, lift_order, theta_fixed
+from .lattice import doubling_element, is_even, lift_order, theta_fixed
 from .modfunc import eta_quotient, fixed_quotient, identify, is_replicable
 from .perms import Perm, group_elements, parse_generators, parse_perm
 from .qseries import DEN, theta2, theta3, theta4
@@ -450,7 +449,8 @@ def check_group(code, gens, trunc48, flavor: str = "plain") -> dict:
     """The group theorem that the order of <gens> names, on its lift:
     ThmD-pq for order p*q and Thm-p2q for p^2*q, with primes p < q.
     Any other order, the trivial group's included, names none and gives
-    the record "group" with one not-applicable row."""
+    the record "group" with one not-applicable row; an odd lattice or a
+    `lattice.doubling_element` gives the theorem's record with one."""
     elements = group_elements(gens) if gens else [Perm.identity(code.n)]
     theorem, p, q = _group_shape(len(elements))
     if theorem is None:
@@ -459,7 +459,7 @@ def check_group(code, gens, trunc48, flavor: str = "plain") -> dict:
     if not is_even(code, flavor):
         return _report(theorem, [_hypotheses(
             "the %s lattice of the code is odd" % flavor)])
-    bad = _doubling_element(code, elements, flavor)
+    bad = doubling_element(code, elements, flavor)
     if bad is not None:
         return _report(theorem, [_hypotheses(
             "element %s has order doubling" % bad)])

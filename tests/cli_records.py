@@ -11,8 +11,8 @@ Run this file from the root of the repository to rewrite the corpus:
 
     PYTHONPATH=src python tests/cli_records.py
 
-It also writes the relabelled inputs under `tests/data/records/`.  It
-is the only way either changes.  Paths in argv are relative to the
+It also writes the input files of its jobs under `tests/data/records/`.
+It is the only way either changes.  Paths in argv are relative to the
 root, because a record shows the paths it was given.
 """
 
@@ -106,6 +106,24 @@ def _other_jobs():
     (ROOT / group_file).write_text(
         "# the Klein four-group of the README\n"
         "(1,2)(3,8)(4,7)(5,6)\n(1,3)(2,8)(4,6)(5,7)\n")
+    # inputs refused as they are read or used; one byte is not UTF-8
+    refused = {
+        "length12.txt": b"111100000000\n000011110000\n000000001111\n",
+        "singly_even.txt": b"1100\n0011\n",
+        "length65.txt": b"1" * 8 + b"0" * 57 + b"\n",
+        "dim32_length64.txt": b"".join(
+            (b"00" * k + b"11" + b"00" * (31 - k) + b"\n") for k in range(32)),
+        "bad_character.txt": b"11110000\n11112000\n",
+        "ragged_rows.txt": b"11110000\n1111\n",
+        "comment_only.txt": b"# no rows here\n",
+        "not_utf8.txt": b"11110000\n\xff\n",
+        "unclosed_group.txt": b"(1,2\n",
+        "comma_group.txt": b"(1,2),(3,4)\n",
+        "comment_only_group.txt": b"# no permutations here\n",
+    }
+    for name, data in refused.items():
+        (ROOT / INPUTS / name).write_bytes(data)
+    bad = {name: str(INPUTS / name) for name in refused}
     classes = "tests/data/hamming8_classes.txt"
     fig8 = "tests/data/golay24_fig8.txt"
     g24 = "tests/data/golay24_rows.txt"
@@ -187,7 +205,31 @@ def _other_jobs():
         ["replicable", "--krep", "12", "--trunc", "12"],
         ["identify", "--trunc", "10"],
         ["replicable", "--krep", "30", "--trunc", "20"],
+        # exit 3: refusals past parsing
+        ["character"],
+        ["character", "--group", "(1,7)(2,4)(3,8)(5,6), (1,2)(3,8)(4,7)(5,6)"],
+        ["character", "--code", h16, "--group", "(2,3,4,7,5,8,6), "
+         "(1,2)(3,4)(5,6)(7,8), (1,9)(2,10)(3,11)(4,12)(5,13)(6,14)(7,15)"
+         "(8,16), (3,4,5)(6,8,7)"],
+        ["doubling", "--code", bad["singly_even.txt"], "--group", "(1,2)"],
+        ["doubling", "--code", bad["length12.txt"], "--flavor", "super1",
+         "--group", "(1,5)(2,6)(3,7)(4,8)"],
+        ["quotient", "--code", bad["length12.txt"]],
+        ["theta", "--code", bad["length65.txt"]],
+        ["theta", "--code", bad["dim32_length64.txt"]],
+        # exit 2: code files, --group values and group files that do not parse
+        ["theta", "--code", bad["bad_character.txt"]],
+        ["theta", "--code", bad["ragged_rows.txt"]],
+        ["theta", "--code", bad["comment_only.txt"]],
+        ["theta", "--code", bad["not_utf8.txt"]],
     ]
+    jobs += [["theta", "--group", text] for text in
+             ("(1,2)x", "(1,(2,3))", "(1,2)3", "(1,3)(3,5)", "1,2)", ",")]
+    jobs += [["theta", "--group-file", bad[name]] for name in
+             ("unclosed_group.txt", "comma_group.txt",
+              "comment_only_group.txt")]
+    # exit 4: a window too short to identify the golay24 quotient
+    jobs.append(["identify", "--code", "golay24", "--trunc", "10"])
     return jobs
 
 

@@ -14,13 +14,13 @@ import pytest
 
 from thetaforge import characters, lattice
 from thetaforge.characters import (
-    _character, _doubling_element, character_cyclic, character_group,
-    character_plus, trace_series,
+    _character, character_cyclic, character_group, character_plus,
+    trace_series,
 )
 from thetaforge.codes import BinaryCode, catalog_code
 from thetaforge.errors import DomainError, ThetaforgeError
 from thetaforge.lattice import (
-    FLAVORS, doubling_code_criterion, doubling_lattice_criterion, is_even,
+    FLAVORS, doubling_code_criterion, doubling_element, is_even,
     kernel_theta, lift_order, theta_fixed)
 from thetaforge.modfunc import eta_product, eta_quotient
 from thetaforge.perms import group_elements, parse_generators, parse_perm
@@ -85,13 +85,13 @@ def test_character_cyclic_decides_the_lift_order_once(monkeypatch):
     golay = catalog_code("golay24")
     swap = parse_perm("".join("(%d,%d)" % (i, i + 12) for i in range(1, 13)), 24)
     calls = []
-    criterion = lattice.doubling_lattice_criterion
+    criterion = lattice.doubling_code_criterion
 
     def counted(*args, **kwargs):
         calls.append(args)
         return criterion(*args, **kwargs)
 
-    monkeypatch.setattr(lattice, "doubling_lattice_criterion", counted)
+    monkeypatch.setattr(lattice, "doubling_code_criterion", counted)
     report = character_cyclic(golay, swap, T(2), flavor="super1")
     assert len(calls) == 1
     assert report["lift_order"] == 4 and report["doubling"]
@@ -146,9 +146,8 @@ def test_doubling_lists_no_codewords(monkeypatch):
     monkeypatch.setattr(BinaryCode, "require_listable", no_listing)
     assert doubling_code_criterion(golay, swap)[0]
     for flavor in ("plain", "super0", "super1"):
-        assert doubling_lattice_criterion(golay, swap, flavor)[0]
         assert lift_order(golay, swap, flavor=flavor) == 4
-        assert _doubling_element(golay, [swap], flavor) == swap
+        assert doubling_element(golay, [swap], flavor) == swap
 
 
 # ---------- characters of cyclic groups ----------
@@ -331,12 +330,12 @@ def test_group_character_refuses_groups_above_ten_thousand_elements():
 
 
 def test_group_character_uses_the_flavor_doubling_criterion():
-    # the code criterion sees no doubling here, the super0 lattice
-    # criterion does, and it is the one that gates the group; the odd
+    # the code criterion sees no doubling here, the super0 lift order
+    # does, and it is the one that gates the group; the odd
     # super0 lattice of hamming8 is itself refused before that gate
     gens = parse_generators("(1,2)(3,4,5,8,7,6)", 8)
     assert not doubling_code_criterion(HAM, gens[0])[0]
-    assert _doubling_element(HAM, gens, "super0") == gens[0]
+    assert doubling_element(HAM, gens, "super0") == gens[0]
     with pytest.raises(DomainError) as err:
         character_group(HAM, gens, 8 * DEN, flavor="super0")
     assert str(err.value) == "the super0 lattice of the code is odd"
@@ -356,7 +355,7 @@ def test_group_character_is_the_mean_over_every_element(text, flavor):
     # character_group traces each partition of the points into cycles
     # once; the mean must be the element-by-element one
     gens = parse_generators(text, 8)
-    if _doubling_element(HAM, group_elements(gens), flavor) is not None:
+    if doubling_element(HAM, group_elements(gens), flavor) is not None:
         with pytest.raises(DomainError, match="lifts with order doubling"):
             character_group(HAM, gens, T(3), flavor=flavor)
         return
@@ -384,7 +383,7 @@ def test_every_route_refuses_a_non_automorphism_with_one_message():
         lambda g: HAM.fixed_subcode([g]),
         lambda g: lattice.theta_twisted(HAM, g, 1, T(4)),
         lambda g: doubling_code_criterion(HAM, g),
-        lambda g: doubling_lattice_criterion(HAM, g, flavor="super1"),
+        lambda g: lift_order(HAM, g, flavor="super1"),
         lambda g: character_cyclic(HAM, g, T(4)),
         lambda g: character_group(HAM, [g], T(4)),
     ]

@@ -8,7 +8,7 @@ products, and never shares code with the blockwise engine.
 
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import comb, isqrt
 from operator import mul
 from pathlib import Path
@@ -19,14 +19,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from thetaforge import lattice
 from thetaforge.codes import BinaryCode, catalog_code, load_code
-from thetaforge.errors import DomainError
+from thetaforge.errors import DomainError, read_lines
 from thetaforge.lattice import (
     FLAVORS, _census_keys, _census_theta, _coset_parity, _orbit_blocks,
-    _paired_blocks, doubling_code_criterion,
-    doubling_lattice_criterion, is_even, kernel_theta, lift_order,
-    theta_fixed, theta_twisted,
+    _paired_blocks, doubling_code_criterion, is_even, kernel_theta,
+    lift_order, theta_fixed, theta_twisted,
 )
-from thetaforge.perms import Perm, orbits, parse_generators, parse_perm
+from thetaforge.modfunc import fixed_quotient, identify, is_replicable
+from thetaforge.perms import (
+    Perm, orbit_type, orbits, parse_generators, parse_perm,
+)
 from thetaforge.qseries import DEN, QSeries
 
 from oracles import (
@@ -242,7 +244,7 @@ def test_flavor_dispatch():
         lambda: theta_fixed(HAM, [], T(4), flavor="super2"),
         lambda: theta_twisted(HAM, REP24, 2, T(4), flavor="super2"),
         lambda: kernel_theta(HAM, REP24, T(4), flavor="super2"),
-        lambda: doubling_lattice_criterion(HAM, REP24, "super2"),
+        lambda: lift_order(HAM, REP24, "super2"),
     ]
     for call in calls:
         with pytest.raises(DomainError, match="unknown lattice flavor"):
@@ -395,7 +397,7 @@ def test_leech_kernel_theta():
 def test_doubling_verdicts():
     for g, want in [(REP24, True), (NR24, False), (EX_G, True)]:
         assert doubling_code_criterion(HAM, g)[0] is want
-        assert doubling_lattice_criterion(HAM, g)[0] is want
+        assert (lift_order(HAM, g) > g.order()) is want
 
 
 def test_doubling_witness_is_valid():
@@ -409,7 +411,6 @@ def test_doubling_witness_is_valid():
 def test_doubling_odd_order():
     g7 = parse_perm("(1,3,7,8,5,4,2)", 8)
     assert doubling_code_criterion(HAM, g7) == (False, None)
-    assert doubling_lattice_criterion(HAM, g7) == (False, None)
     assert lift_order(HAM, g7) == 7
 
 
@@ -455,15 +456,16 @@ def _literal_doubling_search(code, g, parity):
     return False, None
 
 
-def test_doubling_lattice_criterion_matches_a_literal_search():
+def test_lift_order_matches_a_literal_search():
     auts = brute_force_automorphisms(HAM.contains, 8)
     assert len(auts) == 1344
     doubled = Counter()
     for g in auts:
         for flavor, parity in [("plain", None), ("super0", 0), ("super1", 1)]:
-            got = doubling_lattice_criterion(HAM, g, flavor)
-            assert got == _literal_doubling_search(HAM, g, parity), (g, flavor)
-            doubled[flavor] += got[0]
+            got = lift_order(HAM, g, flavor) > g.order()
+            assert got == _literal_doubling_search(HAM, g, parity)[0], (
+                g, flavor)
+            doubled[flavor] += got
     assert doubled["plain"] > 0 and doubled["super1"] > 0
 
 
@@ -476,14 +478,15 @@ def test_leech_half_swap_doubles():
 
 
 def _assert_criteria_match_the_walks(code, elements):
-    """Both criteria give the walks' verdict and witness; count doublings."""
+    """The code criterion gives its walk's verdict and witness, and
+    `lift_order` the lattice walk's verdict; count doublings."""
     doubled = Counter()
     for g in elements:
         assert doubling_code_criterion(code, g) == walk_doubling_code(code, g), g
         for flavor in FLAVORS:
-            got = doubling_lattice_criterion(code, g, flavor)
-            assert got == walk_doubling_lattice(code, g, flavor), (g, flavor)
-            doubled[flavor, got[0]] += 1
+            got = lift_order(code, g, flavor) > g.order()
+            assert got == walk_doubling_lattice(code, g, flavor)[0], (g, flavor)
+            doubled[flavor, got] += 1
     return doubled
 
 
@@ -559,6 +562,107 @@ def test_census_keys_are_the_macwilliams_transform(monkeypatch, seed, case):
         _census_theta(c, fixing, T(1))
         assert asked.pop() == want
         assert macwilliams_census_keys(c, fixing) == want
+
+
+def _asked_keys(code, gens):
+    """The keys that `_census_theta` asks `_census_keys` for, no twist."""
+    asked = []
+
+    def spy(*args):
+        asked.append(_census_keys(*args))
+        return asked[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "_census_keys", spy)
+        _census_theta(code, gens, T(1))
+    return asked.pop()
+
+
+def test_equal_census_keys_give_equal_thetas_and_quotients():
+    # _census_theta reads only the orbit type and the key histogram, so
+    # the two 1^1 7^1 classes of hamming8 cannot be told apart by it
+    a, b = (parse_perm(t, 8) for t in ("(2,3,4,7,5,8,6)", "(2,3,4,8,6,5,7)"))
+    assert orbit_type([a], 8) == orbit_type([b], 8)
+    assert _asked_keys(HAM, [a]) == _asked_keys(HAM, [b])
+    for flavor in FLAVORS:
+        assert theta_fixed(HAM, [a], T(12), flavor) == theta_fixed(
+            HAM, [b], T(12), flavor), flavor
+    for flavor in ("plain", "super1"):   # the super0 lattice is odd
+        assert fixed_quotient(HAM, [a], T(12), flavor) == fixed_quotient(
+            HAM, [b], T(12), flavor), flavor
+
+
+@pytest.mark.parametrize("rep,other,weight4,name", [
+    (REP24, NR24, (2, 6), "T_4A"),
+    (parse_perm("(1,2,3,4)(5,6,7,8)", 8), parse_perm("(1,2,3,8)(4,5,6,7)", 8),
+     (0, 2), "T_8B"),
+], ids=["2^4", "4^2"])
+def test_census_keys_tell_apart_classes_of_one_orbit_type(
+        rep, other, weight4, name):
+    # one class of each pair is replicable and one is not, and their
+    # fixed subcodes differ in the words of weight 4 (key[-3] is |B|)
+    assert orbit_type([rep], 8) == orbit_type([other], 8)
+    got = [sum(c for key, c in _asked_keys(HAM, [g]).items() if key[-3] == 4)
+           for g in (rep, other)]
+    assert tuple(got) == weight4
+    verdicts = []
+    for g in (rep, other):
+        _, quo = fixed_quotient(HAM, [g], T(30))
+        verdicts.append((identify(quo)[0], is_replicable(quo)["verdict"]))
+    assert verdicts == [(name, "replicable-up-to-K_rep"),
+                        (None, "not-replicable")]
+
+
+@cache
+def _hamming8_automorphisms():
+    return brute_force_automorphisms(HAM.contains, 8)
+
+
+_DATA = Path(__file__).parent / "data"
+_GOLAY24_ROWS = load_code(str(_DATA / "golay24_rows.txt"))
+# the fig8 generators, on the labelling of golay24_rows.txt
+_FIG8_GENERATORS = [g for _, text in read_lines(_DATA / "golay24_fig8.txt")
+                    for g in parse_generators(text, 24)]
+
+
+@st.composite
+def census_groups(draw):
+    """1 to 3 automorphisms of hamming8 or of hamming8+hamming8, or 1 to
+    3 words in the fig8 automorphisms of golay24, with a relabelling
+    seed."""
+    base = draw(st.sampled_from(["hamming8", "hamming8+hamming8", "golay24"]))
+    count = draw(st.integers(1, 3))
+    if base == "golay24":
+        words = st.lists(st.sampled_from(_FIG8_GENERATORS),
+                         min_size=1, max_size=4)
+        gens = [reduce(mul, draw(words)) for _ in range(count)]
+        return _GOLAY24_ROWS, gens, draw(st.integers(0, 2 ** 32))
+    auts = st.sampled_from(_hamming8_automorphisms())
+    gens = []
+    for _ in range(count):
+        g = draw(auts)
+        if base != "hamming8":
+            # one automorphism per copy, then maybe swap the copies
+            g = Perm(g.images + tuple(8 + i for i in draw(auts).images))
+            if draw(st.booleans()):
+                g = g * Perm(tuple(range(8, 16)) + tuple(range(8)))
+        gens.append(g)
+    return catalog_code(base), gens, draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=40, deadline=None)
+@given(census_groups())
+def test_census_keys_of_random_groups_are_the_macwilliams_transform(case):
+    # the property of the fixed cases above, on random groups; a
+    # relabelling of the points moves no key
+    code, gens, seed = case
+    n = code.n
+    want = macwilliams_census_keys(code, gens)
+    relabel = Perm(Random(seed).sample(range(n), n))
+    moved = BinaryCode(n, map(relabel.apply_mask, code.basis))
+    moved_gens = [relabel * g * relabel.inverse() for g in gens]
+    assert _asked_keys(code, gens) == want
+    assert _asked_keys(moved, moved_gens) == want
 
 
 _BASES = [catalog_code(name)
@@ -672,12 +776,9 @@ def test_doubling_on_a_code_too_large_to_list():
         24)
     wide = Perm(two.images + tuple(range(24, 64)))
     assert doubling_code_criterion(big, wide) == doubling_code_criterion(golay, two)
-    assert doubling_lattice_criterion(big, wide) == doubling_lattice_criterion(
-        golay, two)
-    # N/8 is 8 here and 3 on golay24, so super0 here is super1 there
-    assert doubling_lattice_criterion(big, wide, "super0") == (
-        doubling_lattice_criterion(golay, two, "super1"))
     assert lift_order(big, wide) == lift_order(golay, two) == 4
+    # N/8 is 8 here and 3 on golay24, so super0 here is super1 there
+    assert lift_order(big, wide, "super0") == lift_order(golay, two, "super1")
 
 
 def test_super_doubling_needs_a_length_divisible_by_8():
@@ -685,7 +786,7 @@ def test_super_doubling_needs_a_length_divisible_by_8():
     g = parse_perm("(1,2)(3,4)", 12)
     assert code.is_doubly_even() and code.is_automorphism(g)
     with pytest.raises(DomainError) as err:
-        doubling_lattice_criterion(code, g, "super0")
+        lift_order(code, g, "super0")
     with pytest.raises(DomainError) as walked:
         walk_doubling_lattice(code, g, "super0")
     assert str(err.value) == str(walked.value)

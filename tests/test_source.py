@@ -46,7 +46,9 @@ the package is reached from `cli.main`, so the package holds only what
 a verb runs: code that only tests call lives in `tests/oracles.py`.
 No module imports a name it never reads (a name in ``__all__`` is
 read): the reachability walk follows definitions, not imports, so it
-cannot see a stale import line.
+cannot see a stale import line.  No module imports another module's
+private name or reads one off a module: what two modules share is
+public, so a private name can change with its own module alone.
 """
 
 import ast
@@ -219,6 +221,62 @@ def test_unread_import_guard_sees_every_form():
         "t = c_name, z_attr.z, x.y\n")
     assert _unread_imports(tree) == [
         (1, "sys"), (2, "z"), (3, "c"), (5, "y"), (10, "inner")]
+
+
+def _is_private(name):
+    """One leading underscore; a dunder such as ``__version__`` is not
+    private."""
+    return name.startswith("_") and not (
+        name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(tree):
+    """Line of each private name that tree imports from the package, and
+    of each private attribute it reads off a name such an import binds."""
+    bound, lines = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "thetaforge"):
+            for alias in node.names:
+                bound.add(alias.asname or alias.name)
+                if _is_private(alias.name):
+                    lines.append(alias.lineno)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname or "thetaforge" for alias in node.names
+                         if alias.name.split(".")[0] == "thetaforge")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert ["%s:%d" % (path.name, line)
+            for path in sorted(SRC.rglob("*.py"))
+            for line in _private_reads(ast.parse(path.read_text()))] == []
+
+
+def test_private_name_guard_sees_every_form():
+    tree = ast.parse(
+        "from .characters import (\n"
+        "    _doubling_element, character_group)\n"
+        "from . import __version__, lattice\n"
+        "from thetaforge.qseries import _fraction as frac\n"
+        "from .perms import Perm\n"
+        "import thetaforge.codes\n"
+        "import os\n"
+        "def f():\n"
+        "    from .modfunc import _faber_rows\n"
+        "    return lattice._census_keys(x)\n"
+        "a = thetaforge.codes._reduce\n"
+        "b = Perm._cycles, lattice.Perm.__hidden\n"
+        "c = os._exit, self._x, lattice.__name__, lattice.FLAVORS\n"
+        "from os import _exit\n")
+    assert _private_reads(tree) == [2, 4, 9, 10, 11, 12, 12]
 
 
 def test_no_assert_statements_in_the_package():
