@@ -254,9 +254,9 @@ def _bounded(flag, value, top):
     return value
 
 
-def _trunc(args):
-    """--trunc or the verb's default, bounded by MAX_TRUNC; replicability
-    needs 10 powers."""
+def _bounds(args):
+    """--trunc or the verb's default, and --krep or None for a verb
+    without it, each bounded; replicability needs 10 powers."""
     deep = "--krep" in VERBS[args.command]
     trunc = args.trunc
     if trunc is None:
@@ -265,7 +265,7 @@ def _trunc(args):
     if deep and trunc < 10:
         raise DomainError(
             "replicability needs at least 10 integer powers, got %d" % trunc)
-    return trunc
+    return trunc, _bounded("--krep", args.krep, MAX_KREP) if deep else None
 
 
 def _replicability(code, gens, flavor, trunc48, krep):
@@ -282,9 +282,7 @@ def _run_compute(args):
     code = load_code(args.code)
     gens = _load_group(args, code.n)
     command = args.command
-    trunc = _trunc(args)
-    krep = (_bounded("--krep", args.krep, MAX_KREP)
-            if "--krep" in VERBS[command] else None)
+    trunc, krep = _bounds(args)
     trunc48 = trunc * DEN
     if command == "theta":
         outputs = {"series": theta_fixed(
@@ -348,8 +346,7 @@ def _run_verify(args):
 
 def _run_scan(args):
     code = load_code(args.code)
-    trunc = _trunc(args)
-    krep = _bounded("--krep", args.krep, MAX_KREP)
+    trunc, krep = _bounds(args)
     require_even(code, args.flavor)
     contents = _path_contents(args)
     records = []

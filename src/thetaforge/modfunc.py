@@ -13,7 +13,7 @@ too, through the Γ0(2) Hauptmodul eta(τ)^24 / eta(2τ)^24.  A candidate is
 compared first on the 8 positive powers identification needs, and only
 a catalog series that agrees there is built over the full window.
 
-`eta_product`, `eta_quotient` and `theta_quotient` are one-line callers
+`eta_product`, `eta_quotient` and `theta_quotient` each end in one call
 of `qseries.eta_power`, the one eta kernel.  Every theta/eta division in
 the package goes through `eta_quotient` or `theta_quotient`: a result
 exact below t needs the numerator through t + 2N for an eta product of

@@ -7,10 +7,12 @@ reference rows copied from the source tables; the few marked
 "recomputed" were frozen from this engine's own arithmetic after
 cross-checking against the brute-force oracle, because the printed row
 has a transcription problem (see ex34).  Each row is written beside its
-recipe.  Failures are results, not exceptions: `verify_figure` returns
-the record {"figure", "status", "rows"}, each row a record {"label",
-"expected", "got", "ok"}, with ok None for an informational row, and
-the status "fail" when any other row is not ok.
+recipe.  Every recorded figure is computed on hamming8, which
+`verify_figure` builds once for the recipe.  Failures are results, not
+exceptions: `verify_figure` returns the record {"figure", "status",
+"rows"}, each row a record {"label", "expected", "got", "ok"}, with ok
+None for an informational row, and the status "fail" when any other
+row is not ok.
 
 The identities between characters of fixed subVOAs are checked here
 too, each by a function that takes exactly its theorem's inputs and
@@ -102,11 +104,10 @@ _SUBGROUP_CLASSES = (
 )
 
 
-def _identifications(rows):
+def _identifications(ham, rows):
     """One row per (orbit type or None, generators, name): the quotient
     of the fixed sublattice must be replicable and be the named series,
     and have the orbit type when one is given."""
-    ham = catalog_code("hamming8")
     out = []
     for want_type, text, name in rows:
         gens = parse_generators(text, 8) if text else []
@@ -122,11 +123,10 @@ def _identifications(rows):
     return out
 
 
-def _verify_fig5():
+def _verify_fig5(ham):
     # characters of the rank-8 fixed subVOAs through q^6 (tabulated); the
     # higher-rank rows of the same table need code inputs that are not
     # supplied, so they are not recomputed here
-    ham = catalog_code("hamming8")
     rep, nr = parse_perm(_REP, 8), parse_perm(_NR, 8)
     t48 = 8 * DEN
     return [
@@ -159,11 +159,10 @@ def _theta_dstar_2(n, trunc48):
     return theta3(2, trunc48) ** n + theta2(2, trunc48) ** n
 
 
-def _verify_fig7():
+def _verify_fig7(ham):
     # quotients theta/eta(q^2)^{N/2} for the three ranks (tabulated); the
     # rank-16 and rank-24 rows depend only on the named sublattice, so
     # they are recomputed from its closed form
-    ham = catalog_code("hamming8")
     rep, nr = parse_perm(_REP, 8), parse_perm(_NR, 8)
 
     def row(label, n, theta, expected):
@@ -187,15 +186,13 @@ def _verify_fig7():
     ]
 
 
-def _verify_ex33():
-    theta = theta_fixed(catalog_code("hamming8"), [parse_perm(_EX_G, 8)],
-                        10 * DEN)
+def _verify_ex33(ham):
+    theta = theta_fixed(ham, [parse_perm(_EX_G, 8)], 10 * DEN)
     return [_series_row("fixed theta of (2,8,4,6)(3,5)", theta, 0,
                         [1, 14, 30, 36, 62, 72, 68, 112, 126, 98])]
 
 
-def _verify_ex34():
-    ham = catalog_code("hamming8")
+def _verify_ex34(ham):
     gens = parse_generators("(4,6)(5,7), (4,7)(5,6), (1,3)(2,8)", 8)
     _, quo = fixed_quotient(ham, gens, 12 * DEN)
     return [
@@ -209,8 +206,7 @@ def _verify_ex34():
     ]
 
 
-def _verify_ex53():
-    ham = catalog_code("hamming8")
+def _verify_ex53(ham):
     g = parse_perm(_EX_G, 8)
     return [
         _series_row("T(0,1)", trace_series(ham, g, 1, 7 * DEN), -16,
@@ -229,8 +225,7 @@ def _verify_ex53():
     ]
 
 
-def _verify_ex81():
-    ham = catalog_code("hamming8")
+def _verify_ex81(ham):
     f21 = parse_generators(_F21, 8)
     t48 = 8 * DEN
     ch7 = character_group(ham, f21[:1], t48)["character"]
@@ -251,8 +246,7 @@ def _verify_ex81():
     ]
 
 
-def _verify_thmC():
-    ham = catalog_code("hamming8")
+def _verify_thmC(ham):
     rep, nr = parse_perm(_REP, 8), parse_perm(_NR, 8)
     t48 = 11 * DEN
     return (check_thmC(ham, rep, t48)["rows"]
@@ -260,9 +254,8 @@ def _verify_thmC():
             + check_parity(ham, rep, nr, t48)["rows"])
 
 
-def _verify_thmD():
-    return check_group(catalog_code("hamming8"),
-                       parse_generators(_F21, 8), 8 * DEN)["rows"]
+def _verify_thmD(ham):
+    return check_group(ham, parse_generators(_F21, 8), 8 * DEN)["rows"]
 
 
 # ---------- identity checks ----------
@@ -468,9 +461,9 @@ def check_group(code, gens, trunc48, flavor: str = "plain") -> dict:
 
 
 _REGISTRY = {
-    "fig1": lambda: _identifications(_SINGLE_CLASSES),
-    "fig2": lambda: _identifications((None, text, name)
-                                     for text, name in _SUBGROUP_CLASSES),
+    "fig1": lambda ham: _identifications(ham, _SINGLE_CLASSES),
+    "fig2": lambda ham: _identifications(
+        ham, ((None, text, name) for text, name in _SUBGROUP_CLASSES)),
     "fig5": _verify_fig5,
     "fig7": _verify_fig7,
     "ex33": _verify_ex33,
@@ -485,8 +478,8 @@ FIGURE_IDS = tuple(_REGISTRY)
 
 
 def verify_figure(figure_id: str) -> dict:
-    """Recompute one recorded table and compare row by row."""
+    """Recompute one recorded table on hamming8 and compare row by row."""
     if figure_id not in _REGISTRY:
         raise DomainError("unknown figure id %r; known: %s"
                           % (figure_id, ", ".join(FIGURE_IDS)))
-    return _report(figure_id, _REGISTRY[figure_id]())
+    return _report(figure_id, _REGISTRY[figure_id](catalog_code("hamming8")))

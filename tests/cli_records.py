@@ -230,6 +230,19 @@ def _other_jobs():
               "comment_only_group.txt")]
     # exit 4: a window too short to identify the golay24 quotient
     jobs.append(["identify", "--code", "golay24", "--trunc", "10"])
+    # exit 2: a non-ASCII character, one past U+FFFF, and a quote and a
+    # backslash, each escaped in the error record; negative decimals,
+    # which are values and not flags
+    jobs += [["theta", "--group", "(1,2)" + tail]
+             for tail in ("\u00e9", "\U0001f600", '"\\')]
+    jobs += [["theta", "--trunc", value] for value in ("-1.5", "-.5")]
+    # a group-file line may space its cycles apart; an unmatched ')'
+    spaced = str(INPUTS / "spaced_group.txt")
+    unmatched = str(INPUTS / "unmatched_group.txt")
+    (ROOT / spaced).write_text("(1,7) (2,4) (3,8) (5,6)\n")
+    (ROOT / unmatched).write_text("(1,2))\n")
+    jobs += [["theta", "--group-file", spaced],
+             ["theta", "--group-file", unmatched]]
     return jobs
 
 

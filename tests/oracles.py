@@ -154,6 +154,12 @@ def weight_enumerator(code: BinaryCode):
     return Counter(w.bit_count() for w in codewords(code))
 
 
+def direct_sum(a: BinaryCode, b: BinaryCode):
+    """a ⊕ b, with b on the coordinates after a's; no verb builds one,
+    and the catalog holds hamming8 ⊕ hamming8 as its rows."""
+    return BinaryCode(a.n + b.n, list(a.basis) + [r << a.n for r in b.basis])
+
+
 def _images(code: BinaryCode, h: Perm):
     """h(B) for every codeword B in codewords() order, from h(basis rows)."""
     images = [0]
@@ -181,7 +187,7 @@ def walk_doubling_code(code: BinaryCode, g: Perm):
 
 
 def walk_doubling_lattice(code: BinaryCode, g: Perm, flavor: str):
-    """The coset walk that `lattice.doubling_lattice_criterion` replaced.
+    """The coset walk that `lattice.lift_order` replaced.
 
     Reads the parity of <v, g^(m/2) v> off each codeword coset, and off
     its quarter-shifted partner under a super flavor, in codewords()

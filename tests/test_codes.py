@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetaforge.codes import BinaryCode, catalog_code, load_code, mask_to_points
+from thetaforge.codes import (
+    CATALOG_CODES, BinaryCode, catalog_code, load_code, mask_to_points,
+)
 from thetaforge.errors import DomainError, ParseError
 from thetaforge.perms import Perm, parse_perm
 
-from oracles import brute_fixed_words, codewords, weight_enumerator
+from oracles import brute_fixed_words, codewords, direct_sum, weight_enumerator
 
 
 HAMMING_WORDS = [
@@ -157,7 +159,7 @@ def test_fixed_subcode_against_brute_force(case):
 
 def test_direct_sum():
     ham = catalog_code("hamming8")
-    double = ham.direct_sum(ham)
+    double = direct_sum(ham, ham)
     assert double.n == 16
     assert double.dim == 8
     assert min(w for w in weight_enumerator(double) if w) == 4
@@ -181,6 +183,23 @@ def test_from_file_and_load(tmp_path):
 def test_load_rejects_unknown():
     with pytest.raises((DomainError, OSError)):
         load_code("no-such-code")
+
+
+@pytest.mark.parametrize("name", CATALOG_CODES)
+def test_a_catalog_name_loads_its_code_over_a_file_of_that_name(
+        name, monkeypatch, tmp_path):
+    # `cli._path_contents` fingerprints a catalog name by the name, so
+    # the name must mean the built-in code wherever the job runs
+    monkeypatch.chdir(tmp_path)
+    assert load_code(name) == catalog_code(name)
+    (tmp_path / name).write_text("11110000\n00001111\n")
+    assert load_code(name) == catalog_code(name)
+
+
+def test_catalog_code_refuses_an_unknown_name():
+    with pytest.raises(DomainError) as err:
+        catalog_code("no-such-code")
+    assert str(err.value) == "unknown catalog code 'no-such-code'"
 
 
 def test_from_rows_rejects_ragged_and_junk():

@@ -33,7 +33,7 @@ from thetaforge.qseries import DEN, QSeries
 
 from oracles import (
     a_partition_order, brute_fixed_words, brute_force_automorphisms,
-    catalog_theta, codewords, dilate, _images, d_partition_anchor,
+    catalog_theta, codewords, dilate, direct_sum, _images, d_partition_anchor,
     hamming8_class_representatives, integer_coefficients,
     macwilliams_census_keys, make_series,
     oracle_eta, shifted_theta, tuple_census_theta, walk_doubling_code,
@@ -769,7 +769,7 @@ def test_doubling_on_a_code_too_large_to_list():
     # golay24, extended by the identity, doubles as it does on golay24
     golay = catalog_code("golay24")
     ham2 = catalog_code("hamming8+hamming8")
-    big = golay.direct_sum(golay).direct_sum(ham2)
+    big = direct_sum(direct_sum(golay, golay), ham2)
     assert big.dim == 32
     two = parse_perm(
         "(1,13)(2,14)(3,15)(4,16)(5,17)(6,18)(7,19)(8,20)(9,21)(10,22)(11,23)(12,24)",

@@ -49,6 +49,11 @@ read): the reachability walk follows definitions, not imports, so it
 cannot see a stale import line.  No module imports another module's
 private name or reads one off a module: what two modules share is
 public, so a private name can change with its own module alone.
+Only three functions catch a package error: `cli.main`, which maps it
+to an exit status, `cli._run_scan`, where a failed line is a result,
+and `modfunc.is_replicable`, where a short window is the
+insufficient-precision verdict; every other refusal reaches `main` as
+it was raised.
 """
 
 import ast
@@ -86,18 +91,24 @@ def _definitions(node, prefix=""):
             yield from _definitions(child, prefix)
 
 
-def _used_names(node):
-    """The names and attribute names that node reads, outside any def or
-    class nested in it, which is reached on its own."""
+def _own_nodes(node):
+    """node and what it holds, outside any def or class nested in it."""
     stack = [node]
     while stack:
         node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, _DEFS))
+
+
+def _used_names(node):
+    """The names and attribute names that node reads, outside any def or
+    class nested in it, which is reached on its own."""
+    for node in _own_nodes(node):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
-        stack.extend(child for child in ast.iter_child_nodes(node)
-                     if not isinstance(child, _DEFS))
 
 
 def _unreached(trees, root="cli.main"):
@@ -277,6 +288,73 @@ def test_private_name_guard_sees_every_form():
         "c = os._exit, self._x, lattice.__name__, lattice.FLAVORS\n"
         "from os import _exit\n")
     assert _private_reads(tree) == [2, 4, 9, 10, 11, 12, 12]
+
+
+_PACKAGE_ERRORS = {"ThetaforgeError", "ParseError", "DomainError",
+                   "PrecisionError"}
+_CATCHERS = ["cli._run_scan", "cli.main", "modfunc.is_replicable"]
+
+
+def _named(node):
+    """Every name and attribute name in node."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def _error_catchers(module, tree):
+    """The defs of tree, as "module.qualified.name", and "module" for its
+    top level, with an except clause that names a package error, itself
+    or through a module-level name whose value names one."""
+    tables = {target.id for stmt in tree.body if isinstance(stmt, ast.Assign)
+              and _named(stmt.value) & _PACKAGE_ERRORS
+              for target in stmt.targets if isinstance(target, ast.Name)}
+    scopes = [(module, tree)] + [("%s.%s" % (module, qualname), node)
+                                 for qualname, node in _definitions(tree)]
+    return [label for label, scope in scopes
+            if any(isinstance(node, ast.ExceptHandler) and node.type
+                   and _named(node.type) & (_PACKAGE_ERRORS | tables)
+                   for node in _own_nodes(scope))]
+
+
+def test_only_three_functions_catch_a_package_error():
+    # a refusal travels to `cli.main` as the error that names it, so no
+    # other function turns one into a value or into another refusal
+    assert sorted(label for path in sorted(SRC.rglob("*.py"))
+                  for label in _error_catchers(
+                      path.stem, ast.parse(path.read_text()))) == _CATCHERS
+
+
+def test_error_catcher_guard_sees_every_form():
+    tree = ast.parse(
+        "CODES = ((ParseError, 2), (OSError, 3))\n"
+        "OTHER = (OSError, ValueError)\n"
+        "def direct():\n"
+        "    try: f()\n"
+        "    except DomainError: pass\n"
+        "def in_a_tuple():\n"
+        "    try: f()\n"
+        "    except (OSError, errors.PrecisionError) as exc: pass\n"
+        "def through_a_table():\n"
+        "    try: f()\n"
+        "    except tuple(cls for cls, _ in CODES): pass\n"
+        "class Box:\n"
+        "    def method(self):\n"
+        "        def inner():\n"
+        "            try: f()\n"
+        "            except ThetaforgeError: pass\n"
+        "        return inner\n"
+        "def others():\n"
+        "    try: f()\n"
+        "    except (OSError, ValueError): pass\n"
+        "    except OTHER: pass\n"
+        "    except: pass\n"
+        "    raise ParseError('not caught')\n"
+        "try: f()\n"
+        "except ParseError: pass\n")
+    assert _error_catchers("m", tree) == [
+        "m", "m.direct", "m.in_a_tuple", "m.through_a_table",
+        "m.Box.method.inner"]
 
 
 def test_no_assert_statements_in_the_package():
