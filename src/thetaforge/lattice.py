@@ -18,10 +18,11 @@ of C, so only it, not C, has to be small enough to count word by word
 (dimension 24 or less).  One census counts its codewords by a tuple of
 integer popcounts, |B ∩ U_s| for the union U_s of the size-s blocks,
 without listing them: each coordinate is a 2^dim-bit plane over the
-words, each popcount a bit-sliced sum of planes, and the words of one
-key are one leaf of the all-ones selector split on those sums' digit
-planes.  This is the size-refined weight enumerator of the fixed code
-on the orbit set; for the trivial group it is Construction A, Θ =
+words, each key column a bit-sliced sum of the planes P_i & P_k of
+weighted pairs (i, k) of least points of orbit blocks, and the words of
+one key are one leaf of the all-ones selector split on those sums'
+digit planes.  This is the size-refined weight enumerator of the fixed
+code on the orbit set; for the trivial group it is Construction A, Θ =
 W_C(θ₃(2τ), θ₂(2τ)).  Shift signatures and block products are then
 built once per distinct key, not once per codeword.
 
@@ -150,21 +151,20 @@ def _digit_planes(terms):
     return digits
 
 
-def _census_keys(code: BinaryCode, masks, pair_mask=0,
-                 twist: Perm = None) -> Counter:
+def _census_keys(code: BinaryCode, columns) -> Counter:
     """Counter of the popcount keys of the codewords of code, none listed.
 
-    A key is |B ∩ m| for each mask m, then |B ∩ hB ∩ pair_mask| for the
-    twist h.  In binary counting order over the basis rows, word w is
-    the XOR of the rows whose bit is set in w, so coordinate i over all
-    words is the 2^k-bit plane P_i, the XOR of the patterns of the rows
-    that contain i, and coordinate i of hB is P_{h⁻¹(i)}.  Each key
-    column is a bit-sliced sum of planes, P_i over the coordinates of
-    its mask or P_i & P_{h⁻¹(i)} over the paired ones, and the words of
-    one key are one leaf of the all-ones selector split on every
-    column's digit planes.  Coordinates in the same rows share a plane,
-    which a column adds once with its multiplicity; a repeated mask is
-    counted once and a zero mask not at all.
+    A column is a list of ((i, k), t) entries; its value on a word B is
+    the sum of t over the entries with i and k in B.  In binary counting
+    order over the basis rows, word w is the XOR of the rows whose bit
+    is set in w, so coordinate i over all words is the 2^k-bit plane
+    P_i, the XOR of the patterns of the rows that contain i, and an
+    entry is the plane P_i & P_k.  Each column is a bit-sliced sum of
+    planes, and the words of one key are one leaf of the all-ones
+    selector split on every column's digit planes.  Coordinates in the
+    same rows share a plane, added once with its summed weight, and
+    identical columns share one slot.  A key packs 8 bits per column:
+    each census column's weights sum to at most n <= 64, so a sum fits.
     """
     code.require_listable()
     n = code.n
@@ -179,30 +179,18 @@ def _census_keys(code: BinaryCode, masks, pair_mask=0,
             planes[i] ^= pattern
             row ^= low
     plane = dict(zip(vectors, planes))
-    support = [i for i in range(n) if vectors[i]]
-    # a key is packed 8 bits per column, as no sum exceeds n <= 64; the
-    # slot past every column stays 0, for a zero mask and an absent twist
-    columns, weights = {}, []
-    zero = 8 * (len(masks) + 1)
-
-    def add_column(terms):
-        """Weigh the digit planes of the sum of t copies of P over (P, t)."""
-        shift = 8 * len(columns)
-        weights.extend((d, 1 << shift + bit)
-                       for bit, d in enumerate(_digit_planes(terms)) if d)
-        return shift
-
-    for m in masks:
-        if m and m not in columns:
-            counts = Counter(vectors[i] for i in support if m >> i & 1)
-            columns[m] = add_column((plane[a], t) for a, t in counts.items())
-    shifts = [columns.get(m, zero) for m in masks] + [zero]
-    if pair_mask:
-        inverse = twist.inverse().images
-        counts = Counter(tuple(sorted((vectors[i], vectors[inverse[i]])))
-                         for i in support if pair_mask >> i & 1)
-        shifts[-1] = add_column((plane[a] & plane[b], t)
-                                for (a, b), t in counts.items() if a)
+    slots, shifts, weights = {}, [], []
+    for column in map(tuple, columns):
+        if column not in slots:
+            slots[column] = shift = 8 * len(slots)
+            counts = Counter()
+            for (i, k), t in column:
+                counts[vectors[i], vectors[k]] += t
+            digits = _digit_planes((plane[a] & plane[b], t)
+                                   for (a, b), t in counts.items())
+            weights += [(d, 1 << shift + bit)
+                        for bit, d in enumerate(digits) if d]
+        shifts.append(slots[column])
     leaves = [((1 << (1 << code.dim)) - 1, 0)]
     for digit, weight in weights:
         halves = []
@@ -235,15 +223,17 @@ def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
                 raise DomainError(
                     "codeword %#x is not a union of orbit blocks" % row)
     sizes, nblocks = zip(*orbit_type(gens, n))
-    masks = [sum(m for m, s in blocks if s == size) for size in sizes]
-    pair_mask = 0
-    if twist is not None:
-        partner = _paired_blocks(blocks, twist)
-        pair_mask = sum(m for i, (m, _) in enumerate(blocks) if partner[i] != i)
-    masks += [((1 << n) - 1) ^ pair_mask, pair_mask]
-    # a key is |B ∩ U_s| for each size s, then p_self, p_pair and p_hh
-    # (with no twist pair_mask is 0)
-    keys = _census_keys(sub, masks, pair_mask, twist)
+    partner = _paired_blocks(blocks, twist) if twist else range(len(blocks))
+    # a fixed word holds a block iff it holds its least point p; a key is
+    # |B ∩ U_s| per size s, p_self, p_pair and p_hh, at p and its partner q
+    least = [(m & -m).bit_length() - 1 for m, _ in blocks]
+    ends = [(p, least[q], s) for p, q, (_, s) in zip(least, partner, blocks)]
+    columns = [[((p, p), s) for p, _, s in ends if s == size]
+               for size in sizes]
+    columns += [[((p, p), s) for p, q, s in ends if p == q],
+                [((p, p), s) for p, q, s in ends if p != q],
+                [((p, q), s) for p, q, s in ends if p != q]]
+    keys = _census_keys(sub, columns)
 
     # branch β = 0 is the coset a_B/2 + Z^N (even coordinate sum on the
     # a_Omega/4 glueing); β = 1 shifts every coordinate by a quarter more.

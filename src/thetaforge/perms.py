@@ -44,15 +44,9 @@ class Perm:
                               % (self.n, other.n))
         return Perm(self.images[j] for j in other.images)
 
-    def inverse(self):
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm(inv)
-
     def __pow__(self, k):
         if k < 0:
-            return self.inverse() ** abs(k)
+            k %= self.order()
         out = Perm.identity(self.n)
         base = self
         while k:

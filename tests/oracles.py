@@ -18,7 +18,8 @@ grammar the package's three half-swap builders in `verify` replaced,
 the dilation q -> q^m, the codeword listing, the coefficients at whole
 powers and the thetas with a rational weight and shift, which only tests
 ask for, the tuple-per-codeword census and the codeword images h(B) that the
-bit-plane census replaced, the census keys of a self-dual code by the
+bit-plane census replaced, the inverse of a permutation, which the
+census stopped asking for, the census keys of a self-dual code by the
 MacWilliams identity, and the argparse parser that `cli.parse_args`
 replaced.
 """
@@ -158,6 +159,15 @@ def direct_sum(a: BinaryCode, b: BinaryCode):
     """a ⊕ b, with b on the coordinates after a's; no verb builds one,
     and the catalog holds hamming8 ⊕ hamming8 as its rows."""
     return BinaryCode(a.n + b.n, list(a.basis) + [r << a.n for r in b.basis])
+
+
+def inverse(p: Perm) -> Perm:
+    """The inverse permutation, read off the images; the census pairs
+    blocks by their least points and no longer asks for it."""
+    inv = [0] * p.n
+    for i, j in enumerate(p.images):
+        inv[j] = i
+    return Perm(inv)
 
 
 def _images(code: BinaryCode, h: Perm):

@@ -34,7 +34,7 @@ from thetaforge.qseries import DEN, QSeries
 from oracles import (
     a_partition_order, brute_fixed_words, brute_force_automorphisms,
     catalog_theta, codewords, dilate, direct_sum, _images, d_partition_anchor,
-    hamming8_class_representatives, integer_coefficients,
+    hamming8_class_representatives, integer_coefficients, inverse,
     macwilliams_census_keys, make_series,
     oracle_eta, shifted_theta, tuple_census_theta, walk_doubling_code,
     walk_doubling_lattice, weight_enumerator,
@@ -557,7 +557,7 @@ def test_census_keys_are_the_macwilliams_transform(monkeypatch, seed, case):
     want = macwilliams_census_keys(code, gens)
     relabel = Perm(Random(seed).sample(range(n), n))
     moved = BinaryCode(n, map(relabel.apply_mask, code.basis))
-    moved_gens = [relabel * g * relabel.inverse() for g in gens]
+    moved_gens = [relabel * g * inverse(relabel) for g in gens]
     for c, fixing in ((code, gens), (moved, moved_gens)):
         _census_theta(c, fixing, T(1))
         assert asked.pop() == want
@@ -660,7 +660,7 @@ def test_census_keys_of_random_groups_are_the_macwilliams_transform(case):
     want = macwilliams_census_keys(code, gens)
     relabel = Perm(Random(seed).sample(range(n), n))
     moved = BinaryCode(n, map(relabel.apply_mask, code.basis))
-    moved_gens = [relabel * g * relabel.inverse() for g in gens]
+    moved_gens = [relabel * g * inverse(relabel) for g in gens]
     assert _asked_keys(code, gens) == want
     assert _asked_keys(moved, moved_gens) == want
 
@@ -718,11 +718,48 @@ def test_plane_keys_match_a_count_over_the_codewords(case):
     masks += [((1 << n) - 1) ^ pair_mask, pair_mask]
     words = codewords(code)
     images = words if twist is None else _images(code, twist)
+    # coordinate i of hB is coordinate h⁻¹(i) of B
+    back = range(n) if twist is None else inverse(twist).images
+    columns = [[((i, i), 1) for i in range(n) if m >> i & 1] for m in masks]
     for paired in {pair_mask, loose}:
         want = Counter(tuple((w & m).bit_count() for m in masks)
                        + ((w & hw & paired).bit_count(),)
                        for w, hw in zip(words, images))
-        assert _census_keys(code, masks, paired, twist) == want
+        pairs = [((i, back[i]), 1) for i in range(n) if paired >> i & 1]
+        assert _census_keys(code, columns + [pairs]) == want
+
+
+@st.composite
+def weighted_columns(draw):
+    """A random subcode of a base code, which may leave coordinates in
+    no basis row, and key columns of ((i, k), t) entries with weights 1
+    to 3, repeats and pairs that no permutation makes, some of them
+    empty, and one column drawn twice; each column sums to at most 255."""
+    base = draw(st.sampled_from(_BASES))
+    rows = draw(st.lists(st.sampled_from(codewords(base)), max_size=base.dim))
+    point = st.integers(0, base.n - 1)
+    entry = st.tuples(st.tuples(point, point), st.integers(1, 3))
+    columns = draw(st.lists(st.lists(entry, max_size=85), min_size=1,
+                            max_size=5))
+    twin = draw(st.sampled_from(columns))
+    columns.insert(draw(st.integers(0, len(columns))), twin)
+    return BinaryCode(base.n, rows), columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_columns())
+@example((BinaryCode(8, [0xff]), [[((i % 8, i % 8), 3) for i in range(85)],
+                                  [], [((0, 1), 2)], [], [((0, 1), 2)]]))
+@example((BinaryCode(24, []), [[((0, 5), 1)], [((0, 5), 1)]]))
+def test_weighted_columns_match_a_count_over_the_codewords(case):
+    # a column's value on B is the sum of t over its entries with both
+    # i and k in B, read column by column off every codeword
+    code, columns = case
+    want = Counter(tuple(sum(t for (i, k), t in column
+                             if w >> i & 1 and w >> k & 1)
+                         for column in columns)
+                   for w in codewords(code))
+    assert _census_keys(code, columns) == want
 
 
 def test_doubling_criteria_match_the_walks_on_hamming8():

@@ -11,7 +11,7 @@ from thetaforge.perms import (
     read_group_file, type_str,
 )
 
-from oracles import brute_force_automorphisms
+from oracles import brute_force_automorphisms, inverse
 
 
 perm_st = st.permutations(range(8)).map(lambda im: Perm(tuple(im)))
@@ -40,8 +40,8 @@ def test_pow_and_inverse():
     g = parse_perm("(1,3,7,8)(2,5,4,6)", 8)
     assert g.order() == 4
     assert g ** 4 == Perm.identity(8)
-    assert g ** -1 == g.inverse()
-    assert g ** 7 == g.inverse()
+    assert g ** -1 == inverse(g)
+    assert g ** 7 == inverse(g)
     assert g ** -3 == g
     assert (g ** 2).cycle_type() == ((2, 4),)
 
@@ -83,7 +83,14 @@ def test_parse_roundtrip(p):
 def test_order_annihilates(p):
     assert p ** p.order() == Perm.identity(8)
     assert all(p ** k != Perm.identity(8) for k in range(1, p.order()))
-    assert p * p.inverse() == Perm.identity(8)
+    assert p * inverse(p) == Perm.identity(8)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))).map(Perm),
+       st.integers(-60, 60))
+def test_negative_powers_reduce_mod_the_order(g, k):
+    assert g ** k == g ** (k % g.order())
+    assert g ** -1 == inverse(g)
 
 
 # ---------- parsing errors ----------

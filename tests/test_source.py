@@ -30,7 +30,8 @@ a user types; every constant of the package is written as the value
 its callee takes, not as text parsed back at run time.  Only `modfunc`
 names ``theta_quotient``: every other module gets the labelled
 quotient of a fixed sublattice from `modfunc.fixed_quotient`, which
-reads the rank off the orbit type.
+reads the rank off the orbit type.  Only `lattice._census_theta` calls
+`lattice._census_keys`, so the package keeps one census engine.
 An orbit type has one form, the (length, count) pairs of `perms`, so no
 call hands ``eta_product``, ``eta_quotient`` or ``theta_quotient`` an
 orbit type written as a dict or a string.
@@ -700,6 +701,56 @@ def test_theta_quotient_guard_sees_imports_and_calls():
     assert sorted(node.lineno for node in ast.walk(tree)
                   if _names_theta_quotient(node)) == [1, 2, 3, 4]
 
+
+
+def _census_key_callers(module, tree):
+    """The defs of tree, as "module.qualified.name", and "module" for its
+    top level, that read `_census_keys`: by name, as an attribute, or
+    under a name that an import binds it to."""
+    names = {"_census_keys"} | {
+        alias.asname or alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+        if alias.name == "_census_keys"}
+    scopes = [(module, tree)] + [("%s.%s" % (module, qualname), node)
+                                 for qualname, node in _definitions(tree)]
+    return [label for label, scope in scopes
+            if any(isinstance(node, ast.Name) and node.id in names
+                   or isinstance(node, ast.Attribute)
+                   and node.attr == "_census_keys"
+                   for node in _own_nodes(scope))]
+
+
+def test_only_census_theta_calls_census_keys():
+    # one census engine: a new side of the census passes its columns
+    # through `_census_theta`, not through a second caller
+    assert [label for path in sorted(SRC.rglob("*.py"))
+            for label in _census_key_callers(
+                path.stem, ast.parse(path.read_text()))] == [
+        "lattice._census_theta"]
+
+
+def test_census_key_caller_guard_sees_every_form():
+    tree = ast.parse(
+        "from .lattice import _census_keys as count\n"
+        "keys = _census_keys(sub, columns)\n"
+        "def bare(sub):\n"
+        "    return _census_keys(sub, [])\n"
+        "def dotted(sub):\n"
+        "    return lattice._census_keys(sub, [])\n"
+        "def outer(sub):\n"
+        "    def inner():\n"
+        "        return _census_keys(sub, [])\n"
+        "    return inner\n"
+        "def aliased(sub):\n"
+        "    return count(sub, [])\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return thetaforge.lattice._census_keys(self.sub, [])\n"
+        "def clean(sub):\n"
+        "    t = _census_theta(sub, [], 1)\n"
+        "    return census_keys(sub), keys, t, '_census_keys'\n")
+    assert _census_key_callers("m", tree) == [
+        "m", "m.bare", "m.dotted", "m.outer.inner", "m.aliased", "m.C.m"]
 
 # the position of the orbit type among each eta function's arguments
 _ORBIT_TYPE_ARG = {"eta_product": 0, "eta_quotient": 1, "theta_quotient": 1}
