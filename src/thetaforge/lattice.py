@@ -70,13 +70,15 @@ def _factor(size, quarters, alternating, trunc48):
 
 @cache
 def _block_product(signature, trunc48):
-    """Product over ((size, quarters, alt), multiplicity) factor specs."""
-    out = QSeries.one(trunc48)
+    """Product over ((size, quarters, alt), multiplicity) factor specs,
+    from the first factor's power on: a signature covers every orbit
+    block, so it is never empty."""
+    out = None
     for (size, quarters, alt), mult in signature:
         base = _factor(size, quarters, alt, trunc48)
         if base.is_zero():
             return QSeries.zero(trunc48)
-        out = out * base ** mult
+        out = base ** mult if out is None else out * base ** mult
     return out.truncate48(trunc48)
 
 

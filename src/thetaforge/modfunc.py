@@ -117,9 +117,10 @@ def _check_hauptmodul_shape(f):
             raise DomainError("series has exponent %s/48 off the integer grid" % e)
 
 
-def _faber_rows(f, K_rep):
+def _faber_rows(f, K_rep, pairs):
     """Faber rows of f on the K x K square: rows[k][j] = G_{j,k}, the
-    coefficient of q^j in F_k, for 1 <= j, k <= K_rep (index 0 unused).
+    coefficient of q^j in F_k, for 1 <= j, k <= K_rep (index 0 unused),
+    filled where the (j, k) of pairs and the row-1 check need them.
 
     f must be q^-1 + sum_{t>=1} a_t q^t, its constant removed, exact
     through q^(2*K_rep); G is all ints when f is.  F_{k+1} = f*F_k -
@@ -131,10 +132,22 @@ def _faber_rows(f, K_rep):
     G_{m+1,m} = m X with X = a_{2m} + S(m, m) at sigma = 2m+1, and
     G_{m,m} = m a_{2m-1} + ((m+1) S(m, m-1) + (m-1) S(m-1, m)) / 2 at
     sigma = 2m.  Relation (j, sigma-j-1) walks out for j down to
-    max(2, sigma-K), each mirror an exact division, and for sigma <= K+1
+    low(sigma), each mirror an exact division, and for sigma <= K+1
     its step onto row 1 must give G_{1,sigma-1} = (sigma-1) a_{sigma-1},
     a check.  With s = gcd{t+1 : a_t != 0}, G_{j,k} = 0 unless s | j+k:
     only those anti-diagonals are walked, and the sums step by s.
+
+    Row 1 is G_{1,k} = k a_k.  Each anti-diagonal sigma <= K+1 is walked
+    to low(sigma) = 2, for the check.  Above it, low(sigma) is planned
+    from the top down as the least of min(n, k) over the (n, k) of pairs
+    on sigma and of low(sigma') - sigma' + sigma + 1 over the walked
+    sigma' >= sigma + 2: the walk of sigma' to j reads anti-diagonal
+    sigma at index j - sigma' + sigma + 1 and above.  A sigma' = 2m
+    walked to its middle G_{m,m} alone counts as walked to m - 1, since
+    S(m-1, m) reads one index lower.  low(sigma) is never below
+    max(2, sigma - K), and sigma is skipped when low(sigma) > sigma // 2.
+    So each sigma is walked exactly as far as the pairs need, and an
+    entry that no pair needs may stay 0.
     """
     K = exact_int(K_rep, "K_rep")
     if K < 1:
@@ -149,6 +162,20 @@ def _faber_rows(f, K_rep):
     a = [f.coeff48(t * DEN) for t in range(2 * K)]
     # s = 2K+1 for f = q^-1: every G_{j,k} is 0 and none lies on that stride
     s = gcd(*(t + 1 for t, c in enumerate(a) if c)) or 2 * K + 1
+    sigmas = range(-(-4 // s) * s, 2 * K + 1, s)
+    need = {}   # sigma -> the least min(n, k) of the pairs on it
+    for n, k in pairs:
+        need[n + k] = min(n, k, need.get(n + k, n))
+    low, reach, gap = {}, 0, max(s, 2)
+    for sigma in reversed(sigmas):
+        if sigma + gap in low:   # the nearest walked sigma' >= sigma + 2
+            j = low[sigma + gap]
+            # G_{m,m} alone reads as far down as a step from m - 1
+            reach = max(reach, sigma + gap - j + (sigma + gap == 2 * j))
+        j = min(need.get(sigma, sigma), sigma + 1 - reach)
+        j = max(j, 2, sigma - K) if sigma > K + 1 else 2
+        if j <= sigma // 2:
+            low[sigma] = j
     rows = [[0] * (K + 1) for _ in range(K + 1)]   # rows[k][j] = G_{j,k}
     cols = [[0] * (K + 1) for _ in range(K + 1)]   # cols[j][k] = G_{j,k}
 
@@ -167,14 +194,16 @@ def _faber_rows(f, K_rep):
 
     for k in range(1, K + 1):
         pair(1, k, k * a[k])
-    for sigma in range(-(-4 // s) * s, 2 * K + 1, s):
+    for sigma in sigmas:
+        if sigma not in low:
+            continue
         m, odd = divmod(sigma, 2)
         if odd:
             pair(m, m + 1, (m + 1) * (a[2 * m] + S(m, m)))
         else:
             pair(m, m, m * a[2 * m - 1] + exact_div(
                 (m + 1) * S(m, m - 1) + (m - 1) * S(m - 1, m), 2))
-        for j in range(m - 1, max(2, sigma - K) - 1, -1):
+        for j in range(m - 1, low[sigma] - 1, -1):
             pair(j, sigma - j, step(j, sigma - j))
         if sigma <= K + 1 and step(1, sigma - 1) != cols[1][sigma - 1]:
             raise ThetaforgeError(
@@ -185,31 +214,33 @@ def _faber_rows(f, K_rep):
 def is_replicable(f, K_rep=12):
     """Bounded replicability check: a[n][k] must match a[r][s] whenever
     the pairs share their gcd and lcm.  The constant term is stripped
-    before tabulation.  Never a proof, only a verdict up to K_rep.
+    before tabulation, and the Faber rows are walked only as far as the
+    compared pairs need.  Never a proof, only a verdict up to K_rep.
 
     Returns the record {"verdict", "K_rep", "violations"}, each violation
     a list [n, k, r, s] of two entries that should agree and do not.
     """
     f0, _ = strip_constant(f)
-    try:
-        rows = _faber_rows(f0, K_rep)
-    except PrecisionError:
-        return {"verdict": "insufficient-precision", "K_rep": K_rep,
-                "violations": []}
-    K = len(rows) - 1
+    K = exact_int(K_rep, "K_rep")
     classes = {}
-    violations = []
+    compared = []   # (n, k, r, s): a[n][k] against its class's first a[r][s]
     for n in range(1, K + 1):
         for k in range(n, K + 1):
             key = (gcd(n, k), n * k)
-            if key not in classes:
+            if key in classes:
+                compared.append((n, k, *classes[key]))
+            else:
                 classes[key] = (n, k)
-                continue
-            # a[n][k] = G_{k,n}/n and a[r][s] = G_{s,r}/r, compared
-            # without a division
-            r, s = classes[key]
-            if rows[n][k] * r != rows[r][s] * n:
-                violations.append([n, k, r, s])
+    try:
+        rows = _faber_rows(f0, K, [x for c in compared
+                                   for x in (c[:2], c[2:])])
+    except PrecisionError:
+        return {"verdict": "insufficient-precision", "K_rep": K_rep,
+                "violations": []}
+    # a[n][k] = G_{k,n}/n and a[r][s] = G_{s,r}/r, compared without a
+    # division
+    violations = [[n, k, r, s] for n, k, r, s in compared
+                  if rows[n][k] * r != rows[r][s] * n]
     verdict = "not-replicable" if violations else "replicable-up-to-K_rep"
     return {"verdict": verdict, "K_rep": K, "violations": violations}
 

@@ -33,7 +33,9 @@ series is divided only by a scalar.  Every power f**r (r an int or a
 Fraction, not 0 or 1), eta product, eta quotient and theta quotient is
 one call of `eta_power`, which runs Euler's divisor-sum recurrence for
 (num / prod eta(q^t)^count)^power: each term is two dot products of
-the earlier terms against small numbers, and no eta series is built.
+the earlier terms against small numbers, or one when an integral
+numerator's whole power is split off and multiplied back by packed
+big-int products, and no eta series is built.
 With no eta factor it is J.C.P. Miller's power recurrence, summed
 over the nonzero terms of num only, so a rational power f**r costs
 O(T^2) for T terms, less when f is sparse; with f = c q^v (1 + ...) it
@@ -155,10 +157,6 @@ class QSeries:
     @classmethod
     def zero(cls, trunc48):
         return cls({}, exact_int(trunc48))
-
-    @classmethod
-    def one(cls, trunc48):
-        return cls.monomial(1, 0, trunc48)
 
     @classmethod
     def monomial(cls, coeff, exp48, trunc48):
@@ -297,7 +295,7 @@ class QSeries:
         if not r:
             if self.trunc48 <= 0:
                 raise PrecisionError("cannot represent 1 below truncation 0")
-            return QSeries.one(self.trunc48)
+            return QSeries.monomial(1, 0, self.trunc48)
         if not self.coeffs:
             if r > 0:
                 return QSeries.zero(int(self.trunc48 * r))
@@ -336,6 +334,35 @@ class QSeries:
 
 # ---------- the basic series ----------
 
+def _packed_product(a, b, n):
+    """The first n coefficients of the product of the int lists a and b,
+    from one big-int product (Kronecker substitution: von zur Gathen and
+    Gerhard, Modern Computer Algebra, 8.4; Harvey 2009).
+
+    A list x becomes the int sum x_k X^k with X = 2^W.  No coefficient
+    of the product exceeds max|a| max|b| min(len) in size, so W is its
+    bit length plus a sign bit, rounded up to whole bytes, which
+    `to_bytes` packs and splits.  Every slot is read with a bias of
+    2^(W-1), which puts a signed coefficient in [0, X).
+    """
+    a, b = a[:n], b[:n]
+    bound = (max(1, *map(abs, a)) * max(1, *map(abs, b))
+             * min(len(a), len(b)))
+    w = bound.bit_length() // 8 + 1   # bytes in a slot
+    bias = 1 << (8 * w - 1)
+    pad = bias.to_bytes(w, "little")
+
+    def pack(x):
+        return (int.from_bytes(b"".join((c + bias).to_bytes(w, "little")
+                                        for c in x), "little")
+                - int.from_bytes(pad * len(x), "little"))
+
+    raw = ((pack(a) * pack(b) + int.from_bytes(pad * n, "little"))
+           & ((1 << (8 * w * n)) - 1)).to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - bias
+            for i in range(0, w * n, w)]
+
+
 def eta_power(num, counts, power, trunc48):
     """(num / prod eta(q^t)^count)^power, exact below trunc48.
 
@@ -343,22 +370,32 @@ def eta_power(num, counts, power, trunc48):
     t >= 1 and counts of either sign, and power is an int or a Fraction.
     With num = c q^v h, h_0 = 1, and E = prod (1 - q^(tn))^count, the
     result is c**power q^((v - 2N) power) f for N = sum t count, and
-    f = (h/E)^(p/q) solves h Df = (p/q) f (Dh + h S) with D = q d/dq and,
-    by Euler, S = -D log E = sum sigma(m) q^m, sigma(m) = sum of
-    d count over t | d | m.  Indexed by steps of the common exponent
-    stride, with D counting steps, that is
+    f = (h/E)^(p/q).  By Euler, S = -D log E = sum sigma(m) q^m with
+    D = q d/dq and sigma(m) = sum of d count over t | d | m.  Indexed
+    by steps of the common exponent stride, with D counting steps, one
+    of three paths runs:
 
-        n q f_n = sum_{k>=1} (p U_k - q (n-k) h_k) f_{n-k},  U = Dh + h S,
+    - No eta factor (E = 1, S = 0): J.C.P. Miller's power recurrence
+      (Knuth, TAOCP vol. 2, 4.7)
 
-    two dot products of earlier terms against small numbers per term.
-    With E = 1 (no counts, or all 0) S = 0 and U = Dh, so the sum is
-    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7)
+          n q f_n = sum_{k>=1} ((p + q) k - q n) h_k f_{n-k},
 
-        n q f_n = sum_{k>=1} ((p + q) k - q n) h_k f_{n-k},
+      run over the nonzero h_k alone: a sparse theta's power pays for
+      its terms, not for its window.
+    - Eta factors, h all ints and p/q a whole number p >= 1 (an
+      `eta_product` or `eta_quotient`, a rank 8 or 24 quotient):
+      f = h^p E^-p.  E^-p comes from n f_n = sum_{k>=1} p S_k f_{n-k},
+      one dot product per term, and h^p and the product with it from
+      `_packed_product`, p big-int products in all (none for h = 1).
+    - Otherwise (a Fraction power such as rank 16's 3/2, or an h with
+      a Fraction): f solves h Df = (p/q) f (Dh + h S), that is
 
-    run over the nonzero h_k alone: a sparse theta's power pays for its
-    terms, not for its window.  A series num must be exact below
-    trunc48 - (v - 2N) power + v.
+          n q f_n = sum_{k>=1} (p U_k - q (n-k) h_k) f_{n-k},  U = Dh + h S,
+
+      two dot products of earlier terms against small numbers per term.
+      h^(p/q) has no product form, and packing takes only ints.
+
+    A series num must be exact below trunc48 - (v - 2N) power + v.
     """
     power, trunc48 = exact_rational(power, "power"), exact_int(trunc48)
     eta, degree = [], 0   # the factors of E, and N
@@ -401,17 +438,28 @@ def eta_power(num, counts, power, trunc48):
         hs = [0] * terms
         for e, x in h.items():
             hs[e // s] = x
-        if h:   # U = Dh + h S; with h = 1 it is S
+        # (1 + h)^p E^-p for whole p and h, else the recurrence with U
+        split = q == 1 and p > 0 and all(type(x) is int for x in hs)
+        if h and not split:   # U = Dh + h S
             sig = [k * hk + sk + sum(map(mul, hs[1:k], sig[k - 1:0:-1]))
                    for k, (hk, sk) in enumerate(zip(hs, sig))]
-        u, hq = [p * x for x in sig], [q * x for x in hs]
-        nf = [0]   # nf[n] = n f_n
-        for n in range(1, terms):
-            acc = sum(map(mul, u[n:0:-1], f))
+        u = [p * x for x in sig]
+        if split or not h:   # E^-p: n q f_n = sum_k p S_k f_{n-k}
+            for n in range(1, terms):
+                f.append(exact_div(sum(map(mul, u[n:0:-1], f)), n * q))
             if h:
-                acc -= sum(map(mul, hq[n:0:-1], nf))
-            f.append(exact_div(acc, n * q))
-            nf.append(n * f[n])
+                hs[0] = 1
+                hp = hs
+                for _ in range(p - 1):
+                    hp = _packed_product(hp, hs, terms)
+                f = _packed_product(f, hp, terms)
+        else:
+            hq, nf = [q * x for x in hs], [0]   # nf[n] = n f_n
+            for n in range(1, terms):
+                acc = (sum(map(mul, u[n:0:-1], f))
+                       - sum(map(mul, hq[n:0:-1], nf)))
+                f.append(exact_div(acc, n * q))
+                nf.append(n * f[n])
     else:   # E = 1, U = Dh: Miller's recurrence over the nonzero h_k
         nz = [(e // s, (p + q) * (e // s), x) for e, x in sorted(h.items())]
         for n in range(1, terms):

@@ -11,7 +11,8 @@ lattice and acceptance tests ask about, and the full-window catalog
 identification that `modfunc.identify` shortcuts with a prefix probe,
 the hand-padded catalog builders that the eta-quotient table replaced,
 the eta function as its explicit product, which the one eta kernel
-`qseries.eta_power` replaced,
+`qseries.eta_power` replaced, the term-by-term convolution that judges
+its packed big-int products, the pairs that fill a whole Faber square,
 the codeword walks that the basis-row doubling criteria replaced,
 the closed-form thetas of the small reference lattices, whose name
 grammar the package's three half-swap builders in `verify` replaced,
@@ -49,6 +50,23 @@ HALF = Fraction(1, 2)
 
 
 # ---------- the checked series builder ----------
+
+def convolve(a, b, n):
+    """The first n coefficients of the product of the coefficient lists
+    a and b, summed term by term."""
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return out
+
+
+def every_pair(K):
+    """Every (n, k) with 1 <= n <= k <= K: the pairs that have
+    `modfunc._faber_rows` fill its whole K x K square."""
+    return [(n, k) for n in range(1, K + 1) for k in range(n, K + 1)]
+
 
 def make_series(coeffs, trunc48):
     """The series with these coefficients below trunc48, in the form
@@ -301,7 +319,7 @@ def tuple_census_theta(code: BinaryCode, gens, trunc48: int, j=None,
 
 def _shifted_product(signature, trunc48):
     """Product over ((weight, shift, alt), multiplicity) of shifted thetas."""
-    out = QSeries.one(trunc48)
+    out = QSeries.monomial(1, 0, trunc48)
     for (weight, shift, alt), mult in signature:
         out = out * shifted_theta(weight, shift, trunc48, alt) ** mult
     return out.truncate48(trunc48)

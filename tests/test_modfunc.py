@@ -11,6 +11,7 @@ and against quotients recomputed from fixed-sublattice thetas.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,8 +36,9 @@ from thetaforge.qseries import DEN, PrecisionError, QSeries
 from thetaforge.verify import _SUBGROUP_CLASSES
 
 from oracles import (
-    CATALOG_BUILDERS, catalog_theta, dilate, full_window_identify,
-    hamming8_class_representatives, make_series, oracle_eta,
+    CATALOG_BUILDERS, catalog_theta, dilate, every_pair,
+    full_window_identify, hamming8_class_representatives, make_series,
+    oracle_eta,
 )
 
 T = lambda n: n * DEN
@@ -237,7 +239,7 @@ def oracle_faber_grid(f, K):
 
 def faber_grid(f, K):
     """G_{n,k} off `_faber_rows`, laid out as `oracle_faber_grid`."""
-    rows = _faber_rows(f, K)
+    rows = _faber_rows(f, K, every_pair(K))
     return [[None] * (K + 1)] + [[None] + [rows[k][n] for k in range(1, K + 1)]
                                  for n in range(1, K + 1)]
 
@@ -313,6 +315,75 @@ def test_faber_table_on_strided_tails_against_the_oracle(case):
     assert faber_grid(f, K) == oracle_faber_grid(f, K)
 
 
+def oracle_verdict(grid, K):
+    """`is_replicable`'s verdict and violations read off an oracle grid
+    table[n][k] = G_{n,k} that covers the K x K square: a[n][k] =
+    G_{k,n}/n as a Fraction, held against the first entry of its
+    (gcd, lcm) class in the order n <= k."""
+    first, violations = {}, []
+    for n in range(1, K + 1):
+        for k in range(n, K + 1):
+            value = Fraction(grid[k][n], n)
+            r, s, want = first.setdefault((gcd(n, k), lcm(n, k)), (n, k, value))
+            if value != want:
+                violations.append([n, k, r, s])
+    return ("not-replicable" if violations else "replicable-up-to-K_rep",
+            violations)
+
+
+# One oracle grid at K 60 holds the grid of every smaller K, as G_{n,k}
+# does not depend on K; the catalog rows and the hamming8 class
+# quotients, replicable or not, are walked at every K up to it.
+@pytest.mark.parametrize("source", [*MT_NAMES, *[
+    g for g in hamming8_class_representatives()]], ids=str)
+def test_pruned_walk_gives_the_oracle_verdicts(source):
+    K_top = 60
+    if isinstance(source, str):
+        f = strip_constant(mckay_thompson(source, T(2 * K_top + 1)))[0]
+    else:
+        th = theta_fixed(HAM, [source], T(2 * K_top + 4))
+        f = strip_constant(theta_quotient(th, source.cycle_type()))[0]
+    grid = oracle_faber_grid(f, K_top)
+    for K in range(1, K_top + 1):
+        report = is_replicable(f, K)
+        assert ((report["verdict"], report["violations"])
+                == oracle_verdict(grid, K)), K
+
+
+@given(strided_faber_input())
+@settings(max_examples=60, deadline=None)
+def test_pruned_walk_verdicts_on_strided_tails(case):
+    f, K = case
+    report = is_replicable(f, K)
+    assert ((report["verdict"], report["violations"])
+            == oracle_verdict(oracle_faber_grid(f, K), K))
+
+
+@st.composite
+def faber_pairs_case(draw):
+    """(f, K, pairs): a strided input and up to 6 pairs (n, k) in the
+    K x K square, in either order."""
+    f, K = draw(strided_faber_input())
+    index = st.integers(min_value=1, max_value=K)
+    return f, K, draw(st.lists(st.tuples(index, index), max_size=6))
+
+
+# An even anti-diagonal 2m above K+1 that only its middle G_{m,m} needs
+# reads 2m-2 one index below its own middle.
+@given(faber_pairs_case())
+@example((*strided_tail(2, 4), [(2, 2), (2, 3), (4, 4)]))
+@example((*strided_tail(1, 5), [(5, 5), (5, 1), (3, 2), (2, 3)]))
+@example((*strided_tail(1, 12), [(12, 12)]))
+@example((*strided_tail(3, 12), [(9, 12), (12, 12)]))
+@settings(max_examples=80, deadline=None)
+def test_pruned_rows_fill_every_pair_they_are_given(case):
+    f, K, pairs = case
+    rows = _faber_rows(f, K, pairs)
+    grid = oracle_faber_grid(f, K)
+    for n, k in pairs:
+        assert (rows[k][n], rows[n][k]) == (grid[n][k], grid[k][n])
+
+
 @pytest.mark.parametrize("name", ["T_4A", "T_16a"])   # strides 1 and 4
 @pytest.mark.parametrize("K", [1, 6, 13])
 def test_faber_table_precision_boundary(name, K):
@@ -329,11 +400,11 @@ def test_faber_table_checks_the_symmetric_fill(monkeypatch):
     # every exact division is off by one, so the first walk onto row 1,
     # at sigma = 4, no longer gives G_{1,3} = 3 a_3
     with pytest.raises(ThetaforgeError, match=r"asymmetric at \(1, 3\)"):
-        _faber_rows(f, 4)
+        _faber_rows(f, 4, every_pair(4))
 
 
 @pytest.mark.parametrize("call", [
-    lambda f: _faber_rows(f, 12.7),
+    lambda f: _faber_rows(f, 12.7, []),
     lambda f: is_replicable(f, 12.7),
     lambda f: is_replicable(f, "5"),
 ], ids=["faber_table", "is_replicable", "is_replicable-str"])
@@ -345,7 +416,7 @@ def test_faber_counts_must_be_ints(call):
 
 def test_faber_table_against_closed_forms():
     f, _ = strip_constant(mckay_thompson("T_4A", T(10)))
-    rows = _faber_rows(f, 4)
+    rows = _faber_rows(f, 4, every_pair(4))
     f2, f3 = faber_low_columns(f)
     for n in range(1, 5):
         assert rows[1][n] == f.coeff48(n * DEN)
@@ -356,15 +427,16 @@ def test_faber_table_against_closed_forms():
 def test_faber_table_needs_precision():
     f, _ = strip_constant(mckay_thompson("T_3A", T(24)))
     with pytest.raises(PrecisionError):
-        _faber_rows(f, 12)
+        _faber_rows(f, 12, every_pair(12))
     assert is_replicable(f, 12)["verdict"] == "insufficient-precision"
 
 
 def test_faber_table_rejects_unnormalized_input():
     with pytest.raises(DomainError):
-        _faber_rows(mckay_thompson("T_4A", T(10)), 4)  # constant 24 left in
+        # the constant 24 is left in
+        _faber_rows(mckay_thompson("T_4A", T(10)), 4, every_pair(4))
     with pytest.raises(DomainError):
-        _faber_rows(oracle_eta(1, T(10)), 4)
+        _faber_rows(oracle_eta(1, T(10)), 4, every_pair(4))
 
 
 @given(st.lists(coeff_st, min_size=1, max_size=8))
@@ -375,7 +447,7 @@ def test_faber_table_symmetry(tail):
     coeffs.update({(i + 1) * DEN: c for i, c in enumerate(tail) if c})
     f = make_series(coeffs, T(2 * K + 1))
     # the entries G_{n,k}/k are symmetric in n and k
-    rows = _faber_rows(f, K)
+    rows = _faber_rows(f, K, every_pair(K))
     for n in range(1, K + 1):
         for k in range(1, K + 1):
             assert rows[k][n] * n == rows[n][k] * k

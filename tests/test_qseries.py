@@ -3,17 +3,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import thetaforge
 from thetaforge.lattice import _factor
 from thetaforge.qseries import (
-    DEN, PrecisionError, QSeries, eta_power, exact_div, int_theta, iroot,
-    rational_power, theta2, theta3, theta4,
+    DEN, PrecisionError, QSeries, _packed_product, eta_power, exact_div,
+    int_theta, iroot, rational_power, theta2, theta3, theta4,
 )
 
 from oracles import (
-    brute_int_theta, dilate, make_series, oracle_eta, shifted_theta,
+    brute_int_theta, convolve, dilate, make_series, oracle_eta,
+    shifted_theta,
 )
 
 T = lambda n: n * DEN  # integer q-power -> 48ths
@@ -69,10 +70,10 @@ def oracle_pow(f, r):
     trel = f.trunc48 - v
     h = make_series({e - v: Fraction(cc) / c
                      for e, cc in f.coeffs.items() if e != v}, trel)
-    out = QSeries.one(trel)
+    out = QSeries.monomial(1, 0, trel)
     if not h.is_zero():
         step = h.valuation48()
-        hk = QSeries.one(trel)
+        hk = QSeries.monomial(1, 0, trel)
         k = 1
         while k * step < trel:
             hk = hk * h
@@ -197,7 +198,7 @@ def composed_eta_power(num, counts, power, pad):
     """(num / prod eta(q^t)^count)^power from the explicit eta products,
     each raised by integer ** and inverted by ** -1, with
     every eta exact below pad."""
-    out = QSeries.one(pad) * num
+    out = QSeries.monomial(1, 0, pad) * num
     for t, r in counts:
         factor = oracle_eta(t, pad) ** abs(r)
         out = out * (factor ** -1 if r > 0 else factor)
@@ -230,9 +231,9 @@ def test_the_package_does_not_export_the_unchecked_constructor():
 
 @pytest.mark.parametrize("build", [
     lambda: QSeries.monomial(0.5, 0, T(1)),
-    lambda: QSeries.one(T(1)) + 0.1,
-    lambda: QSeries.one(T(1)) * 0.1,
-    lambda: QSeries.one(T(1)) / 0.1,
+    lambda: QSeries.monomial(1, 0, T(1)) + 0.1,
+    lambda: QSeries.monomial(1, 0, T(1)) * 0.1,
+    lambda: QSeries.monomial(1, 0, T(1)) / 0.1,
     lambda: eta_power(0.1, (), 1, T(1)),
 ], ids=["monomial", "add", "mul", "truediv", "eta_power-numerator"])
 def test_inexact_coefficients_rejected(build):
@@ -242,7 +243,7 @@ def test_inexact_coefficients_rejected(build):
 
 @pytest.mark.parametrize("build", [
     lambda: QSeries.zero(48.7),
-    lambda: QSeries.one(48.7),
+    lambda: QSeries.monomial(1, 0, 48.7),
     lambda: QSeries.monomial(1, 0.9, T(1)),
     lambda: QSeries.monomial(1, 0, 48.7),
 ], ids=["zero-bound", "one-bound", "monomial-exponent", "monomial-bound"])
@@ -253,7 +254,7 @@ def test_inexact_exponents_rejected(build):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: QSeries.one(T(101)).truncate48(100.9),
+    lambda: QSeries.monomial(1, 0, T(101)).truncate48(100.9),
     lambda: eta_power(1, ((1.9, 1),), 1, T(4)),
     lambda: eta_power(1, ((1, 1),), 1, 100.5),
     lambda: theta3(1, 48.5),
@@ -300,7 +301,7 @@ def test_add_mul_axioms(a, b, c):
     assert (a * (b + c)).matches(a * b + a * c)
     assert (a - a).is_zero()
     assert (a + QSeries.zero(a.trunc48)).matches(a)
-    one = QSeries.one(a.trunc48)
+    one = QSeries.monomial(1, 0, a.trunc48)
     assert (a * one).matches(a)
 
 
@@ -363,6 +364,55 @@ def test_eta_power_against_the_explicit_products(case, cut):
         with pytest.raises(PrecisionError):
             eta_power(num.truncate48(num.trunc48 - 1), counts, power,
                       want.trunc48)
+
+
+@st.composite
+def packed_case_st(draw):
+    """(a, b, n) for `_packed_product`: signed int lists of 1 to 12 terms
+    and a cut n from 1 to past the end of their product.  Half the lists
+    are constant, so term min(len) - 1 of a product of two of them is
+    +-max|a| max|b| min(len), the bound that sets the slot width, and
+    magnitudes 2^k - 1, 2^k and 2^k + 1 put that bound on both sides of
+    a byte boundary."""
+    def side(length):
+        k = draw(st.integers(min_value=0, max_value=70))
+        top = max(1, (1 << k) + draw(st.sampled_from([-1, 0, 1])))
+        if draw(st.booleans()):
+            return [draw(st.sampled_from([top, -top]))] * length
+        return draw(st.lists(st.integers(min_value=-top, max_value=top),
+                             min_size=length, max_size=length))
+    a = side(draw(st.integers(min_value=1, max_value=12)))
+    b = side(draw(st.integers(min_value=1, max_value=12)))
+    return a, b, draw(st.integers(min_value=1, max_value=len(a) + len(b)))
+
+
+# 225 and 3 * 85 * 1 = 255 need 8 bits and a sign bit: two bytes
+@given(packed_case_st())
+@example(([15], [15], 1))
+@example(([-15], [15], 2))
+@example(([85] * 3, [1] * 4, 6))
+@example(([-(1 << 63)] * 2, [1 << 63] * 2, 3))
+@example(([0], [7, -7], 2))
+@settings(max_examples=200, deadline=None)
+def test_packed_product_against_the_convolution(case):
+    a, b, n = case
+    assert _packed_product(a, b, n) == convolve(a, b, n)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=6),
+                          st.integers(min_value=-3, max_value=3).filter(bool)),
+                min_size=1, max_size=2),
+       st.sampled_from([1, 3, Fraction(3, 2)]),
+       st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(
+           lambda c: c.denominator > 1),
+       st.integers(min_value=1, max_value=8 * DEN))
+@settings(max_examples=40, deadline=None)
+def test_eta_power_of_a_fraction_numerator(counts, power, c, end):
+    # h holds a Fraction, so even a whole power runs the recurrence
+    num = make_series({0: 1, DEN: c, 3 * DEN: 2}, end + 4 * DEN)
+    pad = end + DEN + 4 * sum(t * abs(r) for t, r in counts)
+    want = composed_eta_power(num, counts, power, pad)
+    assert eta_power(num, counts, power, want.trunc48) == want
 
 
 # ---------- shifted thetas ----------
@@ -490,7 +540,7 @@ def test_first_power_is_the_series_itself(a):
 @pytest.mark.parametrize("r", [0, Fraction(0)])
 def test_zeroth_power_is_one_on_the_same_window(r):
     for f in (theta3(1, T(4)), QSeries.zero(T(3))):
-        assert f ** r == QSeries.one(f.trunc48)
+        assert f ** r == QSeries.monomial(1, 0, f.trunc48)
     with pytest.raises(PrecisionError):
         QSeries.zero(0) ** r
 
@@ -498,7 +548,7 @@ def test_zeroth_power_is_one_on_the_same_window(r):
 def test_rational_pow_inverse():
     f = theta3(1, T(12))
     g = f ** -1
-    assert (f * g).matches(QSeries.one(T(12)))
+    assert (f * g).matches(QSeries.monomial(1, 0, T(12)))
 
 
 def test_rational_pow_square_root():

@@ -891,7 +891,7 @@ def test_series_constructor_guard_sees_every_form():
         "b = qseries.QSeries({0: 1}, t)\n"
         "c = [QSeries(d, t) for d in ds]\n"
         "d = QSeries.zero(t)\n"
-        "e = QSeries.one(t) * QSeries.monomial(1, 0, t)\n"
+        "e = QSeries.monomial(1, 0, t) * QSeries.monomial(1, 0, t)\n"
         "f = QSeries\n"
         "g = isinstance(x, QSeries)\n")
     assert sorted(node.lineno for node in ast.walk(tree)
@@ -943,6 +943,11 @@ _SWAP = "".join("(%d,%d)" % (i, i + 12) for i in range(1, 13))
 _LEECH = ["--code", "golay24", "--flavor", "super1"]
 
 _CLASSES = str(Path(__file__).parent / "data" / "hamming8_classes.txt")
+# golay24 in the labelling of golay24_fig8.txt, and the first generator
+# there, a fixed-point-free involution: its rank-24 quotient has power 1
+_GOLAY_ROWS = str(Path(__file__).parent / "data" / "golay24_rows.txt")
+_FIG8_INVOLUTION = ("(1,16)(2,20)(3,22)(4,21)(5,10)(6,17)(7,13)(8,11)(9,15)"
+                    "(12,23)(14,18)(19,24)")
 
 # every value these jobs hold is whole; replicability compares the
 # Faber entries G/k by cross-multiplying, so it makes no Fraction
@@ -951,6 +956,8 @@ _INTEGRAL_JOBS = [
     ["theta", *_LEECH, "--trunc", "4"],
     ["doubling", *_LEECH, "--group", _SWAP, "--trunc", "4"],
     ["quotient", "--group", "(2,8,4,6)(3,5)", "--trunc", "200"],
+    ["quotient", "--code", _GOLAY_ROWS, "--group", _FIG8_INVOLUTION,
+     "--trunc", "40"],
     ["replicable", "--group", "(1,5,2)(3,7,8)", "--krep", "48",
      "--trunc", "100"],
     ["scan", _CLASSES],
@@ -969,7 +976,7 @@ def _loaded_after(jobs):
 
 
 def test_integral_jobs_load_neither_fractions_nor_decimal():
-    assert _loaded_after(_INTEGRAL_JOBS) == "%s []\n" % ([0] * 18)
+    assert _loaded_after(_INTEGRAL_JOBS) == "%s []\n" % ([0] * 19)
 
 
 def test_a_rank_16_quotient_loads_fractions():
