@@ -23,8 +23,11 @@ weighted pairs (i, k) of least points of orbit blocks, and the words of
 one key are one leaf of the all-ones selector split on those sums'
 digit planes.  This is the size-refined weight enumerator of the fixed
 code on the orbit set; for the trivial group it is Construction A, Θ =
-W_C(θ₃(2τ), θ₂(2τ)).  Shift signatures and block products are then
-built once per distinct key, not once per codeword.
+W_C(θ₃(2τ), θ₂(2τ)).  Shift signatures are then built once per
+distinct key, not once per codeword, and the census, the sum of count
+times the product of the block thetas of each signature, is one packed
+big-int evaluation (`qseries.product_sum`): each block theta is packed
+once, and no series is multiplied by another.
 
 Sign-twisted sums, needed for traces of lifted automorphisms, weight v
 by (-1)^{<v, hv>} for an h that pairs up the orbit blocks.  The key
@@ -55,31 +58,17 @@ from functools import cache
 from .codes import BinaryCode
 from .errors import DomainError
 from .perms import Perm, orbit_type, orbits
-from .qseries import QSeries, int_theta
+from .qseries import QSeries, int_theta, product_sum
 
 FLAVORS = ("plain", "super0", "super1")
 
-# Factors and per-coset block products are cached by value; QSeries
-# instances are never mutated, so sharing them is safe.
+# A factor is cached by value and shared by every census of its window;
+# QSeries instances are never mutated, so sharing them is safe.
 @cache
 def _factor(size, quarters, alternating, trunc48):
     """Theta of an orbit block of `size` coordinates shifted by quarters/4:
     sum q^(size (n + quarters/4)^2), 3 size (4n + quarters)^2 in 48ths."""
     return int_theta(3 * size, 4, quarters, trunc48, alternating)
-
-
-@cache
-def _block_product(signature, trunc48):
-    """Product over ((size, quarters, alt), multiplicity) factor specs,
-    from the first factor's power on: a signature covers every orbit
-    block, so it is never empty."""
-    out = None
-    for (size, quarters, alt), mult in signature:
-        base = _factor(size, quarters, alt, trunc48)
-        if base.is_zero():
-            return QSeries.zero(trunc48)
-        out = base ** mult if out is None else out * base ** mult
-    return out.truncate48(trunc48)
 
 
 def _orbit_blocks(gens, n):
@@ -265,12 +254,8 @@ def _census_theta(code: BinaryCode, gens, trunc48: int, j=None,
                                    for (size, s, a), mult in signature))
             census[signature] += coeff
             census[flipped] += coeff * (-1) ** parity
-    total = QSeries.zero(trunc48)
-    for signature in sorted(census):
-        coeff = census[signature]
-        if coeff:
-            total = total + _block_product(signature, trunc48) * coeff
-    return (total / 2).truncate48(trunc48)
+    return product_sum(census.items(), lambda spec: _factor(*spec, trunc48),
+                       trunc48) / 2
 
 
 def _coset_parity(flavor):

@@ -28,21 +28,24 @@ Fraction can exist, and type checks look the class up in `sys.modules`.
 Only this module calls ``QSeries(coeffs, trunc48)``, which checks
 nothing, and `thetaforge` does not export the class: outside values
 enter through `monomial`, the scalar operators and the checked
-arguments of the builders.  Products are sparse convolutions.  A
-series is divided only by a scalar.  Every power f**r (r an int or a
-Fraction, not 0 or 1), eta product, eta quotient and theta quotient is
-one call of `eta_power`, which runs Euler's divisor-sum recurrence for
-(num / prod eta(q^t)^count)^power: each term is two dot products of
-the earlier terms against small numbers, or one when an integral
-numerator's whole power is split off and multiplied back by packed
-big-int products, and no eta series is built.
+arguments of the builders.  A product of two series is a sparse
+convolution; a sum of products of powers of integral series, such as a
+lattice census, is one packed big-int evaluation, `product_sum`, whose
+slots `_packed_product` shares.  A series is divided only by a scalar.
+Every power f**r (r an int or a Fraction, not 0 or 1), eta product,
+eta quotient and theta quotient is one call of `eta_power`, which
+runs Euler's divisor-sum recurrence for (num / prod eta(q^t)^count)
+^power: each term is two dot products of the earlier terms against
+small numbers, or one when an integral numerator's whole power is
+split off and multiplied back by packed big-int products, and no eta
+series is built.
 With no eta factor it is J.C.P. Miller's power recurrence, summed
 over the nonzero terms of num only, so a rational power f**r costs
 O(T^2) for T terms, less when f is sparse; with f = c q^v (1 + ...) it
 is exact below trunc48 - v + r v, and f**1 is f itself.
 """
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 import sys
 
@@ -332,36 +335,121 @@ class QSeries:
         return "QSeries(%d terms, trunc %s/48)" % (len(self.coeffs), self.trunc48)
 
 
-# ---------- the basic series ----------
+# ---------- packed big-int products ----------
+
+def _slot_bytes(bound):
+    """Bytes in a slot that holds every int of size at most bound: its
+    bit length plus a sign bit, rounded up to whole bytes."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(x, w):
+    """The int sum x_k X^k, X = 2^(8w), of the int list x, through
+    `to_bytes` of each x_k + 2^(8w-1) and one subtraction of the biases;
+    every |x_k| < 2^(8w-1)."""
+    bias = 1 << (8 * w - 1)
+    return (int.from_bytes(b"".join((c + bias).to_bytes(w, "little")
+                                    for c in x), "little")
+            - int.from_bytes(bias.to_bytes(w, "little") * len(x), "little"))
+
+
+def _unpack(big, w, n):
+    """The first n coefficients x_k of big = sum x_k X^k mod X^n, X =
+    2^(8w), every |x_k| < 2^(8w-1): each slot is read with a bias of
+    2^(8w-1), which puts a signed coefficient in [0, X), so one
+    `to_bytes` splits them all."""
+    bias = 1 << (8 * w - 1)
+    raw = ((big + int.from_bytes(bias.to_bytes(w, "little") * n, "little"))
+           & ((1 << (8 * w * n)) - 1)).to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - bias
+            for i in range(0, w * n, w)]
+
 
 def _packed_product(a, b, n):
     """The first n coefficients of the product of the int lists a and b,
     from one big-int product (Kronecker substitution: von zur Gathen and
     Gerhard, Modern Computer Algebra, 8.4; Harvey 2009).
 
-    A list x becomes the int sum x_k X^k with X = 2^W.  No coefficient
-    of the product exceeds max|a| max|b| min(len) in size, so W is its
-    bit length plus a sign bit, rounded up to whole bytes, which
-    `to_bytes` packs and splits.  Every slot is read with a bias of
-    2^(W-1), which puts a signed coefficient in [0, X).
+    No coefficient of the product exceeds max|a| max|b| min(len) in
+    size, which sets the slot width.
     """
     a, b = a[:n], b[:n]
-    bound = (max(1, *map(abs, a)) * max(1, *map(abs, b))
-             * min(len(a), len(b)))
-    w = bound.bit_length() // 8 + 1   # bytes in a slot
-    bias = 1 << (8 * w - 1)
-    pad = bias.to_bytes(w, "little")
+    w = _slot_bytes(max(1, *map(abs, a)) * max(1, *map(abs, b))
+                    * min(len(a), len(b)))
+    return _unpack(_pack(a, w) * _pack(b, w), w, n)
 
-    def pack(x):
-        return (int.from_bytes(b"".join((c + bias).to_bytes(w, "little")
-                                        for c in x), "little")
-                - int.from_bytes(pad * len(x), "little"))
 
-    raw = ((pack(a) * pack(b) + int.from_bytes(pad * n, "little"))
-           & ((1 << (8 * w * n)) - 1)).to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i:i + w], "little") - bias
-            for i in range(0, w * n, w)]
+def product_sum(terms, factor, trunc48):
+    """Sum of c prod factor(key)**m over the (signature, c) pairs of
+    terms, exact below trunc48; c is an int and a signature a tuple of
+    (key, m) pairs with m >= 1.
 
+    factor(key) must be an integral series with no negative exponent,
+    exact below trunc48, so that every product is too; it is called
+    once per key.  The sum is one packed big-int evaluation, with the
+    slots of `_packed_product`.  Each factor f = q^v g is packed once:
+    g on the stride s common to every g and to the gaps between the
+    product valuations, in the n slots from the lowest valuation to
+    trunc48.  Its powers come by squaring modulo X^n, and each product,
+    times c, is shifted into that frame by its valuation; one unpack
+    reads the sum.  Z[x]/(x^n) -> Z/X^n, x -> X, is a ring map, and no
+    coefficient of the sum in Z[x]/(x^n) exceeds sum |c| prod L1(g)^m
+    in size, L1(g) being the sum of the sizes of the packed
+    coefficients, so slots of that width hold every one exactly.
+    """
+    series, live = {}, []
+    for signature, c in terms:
+        for key, _ in signature:
+            if key not in series:
+                f = factor(key)
+                lead = f.valuation48()
+                if f.trunc48 < trunc48 or lead < 0:
+                    raise PrecisionError(
+                        "a factor exact below %d/48 with lead %d/48 leaves"
+                        " a product inexact below %d/48"
+                        % (f.trunc48, lead, trunc48))
+                series[key] = f, lead
+        v = sum(series[key][1] * m for key, m in signature)
+        if c and v < trunc48:   # a zero factor's valuation is its window
+            live.append((signature, c, v))
+    if not live:
+        return QSeries.zero(trunc48)
+    low = min(v for _, _, v in live)
+    keys = {key for signature, _, _ in live for key, _ in signature}
+    s = gcd(*(e - v for f, v in map(series.get, keys) for e in f.coeffs),
+            *(v - low for _, _, v in live)) or trunc48 - low
+    n = -(-(trunc48 - low) // s)
+    lists = {}
+    for key in keys:
+        f, v = series[key]
+        lists[key] = x = [0] * n
+        for e, c in f.coeffs.items():
+            if e - v < n * s:
+                x[(e - v) // s] = c
+    size = {key: sum(map(abs, x)) for key, x in lists.items()}
+    w = _slot_bytes(sum(abs(c) * prod(size[key] ** m for key, m in signature)
+                        for signature, c, _ in live))
+    mask = (1 << 8 * w * n) - 1
+    powers = {(key, 1): _pack(x, w) for key, x in lists.items()}
+
+    def power(key, m):   # by squaring, sharing the halves of every m
+        if (key, m) not in powers:
+            z = power(key, m // 2) ** 2 & mask
+            powers[key, m] = z * powers[key, 1] & mask if m % 2 else z
+        return powers[key, m]
+
+    total = 0
+    for signature, c, v in live:
+        y = 1
+        for key, m in signature:
+            y = y * power(key, m) & mask
+        total += c * y << 8 * w * ((v - low) // s)
+    return QSeries({low + k * s: x
+                    for k, x in enumerate(_unpack(total, w, n))
+                    if x and low + k * s < trunc48}, trunc48)
+
+
+# ---------- the basic series ----------
 
 def eta_power(num, counts, power, trunc48):
     """(num / prod eta(q^t)^count)^power, exact below trunc48.

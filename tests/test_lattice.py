@@ -526,6 +526,44 @@ def test_census_matches_the_tuple_walk_on_golay24():
                 _assert_census_matches_the_tuple_walk(code, fixing, T(4))
 
 
+@pytest.mark.parametrize("g", CLASS_REPS, ids=str)
+def test_census_matches_the_tuple_walk_at_a_wide_window(g):
+    # the slots widen with the window: the trivial group's plain
+    # census packs 4-byte slots at 8 powers and 5-byte slots at 40
+    _assert_census_matches_the_tuple_walk(HAM, [g], T(40))
+
+
+def test_every_census_is_one_packed_evaluation(monkeypatch):
+    """No theta raises a series to a power or multiplies two series:
+    every census, plain, a_Omega/4, twisted and kernel, is one
+    `qseries.product_sum` on hamming8 and golay24."""
+    series_mul = QSeries.__mul__
+
+    def scalar_only(self, other):
+        if isinstance(other, QSeries):
+            raise AssertionError("a census multiplied two series")
+        return series_mul(self, other)
+
+    def no_power(self, r):
+        raise AssertionError("a census raised a series to a power")
+
+    monkeypatch.setattr(QSeries, "__mul__", scalar_only)
+    monkeypatch.setattr(QSeries, "__pow__", no_power)
+    rows = load_code(str(Path(__file__).parent / "data" / "golay24_rows.txt"))
+    cases = [(HAM, g, T(10)) for g in CLASS_REPS if g.order() % 2 == 0]
+    cases += [(catalog_code("golay24"),
+               Perm([(i + 12) % 24 for i in range(24)]), T(4)),
+              (rows, parse_perm("(1,5)(2,10,19,8,22,18,3,15,4,7)"
+                                "(6,13,20,9,16,11,12,23,17,24)(14,21)", 24),
+               T(4))]
+    for code, g, t in cases:
+        for flavor in FLAVORS:
+            assert not theta_fixed(code, [g], t, flavor).is_zero()
+            for j in range(2, 2 * g.order(), 2):
+                theta_twisted(code, g, j, t, flavor)
+            kernel_theta(code, g, t, flavor)
+
+
 def _macwilliams_cases():
     """The hamming8 classes, the trivial group on hamming8+hamming8, the
     fig8 sets on the relabelled golay24, and golay24's full census."""

@@ -9,7 +9,7 @@ import thetaforge
 from thetaforge.lattice import _factor
 from thetaforge.qseries import (
     DEN, PrecisionError, QSeries, _packed_product, eta_power, exact_div,
-    int_theta, iroot, rational_power, theta2, theta3, theta4,
+    int_theta, iroot, product_sum, rational_power, theta2, theta3, theta4,
 )
 
 from oracles import (
@@ -397,6 +397,128 @@ def packed_case_st(draw):
 def test_packed_product_against_the_convolution(case):
     a, b, n = case
     assert _packed_product(a, b, n) == convolve(a, b, n)
+
+
+def _byte_edge(draw, top=5):
+    """A size 2^k - 1, 2^k or 2^k + 1 for k = 8j - 1 or 8j, j <= top,
+    so that bounds built from it sit on both sides of a byte boundary."""
+    k = max(0, 8 * draw(st.integers(min_value=0, max_value=top))
+            - draw(st.integers(min_value=0, max_value=1)))
+    return max(1, (1 << k) + draw(st.sampled_from([-1, 0, 1])))
+
+
+@st.composite
+def product_sum_case_st(draw):
+    """(factors, terms, end) for `product_sum`: factors a list of
+    coefficient dicts, each known below end or beyond it, and terms a
+    list of (signature, c) over their indices, with powers up to 24.
+
+    A factor is a block theta of `lattice._factor` (signed, alternating
+    or the zero series), a signed series on a stride from a positive
+    valuation, or a single term.  One case in four is all single terms
+    in one term whose product lands in the window: its coefficient is
+    the bound that sets the slot width."""
+    power = st.one_of(st.integers(min_value=1, max_value=4),
+                      st.sampled_from([8, 12, 16, 24]))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        count = draw(st.integers(min_value=1, max_value=3))
+        signature = tuple((i, draw(power)) for i in range(count))
+        leads = [draw(st.integers(min_value=0, max_value=6))
+                 for _ in range(count)]
+        end = (sum(v * m for v, (_, m) in zip(leads, signature))
+               + draw(st.integers(min_value=1, max_value=DEN)))
+        factors = [{v: draw(st.sampled_from([1, -1])) * _byte_edge(draw, 2)}
+                   for v in leads]
+        c = draw(st.sampled_from([1, -1])) * _byte_edge(draw)
+        return factors, [(signature, c)], end
+    end = draw(st.integers(min_value=1, max_value=3 * DEN))
+    factors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["theta", "zero", "series", "term"]))
+        if kind == "theta":
+            f = _factor(draw(st.integers(min_value=1, max_value=4)),
+                        draw(st.integers(min_value=0, max_value=3)),
+                        draw(st.booleans()), end).coeffs
+        elif kind == "zero":
+            f = _factor(3, 2, True, end).coeffs
+        elif kind == "series":
+            lead = draw(st.integers(min_value=0, max_value=end))
+            stride = draw(st.integers(min_value=1, max_value=6))
+            top = _byte_edge(draw)
+            f = {lead + stride * k: draw(st.integers(min_value=-top,
+                                                     max_value=top))
+                 for k in draw(st.lists(st.integers(min_value=0,
+                                                    max_value=12),
+                                        min_size=1, max_size=6))}
+        else:
+            f = {draw(st.integers(min_value=0, max_value=end)):
+                 draw(st.sampled_from([1, -1])) * _byte_edge(draw)}
+        factors.append(f)
+    keys = st.integers(min_value=0, max_value=len(factors) - 1)
+    terms = [(tuple((draw(keys), draw(power))
+                    for _ in range(draw(st.integers(min_value=1,
+                                                    max_value=3)))),
+              draw(st.integers(min_value=-(1 << 20), max_value=1 << 20)))
+             for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    return factors, terms, end
+
+
+def _convolution_sum(factors, terms, end):
+    """The coefficients below end of the sum of c prod f**m, each
+    product built by repeated `convolve` of the dense lists."""
+    lists = [[f.get(e, 0) for e in range(end)] for f in factors]
+    total = [0] * end
+    for signature, c in terms:
+        out = [1]
+        for key, m in signature:
+            for _ in range(m):
+                out = convolve(out, lists[key], end)
+        out += [0] * (end - len(out))
+        total = [x + c * y for x, y in zip(total, out)]
+    return total
+
+
+# 255 needs 8 bits and a sign bit: two bytes; 3^5 = 243 and 2^8 = 256
+@given(product_sum_case_st())
+@example(([{0: 255}], [(((0, 1),), 1)], 1))
+@example(([{0: -255}], [(((0, 1),), -1)], 1))
+@example(([{0: 3}, {1: -1}], [(((0, 5), (1, 1)), -1)], 2))
+@example(([{0: 2}], [(((0, 8),), 1), (((0, 8),), -1)], 1))
+@example(([{0: 1, 48: 1}, {}], [(((0, 24),), 1), (((1, 1), (0, 2)), 5)], 49))
+@example(([{0: 1, 48: -2, 192: 2}, {3: 2, 75: 2}],
+          [(((0, 2), (1, 1)), 7), (((1, 2),), -1)], 100))
+@settings(max_examples=200, deadline=None)
+def test_product_sum_against_the_convolution(case):
+    factors, terms, end = case
+    calls = []
+
+    def factor(key):
+        calls.append(key)
+        return make_series(factors[key], end + key % 2)
+
+    got = product_sum(terms, factor, end)
+    assert got == make_series(dict(enumerate(
+        _convolution_sum(factors, terms, end))), end)
+    assert all(type(c) is int for c in got.coeffs.values())
+    assert sorted(calls) == sorted({key for signature, _ in terms
+                                    for key, _ in signature})
+
+
+@pytest.mark.parametrize("series", [
+    make_series({0: 1, 48: 1}, 95),     # exact below less than the window
+    make_series({-3: 1, 48: 1}, 96),    # a negative exponent
+])
+def test_product_sum_refuses_a_factor_that_leaves_the_window(series):
+    with pytest.raises(PrecisionError):
+        product_sum([(((0, 1),), 1)], lambda key: series, 96)
+
+
+def test_product_sum_of_no_live_term_is_zero():
+    zero = _factor(3, 2, True, 96)
+    assert product_sum([], lambda key: zero, 96) == QSeries.zero(96)
+    assert product_sum([(((0, 2),), 3)], lambda key: zero, 96).is_zero()
+    one = make_series({0: 1}, 96)
+    assert product_sum([(((0, 1),), 0)], lambda key: one, 96).is_zero()
 
 
 @given(st.lists(st.tuples(st.integers(min_value=1, max_value=6),
