@@ -8,7 +8,7 @@ super-code construction contribute 1/16.
 
 A series knows its coefficients exactly for all exponents strictly
 below ``trunc48`` (also in 48ths) and nothing beyond.  Arithmetic
-propagates truncations honestly, so multiplying by a series with a
+propagates truncations honestly, so a power of a series with a
 negative leading exponent shrinks the window the way it should, and
 truncating never widens a window: asking for more than is known is a
 PrecisionError.  Every exponent and window, in and out, is in 48ths.
@@ -28,21 +28,19 @@ Fraction can exist, and type checks look the class up in `sys.modules`.
 Only this module calls ``QSeries(coeffs, trunc48)``, which checks
 nothing, and `thetaforge` does not export the class: outside values
 enter through `monomial`, the scalar operators and the checked
-arguments of the builders.  A product of two series is a sparse
-convolution; a sum of products of powers of integral series, such as a
-lattice census, is one packed big-int evaluation, `product_sum`, whose
-slots `_packed_product` shares.  A series is divided only by a scalar.
-Every power f**r (r an int or a Fraction, not 0 or 1), eta product,
-eta quotient and theta quotient is one call of `eta_power`, which
-runs Euler's divisor-sum recurrence for (num / prod eta(q^t)^count)
-^power: each term is two dot products of the earlier terms against
-small numbers, or one when an integral numerator's whole power is
-split off and multiplied back by packed big-int products, and no eta
-series is built.
-With no eta factor it is J.C.P. Miller's power recurrence, summed
-over the nonzero terms of num only, so a rational power f**r costs
-O(T^2) for T terms, less when f is sparse; with f = c q^v (1 + ...) it
-is exact below trunc48 - v + r v, and f**1 is f itself.
+arguments of the builders.  A series is multiplied and divided only by
+a scalar; two kernels make every other product and power.  A sum of
+products of powers of integral series, such as a lattice census or a
+Jacobi-theta reference, is one packed big-int evaluation,
+`product_sum`, whose slots `_packed_product` shares.  Every eta
+product, eta quotient, theta quotient and power of one series is one
+call of `eta_power`, which runs Euler's divisor-sum recurrence for
+(num / prod eta(q^t)^count)^power: each term is two dot products of
+the earlier terms against small numbers, or one when an integral
+numerator's whole power is split off and multiplied back by packed
+big-int products, and no eta series is built.  With no eta factor it
+is the power num**power, exact below trunc48 - v + power v for num =
+c q^v (1 + ...).
 """
 
 from math import gcd, isqrt, prod
@@ -244,30 +242,15 @@ class QSeries:
         return self.__add__(-other)
 
     def __mul__(self, other):
-        if not isinstance(other, QSeries):
-            if not _is_rational(other):
-                return NotImplemented
-            if not other:
-                return QSeries.zero(self.trunc48)
-            return QSeries(
-                {e: _norm_coeff(c * other) for e, c in self.coeffs.items()},
-                self.trunc48)
-        t = min(self.valuation48() + other.trunc48,
-                other.valuation48() + self.trunc48)
-        out = {}
-        a = sorted(self.coeffs.items())
-        b = sorted(other.coeffs.items())
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = e1 + e2
-                if e >= t:
-                    break
-                out[e] = out.get(e, 0) + c1 * c2
-        clean = {}
-        for e, c in out.items():
-            if c:
-                clean[e] = _norm_coeff(c)
-        return QSeries(clean, t)
+        """self * other for an int or a Fraction; a series multiplies no
+        series (see `product_sum` and `eta_power`)."""
+        if not _is_rational(other):
+            return NotImplemented
+        if not other:
+            return QSeries.zero(self.trunc48)
+        return QSeries(
+            {e: _norm_coeff(c * other) for e, c in self.coeffs.items()},
+            self.trunc48)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -282,33 +265,6 @@ class QSeries:
         return QSeries(
             {e: exact_div(c, other) for e, c in self.coeffs.items()},
             self.trunc48)
-
-    def __pow__(self, r):
-        """Exact f**r for an int or a Fraction r: `eta_power` with no eta
-        factor.
-
-        With f = c q^v (1 + h) the result is c**r q^(r v) (1 + h)**r,
-        exact below trunc48 - v + r v, the window of h shifted by r v.
-        Integer powers and inverses take the same path.  Requires c**r
-        to be an exact rational and r*v to stay on the exponent grid.
-        """
-        r = exact_rational(r, "power")
-        if r == 1:
-            return self
-        if not r:
-            if self.trunc48 <= 0:
-                raise PrecisionError("cannot represent 1 below truncation 0")
-            return QSeries.monomial(1, 0, self.trunc48)
-        if not self.coeffs:
-            if r > 0:
-                return QSeries.zero(int(self.trunc48 * r))
-            raise ValueError("cannot raise the zero series to a nonpositive power")
-        v = self.valuation48()
-        rv = r * v
-        if rv.denominator != 1:
-            raise ValueError("power %s of leading exponent %s/48 leaves the grid"
-                             % (r, v))
-        return eta_power(self, (), r, self.trunc48 - v + int(rv))
 
     def truncate48(self, t48):
         """Drop all terms at exponent >= t48 (48ths); never widens the window."""
@@ -461,27 +417,22 @@ def eta_power(num, counts, power, trunc48):
     f = (h/E)^(p/q).  By Euler, S = -D log E = sum sigma(m) q^m with
     D = q d/dq and sigma(m) = sum of d count over t | d | m.  Indexed
     by steps of the common exponent stride, with D counting steps, one
-    of three paths runs:
+    of two paths runs:
 
-    - No eta factor (E = 1, S = 0): J.C.P. Miller's power recurrence
-      (Knuth, TAOCP vol. 2, 4.7)
-
-          n q f_n = sum_{k>=1} ((p + q) k - q n) h_k f_{n-k},
-
-      run over the nonzero h_k alone: a sparse theta's power pays for
-      its terms, not for its window.
-    - Eta factors, h all ints and p/q a whole number p >= 1 (an
-      `eta_product` or `eta_quotient`, a rank 8 or 24 quotient):
-      f = h^p E^-p.  E^-p comes from n f_n = sum_{k>=1} p S_k f_{n-k},
-      one dot product per term, and h^p and the product with it from
-      `_packed_product`, p big-int products in all (none for h = 1).
+    - h all ints and p/q a whole number p >= 1 (an `eta_product` or
+      `eta_quotient`, a rank 8 or 24 quotient, a whole power of an
+      integral series): f = h^p E^-p.  E^-p comes from
+      n f_n = sum_{k>=1} p S_k f_{n-k}, one dot product per term, and
+      h^p and the product with it from `_packed_product`, p big-int
+      products in all (none for h = 1).
     - Otherwise (a Fraction power such as rank 16's 3/2, or an h with
       a Fraction): f solves h Df = (p/q) f (Dh + h S), that is
 
           n q f_n = sum_{k>=1} (p U_k - q (n-k) h_k) f_{n-k},  U = Dh + h S,
 
       two dot products of earlier terms against small numbers per term.
-      h^(p/q) has no product form, and packing takes only ints.
+      h^(p/q) has no product form, and packing takes only ints.  With
+      no eta factor S = 0 and U = Dh.
 
     A series num must be exact below trunc48 - (v - 2N) power + v.
     """
@@ -517,47 +468,36 @@ def eta_power(num, counts, power, trunc48):
     p, q = power.numerator, power.denominator
     cr = 1 if c == 1 else rational_power(c, power)
     f = [1]
-    if eta:
-        sig = [0] * terms      # S on the stride, in steps a = 48d/s
-        for t, r in eta:
-            for a in range(DEN * t // s, terms, DEN * t // s):
-                for k in range(a, terms, a):
-                    sig[k] += r * a
-        hs = [0] * terms
-        for e, x in h.items():
-            hs[e // s] = x
-        # (1 + h)^p E^-p for whole p and h, else the recurrence with U
-        split = q == 1 and p > 0 and all(type(x) is int for x in hs)
-        if h and not split:   # U = Dh + h S
-            sig = [k * hk + sk + sum(map(mul, hs[1:k], sig[k - 1:0:-1]))
-                   for k, (hk, sk) in enumerate(zip(hs, sig))]
-        u = [p * x for x in sig]
-        if split or not h:   # E^-p: n q f_n = sum_k p S_k f_{n-k}
-            for n in range(1, terms):
-                f.append(exact_div(sum(map(mul, u[n:0:-1], f)), n * q))
-            if h:
-                hs[0] = 1
-                hp = hs
-                for _ in range(p - 1):
-                    hp = _packed_product(hp, hs, terms)
-                f = _packed_product(f, hp, terms)
-        else:
-            hq, nf = [q * x for x in hs], [0]   # nf[n] = n f_n
-            for n in range(1, terms):
-                acc = (sum(map(mul, u[n:0:-1], f))
-                       - sum(map(mul, hq[n:0:-1], nf)))
-                f.append(exact_div(acc, n * q))
-                nf.append(n * f[n])
-    else:   # E = 1, U = Dh: Miller's recurrence over the nonzero h_k
-        nz = [(e // s, (p + q) * (e // s), x) for e, x in sorted(h.items())]
+    sig = [0] * terms      # S on the stride, in steps a = 48d/s
+    for t, r in eta:
+        for a in range(DEN * t // s, terms, DEN * t // s):
+            for k in range(a, terms, a):
+                sig[k] += r * a
+    hs = [0] * terms
+    for e, x in h.items():
+        hs[e // s] = x
+    # (1 + h)^p E^-p for whole p and h, else the recurrence with U
+    split = q == 1 and p > 0 and all(type(x) is int for x in hs)
+    if h and not split:   # U = Dh + h S
+        sig = [k * hk + sk + sum(map(mul, hs[1:k], sig[k - 1:0:-1]))
+               for k, (hk, sk) in enumerate(zip(hs, sig))]
+    u = [p * x for x in sig]
+    if split or not h:   # E^-p: n q f_n = sum_k p S_k f_{n-k}
         for n in range(1, terms):
-            nq = n * q
-            acc = 0
-            for k, pqk, x in nz:
-                if k > n:
-                    break
-                acc += (pqk - nq) * x * f[n - k]
-            f.append(exact_div(acc, nq))
+            f.append(exact_div(sum(map(mul, u[n:0:-1], f)), n * q))
+        if h:
+            hs[0] = 1
+            hp = hs
+            for _ in range(p - 1):
+                hp = _packed_product(hp, hs, terms)
+            f = _packed_product(f, hp, terms)
+    else:
+        hq, nf = [q * x for x in hs], [0]   # nf[n] = n f_n
+        for n in range(1, terms):
+            acc = (sum(map(mul, u[n:0:-1], f))
+                   - sum(map(mul, hq[n:0:-1], nf)))
+            f.append(exact_div(acc, n * q))
+            nf.append(n * f[n])
     if cr != 1:
         f = [_norm_coeff(cr * x) for x in f]
     return QSeries({shift + n * s: x for n, x in enumerate(f[:terms]) if x},

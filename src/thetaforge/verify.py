@@ -24,7 +24,8 @@ theorem that the order of <gens> names, pq or p^2 q.  The group
 theorems are one relation, k Ch^G = Ch^A + k Ch^B - Ch V, over the
 subgroups that each shape names.  Fig7 and the half-swap hypotheses
 compare with the thetas of A1(2)^n, D_n(2) and D_n*(2), n half the
-rank, each built from the Jacobi thetas of q^2 by its own function.
+rank, each the sum of nth powers of Jacobi thetas of q^2 that one
+`product_sum` call evaluates (halved for D_n(2)) in `_jacobi_sum`.
 """
 
 from functools import partial
@@ -38,7 +39,7 @@ from .errors import DomainError
 from .lattice import doubling_element, is_even, lift_order, theta_fixed
 from .modfunc import eta_quotient, fixed_quotient, identify, is_replicable
 from .perms import Perm, group_elements, parse_generators, parse_perm
-from .qseries import DEN, theta2, theta3, theta4
+from .qseries import DEN, product_sum, theta2, theta3, theta4
 
 # hamming8 elements that several figures use, parsed where they are
 # used: `cli` imports this module in every process
@@ -144,19 +145,14 @@ def _verify_fig5(ham):
     ]
 
 
-def _theta_a1_2(n, trunc48):
-    """A1(2)^n: θ3(2τ)^n."""
-    return theta3(2, trunc48) ** n
+_JACOBI = {2: theta2, 3: theta3, 4: theta4}
 
 
-def _theta_d_2(n, trunc48):
-    """D_n(2): (θ3^n + θ4^n)/2 of 2τ."""
-    return (theta3(2, trunc48) ** n + theta4(2, trunc48) ** n) / 2
-
-
-def _theta_dstar_2(n, trunc48):
-    """D_n*(2): θ3^n + θ2^n of 2τ."""
-    return theta3(2, trunc48) ** n + theta2(2, trunc48) ** n
+def _jacobi_sum(ks, n, trunc48):
+    """The sum of θk(2τ)^n over k in ks, one `product_sum`: A1(2)^n for
+    ks = (3,), D_n*(2) for (3, 2) and twice D_n(2) for (3, 4)."""
+    return product_sum([(((k, n),), 1) for k in ks],
+                       lambda k: _JACOBI[k](2, trunc48), trunc48)
 
 
 def _verify_fig7(ham):
@@ -175,13 +171,13 @@ def _verify_fig7(ham):
             [1, 8, 28, 64, 134, 288, 568]),
         row("rank 8 nr", 8, partial(theta_fixed, ham, [nr]),
             [1, 24, 28, 192, 134, 864, 568]),
-        row("rank 16 rep", 16, partial(_theta_a1_2, 8),
+        row("rank 16 rep", 16, partial(_jacobi_sum, (3,), 8),
             [1, 16, 120, 576, 2076, 6304, 17344]),
-        row("rank 16 nr", 16, partial(_theta_dstar_2, 8),
+        row("rank 16 nr", 16, partial(_jacobi_sum, (3, 2), 8),
             [1, 16, 376, 576, 6172, 6304, 52160]),
-        row("rank 24 rep", 24, partial(_theta_a1_2, 12),
+        row("rank 24 rep", 24, partial(_jacobi_sum, (3,), 12),
             [1, 24, 276, 2048, 11202, 49152, 184024, 614400, 1881471]),
-        row("rank 24 nr", 24, partial(_theta_dstar_2, 12),
+        row("rank 24 nr", 24, partial(_jacobi_sum, (3, 2), 12),
             [1, 24, 276, 6144, 11202, 147456, 184024, 1843200, 1881471]),
     ]
 
@@ -281,23 +277,25 @@ def _compare(label, lhs, rhs, N=None, parity=None):
     return _row(label, "match", got, not bad)
 
 
-def _half_swap_reason(code, g, reference, shown, role, flavor, trunc48):
+def _half_swap_reason(code, g, ks, shown, role, flavor, trunc48):
     """Why g is not a half swap, of cycle type 2^(N/2), whose fixed theta
-    is reference(N/2, window), shown as `shown`; None when it is."""
+    is _jacobi_sum(ks, N/2, window), shown as `shown`; None when it is."""
     half = code.n // 2
     if g.cycle_type() != ((2, half),):
         return "%s class must have cycle type 2^(N/2)" % role
     window = max(trunc48 + 2 * DEN, 12 * DEN)
     if not theta_fixed(code, [g], window, flavor=flavor).matches(
-            reference(half, window)):
+            _jacobi_sum(ks, half, window)):
         return "%s fixed theta is not the %s series" % (role, shown)
     return None
 
 
 def _d_lattice_character(N, trunc48):
-    """Character of the half-rank D lattice VOA in the doubled variable."""
+    """Character of the half-rank D lattice VOA in the doubled variable:
+    half the eta quotient of twice D_n(2), n = N/2."""
     half = N // 2
-    return eta_quotient(partial(_theta_d_2, half), ((2, half),), trunc48)
+    return eta_quotient(partial(_jacobi_sum, (3, 4), half), ((2, half),),
+                        trunc48) / 2
 
 
 def check_thmC(code, g_rep, trunc48, g_nr=None,
@@ -306,13 +304,13 @@ def check_thmC(code, g_rep, trunc48, g_nr=None,
     rep quotient identity, or, given the half swap g_nr, ThmC-2, the nr
     quotient identity."""
     theorem = "ThmC-1" if g_nr is None else "ThmC-2"
-    reason = _half_swap_reason(code, g_rep, _theta_a1_2, "A1(2)^(N/2)",
-                               "first", flavor, trunc48)
+    reason = _half_swap_reason(code, g_rep, (3,), "A1(2)^(N/2)", "first",
+                               flavor, trunc48)
     if reason is None and lift_order(code, g_rep, flavor=flavor) == g_rep.order():
         reason = "first lift does not double, no kernel sublattice"
     if reason is None and g_nr is not None:
-        reason = _half_swap_reason(code, g_nr, _theta_dstar_2, "D*(2)",
-                                   "second", flavor, trunc48)
+        reason = _half_swap_reason(code, g_nr, (3, 2), "D*(2)", "second",
+                                   flavor, trunc48)
     if reason is not None:
         return _report(theorem, [_hypotheses(reason)])
     ch1 = character_cyclic(code, g_rep, trunc48, flavor=flavor)["character"]
@@ -400,9 +398,9 @@ def _check_p2q(code, gens, elements, p, q, trunc48, flavor):
 def check_parity(code, g_rep, g_nr, trunc48, flavor: str = "plain") -> dict:
     """The parity properties of the rep and nr half swaps: where their
     quotients and characters agree."""
-    reason = (_half_swap_reason(code, g_rep, _theta_a1_2, "A1(2)^(N/2)",
-                                "rep", flavor, trunc48)
-              or _half_swap_reason(code, g_nr, _theta_dstar_2, "D*(2)", "nr",
+    reason = (_half_swap_reason(code, g_rep, (3,), "A1(2)^(N/2)", "rep",
+                                flavor, trunc48)
+              or _half_swap_reason(code, g_nr, (3, 2), "D*(2)", "nr",
                                    flavor, trunc48))
     if reason is not None:
         return _report("parity-props", [_hypotheses(reason)])

@@ -12,10 +12,13 @@ identification that `modfunc.identify` shortcuts with a prefix probe,
 the hand-padded catalog builders that the eta-quotient table replaced,
 the eta function as its explicit product, which the one eta kernel
 `qseries.eta_power` replaced, the term-by-term convolution that judges
-its packed big-int products, the pairs that fill a whole Faber square,
+its packed big-int products, the sparse series product `mul` and
+Miller's series power `power` that the tests compose their judges
+from, which the two kernels `qseries.product_sum` and `eta_power`
+replaced in the package, the pairs that fill a whole Faber square,
 the codeword walks that the basis-row doubling criteria replaced,
 the closed-form thetas of the small reference lattices, whose name
-grammar the package's three half-swap builders in `verify` replaced,
+grammar the one half-swap builder `verify._jacobi_sum` replaced,
 the dilation q -> q^m, the codeword listing, the coefficients at whole
 powers and the thetas with a rational weight and shift, which only tests
 ask for, the tuple-per-codeword census and the codeword images h(B) that the
@@ -29,7 +32,7 @@ import argparse
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations as _all_perms, product
-from math import comb, isqrt, prod
+from math import comb, gcd, isqrt, prod
 from pathlib import Path
 import re
 
@@ -41,8 +44,8 @@ from thetaforge.lattice import (
 from thetaforge.modfunc import MT_NAMES, mckay_thompson, strip_constant
 from thetaforge.perms import Perm, parse_generators
 from thetaforge.qseries import (
-    DEN, PrecisionError, QSeries, exact_div, exact_int, exact_rational,
-    theta2, theta3, theta4,
+    DEN, PrecisionError, QSeries, _norm_coeff, exact_div, exact_int,
+    exact_rational, rational_power, theta2, theta3, theta4,
 )
 from thetaforge.verify import FIGURE_IDS
 
@@ -84,6 +87,88 @@ def make_series(coeffs, trunc48):
         if c:
             clean[e] = c
     return QSeries(clean, trunc48)
+
+
+
+# ---------- the series product and power the two kernels replaced ----------
+
+def mul(a, b):
+    """The product of two series by a sparse convolution over their
+    sorted terms, exact below the smaller of each lead plus the other's
+    window: `QSeries.__mul__` before `qseries.product_sum` and
+    `qseries.eta_power` made every product the package takes."""
+    t = min(a.valuation48() + b.trunc48,
+            b.valuation48() + a.trunc48)
+    out = {}
+    a = sorted(a.coeffs.items())
+    b = sorted(b.coeffs.items())
+    for e1, c1 in a:
+        for e2, c2 in b:
+            e = e1 + e2
+            if e >= t:
+                break
+            out[e] = out.get(e, 0) + c1 * c2
+    clean = {}
+    for e, c in out.items():
+        if c:
+            clean[e] = _norm_coeff(c)
+    return QSeries(clean, t)
+
+
+def power(f, r):
+    """Exact f**r for an int or a Fraction r by J.C.P. Miller's power
+    recurrence (Knuth, TAOCP vol. 2, 4.7): `QSeries.__pow__` before
+    `qseries.eta_power` took every power the package raises.
+
+    With f = c q^v (1 + h) the result is c**r q^(r v) (1 + h)**r,
+    exact below trunc48 - v + r v, the window of h shifted by r v.
+    Integer powers and inverses take the same path.  Requires c**r
+    to be an exact rational and r*v to stay on the exponent grid.
+    Indexed by steps of the stride s of h, (1 + h)**r = sum f_n q^(n s)
+    solves
+
+        n q f_n = sum_{k>=1} ((p + q) k - q n) h_k f_{n-k},  r = p/q,
+
+    run over the nonzero h_k alone: a sparse theta's power pays for its
+    terms, not for its window.
+    """
+    r = exact_rational(r, "power")
+    if r == 1:
+        return f
+    if not r:
+        if f.trunc48 <= 0:
+            raise PrecisionError("cannot represent 1 below truncation 0")
+        return QSeries.monomial(1, 0, f.trunc48)
+    if not f.coeffs:
+        if r > 0:
+            return QSeries.zero(int(f.trunc48 * r))
+        raise ValueError("cannot raise the zero series to a nonpositive power")
+    v = f.valuation48()
+    rv = r * v
+    if rv.denominator != 1:
+        raise ValueError("power %s of leading exponent %s/48 leaves the grid"
+                         % (r, v))
+    shift, window, c = int(rv), f.trunc48 - v, f.coeffs[v]
+    h = {e - v: x if c == 1 else exact_div(x, c)
+         for e, x in f.coeffs.items() if v < e < v + window}
+    s = gcd(*h) or max(window, 1)
+    terms = max(0, -(-window // s))
+    p, q = r.numerator, r.denominator
+    cr = 1 if c == 1 else rational_power(c, r)
+    out = [1]
+    nz = [(e // s, (p + q) * (e // s), x) for e, x in sorted(h.items())]
+    for n in range(1, terms):
+        nq = n * q
+        acc = 0
+        for k, pqk, x in nz:
+            if k > n:
+                break
+            acc += (pqk - nq) * x * out[n - k]
+        out.append(exact_div(acc, nq))
+    if cr != 1:
+        out = [_norm_coeff(cr * x) for x in out]
+    return QSeries({shift + n * s: x for n, x in enumerate(out[:terms]) if x},
+                   window + shift)
 
 
 # ---------- listings and readings that only tests ask for ----------
@@ -321,7 +406,7 @@ def _shifted_product(signature, trunc48):
     """Product over ((weight, shift, alt), multiplicity) of shifted thetas."""
     out = QSeries.monomial(1, 0, trunc48)
     for (weight, shift, alt), mult in signature:
-        out = out * shifted_theta(weight, shift, trunc48, alt) ** mult
+        out = mul(out, power(shifted_theta(weight, shift, trunc48, alt), mult))
     return out.truncate48(trunc48)
 
 
@@ -553,25 +638,27 @@ def catalog_theta(name: str, scale: int, trunc48: int) -> QSeries:
         raise DomainError("unknown catalog lattice %r" % name)
     if scale < 1:
         raise DomainError("scale must be a positive integer, got %r" % scale)
-    power = int(match.group(4) or 1)
+    count = int(match.group(4) or 1)
     base = match.group(1)
     s, t = scale, trunc48
     if base == "A1":
         series = theta3(s, t)
     elif base in ("A2", "K"):
         d = 3 if base == "A2" else 7
-        series = (theta3(2 * s, t) * theta3(2 * d * s, t)
-                  + theta2(2 * s, t) * theta2(2 * d * s, t))
+        series = (mul(theta3(2 * s, t), theta3(2 * d * s, t))
+                  + mul(theta2(2 * s, t), theta2(2 * d * s, t)))
     elif base == "E8":
-        series = (theta2(s, t) ** 8 + theta3(s, t) ** 8 + theta4(s, t) ** 8) / 2
+        series = (power(theta2(s, t), 8) + power(theta3(s, t), 8)
+                  + power(theta4(s, t), 8)) / 2
     else:
         rank = int(match.group(2))
         if match.group(3):
-            series = theta3(s, t) ** rank + theta2(s, t) ** rank
+            series = power(theta3(s, t), rank) + power(theta2(s, t), rank)
         else:
-            series = (theta3(s, t) ** rank + theta4(s, t) ** rank) / 2
-    if power != 1:
-        series = series ** power
+            series = (power(theta3(s, t), rank)
+                      + power(theta4(s, t), rank)) / 2
+    if count != 1:
+        series = power(series, count)
     return series
 
 
@@ -583,45 +670,46 @@ _PAD = 6 * DEN
 def _build_t4a(t48):
     pad = t48 + _PAD
     eta1, eta2, eta4 = (oracle_eta(k, pad) for k in (1, 2, 4))
-    return (eta2 ** 2 * (eta1 * eta4) ** -1) ** 24
+    return power(mul(power(eta2, 2), power(mul(eta1, eta4), -1)), 24)
 
 
 def _build_t8b(t48):
-    return dilate(_build_t4a((t48 + DEN) // 2), 2) ** Fraction(1, 2)
+    return power(dilate(_build_t4a((t48 + DEN) // 2), 2), Fraction(1, 2))
 
 
 def _build_t16a(t48):
-    return dilate(_build_t4a((t48 + 3 * DEN) // 4), 4) ** Fraction(1, 4)
+    return power(dilate(_build_t4a((t48 + 3 * DEN) // 4), 4), Fraction(1, 4))
 
 
 def _build_t3a(t48):
     pad = t48 + _PAD
-    u = oracle_eta(1, pad) ** 6 * oracle_eta(3, pad) ** -6
-    return (u + 27 * u ** -1) ** 2
+    u = mul(power(oracle_eta(1, pad), 6), power(oracle_eta(3, pad), -6))
+    return power(u + 27 * power(u, -1), 2)
 
 
 def _build_t6b(t48):
-    return dilate(_build_t3a((t48 + DEN) // 2), 2) ** Fraction(1, 2)
+    return power(dilate(_build_t3a((t48 + DEN) // 2), 2), Fraction(1, 2))
 
 
 def _build_t12a(t48):
     pad = t48 + _PAD
     eta = {k: oracle_eta(k, pad) for k in (1, 2, 3, 4, 6, 12)}
-    num = eta[2] ** 2 * eta[6] ** 2
-    den = eta[1] * eta[4] * eta[3] * eta[12]
-    return (num * den ** -1) ** 6
+    num = mul(power(eta[2], 2), power(eta[6], 2))
+    den = mul(mul(mul(eta[1], eta[4]), eta[3]), eta[12])
+    return power(mul(num, power(den, -1)), 6)
 
 
 def _build_t7a(t48):
     pad = t48 + _PAD
     eta = {k: oracle_eta(k, pad) for k in (1, 2, 7, 14)}
-    a = eta[1] * eta[7] * (eta[2] * eta[14]) ** -1
-    return (a + 4 * a ** -2) ** 3
+    a = mul(mul(eta[1], eta[7]), power(mul(eta[2], eta[14]), -1))
+    return power(a + 4 * power(a, -2), 3)
 
 
 def _build_t1a(t48):
     pad = t48 + _PAD
-    f = (catalog_theta("E8", 1, pad) * oracle_eta(1, pad) ** -8) ** 3
+    f = power(mul(catalog_theta("E8", 1, pad), power(oracle_eta(1, pad), -8)),
+              3)
     return f - 744
 
 

@@ -34,7 +34,7 @@ from thetaforge.verify import check_group, check_thmC, verify_figure
 
 from oracles import (
     a_partition_order, brute_force_automorphisms, catalog_theta,
-    d_partition_anchor, every_pair, oracle_eta, shifted_theta,
+    d_partition_anchor, every_pair, mul, oracle_eta, power, shifted_theta,
 )
 
 T = lambda n: n * DEN
@@ -195,17 +195,17 @@ def test_criterion_06_involution_characters_and_even_parts():
 def test_criterion_07_quotient_rows_and_parity_matching():
     with gate(7, "quotient rows and even/odd coefficient matching"):
         t48 = T(18)
-        den8 = oracle_eta(2, t48) ** -4
-        quo_rep = theta_fixed(HAM, [REP], t48) * den8
-        quo_nr = theta_fixed(HAM, [NR], t48) * den8
+        den8 = power(oracle_eta(2, t48), -4)
+        quo_rep = mul(theta_fixed(HAM, [REP], t48), den8)
+        quo_nr = mul(theta_fixed(HAM, [NR], t48), den8)
         assert row(quo_rep, -16, 7) == [1, 8, 28, 64, 134, 288, 568]
         assert row(quo_nr, -16, 7) == [1, 24, 28, 192, 134, 864, 568]
         for k in range(0, 17, 2):
             assert quo_rep.coeff48(-16 + k * DEN) \
                 == quo_nr.coeff48(-16 + k * DEN), k
-        den16 = oracle_eta(2, t48) ** -8
-        quo_a = catalog_theta("A1^8", 2, t48) * den16
-        quo_d = catalog_theta("D8*", 2, t48) * den16
+        den16 = power(oracle_eta(2, t48), -8)
+        quo_a = mul(catalog_theta("A1^8", 2, t48), den16)
+        quo_d = mul(catalog_theta("D8*", 2, t48), den16)
         assert row(quo_a, -32, 7) == [1, 16, 120, 576, 2076, 6304, 17344]
         assert row(quo_d, -32, 7) == [1, 16, 376, 576, 6172, 6304, 52160]
         for k in range(1, 17, 2):
@@ -232,8 +232,8 @@ def test_criterion_09_frobenius_group_characters():
         ch_g = character_group(HAM, h1 + h2, t48)["character"]
         ch_7 = character_group(HAM, h1, t48)["character"]
         ch_3 = character_group(HAM, h2, t48)["character"]
-        full = (theta_fixed(HAM, [], t48 + T(1))
-                * oracle_eta(1, t48 + T(1)) ** -8)
+        full = mul(theta_fixed(HAM, [], t48 + T(1)),
+                   power(oracle_eta(1, t48 + T(1)), -8))
         assert row(ch_g, -16, 7) == [
             1, 22, 242, 1762, 10460, 51078, 217266]
         assert row(ch_7, -16, 7) == [
@@ -334,20 +334,23 @@ def test_criterion_13_property_suite(tmp_path):
         g = shifted_theta(1, HALF, t48)
         h = catalog_theta("A2", 1, t48)
         assert (f + g).matches(g + f)
-        assert ((f * g) * h).matches(f * (g * h))
-        assert (f * (g + h)).matches(f * g + f * h)
-        assert (f * QSeries.monomial(1, 0, t48)).matches(f)
+        assert mul(mul(f, g), h).matches(mul(f, mul(g, h)))
+        assert mul(f, g + h).matches(mul(f, g) + mul(f, h))
+        assert mul(f, QSeries.monomial(1, 0, t48)).matches(f)
 
         t2 = shifted_theta(HALF, HALF, t48)
         t3 = shifted_theta(HALF, 0, t48)
-        assert (t2 * t2).matches(
-            2 * shifted_theta(1, HALF, t48) * shifted_theta(1, 0, t48))
-        assert (t3 * t3).matches(
-            shifted_theta(1, 0, t48) ** 2 + shifted_theta(1, HALF, t48) ** 2)
-        assert catalog_theta("A1^5", 1, t48).matches(t3 ** 5)
-        assert catalog_theta("D6*", 1, t48).matches(t3 ** 6 + t2 ** 6)
+        assert mul(t2, t2).matches(
+            2 * mul(shifted_theta(1, HALF, t48), shifted_theta(1, 0, t48)))
+        assert mul(t3, t3).matches(
+            power(shifted_theta(1, 0, t48), 2)
+            + power(shifted_theta(1, HALF, t48), 2))
+        assert catalog_theta("A1^5", 1, t48).matches(power(t3, 5))
+        assert catalog_theta("D6*", 1, t48).matches(
+            power(t3, 6) + power(t2, 6))
         theta4 = shifted_theta(1, 0, t48, alternating=True)
-        assert (oracle_eta(1, t48) ** 2).matches(theta4 * oracle_eta(2, t48))
+        assert power(oracle_eta(1, t48), 2).matches(
+            mul(theta4, oracle_eta(2, t48)))
 
         series = mckay_thompson("T_4A", T(17))
         stripped, _ = strip_constant(series)

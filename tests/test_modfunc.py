@@ -32,13 +32,15 @@ from thetaforge.modfunc import (
 from thetaforge.perms import (
     orbit_type, parse_generators, parse_perm, type_str,
 )
-from thetaforge.qseries import DEN, PrecisionError, QSeries
+from thetaforge.qseries import (
+    DEN, PrecisionError, QSeries, eta_power, product_sum,
+)
 from thetaforge.verify import _SUBGROUP_CLASSES
 
 from oracles import (
     CATALOG_BUILDERS, catalog_theta, dilate, every_pair,
-    full_window_identify, hamming8_class_representatives, make_series,
-    oracle_eta,
+    full_window_identify, hamming8_class_representatives, make_series, mul,
+    oracle_eta, power,
 )
 
 T = lambda n: n * DEN
@@ -50,7 +52,7 @@ HAM = catalog_code("hamming8")
 
 def test_eta_product_is_product_of_etas():
     prod = eta_product(((2, 2), (4, 1)), T(10))
-    ref = oracle_eta(2, T(10)) ** 2 * oracle_eta(4, T(10))
+    ref = mul(power(oracle_eta(2, T(10)), 2), oracle_eta(4, T(10)))
     assert prod.matches(ref)
     # valuation only depends on the degree: sum over cycles of t/24
     assert prod.valuation48() == 2 * 8
@@ -64,11 +66,13 @@ def test_a_shared_eta_product_is_left_unmutated():
     snapshot = (dict(first.coeffs), first.trunc48)
     assert (eta_product(((1, 2), (2, 1), (4, 1)), T(9))
             == first.truncate48(T(9)))
-    derived = [first * first, first + first, first - 1, -first, 3 * first,
-               first * first ** -1, first / 3, first ** 2, first ** 1,
-               first ** Fraction(1, 2), first.truncate48(T(4)),
-               dilate(first, 2)]
-    assert derived[8] is first   # a first power is the series itself
+    # the two kernels, a power and a product, take it as an operand
+    v = first.valuation48()
+    derived = [product_sum([(((0, 2),), 1)], lambda key: first, T(10)),
+               first + first, first - 1, -first, 3 * first, first / 3,
+               *(eta_power(first, (), r, first.trunc48 + int((r - 1) * v))
+                 for r in (-1, 2, 1, Fraction(1, 2))),
+               first.truncate48(T(4)), dilate(first, 2)]
     assert (first.coeffs, first.trunc48) == snapshot
     assert (eta_product(((1, 2), (2, 1), (4, 1)), T(10))
             == make_series(*snapshot))
@@ -91,7 +95,7 @@ def test_eta_quotient_needs_the_numerator_through_trunc_plus_2n(otype):
 
     quo = eta_quotient(numerator, otype, T(6))
     assert asked == [need]
-    wide = theta * eta_product(otype, T(12)) ** -1
+    wide = mul(theta, power(eta_product(otype, T(12)), -1))
     assert quo == wide.truncate48(T(6))
     with pytest.raises(PrecisionError):
         eta_quotient(lambda window: theta.truncate48(need - 1), otype, T(6))
@@ -104,8 +108,8 @@ def test_trace_series_against_a_wide_division(flavor):
     for g in hamming8_class_representatives():
         for j in range(lift_order(HAM, g, flavor=flavor)):
             ctype = (g ** (j % g.order())).cycle_type()
-            wide = (theta_twisted(HAM, g, j, T(18), flavor=flavor)
-                    * eta_product(ctype, T(18)) ** -1)
+            wide = mul(theta_twisted(HAM, g, j, T(18), flavor=flavor),
+                       power(eta_product(ctype, T(18)), -1))
             if is_even(HAM, flavor):
                 got = trace_series(HAM, g, j, T(8), flavor=flavor)
             else:
@@ -214,7 +218,7 @@ def faber_low_columns(f):
     """F_2 and F_3 written out directly instead of recursively."""
     a1 = f.coeff48(DEN)
     a2 = f.coeff48(2 * DEN)
-    return f * f - 2 * a1, f * f * f - 3 * a1 * f - 3 * a2
+    return mul(f, f) - 2 * a1, mul(mul(f, f), f) - 3 * a1 * f - 3 * a2
 
 
 def oracle_faber_grid(f, K):
@@ -227,7 +231,7 @@ def oracle_faber_grid(f, K):
     for n in range(1, K + 1):
         table[n][1] = a1[n]
     for k in range(1, K):
-        nxt = f * polys[k]
+        nxt = mul(f, polys[k])
         for n in range(1, k):
             nxt = nxt - a1[k - n] * polys[n]
         nxt = nxt - (k + 1) * a1[k]
@@ -490,11 +494,11 @@ def test_halved_dilations_are_consistent():
     t4a = mckay_thompson("T_4A", T(24))
     t8b = mckay_thompson("T_8B", T(12))
     t16a = mckay_thompson("T_16a", T(6))
-    assert (t8b * t8b).matches(dilate(t4a, 2))
-    assert (t16a ** 4).matches(dilate(t4a, 4))
+    assert mul(t8b, t8b).matches(dilate(t4a, 2))
+    assert power(t16a, 4).matches(dilate(t4a, 4))
     t3a = mckay_thompson("T_3A", T(12))
     t6b = mckay_thompson("T_6b", T(6))
-    assert (t6b * t6b).matches(dilate(t3a, 2))
+    assert mul(t6b, t6b).matches(dilate(t3a, 2))
 
 
 def test_all_named_series_are_integral_hauptmodul_shaped():
@@ -543,9 +547,10 @@ def test_k_lattice_theta_closed_form():
     # ((eta_1 eta_7)^3 + 4 (eta_2 eta_14)^3) / (eta_1 eta_2 eta_7 eta_14)
     w = T(12)
     eta = {k: oracle_eta(k, w) for k in (1, 2, 7, 14)}
-    num = (eta[1] * eta[7]) ** 3 + 4 * (eta[2] * eta[14]) ** 3
-    den = eta[1] * eta[2] * eta[7] * eta[14]
-    assert (num * den ** -1).matches(catalog_theta("K", 1, T(10)))
+    num = (power(mul(eta[1], eta[7]), 3)
+           + 4 * power(mul(eta[2], eta[14]), 3))
+    den = mul(mul(mul(eta[1], eta[2]), eta[7]), eta[14])
+    assert mul(num, power(den, -1)).matches(catalog_theta("K", 1, T(10)))
 
 
 # ---------- orbit-type quotients land on the catalog ----------
@@ -570,7 +575,7 @@ def test_orbit_type_quotients_identify(name, otype, ref, delta):
 
 
 def test_split_orbit_theta_identifies_as_t12a():
-    th = catalog_theta("A1", 2, T(14)) * catalog_theta("A1", 6, T(14))
+    th = mul(catalog_theta("A1", 2, T(14)), catalog_theta("A1", 6, T(14)))
     f = theta_quotient(th, ((2, 1), (6, 1)))
     assert identify(f) == ("T_12A", 0)
 

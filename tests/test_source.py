@@ -39,8 +39,8 @@ No module defines or names ``codewords``: the census counts popcount
 keys on bit planes of the fixed subcode, and only the test oracles list
 words.
 Only `qseries` calls the ``QSeries(...)`` constructor on a coefficient
-dict: every other series is built from `eta_power`, the thetas and
-arithmetic.  Importing `cli`, which every process does, parses no
+dict: every other series is built from `eta_power`, `product_sum`,
+the thetas and arithmetic.  Importing `cli`, which every process does, parses no
 permutation and builds no series: the generators of the recorded
 figures stay cycle strings until a figure runs.  Every def and class of
 the package is reached from `cli.main`, so the package holds only what

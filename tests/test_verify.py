@@ -16,8 +16,7 @@ from thetaforge import characters, verify
 from thetaforge.errors import DomainError
 from thetaforge.qseries import DEN
 from thetaforge.verify import (
-    FIGURE_IDS, _compare, _group_shape, _is_prime, _theta_a1_2, _theta_d_2,
-    _theta_dstar_2, verify_figure,
+    FIGURE_IDS, _compare, _group_shape, _is_prime, _jacobi_sum, verify_figure,
 )
 
 from oracles import catalog_theta, make_series
@@ -36,14 +35,18 @@ ROW_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_the_half_swap_references_are_the_closed_forms(n):
-    # A1(2)^n, D_n(2) and D_n*(2) against the oracle's named closed
-    # forms, on and off the integer grid out to 24 powers
-    for w in (1, 5 * DEN + 7, 24 * DEN):
-        assert _theta_a1_2(n, w) == catalog_theta("A1^%d" % n, 2, w)
-        assert _theta_d_2(n, w) == catalog_theta("D%d" % n, 2, w)
-        assert _theta_dstar_2(n, w) == catalog_theta("D%d*" % n, 2, w)
+    # A1(2)^n, D_n(2) and D_n*(2), each one product_sum, against the
+    # oracle's named closed forms built from Miller's powers, at every
+    # half rank up to 12, on and off the integer grid out to 24 powers
+    for w in (1, 7, DEN + 1, 3 * DEN + 13, 5 * DEN + 7, 5 * DEN + 47,
+              11 * DEN + 41, 24 * DEN):
+        for ks, name, half in (((3,), "A1^%d", 1), ((3, 4), "D%d", 2),
+                               ((3, 2), "D%d*", 1)):
+            got = _jacobi_sum(ks, n, w) / half
+            assert got.trunc48 == w, (ks, n, w)
+            assert got == catalog_theta(name % n, 2, w), (ks, n, w)
 
 
 def test_a_figure_traces_each_character_once():

@@ -21,7 +21,7 @@ from thetaforge.modfunc import (
 )
 from thetaforge.perms import parse_generators
 from thetaforge.qseries import DEN, PrecisionError
-from thetaforge.verify import _theta_a1_2, _theta_d_2, _theta_dstar_2
+from thetaforge.verify import _jacobi_sum
 
 from oracles import hamming8_class_representatives
 
@@ -75,9 +75,8 @@ ENTRY_POINTS = {
         flavor=draw(all_flavors)),
     "kernel_theta": lambda draw, w: kernel_theta(
         HAM, draw(st.sampled_from(EVEN_CLASSES)), w, flavor=draw(all_flavors)),
-    "theta_a1_2": lambda draw, w: _theta_a1_2(draw(half_ranks), w),
-    "theta_d_2": lambda draw, w: _theta_d_2(draw(half_ranks), w),
-    "theta_dstar_2": lambda draw, w: _theta_dstar_2(draw(half_ranks), w),
+    "jacobi_sum": lambda draw, w: _jacobi_sum(
+        draw(st.sampled_from([(3,), (3, 4), (3, 2)])), draw(half_ranks), w),
     "eta_product": lambda draw, w: eta_product(
         draw(classes).cycle_type(), w),
     "eta_quotient": _eta_quotient,
